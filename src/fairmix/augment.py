@@ -9,6 +9,7 @@ Test splits are never augmented; originals are never touched.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,15 +47,17 @@ class AugmentationPlan:
         return sum(c.target_count - c.current_count for c in self.cells.values())
 
 
-def _cell_key(meta: SampleMeta) -> CellKey:
-    return (tuple(v for _, v in meta.attributes), meta.label)
-
-
-def _cells_of(train: Dataset) -> dict[CellKey, list[int]]:
-    cells: dict[CellKey, list[int]] = {}
-    for i, m in enumerate(train.meta):
-        cells.setdefault(_cell_key(m), []).append(i)
-    return cells
+def _cells_of(train: Dataset) -> dict[CellKey, np.ndarray]:
+    """Row indices (ascending) of every non-empty cell, in cell-key order."""
+    rows = np.column_stack(
+        [*(train.attribute_values(a) for a in train.declared_attributes), train.labels()]
+    )
+    keys, cell_of_row = np.unique(rows, axis=0, return_inverse=True)
+    cell_of_row = cell_of_row.reshape(-1)
+    return {
+        (tuple(key[:-1]), key[-1]): np.flatnonzero(cell_of_row == c)
+        for c, key in enumerate(keys.tolist())
+    }
 
 
 def plan_balancing(train: Dataset, method: str = "mixfeat") -> AugmentationPlan:
@@ -62,60 +65,61 @@ def plan_balancing(train: Dataset, method: str = "mixfeat") -> AugmentationPlan:
     cells = _cells_of(train)
     target = max(len(v) for v in cells.values())
     return AugmentationPlan(
-        cells={k: CellPlan(len(v), target) for k, v in sorted(cells.items())},
+        cells={k: CellPlan(len(v), target) for k, v in cells.items()},
         method=method,
     )
 
 
-def mix_pair(row_i: np.ndarray, row_j: np.ndarray, lam: float) -> np.ndarray:
-    """Convex combination lam * row_i + (1 - lam) * row_j."""
+def mix_pair(row_i: np.ndarray, row_j: np.ndarray, lam) -> np.ndarray:
+    """Convex combination lam * row_i + (1 - lam) * row_j; lam may be a
+    column of per-row weights over matrices of rows."""
     return lam * np.asarray(row_i, dtype=float) + (1.0 - lam) * np.asarray(row_j, dtype=float)
 
 
-def _synthesize(train: Dataset, plan: AugmentationPlan, draw_row):
-    """Shared append loop; draw_row(cell_indices, rng) -> (per-modality rows, subject_id)."""
+def _synthesize(train: Dataset, plan: AugmentationPlan, draw):
+    """Append one synthetic row per call of draw(cell_indices), deficient cells
+    in key order. draw returns (parent_i, parent_j, per-modality weights,
+    subject_id); each modality's rows are mixed from the parents in one
+    mix_pair call. Returns the augmented dataset and the draws."""
     cells = _cells_of(train)
-    new_rows = {name: [] for name in train.modality_names}
-    new_meta: list[SampleMeta] = []
-    counter = 0
+    keys, draws = [], []
     for key, cp in sorted(plan.cells.items()):
         deficit = cp.target_count - cp.current_count
         if deficit <= 0:
             continue
-        sources = cells.get(key, [])
-        if not sources:
+        if key not in cells:
             raise UnreachableCellError(f"cell {key} needs {deficit} samples but has no source rows")
-        for _ in range(deficit):
-            rows, subject_id = draw_row(sources, key)
-            for name, row in rows.items():
-                new_rows[name].append(row)
-            attrs, label = key
-            counter += 1
-            new_meta.append(
-                SampleMeta(
-                    sample_id=f"syn-{plan.method}-{counter:05d}",
-                    subject_id=subject_id,
-                    label=label,
-                    attributes=tuple(zip(train.declared_attributes, attrs)),
-                )
-            )
-    stacked = {
-        name: (np.array(rows) if rows else np.empty((0, train.modality(name).n_features)))
-        for name, rows in new_rows.items()
+        keys += [key] * deficit
+        draws += [draw(cells[key]) for _ in range(deficit)]
+    parent_i = np.array([d[0] for d in draws], dtype=int)
+    parent_j = np.array([d[1] for d in draws], dtype=int)
+    lams = np.array([d[2] for d in draws], dtype=float).reshape(len(draws), len(train.modalities))
+    blocks = {
+        t.modality_name: mix_pair(t.samples[parent_i], t.samples[parent_j], lams[:, [m]])
+        for m, t in enumerate(train.modalities)
     }
-    return train.with_rows_appended(stacked, new_meta)
+    new_meta = [
+        SampleMeta(
+            sample_id=f"syn-{plan.method}-{n:05d}",
+            subject_id=d[3],
+            label=label,
+            attributes=tuple(zip(train.declared_attributes, attrs)),
+        )
+        for n, ((attrs, label), d) in enumerate(zip(keys, draws), 1)
+    ]
+    return train.with_rows_appended(blocks, new_meta), draws
 
 
 def random_oversample(train: Dataset, plan: AugmentationPlan, seed: int) -> Dataset:
     """Duplicate uniformly-drawn rows of each deficient cell until balanced."""
     rng = np.random.default_rng(seed)
+    weights = [1.0] * len(train.modalities)  # weight 1 copies the parent exactly
 
-    def draw(sources, key):
-        i = sources[rng.integers(len(sources))]
-        rows = {t.modality_name: t.samples[i].copy() for t in train.modalities}
-        return rows, train.meta[i].subject_id
+    def draw(sources):
+        i = int(sources[rng.integers(len(sources))])
+        return i, i, weights, train.meta[i].subject_id
 
-    return _synthesize(train, plan, draw)
+    return _synthesize(train, plan, draw)[0]
 
 
 @dataclass(frozen=True)
@@ -133,25 +137,20 @@ def mixfeat_with_provenance(
 ) -> tuple[Dataset, list[SynthProvenance]]:
     """mixfeat plus a per-synthetic-row record of parents and weights."""
     rng = np.random.default_rng(cfg.seed)
-    counter = [0]
-    provenance: list[SynthProvenance] = []
+    names = train.modality_names
+    subject_number = itertools.count(1)
 
-    def draw(sources, key):
+    def draw(sources):
         if len(sources) == 1:
             i = j = sources[0]
         else:
             pick = rng.choice(len(sources), size=2, replace=False)
             i, j = sources[pick[0]], sources[pick[1]]
-        rows, lams = {}, []
-        for t in train.modalities:
-            lam = float(rng.beta(cfg.beta_alpha, cfg.beta_beta))
-            rows[t.modality_name] = mix_pair(t.samples[i], t.samples[j], lam)
-            lams.append((t.modality_name, lam))
-        provenance.append(SynthProvenance(int(i), int(j), tuple(lams)))
-        counter[0] += 1
-        return rows, f"syn-subject-{counter[0]:05d}"
+        lams = [float(rng.beta(cfg.beta_alpha, cfg.beta_beta)) for _ in names]
+        return int(i), int(j), lams, f"syn-subject-{next(subject_number):05d}"
 
-    return _synthesize(train, plan, draw), provenance
+    augmented, draws = _synthesize(train, plan, draw)
+    return augmented, [SynthProvenance(i, j, tuple(zip(names, lams))) for i, j, lams, _ in draws]
 
 
 def mixfeat(train: Dataset, plan: AugmentationPlan, cfg: MixFeatConfig) -> Dataset:

@@ -20,13 +20,12 @@ import os
 import sys
 
 from . import experiment as exp
-from .config import PipelineConfig, load_config, parse_synth_spec
+from .config import AUGMENT_METHODS, PipelineConfig, load_config, parse_synth_spec
 from .dataset import load_dataset, save_dataset
 from .errors import ConfigError, DataError, ExperimentError, FairmixError, InputError
 from .synthgen import generate
 
 EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_EXPERIMENT = 0, 2, 3, 4
-AUGMENT_ARMS = ("none", "random_oversample", "mixfeat")
 
 
 def _parse_overrides(pairs):
@@ -71,7 +70,7 @@ def cmd_compare(args) -> int:
     cfg = _load_config(args)
     dataset = _resolve_dataset(cfg)
     reports = {}
-    for arm in AUGMENT_ARMS:
+    for arm in AUGMENT_METHODS:
         arm_cfg = dataclasses.replace(cfg, augment_method=arm)
         reports[arm] = exp.run_experiment(arm_cfg, dataset)
     fps = {arm: r.fold_fingerprints for arm, r in reports.items()}
@@ -83,7 +82,7 @@ def cmd_compare(args) -> int:
         "fold_fingerprints": reports["none"].fold_fingerprints,
         "seed": cfg.seed,
     }
-    exp._atomic_write(
+    exp.atomic_write(
         os.path.join(out, "report.json"),
         json.dumps(combined, indent=2, sort_keys=True) + "\n",
     )

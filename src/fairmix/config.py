@@ -1,66 +1,92 @@
 """Pipeline configuration: a flat key=value file, optionally overridden
 per key from the command line.
 
-Recognized keys (defaults in parentheses):
+Recognized keys, in the order of KEYS, where each is declared once
+(defaults in parentheses):
 
-    dataset.manifest=<path>        | dataset.synth=<synth spec path>
+    seed=<int>                     (required)
+    dataset.manifest=<path>        | dataset.synth=<synth spec path>   (exactly one)
     modalities=<comma list>        (all modalities in the dataset)
     features.level=all|high|low    (all)
     features.descriptors=<comma list of descriptor names>   (no mask)
     pca.enabled=true|false         (true)
-    pca.target_ratio=<real>        (0.8)
+    pca.target_ratio=<real in (0, 1]>   (0.8)
     augment.method=none|random_oversample|mixfeat   (none)
     augment.beta_alpha=<real>      (1.0)
     augment.beta_beta=<real>       (1.0)
     augment.seed=<int>             (master seed)
     model.kind=rbf_svm|mlp|logistic   (rbf_svm)
-    model.<hyperparam>=<value>     (model defaults)
     fusion.strategy=early|vote_hard|vote_soft|stack_hard|stack_soft  (early)
     fusion.meta_kind=<model kind>  (logistic)
     cv.mode=kfold|loso             (kfold)
-    cv.k=<int>                     (5)
+    cv.k=<int >= 2>                (5)
     cv.grouped=true|false          (true: subject-grouped, label-stratified)
-    seed=<int>                     (required)
     output_dir=<path>              (.)
+    model.<hyperparam>=<value>     (model defaults; only hyperparameters of model.kind)
+
+Integers (seeds, sizes, counts) must be non-negative and reals finite.
+Paths are relative to the configuration file.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import math
 import os
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
-from .dataset import parse_keyvalue_file
+from .dataset import LEVELS, parse_keyvalue_file
 from .errors import ConfigError
+from .fusion import STRATEGIES
 from .models import DEFAULT_HYPERPARAMS, PredictorSpec
 from .preprocess import DESCRIPTOR_ORDER
 from .synthgen import SynthSpec
 
 AUGMENT_METHODS = ("none", "random_oversample", "mixfeat")
-FUSION_STRATEGIES = ("early", "vote_hard", "vote_soft", "stack_hard", "stack_soft")
 CV_MODES = ("kfold", "loso")
+_BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
-def _parse_bool(key, text):
-    if text.lower() in ("true", "1", "yes"):
-        return True
-    if text.lower() in ("false", "0", "no"):
-        return False
-    raise ConfigError(f"{key}: expected true/false, got {text!r}")
+def _parser(convert, expected: str, ok=lambda value: True):
+    """parse(key, text): convert the text and check the value, raising a
+    ConfigError that names the key when either fails."""
+
+    def parse(key, text):
+        try:
+            value = convert(text)
+            valid = ok(value)
+        except (KeyError, ValueError):
+            valid = False
+        if not valid:
+            raise ConfigError(f"{key}: expected {expected}, got {text!r}")
+        return value
+
+    return parse
 
 
-def _parse_int(key, text):
-    try:
-        return int(text)
-    except ValueError:
-        raise ConfigError(f"{key}: expected integer, got {text!r}")
+def _names(text):
+    return tuple(m.strip() for m in text.split(",") if m.strip())
 
 
-def _parse_float(key, text):
-    try:
-        return float(text)
-    except ValueError:
-        raise ConfigError(f"{key}: expected number, got {text!r}")
+def _one_of(options):
+    return _parser(str, f"one of {tuple(options)}", lambda v: v in options)
+
+
+_parse_bool = _parser(lambda text: _BOOLS[text.lower()], "true/false")
+# every integer in a configuration is a seed, a size or a count
+_parse_int = _parser(int, "a non-negative integer", lambda v: v >= 0)
+_parse_float = _parser(float, "a finite number", math.isfinite)
+_parse_str = _parser(str, "text")
+_PARSERS_BY_TYPE = {int: _parse_int, float: _parse_float, str: _parse_str}
+
+
+def _hyperparam_parser(default):
+    """Parser for a model.<hp> value, by the type of the kind's default; a
+    string default (gamma="scale") also accepts a number in its place."""
+    if isinstance(default, str):
+        return lambda key, text: text if text == default else _parse_float(key, text)
+    return _PARSERS_BY_TYPE[type(default)]
 
 
 @dataclass
@@ -99,182 +125,108 @@ class PipelineConfig:
 
     def to_flat_dict(self) -> dict:
         """Full resolved configuration, for embedding in reports."""
-        out = {
-            "dataset.manifest": self.manifest,
-            "modalities": list(self.modalities) if self.modalities else None,
-            "features.level": self.level,
-            "features.descriptors": list(self.descriptors) if self.descriptors else None,
-            "pca.enabled": self.pca_enabled,
-            "pca.target_ratio": self.pca_target_ratio,
-            "augment.method": self.augment_method,
-            "augment.beta_alpha": self.beta_alpha,
-            "augment.beta_beta": self.beta_beta,
-            "augment.seed": self.resolved_augment_seed(),
-            "model.kind": self.model_kind,
-            "model.hyperparams": {k: v for k, v in sorted(self.model_hyperparams.items())},
-            "fusion.strategy": self.fusion_strategy,
-            "fusion.meta_kind": self.meta_kind,
-            "cv.mode": self.cv_mode,
-            "cv.k": self.cv_k,
-            "cv.grouped": self.cv_grouped,
-            "seed": self.seed,
-        }
+        out = {key: k.report(getattr(self, k.field)) for key, k in KEYS.items() if k.report}
+        out["augment.seed"] = self.resolved_augment_seed()
+        out["model.hyperparams"] = dict(sorted(self.model_hyperparams.items()))
         if self.synth_spec is not None:
             out["dataset.synth"] = synth_spec_to_dict(self.synth_spec)
         return out
 
 
 def parse_synth_spec(path: str) -> SynthSpec:
-    """Read a SynthSpec from a key=value file."""
+    """Read a SynthSpec from a key=value file: modality.<name>=<dim> and
+    attribute.<name>=<proportion> lines, plus any scalar SynthSpec field."""
     kv = parse_keyvalue_file(path)
-    mods, attrs = [], []
-    plain: dict = {}
-    for key, val in kv.items():
-        if key.startswith("modality."):
-            mods.append((key[len("modality."):], _parse_int(key, val)))
-        elif key.startswith("attribute."):
-            attrs.append((key[len("attribute."):], _parse_float(key, val)))
-        else:
-            plain[key] = val
     kwargs = {}
-    if mods:
-        kwargs["modality_dims"] = tuple(mods)
-    if attrs:
-        kwargs["attribute_props"] = tuple(attrs)
-    for k, parser in (
-        ("n_subjects", _parse_int),
-        ("sessions_per_subject", _parse_int),
-        ("seed", _parse_int),
-        ("base_rate_majority", _parse_float),
-        ("base_rate_minority", _parse_float),
-        ("separation_majority", _parse_float),
-        ("separation_minority", _parse_float),
-        ("noise_std", _parse_float),
+    for pre, name, parse in (
+        ("modality.", "modality_dims", _parse_int),
+        ("attribute.", "attribute_props", _parse_float),
     ):
-        if k in plain:
-            kwargs[k] = parser(k, plain.pop(k))
-    if "bias_attribute" in plain:
-        kwargs["bias_attribute"] = plain.pop("bias_attribute")
-    if plain:
-        raise ConfigError(f"{path}: unknown synth keys {sorted(plain)}")
+        pairs = tuple((k[len(pre):], parse(k, kv.pop(k))) for k in list(kv) if k.startswith(pre))
+        if pairs:
+            kwargs[name] = pairs
+    scalars = {
+        f.name: _PARSERS_BY_TYPE[type(f.default)]
+        for f in dataclasses.fields(SynthSpec)
+        if type(f.default) in _PARSERS_BY_TYPE
+    }
+    unknown = sorted(k for k in kv if k not in scalars)
+    if unknown:
+        raise ConfigError(f"{path}: unknown synth keys {unknown}")
+    kwargs.update((k, scalars[k](k, v)) for k, v in kv.items())
     return SynthSpec(**kwargs)
 
 
 def synth_spec_to_dict(spec: SynthSpec) -> dict:
-    return {
-        "n_subjects": spec.n_subjects,
-        "sessions_per_subject": spec.sessions_per_subject,
-        "modality_dims": [list(x) for x in spec.modality_dims],
-        "attribute_props": [list(x) for x in spec.attribute_props],
-        "bias_attribute": spec.resolved_bias_attribute,
-        "base_rate_majority": spec.base_rate_majority,
-        "base_rate_minority": spec.base_rate_minority,
-        "separation_majority": spec.separation_majority,
-        "separation_minority": spec.separation_minority,
-        "noise_std": spec.noise_std,
-        "seed": spec.seed,
-    }
+    out = dataclasses.asdict(spec)
+    out["bias_attribute"] = spec.resolved_bias_attribute
+    return out
 
 
-_MODEL_HP_PARSERS = {
-    "C": float, "gamma": lambda v: v if v == "scale" else float(v),
-    "tol": float, "max_passes": int, "hidden_units": int,
-    "learning_rate": float, "epochs": int, "l2": float,
-    "batch_size": int, "seed": int, "max_iter": int,
+def _listed(names):
+    return list(names) if names else None
+
+
+class _Key(NamedTuple):
+    field: str  # PipelineConfig attribute
+    parse: Callable  # parse(key, text) -> value
+    # JSON form in reports; None: to_flat_dict reports the key itself, if at all
+    report: Optional[Callable] = lambda value: value
+    path: bool = False  # the value is a path relative to the configuration file
+
+
+# Every configuration key. model.<hyperparameter> keys are parsed by the type
+# of DEFAULT_HYPERPARAMS[model.kind][<hyperparameter>].
+KEYS = {
+    "seed": _Key("seed", _parse_int),
+    "dataset.manifest": _Key("manifest", _parse_str, path=True),
+    "dataset.synth": _Key("synth_spec", lambda key, p: parse_synth_spec(p), None, True),
+    "modalities": _Key("modalities", _parser(_names, "names"), _listed),
+    "features.level": _Key("level", _one_of(("all", *LEVELS))),
+    "features.descriptors": _Key(
+        "descriptors",
+        _parser(_names, f"names from {DESCRIPTOR_ORDER}", set(DESCRIPTOR_ORDER).issuperset),
+        _listed,
+    ),
+    "pca.enabled": _Key("pca_enabled", _parse_bool),
+    "pca.target_ratio": _Key(
+        "pca_target_ratio", _parser(float, "a number in (0, 1]", lambda v: 0.0 < v <= 1.0)
+    ),
+    "augment.method": _Key("augment_method", _one_of(AUGMENT_METHODS)),
+    "augment.beta_alpha": _Key("beta_alpha", _parse_float),
+    "augment.beta_beta": _Key("beta_beta", _parse_float),
+    "augment.seed": _Key("augment_seed", _parse_int, None),
+    "model.kind": _Key("model_kind", _one_of(DEFAULT_HYPERPARAMS)),
+    "fusion.strategy": _Key("fusion_strategy", _one_of(STRATEGIES)),
+    "fusion.meta_kind": _Key("meta_kind", _one_of(DEFAULT_HYPERPARAMS)),
+    "cv.mode": _Key("cv_mode", _one_of(CV_MODES)),
+    "cv.k": _Key("cv_k", _parser(int, "an integer >= 2", lambda v: v >= 2)),
+    "cv.grouped": _Key("cv_grouped", _parse_bool),
+    "output_dir": _Key("output_dir", _parse_str, None, True),
 }
 
 
 def build_config(kv: dict[str, str], base_dir: str = ".") -> PipelineConfig:
     """Validate a flat key->string mapping into a PipelineConfig."""
     kv = dict(kv)
-    cfg = PipelineConfig()
-
-    def resolve(p):
-        return p if os.path.isabs(p) else os.path.join(base_dir, p)
-
     if "seed" not in kv:
         raise ConfigError("missing required key 'seed'")
-    cfg.seed = _parse_int("seed", kv.pop("seed"))
-
-    has_manifest = "dataset.manifest" in kv
-    has_synth = "dataset.synth" in kv
-    if has_manifest == has_synth:
+    if ("dataset.manifest" in kv) == ("dataset.synth" in kv):
         raise ConfigError("exactly one of dataset.manifest / dataset.synth is required")
-    if has_manifest:
-        cfg.manifest = resolve(kv.pop("dataset.manifest"))
-    else:
-        cfg.synth_spec = parse_synth_spec(resolve(kv.pop("dataset.synth")))
-
-    if "modalities" in kv:
-        cfg.modalities = tuple(m.strip() for m in kv.pop("modalities").split(",") if m.strip())
-    if "features.level" in kv:
-        cfg.level = kv.pop("features.level")
-        if cfg.level not in ("all", "high", "low"):
-            raise ConfigError(f"features.level: expected all/high/low, got {cfg.level!r}")
-    if "features.descriptors" in kv:
-        descs = tuple(d.strip() for d in kv.pop("features.descriptors").split(",") if d.strip())
-        bad = [d for d in descs if d not in DESCRIPTOR_ORDER]
-        if bad:
-            raise ConfigError(f"features.descriptors: unknown descriptors {bad}")
-        cfg.descriptors = descs
-    if "pca.enabled" in kv:
-        cfg.pca_enabled = _parse_bool("pca.enabled", kv.pop("pca.enabled"))
-    if "pca.target_ratio" in kv:
-        cfg.pca_target_ratio = _parse_float("pca.target_ratio", kv.pop("pca.target_ratio"))
-        if not 0.0 < cfg.pca_target_ratio <= 1.0:
-            raise ConfigError("pca.target_ratio: must be in (0, 1]")
-
-    if "augment.method" in kv:
-        cfg.augment_method = kv.pop("augment.method")
-        if cfg.augment_method not in AUGMENT_METHODS:
-            raise ConfigError(
-                f"augment.method: expected one of {AUGMENT_METHODS}, got {cfg.augment_method!r}"
-            )
-    if "augment.beta_alpha" in kv:
-        cfg.beta_alpha = _parse_float("augment.beta_alpha", kv.pop("augment.beta_alpha"))
-    if "augment.beta_beta" in kv:
-        cfg.beta_beta = _parse_float("augment.beta_beta", kv.pop("augment.beta_beta"))
-    if "augment.seed" in kv:
-        cfg.augment_seed = _parse_int("augment.seed", kv.pop("augment.seed"))
-
-    if "model.kind" in kv:
-        cfg.model_kind = kv.pop("model.kind")
-        if cfg.model_kind not in DEFAULT_HYPERPARAMS:
-            raise ConfigError(f"model.kind: unknown kind {cfg.model_kind!r}")
+    cfg = PipelineConfig()
+    for key, k in KEYS.items():
+        if key in kv:
+            text = kv.pop(key)  # os.path.join keeps an absolute path as it is
+            setattr(cfg, k.field, k.parse(key, os.path.join(base_dir, text) if k.path else text))
+    defaults = DEFAULT_HYPERPARAMS[cfg.model_kind]
     for key in [k for k in kv if k.startswith("model.")]:
         hp = key[len("model."):]
-        if hp not in _MODEL_HP_PARSERS:
-            raise ConfigError(f"{key}: unknown model hyperparameter")
-        try:
-            cfg.model_hyperparams[hp] = _MODEL_HP_PARSERS[hp](kv.pop(key))
-        except ValueError:
-            raise ConfigError(f"{key}: bad value")
-
-    if "fusion.strategy" in kv:
-        cfg.fusion_strategy = kv.pop("fusion.strategy")
-        if cfg.fusion_strategy not in FUSION_STRATEGIES:
+        if hp not in defaults:
             raise ConfigError(
-                f"fusion.strategy: expected one of {FUSION_STRATEGIES}, got {cfg.fusion_strategy!r}"
+                f"{key}: model kind {cfg.model_kind!r} takes no {hp!r}; "
+                f"its hyperparameters are {sorted(defaults)}"
             )
-    if "fusion.meta_kind" in kv:
-        cfg.meta_kind = kv.pop("fusion.meta_kind")
-        if cfg.meta_kind not in DEFAULT_HYPERPARAMS:
-            raise ConfigError(f"fusion.meta_kind: unknown kind {cfg.meta_kind!r}")
-
-    if "cv.mode" in kv:
-        cfg.cv_mode = kv.pop("cv.mode")
-        if cfg.cv_mode not in CV_MODES:
-            raise ConfigError(f"cv.mode: expected kfold or loso, got {cfg.cv_mode!r}")
-    if "cv.k" in kv:
-        cfg.cv_k = _parse_int("cv.k", kv.pop("cv.k"))
-        if cfg.cv_k < 2:
-            raise ConfigError("cv.k: must be >= 2")
-    if "cv.grouped" in kv:
-        cfg.cv_grouped = _parse_bool("cv.grouped", kv.pop("cv.grouped"))
-
-    if "output_dir" in kv:
-        cfg.output_dir = resolve(kv.pop("output_dir"))
-
+        cfg.model_hyperparams[hp] = _hyperparam_parser(defaults[hp])(key, kv.pop(key))
     if kv:
         raise ConfigError(f"unknown configuration keys: {sorted(kv)}")
     return cfg

@@ -21,7 +21,7 @@ import math
 import os
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -81,6 +81,12 @@ class ModalityTable:
     @property
     def feature_names(self) -> tuple[str, ...]:
         return tuple(c.feature_name for c in self.column_meta)
+
+    def select_columns(self, keep: Sequence[int]) -> "ModalityTable":
+        """Sub-table of the listed columns (a copy)."""
+        return ModalityTable(
+            self.modality_name, self.samples[:, keep], tuple(self.column_meta[j] for j in keep)
+        )
 
 
 @dataclass(frozen=True)
@@ -161,20 +167,22 @@ class Dataset:
     def attribute_values(self, name: str) -> np.ndarray:
         return np.array([m.attribute(name) for m in self.meta], dtype=int)
 
+    def derive(self, modalities: Iterable[ModalityTable], meta: Iterable[SampleMeta]) -> "Dataset":
+        """A dataset over rows taken from this one: same declared attributes
+        and threshold, without repeating its degenerate-group warnings."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateGroupWarning)
+            return Dataset(tuple(modalities), tuple(meta), self.declared_attributes,
+                           self.panas_threshold)
+
     def subset(self, indices: Sequence[int]) -> "Dataset":
         """Row subset (copy), keeping modality and attribute structure."""
         idx = list(indices)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DegenerateGroupWarning)
-            return Dataset(
-                modalities=tuple(
-                    ModalityTable(t.modality_name, t.samples[idx].copy(), t.column_meta)
-                    for t in self.modalities
-                ),
-                meta=tuple(self.meta[i] for i in idx),
-                declared_attributes=self.declared_attributes,
-                panas_threshold=self.panas_threshold,
-            )
+        return self.derive(
+            (ModalityTable(t.modality_name, t.samples[idx].copy(), t.column_meta)
+             for t in self.modalities),
+            (self.meta[i] for i in idx),
+        )
 
     def with_rows_appended(
         self,
@@ -196,14 +204,7 @@ class Dataset:
             mods.append(
                 ModalityTable(t.modality_name, np.vstack([t.samples, extra]), t.column_meta)
             )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DegenerateGroupWarning)
-            return Dataset(
-                modalities=tuple(mods),
-                meta=self.meta + tuple(new_meta),
-                declared_attributes=self.declared_attributes,
-                panas_threshold=self.panas_threshold,
-            )
+        return self.derive(mods, self.meta + tuple(new_meta))
 
 
 def binarize_panas(pa_score: float, threshold: float = DEFAULT_PANAS_THRESHOLD) -> int:

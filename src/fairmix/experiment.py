@@ -14,7 +14,6 @@ import hashlib
 import json
 import os
 import tempfile
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -26,7 +25,7 @@ from . import metrics as metrics_mod
 from .config import PipelineConfig
 from .dataset import ColumnMeta, Dataset, ModalityTable
 from .errors import (
-    DegenerateGroupWarning,
+    ConfigError,
     EmptyTableError,
     ExperimentError,
     FitError,
@@ -34,6 +33,7 @@ from .errors import (
     MetricUndefinedError,
 )
 from .metrics import DiResult, PredictionRecord, PredictionSet
+from .models import stratified_positions
 from .preprocess import (
     DESCRIPTOR_ORDER,
     fit_column_cleaner,
@@ -46,49 +46,33 @@ from .preprocess import (
 # fold generation
 # ---------------------------------------------------------------------------
 
+def _folds_of(row_fold: np.ndarray, n_folds: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(train, test) rows of each fold label in range(n_folds), keeping the
+    folds whose splits are both non-empty."""
+    folds = [(np.flatnonzero(row_fold != f), np.flatnonzero(row_fold == f)) for f in range(n_folds)]
+    return [(train, test) for train, test in folds if len(train) and len(test)]
+
+
 def loso_folds(subject_ids: list[str]) -> list[tuple[np.ndarray, np.ndarray]]:
     """One fold per subject; that subject's rows form the test split."""
-    subjects = sorted(set(subject_ids))
-    sid = np.asarray(subject_ids)
-    folds = []
-    for s in subjects:
-        test = np.flatnonzero(sid == s)
-        train = np.flatnonzero(sid != s)
-        folds.append((train, test))
-    return folds
+    subjects, subject_of_row = np.unique(np.asarray(subject_ids), return_inverse=True)
+    return _folds_of(subject_of_row, len(subjects))
 
 
 def grouped_stratified_kfold(labels, subject_ids, k, seed):
     """k folds that never split a subject; subjects are spread across folds
     stratified by their majority label."""
-    labels = np.asarray(labels)
-    sid = np.asarray(subject_ids)
-    subjects = sorted(set(subject_ids))
+    subjects, subject_of_row = np.unique(np.asarray(subject_ids), return_inverse=True)
     k = min(k, len(subjects))
     if k < 2:
         raise ExperimentError("grouped k-fold needs at least 2 subjects")
-    rng = np.random.default_rng(seed)
-    # majority label per subject decides its stratum
-    by_label: dict[int, list[str]] = {}
-    for s in subjects:
-        rows = sid == s
-        maj = int(round(labels[rows].mean()))
-        by_label.setdefault(maj, []).append(s)
-    fold_of: dict[str, int] = {}
-    offset = 0
-    for lbl in sorted(by_label):
-        group = by_label[lbl]
-        order = rng.permutation(len(group))
-        for pos, gi in enumerate(order):
-            fold_of[group[gi]] = (pos + offset) % k
-        offset += len(group)
-    folds = []
-    for f in range(k):
-        test = np.flatnonzero([fold_of[s] == f for s in sid])
-        train = np.flatnonzero([fold_of[s] != f for s in sid])
-        if len(test) and len(train):
-            folds.append((train, test))
-    return folds
+    # majority label per subject (half rounds to even) decides its stratum;
+    # strata are dealt round-robin, each continuing where the previous ended
+    sessions = np.bincount(subject_of_row)
+    majority = np.round(np.bincount(subject_of_row, weights=labels) / sessions).astype(int)
+    earlier = np.searchsorted(np.sort(majority), majority)
+    fold_of = (stratified_positions(majority, np.random.default_rng(seed)) + earlier) % k
+    return _folds_of(fold_of[subject_of_row], k)
 
 
 def plain_kfold(n, k, seed):
@@ -124,19 +108,12 @@ def _descriptor_of(feature_name: str) -> Optional[str]:
 
 
 def _apply_descriptor_mask(table: ModalityTable, allowed) -> ModalityTable:
-    keep = [
-        j for j, c in enumerate(table.column_meta)
-        if (_descriptor_of(c.feature_name) is None or _descriptor_of(c.feature_name) in allowed)
-    ]
+    keep = [j for j, c in enumerate(table.column_meta) if _descriptor_of(c.feature_name) in allowed]
     if not keep:
         raise EmptyTableError(
             f"modality {table.modality_name!r}: descriptor mask removed every column"
         )
-    return ModalityTable(
-        table.modality_name,
-        table.samples[:, keep],
-        tuple(table.column_meta[j] for j in keep),
-    )
+    return table.select_columns(keep)
 
 
 def preprocess_fold(config: PipelineConfig, dataset: Dataset, train_idx, test_idx):
@@ -149,7 +126,8 @@ def preprocess_fold(config: PipelineConfig, dataset: Dataset, train_idx, test_id
         if config.level != "all":
             table = select_level(table, config.level)
         if config.descriptors is not None:
-            table = _apply_descriptor_mask(table, set(config.descriptors))
+            # columns without a descriptor suffix (None) are always kept
+            table = _apply_descriptor_mask(table, {None, *config.descriptors})
         Xtr_raw, Xte_raw = table.samples[train_idx], table.samples[test_idx]
         cleaner = fit_column_cleaner(Xtr_raw, name)
         Xtr, Xte = cleaner.apply(Xtr_raw), cleaner.apply(Xte_raw)
@@ -166,8 +144,7 @@ def preprocess_fold(config: PipelineConfig, dataset: Dataset, train_idx, test_id
 def _processed_train_dataset(dataset, train_idx, per_modality):
     """Wrap transformed training matrices back into a Dataset so the
     augmenters can bucket rows by attributes and label."""
-    base = dataset.subset(train_idx)
-    tables = tuple(
+    tables = (
         ModalityTable(
             name,
             Xtr,
@@ -175,9 +152,7 @@ def _processed_train_dataset(dataset, train_idx, per_modality):
         )
         for name, Xtr, _ in per_modality
     )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DegenerateGroupWarning)
-        return Dataset(tables, base.meta, base.declared_attributes, base.panas_threshold)
+    return dataset.derive(tables, (dataset.meta[i] for i in train_idx))
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +210,11 @@ def _fingerprint(sample_ids) -> str:
 
 
 def run_experiment(config: PipelineConfig, dataset: Dataset) -> EvaluationReport:
+    unknown = [m for m in config.modalities or () if m not in dataset.modality_names]
+    if unknown:
+        raise ConfigError(
+            f"modalities: {unknown} not in the dataset; available: {list(dataset.modality_names)}"
+        )
     folds = make_folds(config, dataset)
     if not folds:
         raise ExperimentError("no folds could be formed")
@@ -338,7 +318,8 @@ def run_experiment(config: PipelineConfig, dataset: Dataset) -> EvaluationReport
 # output writers (atomic: write temp then rename)
 # ---------------------------------------------------------------------------
 
-def _atomic_write(path: str, data: str):
+def atomic_write(path: str, data: str):
+    """Write text to path through a temporary file in the same directory."""
     d = os.path.dirname(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
@@ -352,7 +333,7 @@ def _atomic_write(path: str, data: str):
 
 
 def write_report_json(report: EvaluationReport, path: str):
-    _atomic_write(path, json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n")
+    atomic_write(path, json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n")
 
 
 def _metric_rows(report: EvaluationReport):
@@ -367,6 +348,14 @@ def _metric_rows(report: EvaluationReport):
     return rows
 
 
+def _metric_table(columns: dict[str, EvaluationReport]) -> list[str]:
+    """Markdown table of the metric rows, one column per report."""
+    values = {col: dict(_metric_rows(r)) for col, r in columns.items()}
+    names = [name for name, _ in _metric_rows(next(iter(columns.values())))]
+    rows = [f"| {n} | " + " | ".join(values[c].get(n, "-") for c in columns) + " |" for n in names]
+    return ["| Metric | " + " | ".join(columns) + " |", "|---|" + "---|" * len(columns), *rows]
+
+
 def write_report_markdown(report: EvaluationReport, path: str):
     lines = [
         "# Evaluation report",
@@ -375,29 +364,15 @@ def write_report_markdown(report: EvaluationReport, path: str):
         f"- seed: {report.seed}",
         f"- augmentation: {report.config.get('augment.method')}",
         "",
-        "| Metric | Value |",
-        "|---|---|",
+        *_metric_table({"Value": report}),
     ]
-    lines += [f"| {name} | {value} |" for name, value in _metric_rows(report)]
-    _atomic_write(path, "\n".join(lines) + "\n")
+    atomic_write(path, "\n".join(lines) + "\n")
 
 
 def write_comparison_markdown(reports: dict[str, EvaluationReport], path: str):
     """Three-column table: one column per augmentation arm."""
-    arms = list(reports)
-    rows_per_arm = {arm: dict(_metric_rows(r)) for arm, r in reports.items()}
-    metric_names = [name for name, _ in _metric_rows(next(iter(reports.values())))]
-    lines = [
-        "# Augmentation comparison",
-        "",
-        "| Metric | " + " | ".join(arms) + " |",
-        "|---|" + "---|" * len(arms),
-    ]
-    for name in metric_names:
-        lines.append(
-            f"| {name} | " + " | ".join(rows_per_arm[a].get(name, "-") for a in arms) + " |"
-        )
-    _atomic_write(path, "\n".join(lines) + "\n")
+    lines = ["# Augmentation comparison", "", *_metric_table(reports)]
+    atomic_write(path, "\n".join(lines) + "\n")
 
 
 def write_predictions_csv(preds: PredictionSet, path: str, attribute_names):
@@ -411,4 +386,4 @@ def write_predictions_csv(preds: PredictionSet, path: str, attribute_names):
             repr(r.predicted_proba[0]), repr(r.predicted_proba[1]),
             *(str(r.attribute(a)) for a in attribute_names),
         ]))
-    _atomic_write(path, "\n".join(buf) + "\n")
+    atomic_write(path, "\n".join(buf) + "\n")

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import models
 from .errors import ConfigError, InputError, ShapeError, StackingError
-from .models import PredictorSpec, TrainedPredictor
+from .models import PredictorSpec, TrainedPredictor, argmax_label, stratified_positions
 
 STRATEGIES = ("early", "vote_hard", "vote_soft", "stack_hard", "stack_soft")
 
@@ -48,30 +48,25 @@ def early_fuse(modalities: Sequence[np.ndarray]) -> np.ndarray:
 
 def _vote_hard(base_probas: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Majority label; even ties broken by the most confident base, then class 1."""
-    labels = np.stack([(p[:, 1] >= p[:, 0]).astype(int) for p in base_probas])
+    labels = np.stack([argmax_label(p) for p in base_probas])  # per base, per row
     mean_proba = np.mean(base_probas, axis=0)
-    votes_for_1 = labels.sum(axis=0)
-    m = labels.shape[0]
-    out = np.where(2 * votes_for_1 > m, 1, 0)
-    tie = 2 * votes_for_1 == m
-    if tie.any():
-        conf = np.stack([p.max(axis=1) for p in base_probas])  # per base, per row
-        for r in np.flatnonzero(tie):
-            row_conf = conf[:, r]
-            contenders = np.flatnonzero(row_conf == row_conf.max())
-            # unique most-confident base decides; tied confidences -> class 1
-            out[r] = int(labels[contenders[0], r]) if len(contenders) == 1 else 1
-    return out, mean_proba
+    margin = 2 * labels.sum(axis=0) - labels.shape[0]  # votes for 1 minus votes for 0
+    conf = np.stack([p.max(axis=1) for p in base_probas])
+    top = conf == conf.max(axis=0)
+    # unique most-confident base decides; tied confidences -> class 1
+    decider = labels[top.argmax(axis=0), np.arange(margin.size)]
+    tie_label = np.where(top.sum(axis=0) == 1, decider, 1)
+    return np.where(margin == 0, tie_label, (margin > 0).astype(int)), mean_proba
 
 
 def _vote_soft(base_probas: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     mean_proba = np.mean(base_probas, axis=0)
-    return (mean_proba[:, 1] >= mean_proba[:, 0]).astype(int), mean_proba
+    return argmax_label(mean_proba), mean_proba
 
 
 def _stack_features(strategy: str, base_probas: list[np.ndarray]) -> np.ndarray:
     if strategy == "stack_hard":
-        return np.column_stack([(p[:, 1] >= p[:, 0]).astype(float) for p in base_probas])
+        return np.column_stack([argmax_label(p) for p in base_probas])
     return np.hstack(base_probas)
 
 
@@ -81,15 +76,15 @@ def fuse_predict(
     meta: Optional[TrainedPredictor],
     X_per_modality: Sequence[np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Late-fusion prediction from per-modality base models."""
+    """Late-fusion prediction from per-modality base models; a single base
+    model (early fusion, or one modality) predicts alone."""
     if len(trained_base) != len(X_per_modality):
         raise ConfigError(
             f"{len(trained_base)} trained base models but {len(X_per_modality)} modalities"
         )
     base_probas = [b.predict_proba(X) for b, X in zip(trained_base, X_per_modality)]
     if len(trained_base) == 1:
-        proba = base_probas[0]
-        return (proba[:, 1] >= proba[:, 0]).astype(int), proba
+        return argmax_label(base_probas[0]), base_probas[0]
     if spec.strategy == "vote_hard":
         return _vote_hard(base_probas)
     if spec.strategy == "vote_soft":
@@ -100,17 +95,6 @@ def fuse_predict(
         feats = _stack_features(spec.strategy, base_probas)
         return meta.predict(feats), meta.predict_proba(feats)
     raise ConfigError(f"fuse_predict does not handle strategy {spec.strategy!r}")
-
-
-def _internal_folds(y: np.ndarray, k: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    assign = np.empty(len(y), dtype=int)
-    for cls in np.unique(y):
-        idx = np.flatnonzero(y == cls)
-        idx = idx[rng.permutation(len(idx))]
-        for pos, i in enumerate(idx):
-            assign[i] = pos % k
-    return assign
 
 
 def fit_stacking_meta(
@@ -135,7 +119,7 @@ def fit_stacking_meta(
         raise StackingError("stacking needs at least 2 rows of each class")
     k = 5 if n >= 10 else 2
     k = min(k, int(counts.min()))
-    assign = _internal_folds(y, k, seed)
+    assign = stratified_positions(y, np.random.default_rng(seed)) % k
 
     meta_feats = None
     for fold in range(k):
@@ -152,6 +136,11 @@ def fit_stacking_meta(
     return meta, assign, meta_feats
 
 
+def _base_inputs(spec: FusionSpec, X_per_modality: Sequence[np.ndarray]) -> list:
+    """Early fusion feeds one base model the concatenated modalities."""
+    return [early_fuse(X_per_modality)] if spec.strategy == "early" else list(X_per_modality)
+
+
 class FusedModel:
     """Fitted fusion ensemble exposing the predictor contract over a list
     of per-modality matrices."""
@@ -163,11 +152,9 @@ class FusedModel:
         self.stacking_folds = stacking_folds
 
     def predict_with_proba(self, X_per_modality):
-        if self.spec.strategy == "early":
-            X = early_fuse(X_per_modality)
-            proba = self.bases[0].predict_proba(X)
-            return (proba[:, 1] >= proba[:, 0]).astype(int), proba
-        return fuse_predict(self.spec, self.bases, self.meta, X_per_modality)
+        return fuse_predict(
+            self.spec, self.bases, self.meta, _base_inputs(self.spec, X_per_modality)
+        )
 
     def predict(self, X_per_modality):
         return self.predict_with_proba(X_per_modality)[0]
@@ -185,11 +172,9 @@ def fit_fusion(
     """Fit base models (and the meta-learner for stacking) for a strategy."""
     if not X_per_modality:
         raise InputError("no modalities given")
-    if spec.strategy == "early":
-        base = models.fit(spec.base_model, early_fuse(X_per_modality), y)
-        return FusedModel(spec, [base])
+    X_per_modality = _base_inputs(spec, X_per_modality)
     if len(X_per_modality) == 1:
-        # every late-fusion strategy degrades to the single base model
+        # early fusion, and every late-fusion strategy over one modality
         return FusedModel(spec, [models.fit(spec.base_model, X_per_modality[0], y)])
     meta, assign = None, None
     if spec.strategy in ("stack_hard", "stack_soft"):

@@ -14,6 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .dataset import SampleMeta
 from .errors import InputError, MetricUndefinedError
 
 
@@ -26,11 +27,7 @@ class PredictionRecord:
     predicted_proba: tuple[float, float]
     attributes: tuple[tuple[str, int], ...]
 
-    def attribute(self, name: str) -> int:
-        for k, v in self.attributes:
-            if k == name:
-                return v
-        raise KeyError(name)
+    attribute = SampleMeta.attribute  # the same lookup over (name, value) pairs
 
 
 class PredictionSet:

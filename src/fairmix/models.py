@@ -85,8 +85,26 @@ class TrainedPredictor:
         return np.column_stack([1.0 - p1, p1])
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        proba = self.predict_proba(X)
-        return (proba[:, 1] >= proba[:, 0]).astype(int)  # tie -> class 1
+        return argmax_label(self.predict_proba(X))
+
+
+def argmax_label(proba: np.ndarray) -> np.ndarray:
+    """Label of each (P(0), P(1)) row; ties go to class 1."""
+    return (proba[:, 1] >= proba[:, 0]).astype(int)
+
+
+def stratified_positions(strata, rng: np.random.Generator) -> np.ndarray:
+    """Each item's position in a seeded shuffle of its stratum.
+
+    Strata are visited in sorted order with one rng.permutation each; fold
+    assignments are these positions (offset where needed) modulo k.
+    """
+    strata = np.asarray(strata)
+    pos = np.empty(len(strata), dtype=int)
+    for s in np.unique(strata):
+        idx = np.flatnonzero(strata == s)
+        pos[idx[rng.permutation(len(idx))]] = np.arange(len(idx))
+    return pos
 
 
 def _validate_training_input(X, y):
@@ -119,7 +137,7 @@ class LogisticModel(TrainedPredictor):
         return _sigmoid(X @ self.w + self.b)
 
 
-def _fit_logistic(spec: PredictorSpec, X, y) -> LogisticModel:
+def _fit_logistic(spec: PredictorSpec, X, y, facts) -> LogisticModel:
     hp = spec.resolved()
     l2, max_iter = float(hp["l2"]), int(hp["max_iter"])
     n, d = X.shape
@@ -136,11 +154,7 @@ def _fit_logistic(spec: PredictorSpec, X, y) -> LogisticModel:
         theta = theta - step
         if np.max(np.abs(step)) < 1e-10:
             break
-    return LogisticModel(
-        spec, theta[:-1], theta[-1],
-        n_features=d, n_train=n,
-        class_counts={0: int((y == 0).sum()), 1: int((y == 1).sum())},
-    )
+    return LogisticModel(spec, theta[:-1], theta[-1], **facts)
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +212,7 @@ class MlpModel(TrainedPredictor):
         return proba[:, 1]
 
 
-def _fit_mlp(spec: PredictorSpec, X, y) -> MlpModel:
+def _fit_mlp(spec: PredictorSpec, X, y, facts) -> MlpModel:
     hp = spec.resolved()
     h = int(hp["hidden_units"])
     lr = float(hp["learning_rate"])
@@ -233,11 +247,7 @@ def _fit_mlp(spec: PredictorSpec, X, y) -> MlpModel:
             stall += 1
             if stall >= 20:
                 break
-    return MlpModel(
-        spec, params,
-        n_features=d, n_train=n,
-        class_counts={0: int((y == 0).sum()), 1: int((y == 1).sum())},
-    )
+    return MlpModel(spec, params, **facts)
 
 
 # ---------------------------------------------------------------------------
@@ -394,17 +404,6 @@ def _platt_sigmoid(decisions, y01):
     return A, B
 
 
-def _stratified_folds(y, k, rng):
-    """Deterministic k-fold assignment keeping both classes spread."""
-    assign = np.empty(len(y), dtype=int)
-    for cls in (0, 1):
-        idx = np.flatnonzero(y == cls)
-        idx = idx[rng.permutation(len(idx))]
-        for pos, i in enumerate(idx):
-            assign[i] = pos % k
-    return assign
-
-
 class SvmModel(TrainedPredictor):
     def __init__(self, spec, X_train, y_pm, alpha, b, gamma, platt_ab, **kw):
         super().__init__(spec, **kw)
@@ -440,7 +439,7 @@ def _smo_fit(X, y01, C, gamma, tol, rng, max_passes):
     return y_pm, alpha, b
 
 
-def _fit_svm(spec: PredictorSpec, X, y) -> SvmModel:
+def _fit_svm(spec: PredictorSpec, X, y, facts) -> SvmModel:
     hp = spec.resolved()
     C = float(hp["C"])
     tol = float(hp["tol"])
@@ -451,8 +450,7 @@ def _fit_svm(spec: PredictorSpec, X, y) -> SvmModel:
 
     # Platt calibration on out-of-fold decision values (3 internal folds)
     decisions, targets = [], []
-    fold_rng = np.random.default_rng(seed + 1)
-    assign = _stratified_folds(y, 3, fold_rng)
+    assign = stratified_positions(y, np.random.default_rng(seed + 1)) % 3
     for fold in range(3):
         tr, te = assign != fold, assign == fold
         if len(np.unique(y[tr])) < 2 or not te.any():
@@ -474,11 +472,7 @@ def _fit_svm(spec: PredictorSpec, X, y) -> SvmModel:
         tgt = y
     platt_ab = _platt_sigmoid(dec, tgt)
 
-    return SvmModel(
-        spec, X.copy(), y_pm, alpha, b, gamma, platt_ab,
-        n_features=X.shape[1], n_train=X.shape[0],
-        class_counts={0: int((y == 0).sum()), 1: int((y == 1).sum())},
-    )
+    return SvmModel(spec, X.copy(), y_pm, alpha, b, gamma, platt_ab, **facts)
 
 
 # ---------------------------------------------------------------------------
@@ -487,8 +481,7 @@ def _fit_svm(spec: PredictorSpec, X, y) -> SvmModel:
 
 def fit(spec: PredictorSpec, X, y) -> TrainedPredictor:
     X, y = _validate_training_input(X, y)
-    if spec.kind == "logistic":
-        return _fit_logistic(spec, X, y)
-    if spec.kind == "mlp":
-        return _fit_mlp(spec, X, y)
-    return _fit_svm(spec, X, y)
+    facts = {"n_features": X.shape[1], "n_train": X.shape[0],
+             "class_counts": {0: int((y == 0).sum()), 1: int((y == 1).sum())}}
+    fitter = {"logistic": _fit_logistic, "mlp": _fit_mlp, "rbf_svm": _fit_svm}[spec.kind]
+    return fitter(spec, X, y, facts)

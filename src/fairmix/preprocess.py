@@ -70,35 +70,16 @@ def summarize_temporal(clip: TemporalClip) -> np.ndarray:
     return out
 
 
-def summary_feature_names(feature_names, descriptors=DESCRIPTOR_ORDER):
-    return [f"{f}__{d}" for f in feature_names for d in descriptors]
-
-
 def drop_constant_and_null(table: ModalityTable) -> tuple[ModalityTable, list[str]]:
     """Remove constant and all-missing columns; mean-impute remaining gaps.
 
     Idempotent: a second pass removes nothing and changes no values.
     """
-    X = table.samples
-    keep, removed = [], []
-    for j, col in enumerate(table.column_meta):
-        v = X[:, j]
-        obs = v[~np.isnan(v)]
-        if obs.size == 0 or np.all(obs == obs[0]):
-            removed.append(col.feature_name)
-        else:
-            keep.append(j)
-    if not keep:
-        raise EmptyTableError(
-            f"modality {table.modality_name!r}: every column is constant or null"
-        )
-    out = X[:, keep].copy()
-    for j in range(out.shape[1]):
-        mask = np.isnan(out[:, j])
-        if mask.any():
-            out[mask, j] = out[~mask, j].mean()
-    meta = tuple(table.column_meta[j] for j in keep)
-    return ModalityTable(table.modality_name, out, meta), removed
+    cleaner = fit_column_cleaner(table.samples, table.modality_name)
+    kept = set(cleaner.keep)
+    meta = tuple(table.column_meta[j] for j in cleaner.keep)
+    removed = [c.feature_name for j, c in enumerate(table.column_meta) if j not in kept]
+    return ModalityTable(table.modality_name, cleaner.apply(table.samples), meta), removed
 
 
 def select_level(table: ModalityTable, level: str) -> ModalityTable:
@@ -108,11 +89,7 @@ def select_level(table: ModalityTable, level: str) -> ModalityTable:
         raise SelectionError(
             f"modality {table.modality_name!r}: no columns tagged {level!r}"
         )
-    return ModalityTable(
-        table.modality_name,
-        table.samples[:, keep].copy(),
-        tuple(table.column_meta[j] for j in keep),
-    )
+    return table.select_columns(keep)
 
 
 @dataclass(frozen=True)
@@ -124,27 +101,26 @@ class ColumnCleaner:
     impute_means: np.ndarray
 
     def apply(self, X: np.ndarray) -> np.ndarray:
-        out = np.asarray(X, dtype=float)[:, list(self.keep)].copy()
-        for j in range(out.shape[1]):
-            mask = np.isnan(out[:, j])
-            if mask.any():
-                out[mask, j] = self.impute_means[j]
-        return out
+        # np.take returns C order; with the Fortran order of X[:, keep] the
+        # fitted models' outputs differed in their last bits
+        out = np.take(np.asarray(X, dtype=float), self.keep, axis=1)
+        return np.where(np.isnan(out), self.impute_means, out)
 
 
 def fit_column_cleaner(train: np.ndarray, modality_name: str = "") -> ColumnCleaner:
     X = np.asarray(train, dtype=float)
-    keep = []
-    for j in range(X.shape[1]):
-        obs = X[~np.isnan(X[:, j]), j]
-        if obs.size > 0 and not np.all(obs == obs[0]):
-            keep.append(j)
-    if not keep:
+    # fmax/fmin skip NaN; a column with no observed value gives NaN, which
+    # compares false
+    hi, lo = np.fmax.reduce(X, axis=0, initial=np.nan), np.fmin.reduce(X, axis=0, initial=np.nan)
+    keep = np.flatnonzero(hi > lo)
+    if not len(keep):
         raise EmptyTableError(
             f"modality {modality_name!r}: every column is constant or null on the training split"
         )
-    means = np.array([np.nanmean(X[:, j]) for j in keep])
-    return ColumnCleaner(tuple(keep), means)
+    # reducing rows of a C-contiguous copy sums each column in the same
+    # order as np.nanmean on that column alone, so the means match it bitwise
+    means = np.nanmean(np.ascontiguousarray(X[:, keep].T), axis=1)
+    return ColumnCleaner(tuple(keep.tolist()), means)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import pytest
 
@@ -112,6 +113,40 @@ class TestCompare:
         first = (workdir / "out" / "report.json").read_bytes()
         main(["compare", "--config", str(workdir / "config.txt")])
         assert (workdir / "out" / "report.json").read_bytes() == first
+
+
+BUNDLED_AUDIT = pathlib.Path(__file__).resolve().parent.parent / "data" / "audit_config.txt"
+
+
+class TestConfigRejections:
+    @pytest.mark.parametrize("command", ["audit", "validate"])
+    @pytest.mark.parametrize("overrides, env_seed, key", [
+        (["seed=-1"], None, "seed"),
+        ([], "-1", "seed"),
+        (["augment.seed=-1"], None, "augment.seed"),
+        (["model.seed=-1"], None, "model.seed"),
+        (["model.hidden_units=3"], None, "model.hidden_units"),  # not an rbf_svm hyperparameter
+        (["model.kind=mlp", "model.learning_rate=nan"], None, "model.learning_rate"),
+        (["augment.beta_alpha=inf"], None, "augment.beta_alpha"),
+    ])
+    def test_rejected_with_exit_2(self, command, overrides, env_seed, key, tmp_path,
+                                  monkeypatch, capsys):
+        if env_seed is not None:
+            monkeypatch.setenv("FAIRMIX_SEED", env_seed)
+        args = [command, "--config", str(BUNDLED_AUDIT), "--set", f"output_dir={tmp_path}"]
+        for kv in overrides:
+            args += ["--set", kv]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and key in err
+        assert not list(tmp_path.iterdir())
+
+    def test_unknown_modality_named(self, workdir, capsys):
+        rc = main(["audit", "--config", str(workdir / "config.txt"),
+                   "--set", "modalities=face,nope"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "'nope'" in err and "'face'" in err and "'audio'" in err
 
 
 class TestSynthCommand:

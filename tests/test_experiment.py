@@ -5,6 +5,8 @@ import pytest
 
 from fairmix.config import PipelineConfig
 from fairmix.errors import ExperimentError
+from fairmix.fusion import FusionSpec, fit_stacking_meta
+from fairmix.models import PredictorSpec, stratified_positions
 from fairmix.experiment import (
     grouped_stratified_kfold,
     loso_folds,
@@ -67,6 +69,45 @@ class TestFolds:
         for (t1, e1), (t2, e2) in zip(a, b):
             np.testing.assert_array_equal(t1, t2)
             np.testing.assert_array_equal(e1, e2)
+
+
+class TestGoldenFolds:
+    """Exact assignments on one fixed input, so that a changed fold rule fails
+    here and not only in report digests. Subject j has labels [0, 1]: its
+    majority rounds half to even, to 0."""
+
+    SUBJECTS = ["a", "a", "b", "c", "c", "c", "d", "e", "e", "f", "g", "g", "h", "i", "j", "j"]
+    LABELS = [1, 1, 0, 0, 1, 0, 1, 0, 0, 1, 1, 0, 0, 1, 0, 1]
+
+    def test_grouped_stratified_kfold(self):
+        folds = grouped_stratified_kfold(self.LABELS, self.SUBJECTS, 3, seed=4)
+        assert [test.tolist() for _, test in folds] == [
+            [0, 1, 3, 4, 5, 9, 14, 15], [6, 7, 8, 12], [2, 10, 11, 13],
+        ]
+
+    def test_plain_kfold(self):
+        assert [test.tolist() for _, test in plain_kfold(16, 3, seed=4)] == [
+            [0, 1, 2, 7, 10, 13], [4, 6, 8, 9, 15], [3, 5, 11, 12, 14],
+        ]
+
+    def test_loso_folds(self):
+        assert [test.tolist() for _, test in loso_folds(self.SUBJECTS)] == [
+            [0, 1], [2], [3, 4, 5], [6], [7, 8], [9], [10, 11], [12], [13], [14, 15],
+        ]
+
+    def test_platt_folds(self):
+        # the SVM's internal calibration folds for seed 4
+        assign = stratified_positions(self.LABELS, np.random.default_rng(4 + 1)) % 3
+        assert assign.tolist() == [0, 1, 1, 0, 0, 2, 2, 0, 1, 1, 1, 2, 0, 0, 1, 2]
+
+    def test_stacking_folds(self):
+        y = np.array(self.LABELS)
+        rng = np.random.default_rng(0)
+        Xs = [y[:, None] * 2.0 + rng.normal(size=(16, 2)),
+              y[:, None] * -2.0 + rng.normal(size=(16, 3))]
+        spec = FusionSpec("stack_soft", PredictorSpec("logistic"))
+        _, assign, _ = fit_stacking_meta(spec, Xs, y, seed=4)
+        assert assign.tolist() == [2, 0, 2, 0, 3, 1, 1, 1, 4, 1, 4, 0, 2, 2, 3, 0]
 
 
 class TestRunExperiment:

@@ -96,6 +96,33 @@ class TestColumnCleaner:
         test = np.array([[np.nan, 9.0]])
         np.testing.assert_array_equal(cleaner.apply(test), [[2.0]])  # train mean
 
+    def test_means_match_per_column_nanmean_bitwise(self):
+        # from 9 rows on, numpy sums in pairwise blocks, so a mean over the
+        # whole matrix at once can round differently from a per-column one
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            n, d = int(rng.integers(9, 60)), int(rng.integers(1, 8))
+            X = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-3, 3, d)
+            X[rng.random((n, d)) < 0.3] = np.nan
+            X[:2] = rng.normal(size=(2, d))  # no column constant or null
+            cleaner = fit_column_cleaner(X)
+            assert cleaner.keep == tuple(range(d))
+            expected = np.array([np.nanmean(X[:, j]) for j in range(d)])
+            assert cleaner.impute_means.tobytes() == expected.tobytes()
+
+    def test_drop_constant_and_null_is_the_fitted_cleaner(self):
+        rng = np.random.default_rng(1)
+        X = rng.normal(size=(12, 5))
+        X[rng.random((12, 5)) < 0.3] = np.nan
+        X[:, 1] = 4.0
+        X[:, 3] = np.nan
+        X[:2, [0, 2, 4]] = [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]]
+        out, removed = drop_constant_and_null(table(X))
+        cleaner = fit_column_cleaner(X)
+        assert cleaner.keep == (0, 2, 4)
+        assert removed == ["f1", "f3"]
+        assert out.samples.tobytes() == cleaner.apply(X).tobytes()
+
 
 class TestSelectLevel:
     def test_selects_matching_columns(self):
