@@ -27,8 +27,9 @@ class MixFeatConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (self.beta_alpha > 0 and self.beta_beta > 0):
-            raise InputError("Beta shape parameters must be positive")
+        for name in ("beta_alpha", "beta_beta"):  # config adds "augment."
+            if not getattr(self, name) > 0:
+                raise InputError(f"{name} must be positive, got {getattr(self, name)!r}")
 
 
 @dataclass

@@ -36,8 +36,9 @@ import os
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
+from .augment import MixFeatConfig
 from .dataset import LEVELS, parse_keyvalue_file
-from .errors import ConfigError
+from .errors import ConfigError, InputError
 from .fusion import STRATEGIES
 from .models import DEFAULT_HYPERPARAMS, PredictorSpec
 from .preprocess import DESCRIPTOR_ORDER
@@ -229,6 +230,16 @@ def build_config(kv: dict[str, str], base_dir: str = ".") -> PipelineConfig:
         cfg.model_hyperparams[hp] = _hyperparam_parser(defaults[hp])(key, kv.pop(key))
     if kv:
         raise ConfigError(f"unknown configuration keys: {sorted(kv)}")
+    # range checks live with the objects; their messages start with the field
+    for section, build in (
+        ("model.", cfg.model_spec),
+        ("model.", cfg.meta_spec),
+        ("augment.", lambda: MixFeatConfig(cfg.beta_alpha, cfg.beta_beta)),
+    ):
+        try:
+            build()
+        except InputError as exc:
+            raise ConfigError(f"{section}{exc}") from None
     return cfg
 
 

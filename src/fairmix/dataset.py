@@ -352,7 +352,15 @@ def load_dataset(manifest_path: str) -> Dataset:
 
     if "metadata" not in kv:
         raise SchemaError(f"{manifest_path}: missing 'metadata' key")
-    threshold = float(kv.get("panas_threshold", DEFAULT_PANAS_THRESHOLD))
+    try:
+        threshold = float(kv.get("panas_threshold", DEFAULT_PANAS_THRESHOLD))
+    except ValueError:
+        threshold = math.nan
+    if not math.isfinite(threshold):
+        raise ParseError(
+            f"{manifest_path}: panas_threshold must be a finite number, "
+            f"got {kv['panas_threshold']!r}"
+        )
     metas, attr_names = _load_metadata_csv(resolve(kv["metadata"]), threshold)
     order = [m.sample_id for m in metas]
 
@@ -392,6 +400,13 @@ def _fmt(v: float) -> str:
 
 def save_dataset(dataset: Dataset, out_dir: str, name: str = "data") -> str:
     """Write a dataset in manifest+CSV layout; returns the manifest path."""
+    try:
+        return _write_dataset(dataset, out_dir, name)
+    except OSError as exc:
+        raise DataError(f"cannot write {out_dir}: {exc}") from exc
+
+
+def _write_dataset(dataset: Dataset, out_dir: str, name: str) -> str:
     os.makedirs(out_dir, exist_ok=True)
     lines = []
     for t in dataset.modalities:

@@ -26,6 +26,7 @@ from .config import PipelineConfig
 from .dataset import ColumnMeta, Dataset, ModalityTable
 from .errors import (
     ConfigError,
+    DataError,
     EmptyTableError,
     ExperimentError,
     FitError,
@@ -271,7 +272,8 @@ def run_experiment(config: PipelineConfig, dataset: Dataset) -> EvaluationReport
             }
         )
     if not records:
-        raise ExperimentError("every fold was skipped (degenerate training splits)")
+        reasons = sorted({s["reason"] for s in skipped})
+        raise ExperimentError(f"every fold was skipped: {'; '.join(reasons)}")
 
     preds = PredictionSet(records)
     flags = [f"class-{c}-absent-from-truths" for c in metrics_mod.missing_truth_classes(preds)]
@@ -321,14 +323,17 @@ def run_experiment(config: PipelineConfig, dataset: Dataset) -> EvaluationReport
 def atomic_write(path: str, data: str):
     """Write text to path through a temporary file in the same directory."""
     d = os.path.dirname(os.path.abspath(path))
-    os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
+    tmp = None
     try:
+        os.makedirs(d, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(data)
         os.replace(tmp, path)
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc}") from exc
     finally:
-        if os.path.exists(tmp):
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
 
 

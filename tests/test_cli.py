@@ -91,6 +91,13 @@ class TestAudit:
         data = json.loads((workdir / "out" / "report.json").read_text())
         assert data["seed"] == 99
 
+    def test_unwritable_output_dir_exit_3(self, workdir, capsys):
+        (workdir / "file").write_text("")
+        rc = main(["audit", "--config", str(workdir / "config.txt"),
+                   "--set", f"output_dir={workdir / 'file' / 'out'}"])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("data error: cannot write ")
+
     def test_missing_manifest_exit_3(self, workdir):
         (workdir / "bad.txt").write_text("dataset.manifest=nope.txt\nseed=1\n")
         rc = main(["audit", "--config", str(workdir / "bad.txt")])
@@ -128,6 +135,11 @@ class TestConfigRejections:
         (["model.hidden_units=3"], None, "model.hidden_units"),  # not an rbf_svm hyperparameter
         (["model.kind=mlp", "model.learning_rate=nan"], None, "model.learning_rate"),
         (["augment.beta_alpha=inf"], None, "augment.beta_alpha"),
+        (["augment.beta_alpha=0"], None, "augment.beta_alpha"),
+        (["model.C=0"], None, "model.C"),
+        (["model.kind=mlp", "model.epochs=0"], None, "model.epochs"),
+        (["model.tol=0"], None, "model.tol"),
+        (["model.max_passes=5"], None, "model.max_passes"),  # not a hyperparameter any more
     ])
     def test_rejected_with_exit_2(self, command, overrides, env_seed, key, tmp_path,
                                   monkeypatch, capsys):

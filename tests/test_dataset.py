@@ -83,6 +83,13 @@ class TestLoadDataset:
         with pytest.raises(ParseError, match="f2"):
             load_dataset(str(make_files(tmp_path, bad_cell=True)))
 
+    @pytest.mark.parametrize("threshold", ["abc", "nan"])
+    def test_bad_panas_threshold(self, tmp_path, threshold):
+        manifest = make_files(tmp_path)
+        write(manifest, manifest.read_text().replace("=33.3", f"={threshold}"))
+        with pytest.raises(ParseError, match="panas_threshold"):
+            load_dataset(str(manifest))
+
     def test_duplicate_sample_id(self, tmp_path):
         with pytest.raises(SchemaError, match="duplicate"):
             load_dataset(str(make_files(tmp_path, dup_id=True)))

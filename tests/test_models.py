@@ -1,13 +1,19 @@
 import numpy as np
 import pytest
 
-from fairmix.errors import FitError, InputError, ShapeError
+from fairmix import models
+from fairmix.config import PipelineConfig
+from fairmix.errors import ExperimentError, FitError, InputError, ShapeError
+from fairmix.experiment import run_experiment
 from fairmix.models import (
     PredictorSpec,
     fit,
     mlp_loss_and_grads,
     _mlp_init,
+    _rbf_kernel,
+    _smo,
 )
+from fairmix.synthgen import SynthSpec, generate
 
 XOR_X = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=float)
 XOR_Y = np.array([0, 1, 1, 0])
@@ -142,3 +148,54 @@ class TestLogistic:
         m.b = 0.0
         np.testing.assert_allclose(m.predict_proba(np.array([[5.0, -2.0]])), [[0.5, 0.5]])
         assert m.predict(np.array([[5.0, -2.0]]))[0] == 1  # tie -> class 1
+
+
+def smo_problems():
+    """30 seeded dual problems: n 6-60, C from 1e-4 to 100, and in a third of
+    them duplicated rows (some with opposite labels), where the curvature
+    K_ii + K_jj - 2 K_ij of a pair is 0."""
+    rng = np.random.default_rng(2005)
+    for trial in range(30):
+        n = int(rng.integers(6, 61))
+        X = rng.normal(size=(n, int(rng.integers(1, 5))))
+        if trial % 3 == 0:
+            X[n // 2:] = X[: n - n // 2]
+        y = np.where(X[:, 0] + rng.normal(0.0, 0.7, n) > 0, 1.0, -1.0)
+        y[:2] = [1.0, -1.0]
+        C = float([1e-4, 0.1, 1.0, 10.0, 100.0][trial % 5])
+        yield _rbf_kernel(X, X, 1.0 / X.shape[1]), y, C
+
+
+class TestSmo:
+    TOL = 1e-3
+
+    def test_feasible(self):
+        for K, y, C in smo_problems():
+            alpha, _ = _smo(K, y, C, self.TOL)
+            assert (alpha >= 0).all() and (alpha <= C).all()
+            assert abs(y @ alpha) < 1e-9
+
+    def test_kkt_violation_below_tol(self):
+        saw_no_free = False
+        for K, y, C in smo_problems():
+            alpha, b = _smo(K, y, C, self.TOL)
+            grad = y * (K @ (alpha * y)) - 1.0  # recomputed from K, y and alpha
+            up = np.where(y > 0, alpha < C, alpha > 0)
+            low = np.where(y > 0, alpha > 0, alpha < C)
+            score = -y * grad
+            assert score[up].max() - score[low].min() < self.TOL
+            # with b: margin >= 1 where alpha < C, <= 1 where alpha > 0
+            margin = y * ((alpha * y) @ K - b)
+            assert (margin[alpha < C] >= 1.0 - self.TOL).all()
+            assert (margin[alpha > 0] <= 1.0 + self.TOL).all()
+            saw_no_free |= not ((alpha > 0) & (alpha < C)).any()
+        assert saw_no_free  # the midpoint rule for b was exercised
+
+    def test_iteration_cap_raises_and_folds_are_skipped(self, monkeypatch):
+        monkeypatch.setattr(models, "SMO_MAX_ITER", 1)
+        X, y = blobs(seed=0)
+        with pytest.raises(FitError, match="SMO did not reach the KKT tolerance"):
+            fit(PredictorSpec("rbf_svm"), X, y)
+        ds = generate(SynthSpec(n_subjects=8, sessions_per_subject=2, seed=3))
+        with pytest.raises(ExperimentError, match="SMO did not reach the KKT tolerance"):
+            run_experiment(PipelineConfig(seed=1, model_kind="rbf_svm"), ds)
