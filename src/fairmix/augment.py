@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, SampleMeta
+from .dataset import Dataset
 from .errors import InputError, UnreachableCellError
 
 CellKey = tuple[tuple[int, ...], int]  # (attribute values in declared order, label)
@@ -50,10 +50,9 @@ class AugmentationPlan:
 
 def _cells_of(train: Dataset) -> dict[CellKey, np.ndarray]:
     """Row indices (ascending) of every non-empty cell, in cell-key order."""
-    rows = np.column_stack(
-        [*(train.attribute_values(a) for a in train.declared_attributes), train.labels()]
+    keys, cell_of_row = np.unique(
+        np.column_stack([train.attrs, train.label]), axis=0, return_inverse=True
     )
-    keys, cell_of_row = np.unique(rows, axis=0, return_inverse=True)
     cell_of_row = cell_of_row.reshape(-1)
     return {
         (tuple(key[:-1]), key[-1]): np.flatnonzero(cell_of_row == c)
@@ -83,32 +82,29 @@ def _synthesize(train: Dataset, plan: AugmentationPlan, draw):
     subject_id); each modality's rows are mixed from the parents in one
     mix_pair call. Returns the augmented dataset and the draws."""
     cells = _cells_of(train)
-    keys, draws = [], []
+    draws = []
     for key, cp in sorted(plan.cells.items()):
         deficit = cp.target_count - cp.current_count
         if deficit <= 0:
             continue
         if key not in cells:
             raise UnreachableCellError(f"cell {key} needs {deficit} samples but has no source rows")
-        keys += [key] * deficit
         draws += [draw(cells[key]) for _ in range(deficit)]
+    n = len(draws)
     parent_i = np.array([d[0] for d in draws], dtype=int)
     parent_j = np.array([d[1] for d in draws], dtype=int)
-    lams = np.array([d[2] for d in draws], dtype=float).reshape(len(draws), len(train.modalities))
+    lams = np.array([d[2] for d in draws], dtype=float).reshape(n, len(train.modalities))
     blocks = {
         t.modality_name: mix_pair(t.samples[parent_i], t.samples[parent_j], lams[:, [m]])
         for m, t in enumerate(train.modalities)
     }
-    new_meta = [
-        SampleMeta(
-            sample_id=f"syn-{plan.method}-{n:05d}",
-            subject_id=d[3],
-            label=label,
-            attributes=tuple(zip(train.declared_attributes, attrs)),
-        )
-        for n, ((attrs, label), d) in enumerate(zip(keys, draws), 1)
-    ]
-    return train.with_rows_appended(blocks, new_meta), draws
+    return train.with_rows_appended(
+        blocks,
+        [f"syn-{plan.method}-{i:05d}" for i in range(1, n + 1)],
+        [d[3] for d in draws],
+        train.label[parent_i],  # parents come from the cell, so they carry its key
+        train.attrs[parent_i],
+    ), draws
 
 
 def random_oversample(train: Dataset, plan: AugmentationPlan, seed: int) -> Dataset:
@@ -118,7 +114,7 @@ def random_oversample(train: Dataset, plan: AugmentationPlan, seed: int) -> Data
 
     def draw(sources):
         i = int(sources[rng.integers(len(sources))])
-        return i, i, weights, train.meta[i].subject_id
+        return i, i, weights, train.subject_id[i]
 
     return _synthesize(train, plan, draw)[0]
 

@@ -11,7 +11,9 @@ Feature CSVs carry a ``sample_id`` column followed by numeric features
 (empty cells mark missing values). The metadata CSV carries
 ``sample_id, subject_id, pa_score`` (or ``label``) plus one 0/1 column per
 sensitive attribute. Rows of every modality are joined to the metadata by
-sample_id and stored in metadata order.
+sample_id and stored in metadata order. In memory a Dataset holds rows as
+columns (id, label and attribute arrays); ``Dataset.meta`` builds per-row
+SampleMeta records only on request.
 """
 
 from __future__ import annotations
@@ -105,45 +107,54 @@ class SampleMeta:
 
 @dataclass
 class Dataset:
-    """Row-aligned modality tables plus per-row labels and sensitive attributes."""
+    """Row-aligned modality tables plus per-row columns: sample and subject
+    ids, 0/1 labels, and an (n, a) 0/1 matrix of the declared sensitive
+    attributes in declared order."""
 
     modalities: tuple[ModalityTable, ...]
-    meta: tuple[SampleMeta, ...]
+    sample_id: np.ndarray
+    subject_id: np.ndarray
+    label: np.ndarray
+    attrs: np.ndarray
     declared_attributes: tuple[str, ...]
     panas_threshold: float = DEFAULT_PANAS_THRESHOLD
 
     def __post_init__(self):
-        n = len(self.meta)
+        for name, dtype in (("sample_id", str), ("subject_id", str), ("label", int), ("attrs", int)):
+            setattr(self, name, np.asarray(getattr(self, name), dtype))
+        n = self.label.size
         if n == 0:
             raise SchemaError("dataset has no rows")
-        seen = set()
-        for m in self.meta:
-            if m.sample_id in seen:
-                raise SchemaError(f"duplicate sample_id {m.sample_id!r}")
-            seen.add(m.sample_id)
-            names = tuple(k for k, _ in m.attributes)
-            if names != self.declared_attributes:
-                raise SchemaError(
-                    f"sample {m.sample_id!r}: attributes {names} do not match "
-                    f"declared {self.declared_attributes}"
-                )
+        expected = {"sample_id": (n,), "subject_id": (n,), "label": (n,),
+                    "attrs": (n, len(self.declared_attributes))}
+        shapes = {name: getattr(self, name).shape for name in expected}
+        if shapes != expected:
+            raise SchemaError(f"column shapes must be {expected}, got {shapes}")
+        _, first = np.unique(self.sample_id, return_index=True)
+        if len(first) < n:
+            repeat = np.setdiff1d(np.arange(n), first)[0]  # earliest row whose id was seen
+            raise SchemaError(f"duplicate sample_id {str(self.sample_id[repeat])!r}")
         for t in self.modalities:
             if t.n_samples != n:
                 raise AlignmentError(
                     f"modality {t.modality_name!r} has {t.n_samples} rows, metadata has {n}"
                 )
-        self._warn_degenerate()
-
-    def _warn_degenerate(self):
-        if len({m.label for m in self.meta}) < 2:
+        if len(np.unique(self.label)) < 2:
             warnings.warn("label takes a single value", DegenerateGroupWarning)
-        for a in self.declared_attributes:
-            if len({m.attribute(a) for m in self.meta}) < 2:
+        for a, values in zip(self.declared_attributes, self.attrs.T):
+            if len(np.unique(values)) < 2:
                 warnings.warn(f"attribute {a!r} takes a single value", DegenerateGroupWarning)
 
     @property
+    def meta(self) -> tuple[SampleMeta, ...]:
+        """The rows as SampleMeta records, built on each access."""
+        rows = zip(self.sample_ids(), self.subject_ids(), self.label.tolist(), self.attrs.tolist())
+        return tuple(SampleMeta(sid, subj, label, tuple(zip(self.declared_attributes, attrs)))
+                     for sid, subj, label, attrs in rows)
+
+    @property
     def n_samples(self) -> int:
-        return len(self.meta)
+        return self.label.size
 
     @property
     def modality_names(self) -> tuple[str, ...]:
@@ -156,55 +167,51 @@ class Dataset:
         raise KeyError(name)
 
     def labels(self) -> np.ndarray:
-        return np.array([m.label for m in self.meta], dtype=int)
+        return self.label.copy()
 
     def subject_ids(self) -> list[str]:
-        return [m.subject_id for m in self.meta]
+        return self.subject_id.tolist()
 
     def sample_ids(self) -> list[str]:
-        return [m.sample_id for m in self.meta]
+        return self.sample_id.tolist()
 
     def attribute_values(self, name: str) -> np.ndarray:
-        return np.array([m.attribute(name) for m in self.meta], dtype=int)
+        return dict(zip(self.declared_attributes, self.attrs.T))[name].copy()
 
-    def derive(self, modalities: Iterable[ModalityTable], meta: Iterable[SampleMeta]) -> "Dataset":
-        """A dataset over rows taken from this one: same declared attributes
-        and threshold, without repeating its degenerate-group warnings."""
+    def _with_columns(self, modalities, sample_id, subject_id, label, attrs) -> "Dataset":
+        """A dataset with this one's attributes and threshold; group warnings muted."""
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegenerateGroupWarning)
-            return Dataset(tuple(modalities), tuple(meta), self.declared_attributes,
-                           self.panas_threshold)
+            return Dataset(tuple(modalities), sample_id, subject_id, label, attrs,
+                           self.declared_attributes, self.panas_threshold)
+
+    def derive(self, modalities: Iterable[ModalityTable], rows) -> "Dataset":
+        """The listed rows of this dataset over new modality tables."""
+        return self._with_columns(modalities, self.sample_id[rows], self.subject_id[rows],
+                                  self.label[rows], self.attrs[rows])
 
     def subset(self, indices: Sequence[int]) -> "Dataset":
         """Row subset (copy), keeping modality and attribute structure."""
-        idx = list(indices)
-        return self.derive(
-            (ModalityTable(t.modality_name, t.samples[idx].copy(), t.column_meta)
-             for t in self.modalities),
-            (self.meta[i] for i in idx),
-        )
+        idx = np.asarray(indices, dtype=int)
+        tables = [ModalityTable(t.modality_name, t.samples[idx], t.column_meta)
+                  for t in self.modalities]
+        return self.derive(tables, idx)
 
-    def with_rows_appended(
-        self,
-        rows_per_modality: dict[str, np.ndarray],
-        new_meta: Sequence[SampleMeta],
-    ) -> "Dataset":
-        """New dataset with synthetic rows appended; originals untouched."""
-        if not new_meta:
+    def with_rows_appended(self, rows_per_modality: dict[str, np.ndarray],
+                           sample_id, subject_id, label, attrs) -> "Dataset":
+        """New dataset with synthetic rows appended, given as one block per
+        modality and per column; originals untouched. Concatenation widens
+        the id columns to the longer ids."""
+        if not len(label):
             return self
-        k = len(new_meta)
-        mods = []
-        for t in self.modalities:
-            extra = np.asarray(rows_per_modality[t.modality_name], dtype=float)
-            if extra.shape != (k, t.n_features):
-                raise AlignmentError(
-                    f"appended rows for {t.modality_name!r}: expected {(k, t.n_features)}, "
-                    f"got {extra.shape}"
-                )
-            mods.append(
-                ModalityTable(t.modality_name, np.vstack([t.samples, extra]), t.column_meta)
-            )
-        return self.derive(mods, self.meta + tuple(new_meta))
+        tables = (
+            ModalityTable(t.modality_name, np.vstack([t.samples, rows_per_modality[t.modality_name]]),
+                          t.column_meta)
+            for t in self.modalities
+        )
+        old = (self.sample_id, self.subject_id, self.label, self.attrs)
+        new = (sample_id, subject_id, label, attrs)
+        return self._with_columns(tables, *(np.concatenate([a, b]) for a, b in zip(old, new)))
 
 
 def binarize_panas(pa_score: float, threshold: float = DEFAULT_PANAS_THRESHOLD) -> int:
@@ -226,28 +233,36 @@ def binarize_panas(pa_score: float, threshold: float = DEFAULT_PANAS_THRESHOLD) 
 def parse_keyvalue_file(path: str) -> dict[str, str]:
     """Parse key=value lines; '#' starts a comment, blank lines ignored."""
     out: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise SchemaError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key in out:
-                raise SchemaError(f"{path}:{lineno}: duplicate key {key!r}")
-            out[key] = value.strip()
+    for lineno, raw in enumerate(_text_lines(path), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise SchemaError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key in out:
+            raise SchemaError(f"{path}:{lineno}: duplicate key {key!r}")
+        out[key] = value.strip()
     return out
+
+
+def _text_lines(path: str, newline=None) -> list[str]:
+    """The lines of a UTF-8 text file; OSError propagates."""
+    try:
+        with open(path, newline=newline, encoding="utf-8") as fh:
+            return list(fh)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
 
 
 def _read_csv(path: str) -> tuple[list[str], list[list[str]]]:
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            rows = list(reader)
+        rows = list(csv.reader(_text_lines(path, newline="")))
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}")
+    except csv.Error as exc:
+        raise ParseError(f"{path}: {exc}") from None
     if not rows:
         raise SchemaError(f"{path}: empty file")
     return rows[0], rows[1:]
@@ -290,6 +305,8 @@ def _load_levels_csv(path: str) -> dict[str, str]:
         raise SchemaError(f"{path}: expected header 'feature_name,level'")
     levels = {}
     for r, row in enumerate(rows, 2):
+        if len(row) < 2:
+            raise SchemaError(f"{path}: row {r}: expected feature_name,level, got {row!r}")
         name, level = row[0], row[1]
         if level not in LEVELS:
             raise SchemaError(f"{path}: row {r}: level must be high or low, got {level!r}")
@@ -305,12 +322,12 @@ def _load_metadata_csv(path: str, threshold: float):
         raise SchemaError(f"{path}: third metadata column must be 'pa_score' or 'label'")
     outcome_col = header[2]
     attr_names = tuple(header[3:])
-    metas: list[SampleMeta] = []
+    parsed = []
     seen = set()
     for r, row in enumerate(rows, 2):
         if len(row) != len(header):
             raise SchemaError(f"{path}: row {r}: expected {len(header)} cells, got {len(row)}")
-        sid, subj = row[0], row[1]
+        sid = row[0]
         if sid in seen:
             raise SchemaError(f"{path}: duplicate sample_id {sid!r}")
         seen.add(sid)
@@ -323,16 +340,14 @@ def _load_metadata_csv(path: str, threshold: float):
             if raw not in (0.0, 1.0):
                 raise ParseError(f"{path}: row {r}: label must be 0 or 1, got {row[2]!r}")
             label = int(raw)
-        attrs = []
-        for j, a in enumerate(attr_names):
-            v = _parse_cell(row[3 + j], path, r, a)
+        values = [_parse_cell(row[3 + j], path, r, a) for j, a in enumerate(attr_names)]
+        for j, (a, v) in enumerate(zip(attr_names, values)):
             if v not in (0.0, 1.0):
                 raise ParseError(f"{path}: row {r}: attribute {a!r} must be 0 or 1, got {row[3 + j]!r}")
-            attrs.append((a, int(v)))
-        metas.append(SampleMeta(sid, subj, label, tuple(attrs)))
-    if not metas:
+        parsed.append((sid, row[1], label, values))
+    if not parsed:
         raise SchemaError(f"{path}: no data rows")
-    return metas, attr_names
+    return (*zip(*parsed), attr_names)  # sample ids, subject ids, labels, attribute rows
 
 
 def load_dataset(manifest_path: str) -> Dataset:
@@ -361,8 +376,9 @@ def load_dataset(manifest_path: str) -> Dataset:
             f"{manifest_path}: panas_threshold must be a finite number, "
             f"got {kv['panas_threshold']!r}"
         )
-    metas, attr_names = _load_metadata_csv(resolve(kv["metadata"]), threshold)
-    order = [m.sample_id for m in metas]
+    order, subjects, labels, attrs, attr_names = _load_metadata_csv(
+        resolve(kv["metadata"]), threshold
+    )
 
     modality_keys = [k for k in kv if k.startswith("modality.")]  # manifest order
     if not modality_keys:
@@ -386,7 +402,7 @@ def load_dataset(manifest_path: str) -> Dataset:
         cols = tuple(ColumnMeta(fn, levels.get(fn, "low")) for fn in feature_names)
         tables.append(ModalityTable(name, matrix, cols))
 
-    return Dataset(tuple(tables), tuple(metas), attr_names, panas_threshold=threshold)
+    return Dataset(tuple(tables), order, subjects, labels, attrs, attr_names, threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -408,14 +424,15 @@ def save_dataset(dataset: Dataset, out_dir: str, name: str = "data") -> str:
 
 def _write_dataset(dataset: Dataset, out_dir: str, name: str) -> str:
     os.makedirs(out_dir, exist_ok=True)
+    ids = dataset.sample_ids()
     lines = []
     for t in dataset.modalities:
         fname = f"{name}_{t.modality_name}.csv"
         with open(os.path.join(out_dir, fname), "w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh)
             w.writerow(["sample_id", *t.feature_names])
-            for i, m in enumerate(dataset.meta):
-                w.writerow([m.sample_id, *(_fmt(v) for v in t.samples[i])])
+            for sid, row in zip(ids, t.samples):
+                w.writerow([sid, *(_fmt(v) for v in row)])
         lines.append(f"modality.{t.modality_name}={fname}")
         lname = f"{name}_{t.modality_name}_levels.csv"
         with open(os.path.join(out_dir, lname), "w", newline="", encoding="utf-8") as fh:
@@ -429,8 +446,8 @@ def _write_dataset(dataset: Dataset, out_dir: str, name: str) -> str:
     with open(os.path.join(out_dir, mname), "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["sample_id", "subject_id", "label", *dataset.declared_attributes])
-        for m in dataset.meta:
-            w.writerow([m.sample_id, m.subject_id, m.label, *(v for _, v in m.attributes)])
+        for row in zip(ids, dataset.subject_ids(), dataset.label.tolist(), dataset.attrs.tolist()):
+            w.writerow([*row[:3], *row[3]])
     lines.append(f"metadata={mname}")
     lines.append(f"panas_threshold={repr(dataset.panas_threshold)}")
 

@@ -146,14 +146,10 @@ def _processed_train_dataset(dataset, train_idx, per_modality):
     """Wrap transformed training matrices back into a Dataset so the
     augmenters can bucket rows by attributes and label."""
     tables = (
-        ModalityTable(
-            name,
-            Xtr,
-            tuple(ColumnMeta(f"{name}_c{j}", "low") for j in range(Xtr.shape[1])),
-        )
+        ModalityTable(name, Xtr, tuple(ColumnMeta(f"{name}_c{j}") for j in range(Xtr.shape[1])))
         for name, Xtr, _ in per_modality
     )
-    return dataset.derive(tables, (dataset.meta[i] for i in train_idx))
+    return dataset.derive(tables, train_idx)
 
 
 # ---------------------------------------------------------------------------
@@ -219,14 +215,15 @@ def run_experiment(config: PipelineConfig, dataset: Dataset) -> EvaluationReport
     folds = make_folds(config, dataset)
     if not folds:
         raise ExperimentError("no folds could be formed")
-    sample_ids = dataset.sample_ids()
-    labels = dataset.labels()
+    sample_ids, subject_ids = dataset.sample_ids(), dataset.subject_ids()
+    true_labels = dataset.label.tolist()
+    attr_rows = [tuple(zip(dataset.declared_attributes, row)) for row in dataset.attrs.tolist()]
 
     records: list[PredictionRecord] = []
     per_fold, fingerprints, skipped = [], [], []
     for f, (train_idx, test_idx) in enumerate(folds):
         fingerprints.append(_fingerprint([sample_ids[i] for i in test_idx]))
-        if len(np.unique(labels[train_idx])) < 2:
+        if len(np.unique(dataset.label[train_idx])) < 2:
             skipped.append({"fold": f, "reason": "single-class training split"})
             continue
         per_modality = preprocess_fold(config, dataset, train_idx, test_idx)
@@ -246,28 +243,23 @@ def run_experiment(config: PipelineConfig, dataset: Dataset) -> EvaluationReport
         )
         try:
             model = fusion_mod.fit_fusion(spec, Xtr_list, train_ds.labels(), config.seed + f)
+            pred_labels, pred_probas = model.predict_with_proba(Xte_list)
+            if not np.isfinite(pred_probas).all():
+                raise FitError("non-finite predicted probabilities")
         except FitError as exc:
             skipped.append({"fold": f, "reason": str(exc)})
             continue
-        pred_labels, pred_probas = model.predict_with_proba(Xte_list)
-        for pos, i in enumerate(test_idx):
-            m = dataset.meta[i]
-            records.append(
-                PredictionRecord(
-                    sample_id=m.sample_id,
-                    subject_id=m.subject_id,
-                    true_label=m.label,
-                    predicted_label=int(pred_labels[pos]),
-                    predicted_proba=(float(pred_probas[pos, 0]), float(pred_probas[pos, 1])),
-                    attributes=m.attributes,
-                )
-            )
+        records += [
+            PredictionRecord(sample_ids[i], subject_ids[i], true_labels[i], label, tuple(proba),
+                             attr_rows[i])
+            for i, label, proba in zip(test_idx, pred_labels.tolist(), pred_probas.tolist())
+        ]
         fold_preds = PredictionSet(records[-len(test_idx):])
         per_fold.append(
             {
                 "fold": f,
                 "n_test": int(len(test_idx)),
-                "test_subjects": sorted({dataset.meta[i].subject_id for i in test_idx}),
+                "test_subjects": sorted({subject_ids[i] for i in test_idx}),
                 "accuracy": metrics_mod.accuracy(fold_preds),
             }
         )

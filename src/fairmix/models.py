@@ -51,17 +51,18 @@ class PredictorSpec:
         if self.kind not in DEFAULT_HYPERPARAMS:
             raise InputError(f"unknown model kind {self.kind!r}")
         hp = self.resolved()
-        # messages start with the hyperparameter's name (config adds "model.")
-        if self.kind == "rbf_svm":
-            for name in ("C", "tol"):  # the solver stops on tol, so 0 never stops
-                if not hp[name] > 0:
-                    raise InputError(f"{name} must be positive, got {hp[name]!r}")
-            if hp["gamma"] != "scale" and not float(hp["gamma"]) > 0:
-                raise InputError("gamma must be positive or 'scale'")
-        if self.kind == "mlp":
-            for name in ("hidden_units", "epochs"):
-                if hp[name] < 1:
-                    raise InputError(f"{name} must be >= 1, got {hp[name]!r}")
+        # each check covers the kinds that take the hyperparameter (SMO stops on
+        # tol, so 0 never stops); messages start with its name (config adds "model.")
+        for names, ok, rule in (
+            (("C", "tol", "learning_rate"), lambda v: v > 0, "must be positive"),
+            (("l2",), lambda v: v >= 0, "must be >= 0"),
+            (("hidden_units", "epochs", "batch_size", "max_iter"), lambda v: v >= 1, "must be >= 1"),
+        ):
+            for name in names:
+                if name in hp and not ok(hp[name]):
+                    raise InputError(f"{name} {rule}, got {hp[name]!r}")
+        if self.kind == "rbf_svm" and hp["gamma"] != "scale" and not float(hp["gamma"]) > 0:
+            raise InputError("gamma must be positive or 'scale'")
 
     def resolved(self) -> dict:
         hp = dict(DEFAULT_HYPERPARAMS[self.kind])
@@ -227,7 +228,7 @@ def _fit_mlp(spec: PredictorSpec, X, y, facts) -> MlpModel:
     lr = float(hp["learning_rate"])
     epochs = int(hp["epochs"])
     l2 = float(hp["l2"])
-    batch = max(1, min(int(hp["batch_size"]), X.shape[0]))
+    batch = min(int(hp["batch_size"]), X.shape[0])
     rng = np.random.default_rng(int(hp["seed"]))
     n, d = X.shape
 

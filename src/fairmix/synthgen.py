@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import ColumnMeta, Dataset, ModalityTable, SampleMeta
+from .dataset import ColumnMeta, Dataset, ModalityTable
 from .errors import InputError
 
 
@@ -67,19 +67,12 @@ def generate(spec: SynthSpec) -> Dataset:
     if bias_attr not in attr_names:
         raise InputError(f"bias_attribute {bias_attr!r} not among {attr_names}")
 
-    subj_attrs = []
-    for s in range(spec.n_subjects):
-        subj_attrs.append(
-            tuple((a, int(rng.random() < props[a])) for a in attr_names)
-        )
-    for a in attr_names:
-        vals = {dict(attrs)[a] for attrs in subj_attrs}
-        if len(vals) < 2:
-            warnings.warn(
-                f"synthetic attribute {a!r} has a single group; fairness "
-                "metrics over it will be undefined",
-                UserWarning,
-            )
+    draws = [[rng.random() < props[a] for a in attr_names] for _ in range(spec.n_subjects)]
+    subj_attrs = np.array(draws, dtype=int)
+    for a, values in zip(attr_names, subj_attrs.T):
+        if len(np.unique(values)) < 2:
+            warnings.warn(f"synthetic attribute {a!r} has a single group; fairness "
+                          "metrics over it will be undefined", UserWarning)
 
     # one fixed unit direction per modality separates the two classes
     directions = {}
@@ -87,23 +80,14 @@ def generate(spec: SynthSpec) -> Dataset:
         u = rng.normal(size=d)
         directions[name] = u / np.linalg.norm(u)
 
-    meta: list[SampleMeta] = []
+    labels = []
     rows = {name: [] for name, _ in spec.modality_dims}
-    for s, attrs in enumerate(subj_attrs):
-        subject_id = f"subj-{s:03d}"
-        majority = dict(attrs)[bias_attr] == 1
+    for majority in subj_attrs[:, attr_names.index(bias_attr)] == 1:
         base_rate = spec.base_rate_majority if majority else spec.base_rate_minority
         sep = spec.separation_majority if majority else spec.separation_minority
-        for t in range(spec.sessions_per_subject):
+        for _ in range(spec.sessions_per_subject):
             label = int(rng.random() < base_rate)
-            meta.append(
-                SampleMeta(
-                    sample_id=f"subj-{s:03d}-sess-{t}",
-                    subject_id=subject_id,
-                    label=label,
-                    attributes=attrs,
-                )
-            )
+            labels.append(label)
             offset = (sep / 2.0) * (1.0 if label == 1 else -1.0)
             for name, d in spec.modality_dims:
                 x = rng.normal(scale=spec.noise_std, size=d)
@@ -117,6 +101,15 @@ def generate(spec: SynthSpec) -> Dataset:
         )
         for name, d in spec.modality_dims
     )
+    subjects = [f"subj-{s:03d}" for s in range(spec.n_subjects)]
+    sessions = range(spec.sessions_per_subject)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return Dataset(modalities, tuple(meta), attr_names)
+        return Dataset(
+            modalities,
+            [f"{subject}-sess-{t}" for subject in subjects for t in sessions],
+            np.repeat(subjects, spec.sessions_per_subject),
+            labels,
+            np.repeat(subj_attrs, spec.sessions_per_subject, axis=0),
+            attr_names,
+        )

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fairmix.dataset import ColumnMeta, Dataset, ModalityTable, SampleMeta
+from fairmix.dataset import ColumnMeta, Dataset, ModalityTable
 
 
 def make_dataset(features_per_modality, labels, attrs, subject_ids=None, attr_names=("gender",)):
@@ -17,15 +17,6 @@ def make_dataset(features_per_modality, labels, attrs, subject_ids=None, attr_na
     n = len(labels)
     if subject_ids is None:
         subject_ids = [f"s{i}" for i in range(n)]
-    meta = tuple(
-        SampleMeta(
-            sample_id=f"id{i}",
-            subject_id=subject_ids[i],
-            label=int(labels[i]),
-            attributes=tuple(zip(attr_names, (int(v) for v in attrs[i]))),
-        )
-        for i in range(n)
-    )
     tables = tuple(
         ModalityTable(
             name,
@@ -38,7 +29,8 @@ def make_dataset(features_per_modality, labels, attrs, subject_ids=None, attr_na
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return Dataset(tables, meta, tuple(attr_names))
+        return Dataset(tables, [f"id{i}" for i in range(n)], subject_ids, labels, attrs,
+                       tuple(attr_names))
 
 
 @pytest.fixture

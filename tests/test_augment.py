@@ -9,6 +9,7 @@ from fairmix.augment import (
     plan_balancing,
     random_oversample,
 )
+from fairmix.dataset import ColumnMeta, Dataset, ModalityTable
 from fairmix.errors import InputError
 
 from conftest import make_dataset
@@ -186,3 +187,14 @@ class TestMarginalParity:
                 n0 = int(((av == 0) & (labels == y)).sum())
                 n1 = int(((av == 1) & (labels == y)).sum())
                 assert n0 == n1
+
+
+class TestSyntheticIds:
+    @pytest.mark.parametrize("method", ["random_oversample", "mixfeat"])
+    def test_short_ids_do_not_truncate_synthetic_ids(self, method):
+        # appending must widen the one-character id column, not cut the new ids
+        table = ModalityTable("m", np.arange(8.0).reshape(4, 2), (ColumnMeta("f0"), ColumnMeta("f1")))
+        ds = Dataset((table,), ["a", "b", "c", "d"], ["s0", "s1", "s2", "s3"],
+                     [0, 0, 0, 1], [[1], [1], [1], [0]], ("gender",))
+        out = augment_dataset(ds, method, seed=0)
+        assert out.sample_ids() == ["a", "b", "c", "d", f"syn-{method}-00001", f"syn-{method}-00002"]

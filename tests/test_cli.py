@@ -98,6 +98,17 @@ class TestAudit:
         assert rc == 3
         assert capsys.readouterr().err.startswith("data error: cannot write ")
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_predictions_exit_4(self, tmp_path, capsys):
+        # Adam at this rate overflows: every fold is skipped, nothing is written
+        rc = main(["audit", "--config", str(BUNDLED_AUDIT), "--set", f"output_dir={tmp_path}",
+                   "--set", "model.kind=mlp", "--set", "model.learning_rate=1e300",
+                   "--set", "model.epochs=3"])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err == "experiment error: every fold was skipped: non-finite predicted probabilities\n"
+        assert not list(tmp_path.iterdir())
+
     def test_missing_manifest_exit_3(self, workdir):
         (workdir / "bad.txt").write_text("dataset.manifest=nope.txt\nseed=1\n")
         rc = main(["audit", "--config", str(workdir / "bad.txt")])
@@ -140,6 +151,10 @@ class TestConfigRejections:
         (["model.kind=mlp", "model.epochs=0"], None, "model.epochs"),
         (["model.tol=0"], None, "model.tol"),
         (["model.max_passes=5"], None, "model.max_passes"),  # not a hyperparameter any more
+        (["model.kind=logistic", "model.max_iter=0"], None, "model.max_iter"),
+        (["model.kind=mlp", "model.l2=-5"], None, "model.l2"),
+        (["model.kind=mlp", "model.learning_rate=0"], None, "model.learning_rate"),
+        (["model.kind=mlp", "model.batch_size=0"], None, "model.batch_size"),
     ])
     def test_rejected_with_exit_2(self, command, overrides, env_seed, key, tmp_path,
                                   monkeypatch, capsys):

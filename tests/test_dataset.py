@@ -5,6 +5,10 @@ import numpy as np
 import pytest
 
 from fairmix.dataset import (
+    ColumnMeta,
+    Dataset,
+    ModalityTable,
+    SampleMeta,
     binarize_panas,
     load_dataset,
     save_dataset,
@@ -129,6 +133,21 @@ class TestRoundTrip:
             assert a.column_meta == b.column_meta
             np.testing.assert_array_equal(a.samples, b.samples)  # bitwise
 
+    def test_save_then_load_gives_equal_columns(self, tmp_path):
+        rng = np.random.default_rng(6)
+        ds = make_dataset(
+            {"face": rng.normal(size=(5, 2))},
+            labels=[1, 0, 0, 1, 1],
+            attrs=[[1, 0], [0, 0], [1, 1], [0, 1], [1, 1]],
+            subject_ids=["p", "p", "q", "r", "r"],
+            attr_names=("gender", "race"),
+        )
+        back = load_dataset(save_dataset(ds, str(tmp_path)))
+        assert back.declared_attributes == ds.declared_attributes
+        for column in ("sample_id", "subject_id", "label", "attrs"):
+            np.testing.assert_array_equal(getattr(back, column), getattr(ds, column))
+        assert back.attrs.shape == (5, 2)
+
     def test_nan_cells_survive_round_trip(self, tmp_path):
         X = np.array([[1.0, np.nan], [3.0, 4.0]])
         ds = make_dataset({"m": X}, labels=[0, 1], attrs=[[0], [1]])
@@ -145,3 +164,58 @@ class TestAlignmentInvariant:
             sub.modality("face").samples[1],
             two_group_dataset.modality("face").samples[1],
         )
+
+
+def _columns(n=3, attr_names=("gender", "race")):
+    return dict(
+        modalities=(ModalityTable("m", np.zeros((n, 1)), (ColumnMeta("f"),)),),
+        sample_id=[f"r{i}" for i in range(n)],
+        subject_id=[f"s{i}" for i in range(n)],
+        label=[i % 2 for i in range(n)],
+        attrs=[[i % 2, (i + 1) % 2] for i in range(n)],
+        declared_attributes=attr_names,
+    )
+
+
+class TestColumns:
+    @pytest.mark.parametrize("column, value", [
+        ("sample_id", ["r0", "r1"]),
+        ("subject_id", ["s0", "s1", "s2", "s3"]),
+        ("label", [0, 1]),
+        ("attrs", [[0, 1], [1, 0]]),
+        ("attrs", [[0], [1], [0]]),  # one attribute column for two declared
+    ])
+    def test_mismatched_column_raises_schema_error(self, column, value):
+        kwargs = _columns()
+        kwargs[column] = value
+        with pytest.raises(SchemaError, match="column shapes"):
+            Dataset(**kwargs)
+
+    def test_duplicate_sample_id_named(self):
+        kwargs = _columns(4)
+        kwargs["sample_id"] = ["a", "b", "a", "b"]
+        with pytest.raises(SchemaError, match="duplicate sample_id 'a'$"):
+            Dataset(**kwargs)
+
+    def test_meta_is_built_from_the_columns(self):
+        ds = Dataset(**_columns())
+        assert ds.meta == (
+            SampleMeta("r0", "s0", 0, (("gender", 0), ("race", 1))),
+            SampleMeta("r1", "s1", 1, (("gender", 1), ("race", 0))),
+            SampleMeta("r2", "s2", 0, (("gender", 0), ("race", 1))),
+        )
+        assert all(type(m.sample_id) is str and type(m.label) is int for m in ds.meta)
+
+    def test_accessors_return_the_columns(self):
+        ds = Dataset(**_columns())
+        assert ds.sample_ids() == ["r0", "r1", "r2"]
+        assert all(type(s) is str for s in ds.subject_ids())
+        np.testing.assert_array_equal(ds.attribute_values("race"), [1, 0, 1])
+        with pytest.raises(KeyError):
+            ds.attribute_values("age")
+
+    def test_degenerate_columns_warn(self):
+        kwargs = _columns()
+        kwargs["attrs"] = [[1, 0], [1, 1], [1, 0]]
+        with pytest.warns(DegenerateGroupWarning, match="'gender'"):
+            Dataset(**kwargs)

@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from fairmix import fusion as fusion_mod
 from fairmix.config import PipelineConfig
+from fairmix.dataset import Dataset
 from fairmix.errors import ExperimentError
 from fairmix.fusion import FusionSpec, fit_stacking_meta
 from fairmix.models import PredictorSpec, stratified_positions
@@ -193,3 +195,30 @@ class TestRunExperiment:
         ds = synth(seed=11)
         report = run_experiment(base_config(fusion_strategy=strategy), ds)
         assert len(report.predictions.records) == ds.n_samples
+
+
+class TestColumnarPipeline:
+    @pytest.mark.parametrize("method", ["none", "random_oversample", "mixfeat"])
+    def test_runs_without_per_row_records(self, method, monkeypatch):
+        def no_meta(self):
+            raise AssertionError("the pipeline read Dataset.meta")
+
+        ds = synth(seed=12)
+        monkeypatch.setattr(Dataset, "meta", property(no_meta))
+        report = run_experiment(base_config(augment_method=method), ds)
+        assert len(report.predictions) == ds.n_samples
+
+    def test_non_finite_fold_skipped_with_reason(self, monkeypatch):
+        ds = synth(seed=13)
+        calls = []
+        real = fusion_mod.FusedModel.predict_with_proba
+
+        def first_fold_nan(model, X_per_modality):
+            labels, proba = real(model, X_per_modality)
+            calls.append(len(labels))
+            return labels, (np.full_like(proba, np.nan) if len(calls) == 1 else proba)
+
+        monkeypatch.setattr(fusion_mod.FusedModel, "predict_with_proba", first_fold_nan)
+        report = run_experiment(base_config(), ds)
+        assert report.skipped_folds == [{"fold": 0, "reason": "non-finite predicted probabilities"}]
+        assert len(report.predictions) == ds.n_samples - calls[0]
