@@ -38,7 +38,7 @@ from typing import Callable, NamedTuple, Optional
 
 from .augment import MixFeatConfig
 from .dataset import LEVELS, parse_keyvalue_file
-from .errors import ConfigError, InputError
+from .errors import ConfigError, InputError, SchemaError
 from .fusion import STRATEGIES
 from .models import DEFAULT_HYPERPARAMS, PredictorSpec
 from .preprocess import DESCRIPTOR_ORDER
@@ -134,10 +134,18 @@ class PipelineConfig:
         return out
 
 
+def _read_keyvalue(path: str) -> dict[str, str]:
+    """parse_keyvalue_file, whose syntax errors are configuration errors here."""
+    try:
+        return parse_keyvalue_file(path)
+    except SchemaError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def parse_synth_spec(path: str) -> SynthSpec:
     """Read a SynthSpec from a key=value file: modality.<name>=<dim> and
     attribute.<name>=<proportion> lines, plus any scalar SynthSpec field."""
-    kv = parse_keyvalue_file(path)
+    kv = _read_keyvalue(path)
     kwargs = {}
     for pre, name, parse in (
         ("modality.", "modality_dims", _parse_int),
@@ -244,7 +252,7 @@ def build_config(kv: dict[str, str], base_dir: str = ".") -> PipelineConfig:
 
 
 def load_config(path: str, overrides: Optional[dict[str, str]] = None) -> PipelineConfig:
-    kv = parse_keyvalue_file(path)
+    kv = _read_keyvalue(path)
     if overrides:
         kv.update(overrides)
     return build_config(kv, base_dir=os.path.dirname(os.path.abspath(path)))

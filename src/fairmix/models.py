@@ -8,7 +8,10 @@ Three model kinds:
                splits; the kernel is computed once per fit and sliced for
                those splits;
   * mlp      - one-hidden-layer network (tanh, softmax output, cross-entropy
-               + L2) trained with mini-batch Adam;
+               + L2) trained with mini-batch Adam; W1, b1, W2, b2 are views of
+               one flat parameter vector, so each step is one Adam update of
+               that vector; a step computes no loss, and the end-of-epoch
+               early-stopping check computes no gradient;
   * logistic - L2-regularized logistic regression fitted by Newton steps
                (used as the stacking meta-learner).
 
@@ -171,13 +174,24 @@ def _fit_logistic(spec: PredictorSpec, X, y, facts) -> LogisticModel:
 # MLP: tanh hidden layer, softmax output, cross-entropy + L2, Adam
 # ---------------------------------------------------------------------------
 
+def _mlp_views(flat, d, h):
+    """W1, b1, W2, b2 as reshaped views of one flat vector, in that order."""
+    views, start = {}, 0
+    for key, shape in (("W1", (d, h)), ("b1", (h,)), ("W2", (h, 2)), ("b2", (2,))):
+        size = math.prod(shape)
+        views[key] = flat[start:start + size].reshape(shape)
+        start += size
+    return views
+
+
 def _mlp_init(d, h, rng):
-    return {
-        "W1": rng.normal(0.0, 1.0 / math.sqrt(d), size=(d, h)),
-        "b1": np.zeros(h),
-        "W2": rng.normal(0.0, 1.0 / math.sqrt(h), size=(h, 2)),
-        "b2": np.zeros(2),
-    }
+    theta = np.concatenate([
+        rng.normal(0.0, 1.0 / math.sqrt(d), size=d * h),
+        np.zeros(h),
+        rng.normal(0.0, 1.0 / math.sqrt(h), size=h * 2),
+        np.zeros(2),
+    ])
+    return _mlp_views(theta, d, h)
 
 
 def _mlp_forward(params, X):
@@ -189,27 +203,36 @@ def _mlp_forward(params, X):
     return hidden, proba
 
 
+def _mlp_loss(params, proba, y, l2):
+    """Mean cross-entropy of proba against y, plus (l2/2)*||W||^2."""
+    loss = -np.mean(np.log(np.maximum(proba[np.arange(len(y)), y], 1e-300)))
+    return loss + 0.5 * l2 * (np.sum(params["W1"] ** 2) + np.sum(params["W2"] ** 2))
+
+
+def _mlp_backward(params, X, hidden, proba, y, l2, grads):
+    """Write the gradient of _mlp_loss into grads, from the forward pass on X."""
+    n = X.shape[0]
+    onehot = np.zeros((n, 2))
+    onehot[np.arange(n), y] = 1.0
+    dlogits = (proba - onehot) / n
+    np.add(hidden.T @ dlogits, l2 * params["W2"], out=grads["W2"])
+    np.sum(dlogits, axis=0, out=grads["b2"])
+    dhidden = (dlogits @ params["W2"].T) * (1.0 - hidden ** 2)
+    np.add(X.T @ dhidden, l2 * params["W1"], out=grads["W1"])
+    np.sum(dhidden, axis=0, out=grads["b1"])
+
+
 def mlp_loss_and_grads(params, X, y, l2):
     """Mean cross-entropy + (l2/2)*||W||^2 and its analytic gradients.
 
     Exposed so gradient correctness can be checked against finite
     differences.
     """
-    n = X.shape[0]
+    d, h = params["W1"].shape
+    grads = _mlp_views(np.empty(sum(p.size for p in params.values())), d, h)
     hidden, proba = _mlp_forward(params, X)
-    onehot = np.zeros((n, 2))
-    onehot[np.arange(n), y] = 1.0
-    loss = -np.mean(np.log(np.maximum(proba[np.arange(n), y], 1e-300)))
-    loss += 0.5 * l2 * (np.sum(params["W1"] ** 2) + np.sum(params["W2"] ** 2))
-    dlogits = (proba - onehot) / n
-    grads = {
-        "W2": hidden.T @ dlogits + l2 * params["W2"],
-        "b2": dlogits.sum(axis=0),
-    }
-    dhidden = (dlogits @ params["W2"].T) * (1.0 - hidden ** 2)
-    grads["W1"] = X.T @ dhidden + l2 * params["W1"]
-    grads["b1"] = dhidden.sum(axis=0)
-    return loss, grads
+    _mlp_backward(params, X, hidden, proba, y, l2, grads)
+    return _mlp_loss(params, proba, y, l2), grads
 
 
 class MlpModel(TrainedPredictor):
@@ -233,30 +256,37 @@ def _fit_mlp(spec: PredictorSpec, X, y, facts) -> MlpModel:
     n, d = X.shape
 
     params = _mlp_init(d, h, rng)
-    m = {k: np.zeros_like(v) for k, v in params.items()}
-    v = {k: np.zeros_like(vv) for k, vv in params.items()}
+    theta = params["W1"].base  # the flat vector behind all four views
+    grad = np.empty_like(theta)
+    grads = _mlp_views(grad, d, h)
+    m, v = np.zeros_like(theta), np.zeros_like(theta)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     t = 0
     best_loss, stall = math.inf, 0
-    for _ in range(epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, batch):
-            idx = order[start:start + batch]
-            _, grads = mlp_loss_and_grads(params, X[idx], y[idx], l2)
-            t += 1
-            for k in params:
-                m[k] = beta1 * m[k] + (1 - beta1) * grads[k]
-                v[k] = beta2 * v[k] + (1 - beta2) * grads[k] ** 2
-                mhat = m[k] / (1 - beta1 ** t)
-                vhat = v[k] / (1 - beta2 ** t)
-                params[k] = params[k] - lr * mhat / (np.sqrt(vhat) + eps)
-        loss, _ = mlp_loss_and_grads(params, X, y, l2)
-        if loss < best_loss - 1e-6:
-            best_loss, stall = loss, 0
-        else:
-            stall += 1
-            if stall >= 20:
-                break
+    # a diverging run overflows here; the loss check below names it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(epochs):
+            order = rng.permutation(n)
+            for start in range(0, n, batch):
+                idx = order[start:start + batch]
+                Xb = X[idx]
+                hidden, proba = _mlp_forward(params, Xb)
+                _mlp_backward(params, Xb, hidden, proba, y[idx], l2, grads)
+                t += 1
+                m = beta1 * m + (1 - beta1) * grad
+                v = beta2 * v + (1 - beta2) * grad ** 2
+                mhat = m / (1 - beta1 ** t)
+                vhat = v / (1 - beta2 ** t)
+                theta -= lr * mhat / (np.sqrt(vhat) + eps)
+            loss = _mlp_loss(params, _mlp_forward(params, X)[1], y, l2)
+            if not np.isfinite(loss):
+                raise FitError("MLP loss is not finite")
+            if loss < best_loss - 1e-6:
+                best_loss, stall = loss, 0
+            else:
+                stall += 1
+                if stall >= 20:
+                    break
     return MlpModel(spec, params, **facts)
 
 

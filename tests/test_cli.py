@@ -98,15 +98,15 @@ class TestAudit:
         assert rc == 3
         assert capsys.readouterr().err.startswith("data error: cannot write ")
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_predictions_exit_4(self, tmp_path, capsys):
-        # Adam at this rate overflows: every fold is skipped, nothing is written
+        # Adam at this rate overflows: the fit names it without a numpy warning,
+        # every fold is skipped, nothing is written
         rc = main(["audit", "--config", str(BUNDLED_AUDIT), "--set", f"output_dir={tmp_path}",
                    "--set", "model.kind=mlp", "--set", "model.learning_rate=1e300",
                    "--set", "model.epochs=3"])
         assert rc == 4
         err = capsys.readouterr().err
-        assert err == "experiment error: every fold was skipped: non-finite predicted probabilities\n"
+        assert err == "experiment error: every fold was skipped: MLP loss is not finite\n"
         assert not list(tmp_path.iterdir())
 
     def test_missing_manifest_exit_3(self, workdir):
@@ -174,6 +174,45 @@ class TestConfigRejections:
         assert rc == 2
         err = capsys.readouterr().err
         assert "'nope'" in err and "'face'" in err and "'audio'" in err
+
+
+class TestKeyValueSyntax:
+    """A line without '=' or a repeated key is a configuration error (exit 2)
+    in a config or synth spec, and a data error (exit 3) in a manifest."""
+
+    # a line appended to a valid file, and the reason the error names
+    BAD = {
+        "no_equals": ("not a key value line\n", "expected key=value"),
+        "duplicate": ("seed=2\n", "duplicate key 'seed'"),
+    }
+
+    @pytest.mark.parametrize("command", ["validate", "audit"])
+    @pytest.mark.parametrize("case", sorted(BAD))
+    def test_config_exit_2(self, command, case, tmp_path, capsys):
+        line, reason = self.BAD[case]
+        (tmp_path / "bad.txt").write_text("seed=1\n" + line)
+        assert main([command, "--config", str(tmp_path / "bad.txt")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and f"bad.txt:2: {reason}" in err
+
+    @pytest.mark.parametrize("case", sorted(BAD))
+    def test_synth_spec_exit_2(self, case, workdir, capsys):
+        line, reason = self.BAD[case]
+        (workdir / "synth.txt").write_text(SYNTH_SPEC + line)
+        assert main(["synth", "--spec", str(workdir / "synth.txt"),
+                     "--out", str(workdir / "ds")]) == 2
+        assert main(["validate", "--config", str(workdir / "config.txt")]) == 2  # dataset.synth
+        err = capsys.readouterr().err
+        assert err.count("configuration error: ") == 2 and err.count(reason) == 2
+
+    def test_manifest_stays_exit_3(self, workdir, capsys):
+        assert main(["synth", "--spec", str(workdir / "synth.txt"),
+                     "--out", str(workdir / "ds")]) == 0
+        manifest = next((workdir / "ds").glob("*manifest*"))
+        manifest.write_text(manifest.read_text() + "not a key value line\n")
+        (workdir / "config.txt").write_text(f"seed=1\ndataset.manifest={manifest}\n")
+        assert main(["audit", "--config", str(workdir / "config.txt")]) == 3
+        assert capsys.readouterr().err.startswith("data error: ")
 
 
 class TestSynthCommand:

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -132,6 +134,58 @@ class TestMlp:
                 an = grads[key][idx]
                 denom = max(abs(fd), abs(an), 1e-8)
                 assert abs(fd - an) / denom < 1e-4, f"{key}{idx}: {fd} vs {an}"
+
+
+def mlp_problem(seed, n, d, sep=1.0):
+    """n rows, d columns, alternating labels, class 1 shifted by sep in every column."""
+    rng = np.random.default_rng(seed)
+    y = np.arange(n) % 2
+    return rng.normal(size=(n, d)) + sep * y[:, None], y
+
+
+# sha256 of the fitted W1, b1, W2, b2 bytes and of predict_proba on held-out
+# rows; a different last bit anywhere in training changes them
+MLP_GOLDEN = [
+    # (problem, hyperparameters, params digest, proba digest)
+    ((1, 50, 4), {"hidden_units": 16, "batch_size": 7, "epochs": 30},  # 50 % 7 != 0
+     "525cc58e4a9662e84be0c29c575b79e0acc5e266c740d6577f77b32b97a6a433",
+     "d737cf795138ce2e8f0eab5fcd08d6cd7292ae2e18a441e6e461be2b79d68a58"),
+    ((2, 20, 3), {"hidden_units": 8, "batch_size": 1, "epochs": 10},
+     "6637a7324a5bf485e5f74d010830b4988167c12bf551da211842aadb86556f47",
+     "294069e13c302b304e57e76380210e7354ce528cf61f580386127c48d0380c6a"),
+    ((3, 40, 5), {"hidden_units": 1, "epochs": 60},
+     "6d08b525ba2dadc34515945e2cd465b325b3b19574e50b2a23d22798f083a127",
+     "37af8c3d47276edd39b4188c2f158f33ffe257131be9be480f4d9288f675951b"),
+    # separable: early stopping ends it (test_early_stopping_case_stops_early)
+    ((4, 30, 2, 6.0), {"hidden_units": 4, "epochs": 3000, "learning_rate": 0.05, "l2": 1e-2},
+     "0b896bea75f16678b61f3db956086fc1b59c0b9bd4c436c9b7112e133e4bd472",
+     "b1012e48300ceaa073633d8a1219961986668bb75d1179bbd2619b53c3d63548"),
+    ((5, 108, 5), {"epochs": 40},  # the shape of one bench mlp_stack fit
+     "50e5ebbd76651389c7e7b89337780382b92fecfc8016d214df7ecf8709a01feb",
+     "fc95d5b4a7fb27fdba20b0e74c4f181ceebdf6a20e2839b7ee26b27e4055c990"),
+    ((6, 60, 12), {"seed": 3},
+     "37670a2c6257bfa652f35c9dea56ab7458fc5f1a65673332e11505d8b7910964",
+     "53435ffc820bbdeb048f494fbd828cb46497a09428d4e7a1a7b5380d972ed55b"),
+]
+
+
+class TestMlpGolden:
+    @staticmethod
+    def digests(problem, hp):
+        X, y = mlp_problem(*problem)
+        m = fit(PredictorSpec("mlp", hp), X, y)
+        params = b"".join(m.params[k].tobytes() for k in ("W1", "b1", "W2", "b2"))
+        X_test, _ = mlp_problem(problem[0] + 100, 25, X.shape[1])
+        proba = m.predict_proba(X_test).tobytes()
+        return hashlib.sha256(params).hexdigest(), hashlib.sha256(proba).hexdigest()
+
+    @pytest.mark.parametrize("problem,hp,params_sha,proba_sha", MLP_GOLDEN)
+    def test_fit_is_bitwise_pinned(self, problem, hp, params_sha, proba_sha):
+        assert self.digests(problem, hp) == (params_sha, proba_sha)
+
+    def test_early_stopping_case_stops_early(self):
+        problem, hp = MLP_GOLDEN[3][:2]
+        assert self.digests(problem, hp) == self.digests(problem, {**hp, "epochs": 6000})
 
 
 class TestLogistic:
