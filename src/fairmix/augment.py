@@ -132,7 +132,15 @@ class SynthProvenance:
 def mixfeat_with_provenance(
     train: Dataset, plan: AugmentationPlan, cfg: MixFeatConfig
 ) -> tuple[Dataset, list[SynthProvenance]]:
-    """mixfeat plus a per-synthetic-row record of parents and weights."""
+    """Synthesize balanced samples by mixing two same-cell parents.
+
+    For each synthetic sample two distinct parents are drawn uniformly from
+    the cell (a singleton cell duplicates its only row), and each modality
+    gets its own fresh mixing weight drawn from Beta(beta_alpha, beta_beta).
+    Labels and attributes are inherited from the cell; the subject id is a
+    fresh synthetic one. Returns the augmented dataset and, per synthetic
+    row, a record of its parents and weights.
+    """
     rng = np.random.default_rng(cfg.seed)
     names = train.modality_names
     subject_number = itertools.count(1)
@@ -150,18 +158,6 @@ def mixfeat_with_provenance(
     return augmented, [SynthProvenance(i, j, tuple(zip(names, lams))) for i, j, lams, _ in draws]
 
 
-def mixfeat(train: Dataset, plan: AugmentationPlan, cfg: MixFeatConfig) -> Dataset:
-    """Synthesize balanced samples by mixing two same-cell parents.
-
-    For each synthetic sample two distinct parents are drawn uniformly from
-    the cell (a singleton cell duplicates its only row), and each modality
-    gets its own fresh mixing weight drawn from Beta(beta_alpha, beta_beta).
-    Labels and attributes are inherited from the cell; the subject id is a
-    fresh synthetic one.
-    """
-    return mixfeat_with_provenance(train, plan, cfg)[0]
-
-
 def augment_dataset(train: Dataset, method: str, seed: int,
                     beta_alpha: float = 1.0, beta_beta: float = 1.0) -> Dataset:
     """Dispatch helper used by the pipeline; method 'none' is a no-op."""
@@ -171,5 +167,5 @@ def augment_dataset(train: Dataset, method: str, seed: int,
     if method == "random_oversample":
         return random_oversample(train, plan, seed)
     if method == "mixfeat":
-        return mixfeat(train, plan, MixFeatConfig(beta_alpha, beta_beta, seed))
+        return mixfeat_with_provenance(train, plan, MixFeatConfig(beta_alpha, beta_beta, seed))[0]
     raise InputError(f"unknown augmentation method {method!r}")

@@ -38,7 +38,7 @@ from typing import Callable, NamedTuple, Optional
 
 from .augment import MixFeatConfig
 from .dataset import LEVELS, parse_keyvalue_file
-from .errors import ConfigError, InputError, SchemaError
+from .errors import ConfigError, InputError, ParseError, SchemaError
 from .fusion import STRATEGIES
 from .models import DEFAULT_HYPERPARAMS, PredictorSpec
 from .preprocess import DESCRIPTOR_ORDER
@@ -135,10 +135,11 @@ class PipelineConfig:
 
 
 def _read_keyvalue(path: str) -> dict[str, str]:
-    """parse_keyvalue_file, whose syntax errors are configuration errors here."""
+    """parse_keyvalue_file, whose syntax and encoding errors are configuration
+    errors here."""
     try:
         return parse_keyvalue_file(path)
-    except SchemaError as exc:
+    except (SchemaError, ParseError) as exc:
         raise ConfigError(str(exc)) from None
 
 

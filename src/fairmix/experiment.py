@@ -226,24 +226,27 @@ def run_experiment(config: PipelineConfig, dataset: Dataset) -> EvaluationReport
         if len(np.unique(dataset.label[train_idx])) < 2:
             skipped.append({"fold": f, "reason": "single-class training split"})
             continue
-        per_modality = preprocess_fold(config, dataset, train_idx, test_idx)
-        train_ds = _processed_train_dataset(dataset, train_idx, per_modality)
-        if config.augment_method != "none":
-            train_ds = augment_mod.augment_dataset(
-                train_ds,
-                config.augment_method,
-                config.resolved_augment_seed() + f,  # per-fold derived seed
-                config.beta_alpha,
-                config.beta_beta,
-            )
-        Xtr_list = [train_ds.modality(name).samples for name, _, _ in per_modality]
-        Xte_list = [Xte for _, _, Xte in per_modality]
-        spec = fusion_mod.FusionSpec(
-            config.fusion_strategy, config.model_spec(), config.meta_spec()
-        )
         try:
+            per_modality = preprocess_fold(config, dataset, train_idx, test_idx)
+            train_ds = _processed_train_dataset(dataset, train_idx, per_modality)
+            if config.augment_method != "none":
+                train_ds = augment_mod.augment_dataset(
+                    train_ds,
+                    config.augment_method,
+                    config.resolved_augment_seed() + f,  # per-fold derived seed
+                    config.beta_alpha,
+                    config.beta_beta,
+                )
+            Xtr_list = [train_ds.modality(name).samples for name, _, _ in per_modality]
+            Xte_list = [Xte for _, _, Xte in per_modality]
+            spec = fusion_mod.FusionSpec(
+                config.fusion_strategy, config.model_spec(), config.meta_spec()
+            )
             model = fusion_mod.fit_fusion(spec, Xtr_list, train_ds.labels(), config.seed + f)
-            pred_labels, pred_probas = model.predict_with_proba(Xte_list)
+            # test rows far outside the training range may overflow; a
+            # non-finite result is named below
+            with np.errstate(over="ignore", invalid="ignore"):
+                pred_labels, pred_probas = model.predict_with_proba(Xte_list)
             if not np.isfinite(pred_probas).all():
                 raise FitError("non-finite predicted probabilities")
         except FitError as exc:

@@ -93,7 +93,8 @@ def fuse_predict(
         if meta is None:
             raise ConfigError("stacking requires a fitted meta-model")
         feats = _stack_features(spec.strategy, base_probas)
-        return meta.predict(feats), meta.predict_proba(feats)
+        proba = meta.predict_proba(feats)
+        return argmax_label(proba), proba
     raise ConfigError(f"fuse_predict does not handle strategy {spec.strategy!r}")
 
 

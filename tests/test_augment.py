@@ -5,7 +5,7 @@ from fairmix.augment import (
     MixFeatConfig,
     augment_dataset,
     mix_pair,
-    mixfeat,
+    mixfeat_with_provenance,
     plan_balancing,
     random_oversample,
 )
@@ -110,7 +110,7 @@ class TestMixPair:
 class TestMixFeat:
     def test_convexity_per_coordinate(self):
         ds = imbalanced_dataset()
-        out = mixfeat(ds, plan_balancing(ds), MixFeatConfig(seed=2))
+        out = mixfeat_with_provenance(ds, plan_balancing(ds), MixFeatConfig(seed=2))[0]
         for t in ds.modalities:
             lo = t.samples.min(axis=0) - 1e-12
             hi = t.samples.max(axis=0) + 1e-12
@@ -119,13 +119,13 @@ class TestMixFeat:
 
     def test_labels_and_attributes_preserved_and_balanced(self):
         ds = imbalanced_dataset()
-        out = mixfeat(ds, plan_balancing(ds), MixFeatConfig(seed=3))
+        out = mixfeat_with_provenance(ds, plan_balancing(ds), MixFeatConfig(seed=3))[0]
         counts = cell_counts(out)
         assert len(set(counts.values())) == 1  # all cells equal after balancing
 
     def test_synthetic_subject_ids_fresh(self):
         ds = imbalanced_dataset()
-        out = mixfeat(ds, plan_balancing(ds), MixFeatConfig(seed=4))
+        out = mixfeat_with_provenance(ds, plan_balancing(ds), MixFeatConfig(seed=4))[0]
         originals = set(ds.subject_ids())
         for m in out.meta[ds.n_samples:]:
             assert m.subject_id not in originals
@@ -138,7 +138,7 @@ class TestMixFeat:
             labels=[1, 1, 0],
             attrs=[[1], [1], [1]],
         )
-        out = mixfeat(ds, plan_balancing(ds), MixFeatConfig(seed=5))
+        out = mixfeat_with_provenance(ds, plan_balancing(ds), MixFeatConfig(seed=5))[0]
         # cell ((1,),0) has one row, duplicates; cell ((1,),1) mixes
         assert out.n_samples == ds.n_samples + 1
 
@@ -148,7 +148,7 @@ class TestMixFeat:
             labels=[1, 1, 0],
             attrs=[[1], [1], [1]],
         )
-        out = mixfeat(ds, plan_balancing(ds), MixFeatConfig(seed=6))
+        out = mixfeat_with_provenance(ds, plan_balancing(ds), MixFeatConfig(seed=6))[0]
         synth = out.modality("m").samples[3:]
         assert synth.shape == (1, 1) and synth[0, 0] == 3.0
 
@@ -156,14 +156,15 @@ class TestMixFeat:
         ds = imbalanced_dataset()
         plan = plan_balancing(ds)
         cfg = MixFeatConfig(seed=11)
-        a, b = mixfeat(ds, plan, cfg), mixfeat(ds, plan, cfg)
+        a = mixfeat_with_provenance(ds, plan, cfg)[0]
+        b = mixfeat_with_provenance(ds, plan, cfg)[0]
         np.testing.assert_array_equal(a.modality("audio").samples, b.modality("audio").samples)
         assert a.meta == b.meta
 
     def test_originals_untouched(self):
         ds = imbalanced_dataset()
         before = {t.modality_name: t.samples.copy() for t in ds.modalities}
-        out = mixfeat(ds, plan_balancing(ds), MixFeatConfig(seed=12))
+        out = mixfeat_with_provenance(ds, plan_balancing(ds), MixFeatConfig(seed=12))[0]
         for t in ds.modalities:
             np.testing.assert_array_equal(t.samples, before[t.modality_name])
             np.testing.assert_array_equal(

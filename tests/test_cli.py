@@ -109,6 +109,41 @@ class TestAudit:
         assert err == "experiment error: every fold was skipped: MLP loss is not finite\n"
         assert not list(tmp_path.iterdir())
 
+    @staticmethod
+    def _float64_limit_config(workdir, rows):
+        """The workdir config over a dataset whose first face column holds
+        1e308 / -1e308 in the given rows: finite values whose sum or squares
+        overflow."""
+        assert main(["synth", "--spec", str(workdir / "synth.txt"),
+                     "--out", str(workdir / "ds")]) == 0
+        face = workdir / "ds" / "data_face.csv"
+        lines = face.read_text().splitlines(keepends=True)
+        for r in rows or range(1, len(lines)):
+            cells = lines[r].split(",")
+            cells[1] = "1e308" if r % 2 else "-1e308"
+            lines[r] = ",".join(cells)
+        face.write_text("".join(lines))
+        config = workdir / "config.txt"
+        config.write_text(config.read_text().replace(
+            "dataset.synth=synth.txt", "dataset.manifest=ds/data_manifest.txt"))
+        return str(config)
+
+    # a numpy RuntimeWarning fails either test as well
+    def test_float64_limit_column_exit_4(self, workdir, capsys):
+        assert main(["audit", "--config", self._float64_limit_config(workdir, None)]) == 4
+        assert capsys.readouterr().err == ("experiment error: every fold was skipped: "
+                                           "column mean or standard deviation overflows float64\n")
+        assert not (workdir / "out").exists()
+
+    def test_float64_limit_cells_skip_their_training_folds(self, workdir):
+        # with five folds, the fold that tests these rows scores them with an
+        # overflowing product
+        assert main(["audit", "--config", self._float64_limit_config(workdir, [1, 2, 3]),
+                     "--set", "cv.k=5"]) == 0
+        report = json.loads((workdir / "out" / "report.json").read_text())
+        reasons = {s["reason"] for s in report["cv"]["skipped_folds"]}
+        assert "column mean or standard deviation overflows float64" in reasons
+
     def test_missing_manifest_exit_3(self, workdir):
         (workdir / "bad.txt").write_text("dataset.manifest=nope.txt\nseed=1\n")
         rc = main(["audit", "--config", str(workdir / "bad.txt")])
@@ -177,28 +212,31 @@ class TestConfigRejections:
 
 
 class TestKeyValueSyntax:
-    """A line without '=' or a repeated key is a configuration error (exit 2)
-    in a config or synth spec, and a data error (exit 3) in a manifest."""
+    """A line without '=', a repeated key or text that is not UTF-8 is a
+    configuration error (exit 2) in a config or synth spec, and a data error
+    (exit 3) in a manifest."""
 
-    # a line appended to a valid file, and the reason the error names
+    # a line appended to a valid file, the reason the error names, and the
+    # line number it names (a decoding error names none)
     BAD = {
-        "no_equals": ("not a key value line\n", "expected key=value"),
-        "duplicate": ("seed=2\n", "duplicate key 'seed'"),
+        "no_equals": (b"not a key value line\n", "expected key=value", ":2"),
+        "duplicate": (b"seed=2\n", "duplicate key 'seed'", ":2"),
+        "not_utf8": (b"note=caf\xe9\n", "not UTF-8 text", ""),
     }
 
     @pytest.mark.parametrize("command", ["validate", "audit"])
     @pytest.mark.parametrize("case", sorted(BAD))
     def test_config_exit_2(self, command, case, tmp_path, capsys):
-        line, reason = self.BAD[case]
-        (tmp_path / "bad.txt").write_text("seed=1\n" + line)
+        line, reason, where = self.BAD[case]
+        (tmp_path / "bad.txt").write_bytes(b"seed=1\n" + line)
         assert main([command, "--config", str(tmp_path / "bad.txt")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("configuration error: ") and f"bad.txt:2: {reason}" in err
+        assert err.startswith("configuration error: ") and f"bad.txt{where}: {reason}" in err
 
     @pytest.mark.parametrize("case", sorted(BAD))
     def test_synth_spec_exit_2(self, case, workdir, capsys):
-        line, reason = self.BAD[case]
-        (workdir / "synth.txt").write_text(SYNTH_SPEC + line)
+        line, reason, _ = self.BAD[case]
+        (workdir / "synth.txt").write_bytes(SYNTH_SPEC.encode() + line)
         assert main(["synth", "--spec", str(workdir / "synth.txt"),
                      "--out", str(workdir / "ds")]) == 2
         assert main(["validate", "--config", str(workdir / "config.txt")]) == 2  # dataset.synth
@@ -213,6 +251,16 @@ class TestKeyValueSyntax:
         (workdir / "config.txt").write_text(f"seed=1\ndataset.manifest={manifest}\n")
         assert main(["audit", "--config", str(workdir / "config.txt")]) == 3
         assert capsys.readouterr().err.startswith("data error: ")
+
+    def test_manifest_not_utf8_stays_exit_3(self, workdir, capsys):
+        assert main(["synth", "--spec", str(workdir / "synth.txt"),
+                     "--out", str(workdir / "ds")]) == 0
+        manifest = next((workdir / "ds").glob("*manifest*"))
+        manifest.write_bytes(manifest.read_bytes() + self.BAD["not_utf8"][0])
+        (workdir / "config.txt").write_text(f"seed=1\ndataset.manifest={manifest}\n")
+        assert main(["audit", "--config", str(workdir / "config.txt")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and "not UTF-8 text" in err
 
 
 class TestSynthCommand:

@@ -104,7 +104,8 @@ def _corrupt_csv(rng, path):
     r = rng.randrange(1, len(rows))
     c = rng.randrange(len(rows[0]))
     how = rng.choice(["cell", "cell", "cell", "drop_row", "dup_row", "short_row", "header",
-                      "header_only", "empty", "bytes", "blank_column", "constant_column"])
+                      "header_only", "empty", "bytes", "blank_column", "constant_column",
+                      "float64_limit_column"])
     if how == "cell":
         rows[r][min(c, len(rows[r]) - 1)] = rng.choice(CELLS)
     elif how == "drop_row":
@@ -122,6 +123,10 @@ def _corrupt_csv(rng, path):
     elif how == "bytes":
         path.write_bytes(b"sample_id,f\n\xff\xfe,1\n")
         return how
+    elif how == "float64_limit_column":  # finite, but its sum or squares overflow
+        for r, row in enumerate(rows[1:]):
+            if c < len(row):
+                row[c] = "-1e308" if r % 2 else "1e308"
     else:
         value = "" if how == "blank_column" else "1"
         for row in rows[1:]:

@@ -2,17 +2,8 @@ import numpy as np
 import pytest
 
 from fairmix.dataset import ColumnMeta, ModalityTable
-from fairmix.errors import EmptyTableError, FitError, SelectionError, InputError
-from fairmix.preprocess import (
-    TemporalClip,
-    apply_pca,
-    drop_constant_and_null,
-    fit_column_cleaner,
-    fit_pca,
-    fit_standardizer,
-    select_level,
-    summarize_temporal,
-)
+from fairmix.errors import EmptyTableError, FitError, SelectionError
+from fairmix.preprocess import fit_column_cleaner, fit_pca, fit_standardizer, select_level
 
 
 def table(X, levels=None):
@@ -21,71 +12,40 @@ def table(X, levels=None):
     return ModalityTable("m", X, tuple(ColumnMeta(f"f{j}", lv) for j, lv in enumerate(levels)))
 
 
-class TestSummarizeTemporal:
-    def test_hand_computed_descriptors(self):
-        # series [1,2,3,4] at 1 fps: population std = sqrt(1.25), lag-1 Pearson
-        # of [1,2,3] vs [2,3,4] is exactly 1
-        out = summarize_temporal(TemporalClip("c", np.array([[1, 2, 3, 4]]).T, 1.0))
-        np.testing.assert_allclose(
-            out, [2.5, 2.5, np.sqrt(1.25), 1.0, 4.0, 1.0], atol=1e-12
-        )
-
-    def test_constant_series_autocorr_zero(self):
-        out = summarize_temporal(TemporalClip("c", np.array([[5, 5, 5]]).T, 1.0))
-        np.testing.assert_allclose(out, [5, 5, 0, 5, 5, 0], atol=0)
-
-    def test_length_one_series(self):
-        out = summarize_temporal(TemporalClip("c", np.array([[3.0]]), 30.0))
-        np.testing.assert_allclose(out, [3, 3, 0, 3, 3, 0], atol=0)
-
-    def test_output_length_is_six_per_feature(self):
-        rng = np.random.default_rng(0)
-        for nf in (1, 2, 7):
-            clip = TemporalClip("c", rng.normal(size=(40, nf)), 10.0)
-            assert summarize_temporal(clip).shape == (6 * nf,)
-
-    def test_lag_exceeding_length_falls_back_to_zero(self):
-        out = summarize_temporal(TemporalClip("c", np.array([[1, 2, 3]]).T, 30.0))
-        assert out[5] == 0.0
-
-    def test_empty_series_rejected(self):
-        with pytest.raises(InputError):
-            TemporalClip("c", np.empty((0, 1)), 1.0)
-
-
 class TestDropConstantAndNull:
+    """fit_column_cleaner drops constant and all-null columns of the rows it
+    is fitted on and mean-imputes the remaining gaps."""
+
     def test_removes_constant_column(self):
-        t = table([[1, 1], [1, 2], [1, 3]])
-        out, removed = drop_constant_and_null(t)
-        assert removed == ["f0"]
-        assert out.feature_names == ("f1",)
+        X = np.array([[1.0, 1], [1, 2], [1, 3]])
+        cleaner = fit_column_cleaner(X)
+        assert cleaner.keep == (1,)
+        np.testing.assert_array_equal(cleaner.apply(X), [[1], [2], [3]])
 
     def test_removes_all_null_column(self):
-        t = table([[np.nan, 1], [np.nan, 2]])
-        out, removed = drop_constant_and_null(t)
-        assert removed == ["f0"]
+        cleaner = fit_column_cleaner(np.array([[np.nan, 1], [np.nan, 2]]))
+        assert cleaner.keep == (1,)
 
     def test_imputes_with_column_mean(self):
-        t = table([[1], [np.nan], [3]])
-        out, _ = drop_constant_and_null(t)
-        np.testing.assert_array_equal(out.samples[:, 0], [1, 2, 3])
+        X = np.array([[1.0], [np.nan], [3]])
+        np.testing.assert_array_equal(fit_column_cleaner(X).apply(X)[:, 0], [1, 2, 3])
 
     def test_identity_when_nothing_to_remove(self):
-        t = table([[1, 4], [2, 5], [3, 6]])
-        out, removed = drop_constant_and_null(t)
-        assert removed == []
-        np.testing.assert_array_equal(out.samples, t.samples)
+        X = np.array([[1.0, 4], [2, 5], [3, 6]])
+        cleaner = fit_column_cleaner(X)
+        assert cleaner.keep == (0, 1)
+        np.testing.assert_array_equal(cleaner.apply(X), X)
 
     def test_idempotent(self):
-        t = table([[1, 1, np.nan], [1, 2, 5], [1, 3, np.nan]])
-        once, _ = drop_constant_and_null(t)
-        twice, removed2 = drop_constant_and_null(once)
-        assert removed2 == []
-        np.testing.assert_array_equal(once.samples, twice.samples)
+        X = np.array([[1.0, 1, np.nan], [1, 2, 5], [1, 3, np.nan]])
+        once = fit_column_cleaner(X).apply(X)
+        refit = fit_column_cleaner(once)
+        assert refit.keep == tuple(range(once.shape[1]))
+        np.testing.assert_array_equal(refit.apply(once), once)
 
     def test_all_columns_removed_errors(self):
         with pytest.raises(EmptyTableError):
-            drop_constant_and_null(table([[1, np.nan], [1, np.nan]]))
+            fit_column_cleaner(np.array([[1, np.nan], [1, np.nan]]))
 
 
 class TestColumnCleaner:
@@ -109,19 +69,6 @@ class TestColumnCleaner:
             assert cleaner.keep == tuple(range(d))
             expected = np.array([np.nanmean(X[:, j]) for j in range(d)])
             assert cleaner.impute_means.tobytes() == expected.tobytes()
-
-    def test_drop_constant_and_null_is_the_fitted_cleaner(self):
-        rng = np.random.default_rng(1)
-        X = rng.normal(size=(12, 5))
-        X[rng.random((12, 5)) < 0.3] = np.nan
-        X[:, 1] = 4.0
-        X[:, 3] = np.nan
-        X[:2, [0, 2, 4]] = [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]]
-        out, removed = drop_constant_and_null(table(X))
-        cleaner = fit_column_cleaner(X)
-        assert cleaner.keep == (0, 2, 4)
-        assert removed == ["f1", "f3"]
-        assert out.samples.tobytes() == cleaner.apply(X).tobytes()
 
 
 class TestSelectLevel:
@@ -155,6 +102,15 @@ class TestStandardizer:
         out = s.apply(X)
         np.testing.assert_allclose(out.mean(axis=0), 0, atol=1e-12)
         np.testing.assert_allclose(out.std(axis=0), 1, atol=1e-12)
+
+    @pytest.mark.parametrize("column", [
+        [1e308, -1e308] * 4,  # the mean is finite, the squares overflow
+        [1e308, 1e308, 1e308, 1.0, 2.0],  # the sum overflows
+    ])
+    def test_overflow_is_a_fit_error(self, column):
+        # a numpy RuntimeWarning would fail the test as well
+        with pytest.raises(FitError, match="overflows float64"):
+            fit_standardizer(np.array(column)[:, None])
 
 
 def pca_oracle(X, target):
@@ -211,11 +167,38 @@ class TestPca:
                 dot = abs(model.components[i] @ evecs[:, i])
                 np.testing.assert_allclose(dot, 1.0, atol=1e-6)
 
+    @pytest.mark.parametrize("shape", ["wide", "rank_deficient", "constant_columns", "d1"])
+    def test_matches_oracle_beyond_criterion_4(self, shape):
+        rng = np.random.default_rng(8)
+        if shape == "wide":  # the wide_pca benchmark shape, n << d
+            X = rng.normal(size=(128, 1000)) * rng.uniform(0.1, 5, size=1000)
+        elif shape == "rank_deficient":  # rank 3 in 12 dimensions
+            X = rng.normal(size=(30, 3)) @ rng.normal(size=(3, 12))
+        elif shape == "constant_columns":
+            X = rng.normal(size=(20, 6)) * [3, 0, 1, 0, 2, 0.5]
+            X[:, [1, 3]] = [4.0, -2.0]
+        else:
+            X = rng.normal(size=(15, 1))
+        model = fit_pca(X, 0.80)
+        k, ratios, evecs = pca_oracle(X, 0.80)
+        assert model.n_components == k
+        np.testing.assert_allclose(model.explained_ratio, ratios[:k], atol=1e-9)
+        np.testing.assert_allclose(np.abs(np.sum(model.components * evecs[:, :k].T, axis=1)), 1.0,
+                                   atol=1e-6)
+        assert model.components.flags["C_CONTIGUOUS"]
+
+    def test_zero_variance_keeps_one_direction(self):
+        model = fit_pca(np.full((6, 4), 3.0), 0.80)
+        np.testing.assert_array_equal(model.explained_ratio, [1.0])
+        np.testing.assert_allclose(np.linalg.norm(model.components, axis=1), [1.0])
+        np.testing.assert_array_equal(model.apply(np.full((2, 4), 3.0)), np.zeros((2, 1)))
+        assert model.components.flags["C_CONTIGUOUS"]
+
     def test_projection_variance_matches_reported_ratio(self):
         rng = np.random.default_rng(6)
         X = rng.normal(size=(60, 8)) * np.arange(1, 9)
         model = fit_pca(X, 0.80)
-        proj = apply_pca(model, X)
+        proj = model.apply(X)
         total = np.var(X - X.mean(axis=0), axis=0, ddof=1).sum()
         kept = np.var(proj, axis=0, ddof=1).sum()
         np.testing.assert_allclose(kept / total, model.explained_ratio.sum(), atol=1e-8)
