@@ -5,11 +5,17 @@ values, label). Every non-empty cell is raised to the size of the largest
 cell, either by duplicating rows at random (random_oversample) or by
 convex per-modality combinations of two same-cell parents (mixfeat).
 Test splits are never augmented; originals are never touched.
+
+Draw protocol, pinned by tests that hash the output: one
+``default_rng(seed)`` visits the deficient cells in key order. mixfeat draws,
+per row of a cell of c >= 2 rows, ``choice(c, 2, replace=False)`` for the
+parents, then ``beta(a, b, size=n_modalities)``; a singleton cell draws
+``beta(a, b, size=(deficit, n_modalities))``. random_oversample draws
+``integers(c, size=deficit)`` per cell. Rows are named after the method run.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,14 +66,15 @@ def _cells_of(train: Dataset) -> dict[CellKey, np.ndarray]:
     }
 
 
+def _plan(cells: dict[CellKey, np.ndarray], method: str) -> AugmentationPlan:
+    target = max(len(v) for v in cells.values())
+    return AugmentationPlan(cells={k: CellPlan(len(v), target) for k, v in cells.items()},
+                            method=method)
+
+
 def plan_balancing(train: Dataset, method: str = "mixfeat") -> AugmentationPlan:
     """Raise every non-empty (attributes, label) cell to the global max count."""
-    cells = _cells_of(train)
-    target = max(len(v) for v in cells.values())
-    return AugmentationPlan(
-        cells={k: CellPlan(len(v), target) for k, v in cells.items()},
-        method=method,
-    )
+    return _plan(_cells_of(train), method)
 
 
 def mix_pair(row_i: np.ndarray, row_j: np.ndarray, lam) -> np.ndarray:
@@ -76,47 +83,58 @@ def mix_pair(row_i: np.ndarray, row_j: np.ndarray, lam) -> np.ndarray:
     return lam * np.asarray(row_i, dtype=float) + (1.0 - lam) * np.asarray(row_j, dtype=float)
 
 
-def _synthesize(train: Dataset, plan: AugmentationPlan, draw):
-    """Append one synthetic row per call of draw(cell_indices), deficient cells
-    in key order. draw returns (parent_i, parent_j, per-modality weights,
-    subject_id); each modality's rows are mixed from the parents in one
-    mix_pair call. Returns the augmented dataset and the draws."""
-    cells = _cells_of(train)
-    draws = []
-    for key, cp in sorted(plan.cells.items()):
-        deficit = cp.target_count - cp.current_count
-        if deficit <= 0:
-            continue
+def _two_distinct(integers, c: int) -> tuple[int, int]:
+    """rng.choice(c, 2, replace=False) from its own three draws (Floyd's
+    sampling, then a swap) at a third of the overhead; integers = rng.integers."""
+    i, j, keep = integers(c - 1), integers(c), integers(2)
+    if j == i:
+        j = c - 1
+    return (i, j) if keep else (j, i)
+
+
+def _synthesize(train: Dataset, plan: AugmentationPlan, cells, method: str, seed: int,
+                a: float = 1.0, b: float = 1.0):
+    """The augmented dataset and its synthetic rows' parent_i, parent_j and
+    (rows, modalities) weights, drawn by the module's protocol."""
+    rng = np.random.default_rng(seed)
+    integers, beta, n_modalities = rng.integers, rng.beta, len(train.modalities)
+    deficits = [(key, cp.target_count - cp.current_count) for key, cp in sorted(plan.cells.items())
+                if cp.target_count > cp.current_count]
+    n = sum(deficit for _, deficit in deficits)
+    parent_i, parent_j, lams = np.empty(n, int), np.empty(n, int), np.empty((n, n_modalities))
+    end = 0
+    for key, deficit in deficits:
         if key not in cells:
             raise UnreachableCellError(f"cell {key} needs {deficit} samples but has no source rows")
-        draws += [draw(cells[key]) for _ in range(deficit)]
-    n = len(draws)
-    parent_i = np.array([d[0] for d in draws], dtype=int)
-    parent_j = np.array([d[1] for d in draws], dtype=int)
-    lams = np.array([d[2] for d in draws], dtype=float).reshape(n, len(train.modalities))
-    blocks = {
-        t.modality_name: mix_pair(t.samples[parent_i], t.samples[parent_j], lams[:, [m]])
-        for m, t in enumerate(train.modalities)
-    }
-    return train.with_rows_appended(
-        blocks,
-        [f"syn-{plan.method}-{i:05d}" for i in range(1, n + 1)],
-        [d[3] for d in draws],
+        rows, at = cells[key], slice(end, end + deficit)
+        end += deficit
+        if method == "random_oversample":
+            parent_i[at] = parent_j[at] = rows[integers(len(rows), size=deficit)]
+            lams[at] = 1.0  # weight 1 copies the parent exactly
+        elif len(rows) == 1:
+            parent_i[at] = parent_j[at] = rows[0]
+            lams[at] = beta(a, b, size=(deficit, n_modalities))
+        else:
+            picks = np.empty((deficit, 2), int)
+            for pick, lam in zip(picks, lams[at]):
+                pick[:] = _two_distinct(integers, len(rows))
+                lam[:] = beta(a, b, size=n_modalities)
+            parent_i[at], parent_j[at] = rows[picks.T]
+    augmented = train.with_rows_appended(
+        {t.modality_name: mix_pair(t.samples[parent_i], t.samples[parent_j], lams[:, [m]])
+         for m, t in enumerate(train.modalities)},
+        [f"syn-{method}-{k:05d}" for k in range(1, n + 1)],
+        train.subject_id[parent_i] if method == "random_oversample"
+        else [f"syn-subject-{k:05d}" for k in range(1, n + 1)],
         train.label[parent_i],  # parents come from the cell, so they carry its key
         train.attrs[parent_i],
-    ), draws
+    )
+    return augmented, parent_i, parent_j, lams
 
 
 def random_oversample(train: Dataset, plan: AugmentationPlan, seed: int) -> Dataset:
     """Duplicate uniformly-drawn rows of each deficient cell until balanced."""
-    rng = np.random.default_rng(seed)
-    weights = [1.0] * len(train.modalities)  # weight 1 copies the parent exactly
-
-    def draw(sources):
-        i = int(sources[rng.integers(len(sources))])
-        return i, i, weights, train.subject_id[i]
-
-    return _synthesize(train, plan, draw)[0]
+    return _synthesize(train, plan, _cells_of(train), "random_oversample", seed)[0]
 
 
 @dataclass(frozen=True)
@@ -132,30 +150,14 @@ class SynthProvenance:
 def mixfeat_with_provenance(
     train: Dataset, plan: AugmentationPlan, cfg: MixFeatConfig
 ) -> tuple[Dataset, list[SynthProvenance]]:
-    """Synthesize balanced samples by mixing two same-cell parents.
-
-    For each synthetic sample two distinct parents are drawn uniformly from
-    the cell (a singleton cell duplicates its only row), and each modality
-    gets its own fresh mixing weight drawn from Beta(beta_alpha, beta_beta).
-    Labels and attributes are inherited from the cell; the subject id is a
-    fresh synthetic one. Returns the augmented dataset and, per synthetic
-    row, a record of its parents and weights.
-    """
-    rng = np.random.default_rng(cfg.seed)
+    """Balance the cells by mixing two distinct same-cell parents (a singleton
+    duplicates its row) with a Beta(beta_alpha, beta_beta) weight per modality,
+    under fresh subject ids; also returns each synthetic row's provenance."""
+    augmented, parent_i, parent_j, lams = _synthesize(
+        train, plan, _cells_of(train), "mixfeat", cfg.seed, cfg.beta_alpha, cfg.beta_beta)
     names = train.modality_names
-    subject_number = itertools.count(1)
-
-    def draw(sources):
-        if len(sources) == 1:
-            i = j = sources[0]
-        else:
-            pick = rng.choice(len(sources), size=2, replace=False)
-            i, j = sources[pick[0]], sources[pick[1]]
-        lams = [float(rng.beta(cfg.beta_alpha, cfg.beta_beta)) for _ in names]
-        return int(i), int(j), lams, f"syn-subject-{next(subject_number):05d}"
-
-    augmented, draws = _synthesize(train, plan, draw)
-    return augmented, [SynthProvenance(i, j, tuple(zip(names, lams))) for i, j, lams, _ in draws]
+    return augmented, [SynthProvenance(i, j, tuple(zip(names, w)))
+                       for i, j, w in zip(parent_i.tolist(), parent_j.tolist(), lams.tolist())]
 
 
 def augment_dataset(train: Dataset, method: str, seed: int,
@@ -163,9 +165,9 @@ def augment_dataset(train: Dataset, method: str, seed: int,
     """Dispatch helper used by the pipeline; method 'none' is a no-op."""
     if method == "none":
         return train
-    plan = plan_balancing(train, method)
-    if method == "random_oversample":
-        return random_oversample(train, plan, seed)
+    if method not in ("random_oversample", "mixfeat"):
+        raise InputError(f"unknown augmentation method {method!r}")
     if method == "mixfeat":
-        return mixfeat_with_provenance(train, plan, MixFeatConfig(beta_alpha, beta_beta, seed))[0]
-    raise InputError(f"unknown augmentation method {method!r}")
+        MixFeatConfig(beta_alpha, beta_beta, seed)  # rejects a non-positive Beta parameter
+    cells = _cells_of(train)
+    return _synthesize(train, _plan(cells, method), cells, method, seed, beta_alpha, beta_beta)[0]

@@ -19,6 +19,7 @@ SampleMeta records only on request.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import os
 import warnings
@@ -214,16 +215,17 @@ class Dataset:
         return self._with_columns(tables, *(np.concatenate([a, b]) for a, b in zip(old, new)))
 
 
-def binarize_panas(pa_score: float, threshold: float = DEFAULT_PANAS_THRESHOLD) -> int:
-    """1 (high-PA) iff the score is strictly above the threshold.
+def binarize_panas(pa_score, threshold: float = DEFAULT_PANAS_THRESHOLD):
+    """1 (high-PA) iff the score is strictly above the threshold, elementwise.
 
     Scores exactly at the threshold fall in the low-PA class.
     """
-    if not math.isfinite(pa_score):
+    if not np.isfinite(pa_score).all():
         raise InputError(f"non-finite PA score: {pa_score!r}")
     if not math.isfinite(threshold):
         raise InputError(f"non-finite threshold: {threshold!r}")
-    return 1 if pa_score > threshold else 0
+    high = np.greater(pa_score, threshold)
+    return high.astype(int) if high.ndim else int(high)
 
 
 # ---------------------------------------------------------------------------
@@ -269,49 +271,63 @@ def _read_csv(path: str) -> tuple[list[str], list[list[str]]]:
 
 
 def _parse_cell(text: str, path: str, row: int, col: str) -> float:
-    if text == "":
-        return math.nan
     try:
-        v = float(text)
+        v = float(text or "nan")  # an empty cell is a missing value
     except ValueError:
-        raise ParseError(f"{path}: row {row}, column {col!r}: non-numeric value {text!r}")
+        raise ParseError(f"{path}: row {row}, column {col!r}: non-numeric value {text!r}") from None
     if math.isinf(v):
         raise ParseError(f"{path}: row {row}, column {col!r}: infinite value")
     return v
 
 
-def _load_feature_csv(path: str) -> tuple[list[str], dict[str, list[float]]]:
-    """Returns (feature_names, sample_id -> row values)."""
-    header, rows = _read_csv(path)
-    if not header or header[0] != "sample_id":
-        raise SchemaError(f"{path}: first column must be 'sample_id'")
-    feature_names = header[1:]
-    by_id: dict[str, list[float]] = {}
+def _parse_rows(path: str, header: list[str], rows: list[list[str]], n_text: int, check_cells,
+                valid=lambda values: True):
+    """The first n_text columns as text and the rest as an (n, d) float array
+    (empty cells NaN), by one float() map. If a row is ragged, a sample_id
+    repeats, a cell is not a finite float or valid(values) fails, the first
+    offending row in reading order (header = row 1) raises instead: its cell
+    count, a repeated sample_id, then check_cells(r, row)."""
+    if not set(map(len, rows)) - {len(header)}:
+        columns = list(zip(*rows)) or [()] * len(header)
+        cells = [c or "nan" for c in itertools.chain.from_iterable(columns[n_text:])]
+        shape = (len(header) - n_text, len(rows))  # column by column
+        try:
+            values = np.fromiter(map(float, cells), float, len(cells)).reshape(shape).T
+        except ValueError:
+            values = None
+        if (values is not None and len(set(columns[0])) == len(rows)
+                and not np.isinf(values).any() and valid(values)):
+            return (*columns[:n_text], np.ascontiguousarray(values))
+    seen = set()
     for r, row in enumerate(rows, 2):
         if len(row) != len(header):
             raise SchemaError(f"{path}: row {r}: expected {len(header)} cells, got {len(row)}")
-        sid = row[0]
-        if sid in by_id:
-            raise SchemaError(f"{path}: duplicate sample_id {sid!r}")
-        by_id[sid] = [
-            _parse_cell(c, path, r, feature_names[j]) for j, c in enumerate(row[1:])
-        ]
-    return feature_names, by_id
+        if row[0] in seen:
+            raise SchemaError(f"{path}: duplicate sample_id {row[0]!r}")
+        seen.add(row[0])
+        check_cells(r, row)
+    raise SchemaError(f"{path}: malformed rows")  # valid and check_cells disagree
+
+
+def _load_feature_csv(path: str) -> tuple[list[str], tuple[str, ...], np.ndarray]:
+    """Returns (feature_names, sample ids, values) in file row order."""
+    header, rows = _read_csv(path)
+    if not header or header[0] != "sample_id":
+        raise SchemaError(f"{path}: first column must be 'sample_id'")
+    return (header[1:], *_parse_rows(path, header, rows, 1, lambda r, row: [
+        _parse_cell(text, path, r, name) for name, text in zip(header[1:], row[1:])]))
 
 
 def _load_levels_csv(path: str) -> dict[str, str]:
     header, rows = _read_csv(path)
     if header[:2] != ["feature_name", "level"]:
         raise SchemaError(f"{path}: expected header 'feature_name,level'")
-    levels = {}
     for r, row in enumerate(rows, 2):
         if len(row) < 2:
             raise SchemaError(f"{path}: row {r}: expected feature_name,level, got {row!r}")
-        name, level = row[0], row[1]
-        if level not in LEVELS:
-            raise SchemaError(f"{path}: row {r}: level must be high or low, got {level!r}")
-        levels[name] = level
-    return levels
+        if row[1] not in LEVELS:
+            raise SchemaError(f"{path}: row {r}: level must be high or low, got {row[1]!r}")
+    return {row[0]: row[1] for row in rows}
 
 
 def _load_metadata_csv(path: str, threshold: float):
@@ -322,32 +338,28 @@ def _load_metadata_csv(path: str, threshold: float):
         raise SchemaError(f"{path}: third metadata column must be 'pa_score' or 'label'")
     outcome_col = header[2]
     attr_names = tuple(header[3:])
-    parsed = []
-    seen = set()
-    for r, row in enumerate(rows, 2):
-        if len(row) != len(header):
-            raise SchemaError(f"{path}: row {r}: expected {len(header)} cells, got {len(row)}")
-        sid = row[0]
-        if sid in seen:
-            raise SchemaError(f"{path}: duplicate sample_id {sid!r}")
-        seen.add(sid)
+    if not rows:
+        raise SchemaError(f"{path}: no data rows")
+
+    def check_cells(r, row):
         raw = _parse_cell(row[2], path, r, outcome_col)
         if math.isnan(raw):
             raise ParseError(f"{path}: row {r}: missing {outcome_col}")
-        if outcome_col == "pa_score":
-            label = binarize_panas(raw, threshold)
-        else:
-            if raw not in (0.0, 1.0):
-                raise ParseError(f"{path}: row {r}: label must be 0 or 1, got {row[2]!r}")
-            label = int(raw)
-        values = [_parse_cell(row[3 + j], path, r, a) for j, a in enumerate(attr_names)]
-        for j, (a, v) in enumerate(zip(attr_names, values)):
+        if outcome_col == "label" and raw not in (0.0, 1.0):
+            raise ParseError(f"{path}: row {r}: label must be 0 or 1, got {row[2]!r}")
+        values = [_parse_cell(text, path, r, a) for a, text in zip(attr_names, row[3:])]
+        for a, text, v in zip(attr_names, row[3:], values):
             if v not in (0.0, 1.0):
-                raise ParseError(f"{path}: row {r}: attribute {a!r} must be 0 or 1, got {row[3 + j]!r}")
-        parsed.append((sid, row[1], label, values))
-    if not parsed:
-        raise SchemaError(f"{path}: no data rows")
-    return (*zip(*parsed), attr_names)  # sample ids, subject ids, labels, attribute rows
+                raise ParseError(f"{path}: row {r}: attribute {a!r} must be 0 or 1, got {text!r}")
+
+    def valid(values):  # an outcome in every row, 0/1 labels, 0/1 attributes
+        outcome = values[:, 0]
+        ok = ~np.isnan(outcome) if outcome_col == "pa_score" else np.isin(outcome, (0, 1))
+        return ok.all() and np.isin(values[:, 1:], (0, 1)).all()
+
+    ids, subjects, values = _parse_rows(path, header, rows, 2, check_cells, valid)
+    labels = binarize_panas(values[:, 0], threshold) if outcome_col == "pa_score" else values[:, 0]
+    return ids, subjects, labels, values[:, 1:], attr_names
 
 
 def load_dataset(manifest_path: str) -> Dataset:
@@ -388,19 +400,16 @@ def load_dataset(manifest_path: str) -> Dataset:
     for key in modality_keys:
         name = key[len("modality."):]
         fpath = resolve(kv[key])
-        feature_names, by_id = _load_feature_csv(fpath)
-        levels = {}
-        if f"levels.{name}" in kv:
-            levels = _load_levels_csv(resolve(kv[f"levels.{name}"]))
-        missing = [sid for sid in order if sid not in by_id]
-        if missing:
-            raise AlignmentError(
-                f"modality {name!r}: sample_id {missing[0]!r} present in metadata "
-                f"but missing from {fpath}"
-            )
-        matrix = np.array([by_id[sid] for sid in order], dtype=float)
+        feature_names, ids, values = _load_feature_csv(fpath)
+        lpath = kv.get(f"levels.{name}")
+        levels = {} if lpath is None else _load_levels_csv(resolve(lpath))
+        index = dict(zip(ids, range(len(ids))))
+        at = np.fromiter(map(index.get, order, itertools.repeat(-1)), int, len(order))
+        if (at < 0).any():
+            raise AlignmentError(f"modality {name!r}: sample_id {order[np.argmax(at < 0)]!r} "
+                                 f"present in metadata but missing from {fpath}")
         cols = tuple(ColumnMeta(fn, levels.get(fn, "low")) for fn in feature_names)
-        tables.append(ModalityTable(name, matrix, cols))
+        tables.append(ModalityTable(name, values[at], cols))
 
     return Dataset(tuple(tables), order, subjects, labels, attrs, attr_names, threshold)
 
@@ -408,11 +417,6 @@ def load_dataset(manifest_path: str) -> Dataset:
 # ---------------------------------------------------------------------------
 # saving (round-trips bitwise through repr/float)
 # ---------------------------------------------------------------------------
-
-def _fmt(v: float) -> str:
-    v = float(v)
-    return "" if math.isnan(v) else repr(v)  # repr round-trips doubles exactly
-
 
 def save_dataset(dataset: Dataset, out_dir: str, name: str = "data") -> str:
     """Write a dataset in manifest+CSV layout; returns the manifest path."""
@@ -422,34 +426,30 @@ def save_dataset(dataset: Dataset, out_dir: str, name: str = "data") -> str:
         raise DataError(f"cannot write {out_dir}: {exc}") from exc
 
 
+def _write_csv(out_dir: str, fname: str, header: list[str], rows: Iterable) -> str:
+    """Write one CSV file with one writerows call; returns its name."""
+    with open(os.path.join(out_dir, fname), "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(itertools.chain([header], rows))
+    return fname
+
+
 def _write_dataset(dataset: Dataset, out_dir: str, name: str) -> str:
     os.makedirs(out_dir, exist_ok=True)
     ids = dataset.sample_ids()
     lines = []
     for t in dataset.modalities:
-        fname = f"{name}_{t.modality_name}.csv"
-        with open(os.path.join(out_dir, fname), "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["sample_id", *t.feature_names])
-            for sid, row in zip(ids, t.samples):
-                w.writerow([sid, *(_fmt(v) for v in row)])
-        lines.append(f"modality.{t.modality_name}={fname}")
-        lname = f"{name}_{t.modality_name}_levels.csv"
-        with open(os.path.join(out_dir, lname), "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["feature_name", "level"])
-            for c in t.column_meta:
-                w.writerow([c.feature_name, c.level])
-        lines.append(f"levels.{t.modality_name}={lname}")
-
-    mname = f"{name}_metadata.csv"
-    with open(os.path.join(out_dir, mname), "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["sample_id", "subject_id", "label", *dataset.declared_attributes])
-        for row in zip(ids, dataset.subject_ids(), dataset.label.tolist(), dataset.attrs.tolist()):
-            w.writerow([*row[:3], *row[3]])
-    lines.append(f"metadata={mname}")
-    lines.append(f"panas_threshold={repr(dataset.panas_threshold)}")
+        m = t.modality_name
+        cells = np.array(list(map(repr, t.samples.ravel().tolist())), object).reshape(t.samples.shape)
+        cells[np.isnan(t.samples)] = ""  # repr round-trips doubles exactly; NaN is written empty
+        fname = _write_csv(out_dir, f"{name}_{m}.csv", ["sample_id", *t.feature_names],
+                           zip(ids, *cells.T))
+        lname = _write_csv(out_dir, f"{name}_{m}_levels.csv", ["feature_name", "level"],
+                           [(c.feature_name, c.level) for c in t.column_meta])
+        lines += [f"modality.{m}={fname}", f"levels.{m}={lname}"]
+    mname = _write_csv(out_dir, f"{name}_metadata.csv",
+                       ["sample_id", "subject_id", "label", *dataset.declared_attributes],
+                       zip(ids, dataset.subject_ids(), dataset.label.tolist(), *dataset.attrs.T.tolist()))
+    lines += [f"metadata={mname}", f"panas_threshold={dataset.panas_threshold!r}"]
 
     manifest = os.path.join(out_dir, f"{name}_manifest.txt")
     with open(manifest, "w", encoding="utf-8") as fh:

@@ -10,7 +10,9 @@ seed, and report JSON is byte-stable across identical runs.
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 import os
 import tempfile
@@ -376,14 +378,10 @@ def write_comparison_markdown(reports: dict[str, EvaluationReport], path: str):
 
 
 def write_predictions_csv(preds: PredictionSet, path: str, attribute_names):
-    buf = []
-    header = ["sample_id", "subject_id", "true_label", "predicted_label",
-              "proba_0", "proba_1", *attribute_names]
-    buf.append(",".join(header))
-    for r in preds.records:
-        buf.append(",".join([
-            r.sample_id, r.subject_id, str(r.true_label), str(r.predicted_label),
-            repr(r.predicted_proba[0]), repr(r.predicted_proba[1]),
-            *(str(r.attribute(a)) for a in attribute_names),
-        ]))
-    atomic_write(path, "\n".join(buf) + "\n")
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(["sample_id", "subject_id", "true_label", "predicted_label",
+                "proba_0", "proba_1", *attribute_names])
+    w.writerows([r.sample_id, r.subject_id, r.true_label, r.predicted_label, *r.predicted_proba,
+                 *(r.attribute(a) for a in attribute_names)] for r in preds.records)
+    atomic_write(path, buf.getvalue())

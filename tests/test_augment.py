@@ -1,8 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from fairmix import augment as augment_mod
 from fairmix.augment import (
     MixFeatConfig,
+    _two_distinct,
     augment_dataset,
     mix_pair,
     mixfeat_with_provenance,
@@ -199,3 +203,91 @@ class TestSyntheticIds:
                      [0, 0, 0, 1], [[1], [1], [1], [0]], ("gender",))
         out = augment_dataset(ds, method, seed=0)
         assert out.sample_ids() == ["a", "b", "c", "d", f"syn-{method}-00001", f"syn-{method}-00002"]
+
+    def test_rows_are_named_after_the_method_that_ran(self):
+        ds = imbalanced_dataset()
+        for plan_method in ("mixfeat", "random_oversample"):
+            plan = plan_balancing(ds, plan_method)
+            oversampled = random_oversample(ds, plan, seed=1).sample_ids()[ds.n_samples:]
+            mixed = mixfeat_with_provenance(ds, plan, MixFeatConfig(seed=1))[0]
+            assert oversampled[0] == "syn-random_oversample-00001"
+            assert all(s.startswith("syn-random_oversample-") for s in oversampled)
+            assert all(s.startswith("syn-mixfeat-") for s in mixed.sample_ids()[ds.n_samples:])
+
+
+def pinned_dataset():
+    """Three modalities; cells ((0,0),0)x1 (singleton), ((0,1),1)x2, ((1,0),0)x4,
+    ((1,1),1)x7 (the largest, so zero deficit) and ((1,0),1)x3."""
+    rng = np.random.default_rng(2024)
+    cells = [((0, 0), 0, 1), ((0, 1), 1, 2), ((1, 0), 0, 4), ((1, 1), 1, 7), ((1, 0), 1, 3)]
+    attrs, labels = [], []
+    for key, y, count in cells:
+        attrs += [list(key)] * count
+        labels += [y] * count
+    order = rng.permutation(len(labels))
+    n = len(labels)
+    return make_dataset(
+        {"face": rng.normal(size=(n, 3)), "audio": rng.normal(size=(n, 2)),
+         "text": rng.normal(size=(n, 4))},
+        np.asarray(labels)[order],
+        np.asarray(attrs)[order],
+        subject_ids=[f"p{i % 5}" for i in range(n)],
+        attr_names=("gender", "race"),
+    )
+
+
+def dataset_digest(ds):
+    h = hashlib.sha256()
+    for t in ds.modalities:
+        h.update(t.modality_name.encode() + b"\0" + np.ascontiguousarray(t.samples, "<f8").tobytes())
+    for column in (ds.sample_id, ds.subject_id):
+        h.update("\n".join(column.tolist()).encode() + b"\0")
+    h.update(ds.label.astype("<i8").tobytes() + ds.attrs.astype("<i8").tobytes())
+    return h.hexdigest()
+
+
+class TestPinnedOutput:
+    """The augmented bytes are pinned: the draw order is part of the
+    contract, so that reports stay byte-stable across rewrites."""
+
+    CASES = {
+        ("mixfeat", 1.0, 1.0): "73fb451f5feb267861d9bbe467253efce336899fc85cda7f76c988c478cbe79a",
+        ("mixfeat", 0.4, 2.0): "1a751abb1acc370b8c93805978648a34ab713c49eec4cf2fedebe57a9102f122",
+        ("random_oversample", 1.0, 1.0): "5cc93fdcac1a0f09b0127cad601b841e29ed622aed191877584671369fd4502f",
+    }
+
+    @pytest.mark.parametrize("method,a,b", sorted(CASES))
+    def test_augment_dataset_digest(self, method, a, b):
+        ds = pinned_dataset()
+        out = augment_dataset(ds, method, seed=17, beta_alpha=a, beta_beta=b)
+        assert out.n_samples == 5 * 7
+        assert dataset_digest(out) == self.CASES[method, a, b]
+
+    @pytest.mark.parametrize("method", ["random_oversample", "mixfeat"])
+    def test_pipeline_builds_no_provenance_records(self, method, monkeypatch):
+        def no_records(*args):
+            raise AssertionError("augment_dataset built a SynthProvenance record")
+
+        monkeypatch.setattr(augment_mod, "SynthProvenance", no_records)
+        assert augment_dataset(pinned_dataset(), method, seed=17).n_samples == 5 * 7
+
+    @pytest.mark.parametrize("a,b", [(1.0, 1.0), (0.4, 2.0)])
+    def test_provenance_variant_gives_the_same_dataset(self, a, b):
+        ds = pinned_dataset()
+        plan = plan_balancing(ds, "mixfeat")
+        out, provenance = mixfeat_with_provenance(ds, plan, MixFeatConfig(a, b, seed=17))
+        assert dataset_digest(out) == dataset_digest(augment_dataset(ds, "mixfeat", 17, a, b))
+        assert len(provenance) == out.n_samples - ds.n_samples
+
+
+class TestTwoDistinct:
+    @pytest.mark.parametrize("c", [2, 3, 4, 7, 50, 1000, 2**31 + 5])
+    def test_replays_choice_without_replacement(self, c):
+        # the mixfeat draw protocol is rng.choice(c, 2, replace=False) then a
+        # sized beta; the cheaper draw must give the same pairs and leave the
+        # generator in the same state
+        ours, ref = np.random.default_rng(c), np.random.default_rng(c)
+        for _ in range(300):
+            assert _two_distinct(ours.integers, c) == tuple(ref.choice(c, 2, replace=False))
+            np.testing.assert_array_equal(ours.beta(0.4, 2.0, size=3), ref.beta(0.4, 2.0, size=3))
+        assert ours.bit_generator.state == ref.bit_generator.state

@@ -219,3 +219,98 @@ class TestColumns:
         kwargs["attrs"] = [[1, 0], [1, 1], [1, 0]]
         with pytest.warns(DegenerateGroupWarning, match="'gender'"):
             Dataset(**kwargs)
+
+
+FACE = "sample_id,f1,f2\nc0,0.5,1.25\nc1,1.5,2.25\nc2,2.5,3.25\n"
+META = "sample_id,subject_id,label,gender\nc0,s0,0,1\nc1,s1,1,0\nc2,s0,1,1\n"
+
+
+def load_error(tmp_path, face=FACE, meta=META):
+    """The exception load_dataset raises on the given feature and metadata text."""
+    write(tmp_path / "face.csv", face)
+    write(tmp_path / "meta.csv", meta)
+    write(tmp_path / "man.txt", "modality.face=face.csv\nmetadata=meta.csv\n")
+    with pytest.raises(Exception) as info:
+        load_dataset(str(tmp_path / "man.txt"))
+    return info.value
+
+
+class TestLoadErrorMessages:
+    """Full messages: each names the file, the first offending row (counting
+    the header as row 1) and, for a cell, its column and text."""
+
+    @pytest.mark.parametrize("face, error, message", [
+        (FACE.replace("2.25", "x2"), ParseError,
+         "row 3, column 'f2': non-numeric value 'x2'"),
+        (FACE.replace("1.5", "-inf"), ParseError, "row 3, column 'f1': infinite value"),
+        (FACE.replace("c1,1.5,2.25", "c1,1.5"), SchemaError, "row 3: expected 3 cells, got 2"),
+        (FACE.replace("c2,2.5", "c0,2.5"), SchemaError, "duplicate sample_id 'c0'"),
+        # the first offending cell in reading order wins over later faults
+        (FACE.replace("2.25", "x2").replace("3.25", "y").replace("0.5", "1e999"),
+         ParseError, "row 2, column 'f1': infinite value"),
+        (FACE.replace("2.25", "x2").replace("c2,2.5,3.25", "c2"), ParseError,
+         "row 3, column 'f2': non-numeric value 'x2'"),
+        (FACE.replace("c0,0.5,1.25", "c0,0.5").replace("2.25", "x2"), SchemaError,
+         "row 2: expected 3 cells, got 2"),
+        (FACE.replace("c1,1.5", "c0,1.5").replace("2.25", "x2"), SchemaError,
+         "duplicate sample_id 'c0'"),
+    ])
+    def test_feature_file(self, tmp_path, face, error, message):
+        exc = load_error(tmp_path, face=face)
+        assert type(exc) is error
+        assert str(exc) == f"{tmp_path / 'face.csv'}: {message}"
+
+    @pytest.mark.parametrize("meta, error, message", [
+        (META.replace("c2,s0,1,1", "c0,s0,1,1"), SchemaError, "duplicate sample_id 'c0'"),
+        (META.replace("c1,s1,1,0", "c1,s1,2,0"), ParseError, "row 3: label must be 0 or 1, got '2'"),
+        (META.replace("c1,s1,1,0", "c1,s1,0.5,0"), ParseError,
+         "row 3: label must be 0 or 1, got '0.5'"),
+        (META.replace("c2,s0,1,1", "c2,s0,1,yes"), ParseError,
+         "row 4, column 'gender': non-numeric value 'yes'"),
+        (META.replace("c2,s0,1,1", "c2,s0,1,2"), ParseError,
+         "row 4: attribute 'gender' must be 0 or 1, got '2'"),
+        (META.replace("c2,s0,1,1", "c2,s0,1,"), ParseError,
+         "row 4: attribute 'gender' must be 0 or 1, got ''"),
+        (META.replace("c1,s1,1,0", "c1,s1,,0"), ParseError, "row 3: missing label"),
+        (META.replace("c1,s1,1,0", "c1,s1,inf,0"), ParseError,
+         "row 3, column 'label': infinite value"),
+        (META.replace("c1,s1,1,0", "c1,s1,1"), SchemaError, "row 3: expected 4 cells, got 3"),
+        ("sample_id,subject_id,label,gender\n", SchemaError, "no data rows"),
+    ])
+    def test_metadata_file(self, tmp_path, meta, error, message):
+        exc = load_error(tmp_path, meta=meta)
+        assert type(exc) is error
+        assert str(exc) == f"{tmp_path / 'meta.csv'}: {message}"
+
+    def test_pa_score_is_checked_before_attributes(self, tmp_path):
+        meta = META.replace("label", "pa_score").replace("c1,s1,1,0", "c1,s1,abc,7")
+        exc = load_error(tmp_path, meta=meta)
+        assert str(exc) == f"{tmp_path / 'meta.csv'}: row 3, column 'pa_score': non-numeric value 'abc'"
+
+    @pytest.mark.parametrize("face, missing", [
+        (FACE.replace("c1,1.5,2.25\n", ""), "c1"),
+        ("sample_id,f1,f2\n", "c0"),  # a feature file with no rows
+    ])
+    def test_id_missing_from_a_modality(self, tmp_path, face, missing):
+        exc = load_error(tmp_path, face=face)
+        assert type(exc) is AlignmentError
+        assert str(exc) == (f"modality 'face': sample_id '{missing}' present in metadata "
+                            f"but missing from {tmp_path / 'face.csv'}")
+
+
+class TestQuotedRoundTrip:
+    def test_nan_cells_and_quoted_ids_round_trip(self, tmp_path):
+        X = np.array([[1.0, np.nan, -0.0], [np.nan, np.nan, 5e-324], [0.1, 2.0, 1e300]])
+        table = ModalityTable("m", X, tuple(ColumnMeta(f"f,{j}") for j in range(3)))
+        sample_ids, subject_ids = ['i,"1"', "é 2", "3\n"], ['a,"b"', "c d", "x\ny"]
+        ds = Dataset((table,), sample_ids, subject_ids, [0, 1, 1], [[0, 1], [1, 0], [1, 1]],
+                     ("gender", "race"))
+        back = load_dataset(save_dataset(ds, str(tmp_path)))
+        assert back.sample_ids() == sample_ids
+        assert back.subject_ids() == subject_ids
+        np.testing.assert_array_equal(back.label, ds.label)
+        np.testing.assert_array_equal(back.attrs, ds.attrs)
+        assert back.modality("m").feature_names == ("f,0", "f,1", "f,2")
+        out = back.modality("m").samples
+        np.testing.assert_array_equal(out, X)  # NaN where X has NaN, bitwise elsewhere
+        assert math.copysign(1.0, out[0, 2]) == -1.0

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -15,6 +16,7 @@ from fairmix.experiment import (
     make_folds,
     plain_kfold,
     run_experiment,
+    write_predictions_csv,
     write_report_json,
 )
 from fairmix.synthgen import SynthSpec, generate
@@ -222,3 +224,35 @@ class TestColumnarPipeline:
         report = run_experiment(base_config(), ds)
         assert report.skipped_folds == [{"fold": 0, "reason": "non-finite predicted probabilities"}]
         assert len(report.predictions) == ds.n_samples - calls[0]
+
+
+class TestPredictionsCsv:
+    def test_ids_with_commas_and_quotes_read_back(self, tmp_path):
+        ds = synth(seed=14)
+        ids = np.array([f'r{i},"q"' for i in range(ds.n_samples)], dtype=object)
+        subjects = np.array([f"{s}, {s}" for s in ds.subject_ids()], dtype=object)
+        ds = Dataset(ds.modalities, ids, subjects, ds.label, ds.attrs, ds.declared_attributes)
+        report = run_experiment(base_config(), ds)
+        path = tmp_path / "predictions.csv"
+        write_predictions_csv(report.predictions, str(path), ds.declared_attributes)
+        with open(path, newline="", encoding="utf-8") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header == ["sample_id", "subject_id", "true_label", "predicted_label",
+                          "proba_0", "proba_1", *ds.declared_attributes]
+        assert all(len(row) == len(header) for row in rows)
+        records = report.predictions.records
+        assert [row[:2] for row in rows] == [[r.sample_id, r.subject_id] for r in records]
+        assert [float(row[5]) for row in rows] == [r.predicted_proba[1] for r in records]
+
+    def test_plain_ids_are_written_unquoted(self, tmp_path):
+        ds = synth(seed=15)
+        report = run_experiment(base_config(), ds)
+        path = tmp_path / "predictions.csv"
+        write_predictions_csv(report.predictions, str(path), ds.declared_attributes)
+        r = report.predictions.records[0]
+        lines = path.read_bytes().split(b"\n")
+        assert lines[1] == ",".join([
+            r.sample_id, r.subject_id, str(r.true_label), str(r.predicted_label),
+            repr(r.predicted_proba[0]), repr(r.predicted_proba[1]),
+            *(str(v) for _, v in r.attributes)]).encode()
+        assert lines[-1] == b"" and b"\r" not in path.read_bytes()
