@@ -166,6 +166,12 @@ MLP_GOLDEN = [
     ((6, 60, 12), {"seed": 3},
      "37670a2c6257bfa652f35c9dea56ab7458fc5f1a65673332e11505d8b7910964",
      "53435ffc820bbdeb048f494fbd828cb46497a09428d4e7a1a7b5380d972ed55b"),
+    ((7, 45, 1), {"hidden_units": 10, "batch_size": 8, "epochs": 25},  # d = 1
+     "f27e6272d1829cc4078c7f6edad1d4c8f7f2acc4643141518363f73b23b89d6f",
+     "74d24f271b99b9b0abb1634ba6c466e35bd196846015526f6bfbb2a58a283f41"),
+    ((8, 13, 3), {"hidden_units": 20, "epochs": 30},  # batch_size 32 clamps to n = 13
+     "01e6783d8d06513d54b2279917e5676f6e74172a3177802d40caaa39861fed9b",
+     "c58a680c378c7f58b267f6cfadc08044e81a32e62bd4adca253e7a8466818377"),
 ]
 
 
@@ -186,6 +192,15 @@ class TestMlpGolden:
     def test_early_stopping_case_stops_early(self):
         problem, hp = MLP_GOLDEN[3][:2]
         assert self.digests(problem, hp) == self.digests(problem, {**hp, "epochs": 6000})
+
+    def test_loss_and_grads_are_bitwise_pinned(self):
+        X, y = mlp_problem(9, 30, 4)
+        params = _mlp_init(4, 6, np.random.default_rng(9))
+        loss, grads = mlp_loss_and_grads(params, X, y, 1e-3)
+        data = np.float64(loss).tobytes() + b"".join(
+            grads[k].tobytes() for k in ("W1", "b1", "W2", "b2"))
+        assert hashlib.sha256(data).hexdigest() == (
+            "3d301376b8494672c36a476323a0ff85fb4bdcfa518334bb5a7eabec6de4a6da")
 
 
 class TestLogistic:
@@ -253,3 +268,47 @@ class TestSmo:
         ds = generate(SynthSpec(n_subjects=8, sessions_per_subject=2, seed=3))
         with pytest.raises(ExperimentError, match="SMO did not reach the KKT tolerance"):
             run_experiment(PipelineConfig(seed=1, model_kind="rbf_svm"), ds)
+
+
+def svm_debias_problem(seed):
+    """80 rows x 8 columns, the shape of one bench svm_debias fit, with a
+    class-1 shift of 1 in every column; labels in {0, 1}."""
+    rng = np.random.default_rng(seed)
+    y = (rng.random(80) < 0.5).astype(int)
+    y[:2] = [0, 1]
+    return rng.normal(size=(80, 8)) + y[:, None], y
+
+
+def smo_digest(problems):
+    """sha256 over alpha.tobytes() and repr(b) of _smo on each (K, y, C)."""
+    h = hashlib.sha256()
+    for K, y, C in problems:
+        alpha, b = _smo(K, y, C, 1e-3)
+        h.update(alpha.tobytes() + repr(b).encode())
+    return h.hexdigest()
+
+
+def svm_debias_dual(seed):
+    X, y = svm_debias_problem(seed)
+    gamma = models._resolve_gamma({"gamma": "scale"}, X)
+    return _rbf_kernel(X, X, gamma), np.where(y == 1, 1.0, -1.0), 1.0
+
+
+class TestSmoGolden:
+    """The solver's bits: a different last bit in any step changes alpha or b."""
+
+    @pytest.mark.parametrize("problems,sha", [
+        (smo_problems,
+         "4f2a7b853b28b6801173ba4d19e5446405c68f7aa2c1606e78716c96d3e8eaf3"),
+        (lambda: [svm_debias_dual(0)],
+         "5706a50e15385c447592a90852cbd197d105a2a361ec3656c4a91a9b068eedc5"),
+        (lambda: [svm_debias_dual(1)],
+         "57ae00f82e44dc3ecf5e0981bc93b93c8b2cbeeb2dfb43b81df7e524949c83aa"),
+    ], ids=["smo_problems", "svm_debias_0", "svm_debias_1"])
+    def test_alpha_and_b_are_bitwise_pinned(self, problems, sha):
+        assert smo_digest(problems()) == sha
+
+    def test_platt_sigmoid_is_bitwise_pinned(self):
+        m = fit(PredictorSpec("rbf_svm"), *svm_debias_problem(2))
+        assert (repr(m.platt_a), repr(m.platt_b)) == (
+            "-4.549945984960284", "-0.2820186430094659")
