@@ -378,10 +378,19 @@ def write_comparison_markdown(reports: dict[str, EvaluationReport], path: str):
 
 
 def write_predictions_csv(preds: PredictionSet, path: str, attribute_names):
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["sample_id", "subject_id", "true_label", "predicted_label",
-                "proba_0", "proba_1", *attribute_names])
-    w.writerows([r.sample_id, r.subject_id, r.true_label, r.predicted_label, *r.predicted_proba,
-                 *(r.attribute(a) for a in attribute_names)] for r in preds.records)
-    atomic_write(path, buf.getvalue())
+    def text(quoting):
+        buf = io.StringIO()
+        w = csv.writer(buf, lineterminator="\n", quoting=quoting)
+        w.writerow(["sample_id", "subject_id", "true_label", "predicted_label",
+                    "proba_0", "proba_1", *attribute_names])
+        w.writerows([r.sample_id, r.subject_id, r.true_label, r.predicted_label,
+                     *r.predicted_proba, *(r.attribute(a) for a in attribute_names)]
+                    for r in preds.records)
+        return buf.getvalue()
+
+    data = text(csv.QUOTE_MINIMAL)
+    if "\r" in data:
+        # csv quotes the terminator "\n" but not a bare "\r", which a reader
+        # takes as a line end; quote every text field instead
+        data = text(csv.QUOTE_NONNUMERIC)
+    atomic_write(path, data)

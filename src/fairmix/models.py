@@ -15,6 +15,14 @@ Three model kinds:
   * logistic - L2-regularized logistic regression fitted by Newton steps
                (used as the stacking meta-learner).
 
+The SMO and MLP training loops allocate no array per step: each step writes
+into arrays made once per fit and calls ufuncs directly. An MLP epoch gathers
+its shuffled rows and one-hot labels once and takes each batch as a
+contiguous slice; an SMO step moves its pair in Python floats and updates
+I_up/I_low at that pair only. Every step does the floating-point operations
+of the plain formulas, in their order and on C-ordered operands, so fits are
+bitwise those of the unbuffered loops (tests/test_models.py pins them).
+
 All fits are deterministic given the seed. predict() is the argmax of
 predict_proba(), ties at 0.5 going to class 1.
 """
@@ -194,32 +202,55 @@ def _mlp_init(d, h, rng):
     return _mlp_views(theta, d, h)
 
 
-def _mlp_forward(params, X):
-    hidden = np.tanh(X @ params["W1"] + params["b1"])
-    logits = hidden @ params["W2"] + params["b2"]
-    logits = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(logits)
-    proba = exp / exp.sum(axis=1, keepdims=True)
+def _mlp_buffers(n, h):
+    """Work arrays for one forward and backward pass on n rows."""
+    return {"hidden": np.empty((n, h)), "proba": np.empty((n, 2)),
+            "rowstat": np.empty((n, 1)), "dhidden": np.empty((n, h))}
+
+
+def _mlp_forward(params, X, buf):
+    """Hidden activations and class probabilities of X, written into buf."""
+    hidden, proba, rowstat = buf["hidden"], buf["proba"], buf["rowstat"]
+    np.matmul(X, params["W1"], out=hidden)
+    np.add(hidden, params["b1"], out=hidden)
+    np.tanh(hidden, out=hidden)
+    np.matmul(hidden, params["W2"], out=proba)  # the logits, then softmax in place
+    np.add(proba, params["b2"], out=proba)
+    np.maximum.reduce(proba, axis=1, keepdims=True, out=rowstat)
+    np.subtract(proba, rowstat, out=proba)
+    np.exp(proba, out=proba)
+    np.add.reduce(proba, axis=1, keepdims=True, out=rowstat)
+    np.divide(proba, rowstat, out=proba)
     return hidden, proba
 
 
 def _mlp_loss(params, proba, y, l2):
     """Mean cross-entropy of proba against y, plus (l2/2)*||W||^2."""
-    loss = -np.mean(np.log(np.maximum(proba[np.arange(len(y)), y], 1e-300)))
-    return loss + 0.5 * l2 * (np.sum(params["W1"] ** 2) + np.sum(params["W2"] ** 2))
+    picked = np.maximum(proba[np.arange(len(y)), y], 1e-300)
+    loss = -(np.add.reduce(np.log(picked, out=picked)) / len(y))
+    squares = [np.add.reduce(np.square(params[k]), axis=None) for k in ("W1", "W2")]
+    return loss + 0.5 * l2 * (squares[0] + squares[1])
 
 
-def _mlp_backward(params, X, hidden, proba, y, l2, grads):
-    """Write the gradient of _mlp_loss into grads, from the forward pass on X."""
-    n = X.shape[0]
-    onehot = np.zeros((n, 2))
-    onehot[np.arange(n), y] = 1.0
-    dlogits = (proba - onehot) / n
-    np.add(hidden.T @ dlogits, l2 * params["W2"], out=grads["W2"])
-    np.sum(dlogits, axis=0, out=grads["b2"])
-    dhidden = (dlogits @ params["W2"].T) * (1.0 - hidden ** 2)
-    np.add(X.T @ dhidden, l2 * params["W1"], out=grads["W1"])
-    np.sum(dhidden, axis=0, out=grads["b1"])
+def _mlp_backward(params, X, onehot, reg, grads, buf):
+    """Write the gradient of _mlp_loss into grads, from the forward pass on X in buf.
+
+    onehot is the (n, 2) indicator of the labels and reg holds l2*W1 and l2*W2.
+    The forward pass's hidden and proba buffers are overwritten.
+    """
+    hidden, dlogits, dhidden = buf["hidden"], buf["proba"], buf["dhidden"]
+    np.subtract(dlogits, onehot, out=dlogits)
+    np.divide(dlogits, X.shape[0], out=dlogits)
+    np.matmul(hidden.T, dlogits, out=grads["W2"])
+    np.add(grads["W2"], reg["W2"], out=grads["W2"])
+    np.add.reduce(dlogits, axis=0, out=grads["b2"])
+    np.matmul(dlogits, params["W2"].T, out=dhidden)
+    np.square(hidden, out=hidden)
+    np.subtract(1.0, hidden, out=hidden)
+    np.multiply(dhidden, hidden, out=dhidden)
+    np.matmul(X.T, dhidden, out=grads["W1"])
+    np.add(grads["W1"], reg["W1"], out=grads["W1"])
+    np.add.reduce(dhidden, axis=0, out=grads["b1"])
 
 
 def mlp_loss_and_grads(params, X, y, l2):
@@ -230,9 +261,11 @@ def mlp_loss_and_grads(params, X, y, l2):
     """
     d, h = params["W1"].shape
     grads = _mlp_views(np.empty(sum(p.size for p in params.values())), d, h)
-    hidden, proba = _mlp_forward(params, X)
-    _mlp_backward(params, X, hidden, proba, y, l2, grads)
-    return _mlp_loss(params, proba, y, l2), grads
+    buf = _mlp_buffers(X.shape[0], h)
+    loss = _mlp_loss(params, _mlp_forward(params, X, buf)[1], y, l2)
+    reg = {k: l2 * params[k] for k in ("W1", "W2")}
+    _mlp_backward(params, X, np.eye(2)[y], reg, grads, buf)
+    return loss, grads
 
 
 class MlpModel(TrainedPredictor):
@@ -241,8 +274,8 @@ class MlpModel(TrainedPredictor):
         self.params = params
 
     def proba_positive(self, X):
-        _, proba = _mlp_forward(self.params, X)
-        return proba[:, 1]
+        buf = _mlp_buffers(X.shape[0], self.params["W1"].shape[1])
+        return _mlp_forward(self.params, X, buf)[1][:, 1]
 
 
 def _fit_mlp(spec: PredictorSpec, X, y, facts) -> MlpModel:
@@ -257,28 +290,47 @@ def _fit_mlp(spec: PredictorSpec, X, y, facts) -> MlpModel:
 
     params = _mlp_init(d, h, rng)
     theta = params["W1"].base  # the flat vector behind all four views
-    grad = np.empty_like(theta)
-    grads = _mlp_views(grad, d, h)
+    grad, reg = np.empty_like(theta), np.empty_like(theta)
+    grads, regs = _mlp_views(grad, d, h), _mlp_views(reg, d, h)
     m, v = np.zeros_like(theta), np.zeros_like(theta)
+    step, scratch = np.empty_like(theta), np.empty_like(theta)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     t = 0
     best_loss, stall = math.inf, 0
+    # each epoch's shuffled rows and labels; batches are contiguous slices of them
+    onehot = np.eye(2)[y]
+    X_epoch, onehot_epoch = np.empty((n, d)), np.empty((n, 2))
+    bufs = {size: _mlp_buffers(size, h) for size in {batch, n % batch or batch, n}}
     # a diverging run overflows here; the loss check below names it
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(epochs):
             order = rng.permutation(n)
+            np.take(X, order, axis=0, out=X_epoch)
+            np.take(onehot, order, axis=0, out=onehot_epoch)
             for start in range(0, n, batch):
-                idx = order[start:start + batch]
-                Xb = X[idx]
-                hidden, proba = _mlp_forward(params, Xb)
-                _mlp_backward(params, Xb, hidden, proba, y[idx], l2, grads)
+                Xb = X_epoch[start:start + batch]
+                buf = bufs[Xb.shape[0]]
+                _mlp_forward(params, Xb, buf)
+                np.multiply(theta, l2, out=reg)
+                _mlp_backward(params, Xb, onehot_epoch[start:start + batch], regs, grads, buf)
+                # Adam: m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g^2, then
+                # theta -= lr*(m/(1-b1^t)) / (sqrt(v/(1-b2^t)) + eps)
                 t += 1
-                m = beta1 * m + (1 - beta1) * grad
-                v = beta2 * v + (1 - beta2) * grad ** 2
-                mhat = m / (1 - beta1 ** t)
-                vhat = v / (1 - beta2 ** t)
-                theta -= lr * mhat / (np.sqrt(vhat) + eps)
-            loss = _mlp_loss(params, _mlp_forward(params, X)[1], y, l2)
+                np.multiply(m, beta1, out=m)
+                np.multiply(grad, 1 - beta1, out=scratch)
+                np.add(m, scratch, out=m)
+                np.square(grad, out=scratch)
+                np.multiply(scratch, 1 - beta2, out=scratch)
+                np.multiply(v, beta2, out=v)
+                np.add(v, scratch, out=v)
+                np.divide(m, 1 - beta1 ** t, out=step)
+                np.multiply(step, lr, out=step)
+                np.divide(v, 1 - beta2 ** t, out=scratch)
+                np.sqrt(scratch, out=scratch)
+                np.add(scratch, eps, out=scratch)
+                np.divide(step, scratch, out=step)
+                np.subtract(theta, step, out=theta)
+            loss = _mlp_loss(params, _mlp_forward(params, X, bufs[n])[1], y, l2)
             if not np.isfinite(loss):
                 raise FitError("MLP loss is not finite")
             if loss < best_loss - 1e-6:
@@ -313,26 +365,50 @@ def _smo(K, y, C, tol):
     when m(a) - M(a) < tol, or raises FitError after SMO_MAX_ITER steps.
     Returns (alpha, b) with decision function (alpha*y) @ K - b.
     """
-    alpha = np.zeros(len(y))
-    grad = -np.ones(len(y))  # gradient of the dual objective
+    n = len(y)
+    alpha = np.zeros(n)
+    grad = -np.ones(n)  # gradient of the dual objective
     diag = np.diag(K)
+    pos, neg_y = y > 0, -y
+    # I_up (alpha may move by +y) and I_low (by -y) at alpha = 0; a step
+    # changes them only at the pair it moves
+    up, low, mask = pos.copy(), ~pos, np.empty(n, dtype=bool)
+    score, gap, curvature, gain, row = (np.empty(n) for _ in range(5))
     for _ in range(SMO_MAX_ITER):
-        up = np.where(y > 0, alpha < C, alpha > 0)  # alpha may move by +y
-        low = np.where(y > 0, alpha > 0, alpha < C)  # alpha may move by -y
-        score = -y * grad
-        i = int(np.argmax(np.where(up, score, -np.inf)))
-        if score[i] - score[low].min() < tol:
+        np.multiply(neg_y, grad, out=score)
+        np.copyto(gain, -np.inf)
+        np.copyto(gain, score, where=up)
+        i = int(np.argmax(gain))
+        if score[i] - np.minimum.reduce(score, where=low, initial=np.inf) < tol:
             break
-        gap = score[i] - score
-        curvature = np.maximum(diag[i] + diag - 2.0 * K[i], 1e-12)
-        j = int(np.argmax(np.where(low & (gap > 0), gap * gap / curvature, -np.inf)))
+        np.subtract(score[i], score, out=gap)
+        np.add(diag[i], diag, out=curvature)
+        np.multiply(2.0, K[i], out=row)
+        np.subtract(curvature, row, out=curvature)
+        np.maximum(curvature, 1e-12, out=curvature)
+        np.multiply(gap, gap, out=gain)
+        np.divide(gain, curvature, out=gain)
+        np.greater(gap, 0, out=mask)
+        np.bitwise_and(mask, low, out=mask)
+        np.logical_not(mask, out=mask)
+        np.copyto(gain, -np.inf, where=mask)
+        j = int(np.argmax(gain))
         # alpha_i moves by +y_i*t and alpha_j by -y_j*t, keeping y'alpha fixed;
         # the one whose room runs out lands exactly on its bound
-        pair, step = [i, j], np.array([y[i], -y[j]])
-        room = np.where(step > 0, C - alpha[pair], alpha[pair])
-        t = min(gap[j] / curvature[j], room.min())
-        alpha[pair] = np.where(room > t, alpha[pair] + t * step, C * (step > 0))
-        grad += t * y * (K[i] - K[j])
+        ai, aj = float(alpha[i]), float(alpha[j])
+        si, sj = float(y[i]), -float(y[j])
+        room_i = C - ai if si > 0 else ai
+        room_j = C - aj if sj > 0 else aj
+        t = min(float(gap[j]) / float(curvature[j]), min(room_i, room_j))
+        ai = ai + t * si if room_i > t else (C if si > 0 else 0.0)
+        aj = aj + t * sj if room_j > t else (C if sj > 0 else 0.0)
+        alpha[i], alpha[j] = ai, aj
+        up[i], low[i] = (ai < C, ai > 0) if pos[i] else (ai > 0, ai < C)
+        up[j], low[j] = (aj < C, aj > 0) if pos[j] else (aj > 0, aj < C)
+        np.subtract(K[i], K[j], out=row)
+        np.multiply(t, y, out=gain)
+        np.multiply(gain, row, out=gain)
+        np.add(grad, gain, out=grad)
     else:
         raise FitError("SMO did not reach the KKT tolerance")
     free = up & low

@@ -244,6 +244,23 @@ class TestPredictionsCsv:
         assert [row[:2] for row in rows] == [[r.sample_id, r.subject_id] for r in records]
         assert [float(row[5]) for row in rows] == [r.predicted_proba[1] for r in records]
 
+    def test_ids_with_a_bare_carriage_return_read_back(self, tmp_path):
+        ds = synth(seed=16)
+        ids = np.array([f"r{i}\rx" if i % 3 else f"r{i}" for i in range(ds.n_samples)],
+                       dtype=object)
+        subjects = np.array([f"{s}\r" for s in ds.subject_ids()], dtype=object)
+        ds = Dataset(ds.modalities, ids, subjects, ds.label, ds.attrs, ds.declared_attributes)
+        report = run_experiment(base_config(), ds)
+        path = tmp_path / "predictions.csv"
+        write_predictions_csv(report.predictions, str(path), ds.declared_attributes)
+        with open(path, newline="", encoding="utf-8") as fh:
+            header, *rows = list(csv.reader(fh))
+        records = report.predictions.records
+        assert len(rows) == len(records)
+        assert [row[:2] for row in rows] == [[r.sample_id, r.subject_id] for r in records]
+        assert [[int(row[2]), int(row[3]), float(row[4]), float(row[5])] for row in rows] == [
+            [r.true_label, r.predicted_label, *r.predicted_proba] for r in records]
+
     def test_plain_ids_are_written_unquoted(self, tmp_path):
         ds = synth(seed=15)
         report = run_experiment(base_config(), ds)
