@@ -6,6 +6,10 @@ cell, either by duplicating rows at random (random_oversample) or by
 convex per-modality combinations of two same-cell parents (mixfeat).
 Test splits are never augmented; originals are never touched.
 
+`synthesize` is the one code path that builds rows, and also the
+provenance view: it returns each synthetic row's two parent rows and its
+per-modality mixing weights. `augment_dataset` is the pipeline entry.
+
 Draw protocol, pinned by tests that hash the output: one
 ``default_rng(seed)`` visits the deficient cells in key order. mixfeat draws,
 per row of a cell of c >= 2 rows, ``choice(c, 2, replace=False)`` for the
@@ -21,7 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .errors import InputError, UnreachableCellError
+from .errors import InputError
+
+METHODS = ("none", "random_oversample", "mixfeat")  # "none" leaves the split as it is
 
 CellKey = tuple[tuple[int, ...], int]  # (attribute values in declared order, label)
 
@@ -30,28 +36,11 @@ CellKey = tuple[tuple[int, ...], int]  # (attribute values in declared order, la
 class MixFeatConfig:
     beta_alpha: float = 1.0  # Beta(1,1) = uniform mixing weights
     beta_beta: float = 1.0
-    seed: int = 0
 
     def __post_init__(self):
         for name in ("beta_alpha", "beta_beta"):  # config adds "augment."
             if not getattr(self, name) > 0:
                 raise InputError(f"{name} must be positive, got {getattr(self, name)!r}")
-
-
-@dataclass
-class CellPlan:
-    current_count: int
-    target_count: int
-
-
-@dataclass
-class AugmentationPlan:
-    cells: dict[CellKey, CellPlan]
-    method: str = "mixfeat"
-
-    @property
-    def total_synthetic(self) -> int:
-        return sum(c.target_count - c.current_count for c in self.cells.values())
 
 
 def _cells_of(train: Dataset) -> dict[CellKey, np.ndarray]:
@@ -64,17 +53,6 @@ def _cells_of(train: Dataset) -> dict[CellKey, np.ndarray]:
         (tuple(key[:-1]), key[-1]): np.flatnonzero(cell_of_row == c)
         for c, key in enumerate(keys.tolist())
     }
-
-
-def _plan(cells: dict[CellKey, np.ndarray], method: str) -> AugmentationPlan:
-    target = max(len(v) for v in cells.values())
-    return AugmentationPlan(cells={k: CellPlan(len(v), target) for k, v in cells.items()},
-                            method=method)
-
-
-def plan_balancing(train: Dataset, method: str = "mixfeat") -> AugmentationPlan:
-    """Raise every non-empty (attributes, label) cell to the global max count."""
-    return _plan(_cells_of(train), method)
 
 
 def mix_pair(row_i: np.ndarray, row_j: np.ndarray, lam) -> np.ndarray:
@@ -92,38 +70,48 @@ def _two_distinct(integers, c: int) -> tuple[int, int]:
     return (i, j) if keep else (j, i)
 
 
-def _synthesize(train: Dataset, plan: AugmentationPlan, cells, method: str, seed: int,
-                a: float = 1.0, b: float = 1.0):
-    """The augmented dataset and its synthetic rows' parent_i, parent_j and
-    (rows, modalities) weights, drawn by the module's protocol."""
+def synthesize(train: Dataset, method: str, seed: int,
+               beta_alpha: float = 1.0, beta_beta: float = 1.0):
+    """Raise every non-empty cell to the largest cell's count by `method`
+    ("random_oversample" or "mixfeat"), drawn by the module's protocol.
+
+    Returns the augmented dataset and, per synthetic row r, its parent rows
+    parent_i[r] and parent_j[r] and its weights lams[r] in modality order
+    (a singleton cell's rows mix their one row with itself)."""
+    if method not in METHODS[1:]:
+        raise InputError(f"unknown augmentation method {method!r}")
+    if method == "mixfeat":
+        MixFeatConfig(beta_alpha, beta_beta)  # rejects a non-positive Beta parameter
+    cells = _cells_of(train)
+    target = max(len(rows) for rows in cells.values())
+    deficits = [(rows, target - len(rows)) for rows in cells.values() if len(rows) < target]
     rng = np.random.default_rng(seed)
     integers, beta, n_modalities = rng.integers, rng.beta, len(train.modalities)
-    deficits = [(key, cp.target_count - cp.current_count) for key, cp in sorted(plan.cells.items())
-                if cp.target_count > cp.current_count]
     n = sum(deficit for _, deficit in deficits)
     parent_i, parent_j, lams = np.empty(n, int), np.empty(n, int), np.empty((n, n_modalities))
     end = 0
-    for key, deficit in deficits:
-        if key not in cells:
-            raise UnreachableCellError(f"cell {key} needs {deficit} samples but has no source rows")
-        rows, at = cells[key], slice(end, end + deficit)
+    for rows, deficit in deficits:
+        at = slice(end, end + deficit)
         end += deficit
         if method == "random_oversample":
             parent_i[at] = parent_j[at] = rows[integers(len(rows), size=deficit)]
             lams[at] = 1.0  # weight 1 copies the parent exactly
         elif len(rows) == 1:
             parent_i[at] = parent_j[at] = rows[0]
-            lams[at] = beta(a, b, size=(deficit, n_modalities))
+            lams[at] = beta(beta_alpha, beta_beta, size=(deficit, n_modalities))
         else:
             picks = np.empty((deficit, 2), int)
             for pick, lam in zip(picks, lams[at]):
                 pick[:] = _two_distinct(integers, len(rows))
-                lam[:] = beta(a, b, size=n_modalities)
+                lam[:] = beta(beta_alpha, beta_beta, size=n_modalities)
             parent_i[at], parent_j[at] = rows[picks.T]
+    prefix = f"syn-{method}-"
+    while np.char.startswith(train.sample_id, prefix).any():  # keep synthetic ids unique
+        prefix = "_" + prefix
     augmented = train.with_rows_appended(
         {t.modality_name: mix_pair(t.samples[parent_i], t.samples[parent_j], lams[:, [m]])
          for m, t in enumerate(train.modalities)},
-        [f"syn-{method}-{k:05d}" for k in range(1, n + 1)],
+        [f"{prefix}{k:05d}" for k in range(1, n + 1)],
         train.subject_id[parent_i] if method == "random_oversample"
         else [f"syn-subject-{k:05d}" for k in range(1, n + 1)],
         train.label[parent_i],  # parents come from the cell, so they carry its key
@@ -132,42 +120,7 @@ def _synthesize(train: Dataset, plan: AugmentationPlan, cells, method: str, seed
     return augmented, parent_i, parent_j, lams
 
 
-def random_oversample(train: Dataset, plan: AugmentationPlan, seed: int) -> Dataset:
-    """Duplicate uniformly-drawn rows of each deficient cell until balanced."""
-    return _synthesize(train, plan, _cells_of(train), "random_oversample", seed)[0]
-
-
-@dataclass(frozen=True)
-class SynthProvenance:
-    """How one synthetic row was built: parent row indices into the training
-    dataset and the per-modality mixing weight used."""
-
-    parent_i: int
-    parent_j: int
-    lambdas: tuple[tuple[str, float], ...]
-
-
-def mixfeat_with_provenance(
-    train: Dataset, plan: AugmentationPlan, cfg: MixFeatConfig
-) -> tuple[Dataset, list[SynthProvenance]]:
-    """Balance the cells by mixing two distinct same-cell parents (a singleton
-    duplicates its row) with a Beta(beta_alpha, beta_beta) weight per modality,
-    under fresh subject ids; also returns each synthetic row's provenance."""
-    augmented, parent_i, parent_j, lams = _synthesize(
-        train, plan, _cells_of(train), "mixfeat", cfg.seed, cfg.beta_alpha, cfg.beta_beta)
-    names = train.modality_names
-    return augmented, [SynthProvenance(i, j, tuple(zip(names, w)))
-                       for i, j, w in zip(parent_i.tolist(), parent_j.tolist(), lams.tolist())]
-
-
 def augment_dataset(train: Dataset, method: str, seed: int,
                     beta_alpha: float = 1.0, beta_beta: float = 1.0) -> Dataset:
-    """Dispatch helper used by the pipeline; method 'none' is a no-op."""
-    if method == "none":
-        return train
-    if method not in ("random_oversample", "mixfeat"):
-        raise InputError(f"unknown augmentation method {method!r}")
-    if method == "mixfeat":
-        MixFeatConfig(beta_alpha, beta_beta, seed)  # rejects a non-positive Beta parameter
-    cells = _cells_of(train)
-    return _synthesize(train, _plan(cells, method), cells, method, seed, beta_alpha, beta_beta)[0]
+    """The pipeline's entry: the balanced training split; 'none' is a no-op."""
+    return train if method == "none" else synthesize(train, method, seed, beta_alpha, beta_beta)[0]

@@ -36,7 +36,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
-from .augment import MixFeatConfig
+from .augment import METHODS as AUGMENT_METHODS, MixFeatConfig
 from .dataset import LEVELS, parse_keyvalue_file
 from .errors import ConfigError, InputError, ParseError, SchemaError
 from .fusion import STRATEGIES
@@ -44,7 +44,6 @@ from .models import DEFAULT_HYPERPARAMS, PredictorSpec
 from .preprocess import DESCRIPTOR_ORDER
 from .synthgen import SynthSpec
 
-AUGMENT_METHODS = ("none", "random_oversample", "mixfeat")
 CV_MODES = ("kfold", "loso")
 _BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 

@@ -49,10 +49,6 @@ class StackingError(FitError):
     """Training split too small to build out-of-fold stacking features."""
 
 
-class UnreachableCellError(FairmixError):
-    """An augmentation cell needs samples but has no source rows."""
-
-
 class MetricUndefinedError(FairmixError):
     """A group needed by a fairness metric is empty."""
 

@@ -79,13 +79,11 @@ def grouped_stratified_kfold(labels, subject_ids, k, seed):
 
 
 def plain_kfold(n, k, seed):
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(n)
-    return [
-        (np.sort(np.setdiff1d(order, part)), np.sort(part))
-        for part in np.array_split(order, k)
-        if len(part)
-    ]
+    """k folds of a seeded shuffle of the rows, cut by array_split."""
+    row_fold = np.empty(n, int)
+    for f, part in enumerate(np.array_split(np.random.default_rng(seed).permutation(n), k)):
+        row_fold[part] = f
+    return _folds_of(row_fold, k)
 
 
 def make_folds(config: PipelineConfig, dataset: Dataset):

@@ -105,8 +105,7 @@ def f1(preds: PredictionSet) -> float:
     fn = int(((t == 1) & (p == 0)).sum())
     if tp + fp + fn == 0:
         raise InputError("f1 undefined: no true or predicted positives")
-    denom = 2 * tp + fp + fn
-    return 2 * tp / denom if denom else 0.0
+    return 2 * tp / (2 * tp + fp + fn)
 
 
 def uar(preds: PredictionSet) -> float:

@@ -84,11 +84,10 @@ class PredictorSpec:
 class TrainedPredictor:
     """Fitted binary classifier; immutable after fit."""
 
-    def __init__(self, spec: PredictorSpec, n_features: int, n_train: int, class_counts):
+    def __init__(self, spec: PredictorSpec, n_features: int, n_train: int):
         self.spec = spec
         self.n_features = n_features
         self.n_train = n_train
-        self.class_counts = dict(class_counts)
 
     def _check(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -507,7 +506,6 @@ def _fit_svm(spec: PredictorSpec, X, y, facts) -> SvmModel:
 
 def fit(spec: PredictorSpec, X, y) -> TrainedPredictor:
     X, y = _validate_training_input(X, y)
-    facts = {"n_features": X.shape[1], "n_train": X.shape[0],
-             "class_counts": {0: int((y == 0).sum()), 1: int((y == 1).sum())}}
+    facts = {"n_features": X.shape[1], "n_train": X.shape[0]}
     fitter = {"logistic": _fit_logistic, "mlp": _fit_mlp, "rbf_svm": _fit_svm}[spec.kind]
     return fitter(spec, X, y, facts)

@@ -11,14 +11,7 @@ import numpy as np
 import pytest
 
 from fairmix import models
-from fairmix.augment import (
-    MixFeatConfig,
-    augment_dataset,
-    mix_pair,
-    mixfeat_with_provenance,
-    plan_balancing,
-    random_oversample,
-)
+from fairmix.augment import augment_dataset, mix_pair, synthesize
 from fairmix.cli import main as cli_main
 from fairmix.config import PipelineConfig
 from fairmix.errors import InputError, MetricUndefinedError
@@ -96,18 +89,18 @@ def test_criterion_2_mixfeat_correctness_suite():
     for seed in range(200):
         rng = np.random.default_rng(seed)
         ds = random_imbalanced_dataset(rng)
-        plan = plan_balancing(ds, "mixfeat")
-        out, prov = mixfeat_with_provenance(ds, plan, MixFeatConfig(seed=seed))
+        out, parent_i, parent_j, lams = synthesize(ds, "mixfeat", seed)
         n0 = ds.n_samples
+        assert len(parent_i) == len(parent_j) == len(lams) == out.n_samples - n0
         # (a) per-coordinate parental interval; (b) label/attribute inheritance
-        for r, rec in enumerate(prov):
+        for r in range(len(parent_i)):
             meta = out.meta[n0 + r]
-            pi, pj = ds.meta[rec.parent_i], ds.meta[rec.parent_j]
+            pi, pj = ds.meta[parent_i[r]], ds.meta[parent_j[r]]
             assert meta.label == pi.label == pj.label
             assert meta.attributes == pi.attributes == pj.attributes
-            for name, lam in rec.lambdas:
-                xi = ds.modality(name).samples[rec.parent_i]
-                xj = ds.modality(name).samples[rec.parent_j]
+            for name, lam in zip(ds.modality_names, lams[r]):
+                xi = ds.modality(name).samples[parent_i[r]]
+                xj = ds.modality(name).samples[parent_j[r]]
                 synth = out.modality(name).samples[n0 + r]
                 lo = np.minimum(xi, xj) - 1e-12
                 hi = np.maximum(xi, xj) + 1e-12

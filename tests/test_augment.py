@@ -3,16 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from fairmix import augment as augment_mod
-from fairmix.augment import (
-    MixFeatConfig,
-    _two_distinct,
-    augment_dataset,
-    mix_pair,
-    mixfeat_with_provenance,
-    plan_balancing,
-    random_oversample,
-)
+from fairmix.augment import MixFeatConfig, _two_distinct, augment_dataset, mix_pair, synthesize
 from fairmix.dataset import ColumnMeta, Dataset, ModalityTable
 from fairmix.errors import InputError
 
@@ -41,12 +32,12 @@ def imbalanced_dataset(seed=0, n=20):
     )
 
 
-class TestPlanBalancing:
+class TestBalancing:
     def test_targets_are_global_max(self):
         ds = imbalanced_dataset()
-        plan = plan_balancing(ds)
+        out = augment_dataset(ds, "mixfeat", seed=0)
         target = max(cell_counts(ds).values())
-        assert all(c.target_count == target for c in plan.cells.values())
+        assert all(count == target for count in cell_counts(out).values())
 
     def test_balanced_input_is_noop(self):
         ds = make_dataset(
@@ -54,8 +45,8 @@ class TestPlanBalancing:
             labels=[0, 1, 0, 1],
             attrs=[[0], [0], [1], [1]],
         )
-        plan = plan_balancing(ds)
-        assert plan.total_synthetic == 0
+        out = augment_dataset(ds, "mixfeat", seed=0)
+        assert out.n_samples - ds.n_samples == 0
 
     def test_synthetic_count_arithmetic(self):
         # cells of size 3,5,7,9 -> all raised to 9, 12 synthetic rows
@@ -64,22 +55,21 @@ class TestPlanBalancing:
             labels += [y] * cnt
             attrs += [[a]] * cnt
         ds = make_dataset({"m": np.random.default_rng(0).normal(size=(24, 2))}, labels, attrs)
-        plan = plan_balancing(ds)
-        assert plan.total_synthetic == 12
+        out = augment_dataset(ds, "mixfeat", seed=0)
+        assert out.n_samples - ds.n_samples == 12
 
 
 class TestRandomOversample:
     def test_copies_are_exact_rows(self):
         ds = imbalanced_dataset()
-        plan = plan_balancing(ds, "random_oversample")
-        out = random_oversample(ds, plan, seed=1)
+        out = augment_dataset(ds, "random_oversample", seed=1)
         originals = {tuple(row) for row in ds.modality("face").samples}
         for row in out.modality("face").samples[ds.n_samples:]:
             assert tuple(row) in originals
 
     def test_copies_inherit_subject_id(self):
         ds = imbalanced_dataset()
-        out = random_oversample(ds, plan_balancing(ds), seed=1)
+        out = augment_dataset(ds, "random_oversample", seed=1)
         original_subjects = set(ds.subject_ids())
         for m in out.meta[ds.n_samples:]:
             assert m.subject_id in original_subjects
@@ -87,14 +77,13 @@ class TestRandomOversample:
 
     def test_noop_plan_identity(self):
         ds = make_dataset({"m": [[1.0], [2.0]]}, labels=[0, 1], attrs=[[1], [1]])
-        out = random_oversample(ds, plan_balancing(ds), seed=0)
+        out = augment_dataset(ds, "random_oversample", seed=0)
         assert out.n_samples == 2
 
     def test_same_seed_identical(self):
         ds = imbalanced_dataset()
-        plan = plan_balancing(ds)
-        a = random_oversample(ds, plan, seed=9)
-        b = random_oversample(ds, plan, seed=9)
+        a = augment_dataset(ds, "random_oversample", seed=9)
+        b = augment_dataset(ds, "random_oversample", seed=9)
         np.testing.assert_array_equal(a.modality("face").samples, b.modality("face").samples)
         assert a.meta == b.meta
 
@@ -114,7 +103,7 @@ class TestMixPair:
 class TestMixFeat:
     def test_convexity_per_coordinate(self):
         ds = imbalanced_dataset()
-        out = mixfeat_with_provenance(ds, plan_balancing(ds), MixFeatConfig(seed=2))[0]
+        out = augment_dataset(ds, "mixfeat", seed=2)
         for t in ds.modalities:
             lo = t.samples.min(axis=0) - 1e-12
             hi = t.samples.max(axis=0) + 1e-12
@@ -123,13 +112,13 @@ class TestMixFeat:
 
     def test_labels_and_attributes_preserved_and_balanced(self):
         ds = imbalanced_dataset()
-        out = mixfeat_with_provenance(ds, plan_balancing(ds), MixFeatConfig(seed=3))[0]
+        out = augment_dataset(ds, "mixfeat", seed=3)
         counts = cell_counts(out)
         assert len(set(counts.values())) == 1  # all cells equal after balancing
 
     def test_synthetic_subject_ids_fresh(self):
         ds = imbalanced_dataset()
-        out = mixfeat_with_provenance(ds, plan_balancing(ds), MixFeatConfig(seed=4))[0]
+        out = augment_dataset(ds, "mixfeat", seed=4)
         originals = set(ds.subject_ids())
         for m in out.meta[ds.n_samples:]:
             assert m.subject_id not in originals
@@ -142,7 +131,7 @@ class TestMixFeat:
             labels=[1, 1, 0],
             attrs=[[1], [1], [1]],
         )
-        out = mixfeat_with_provenance(ds, plan_balancing(ds), MixFeatConfig(seed=5))[0]
+        out = augment_dataset(ds, "mixfeat", seed=5)
         # cell ((1,),0) has one row, duplicates; cell ((1,),1) mixes
         assert out.n_samples == ds.n_samples + 1
 
@@ -152,23 +141,21 @@ class TestMixFeat:
             labels=[1, 1, 0],
             attrs=[[1], [1], [1]],
         )
-        out = mixfeat_with_provenance(ds, plan_balancing(ds), MixFeatConfig(seed=6))[0]
+        out = augment_dataset(ds, "mixfeat", seed=6)
         synth = out.modality("m").samples[3:]
         assert synth.shape == (1, 1) and synth[0, 0] == 3.0
 
     def test_determinism(self):
         ds = imbalanced_dataset()
-        plan = plan_balancing(ds)
-        cfg = MixFeatConfig(seed=11)
-        a = mixfeat_with_provenance(ds, plan, cfg)[0]
-        b = mixfeat_with_provenance(ds, plan, cfg)[0]
+        a = augment_dataset(ds, "mixfeat", seed=11)
+        b = augment_dataset(ds, "mixfeat", seed=11)
         np.testing.assert_array_equal(a.modality("audio").samples, b.modality("audio").samples)
         assert a.meta == b.meta
 
     def test_originals_untouched(self):
         ds = imbalanced_dataset()
         before = {t.modality_name: t.samples.copy() for t in ds.modalities}
-        out = mixfeat_with_provenance(ds, plan_balancing(ds), MixFeatConfig(seed=12))[0]
+        out = augment_dataset(ds, "mixfeat", seed=12)
         for t in ds.modalities:
             np.testing.assert_array_equal(t.samples, before[t.modality_name])
             np.testing.assert_array_equal(
@@ -178,6 +165,17 @@ class TestMixFeat:
     def test_invalid_beta_params(self):
         with pytest.raises(InputError):
             MixFeatConfig(beta_alpha=0.0)
+        with pytest.raises(InputError, match="beta_beta must be positive"):
+            augment_dataset(imbalanced_dataset(), "mixfeat", seed=0, beta_beta=-1.0)
+
+
+@pytest.mark.parametrize("method", ["smote", "", "none"])
+def test_unknown_methods_are_rejected(method):
+    with pytest.raises(InputError, match="unknown augmentation method"):
+        synthesize(imbalanced_dataset(), method, seed=0)
+    if method != "none":
+        with pytest.raises(InputError, match="unknown augmentation method"):
+            augment_dataset(imbalanced_dataset(), method, seed=0)
 
 
 class TestMarginalParity:
@@ -206,13 +204,22 @@ class TestSyntheticIds:
 
     def test_rows_are_named_after_the_method_that_ran(self):
         ds = imbalanced_dataset()
-        for plan_method in ("mixfeat", "random_oversample"):
-            plan = plan_balancing(ds, plan_method)
-            oversampled = random_oversample(ds, plan, seed=1).sample_ids()[ds.n_samples:]
-            mixed = mixfeat_with_provenance(ds, plan, MixFeatConfig(seed=1))[0]
-            assert oversampled[0] == "syn-random_oversample-00001"
-            assert all(s.startswith("syn-random_oversample-") for s in oversampled)
-            assert all(s.startswith("syn-mixfeat-") for s in mixed.sample_ids()[ds.n_samples:])
+        oversampled = augment_dataset(ds, "random_oversample", seed=1).sample_ids()[ds.n_samples:]
+        mixed = augment_dataset(ds, "mixfeat", seed=1)
+        assert oversampled[0] == "syn-random_oversample-00001"
+        assert all(s.startswith("syn-random_oversample-") for s in oversampled)
+        assert all(s.startswith("syn-mixfeat-") for s in mixed.sample_ids()[ds.n_samples:])
+
+    @pytest.mark.parametrize("method", ["random_oversample", "mixfeat"])
+    def test_synthetic_ids_never_equal_training_ids(self, method):
+        # training ids that already use the synthetic prefix, with and
+        # without one leading "_", push the new ids to a prefix no id has
+        ids = [f"syn-{method}-00001", "b", f"_syn-{method}-00002", "d"]
+        table = ModalityTable("m", np.arange(8.0).reshape(4, 2), (ColumnMeta("f0"), ColumnMeta("f1")))
+        ds = Dataset((table,), ids, ["s0", "s1", "s2", "s3"],
+                     [0, 0, 0, 1], [[1], [1], [1], [0]], ("gender",))
+        out = augment_dataset(ds, method, seed=0)
+        assert out.sample_ids() == ids + [f"__syn-{method}-00001", f"__syn-{method}-00002"]
 
 
 def pinned_dataset():
@@ -263,21 +270,12 @@ class TestPinnedOutput:
         assert out.n_samples == 5 * 7
         assert dataset_digest(out) == self.CASES[method, a, b]
 
-    @pytest.mark.parametrize("method", ["random_oversample", "mixfeat"])
-    def test_pipeline_builds_no_provenance_records(self, method, monkeypatch):
-        def no_records(*args):
-            raise AssertionError("augment_dataset built a SynthProvenance record")
-
-        monkeypatch.setattr(augment_mod, "SynthProvenance", no_records)
-        assert augment_dataset(pinned_dataset(), method, seed=17).n_samples == 5 * 7
-
     @pytest.mark.parametrize("a,b", [(1.0, 1.0), (0.4, 2.0)])
     def test_provenance_variant_gives_the_same_dataset(self, a, b):
         ds = pinned_dataset()
-        plan = plan_balancing(ds, "mixfeat")
-        out, provenance = mixfeat_with_provenance(ds, plan, MixFeatConfig(a, b, seed=17))
-        assert dataset_digest(out) == dataset_digest(augment_dataset(ds, "mixfeat", 17, a, b))
-        assert len(provenance) == out.n_samples - ds.n_samples
+        out, parent_i, parent_j, lams = synthesize(ds, "mixfeat", 17, a, b)
+        assert dataset_digest(out) == self.CASES["mixfeat", a, b]
+        assert len(parent_i) == len(parent_j) == len(lams) == out.n_samples - ds.n_samples
 
 
 class TestTwoDistinct:

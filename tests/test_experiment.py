@@ -65,6 +65,9 @@ class TestFolds:
         seen = np.concatenate([test for _, test in folds])
         assert sorted(seen) == list(range(50))
 
+    def test_plain_kfold_drops_a_fold_without_training_rows(self):
+        assert plain_kfold(1, 5, seed=0) == []
+
     def test_fold_assignment_deterministic(self):
         labels = np.random.default_rng(2).integers(0, 2, 30)
         subjects = [f"s{i // 3}" for i in range(30)]

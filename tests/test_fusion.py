@@ -16,7 +16,7 @@ class FixedModel(TrainedPredictor):
     """Deterministic stub emitting preset positive-class probabilities."""
 
     def __init__(self, p1, n_features=2):
-        super().__init__(PredictorSpec("logistic"), n_features, 2, {0: 1, 1: 1})
+        super().__init__(PredictorSpec("logistic"), n_features, 2)
         self.p1 = np.asarray(p1, dtype=float)
 
     def proba_positive(self, X):
