@@ -2,8 +2,8 @@
 
 Commands:
     audit     run one experiment, write report.json / report.md / predictions.csv
-    compare   run the pipeline under no augmentation, random oversampling and
-              mixfeat with shared folds; write a side-by-side table
+    compare   preprocess each fold once and evaluate no augmentation, random
+              oversampling and mixfeat on it; write a side-by-side table
     synth     materialize a synthetic dataset in manifest+CSV layout
     validate  lint a configuration file
 
@@ -14,7 +14,6 @@ The FAIRMIX_SEED environment variable overrides the configured seed.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -69,10 +68,8 @@ def cmd_audit(args) -> int:
 def cmd_compare(args) -> int:
     cfg = _load_config(args)
     dataset = _resolve_dataset(cfg)
-    reports = {}
-    for arm in AUGMENT_METHODS:
-        arm_cfg = dataclasses.replace(cfg, augment_method=arm)
-        reports[arm] = exp.run_experiment(arm_cfg, dataset)
+    arms = [(m, cfg.augment_seed) for m in AUGMENT_METHODS]
+    reports = dict(zip(AUGMENT_METHODS, exp.run_arms(cfg, dataset, arms)))
     out = cfg.output_dir
     combined = {
         "arms": {arm: r.to_json_dict() for arm, r in reports.items()},

@@ -190,7 +190,9 @@ KEYS = {
     "seed": _Key("seed", _parse_int),
     "dataset.manifest": _Key("manifest", _parse_str, path=True),
     "dataset.synth": _Key("synth_spec", lambda key, p: parse_synth_spec(p), None, True),
-    "modalities": _Key("modalities", _parser(_names, "names"), _listed),
+    "modalities": _Key(
+        "modalities", _parser(_names, "distinct names", lambda v: len(set(v)) == len(v)), _listed
+    ),
     "features.level": _Key("level", _one_of(("all", *LEVELS))),
     "features.descriptors": _Key(
         "descriptors",

@@ -4,8 +4,10 @@ by default) or leave-one-subject-out splits.
 
 Per fold, all transforms are fitted on the training split only and the
 training split alone is augmented; metrics are computed on the pooled
-out-of-fold predictions. Everything is deterministic given the master
-seed, and report JSON is byte-stable across identical runs.
+out-of-fold predictions. `run_arms` preprocesses each fold once and
+evaluates every augmentation arm on it, so arms are paired fold by fold;
+`run_experiment` is its one-arm case. Everything is deterministic given
+the master seed, and report JSON is byte-stable across identical runs.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import io
 import json
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -79,7 +81,8 @@ def grouped_stratified_kfold(labels, subject_ids, k, seed):
 
 
 def plain_kfold(n, k, seed):
-    """k folds of a seeded shuffle of the rows, cut by array_split."""
+    """min(k, n) folds of a seeded shuffle of the rows, cut by array_split."""
+    k = min(k, n)
     row_fold = np.empty(n, int)
     for f, part in enumerate(np.array_split(np.random.default_rng(seed).permutation(n), k)):
         row_fold[part] = f
@@ -207,6 +210,12 @@ def _fingerprint(sample_ids) -> str:
 
 
 def run_experiment(config: PipelineConfig, dataset: Dataset) -> EvaluationReport:
+    return run_arms(config, dataset, [(config.augment_method, config.augment_seed)])[0]
+
+
+def run_arms(config: PipelineConfig, dataset: Dataset, arms) -> list[EvaluationReport]:
+    """One report per arm, an (augment method, augment seed) pair. Each fold is
+    formed and preprocessed once; every arm augments, fits and predicts on it."""
     unknown = [m for m in config.modalities or () if m not in dataset.modality_names]
     if unknown:
         raise ConfigError(
@@ -218,54 +227,56 @@ def run_experiment(config: PipelineConfig, dataset: Dataset) -> EvaluationReport
     sample_ids, subject_ids = dataset.sample_ids(), dataset.subject_ids()
     true_labels = dataset.label.tolist()
     attr_rows = [tuple(zip(dataset.declared_attributes, row)) for row in dataset.attrs.tolist()]
+    spec = fusion_mod.FusionSpec(config.fusion_strategy, config.model_spec(), config.meta_spec())
+    arm_cfgs = [replace(config, augment_method=m, augment_seed=s) for m, s in arms]
+    # per arm: prediction records, per-fold entries, skipped folds
+    results = [([], [], []) for _ in arm_cfgs]
 
-    records: list[PredictionRecord] = []
-    per_fold, fingerprints, skipped = [], [], []
+    fingerprints = []
     for f, (train_idx, test_idx) in enumerate(folds):
         fingerprints.append(_fingerprint([sample_ids[i] for i in test_idx]))
-        if len(np.unique(dataset.label[train_idx])) < 2:
-            skipped.append({"fold": f, "reason": "single-class training split"})
-            continue
         try:
+            if len(np.unique(dataset.label[train_idx])) < 2:
+                raise FitError("single-class training split")
             per_modality = preprocess_fold(config, dataset, train_idx, test_idx)
-            train_ds = _processed_train_dataset(dataset, train_idx, per_modality)
-            if config.augment_method != "none":
-                train_ds = augment_mod.augment_dataset(
-                    train_ds,
-                    config.augment_method,
-                    config.resolved_augment_seed() + f,  # per-fold derived seed
-                    config.beta_alpha,
-                    config.beta_beta,
-                )
-            Xtr_list = [train_ds.modality(name).samples for name, _, _ in per_modality]
-            Xte_list = [Xte for _, _, Xte in per_modality]
-            spec = fusion_mod.FusionSpec(
-                config.fusion_strategy, config.model_spec(), config.meta_spec()
-            )
-            model = fusion_mod.fit_fusion(spec, Xtr_list, train_ds.labels(), config.seed + f)
-            # test rows far outside the training range may overflow; a
-            # non-finite result is named below
-            with np.errstate(over="ignore", invalid="ignore"):
-                pred_labels, pred_probas = model.predict_with_proba(Xte_list)
-            if not np.isfinite(pred_probas).all():
-                raise FitError("non-finite predicted probabilities")
+            fold_ds = _processed_train_dataset(dataset, train_idx, per_modality)
         except FitError as exc:
-            skipped.append({"fold": f, "reason": str(exc)})
+            for _, _, skipped in results:
+                skipped.append({"fold": f, "reason": str(exc)})
             continue
-        records += [
-            PredictionRecord(sample_ids[i], subject_ids[i], true_labels[i], label, tuple(proba),
-                             attr_rows[i])
-            for i, label, proba in zip(test_idx, pred_labels.tolist(), pred_probas.tolist())
-        ]
-        fold_preds = PredictionSet(records[-len(test_idx):])
-        per_fold.append(
-            {
-                "fold": f,
-                "n_test": int(len(test_idx)),
-                "test_subjects": sorted({subject_ids[i] for i in test_idx}),
-                "accuracy": metrics_mod.accuracy(fold_preds),
-            }
-        )
+        Xte_list = [Xte for _, _, Xte in per_modality]
+        for arm_cfg, (records, per_fold, skipped) in zip(arm_cfgs, results):
+            try:
+                train_ds = fold_ds
+                if arm_cfg.augment_method != "none":
+                    seed = arm_cfg.resolved_augment_seed() + f  # per-fold derived seed
+                    train_ds = augment_mod.augment_dataset(fold_ds, arm_cfg.augment_method, seed,
+                                                           config.beta_alpha, config.beta_beta)
+                Xtr_list = [train_ds.modality(name).samples for name, _, _ in per_modality]
+                model = fusion_mod.fit_fusion(spec, Xtr_list, train_ds.labels(), config.seed + f)
+                # test rows far outside the training range may overflow; a
+                # non-finite result is named below
+                with np.errstate(over="ignore", invalid="ignore"):
+                    pred_labels, pred_probas = model.predict_with_proba(Xte_list)
+                if not np.isfinite(pred_probas).all():
+                    raise FitError("non-finite predicted probabilities")
+            except FitError as exc:
+                skipped.append({"fold": f, "reason": str(exc)})
+                continue
+            records += [
+                PredictionRecord(sample_ids[i], subject_ids[i], true_labels[i], label,
+                                 tuple(proba), attr_rows[i])
+                for i, label, proba in zip(test_idx, pred_labels.tolist(), pred_probas.tolist())
+            ]
+            fold_preds = PredictionSet(records[-len(test_idx):])
+            per_fold.append({"fold": f, "n_test": int(len(test_idx)),
+                             "test_subjects": sorted({subject_ids[i] for i in test_idx}),
+                             "accuracy": metrics_mod.accuracy(fold_preds)})
+    return [_report(c, dataset, len(folds), fingerprints, *r) for c, r in zip(arm_cfgs, results)]
+
+
+def _report(config, dataset, n_folds, fingerprints, records, per_fold, skipped):
+    """Pooled metrics of one arm's out-of-fold predictions."""
     if not records:
         reasons = sorted({s["reason"] for s in skipped})
         raise ExperimentError(f"every fold was skipped: {'; '.join(reasons)}")
@@ -301,7 +312,7 @@ def run_experiment(config: PipelineConfig, dataset: Dataset) -> EvaluationReport
         config=config.to_flat_dict(),
         seed=config.seed,
         cv_mode=config.cv_mode,
-        n_folds=len(folds),
+        n_folds=n_folds,
         fold_fingerprints=fingerprints,
         skipped_folds=skipped,
         overall=overall,

@@ -143,25 +143,18 @@ def _base_inputs(spec: FusionSpec, X_per_modality: Sequence[np.ndarray]) -> list
 
 
 class FusedModel:
-    """Fitted fusion ensemble exposing the predictor contract over a list
-    of per-modality matrices."""
+    """Fitted fusion ensemble that predicts labels and probabilities from a
+    list of per-modality matrices."""
 
-    def __init__(self, spec: FusionSpec, bases, meta=None, stacking_folds=None):
+    def __init__(self, spec: FusionSpec, bases, meta=None):
         self.spec = spec
         self.bases = list(bases)
         self.meta = meta
-        self.stacking_folds = stacking_folds
 
     def predict_with_proba(self, X_per_modality):
         return fuse_predict(
             self.spec, self.bases, self.meta, _base_inputs(self.spec, X_per_modality)
         )
-
-    def predict(self, X_per_modality):
-        return self.predict_with_proba(X_per_modality)[0]
-
-    def predict_proba(self, X_per_modality):
-        return self.predict_with_proba(X_per_modality)[1]
 
 
 def fit_fusion(
@@ -177,8 +170,8 @@ def fit_fusion(
     if len(X_per_modality) == 1:
         # early fusion, and every late-fusion strategy over one modality
         return FusedModel(spec, [models.fit(spec.base_model, X_per_modality[0], y)])
-    meta, assign = None, None
+    meta = None
     if spec.strategy in ("stack_hard", "stack_soft"):
-        meta, assign, _ = fit_stacking_meta(spec, X_per_modality, y, seed)
+        meta, _, _ = fit_stacking_meta(spec, X_per_modality, y, seed)
     bases = [models.fit(spec.base_model, X, y) for X in X_per_modality]
-    return FusedModel(spec, bases, meta, assign)
+    return FusedModel(spec, bases, meta)

@@ -458,13 +458,8 @@ class SvmModel(TrainedPredictor):
         self.gamma = gamma
         self.platt_a, self.platt_b = platt_ab
 
-    def decision_function(self, X):
-        X = self._check(X)
-        K = _rbf_kernel(self.X_train, X, self.gamma)
-        return (self.alpha * self.y_pm) @ K - self.b
-
     def proba_positive(self, X):
-        f = self.decision_function(X)
+        f = (self.alpha * self.y_pm) @ _rbf_kernel(self.X_train, X, self.gamma) - self.b
         return _sigmoid(-(self.platt_a * f + self.platt_b))
 
 

@@ -228,7 +228,7 @@ def test_criterion_6_fusion_contracts():
     for strategy in ("vote_hard", "vote_soft", "stack_hard", "stack_soft"):
         fused = fit_fusion(FusionSpec(strategy, PredictorSpec("logistic")), [Xs[0]], y, 0)
         base = models.fit(PredictorSpec("logistic"), Xs[0], y)
-        np.testing.assert_array_equal(fused.predict([Xs[0]]), base.predict(Xs[0]))
+        np.testing.assert_array_equal(fused.predict_with_proba([Xs[0]])[0], base.predict(Xs[0]))
 
     # leakage guard: each row's stored meta feature reproduces from base
     # models trained strictly on the other folds

@@ -79,8 +79,9 @@ class TestAudit:
 
     def test_single_group_attribute_reports_undefined(self, workdir):
         (workdir / "synth1.txt").write_text(SYNTH_SPEC.replace("attribute.gender=0.7", "attribute.gender=1.0"))
-        rc = main(["audit", "--config", str(workdir / "config.txt"),
-                   "--set", "dataset.synth=synth1.txt"])
+        with pytest.warns(UserWarning, match="single group"):
+            rc = main(["audit", "--config", str(workdir / "config.txt"),
+                       "--set", "dataset.synth=synth1.txt"])
         assert rc == 0
         data = json.loads((workdir / "out" / "report.json").read_text())
         assert data["per_attribute"]["gender"]["ea"] is None
@@ -209,6 +210,12 @@ class TestConfigRejections:
         assert rc == 2
         err = capsys.readouterr().err
         assert "'nope'" in err and "'face'" in err and "'audio'" in err
+
+    def test_repeated_modality_rejected(self, workdir, capsys):
+        rc = main(["audit", "--config", str(workdir / "config.txt"),
+                   "--set", "modalities=face,face", "--set", "fusion.strategy=stack_soft"])
+        assert rc == 2
+        assert "modalities: expected distinct names, got 'face,face'" in capsys.readouterr().err
 
 
 class TestKeyValueSyntax:

@@ -1,13 +1,17 @@
 import csv
+import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from fairmix import experiment as exp_mod
 from fairmix import fusion as fusion_mod
+from fairmix.cli import main
 from fairmix.config import PipelineConfig
 from fairmix.dataset import Dataset
-from fairmix.errors import ExperimentError
+from fairmix.errors import ExperimentError, FitError
 from fairmix.fusion import FusionSpec, fit_stacking_meta
 from fairmix.models import PredictorSpec, stratified_positions
 from fairmix.experiment import (
@@ -15,6 +19,7 @@ from fairmix.experiment import (
     loso_folds,
     make_folds,
     plain_kfold,
+    run_arms,
     run_experiment,
     write_predictions_csv,
     write_report_json,
@@ -67,6 +72,18 @@ class TestFolds:
 
     def test_plain_kfold_drops_a_fold_without_training_rows(self):
         assert plain_kfold(1, 5, seed=0) == []
+
+    def test_plain_kfold_cost_does_not_grow_with_k(self):
+        tracemalloc.start()
+        try:
+            huge = plain_kfold(80, 200_000, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
+        assert [test.tolist() for _, test in huge] == [
+            test.tolist() for _, test in plain_kfold(80, 80, seed=0)
+        ]
 
     def test_fold_assignment_deterministic(self):
         labels = np.random.default_rng(2).integers(0, 2, 30)
@@ -180,7 +197,8 @@ class TestRunExperiment:
             run_experiment(base_config(cv_mode="loso"), ds)
 
     def test_degenerate_attribute_reported_not_fatal(self):
-        ds = synth(seed=9, attribute_props=(("gender", 1.0),))
+        with pytest.warns(UserWarning, match="single group"):
+            ds = synth(seed=9, attribute_props=(("gender", 1.0),))
         report = run_experiment(base_config(), ds)
         ar = report.per_attribute["gender"]
         assert ar.ea is None and ar.error is not None
@@ -227,6 +245,77 @@ class TestColumnarPipeline:
         report = run_experiment(base_config(), ds)
         assert report.skipped_folds == [{"fold": 0, "reason": "non-finite predicted probabilities"}]
         assert len(report.predictions) == ds.n_samples - calls[0]
+
+
+METHODS = ("none", "random_oversample", "mixfeat")
+
+
+class TestRunArms:
+    @pytest.mark.parametrize("cfg", [
+        base_config(),
+        base_config(model_kind="mlp", model_hyperparams={"epochs": 5}, fusion_strategy="stack_soft"),
+        base_config(cv_mode="loso", augment_seed=4),
+    ], ids=["logistic_early", "mlp_stack_soft", "loso"])
+    def test_equals_one_run_per_arm(self, cfg):
+        ds = synth(seed=15, n_subjects=8)
+        reports = run_arms(cfg, ds, [(m, cfg.augment_seed) for m in METHODS])
+        for method, report in zip(METHODS, reports):
+            alone = run_experiment(dataclasses.replace(cfg, augment_method=method), ds)
+            assert report.to_json_dict() == alone.to_json_dict()
+            assert report.predictions.records == alone.predictions.records
+
+    def test_compare_preprocesses_each_fold_once(self, tmp_path, monkeypatch):
+        (tmp_path / "synth.txt").write_text("n_subjects=10\nsessions_per_subject=3\n"
+                                            "modality.face=4\nmodality.audio=3\nseed=5\n")
+        (tmp_path / "config.txt").write_text(
+            "dataset.synth=synth.txt\nmodel.kind=logistic\nfusion.strategy=vote_soft\n"
+            f"cv.k=4\nseed=3\noutput_dir={tmp_path / 'out'}\n"
+        )
+        calls = []
+        real = exp_mod.preprocess_fold
+
+        def counted(config, dataset, train_idx, test_idx):
+            calls.append(len(test_idx))
+            return real(config, dataset, train_idx, test_idx)
+
+        monkeypatch.setattr(exp_mod, "preprocess_fold", counted)
+        assert main(["compare", "--config", str(tmp_path / "config.txt")]) == 0
+        arms = json.loads((tmp_path / "out" / "report.json").read_text())["arms"]
+        for arm in arms.values():
+            assert arm["cv"]["skipped_folds"] == []
+            assert len(calls) == arm["cv"]["n_folds"] == len(arm["per_fold"])
+
+    def test_fit_error_skips_the_fold_in_its_arm_only(self, monkeypatch):
+        ds = synth(seed=16)
+        cfg = base_config()
+        arms = [(m, None) for m in METHODS]
+        clean = run_arms(cfg, ds, arms)
+        calls = []
+        real = fusion_mod.fit_fusion
+
+        def mixfeat_fold_0_fails(spec, Xs, y, seed=0):
+            calls.append(seed)
+            if len(calls) == 3:  # fold 0 fits the arms in order: none, oversample, mixfeat
+                raise FitError("injected")
+            return real(spec, Xs, y, seed)
+
+        monkeypatch.setattr(fusion_mod, "fit_fusion", mixfeat_fold_0_fails)
+        *kept, mixfeat = run_arms(cfg, ds, arms)
+        assert mixfeat.skipped_folds == [{"fold": 0, "reason": "injected"}]
+        assert mixfeat.per_fold == clean[2].per_fold[1:]
+        for report, alone in zip(kept, clean):
+            assert report.skipped_folds == []
+            assert report.to_json_dict() == alone.to_json_dict()
+
+    def test_single_class_split_skipped_in_every_arm(self):
+        ds = make_dataset(
+            {"m": np.random.default_rng(1).normal(size=(8, 2))},
+            labels=[1, 1, 0, 0, 0, 0, 0, 0],
+            attrs=[[1], [1], [0], [0], [1], [0], [0], [1]],
+            subject_ids=["a", "a", "b", "b", "c", "c", "d", "d"],
+        )
+        for report in run_arms(base_config(cv_mode="loso"), ds, [(m, None) for m in METHODS]):
+            assert report.skipped_folds == [{"fold": 0, "reason": "single-class training split"}]
 
 
 class TestPredictionsCsv:

@@ -163,4 +163,4 @@ class TestFitFusion:
         fused = fit_fusion(FusionSpec(strategy, PredictorSpec("logistic")), single, y, seed=0)
         from fairmix import models as mm
         base = mm.fit(PredictorSpec("logistic"), Xs[0], y)
-        np.testing.assert_array_equal(fused.predict(single), base.predict(Xs[0]))
+        np.testing.assert_array_equal(fused.predict_with_proba(single)[0], base.predict(Xs[0]))
