@@ -7,6 +7,9 @@ A dataset is described by a plain-text manifest of key=value lines:
     metadata=<metadata csv path>
     panas_threshold=<real>                   (optional, default 33.3)
 
+Any other key, a ``levels.<name>`` without its modality, or a levels row
+naming a feature that its modality lacks is a SchemaError.
+
 Feature CSVs carry a ``sample_id`` column followed by numeric features
 (empty cells mark missing values). The metadata CSV carries
 ``sample_id, subject_id, pa_score`` (or ``label``) plus one 0/1 column per
@@ -126,8 +129,12 @@ class Dataset:
         n = self.label.size
         if n == 0:
             raise SchemaError("dataset has no rows")
+        declared = self.declared_attributes
+        repeated = [a for i, a in enumerate(declared) if a in declared[:i]]
+        if repeated:
+            raise SchemaError(f"attribute {repeated[0]!r} is declared more than once")
         expected = {"sample_id": (n,), "subject_id": (n,), "label": (n,),
-                    "attrs": (n, len(self.declared_attributes))}
+                    "attrs": (n, len(declared))}
         shapes = {name: getattr(self, name).shape for name in expected}
         if shapes != expected:
             raise SchemaError(f"column shapes must be {expected}, got {shapes}")
@@ -377,6 +384,12 @@ def load_dataset(manifest_path: str) -> Dataset:
     def resolve(p: str) -> str:
         return p if os.path.isabs(p) else os.path.join(base, p)
 
+    names = [k[len("modality."):] for k in kv if k.startswith("modality.")]  # manifest order
+    known = {"metadata", "panas_threshold",
+             *(f"{kind}.{n}" for kind in ("modality", "levels") for n in names)}
+    unknown = [k for k in kv if k not in known]
+    if unknown:
+        raise SchemaError(f"{manifest_path}: unknown keys {unknown}")
     if "metadata" not in kv:
         raise SchemaError(f"{manifest_path}: missing 'metadata' key")
     try:
@@ -392,17 +405,18 @@ def load_dataset(manifest_path: str) -> Dataset:
         resolve(kv["metadata"]), threshold
     )
 
-    modality_keys = [k for k in kv if k.startswith("modality.")]  # manifest order
-    if not modality_keys:
+    if not names:
         raise SchemaError(f"{manifest_path}: no 'modality.<name>' entries")
 
     tables = []
-    for key in modality_keys:
-        name = key[len("modality."):]
-        fpath = resolve(kv[key])
+    for name in names:
+        fpath = resolve(kv[f"modality.{name}"])
         feature_names, ids, values = _load_feature_csv(fpath)
         lpath = kv.get(f"levels.{name}")
         levels = {} if lpath is None else _load_levels_csv(resolve(lpath))
+        absent = sorted(levels.keys() - set(feature_names))
+        if absent:
+            raise SchemaError(f"{resolve(lpath)}: features {absent} are not in {fpath}")
         index = dict(zip(ids, range(len(ids))))
         at = np.fromiter(map(index.get, order, itertools.repeat(-1)), int, len(order))
         if (at < 0).any():

@@ -29,16 +29,16 @@ class InputError(FairmixError):
     """Invalid argument to an in-process operation."""
 
 
-class EmptyTableError(InputError):
-    """Every column of a modality table was removed."""
-
-
 class SelectionError(InputError):
-    """A level filter matched zero columns."""
+    """A level filter or descriptor mask matched zero columns."""
 
 
 class FitError(FairmixError):
     """A model or transform could not be fitted (degenerate input)."""
+
+
+class EmptyTableError(FitError):
+    """Every column of a modality is constant or null on a training split."""
 
 
 class ShapeError(FairmixError):

@@ -2,11 +2,13 @@
 fuse -> evaluate pipeline over 5-fold (subject-grouped, label-stratified
 by default) or leave-one-subject-out splits.
 
-Per fold, all transforms are fitted on the training split only and the
-training split alone is augmented; metrics are computed on the pooled
-out-of-fold predictions. `run_arms` preprocesses each fold once and
-evaluates every augmentation arm on it, so arms are paired fold by fold;
-`run_experiment` is its one-arm case. Everything is deterministic given
+The level and descriptor column filters run once per run, before the
+folds are formed. Per fold, `preprocess_fold` fits every transform on the
+training split only and returns that split as a Dataset, which alone is
+augmented; metrics are computed on the pooled out-of-fold predictions.
+`run_arms` preprocesses each fold once and evaluates every augmentation
+arm on it, so arms are paired fold by fold; `run_experiment` is its
+one-arm case. Everything is deterministic given
 the master seed, and report JSON is byte-stable across identical runs.
 """
 
@@ -31,7 +33,6 @@ from .dataset import ColumnMeta, Dataset, ModalityTable
 from .errors import (
     ConfigError,
     DataError,
-    EmptyTableError,
     ExperimentError,
     FitError,
     InputError,
@@ -39,13 +40,7 @@ from .errors import (
 )
 from .metrics import DiResult, PredictionRecord, PredictionSet
 from .models import stratified_positions
-from .preprocess import (
-    DESCRIPTOR_ORDER,
-    fit_column_cleaner,
-    fit_pca,
-    fit_standardizer,
-    select_level,
-)
+from .preprocess import fit_column_cleaner, fit_pca, fit_standardizer, select_columns
 
 # ---------------------------------------------------------------------------
 # fold generation
@@ -103,35 +98,13 @@ def make_folds(config: PipelineConfig, dataset: Dataset):
 # per-fold preprocessing
 # ---------------------------------------------------------------------------
 
-def _descriptor_of(feature_name: str) -> Optional[str]:
-    if "__" in feature_name:
-        suffix = feature_name.rsplit("__", 1)[1]
-        if suffix in DESCRIPTOR_ORDER:
-            return suffix
-    return None
-
-
-def _apply_descriptor_mask(table: ModalityTable, allowed) -> ModalityTable:
-    keep = [j for j, c in enumerate(table.column_meta) if _descriptor_of(c.feature_name) in allowed]
-    if not keep:
-        raise EmptyTableError(
-            f"modality {table.modality_name!r}: descriptor mask removed every column"
-        )
-    return table.select_columns(keep)
-
-
 def preprocess_fold(config: PipelineConfig, dataset: Dataset, train_idx, test_idx):
-    """Fit transforms on the training rows; returns per-modality transformed
-    (train, test) matrices in modality order."""
-    names = config.modalities or dataset.modality_names
-    out = []
-    for name in names:
-        table = dataset.modality(name)
-        if config.level != "all":
-            table = select_level(table, config.level)
-        if config.descriptors is not None:
-            # columns without a descriptor suffix (None) are always kept
-            table = _apply_descriptor_mask(table, {None, *config.descriptors})
+    """Fit transforms on the training rows of each modality of a dataset whose
+    columns are already selected; returns the transformed training split as a
+    Dataset and the transformed test matrices, in modality order."""
+    tables, Xte_list = [], []
+    for table in dataset.modalities:
+        name = table.modality_name
         Xtr_raw, Xte_raw = table.samples[train_idx], table.samples[test_idx]
         cleaner = fit_column_cleaner(Xtr_raw, name)
         Xtr, Xte = cleaner.apply(Xtr_raw), cleaner.apply(Xte_raw)
@@ -141,18 +114,10 @@ def preprocess_fold(config: PipelineConfig, dataset: Dataset, train_idx, test_id
         if config.pca_enabled and Xtr.shape[1] > 2 and Xtr.shape[0] >= 2:
             pca = fit_pca(Xtr, config.pca_target_ratio)
             Xtr, Xte = pca.apply(Xtr), pca.apply(Xte)
-        out.append((name, Xtr, Xte))
-    return out
-
-
-def _processed_train_dataset(dataset, train_idx, per_modality):
-    """Wrap transformed training matrices back into a Dataset so the
-    augmenters can bucket rows by attributes and label."""
-    tables = (
-        ModalityTable(name, Xtr, tuple(ColumnMeta(f"{name}_c{j}") for j in range(Xtr.shape[1])))
-        for name, Xtr, _ in per_modality
-    )
-    return dataset.derive(tables, train_idx)
+        cols = tuple(ColumnMeta(f"{name}_c{j}") for j in range(Xtr.shape[1]))
+        tables.append(ModalityTable(name, Xtr, cols))
+        Xte_list.append(Xte)
+    return dataset.derive(tables, train_idx), Xte_list
 
 
 # ---------------------------------------------------------------------------
@@ -216,11 +181,15 @@ def run_experiment(config: PipelineConfig, dataset: Dataset) -> EvaluationReport
 def run_arms(config: PipelineConfig, dataset: Dataset, arms) -> list[EvaluationReport]:
     """One report per arm, an (augment method, augment seed) pair. Each fold is
     formed and preprocessed once; every arm augments, fits and predicts on it."""
-    unknown = [m for m in config.modalities or () if m not in dataset.modality_names]
+    names = config.modalities or dataset.modality_names
+    unknown = [m for m in names if m not in dataset.modality_names]
     if unknown:
         raise ConfigError(
             f"modalities: {unknown} not in the dataset; available: {list(dataset.modality_names)}"
         )
+    # the column filters run once per modality, not once per fold
+    tables = [select_columns(dataset.modality(m), config.level, config.descriptors) for m in names]
+    dataset = dataset.derive(tables, slice(None))
     folds = make_folds(config, dataset)
     if not folds:
         raise ExperimentError("no folds could be formed")
@@ -238,13 +207,11 @@ def run_arms(config: PipelineConfig, dataset: Dataset, arms) -> list[EvaluationR
         try:
             if len(np.unique(dataset.label[train_idx])) < 2:
                 raise FitError("single-class training split")
-            per_modality = preprocess_fold(config, dataset, train_idx, test_idx)
-            fold_ds = _processed_train_dataset(dataset, train_idx, per_modality)
+            fold_ds, Xte_list = preprocess_fold(config, dataset, train_idx, test_idx)
         except FitError as exc:
             for _, _, skipped in results:
                 skipped.append({"fold": f, "reason": str(exc)})
             continue
-        Xte_list = [Xte for _, _, Xte in per_modality]
         for arm_cfg, (records, per_fold, skipped) in zip(arm_cfgs, results):
             try:
                 train_ds = fold_ds
@@ -252,7 +219,7 @@ def run_arms(config: PipelineConfig, dataset: Dataset, arms) -> list[EvaluationR
                     seed = arm_cfg.resolved_augment_seed() + f  # per-fold derived seed
                     train_ds = augment_mod.augment_dataset(fold_ds, arm_cfg.augment_method, seed,
                                                            config.beta_alpha, config.beta_beta)
-                Xtr_list = [train_ds.modality(name).samples for name, _, _ in per_modality]
+                Xtr_list = [t.samples for t in train_ds.modalities]
                 model = fusion_mod.fit_fusion(spec, Xtr_list, train_ds.labels(), config.seed + f)
                 # test rows far outside the training range may overflow; a
                 # non-finite result is named below

@@ -1,5 +1,5 @@
-"""Preprocessing chain: constant/null removal, level-based feature
-selection, standardization, and PCA keeping a target share of the variance.
+"""Preprocessing chain: column selection (level, descriptor), constant/null
+removal, standardization, and PCA keeping a target share of the variance.
 
 Conventions fixed for reproducibility:
   * standard deviation is the population one (divide by n);
@@ -21,14 +21,22 @@ from .errors import EmptyTableError, FitError, InputError, SelectionError
 DESCRIPTOR_ORDER = ("mean", "median", "std", "min", "max", "autocorr_1s")
 
 
-def select_level(table: ModalityTable, level: str) -> ModalityTable:
-    """Sub-table of columns whose level tag matches."""
-    keep = [j for j, c in enumerate(table.column_meta) if c.level == level]
+def select_columns(table: ModalityTable, level: str, descriptors) -> ModalityTable:
+    """The columns tagged `level` ("all": any) whose descriptor suffix is in
+    `descriptors` (None: no mask); a column without a known suffix always
+    passes. Returns the table itself when every column is kept."""
+    keep = [j for j, c in enumerate(table.column_meta) if level in ("all", c.level)]
     if not keep:
-        raise SelectionError(
-            f"modality {table.modality_name!r}: no columns tagged {level!r}"
-        )
-    return table.select_columns(keep)
+        raise SelectionError(f"modality {table.modality_name!r}: no columns tagged {level!r}")
+    if descriptors is not None:
+        suffixes = [table.column_meta[j].feature_name.rpartition("__") for j in keep]
+        keep = [j for j, (_, sep, suffix) in zip(keep, suffixes)
+                if not sep or suffix not in DESCRIPTOR_ORDER or suffix in descriptors]
+        if not keep:
+            raise SelectionError(
+                f"modality {table.modality_name!r}: descriptor mask removed every column"
+            )
+    return table if len(keep) == table.n_features else table.select_columns(keep)
 
 
 @dataclass(frozen=True)

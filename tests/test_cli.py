@@ -1,5 +1,6 @@
 import json
 import pathlib
+import re
 
 import pytest
 
@@ -111,23 +112,32 @@ class TestAudit:
         assert not list(tmp_path.iterdir())
 
     @staticmethod
-    def _float64_limit_config(workdir, rows):
-        """The workdir config over a dataset whose first face column holds
-        1e308 / -1e308 in the given rows: finite values whose sum or squares
-        overflow."""
+    def _rewritten_synth_config(workdir, **rewrites):
+        """The workdir config over its synthetic dataset, with the lines of
+        each named CSV (file stem as keyword) passed through its rewrite."""
         assert main(["synth", "--spec", str(workdir / "synth.txt"),
                      "--out", str(workdir / "ds")]) == 0
-        face = workdir / "ds" / "data_face.csv"
-        lines = face.read_text().splitlines(keepends=True)
-        for r in rows or range(1, len(lines)):
-            cells = lines[r].split(",")
-            cells[1] = "1e308" if r % 2 else "-1e308"
-            lines[r] = ",".join(cells)
-        face.write_text("".join(lines))
+        for stem, rewrite in rewrites.items():
+            path = workdir / "ds" / f"{stem}.csv"
+            path.write_text("\n".join(rewrite(path.read_text().splitlines())) + "\n")
         config = workdir / "config.txt"
         config.write_text(config.read_text().replace(
             "dataset.synth=synth.txt", "dataset.manifest=ds/data_manifest.txt"))
         return str(config)
+
+    @staticmethod
+    def _float64_limit_config(workdir, rows):
+        """The workdir config over a dataset whose first face column holds
+        1e308 / -1e308 in the given rows: finite values whose sum or squares
+        overflow."""
+        def limit(lines):
+            for r in rows or range(1, len(lines)):
+                cells = lines[r].split(",")
+                cells[1] = "1e308" if r % 2 else "-1e308"
+                lines[r] = ",".join(cells)
+            return lines
+
+        return TestAudit._rewritten_synth_config(workdir, data_face=limit)
 
     # a numpy RuntimeWarning fails either test as well
     def test_float64_limit_column_exit_4(self, workdir, capsys):
@@ -144,6 +154,27 @@ class TestAudit:
         report = json.loads((workdir / "out" / "report.json").read_text())
         reasons = {s["reason"] for s in report["cv"]["skipped_folds"]}
         assert "column mean or standard deviation overflows float64" in reasons
+
+    def test_modality_constant_everywhere_exit_4(self, workdir, capsys):
+        config = self._rewritten_synth_config(workdir, data_audio=lambda lines: [
+            lines[0], *(line.split(",")[0] + ",1,1,1" for line in lines[1:])])
+        assert main(["audit", "--config", config]) == 4
+        assert capsys.readouterr().err == (
+            "experiment error: every fold was skipped: modality 'audio': "
+            "every column is constant or null on the training split\n")
+        assert not (workdir / "out").exists()
+
+    def test_descriptor_mask_emptying_a_modality_exit_2(self, workdir, capsys):
+        def suffixed(lines):  # every face feature named "<feature>__mean"
+            return [re.sub(r"(face_f\d+)", r"\1__mean", line) for line in lines]
+
+        config = self._rewritten_synth_config(workdir, data_face=suffixed,
+                                              data_face_levels=suffixed)
+        assert main(["audit", "--config", config, "--set", "features.descriptors=mean"]) == 0
+        capsys.readouterr()
+        assert main(["audit", "--config", config, "--set", "features.descriptors=std"]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: modality 'face': descriptor mask removed every column\n")
 
     def test_missing_manifest_exit_3(self, workdir):
         (workdir / "bad.txt").write_text("dataset.manifest=nope.txt\nseed=1\n")

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -98,6 +99,31 @@ class TestLoadDataset:
         with pytest.raises(SchemaError, match="duplicate"):
             load_dataset(str(make_files(tmp_path, dup_id=True)))
 
+    @pytest.mark.parametrize("lines, named", [
+        ("panas_treshold=90", "['panas_treshold']"),
+        ("modalty.x=face.csv", "['modalty.x']"),
+        ("levels.audio=levels.csv", "['levels.audio']"),  # no modality.audio
+        ("panas_treshold=90\nmodalty.x=face.csv", "['panas_treshold', 'modalty.x']"),
+    ])
+    def test_unknown_manifest_keys_named(self, tmp_path, lines, named):
+        manifest = make_files(tmp_path)
+        write(manifest, manifest.read_text() + lines + "\n")
+        with pytest.raises(SchemaError, match=re.escape(f"unknown keys {named}")):
+            load_dataset(str(manifest))
+
+    def test_levels_row_for_an_absent_feature(self, tmp_path):
+        manifest = make_files(tmp_path)
+        write(tmp_path / "levels.csv", "feature_name,level\nf1,high\nf9,low\nf2,low\n")
+        with pytest.raises(SchemaError, match="levels.csv: features \\['f9'\\] are not in"):
+            load_dataset(str(manifest))
+
+    def test_repeated_attribute_column_rejected(self, tmp_path):
+        write(tmp_path / "f.csv", "sample_id,f1\na,1.0\nb,2.0\n")
+        write(tmp_path / "m.csv", "sample_id,subject_id,label,gender,gender\na,s0,1,1,0\nb,s1,0,0,1\n")
+        write(tmp_path / "man.txt", "modality.f=f.csv\nmetadata=m.csv\n")
+        with pytest.raises(SchemaError, match="attribute 'gender' is declared more than once"):
+            load_dataset(str(tmp_path / "man.txt"))
+
     def test_single_row_warns_degenerate(self, tmp_path):
         write(tmp_path / "f.csv", "sample_id,f1\na,1.0\n")
         write(tmp_path / "m.csv", "sample_id,subject_id,label,gender\na,s0,1,1\n")
@@ -195,6 +221,11 @@ class TestColumns:
         kwargs = _columns(4)
         kwargs["sample_id"] = ["a", "b", "a", "b"]
         with pytest.raises(SchemaError, match="duplicate sample_id 'a'$"):
+            Dataset(**kwargs)
+
+    def test_repeated_attribute_name_rejected(self):
+        kwargs = _columns(attr_names=("race", "race"))
+        with pytest.raises(SchemaError, match="attribute 'race' is declared more than once"):
             Dataset(**kwargs)
 
     def test_meta_is_built_from_the_columns(self):

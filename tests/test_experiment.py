@@ -196,6 +196,20 @@ class TestRunExperiment:
         with pytest.raises(ExperimentError):
             run_experiment(base_config(cv_mode="loso"), ds)
 
+    def test_columns_selected_once_per_modality(self, monkeypatch):
+        calls = []
+        real = exp_mod.select_columns
+
+        def counted(table, level, descriptors):
+            calls.append(table.modality_name)
+            return real(table, level, descriptors)
+
+        monkeypatch.setattr(exp_mod, "select_columns", counted)
+        cfg = base_config(level="low", descriptors=("mean",), modalities=("audio", "face"))
+        report = run_experiment(cfg, synth(seed=3))
+        assert report.n_folds == 5 and not report.skipped_folds
+        assert calls == ["audio", "face"]
+
     def test_degenerate_attribute_reported_not_fatal(self):
         with pytest.warns(UserWarning, match="single group"):
             ds = synth(seed=9, attribute_props=(("gender", 1.0),))
@@ -316,6 +330,23 @@ class TestRunArms:
         )
         for report in run_arms(base_config(cv_mode="loso"), ds, [(m, None) for m in METHODS]):
             assert report.skipped_folds == [{"fold": 0, "reason": "single-class training split"}]
+
+
+    def test_modality_constant_on_a_training_split_skipped_in_every_arm(self):
+        # column "c" varies only within subject a: it is constant on the
+        # training split of the fold that tests a
+        constant_off_a = np.zeros((8, 1))
+        constant_off_a[:2, 0] = [1.0, 2.0]
+        ds = make_dataset(
+            {"m": np.random.default_rng(1).normal(size=(8, 2)), "c": constant_off_a},
+            labels=[1, 0] * 4,
+            attrs=[[1], [0], [0], [1]] * 2,
+            subject_ids=["a", "a", "b", "b", "c", "c", "d", "d"],
+        )
+        reason = "modality 'c': every column is constant or null on the training split"
+        for report in run_arms(base_config(cv_mode="loso"), ds, [(m, None) for m in METHODS]):
+            assert report.skipped_folds == [{"fold": 0, "reason": reason}]
+            assert [f["fold"] for f in report.per_fold] == [1, 2, 3]
 
 
 class TestPredictionsCsv:

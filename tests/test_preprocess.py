@@ -3,7 +3,7 @@ import pytest
 
 from fairmix.dataset import ColumnMeta, ModalityTable
 from fairmix.errors import EmptyTableError, FitError, SelectionError
-from fairmix.preprocess import fit_column_cleaner, fit_pca, fit_standardizer, select_level
+from fairmix.preprocess import fit_column_cleaner, fit_pca, fit_standardizer, select_columns
 
 
 def table(X, levels=None):
@@ -44,6 +44,7 @@ class TestDropConstantAndNull:
         np.testing.assert_array_equal(refit.apply(once), once)
 
     def test_all_columns_removed_errors(self):
+        assert issubclass(EmptyTableError, FitError)  # the fold is skipped, not the run
         with pytest.raises(EmptyTableError):
             fit_column_cleaner(np.array([[1, np.nan], [1, np.nan]]))
 
@@ -74,16 +75,65 @@ class TestColumnCleaner:
 class TestSelectLevel:
     def test_selects_matching_columns(self):
         t = table(np.arange(15).reshape(3, 5), levels=["high", "low", "high", "low", "low"])
-        out = select_level(t, "high")
+        out = select_columns(t, "high", None)
         assert out.feature_names == ("f0", "f2")
 
     def test_no_match_errors(self):
         with pytest.raises(SelectionError, match="low"):
-            select_level(table([[1], [2]], levels=["high"]), "low")
+            select_columns(table([[1], [2]], levels=["high"]), "low", None)
 
     def test_identity_when_all_match(self):
         t = table([[1, 2], [3, 4]], levels=["high", "high"])
-        np.testing.assert_array_equal(select_level(t, "high").samples, t.samples)
+        np.testing.assert_array_equal(select_columns(t, "high", None).samples, t.samples)
+
+
+class TestSelectColumns:
+    """select_columns keeps the columns tagged with the level ("all": any)
+    whose descriptor suffix is in the mask (None: no mask)."""
+
+    NAMES = ["a__mean", "b__std", "c", "d__foo", "e__max", "mean", "g__mean"]
+    LEVELS = ["high", "low", "high", "low", "high", "low", "low"]
+
+    def described(self):
+        t = table(np.arange(14).reshape(2, 7), levels=self.LEVELS)
+        return ModalityTable("m", t.samples, tuple(
+            ColumnMeta(name, c.level) for name, c in zip(self.NAMES, t.column_meta)))
+
+    def test_no_filter_returns_the_table_itself(self):
+        t = self.described()
+        assert select_columns(t, "all", None) is t
+
+    def test_level_only(self):
+        out = select_columns(self.described(), "low", None)
+        assert out.feature_names == ("b__std", "d__foo", "mean", "g__mean")
+        np.testing.assert_array_equal(out.samples, [[1, 3, 5, 6], [8, 10, 12, 13]])
+
+    def test_descriptors_only(self):
+        out = select_columns(self.described(), "all", ("mean", "max"))
+        assert out.feature_names == ("a__mean", "c", "d__foo", "e__max", "mean", "g__mean")
+
+    def test_level_and_descriptors(self):
+        out = select_columns(self.described(), "high", ("std", "max"))
+        assert out.feature_names == ("c", "e__max")
+
+    def test_suffixless_and_unknown_suffix_columns_always_pass(self):
+        # "mean" has no "__" separator and "foo" is no descriptor
+        out = select_columns(self.described(), "all", ("median",))
+        assert out.feature_names == ("c", "d__foo", "mean")
+
+    def test_mask_keeping_every_column_returns_the_table_itself(self):
+        t = table([[1, 2], [3, 4]])  # names f0, f1: no descriptor suffix
+        assert select_columns(t, "low", ("std",)) is t
+
+    def test_empty_level_selection_is_a_selection_error(self):
+        t = table([[1, 2], [3, 4]], levels=["low", "low"])
+        with pytest.raises(SelectionError, match="no columns tagged 'high'"):
+            select_columns(t, "high", ("mean",))
+
+    def test_empty_descriptor_mask_is_a_selection_error(self):
+        t = ModalityTable("m", [[1.0, 2.0]], (ColumnMeta("x__mean"), ColumnMeta("y__std")))
+        with pytest.raises(SelectionError, match="descriptor mask removed every column"):
+            select_columns(t, "all", ("median",))
 
 
 class TestStandardizer:
