@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fairmix import models
 from fairmix.errors import ConfigError, ShapeError, StackingError
 from fairmix.fusion import (
     FusionSpec,
@@ -21,6 +22,11 @@ class FixedModel(TrainedPredictor):
 
     def proba_positive(self, X):
         return self.p1[: len(np.atleast_2d(X))]
+
+
+def assert_bitwise_equal(a, b):
+    np.testing.assert_array_equal(a, b)
+    assert a.tobytes() == b.tobytes()
 
 
 def spec(strategy):
@@ -156,11 +162,20 @@ class TestFitFusion:
         assert (labels == y).mean() >= 0.95
         np.testing.assert_allclose(proba.sum(axis=1), 1.0, atol=1e-9)
 
-    @pytest.mark.parametrize("strategy", ["vote_hard", "vote_soft", "stack_hard", "stack_soft"])
+    @pytest.mark.parametrize("strategy", ["early", "vote_hard", "vote_soft", "stack_hard", "stack_soft"])
     def test_single_modality_equals_base(self, strategy):
         Xs, y = separable_modalities(seed=6)
         single = [Xs[0]]
         fused = fit_fusion(FusionSpec(strategy, PredictorSpec("logistic")), single, y, seed=0)
-        from fairmix import models as mm
-        base = mm.fit(PredictorSpec("logistic"), Xs[0], y)
-        np.testing.assert_array_equal(fused.predict_with_proba(single)[0], base.predict(Xs[0]))
+        base = models.fit(PredictorSpec("logistic"), Xs[0], y)
+        labels, proba = fused.predict_with_proba(single)
+        np.testing.assert_array_equal(labels, base.predict(Xs[0]))
+        assert_bitwise_equal(proba, base.predict_proba(Xs[0]))
+
+    def test_early_equals_base_on_concatenation(self):
+        Xs, y = separable_modalities(seed=6)
+        fused = fit_fusion(FusionSpec("early", PredictorSpec("logistic")), Xs, y, seed=0)
+        base = models.fit(PredictorSpec("logistic"), early_fuse(Xs), y)
+        labels, proba = fused.predict_with_proba(Xs)
+        np.testing.assert_array_equal(labels, base.predict(early_fuse(Xs)))
+        assert_bitwise_equal(proba, base.predict_proba(early_fuse(Xs)))
