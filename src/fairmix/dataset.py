@@ -7,16 +7,18 @@ A dataset is described by a plain-text manifest of key=value lines:
     metadata=<metadata csv path>
     panas_threshold=<real>                   (optional, default 33.3)
 
-Any other key, a ``levels.<name>`` without its modality, or a levels row
-naming a feature that its modality lacks is a SchemaError.
+Any other key, an empty modality name, a ``levels.<name>`` without its
+modality, or a levels row naming a feature that its modality lacks is a
+SchemaError; so is a feature named twice in a levels file or feature header.
 
 Feature CSVs carry a ``sample_id`` column followed by numeric features
 (empty cells mark missing values). The metadata CSV carries
 ``sample_id, subject_id, pa_score`` (or ``label``) plus one 0/1 column per
 sensitive attribute. Rows of every modality are joined to the metadata by
-sample_id and stored in metadata order. In memory a Dataset holds rows as
-columns (id, label and attribute arrays); ``Dataset.meta`` builds per-row
-SampleMeta records only on request.
+sample_id and stored in metadata order; an id missing on either side is an
+AlignmentError. In memory a Dataset holds rows as columns (id, label and
+attribute arrays); ``Dataset.meta`` builds per-row SampleMeta records only
+on request.
 """
 
 from __future__ import annotations
@@ -321,6 +323,9 @@ def _load_feature_csv(path: str) -> tuple[list[str], tuple[str, ...], np.ndarray
     header, rows = _read_csv(path)
     if not header or header[0] != "sample_id":
         raise SchemaError(f"{path}: first column must be 'sample_id'")
+    if len(set(header)) < len(header):
+        repeat = next(c for i, c in enumerate(header) if c in header[:i])
+        raise SchemaError(f"{path}: row 1: column {repeat!r} is named more than once")
     return (header[1:], *_parse_rows(path, header, rows, 1, lambda r, row: [
         _parse_cell(text, path, r, name) for name, text in zip(header[1:], row[1:])]))
 
@@ -329,11 +334,15 @@ def _load_levels_csv(path: str) -> dict[str, str]:
     header, rows = _read_csv(path)
     if header[:2] != ["feature_name", "level"]:
         raise SchemaError(f"{path}: expected header 'feature_name,level'")
+    seen = set()
     for r, row in enumerate(rows, 2):
         if len(row) < 2:
             raise SchemaError(f"{path}: row {r}: expected feature_name,level, got {row!r}")
         if row[1] not in LEVELS:
             raise SchemaError(f"{path}: row {r}: level must be high or low, got {row[1]!r}")
+        if row[0] in seen:
+            raise SchemaError(f"{path}: row {r}: feature {row[0]!r} is listed more than once")
+        seen.add(row[0])
     return {row[0]: row[1] for row in rows}
 
 
@@ -385,6 +394,8 @@ def load_dataset(manifest_path: str) -> Dataset:
         return p if os.path.isabs(p) else os.path.join(base, p)
 
     names = [k[len("modality."):] for k in kv if k.startswith("modality.")]  # manifest order
+    if "" in names:
+        raise SchemaError(f"{manifest_path}: key 'modality.' has an empty modality name")
     known = {"metadata", "panas_threshold",
              *(f"{kind}.{n}" for kind in ("modality", "levels") for n in names)}
     unknown = [k for k in kv if k not in known]
@@ -401,9 +412,8 @@ def load_dataset(manifest_path: str) -> Dataset:
             f"{manifest_path}: panas_threshold must be a finite number, "
             f"got {kv['panas_threshold']!r}"
         )
-    order, subjects, labels, attrs, attr_names = _load_metadata_csv(
-        resolve(kv["metadata"]), threshold
-    )
+    mpath = resolve(kv["metadata"])
+    order, subjects, labels, attrs, attr_names = _load_metadata_csv(mpath, threshold)
 
     if not names:
         raise SchemaError(f"{manifest_path}: no 'modality.<name>' entries")
@@ -422,6 +432,10 @@ def load_dataset(manifest_path: str) -> Dataset:
         if (at < 0).any():
             raise AlignmentError(f"modality {name!r}: sample_id {order[np.argmax(at < 0)]!r} "
                                  f"present in metadata but missing from {fpath}")
+        if len(ids) > len(order):  # ids are distinct, so some row is not in the metadata
+            extra = np.setdiff1d(np.arange(len(ids)), at)[0]  # the first in file order
+            raise AlignmentError(f"modality {name!r}: sample_id {ids[extra]!r} "
+                                 f"present in {fpath} but missing from {mpath}")
         cols = tuple(ColumnMeta(fn, levels.get(fn, "low")) for fn in feature_names)
         tables.append(ModalityTable(name, values[at], cols))
 

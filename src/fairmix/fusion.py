@@ -1,6 +1,9 @@
 """Multimodal fusion: early feature concatenation and four late-fusion
 schemes (hard/soft majority voting, hard/soft stacking).
 
+``FusedModel.predict_with_proba`` is the one combiner of base outputs. A
+single base model (early fusion, or any strategy over one modality) gets no
+meta-learner and decides alone: a vote of one returns its own output.
 Stacking meta-features are generated out-of-fold on the training split so
 the meta-learner never sees a base prediction produced by a model trained
 on that same row; the final base models are then refit on the full split.
@@ -70,34 +73,6 @@ def _stack_features(strategy: str, base_probas: list[np.ndarray]) -> np.ndarray:
     return np.hstack(base_probas)
 
 
-def fuse_predict(
-    spec: FusionSpec,
-    trained_base: Sequence[TrainedPredictor],
-    meta: Optional[TrainedPredictor],
-    X_per_modality: Sequence[np.ndarray],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Late-fusion prediction from per-modality base models; a single base
-    model (early fusion, or one modality) predicts alone."""
-    if len(trained_base) != len(X_per_modality):
-        raise ConfigError(
-            f"{len(trained_base)} trained base models but {len(X_per_modality)} modalities"
-        )
-    base_probas = [b.predict_proba(X) for b, X in zip(trained_base, X_per_modality)]
-    if len(trained_base) == 1:
-        return argmax_label(base_probas[0]), base_probas[0]
-    if spec.strategy == "vote_hard":
-        return _vote_hard(base_probas)
-    if spec.strategy == "vote_soft":
-        return _vote_soft(base_probas)
-    if spec.strategy in ("stack_hard", "stack_soft"):
-        if meta is None:
-            raise ConfigError("stacking requires a fitted meta-model")
-        feats = _stack_features(spec.strategy, base_probas)
-        proba = meta.predict_proba(feats)
-        return argmax_label(proba), proba
-    raise ConfigError(f"fuse_predict does not handle strategy {spec.strategy!r}")
-
-
 def fit_stacking_meta(
     spec: FusionSpec,
     train_per_modality: Sequence[np.ndarray],
@@ -143,18 +118,25 @@ def _base_inputs(spec: FusionSpec, X_per_modality: Sequence[np.ndarray]) -> list
 
 
 class FusedModel:
-    """Fitted fusion ensemble that predicts labels and probabilities from a
-    list of per-modality matrices."""
+    """Fitted fusion ensemble: one base model per input matrix, plus the
+    stacking meta-learner when one was fitted."""
 
     def __init__(self, spec: FusionSpec, bases, meta=None):
         self.spec = spec
         self.bases = list(bases)
         self.meta = meta
 
-    def predict_with_proba(self, X_per_modality):
-        return fuse_predict(
-            self.spec, self.bases, self.meta, _base_inputs(self.spec, X_per_modality)
-        )
+    def predict_with_proba(self, X_per_modality) -> tuple[np.ndarray, np.ndarray]:
+        """Labels and probabilities: the meta-learner stacks the base outputs
+        if there is one, else the bases vote (a single base votes alone)."""
+        inputs = _base_inputs(self.spec, X_per_modality)
+        if len(self.bases) != len(inputs):
+            raise ConfigError(f"{len(self.bases)} trained base models but {len(inputs)} modalities")
+        base_probas = [b.predict_proba(X) for b, X in zip(self.bases, inputs)]
+        if self.meta is not None:
+            proba = self.meta.predict_proba(_stack_features(self.spec.strategy, base_probas))
+            return argmax_label(proba), proba
+        return (_vote_hard if self.spec.strategy == "vote_hard" else _vote_soft)(base_probas)
 
 
 def fit_fusion(
@@ -163,15 +145,12 @@ def fit_fusion(
     y: np.ndarray,
     seed: int = 0,
 ) -> FusedModel:
-    """Fit base models (and the meta-learner for stacking) for a strategy."""
+    """Fit one base model per input, and the meta-learner when stacking two
+    or more inputs; a single input's base model then decides alone."""
     if not X_per_modality:
         raise InputError("no modalities given")
-    X_per_modality = _base_inputs(spec, X_per_modality)
-    if len(X_per_modality) == 1:
-        # early fusion, and every late-fusion strategy over one modality
-        return FusedModel(spec, [models.fit(spec.base_model, X_per_modality[0], y)])
+    inputs = _base_inputs(spec, X_per_modality)
     meta = None
-    if spec.strategy in ("stack_hard", "stack_soft"):
-        meta, _, _ = fit_stacking_meta(spec, X_per_modality, y, seed)
-    bases = [models.fit(spec.base_model, X, y) for X in X_per_modality]
-    return FusedModel(spec, bases, meta)
+    if spec.strategy in ("stack_hard", "stack_soft") and len(inputs) >= 2:
+        meta, _, _ = fit_stacking_meta(spec, inputs, y, seed)
+    return FusedModel(spec, [models.fit(spec.base_model, X, y) for X in inputs], meta)

@@ -16,7 +16,7 @@ from fairmix.cli import main as cli_main
 from fairmix.config import PipelineConfig
 from fairmix.errors import InputError, MetricUndefinedError
 from fairmix.experiment import grouped_stratified_kfold, loso_folds, run_experiment
-from fairmix.fusion import FusionSpec, fit_fusion, fit_stacking_meta, fuse_predict
+from fairmix.fusion import FusedModel, FusionSpec, fit_fusion, fit_stacking_meta
 from fairmix.metrics import (
     PredictionRecord,
     PredictionSet,
@@ -219,7 +219,7 @@ def test_criterion_6_fusion_contracts():
         n = int(rng.integers(1, 10))
         p1s = [rng.random(n) for _ in range(m)]
         bases = [FixedModel(p) for p in p1s]
-        labels, proba = fuse_predict(spec, bases, None, [np.zeros((n, 2))] * m)
+        labels, proba = FusedModel(spec, bases).predict_with_proba([np.zeros((n, 2))] * m)
         mean = np.mean([np.column_stack([1 - p, p]) for p in p1s], axis=0)
         np.testing.assert_array_equal(proba, mean)
         np.testing.assert_array_equal(labels, (mean[:, 1] >= mean[:, 0]).astype(int))

@@ -301,6 +301,37 @@ class TestKeyValueSyntax:
         assert err.startswith("data error: ") and "not UTF-8 text" in err
 
 
+class TestLoaderErrors:
+    """A feature named twice, an empty modality name and a feature row
+    missing from the metadata are data errors (exit 3)."""
+
+    # the file edited in a materialized dataset, the edit, and what the
+    # message names
+    EDITS = {
+        "levels_feature_twice": ("data_face_levels.csv", lambda t: t + "face_f0,high\n",
+                                 "feature 'face_f0' is listed more than once"),
+        "header_feature_twice": ("data_face.csv", lambda t: t.replace("face_f1", "face_f0", 1),
+                                 "column 'face_f0' is named more than once"),
+        "empty_modality_name": ("data_manifest.txt", lambda t: t + "modality.=data_face.csv\n",
+                                "key 'modality.' has an empty modality name"),
+        "row_not_in_metadata": ("data_face.csv", lambda t: t + "zz,1,2,3,4\n",
+                                "sample_id 'zz' present in"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(EDITS))
+    def test_audit_exit_3(self, case, workdir, capsys):
+        fname, edit, named = self.EDITS[case]
+        assert main(["synth", "--spec", str(workdir / "synth.txt"),
+                     "--out", str(workdir / "ds")]) == 0
+        path = workdir / "ds" / fname
+        path.write_text(edit(path.read_text()))
+        (workdir / "config.txt").write_text(
+            f"seed=1\ndataset.manifest={workdir / 'ds' / 'data_manifest.txt'}\n")
+        assert main(["audit", "--config", str(workdir / "config.txt")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and named in err
+
+
 class TestSynthCommand:
     def test_materializes_loadable_dataset(self, workdir):
         out = workdir / "synthds"

@@ -111,6 +111,13 @@ class TestLoadDataset:
         with pytest.raises(SchemaError, match=re.escape(f"unknown keys {named}")):
             load_dataset(str(manifest))
 
+    def test_empty_modality_name(self, tmp_path):
+        manifest = make_files(tmp_path)
+        write(manifest, manifest.read_text() + "modality.=face.csv\n")
+        with pytest.raises(SchemaError) as info:
+            load_dataset(str(manifest))
+        assert str(info.value) == f"{manifest}: key 'modality.' has an empty modality name"
+
     def test_levels_row_for_an_absent_feature(self, tmp_path):
         manifest = make_files(tmp_path)
         write(tmp_path / "levels.csv", "feature_name,level\nf1,high\nf9,low\nf2,low\n")
@@ -256,11 +263,16 @@ FACE = "sample_id,f1,f2\nc0,0.5,1.25\nc1,1.5,2.25\nc2,2.5,3.25\n"
 META = "sample_id,subject_id,label,gender\nc0,s0,0,1\nc1,s1,1,0\nc2,s0,1,1\n"
 
 
-def load_error(tmp_path, face=FACE, meta=META):
-    """The exception load_dataset raises on the given feature and metadata text."""
+def load_error(tmp_path, face=FACE, meta=META, levels=None):
+    """The exception load_dataset raises on the given feature, metadata and
+    (when given) levels text."""
     write(tmp_path / "face.csv", face)
     write(tmp_path / "meta.csv", meta)
-    write(tmp_path / "man.txt", "modality.face=face.csv\nmetadata=meta.csv\n")
+    manifest = "modality.face=face.csv\nmetadata=meta.csv\n"
+    if levels is not None:
+        write(tmp_path / "levels.csv", levels)
+        manifest += "levels.face=levels.csv\n"
+    write(tmp_path / "man.txt", manifest)
     with pytest.raises(Exception) as info:
         load_dataset(str(tmp_path / "man.txt"))
     return info.value
@@ -285,6 +297,8 @@ class TestLoadErrorMessages:
          "row 2: expected 3 cells, got 2"),
         (FACE.replace("c1,1.5", "c0,1.5").replace("2.25", "x2"), SchemaError,
          "duplicate sample_id 'c0'"),
+        (FACE.replace("sample_id,f1,f2", "sample_id,f1,f1"), SchemaError,
+         "row 1: column 'f1' is named more than once"),
     ])
     def test_feature_file(self, tmp_path, face, error, message):
         exc = load_error(tmp_path, face=face)
@@ -318,6 +332,18 @@ class TestLoadErrorMessages:
         exc = load_error(tmp_path, meta=meta)
         assert str(exc) == f"{tmp_path / 'meta.csv'}: row 3, column 'pa_score': non-numeric value 'abc'"
 
+    @pytest.mark.parametrize("levels, message", [
+        ("feature_name,level\nf1,high\nf2,low\nf1,low\n",
+         "row 4: feature 'f1' is listed more than once"),
+        # the first offending row in reading order wins over later faults
+        ("feature_name,level\nf1,high\nf1,high\nf2,mid\n",
+         "row 3: feature 'f1' is listed more than once"),
+    ])
+    def test_levels_file(self, tmp_path, levels, message):
+        exc = load_error(tmp_path, levels=levels)
+        assert type(exc) is SchemaError
+        assert str(exc) == f"{tmp_path / 'levels.csv'}: {message}"
+
     @pytest.mark.parametrize("face, missing", [
         (FACE.replace("c1,1.5,2.25\n", ""), "c1"),
         ("sample_id,f1,f2\n", "c0"),  # a feature file with no rows
@@ -327,6 +353,16 @@ class TestLoadErrorMessages:
         assert type(exc) is AlignmentError
         assert str(exc) == (f"modality 'face': sample_id '{missing}' present in metadata "
                             f"but missing from {tmp_path / 'face.csv'}")
+
+    @pytest.mark.parametrize("face, extra", [
+        (FACE + "zz,1.0,2.0\n", "zz"),
+        (FACE.replace("c1,", "yy,3.0,4.0\nc1,") + "zz,1.0,2.0\n", "yy"),  # the first in file order
+    ])
+    def test_id_missing_from_the_metadata(self, tmp_path, face, extra):
+        exc = load_error(tmp_path, face=face)
+        assert type(exc) is AlignmentError
+        assert str(exc) == (f"modality 'face': sample_id '{extra}' present in "
+                            f"{tmp_path / 'face.csv'} but missing from {tmp_path / 'meta.csv'}")
 
 
 class TestQuotedRoundTrip:

@@ -4,11 +4,11 @@ import pytest
 from fairmix import models
 from fairmix.errors import ConfigError, ShapeError, StackingError
 from fairmix.fusion import (
+    FusedModel,
     FusionSpec,
     early_fuse,
     fit_fusion,
     fit_stacking_meta,
-    fuse_predict,
 )
 from fairmix.models import PredictorSpec, TrainedPredictor
 
@@ -60,30 +60,30 @@ class TestVoting:
     def test_soft_vote_is_mean_then_argmax(self):
         bases = [FixedModel([0.4]), FixedModel([0.7])]
         X = [np.zeros((1, 2)), np.zeros((1, 2))]
-        labels, proba = fuse_predict(spec("vote_soft"), bases, None, X)
+        labels, proba = FusedModel(spec("vote_soft"), bases).predict_with_proba(X)
         np.testing.assert_allclose(proba, [[0.45, 0.55]])
         assert labels[0] == 1
 
     def test_hard_vote_majority(self):
         bases = [FixedModel([0.9]), FixedModel([0.8]), FixedModel([0.1])]
         X = [np.zeros((1, 2))] * 3
-        labels, _ = fuse_predict(spec("vote_hard"), bases, None, X)
+        labels, _ = FusedModel(spec("vote_hard"), bases).predict_with_proba(X)
         assert labels[0] == 1
 
     def test_hard_vote_tie_broken_by_confidence(self):
         # votes 1 (conf 0.9) vs 0 (conf 0.6) -> 1
         bases = [FixedModel([0.9]), FixedModel([0.4])]
         X = [np.zeros((1, 2))] * 2
-        labels, _ = fuse_predict(spec("vote_hard"), bases, None, X)
+        labels, _ = FusedModel(spec("vote_hard"), bases).predict_with_proba(X)
         assert labels[0] == 1
         # reversed confidences -> 0 wins
         bases = [FixedModel([0.6]), FixedModel([0.1])]
-        labels, _ = fuse_predict(spec("vote_hard"), bases, None, X)
+        labels, _ = FusedModel(spec("vote_hard"), bases).predict_with_proba(X)
         assert labels[0] == 0
 
     def test_hard_vote_confidence_tie_goes_to_one(self):
         bases = [FixedModel([0.8]), FixedModel([0.2])]  # both 80% confident
-        labels, _ = fuse_predict(spec("vote_hard"), bases, None, [np.zeros((1, 2))] * 2)
+        labels, _ = FusedModel(spec("vote_hard"), bases).predict_with_proba([np.zeros((1, 2))] * 2)
         assert labels[0] == 1
 
     def test_soft_vote_matches_mean_argmax_on_random_cases(self):
@@ -94,14 +94,16 @@ class TestVoting:
             p1s = [rng.random(n) for _ in range(m)]
             bases = [FixedModel(p) for p in p1s]
             X = [np.zeros((n, 2))] * m
-            labels, proba = fuse_predict(spec("vote_soft"), bases, None, X)
+            labels, proba = FusedModel(spec("vote_soft"), bases).predict_with_proba(X)
             mean = np.mean([np.column_stack([1 - p, p]) for p in p1s], axis=0)
             np.testing.assert_array_equal(proba, mean)
             np.testing.assert_array_equal(labels, (mean[:, 1] >= mean[:, 0]).astype(int))
 
     def test_modality_count_mismatch(self):
         with pytest.raises(ConfigError):
-            fuse_predict(spec("vote_soft"), [FixedModel([0.5])], None, [np.zeros((1, 2))] * 2)
+            FusedModel(spec("vote_soft"), [FixedModel([0.5])]).predict_with_proba(
+                [np.zeros((1, 2))] * 2
+            )
 
 
 def separable_modalities(seed=0, n=40):
