@@ -11,19 +11,21 @@ Any other key, an empty modality name, a ``levels.<name>`` without its
 modality, or a levels row naming a feature that its modality lacks is a
 SchemaError; so is a feature named twice in a levels file or feature header.
 
-Feature CSVs carry a ``sample_id`` column followed by numeric features
-(empty cells mark missing values). The metadata CSV carries
-``sample_id, subject_id, pa_score`` (or ``label``) plus one 0/1 column per
-sensitive attribute. Rows of every modality are joined to the metadata by
-sample_id and stored in metadata order; an id missing on either side is an
-AlignmentError. In memory a Dataset holds rows as columns (id, label and
-attribute arrays); ``Dataset.meta`` builds per-row SampleMeta records only
-on request.
+A feature CSV is ``sample_id`` plus one or more numeric features; a levels
+CSV is exactly ``feature_name,level`` (high or low); the metadata CSV is
+``sample_id, subject_id, pa_score`` (or ``label``) plus 0/1 attribute
+columns. Its rule table: an outcome in every row, 0/1 labels and 0/1
+attributes. Value cells are finite numbers or empty (missing). The first
+offending row in reading order raises: its cell count, a repeated sample_id,
+then its first offending cell in column order (non-numeric, infinite, then
+the rules in declared order). Rows are joined to the metadata by sample_id
+in metadata order; an id missing on either side is an AlignmentError.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import math
 import os
@@ -279,23 +281,12 @@ def _read_csv(path: str) -> tuple[list[str], list[list[str]]]:
     return rows[0], rows[1:]
 
 
-def _parse_cell(text: str, path: str, row: int, col: str) -> float:
-    try:
-        v = float(text or "nan")  # an empty cell is a missing value
-    except ValueError:
-        raise ParseError(f"{path}: row {row}, column {col!r}: non-numeric value {text!r}") from None
-    if math.isinf(v):
-        raise ParseError(f"{path}: row {row}, column {col!r}: infinite value")
-    return v
-
-
-def _parse_rows(path: str, header: list[str], rows: list[list[str]], n_text: int, check_cells,
-                valid=lambda values: True):
+def _parse_rows(path: str, header: list[str], rows: list[list[str]], n_text: int, rules=()):
     """The first n_text columns as text and the rest as an (n, d) float array
-    (empty cells NaN), by one float() map. If a row is ragged, a sample_id
-    repeats, a cell is not a finite float or valid(values) fails, the first
-    offending row in reading order (header = row 1) raises instead: its cell
-    count, a repeated sample_id, then check_cells(r, row)."""
+    (empty cells NaN). rules are (value column, ok(values) -> bool array,
+    message) triples; a message is formatted with the cell's column name and
+    text. On any fault the rows are walked in order with the same float()
+    parse and rules, one cell at a time, and the first offending row raises."""
     if not set(map(len, rows)) - {len(header)}:
         columns = list(zip(*rows)) or [()] * len(header)
         cells = [c or "nan" for c in itertools.chain.from_iterable(columns[n_text:])]
@@ -304,8 +295,8 @@ def _parse_rows(path: str, header: list[str], rows: list[list[str]], n_text: int
             values = np.fromiter(map(float, cells), float, len(cells)).reshape(shape).T
         except ValueError:
             values = None
-        if (values is not None and len(set(columns[0])) == len(rows)
-                and not np.isinf(values).any() and valid(values)):
+        if (values is not None and len(set(columns[0])) == len(rows) and not np.isinf(values).any()
+                and all(ok(values[:, j]).all() for j, ok, _ in rules)):
             return (*columns[:n_text], np.ascontiguousarray(values))
     seen = set()
     for r, row in enumerate(rows, 2):
@@ -314,8 +305,16 @@ def _parse_rows(path: str, header: list[str], rows: list[list[str]], n_text: int
         if row[0] in seen:
             raise SchemaError(f"{path}: duplicate sample_id {row[0]!r}")
         seen.add(row[0])
-        check_cells(r, row)
-    raise SchemaError(f"{path}: malformed rows")  # valid and check_cells disagree
+        for j, (name, text) in enumerate(zip(header[n_text:], row[n_text:])):
+            try:
+                v = np.array([float(text or "nan")])
+            except ValueError:
+                raise ParseError(f"{path}: row {r}, column {name!r}: non-numeric value {text!r}") from None
+            if np.isinf(v).any():
+                raise ParseError(f"{path}: row {r}, column {name!r}: infinite value")
+            for k, ok, message in rules:
+                if k == j and not ok(v).all():
+                    raise ParseError(f"{path}: row {r}: {message.format(name=name, text=text)}")
 
 
 def _load_feature_csv(path: str) -> tuple[list[str], tuple[str, ...], np.ndarray]:
@@ -323,21 +322,22 @@ def _load_feature_csv(path: str) -> tuple[list[str], tuple[str, ...], np.ndarray
     header, rows = _read_csv(path)
     if not header or header[0] != "sample_id":
         raise SchemaError(f"{path}: first column must be 'sample_id'")
+    if len(header) < 2:
+        raise SchemaError(f"{path}: no feature columns after 'sample_id'")
     if len(set(header)) < len(header):
         repeat = next(c for i, c in enumerate(header) if c in header[:i])
         raise SchemaError(f"{path}: row 1: column {repeat!r} is named more than once")
-    return (header[1:], *_parse_rows(path, header, rows, 1, lambda r, row: [
-        _parse_cell(text, path, r, name) for name, text in zip(header[1:], row[1:])]))
+    return (header[1:], *_parse_rows(path, header, rows, 1))
 
 
 def _load_levels_csv(path: str) -> dict[str, str]:
     header, rows = _read_csv(path)
-    if header[:2] != ["feature_name", "level"]:
+    if header != ["feature_name", "level"]:
         raise SchemaError(f"{path}: expected header 'feature_name,level'")
     seen = set()
     for r, row in enumerate(rows, 2):
-        if len(row) < 2:
-            raise SchemaError(f"{path}: row {r}: expected feature_name,level, got {row!r}")
+        if len(row) != 2:
+            raise SchemaError(f"{path}: row {r}: expected 2 cells, got {len(row)}")
         if row[1] not in LEVELS:
             raise SchemaError(f"{path}: row {r}: level must be high or low, got {row[1]!r}")
         if row[0] in seen:
@@ -357,23 +357,13 @@ def _load_metadata_csv(path: str, threshold: float):
     if not rows:
         raise SchemaError(f"{path}: no data rows")
 
-    def check_cells(r, row):
-        raw = _parse_cell(row[2], path, r, outcome_col)
-        if math.isnan(raw):
-            raise ParseError(f"{path}: row {r}: missing {outcome_col}")
-        if outcome_col == "label" and raw not in (0.0, 1.0):
-            raise ParseError(f"{path}: row {r}: label must be 0 or 1, got {row[2]!r}")
-        values = [_parse_cell(text, path, r, a) for a, text in zip(attr_names, row[3:])]
-        for a, text, v in zip(attr_names, row[3:], values):
-            if v not in (0.0, 1.0):
-                raise ParseError(f"{path}: row {r}: attribute {a!r} must be 0 or 1, got {text!r}")
-
-    def valid(values):  # an outcome in every row, 0/1 labels, 0/1 attributes
-        outcome = values[:, 0]
-        ok = ~np.isnan(outcome) if outcome_col == "pa_score" else np.isin(outcome, (0, 1))
-        return ok.all() and np.isin(values[:, 1:], (0, 1)).all()
-
-    ids, subjects, values = _parse_rows(path, header, rows, 2, check_cells, valid)
+    binary = functools.partial(np.isin, test_elements=(0, 1))
+    rules = [(0, lambda v: ~np.isnan(v), "missing {name}")]
+    if outcome_col == "label":
+        rules.append((0, binary, "label must be 0 or 1, got {text!r}"))
+    rules += [(j, binary, "attribute {name!r} must be 0 or 1, got {text!r}")
+              for j in range(1, len(header) - 2)]
+    ids, subjects, values = _parse_rows(path, header, rows, 2, rules)
     labels = binarize_panas(values[:, 0], threshold) if outcome_col == "pa_score" else values[:, 0]
     return ids, subjects, labels, values[:, 1:], attr_names
 

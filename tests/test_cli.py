@@ -302,8 +302,9 @@ class TestKeyValueSyntax:
 
 
 class TestLoaderErrors:
-    """A feature named twice, an empty modality name and a feature row
-    missing from the metadata are data errors (exit 3)."""
+    """A feature named twice, an empty modality name, a feature row missing
+    from the metadata, a feature file without feature columns and a levels
+    row with extra cells are data errors (exit 3)."""
 
     # the file edited in a materialized dataset, the edit, and what the
     # message names
@@ -316,6 +317,11 @@ class TestLoaderErrors:
                                 "key 'modality.' has an empty modality name"),
         "row_not_in_metadata": ("data_face.csv", lambda t: t + "zz,1,2,3,4\n",
                                 "sample_id 'zz' present in"),
+        "no_feature_columns": ("data_face.csv",
+                               lambda t: "".join(line.split(",")[0] + "\n" for line in t.splitlines()),
+                               "no feature columns after 'sample_id'"),
+        "levels_extra_cells": ("data_face_levels.csv", lambda t: t + "face_f9,low,oops\n",
+                               "expected 2 cells, got 3"),
     }
 
     @pytest.mark.parametrize("case", sorted(EDITS))

@@ -261,6 +261,7 @@ class TestColumns:
 
 FACE = "sample_id,f1,f2\nc0,0.5,1.25\nc1,1.5,2.25\nc2,2.5,3.25\n"
 META = "sample_id,subject_id,label,gender\nc0,s0,0,1\nc1,s1,1,0\nc2,s0,1,1\n"
+META2 = "sample_id,subject_id,label,gender,race\nc0,s0,0,1,0\nc1,s1,1,0,1\nc2,s0,1,1,1\n"
 
 
 def load_error(tmp_path, face=FACE, meta=META, levels=None):
@@ -299,6 +300,7 @@ class TestLoadErrorMessages:
          "duplicate sample_id 'c0'"),
         (FACE.replace("sample_id,f1,f2", "sample_id,f1,f1"), SchemaError,
          "row 1: column 'f1' is named more than once"),
+        ("sample_id\nc0\nc1\nc2\n", SchemaError, "no feature columns after 'sample_id'"),
     ])
     def test_feature_file(self, tmp_path, face, error, message):
         exc = load_error(tmp_path, face=face)
@@ -321,6 +323,11 @@ class TestLoadErrorMessages:
          "row 3, column 'label': infinite value"),
         (META.replace("c1,s1,1,0", "c1,s1,1"), SchemaError, "row 3: expected 4 cells, got 3"),
         ("sample_id,subject_id,label,gender\n", SchemaError, "no data rows"),
+        # within a row, the first offending cell in column order wins
+        (META2.replace("c1,s1,1,0,1", "c1,s1,1,2,x"), ParseError,
+         "row 3: attribute 'gender' must be 0 or 1, got '2'"),
+        (META2.replace("c1,s1,1,0,1", "c1,s1,2,x,1"), ParseError,
+         "row 3: label must be 0 or 1, got '2'"),
     ])
     def test_metadata_file(self, tmp_path, meta, error, message):
         exc = load_error(tmp_path, meta=meta)
@@ -338,6 +345,8 @@ class TestLoadErrorMessages:
         # the first offending row in reading order wins over later faults
         ("feature_name,level\nf1,high\nf1,high\nf2,mid\n",
          "row 3: feature 'f1' is listed more than once"),
+        ("feature_name,level\nf1,high,oops\nf2,low\n", "row 2: expected 2 cells, got 3"),
+        ("feature_name,level,extra\nf1,high\n", "expected header 'feature_name,level'"),
     ])
     def test_levels_file(self, tmp_path, levels, message):
         exc = load_error(tmp_path, levels=levels)
