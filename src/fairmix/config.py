@@ -1,8 +1,8 @@
 """Pipeline configuration: a flat key=value file, optionally overridden
 per key from the command line.
 
-Recognized keys, in the order of KEYS, where each is declared once
-(defaults in parentheses):
+Recognized keys, in field order, each declared once as its PipelineConfig
+field (defaults in parentheses):
 
     seed=<int>                     (required)
     dataset.manifest=<path>        | dataset.synth=<synth spec path>   (exactly one)
@@ -34,7 +34,7 @@ import dataclasses
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional
+from typing import Optional
 
 from .augment import METHODS as AUGMENT_METHODS, MixFeatConfig
 from .dataset import LEVELS, parse_keyvalue_file
@@ -89,28 +89,57 @@ def _hyperparam_parser(default):
     return _PARSERS_BY_TYPE[type(default)]
 
 
+def _listed(names):
+    return list(names) if names else None
+
+
+def _key(name, parse, default=None, report=lambda value: value, path=False):
+    """A PipelineConfig field set by configuration key `name`."""
+    return field(default=default, metadata=dict(key=name, parse=parse, report=report, path=path))
+
+
 @dataclass
 class PipelineConfig:
-    manifest: Optional[str] = None
-    synth_spec: Optional[SynthSpec] = None
-    modalities: Optional[tuple[str, ...]] = None
-    level: str = "all"
-    descriptors: Optional[tuple[str, ...]] = None
-    pca_enabled: bool = True
-    pca_target_ratio: float = 0.8
-    augment_method: str = "none"
-    beta_alpha: float = 1.0
-    beta_beta: float = 1.0
-    augment_seed: Optional[int] = None
-    model_kind: str = "rbf_svm"
+    """One configured run. Every field but model_hyperparams is declared by
+    `_key`, whose metadata holds the configuration key, its parser
+    parse(key, text) -> value, its JSON form in reports (None: to_flat_dict
+    reports the key itself, if at all) and whether the value is a path
+    relative to the configuration file. Fields are in parse order."""
+
+    seed: int = _key("seed", _parse_int, 0)
+    manifest: Optional[str] = _key("dataset.manifest", _parse_str, path=True)
+    synth_spec: Optional[SynthSpec] = _key(
+        "dataset.synth", lambda key, p: parse_synth_spec(p), report=None, path=True
+    )
+    modalities: Optional[tuple[str, ...]] = _key(
+        "modalities",
+        _parser(_names, "distinct names", lambda v: len(set(v)) == len(v)),
+        report=_listed,
+    )
+    level: str = _key("features.level", _one_of(("all", *LEVELS)), "all")
+    descriptors: Optional[tuple[str, ...]] = _key(
+        "features.descriptors",
+        _parser(_names, f"names from {DESCRIPTOR_ORDER}", set(DESCRIPTOR_ORDER).issuperset),
+        report=_listed,
+    )
+    pca_enabled: bool = _key("pca.enabled", _parse_bool, True)
+    pca_target_ratio: float = _key(
+        "pca.target_ratio", _parser(float, "a number in (0, 1]", lambda v: 0.0 < v <= 1.0), 0.8
+    )
+    augment_method: str = _key("augment.method", _one_of(AUGMENT_METHODS), "none")
+    beta_alpha: float = _key("augment.beta_alpha", _parse_float, 1.0)
+    beta_beta: float = _key("augment.beta_beta", _parse_float, 1.0)
+    augment_seed: Optional[int] = _key("augment.seed", _parse_int, report=None)
+    model_kind: str = _key("model.kind", _one_of(DEFAULT_HYPERPARAMS), "rbf_svm")
+    # model.<hyperparameter> keys, parsed by the type of
+    # DEFAULT_HYPERPARAMS[model_kind][<hyperparameter>]
     model_hyperparams: dict = field(default_factory=dict)
-    fusion_strategy: str = "early"
-    meta_kind: str = "logistic"
-    cv_mode: str = "kfold"
-    cv_k: int = 5
-    cv_grouped: bool = True
-    seed: int = 0
-    output_dir: str = "."
+    fusion_strategy: str = _key("fusion.strategy", _one_of(STRATEGIES), "early")
+    meta_kind: str = _key("fusion.meta_kind", _one_of(DEFAULT_HYPERPARAMS), "logistic")
+    cv_mode: str = _key("cv.mode", _one_of(CV_MODES), "kfold")
+    cv_k: int = _key("cv.k", _parser(int, "an integer >= 2", lambda v: v >= 2), 5)
+    cv_grouped: bool = _key("cv.grouped", _parse_bool, True)
+    output_dir: str = _key("output_dir", _parse_str, ".", report=None, path=True)
 
     def model_spec(self) -> PredictorSpec:
         hp = dict(self.model_hyperparams)
@@ -125,12 +154,17 @@ class PipelineConfig:
 
     def to_flat_dict(self) -> dict:
         """Full resolved configuration, for embedding in reports."""
-        out = {key: k.report(getattr(self, k.field)) for key, k in KEYS.items() if k.report}
+        out = {key: f.metadata["report"](getattr(self, f.name))
+               for key, f in KEYS.items() if f.metadata["report"]}
         out["augment.seed"] = self.resolved_augment_seed()
         out["model.hyperparams"] = dict(sorted(self.model_hyperparams.items()))
         if self.synth_spec is not None:
             out["dataset.synth"] = synth_spec_to_dict(self.synth_spec)
         return out
+
+
+# Every configuration key, in field order.
+KEYS = {f.metadata["key"]: f for f in dataclasses.fields(PipelineConfig) if f.metadata}
 
 
 def _read_keyvalue(path: str) -> dict[str, str]:
@@ -172,51 +206,6 @@ def synth_spec_to_dict(spec: SynthSpec) -> dict:
     return out
 
 
-def _listed(names):
-    return list(names) if names else None
-
-
-class _Key(NamedTuple):
-    field: str  # PipelineConfig attribute
-    parse: Callable  # parse(key, text) -> value
-    # JSON form in reports; None: to_flat_dict reports the key itself, if at all
-    report: Optional[Callable] = lambda value: value
-    path: bool = False  # the value is a path relative to the configuration file
-
-
-# Every configuration key. model.<hyperparameter> keys are parsed by the type
-# of DEFAULT_HYPERPARAMS[model.kind][<hyperparameter>].
-KEYS = {
-    "seed": _Key("seed", _parse_int),
-    "dataset.manifest": _Key("manifest", _parse_str, path=True),
-    "dataset.synth": _Key("synth_spec", lambda key, p: parse_synth_spec(p), None, True),
-    "modalities": _Key(
-        "modalities", _parser(_names, "distinct names", lambda v: len(set(v)) == len(v)), _listed
-    ),
-    "features.level": _Key("level", _one_of(("all", *LEVELS))),
-    "features.descriptors": _Key(
-        "descriptors",
-        _parser(_names, f"names from {DESCRIPTOR_ORDER}", set(DESCRIPTOR_ORDER).issuperset),
-        _listed,
-    ),
-    "pca.enabled": _Key("pca_enabled", _parse_bool),
-    "pca.target_ratio": _Key(
-        "pca_target_ratio", _parser(float, "a number in (0, 1]", lambda v: 0.0 < v <= 1.0)
-    ),
-    "augment.method": _Key("augment_method", _one_of(AUGMENT_METHODS)),
-    "augment.beta_alpha": _Key("beta_alpha", _parse_float),
-    "augment.beta_beta": _Key("beta_beta", _parse_float),
-    "augment.seed": _Key("augment_seed", _parse_int, None),
-    "model.kind": _Key("model_kind", _one_of(DEFAULT_HYPERPARAMS)),
-    "fusion.strategy": _Key("fusion_strategy", _one_of(STRATEGIES)),
-    "fusion.meta_kind": _Key("meta_kind", _one_of(DEFAULT_HYPERPARAMS)),
-    "cv.mode": _Key("cv_mode", _one_of(CV_MODES)),
-    "cv.k": _Key("cv_k", _parser(int, "an integer >= 2", lambda v: v >= 2)),
-    "cv.grouped": _Key("cv_grouped", _parse_bool),
-    "output_dir": _Key("output_dir", _parse_str, None, True),
-}
-
-
 def build_config(kv: dict[str, str], base_dir: str = ".") -> PipelineConfig:
     """Validate a flat key->string mapping into a PipelineConfig."""
     kv = dict(kv)
@@ -225,10 +214,11 @@ def build_config(kv: dict[str, str], base_dir: str = ".") -> PipelineConfig:
     if ("dataset.manifest" in kv) == ("dataset.synth" in kv):
         raise ConfigError("exactly one of dataset.manifest / dataset.synth is required")
     cfg = PipelineConfig()
-    for key, k in KEYS.items():
+    for key, f in KEYS.items():
         if key in kv:
             text = kv.pop(key)  # os.path.join keeps an absolute path as it is
-            setattr(cfg, k.field, k.parse(key, os.path.join(base_dir, text) if k.path else text))
+            text = os.path.join(base_dir, text) if f.metadata["path"] else text
+            setattr(cfg, f.name, f.metadata["parse"](key, text))
     defaults = DEFAULT_HYPERPARAMS[cfg.model_kind]
     for key in [k for k in kv if k.startswith("model.")]:
         hp = key[len("model."):]

@@ -39,24 +39,17 @@ from .errors import (
     MetricUndefinedError,
 )
 from .metrics import DiResult, PredictionRecord, PredictionSet
-from .models import stratified_positions
+from .models import folds_of, stratified_positions
 from .preprocess import fit_column_cleaner, fit_pca, fit_standardizer, select_columns
 
 # ---------------------------------------------------------------------------
 # fold generation
 # ---------------------------------------------------------------------------
 
-def _folds_of(row_fold: np.ndarray, n_folds: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(train, test) rows of each fold label in range(n_folds), keeping the
-    folds whose splits are both non-empty."""
-    folds = [(np.flatnonzero(row_fold != f), np.flatnonzero(row_fold == f)) for f in range(n_folds)]
-    return [(train, test) for train, test in folds if len(train) and len(test)]
-
-
 def loso_folds(subject_ids: list[str]) -> list[tuple[np.ndarray, np.ndarray]]:
     """One fold per subject; that subject's rows form the test split."""
     subjects, subject_of_row = np.unique(np.asarray(subject_ids), return_inverse=True)
-    return _folds_of(subject_of_row, len(subjects))
+    return folds_of(subject_of_row, len(subjects))
 
 
 def grouped_stratified_kfold(labels, subject_ids, k, seed):
@@ -72,7 +65,7 @@ def grouped_stratified_kfold(labels, subject_ids, k, seed):
     majority = np.round(np.bincount(subject_of_row, weights=labels) / sessions).astype(int)
     earlier = np.searchsorted(np.sort(majority), majority)
     fold_of = (stratified_positions(majority, np.random.default_rng(seed)) + earlier) % k
-    return _folds_of(fold_of[subject_of_row], k)
+    return folds_of(fold_of[subject_of_row], k)
 
 
 def plain_kfold(n, k, seed):
@@ -81,7 +74,7 @@ def plain_kfold(n, k, seed):
     row_fold = np.empty(n, int)
     for f, part in enumerate(np.array_split(np.random.default_rng(seed).permutation(n), k)):
         row_fold[part] = f
-    return _folds_of(row_fold, k)
+    return folds_of(row_fold, k)
 
 
 def make_folds(config: PipelineConfig, dataset: Dataset):

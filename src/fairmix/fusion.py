@@ -18,7 +18,7 @@ import numpy as np
 
 from . import models
 from .errors import ConfigError, InputError, ShapeError, StackingError
-from .models import PredictorSpec, TrainedPredictor, argmax_label, stratified_positions
+from .models import PredictorSpec, TrainedPredictor, argmax_label, folds_of, stratified_positions
 
 STRATEGIES = ("early", "vote_hard", "vote_soft", "stack_hard", "stack_soft")
 
@@ -98,8 +98,7 @@ def fit_stacking_meta(
     assign = stratified_positions(y, np.random.default_rng(seed)) % k
 
     meta_feats = None
-    for fold in range(k):
-        tr, te = assign != fold, assign == fold
+    for tr, te in folds_of(assign, k):
         probas = []
         for X in train_per_modality:
             base = models.fit(spec.base_model, X[tr], y[tr])

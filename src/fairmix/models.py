@@ -5,8 +5,8 @@ Three model kinds:
                (LIBSVM's maximal-violating pair with second-order gain,
                stopping when the KKT gap is below tol), probabilities via a
                Platt sigmoid fitted on decision values from internal 3-fold
-               splits; the kernel is computed once per fit and sliced for
-               those splits;
+               splits (in-sample when their test rows hold one class); the
+               kernel is computed once per fit and sliced for those splits;
   * mlp      - one-hidden-layer network (tanh, softmax output, cross-entropy
                + L2) trained with mini-batch Adam; W1, b1, W2, b2 are views of
                one flat parameter vector, so each step is one Adam update of
@@ -125,6 +125,13 @@ def stratified_positions(strata, rng: np.random.Generator) -> np.ndarray:
         idx = np.flatnonzero(strata == s)
         pos[idx[rng.permutation(len(idx))]] = np.arange(len(idx))
     return pos
+
+
+def folds_of(row_fold: np.ndarray, n_folds: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(train, test) rows of each fold label in range(n_folds), keeping the
+    folds whose splits are both non-empty."""
+    folds = [(np.flatnonzero(row_fold != f), np.flatnonzero(row_fold == f)) for f in range(n_folds)]
+    return [(train, test) for train, test in folds if len(train) and len(test)]
 
 
 def _validate_training_input(X, y):
@@ -480,16 +487,17 @@ def _fit_svm(spec: PredictorSpec, X, y, facts) -> SvmModel:
     # Platt calibration on out-of-fold decision values (3 internal folds)
     decisions, targets = [], []
     assign = stratified_positions(y, np.random.default_rng(int(hp["seed"]) + 1)) % 3
-    for fold in range(3):
-        tr, te = np.flatnonzero(assign != fold), np.flatnonzero(assign == fold)
-        if len(np.unique(y[tr])) < 2 or not len(te):
+    for tr, te in folds_of(assign, 3):
+        if len(np.unique(y[tr])) < 2:
             continue
         alpha_f, b_f = _smo(K[np.ix_(tr, tr)], y_pm[tr], C, tol)
         decisions.append((alpha_f * y_pm[tr]) @ K[np.ix_(tr, te)] - b_f)
         targets.append(y[te])
 
     alpha, b = _smo(K, y_pm, C, tol)
-    if not decisions:  # tiny training sets: calibrate in-sample
+    # the kept folds' test rows hold one class or none (tiny training sets,
+    # a class of one row): calibrate in-sample
+    if not targets or len(np.unique(np.concatenate(targets))) < 2:
         decisions, targets = [(alpha * y_pm) @ K - b], [y]
     platt_ab = _platt_sigmoid(np.concatenate(decisions), np.concatenate(targets))
     return SvmModel(spec, X.copy(), y_pm, alpha, b, gamma, platt_ab, **facts)

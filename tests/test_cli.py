@@ -5,8 +5,9 @@ import re
 import pytest
 
 from fairmix.cli import main
-from fairmix.config import build_config, load_config
+from fairmix.config import KEYS, build_config, load_config, synth_spec_to_dict
 from fairmix.errors import ConfigError
+from fairmix.synthgen import SynthSpec
 
 SYNTH_SPEC = """\
 n_subjects=14
@@ -53,6 +54,48 @@ class TestConfig:
     def test_model_hyperparams_collected(self, workdir):
         cfg = load_config(str(workdir / "config.txt"), {"model.kind": "mlp", "model.epochs": "50"})
         assert cfg.model_hyperparams["epochs"] == 50
+
+    # every key, the PipelineConfig field it sets, a non-default text and
+    # its parsed value (paths are joined to the base directory "conf")
+    KEY_FIELDS = {
+        "seed": ("seed", "9", 9),
+        "dataset.manifest": ("manifest", "m.txt", "conf/m.txt"),
+        "dataset.synth": ("synth_spec", "synth.txt", SynthSpec(n_subjects=9, seed=5)),
+        "modalities": ("modalities", "face, audio", ("face", "audio")),
+        "features.level": ("level", "low", "low"),
+        "features.descriptors": ("descriptors", "std,max", ("std", "max")),
+        "pca.enabled": ("pca_enabled", "no", False),
+        "pca.target_ratio": ("pca_target_ratio", "0.5", 0.5),
+        "augment.method": ("augment_method", "mixfeat", "mixfeat"),
+        "augment.beta_alpha": ("beta_alpha", "2.5", 2.5),
+        "augment.beta_beta": ("beta_beta", "0.5", 0.5),
+        "augment.seed": ("augment_seed", "11", 11),
+        "model.kind": ("model_kind", "mlp", "mlp"),
+        "fusion.strategy": ("fusion_strategy", "vote_soft", "vote_soft"),
+        "fusion.meta_kind": ("meta_kind", "mlp", "mlp"),
+        "cv.mode": ("cv_mode", "loso", "loso"),
+        "cv.k": ("cv_k", "3", 3),
+        "cv.grouped": ("cv_grouped", "false", False),
+        "output_dir": ("output_dir", "out", "conf/out"),
+    }
+
+    def test_every_key_reaches_its_field(self, tmp_path, monkeypatch):
+        assert set(self.KEY_FIELDS) == set(KEYS)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "conf").mkdir()
+        (tmp_path / "conf" / "synth.txt").write_text("n_subjects=9\nseed=5\n")
+        for key, (name, text, value) in self.KEY_FIELDS.items():
+            kv = {"seed": "1", "dataset.manifest": "m.txt"}
+            if key == "dataset.synth":
+                del kv["dataset.manifest"]
+            cfg = build_config({**kv, key: text}, base_dir="conf")
+            assert getattr(cfg, name) == value, key
+            flat = cfg.to_flat_dict()
+            assert (key in flat) == (key != "output_dir"), key
+            if isinstance(value, SynthSpec):
+                value = synth_spec_to_dict(value)
+            if key in flat:
+                assert flat[key] == (list(value) if isinstance(value, tuple) else value), key
 
     def test_dataset_source_exclusive(self):
         with pytest.raises(ConfigError):
@@ -234,6 +277,22 @@ class TestConfigRejections:
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and key in err
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", ["synth", "audit"])
+    def test_unknown_synth_key_exit_2(self, command, workdir, capsys):
+        (workdir / "synth.txt").write_text(SYNTH_SPEC.replace("n_subjects=", "n_subject="))
+        args = {"synth": ["synth", "--spec", str(workdir / "synth.txt"), "--out", str(workdir / "ds")],
+                "audit": ["audit", "--config", str(workdir / "config.txt")]}[command]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and "unknown synth keys ['n_subject']" in err
+        assert not (workdir / "ds").exists() and not (workdir / "out").exists()
+
+    @pytest.mark.parametrize("command", ["audit", "validate"])
+    def test_set_without_equals_exit_2(self, command, workdir, capsys):
+        assert main([command, "--config", str(workdir / "config.txt"), "--set", "foo"]) == 2
+        assert "configuration error: --set expects key=value, got 'foo'" in capsys.readouterr().err
+        assert not (workdir / "out").exists()
 
     def test_unknown_modality_named(self, workdir, capsys):
         rc = main(["audit", "--config", str(workdir / "config.txt"),

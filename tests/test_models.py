@@ -102,6 +102,18 @@ class TestSvm:
         )
         np.testing.assert_array_equal(m.predict(X), oracle)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_one_row_class_is_calibrated_in_sample(self, seed):
+        # the kept Platt folds test negatives only, so calibration falls
+        # back to the in-sample decision values
+        X, y = np.array([[0.0], [0.1], [0.2], [3.0]]), np.array([0, 0, 0, 1])
+        m = fit(PredictorSpec("rbf_svm", {"seed": seed}), X, y)
+        np.testing.assert_array_equal(m.predict(X), y)
+
+    def test_two_rows(self):
+        X, y = np.array([[0.0], [1.0]]), np.array([0, 1])
+        np.testing.assert_array_equal(fit(PredictorSpec("rbf_svm"), X, y).predict(X), y)
+
 
 class TestMlp:
     def test_xor(self):
