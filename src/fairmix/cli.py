@@ -14,7 +14,6 @@ The FAIRMIX_SEED environment variable overrides the configured seed.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -71,15 +70,11 @@ def cmd_compare(args) -> int:
     arms = [(m, cfg.augment_seed) for m in AUGMENT_METHODS]
     reports = dict(zip(AUGMENT_METHODS, exp.run_arms(cfg, dataset, arms)))
     out = cfg.output_dir
-    combined = {
+    exp.write_json(os.path.join(out, "report.json"), {
         "arms": {arm: r.to_json_dict() for arm, r in reports.items()},
         "fold_fingerprints": reports["none"].fold_fingerprints,
         "seed": cfg.seed,
-    }
-    exp.atomic_write(
-        os.path.join(out, "report.json"),
-        json.dumps(combined, indent=2, sort_keys=True) + "\n",
-    )
+    })
     exp.write_comparison_markdown(reports, os.path.join(out, "report.md"))
     for arm, r in reports.items():
         exp.write_predictions_csv(

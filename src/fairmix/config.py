@@ -141,13 +141,16 @@ class PipelineConfig:
     cv_grouped: bool = _key("cv.grouped", _parse_bool, True)
     output_dir: str = _key("output_dir", _parse_str, ".", report=None, path=True)
 
+    def _spec(self, kind: str, hyperparams: dict) -> PredictorSpec:
+        """A kind that takes a seed gets the master seed unless one is set."""
+        seed = {"seed": self.seed} if "seed" in DEFAULT_HYPERPARAMS[kind] else {}
+        return PredictorSpec(kind, {**seed, **hyperparams})
+
     def model_spec(self) -> PredictorSpec:
-        hp = dict(self.model_hyperparams)
-        hp.setdefault("seed", self.seed)
-        return PredictorSpec(self.model_kind, hp)
+        return self._spec(self.model_kind, self.model_hyperparams)
 
     def meta_spec(self) -> PredictorSpec:
-        return PredictorSpec(self.meta_kind, {"seed": self.seed})
+        return self._spec(self.meta_kind, {})
 
     def resolved_augment_seed(self) -> int:
         return self.seed if self.augment_seed is None else self.augment_seed

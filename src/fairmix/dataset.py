@@ -20,15 +20,20 @@ offending row in reading order raises: its cell count, a repeated sample_id,
 then its first offending cell in column order (non-numeric, infinite, then
 the rules in declared order). Rows are joined to the metadata by sample_id
 in metadata order; an id missing on either side is an AlignmentError.
+
+Every file fairmix writes, a saved dataset here and the reports in
+`experiment`, goes through `atomic_write` (temp file, rename, umask mode).
 """
 
 from __future__ import annotations
 
 import csv
 import functools
+import io
 import itertools
 import math
 import os
+import tempfile
 import warnings
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -433,43 +438,61 @@ def load_dataset(manifest_path: str) -> Dataset:
 
 
 # ---------------------------------------------------------------------------
-# saving (round-trips bitwise through repr/float)
+# writing: every file goes through atomic_write
 # ---------------------------------------------------------------------------
 
-def save_dataset(dataset: Dataset, out_dir: str, name: str = "data") -> str:
-    """Write a dataset in manifest+CSV layout; returns the manifest path."""
+def atomic_write(path: str, data: str) -> None:
+    """Write text to path, making its directory: the bytes go to a temporary
+    file beside it, which is renamed over path, so a reader sees the old file
+    or the new one. The file gets the mode open(path, "w") would give, 0o666
+    less the umask; no newline is translated."""
+    d = os.path.dirname(os.path.abspath(path))
+    tmp = None
     try:
-        return _write_dataset(dataset, out_dir, name)
+        os.makedirs(d, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
+        with os.fdopen(fd, "w", newline="", encoding="utf-8") as fh:
+            umask = os.umask(0o077)  # read the umask, then put it back
+            os.umask(umask)
+            os.chmod(tmp, 0o666 & ~umask)
+            fh.write(data)
+        os.replace(tmp, path)
     except OSError as exc:
-        raise DataError(f"cannot write {out_dir}: {exc}") from exc
+        raise DataError(f"cannot write {path}: {exc}") from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
+            os.unlink(tmp)
 
 
-def _write_csv(out_dir: str, fname: str, header: list[str], rows: Iterable) -> str:
-    """Write one CSV file with one writerows call; returns its name."""
-    with open(os.path.join(out_dir, fname), "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerows(itertools.chain([header], rows))
-    return fname
+def csv_text(header: Sequence, rows: Iterable, **fmt) -> str:
+    """A header and rows as CSV text, formatted by csv.writer keyword arguments."""
+    buf = io.StringIO()
+    csv.writer(buf, **fmt).writerows(itertools.chain([header], rows))
+    return buf.getvalue()
 
 
-def _write_dataset(dataset: Dataset, out_dir: str, name: str) -> str:
-    os.makedirs(out_dir, exist_ok=True)
+def save_dataset(dataset: Dataset, out_dir: str, name: str = "data") -> str:
+    """Write a dataset in manifest+CSV layout, the manifest last; returns the
+    manifest path. Values round-trip bitwise through repr/float."""
     ids = dataset.sample_ids()
     lines = []
+
+    def write_csv(fname: str, header: list[str], rows: Iterable) -> str:
+        atomic_write(os.path.join(out_dir, fname), csv_text(header, rows))
+        return fname
+
     for t in dataset.modalities:
         m = t.modality_name
         cells = np.array(list(map(repr, t.samples.ravel().tolist())), object).reshape(t.samples.shape)
         cells[np.isnan(t.samples)] = ""  # repr round-trips doubles exactly; NaN is written empty
-        fname = _write_csv(out_dir, f"{name}_{m}.csv", ["sample_id", *t.feature_names],
-                           zip(ids, *cells.T))
-        lname = _write_csv(out_dir, f"{name}_{m}_levels.csv", ["feature_name", "level"],
-                           [(c.feature_name, c.level) for c in t.column_meta])
+        fname = write_csv(f"{name}_{m}.csv", ["sample_id", *t.feature_names], zip(ids, *cells.T))
+        lname = write_csv(f"{name}_{m}_levels.csv", ["feature_name", "level"],
+                          [(c.feature_name, c.level) for c in t.column_meta])
         lines += [f"modality.{m}={fname}", f"levels.{m}={lname}"]
-    mname = _write_csv(out_dir, f"{name}_metadata.csv",
-                       ["sample_id", "subject_id", "label", *dataset.declared_attributes],
-                       zip(ids, dataset.subject_ids(), dataset.label.tolist(), *dataset.attrs.T.tolist()))
+    mname = write_csv(f"{name}_metadata.csv",
+                      ["sample_id", "subject_id", "label", *dataset.declared_attributes],
+                      zip(ids, dataset.subject_ids(), dataset.label.tolist(), *dataset.attrs.T.tolist()))
     lines += [f"metadata={mname}", f"panas_threshold={dataset.panas_threshold!r}"]
-
     manifest = os.path.join(out_dir, f"{name}_manifest.txt")
-    with open(manifest, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    atomic_write(manifest, "\n".join(lines) + "\n")
     return manifest

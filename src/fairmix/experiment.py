@@ -2,24 +2,21 @@
 fuse -> evaluate pipeline over 5-fold (subject-grouped, label-stratified
 by default) or leave-one-subject-out splits.
 
-The level and descriptor column filters run once per run, before the
-folds are formed. Per fold, `preprocess_fold` fits every transform on the
-training split only and returns that split as a Dataset, which alone is
-augmented; metrics are computed on the pooled out-of-fold predictions.
-`run_arms` preprocesses each fold once and evaluates every augmentation
-arm on it, so arms are paired fold by fold; `run_experiment` is its
-one-arm case. Everything is deterministic given
-the master seed, and report JSON is byte-stable across identical runs.
+`run_arms` puts the rows in sample_id order and runs the level and
+descriptor column filters once, before the folds are formed. Per fold,
+`preprocess_fold` fits every transform on the training split only and
+returns that split as a Dataset, which alone is augmented; metrics are
+computed on the pooled out-of-fold predictions. Every arm is evaluated on
+each fold, so arms are paired fold by fold (`run_experiment` runs one).
+Results depend on the master seed and the rows, not on their order. The
+writers go through `dataset.atomic_write`; `write_json` encodes reports.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
-import io
 import json
-import os
-import tempfile
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -29,10 +26,9 @@ from . import augment as augment_mod
 from . import fusion as fusion_mod
 from . import metrics as metrics_mod
 from .config import PipelineConfig
-from .dataset import ColumnMeta, Dataset, ModalityTable
+from .dataset import ColumnMeta, Dataset, ModalityTable, atomic_write, csv_text
 from .errors import (
     ConfigError,
-    DataError,
     ExperimentError,
     FitError,
     InputError,
@@ -127,9 +123,7 @@ class AttributeReport:
 
 @dataclass
 class EvaluationReport:
-    config: dict
-    seed: int
-    cv_mode: str
+    config: dict  # the flat configuration, seed and cv.mode included
     n_folds: int
     fold_fingerprints: list[str]
     skipped_folds: list[dict]
@@ -149,9 +143,9 @@ class EvaluationReport:
             }
         return {
             "config": self.config,
-            "seed": self.seed,
+            "seed": self.config["seed"],
             "cv": {
-                "mode": self.cv_mode,
+                "mode": self.config["cv.mode"],
                 "n_folds": self.n_folds,
                 "fold_fingerprints": self.fold_fingerprints,
                 "skipped_folds": self.skipped_folds,
@@ -183,6 +177,10 @@ def run_arms(config: PipelineConfig, dataset: Dataset, arms) -> list[EvaluationR
     # the column filters run once per modality, not once per fold
     tables = [select_columns(dataset.modality(m), config.level, config.descriptors) for m in names]
     dataset = dataset.derive(tables, slice(None))
+    # rows in sample_id order, so that no result depends on the input row order
+    order = np.argsort(dataset.sample_id, kind="stable")
+    if (order != np.arange(order.size)).any():  # rows in order already need no copy
+        dataset = dataset.subset(order)
     folds = make_folds(config, dataset)
     if not folds:
         raise ExperimentError("no folds could be formed")
@@ -270,8 +268,6 @@ def _report(config, dataset, n_folds, fingerprints, records, per_fold, skipped):
 
     return EvaluationReport(
         config=config.to_flat_dict(),
-        seed=config.seed,
-        cv_mode=config.cv_mode,
         n_folds=n_folds,
         fold_fingerprints=fingerprints,
         skipped_folds=skipped,
@@ -283,28 +279,16 @@ def _report(config, dataset, n_folds, fingerprints, records, per_fold, skipped):
 
 
 # ---------------------------------------------------------------------------
-# output writers (atomic: write temp then rename)
+# output writers (each through dataset.atomic_write)
 # ---------------------------------------------------------------------------
 
-def atomic_write(path: str, data: str):
-    """Write text to path through a temporary file in the same directory."""
-    d = os.path.dirname(os.path.abspath(path))
-    tmp = None
-    try:
-        os.makedirs(d, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except OSError as exc:
-        raise DataError(f"cannot write {path}: {exc}") from exc
-    finally:
-        if tmp is not None and os.path.exists(tmp):
-            os.unlink(tmp)
+def write_json(path: str, obj):
+    """The one JSON encoding of reports: indented, keys sorted, newline-ended."""
+    atomic_write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def write_report_json(report: EvaluationReport, path: str):
-    atomic_write(path, json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n")
+    write_json(path, report.to_json_dict())
 
 
 def _metric_rows(report: EvaluationReport):
@@ -331,8 +315,9 @@ def write_report_markdown(report: EvaluationReport, path: str):
     lines = [
         "# Evaluation report",
         "",
-        f"- cv mode: {report.cv_mode} ({report.n_folds} folds, {len(report.skipped_folds)} skipped)",
-        f"- seed: {report.seed}",
+        f"- cv mode: {report.config['cv.mode']} ({report.n_folds} folds, "
+        f"{len(report.skipped_folds)} skipped)",
+        f"- seed: {report.config['seed']}",
         f"- augmentation: {report.config.get('augment.method')}",
         "",
         *_metric_table({"Value": report}),
@@ -347,19 +332,12 @@ def write_comparison_markdown(reports: dict[str, EvaluationReport], path: str):
 
 
 def write_predictions_csv(preds: PredictionSet, path: str, attribute_names):
-    def text(quoting):
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n", quoting=quoting)
-        w.writerow(["sample_id", "subject_id", "true_label", "predicted_label",
-                    "proba_0", "proba_1", *attribute_names])
-        w.writerows([r.sample_id, r.subject_id, r.true_label, r.predicted_label,
-                     *r.predicted_proba, *(r.attribute(a) for a in attribute_names)]
-                    for r in preds.records)
-        return buf.getvalue()
-
-    data = text(csv.QUOTE_MINIMAL)
-    if "\r" in data:
-        # csv quotes the terminator "\n" but not a bare "\r", which a reader
-        # takes as a line end; quote every text field instead
-        data = text(csv.QUOTE_NONNUMERIC)
-    atomic_write(path, data)
+    header = ["sample_id", "subject_id", "true_label", "predicted_label",
+              "proba_0", "proba_1", *attribute_names]
+    rows = ([r.sample_id, r.subject_id, r.true_label, r.predicted_label,
+             *r.predicted_proba, *(r.attribute(a) for a in attribute_names)] for r in preds.records)
+    # csv quotes the terminator "\n" but not a bare "\r", which a reader takes
+    # as a line end; a "\r" in any text field has every text field quoted
+    texts = [*attribute_names, *(r.sample_id + r.subject_id for r in preds.records)]
+    quoting = csv.QUOTE_NONNUMERIC if any("\r" in t for t in texts) else csv.QUOTE_MINIMAL
+    atomic_write(path, csv_text(header, rows, lineterminator="\n", quoting=quoting))

@@ -23,8 +23,8 @@ I_up/I_low at that pair only. Every step does the floating-point operations
 of the plain formulas, in their order and on C-ordered operands, so fits are
 bitwise those of the unbuffered loops (tests/test_models.py pins them).
 
-All fits are deterministic given the seed. predict() is the argmax of
-predict_proba(), ties at 0.5 going to class 1.
+All fits are deterministic (SVM and MLP given their seed; logistic takes
+none). predict() is the argmax of predict_proba(), ties at 0.5 going to 1.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ DEFAULT_HYPERPARAMS = {
         "batch_size": 32,
         "seed": 0,
     },
-    "logistic": {"l2": 1e-4, "max_iter": 100, "seed": 0},
+    "logistic": {"l2": 1e-4, "max_iter": 100},
 }
 
 

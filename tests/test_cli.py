@@ -1,6 +1,8 @@
 import json
+import os
 import pathlib
 import re
+import stat
 
 import pytest
 
@@ -253,6 +255,7 @@ class TestConfigRejections:
         ([], "-1", "seed"),
         (["augment.seed=-1"], None, "augment.seed"),
         (["model.seed=-1"], None, "model.seed"),
+        (["model.kind=logistic", "model.seed=3"], None, "model.seed"),  # logistic takes no seed
         (["model.hidden_units=3"], None, "model.hidden_units"),  # not an rbf_svm hyperparameter
         (["model.kind=mlp", "model.learning_rate=nan"], None, "model.learning_rate"),
         (["augment.beta_alpha=inf"], None, "augment.beta_alpha"),
@@ -417,6 +420,34 @@ class TestSynthCommand:
             f"output_dir={workdir / 'out2'}\n"
         )
         assert main(["audit", "--config", str(workdir / "cfg2.txt")]) == 0
+
+
+@pytest.fixture(params=[0o022, 0o077], ids=["umask022", "umask077"])
+def umask(request):
+    old = os.umask(request.param)
+    yield request.param
+    os.umask(old)
+
+
+class TestWriters:
+    @pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
+    def test_every_output_has_the_mode_of_a_plain_open(self, workdir, umask):
+        config = str(workdir / "config.txt")
+        assert main(["audit", "--config", config, "--set", f"output_dir={workdir / 'audit'}"]) == 0
+        assert main(["compare", "--config", config, "--set", f"output_dir={workdir / 'compare'}"]) == 0
+        assert main(["synth", "--spec", str(workdir / "synth.txt"), "--out", str(workdir / "synth")]) == 0
+        assert os.umask(umask) == umask  # the writers left the umask as it was
+        files = sorted(p for d in ("audit", "compare", "synth") for p in (workdir / d).iterdir())
+        assert len(files) == 3 + 5 + 6
+        modes = {str(p.relative_to(workdir)): stat.S_IMODE(p.stat().st_mode) for p in files}
+        assert modes == dict.fromkeys(modes, 0o666 & ~umask)
+
+    def test_synth_below_a_regular_file_exit_3(self, workdir, capsys):
+        (workdir / "file").write_text("")
+        out = workdir / "file" / "ds"
+        assert main(["synth", "--spec", str(workdir / "synth.txt"), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: cannot write {out / 'data_face.csv'}: ")
 
 
 class TestValidate:

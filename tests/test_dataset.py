@@ -1,4 +1,5 @@
 import math
+import os
 import re
 import warnings
 
@@ -10,12 +11,14 @@ from fairmix.dataset import (
     Dataset,
     ModalityTable,
     SampleMeta,
+    atomic_write,
     binarize_panas,
     load_dataset,
     save_dataset,
 )
 from fairmix.errors import (
     AlignmentError,
+    DataError,
     DegenerateGroupWarning,
     InputError,
     ParseError,
@@ -187,6 +190,29 @@ class TestRoundTrip:
         back = load_dataset(save_dataset(ds, str(tmp_path)))
         out = back.modality("m").samples
         assert math.isnan(out[0, 1]) and out[1, 1] == 4.0
+
+
+class TestAtomicWrite:
+    def test_bytes_on_disk_are_the_string(self, tmp_path):
+        atomic_write(str(tmp_path / "sub" / "f.txt"), "a\r\nb\nc\r")
+        assert (tmp_path / "sub" / "f.txt").read_bytes() == b"a\r\nb\nc\r"
+        assert os.listdir(tmp_path / "sub") == ["f.txt"]
+
+    @pytest.mark.parametrize("old", [None, "old text"])
+    def test_failed_replace_leaves_no_temporary_file(self, tmp_path, monkeypatch, old):
+        target = tmp_path / "f.txt"
+        if old is not None:
+            target.write_text(old)
+
+        def refuse(src, dst):
+            raise OSError("replace refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(DataError, match=re.escape(f"cannot write {target}: replace refused")):
+            atomic_write(str(target), "new text")
+        assert os.listdir(tmp_path) == ([] if old is None else ["f.txt"])
+        if old is not None:
+            assert target.read_text() == old
 
 
 class TestAlignmentInvariant:
