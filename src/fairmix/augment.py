@@ -16,6 +16,9 @@ per row of a cell of c >= 2 rows, ``choice(c, 2, replace=False)`` for the
 parents, then ``beta(a, b, size=n_modalities)``; a singleton cell draws
 ``beta(a, b, size=(deficit, n_modalities))``. random_oversample draws
 ``integers(c, size=deficit)`` per cell. Rows are named after the method run.
+mixfeat's pair draws keep this stream: their integers are replayed by numpy's
+Lemire rule on ``bit_generator.ctypes.next_uint32``, the state ``beta`` reads
+too, which skips the per-call cost of ``integers``.
 """
 
 from __future__ import annotations
@@ -61,10 +64,22 @@ def mix_pair(row_i: np.ndarray, row_j: np.ndarray, lam) -> np.ndarray:
     return lam * np.asarray(row_i, dtype=float) + (1.0 - lam) * np.asarray(row_j, dtype=float)
 
 
-def _two_distinct(integers, c: int) -> tuple[int, int]:
+def _below(next32, state, c: int) -> int:
+    """rng.integers(c) for 1 <= c <= 2**32, replayed on the bit generator's
+    next_uint32 by numpy's rule (Lemire's multiply-shift with rejection)."""
+    if c == 1:
+        return 0  # numpy draws nothing for a one-value range
+    threshold = (2**32 - c) % c  # low words below it would bias the result
+    m = next32(state) * c
+    while m & 0xFFFFFFFF < threshold:
+        m = next32(state) * c
+    return m >> 32
+
+
+def _two_distinct(next32, state, c: int) -> tuple[int, int]:
     """rng.choice(c, 2, replace=False) from its own three draws (Floyd's
-    sampling, then a swap) at a third of the overhead; integers = rng.integers."""
-    i, j, keep = integers(c - 1), integers(c), integers(2)
+    sampling, then a swap), each drawn by `_below`."""
+    i, j, keep = _below(next32, state, c - 1), _below(next32, state, c), _below(next32, state, 2)
     if j == i:
         j = c - 1
     return (i, j) if keep else (j, i)
@@ -87,6 +102,8 @@ def synthesize(train: Dataset, method: str, seed: int,
     deficits = [(rows, target - len(rows)) for rows in cells.values() if len(rows) < target]
     rng = np.random.default_rng(seed)
     integers, beta, n_modalities = rng.integers, rng.beta, len(train.modalities)
+    bits = rng.bit_generator.ctypes  # the state rng draws from, so beta keeps its place
+    next32, state = bits.next_uint32, bits.state
     n = sum(deficit for _, deficit in deficits)
     parent_i, parent_j, lams = np.empty(n, int), np.empty(n, int), np.empty((n, n_modalities))
     end = 0
@@ -102,7 +119,7 @@ def synthesize(train: Dataset, method: str, seed: int,
         else:
             picks = np.empty((deficit, 2), int)
             for pick, lam in zip(picks, lams[at]):
-                pick[:] = _two_distinct(integers, len(rows))
+                pick[:] = _two_distinct(next32, state, len(rows))
                 lam[:] = beta(beta_alpha, beta_beta, size=n_modalities)
             parent_i[at], parent_j[at] = rows[picks.T]
     prefix = f"syn-{method}-"

@@ -61,6 +61,11 @@ class PredictorSpec:
     def __post_init__(self):
         if self.kind not in DEFAULT_HYPERPARAMS:
             raise InputError(f"unknown model kind {self.kind!r}")
+        takes = DEFAULT_HYPERPARAMS[self.kind]
+        for name in self.hyperparams:
+            if name not in takes:
+                raise InputError(f"{name}: model kind {self.kind!r} takes no such "
+                                 f"hyperparameter; it takes {sorted(takes)}")
         hp = self.resolved()
         # each check covers the kinds that take the hyperparameter (SMO stops on
         # tol, so 0 never stops); messages start with its name (config adds "model.")

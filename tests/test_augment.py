@@ -3,7 +3,9 @@ import hashlib
 import numpy as np
 import pytest
 
-from fairmix.augment import MixFeatConfig, _two_distinct, augment_dataset, mix_pair, synthesize
+from fairmix.augment import (
+    MixFeatConfig, _below, _two_distinct, augment_dataset, mix_pair, synthesize,
+)
 from fairmix.dataset import ColumnMeta, Dataset, ModalityTable
 from fairmix.errors import InputError
 
@@ -285,7 +287,24 @@ class TestTwoDistinct:
         # sized beta; the cheaper draw must give the same pairs and leave the
         # generator in the same state
         ours, ref = np.random.default_rng(c), np.random.default_rng(c)
+        bits = ours.bit_generator.ctypes
         for _ in range(300):
-            assert _two_distinct(ours.integers, c) == tuple(ref.choice(c, 2, replace=False))
+            assert _two_distinct(bits.next_uint32, bits.state, c) == tuple(ref.choice(c, 2, replace=False))
             np.testing.assert_array_equal(ours.beta(0.4, 2.0, size=3), ref.beta(0.4, 2.0, size=3))
+        assert ours.bit_generator.state == ref.bit_generator.state
+
+
+class TestBelow:
+    def test_replays_integers(self):
+        # _below re-implements numpy's bounded-integer rule on next_uint32; if a
+        # numpy release changes that rule, this fails before any report digest
+        # moves. 2**31 + 5 rejects almost half its draws, so the loop runs.
+        bounds = [1, 2, 3, 7, 1000, 2**31 + 5, 2**32 - 1, 2**32]
+        ours, ref = np.random.default_rng(17), np.random.default_rng(17)
+        bits = ours.bit_generator.ctypes
+        for k in range(2400):
+            c = bounds[k % len(bounds)]
+            assert _below(bits.next_uint32, bits.state, c) == ref.integers(c)
+            if k % 3 == 0:
+                np.testing.assert_array_equal(ours.beta(0.4, 2.0, size=2), ref.beta(0.4, 2.0, size=2))
         assert ours.bit_generator.state == ref.bit_generator.state

@@ -8,6 +8,7 @@ from fairmix.config import PipelineConfig
 from fairmix.errors import ExperimentError, FitError, InputError, ShapeError
 from fairmix.experiment import run_experiment
 from fairmix.models import (
+    DEFAULT_HYPERPARAMS,
     PredictorSpec,
     fit,
     mlp_loss_and_grads,
@@ -40,6 +41,17 @@ class TestSpecValidation:
     def test_bad_hidden_units(self):
         with pytest.raises(InputError):
             PredictorSpec("mlp", {"hidden_units": 0})
+
+    @pytest.mark.parametrize("kind,hp", [
+        ("logistic", {"seed": 5}),
+        ("logistic", {"l2": 0.1, "hidden_units": 3, "seed": 5}),
+        ("rbf_svm", {"epochs": 10}),
+    ])
+    def test_hyperparameter_of_another_kind(self, kind, hp):
+        # names the first key its kind does not take, instead of carrying it
+        first = next(name for name in hp if name not in DEFAULT_HYPERPARAMS[kind])
+        with pytest.raises(InputError, match=f"^{first}: model kind '{kind}' takes no"):
+            PredictorSpec(kind, hp)
 
 
 class TestFitContract:
@@ -81,8 +93,9 @@ class TestAllModels:
     def test_seed_determinism(self, kind, hp):
         X, y = blobs(seed=3)
         Xt = np.random.default_rng(9).normal(2, 2, size=(15, 2))
-        a = fit(PredictorSpec(kind, {**hp, "seed": 5}), X, y)
-        b = fit(PredictorSpec(kind, {**hp, "seed": 5}), X, y)
+        hp = {**hp, "seed": 5} if "seed" in DEFAULT_HYPERPARAMS[kind] else hp  # logistic takes none
+        a = fit(PredictorSpec(kind, hp), X, y)
+        b = fit(PredictorSpec(kind, hp), X, y)
         np.testing.assert_array_equal(a.predict_proba(Xt), b.predict_proba(Xt))
 
 
