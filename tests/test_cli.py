@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import pathlib
@@ -471,3 +472,38 @@ class TestBundledData:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["overall"]["n_predictions"] == 80
         assert set(report["per_attribute"]) == {"gender", "race"}
+
+
+class TestBundledBytes:
+    """The files of the bundled `audit` and `compare` are pinned byte for
+    byte; in report.json the absolute manifest path reads "<manifest>"."""
+
+    DIGESTS = {
+        "audit": {
+            "predictions.csv": "e11d831e6e5c128a214677fea86134b40827450ee79fd548815d26d5868150cc",
+            "report.json": "b872cfb163c9561bd551aadc2b4112b551a98dd49df9c8e383c82d8a2bb43588",
+            "report.md": "d0aadafececf26cb7c16e435d75c3292342dafb0146e1d1970c7dd31bcc1b237",
+        },
+        "compare": {
+            "predictions_mixfeat.csv": "cc2bcc2d730ab07a848a5e55128ec7064ea03e63108204a4ef0ec66bc3433cd0",
+            "predictions_none.csv": "e11d831e6e5c128a214677fea86134b40827450ee79fd548815d26d5868150cc",
+            "predictions_random_oversample.csv":
+                "211a2d2b70d8ff1d0272e17ce1c797d325336def6ed975ef196b7e8145a4bf7f",
+            "report.json": "7aa459382c0661a2623e7f1d59f9916592347ce137a99b04df4c6434a96ff8fb",
+            "report.md": "e11c6bafbcea82f1a08364a8306b97564289c50a4598aac710cc219cf839237c",
+        },
+    }
+
+    @pytest.mark.parametrize("command", sorted(DIGESTS))
+    def test_outputs_match_pinned_digests(self, command, tmp_path):
+        assert main([command, "--config", str(BUNDLED_AUDIT.with_name(f"{command}_config.txt")),
+                     "--set", f"output_dir={tmp_path}"]) == 0
+        manifest = json.dumps(str(BUNDLED_AUDIT.with_name("demo_manifest.txt"))).encode()
+        digests = {}
+        for path in sorted(tmp_path.iterdir()):
+            data = path.read_bytes()
+            if path.name == "report.json":
+                assert manifest in data
+                data = data.replace(manifest, b'"<manifest>"')
+            digests[path.name] = hashlib.sha256(data).hexdigest()
+        assert digests == self.DIGESTS[command]
