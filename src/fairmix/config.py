@@ -8,7 +8,7 @@ field (defaults in parentheses):
     dataset.manifest=<path>        | dataset.synth=<synth spec path>   (exactly one)
     modalities=<comma list>        (all modalities in the dataset)
     features.level=all|high|low    (all)
-    features.descriptors=<comma list of descriptor names>   (no mask)
+    features.descriptors=<non-empty comma list of descriptor names>   (no mask)
     pca.enabled=true|false         (true)
     pca.target_ratio=<real in (0, 1]>   (0.8)
     augment.method=none|random_oversample|mixfeat   (none)
@@ -119,7 +119,8 @@ class PipelineConfig:
     level: str = _key("features.level", _one_of(("all", *LEVELS)), "all")
     descriptors: Optional[tuple[str, ...]] = _key(
         "features.descriptors",
-        _parser(_names, f"names from {DESCRIPTOR_ORDER}", set(DESCRIPTOR_ORDER).issuperset),
+        _parser(_names, f"one or more names from {DESCRIPTOR_ORDER}",
+                lambda v: v and set(DESCRIPTOR_ORDER).issuperset(v)),
         report=_listed,
     )
     pca_enabled: bool = _key("pca.enabled", _parse_bool, True)

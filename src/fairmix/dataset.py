@@ -9,7 +9,8 @@ A dataset is described by a plain-text manifest of key=value lines:
 
 Any other key, an empty modality name, a ``levels.<name>`` without its
 modality, or a levels row naming a feature that its modality lacks is a
-SchemaError; so is a feature named twice in a levels file or feature header.
+SchemaError; so is a feature named twice in a levels file or feature header,
+and a metadata attribute column named like one of the three fixed columns.
 
 A feature CSV is ``sample_id`` plus one or more numeric features; a levels
 CSV is exactly ``feature_name,level`` (high or low); the metadata CSV is
@@ -359,6 +360,9 @@ def _load_metadata_csv(path: str, threshold: float):
         raise SchemaError(f"{path}: third metadata column must be 'pa_score' or 'label'")
     outcome_col = header[2]
     attr_names = tuple(header[3:])
+    repeat = next((c for c in attr_names if c in header[:3]), None)
+    if repeat is not None:
+        raise SchemaError(f"{path}: row 1: column {repeat!r} is named more than once")
     if not rows:
         raise SchemaError(f"{path}: no data rows")
 

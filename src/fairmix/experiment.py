@@ -5,9 +5,9 @@ by default) or leave-one-subject-out splits.
 `run_arms` puts the rows in sample_id order and runs the level and
 descriptor column filters once, before the folds are formed. Per fold,
 `preprocess_fold` fits every transform on the training split only and
-returns that split as a Dataset, which alone is augmented; metrics are
-computed on the pooled out-of-fold predictions. Every arm is evaluated on
-each fold, so arms are paired fold by fold (`run_experiment` runs one).
+returns that split as a Dataset, which alone is augmented; each arm's
+out-of-fold predictions stay arrays until `_report` pools them. Arms are
+paired: each is evaluated on every fold (`run_experiment` runs one).
 Results depend on the master seed and the rows, not on their order. The
 writers go through `dataset.atomic_write`; `write_json` encodes reports.
 """
@@ -184,17 +184,15 @@ def run_arms(config: PipelineConfig, dataset: Dataset, arms) -> list[EvaluationR
     folds = make_folds(config, dataset)
     if not folds:
         raise ExperimentError("no folds could be formed")
-    sample_ids, subject_ids = dataset.sample_ids(), dataset.subject_ids()
-    true_labels = dataset.label.tolist()
-    attr_rows = [tuple(zip(dataset.declared_attributes, row)) for row in dataset.attrs.tolist()]
     spec = fusion_mod.FusionSpec(config.fusion_strategy, config.model_spec(), config.meta_spec())
     arm_cfgs = [replace(config, augment_method=m, augment_seed=s) for m, s in arms]
-    # per arm: prediction records, per-fold entries, skipped folds
+    # per arm: a (test rows, predicted labels, probabilities) block per kept
+    # fold, per-fold entries, skipped folds
     results = [([], [], []) for _ in arm_cfgs]
 
     fingerprints = []
     for f, (train_idx, test_idx) in enumerate(folds):
-        fingerprints.append(_fingerprint([sample_ids[i] for i in test_idx]))
+        fingerprints.append(_fingerprint(dataset.sample_id[test_idx].tolist()))
         try:
             if len(np.unique(dataset.label[train_idx])) < 2:
                 raise FitError("single-class training split")
@@ -203,7 +201,7 @@ def run_arms(config: PipelineConfig, dataset: Dataset, arms) -> list[EvaluationR
             for _, _, skipped in results:
                 skipped.append({"fold": f, "reason": str(exc)})
             continue
-        for arm_cfg, (records, per_fold, skipped) in zip(arm_cfgs, results):
+        for arm_cfg, (blocks, per_fold, skipped) in zip(arm_cfgs, results):
             try:
                 train_ds = fold_ds
                 if arm_cfg.augment_method != "none":
@@ -221,50 +219,50 @@ def run_arms(config: PipelineConfig, dataset: Dataset, arms) -> list[EvaluationR
             except FitError as exc:
                 skipped.append({"fold": f, "reason": str(exc)})
                 continue
-            records += [
-                PredictionRecord(sample_ids[i], subject_ids[i], true_labels[i], label,
-                                 tuple(proba), attr_rows[i])
-                for i, label, proba in zip(test_idx, pred_labels.tolist(), pred_probas.tolist())
-            ]
-            fold_preds = PredictionSet(records[-len(test_idx):])
+            blocks.append((test_idx, pred_labels, pred_probas))
             per_fold.append({"fold": f, "n_test": int(len(test_idx)),
-                             "test_subjects": sorted({subject_ids[i] for i in test_idx}),
-                             "accuracy": metrics_mod.accuracy(fold_preds)})
+                             "test_subjects": sorted(set(dataset.subject_id[test_idx].tolist())),
+                             "accuracy": metrics_mod.accuracy(dataset.label[test_idx],
+                                                              pred_labels)})
     return [_report(c, dataset, len(folds), fingerprints, *r) for c, r in zip(arm_cfgs, results)]
 
 
-def _report(config, dataset, n_folds, fingerprints, records, per_fold, skipped):
-    """Pooled metrics of one arm's out-of-fold predictions."""
-    if not records:
+def _report(config, dataset, n_folds, fingerprints, blocks, per_fold, skipped):
+    """Pooled metrics of one arm's out-of-fold blocks, then its records."""
+    if not blocks:
         reasons = sorted({s["reason"] for s in skipped})
         raise ExperimentError(f"every fold was skipped: {'; '.join(reasons)}")
 
-    preds = PredictionSet(records)
-    flags = [f"class-{c}-absent-from-truths" for c in metrics_mod.missing_truth_classes(preds)]
+    rows, pred, proba = (np.concatenate(column) for column in zip(*blocks))
+    truth, attrs = dataset.label[rows], dataset.attrs[rows]
+    flags = [f"class-{c}-absent-from-truths" for c in metrics_mod.missing_truth_classes(truth)]
     try:
-        f1_value = metrics_mod.f1(preds)
+        f1_value = metrics_mod.f1(truth, pred)
     except InputError:
         f1_value = 0.0
         flags.append("f1-degenerate")
     overall = {
-        "accuracy": metrics_mod.accuracy(preds),
+        "accuracy": metrics_mod.accuracy(truth, pred),
         "f1": f1_value,
-        "uar": metrics_mod.uar(preds),
-        "n_predictions": len(preds),
+        "uar": metrics_mod.uar(truth, pred),
+        "n_predictions": len(rows),
         "flags": flags,
     }
-    per_attr = {}
-    for a in dataset.declared_attributes:
-        av = preds.attribute_values(a)
-        sizes = {"0": int((av == 0).sum()), "1": int((av == 1).sum())}
+    per_attr, names = {}, dataset.declared_attributes
+    for a, group in zip(names, attrs.T):
+        sizes = {"0": int((group == 0).sum()), "1": int((group == 1).sum())}
         try:
             per_attr[a] = AttributeReport(
-                ea=metrics_mod.equal_accuracy(preds, a),
-                di=metrics_mod.disparate_impact(preds, a),
+                ea=metrics_mod.equal_accuracy(truth, pred, group),
+                di=metrics_mod.disparate_impact(pred, group),
                 group_sizes=sizes,
             )
         except MetricUndefinedError as exc:
-            per_attr[a] = AttributeReport(ea=None, di=None, group_sizes=sizes, error=str(exc))
+            per_attr[a] = AttributeReport(ea=None, di=None, group_sizes=sizes,
+                                          error=f"attribute {a!r}: {exc}")
+    columns = (dataset.sample_id[rows], dataset.subject_id[rows], truth, pred, proba, attrs)
+    records = [PredictionRecord(sid, subj, t, p, tuple(pp), tuple(zip(names, av)))
+               for sid, subj, t, p, pp, av in zip(*(c.tolist() for c in columns))]
 
     return EvaluationReport(
         config=config.to_flat_dict(),
@@ -274,7 +272,7 @@ def _report(config, dataset, n_folds, fingerprints, records, per_fold, skipped):
         overall=overall,
         per_attribute=per_attr,
         per_fold=per_fold,
-        predictions=preds,
+        predictions=PredictionSet(records),
     )
 
 

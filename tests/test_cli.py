@@ -132,6 +132,8 @@ class TestAudit:
         assert rc == 0
         data = json.loads((workdir / "out" / "report.json").read_text())
         assert data["per_attribute"]["gender"]["ea"] is None
+        assert data["per_attribute"]["gender"]["di_reason"] == (
+            "attribute 'gender': group A=0 (minority) is empty")
 
     def test_env_seed_override(self, workdir, monkeypatch):
         monkeypatch.setenv("FAIRMIX_SEED", "99")
@@ -269,6 +271,7 @@ class TestConfigRejections:
         (["model.kind=mlp", "model.l2=-5"], None, "model.l2"),
         (["model.kind=mlp", "model.learning_rate=0"], None, "model.learning_rate"),
         (["model.kind=mlp", "model.batch_size=0"], None, "model.batch_size"),
+        (["features.descriptors="], None, "features.descriptors"),  # an empty mask is not no mask
     ])
     def test_rejected_with_exit_2(self, command, overrides, env_seed, key, tmp_path,
                                   monkeypatch, capsys):
@@ -366,8 +369,9 @@ class TestKeyValueSyntax:
 
 class TestLoaderErrors:
     """A feature named twice, an empty modality name, a feature row missing
-    from the metadata, a feature file without feature columns and a levels
-    row with extra cells are data errors (exit 3)."""
+    from the metadata, a feature file without feature columns, a levels row
+    with extra cells and a metadata attribute named like a fixed column are
+    data errors (exit 3)."""
 
     # the file edited in a materialized dataset, the edit, and what the
     # message names
@@ -385,6 +389,9 @@ class TestLoaderErrors:
                                "no feature columns after 'sample_id'"),
         "levels_extra_cells": ("data_face_levels.csv", lambda t: t + "face_f9,low,oops\n",
                                "expected 2 cells, got 3"),
+        "attribute_repeats_subject_id": ("data_metadata.csv",
+                                         lambda t: t.replace("label,gender", "label,subject_id", 1),
+                                         "row 1: column 'subject_id' is named more than once"),
     }
 
     @pytest.mark.parametrize("case", sorted(EDITS))

@@ -354,6 +354,13 @@ class TestLoadErrorMessages:
          "row 3: attribute 'gender' must be 0 or 1, got '2'"),
         (META2.replace("c1,s1,1,0,1", "c1,s1,2,x,1"), ParseError,
          "row 3: label must be 0 or 1, got '2'"),
+        # an attribute may not repeat one of the three fixed columns
+        (META2.replace("label,gender", "label,subject_id"), SchemaError,
+         "row 1: column 'subject_id' is named more than once"),
+        (META2.replace("gender,race", "gender,sample_id"), SchemaError,
+         "row 1: column 'sample_id' is named more than once"),
+        (META.replace("gender", "label", 1), SchemaError,
+         "row 1: column 'label' is named more than once"),
     ])
     def test_metadata_file(self, tmp_path, meta, error, message):
         exc = load_error(tmp_path, meta=meta)

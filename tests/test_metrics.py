@@ -8,8 +8,6 @@ import pytest
 
 from fairmix.errors import InputError, MetricUndefinedError
 from fairmix.metrics import (
-    PredictionRecord,
-    PredictionSet,
     accuracy,
     disparate_impact,
     equal_accuracy,
@@ -18,14 +16,9 @@ from fairmix.metrics import (
 )
 
 
-def preds_from(truth, pred, attr, proba=None):
-    records = []
-    for i, (t, p, a) in enumerate(zip(truth, pred, attr)):
-        pp = proba[i] if proba is not None else (1.0 - p, float(p))
-        records.append(
-            PredictionRecord(f"id{i}", f"s{i}", int(t), int(p), tuple(pp), (("g", int(a)),))
-        )
-    return PredictionSet(records)
+def preds_from(truth, pred, attr):
+    """The true labels, predicted labels and group column as int arrays."""
+    return tuple(np.asarray(x, dtype=int) for x in (truth, pred, attr))
 
 
 # -- oracle: literal counting with Fractions ---------------------------------
@@ -68,58 +61,62 @@ class TestHandExamples:
         truth = [0] * 10 + [0] * 20
         pred = [1] * 2 + [0] * 8 + [1] * 7 + [0] * 13
         attr = [1] * 10 + [0] * 20
-        assert equal_accuracy(preds_from(truth, pred, attr), "g") == pytest.approx(0.15, abs=1e-15)
+        assert equal_accuracy(*preds_from(truth, pred, attr)) == pytest.approx(0.15, abs=1e-15)
 
     def test_ea_perfect_classifier(self):
-        p = preds_from([0, 1, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1])
-        assert equal_accuracy(p, "g") == 0.0
+        t, p, g = preds_from([0, 1, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1])
+        assert equal_accuracy(t, p, g) == 0.0
 
     def test_ea_extreme_gap(self):
         truth = [1, 1, 0, 0]
         pred = [0, 0, 0, 0]  # group 0 fully wrong, group 1 perfect
         attr = [0, 0, 1, 1]
-        assert equal_accuracy(preds_from(truth, pred, attr), "g") == 1.0
+        assert equal_accuracy(*preds_from(truth, pred, attr)) == 1.0
 
     def test_di_ratio(self):
         pred = [1] * 3 + [0] * 7 + [1] * 6 + [0] * 4
         attr = [0] * 10 + [1] * 10
-        r = disparate_impact(preds_from([0] * 20, pred, attr), "g")
+        _, p, g = preds_from([0] * 20, pred, attr)
+        r = disparate_impact(p, g)
         assert r.value == pytest.approx(0.5, abs=1e-15)
 
     def test_di_equal_rates_is_one(self):
-        r = disparate_impact(preds_from([0, 0, 0, 0], [1, 0, 1, 0], [0, 0, 1, 1]), "g")
+        _, p, g = preds_from([0, 0, 0, 0], [1, 0, 1, 0], [0, 0, 1, 1])
+        r = disparate_impact(p, g)
         assert r.value == 1.0
 
     def test_di_div_by_zero(self):
-        r = disparate_impact(preds_from([0, 0], [1, 0], [0, 1]), "g")
+        _, p, g = preds_from([0, 0], [1, 0], [0, 1])
+        r = disparate_impact(p, g)
         assert not r.defined and r.reason == "div-by-zero"
 
     def test_di_zero_over_zero(self):
-        r = disparate_impact(preds_from([0, 0], [0, 0], [0, 1]), "g")
+        _, p, g = preds_from([0, 0], [0, 0], [0, 1])
+        r = disparate_impact(p, g)
         assert not r.defined and r.reason == "0/0"
 
     def test_empty_group_raises(self):
-        with pytest.raises(MetricUndefinedError):
-            equal_accuracy(preds_from([0, 1], [0, 1], [1, 1]), "g")
+        with pytest.raises(MetricUndefinedError, match=r"^group A=0 \(minority\) is empty$"):
+            equal_accuracy(*preds_from([0, 1], [0, 1], [1, 1]))
 
     def test_uar_mixed_recalls(self):
         # class 0 recall 0.5, class 1 recall 1.0 -> 0.75
-        p = preds_from([0, 0, 1, 1], [0, 1, 1, 1], [0, 1, 0, 1])
-        assert uar(p) == 0.75
+        t, p, _ = preds_from([0, 0, 1, 1], [0, 1, 1, 1], [0, 1, 0, 1])
+        assert uar(t, p) == 0.75
 
     def test_all_positive_predictions(self):
-        p = preds_from([0, 0, 1, 1], [1, 1, 1, 1], [0, 1, 0, 1])
-        assert accuracy(p) == 0.5
-        assert uar(p) == 0.5
-        assert f1(p) == pytest.approx(2 / 3, abs=1e-15)
+        t, p, _ = preds_from([0, 0, 1, 1], [1, 1, 1, 1], [0, 1, 0, 1])
+        assert accuracy(t, p) == 0.5
+        assert uar(t, p) == 0.5
+        assert f1(t, p) == pytest.approx(2 / 3, abs=1e-15)
 
     def test_perfect(self):
-        p = preds_from([0, 1], [0, 1], [0, 1])
-        assert accuracy(p) == f1(p) == uar(p) == 1.0
+        t, p, _ = preds_from([0, 1], [0, 1], [0, 1])
+        assert accuracy(t, p) == f1(t, p) == uar(t, p) == 1.0
 
     def test_f1_undefined(self):
         with pytest.raises(InputError):
-            f1(preds_from([0, 0], [0, 0], [0, 1]))
+            f1(*preds_from([0, 0], [0, 0], [0, 1])[:2])
 
 
 class TestOracleEquivalence:
@@ -130,21 +127,21 @@ class TestOracleEquivalence:
             truth = rng.integers(0, 2, n)
             pred = rng.integers(0, 2, n)
             attr = rng.integers(0, 2, n)
-            p = preds_from(truth, pred, attr)
+            t, p, g = preds_from(truth, pred, attr)
             o = oracle_metrics(list(truth), list(pred), list(attr))
-            assert abs(accuracy(p) - float(o["accuracy"])) <= 1e-12
-            assert abs(uar(p) - float(o["uar"])) <= 1e-12
+            assert abs(accuracy(t, p) - float(o["accuracy"])) <= 1e-12
+            assert abs(uar(t, p) - float(o["uar"])) <= 1e-12
             if o["f1"] is None:
                 with pytest.raises(InputError):
-                    f1(p)
+                    f1(t, p)
             else:
-                assert abs(f1(p) - float(o["f1"])) <= 1e-12
+                assert abs(f1(t, p) - float(o["f1"])) <= 1e-12
             if o["ea"] == "empty-group":
                 with pytest.raises(MetricUndefinedError):
-                    equal_accuracy(p, "g")
+                    equal_accuracy(t, p, g)
             else:
-                assert abs(equal_accuracy(p, "g") - float(o["ea"])) <= 1e-12
-                di = disparate_impact(p, "g")
+                assert abs(equal_accuracy(t, p, g) - float(o["ea"])) <= 1e-12
+                di = disparate_impact(p, g)
                 if isinstance(o["di"], str):
                     assert not di.defined and di.reason == o["di"]
                 else:
@@ -157,11 +154,10 @@ class TestScaleInvariance:
         n = 25
         truth, pred, attr = (rng.integers(0, 2, n) for _ in range(3))
         attr[:2] = [0, 1]
-        proba = rng.random(n)
-        proba = np.column_stack([1 - proba, proba])
-        a = preds_from(truth, pred, attr, proba)
+        rng.random(n)  # keeps the generator where it was, so the permutation is unchanged
+        a = preds_from(truth, pred, attr)
         perm = rng.permutation(n)
-        b = preds_from(truth[perm], pred[perm], attr[perm])  # no probas, shuffled
-        assert equal_accuracy(a, "g") == equal_accuracy(b, "g")
-        da, db = disparate_impact(a, "g"), disparate_impact(b, "g")
+        b = preds_from(truth[perm], pred[perm], attr[perm])  # shuffled
+        assert equal_accuracy(*a) == equal_accuracy(*b)
+        da, db = disparate_impact(*a[1:]), disparate_impact(*b[1:])
         assert (da.value, da.reason) == (db.value, db.reason)

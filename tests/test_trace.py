@@ -38,6 +38,7 @@ def test_traced_run_counts_every_layer_and_restores_the_originals(harness):
     m = harness.layer_metrics(tracer.spans, tracer.counts)
     assert m["augment.calls"] > 0 and m["augment.synthetic_rows"] > 0
     assert m["preprocess.pca_calls"] > 0
+    assert m["metrics.calls"] > 0
     for kind in ("logistic", "rbf_svm", "mlp"):
         assert m[f"models.fit_calls.{kind}"] > 0, kind
         assert m[f"models.fit_rows.{kind}"] > 0, kind
