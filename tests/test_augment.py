@@ -8,6 +8,7 @@ from fairmix.augment import (
 )
 from fairmix.dataset import ColumnMeta, Dataset, ModalityTable
 from fairmix.errors import InputError
+from fairmix.synthgen import SynthSpec, generate
 
 from conftest import make_dataset
 
@@ -278,6 +279,25 @@ class TestPinnedOutput:
         out, parent_i, parent_j, lams = synthesize(ds, "mixfeat", 17, a, b)
         assert dataset_digest(out) == self.CASES["mixfeat", a, b]
         assert len(parent_i) == len(parent_j) == len(lams) == out.n_samples - ds.n_samples
+
+    # the first 4,000 rows of the benchmark's many_rows shape: cells of
+    # hundreds of rows, where the pinned dataset above has at most 7
+    MANY_ROWS = {
+        ("mixfeat", 1.0, 1.0): "805fa71517a38b047823c8d5e929ded2e9bac5f102c740e80d466f35f98fe2c0",
+        ("mixfeat", 0.4, 2.0): "ea1515b314a71b021a322246c2d99e938d9861c328732dba6d76c54161350ded",
+        ("random_oversample", 1.0, 1.0): "1b6f875f07d4769023d40d743c44953d597c5ae64a19acb4cbecc7149997284b",
+    }
+
+    @pytest.mark.parametrize("method,a,b", sorted(MANY_ROWS))
+    def test_synthesize_digest_on_large_cells(self, method, a, b):
+        spec = SynthSpec(n_subjects=1000, sessions_per_subject=5,
+                         attribute_props=(("gender", 0.75), ("race", 0.7)), seed=3)
+        ds = generate(spec).subset(range(4000))
+        out, parent_i, parent_j, lams = synthesize(ds, method, 29, a, b)
+        h = hashlib.sha256(dataset_digest(out).encode())
+        h.update(parent_i.astype("<i8").tobytes() + parent_j.astype("<i8").tobytes())
+        h.update(np.ascontiguousarray(lams, "<f8").tobytes())
+        assert h.hexdigest() == self.MANY_ROWS[method, a, b]
 
 
 class TestTwoDistinct:
