@@ -16,9 +16,13 @@ per row of a cell of c >= 2 rows, ``choice(c, 2, replace=False)`` for the
 parents, then ``beta(a, b, size=n_modalities)``; a singleton cell draws
 ``beta(a, b, size=(deficit, n_modalities))``. random_oversample draws
 ``integers(c, size=deficit)`` per cell. Rows are named after the method run.
-mixfeat's pair draws keep this stream: their integers are replayed by numpy's
-Lemire rule on ``bit_generator.ctypes.next_uint32``, the state ``beta`` reads
-too, which skips the per-call cost of ``integers``.
+mixfeat's choice is replayed in one loop per cell on the state ``beta`` reads,
+through ``bit_generator.ctypes.next_uint32``, which skips the per-call cost of
+``choice``: Floyd's sampling draws ``integers(c - 1)`` and ``integers(c)`` (a
+repeat takes c - 1), then a shuffle draws ``integers(2)`` and swaps on 0.
+Each integers(k) is numpy's rule (Lemire, ACM TOMACS 2019): the high word of
+a uint32 times k, redrawn while the low word is below ``(2**32 - k) % k``;
+k = 1 draws nothing.
 """
 
 from __future__ import annotations
@@ -48,14 +52,12 @@ class MixFeatConfig:
 
 def _cells_of(train: Dataset) -> dict[CellKey, np.ndarray]:
     """Row indices (ascending) of every non-empty cell, in cell-key order."""
-    keys, cell_of_row = np.unique(
-        np.column_stack([train.attrs, train.label]), axis=0, return_inverse=True
-    )
-    cell_of_row = cell_of_row.reshape(-1)
-    return {
-        (tuple(key[:-1]), key[-1]): np.flatnonzero(cell_of_row == c)
-        for c, key in enumerate(keys.tolist())
-    }
+    table = np.column_stack([train.attrs, train.label])
+    order = np.lexsort(table.T[::-1])  # stable; the first attribute is the primary key
+    ordered = table[order]
+    cuts = np.flatnonzero((ordered[1:] != ordered[:-1]).any(axis=1)) + 1
+    keys = ordered[np.r_[0, cuts]].tolist()
+    return {(tuple(key[:-1]), key[-1]): rows for key, rows in zip(keys, np.split(order, cuts))}
 
 
 def mix_pair(row_i: np.ndarray, row_j: np.ndarray, lam) -> np.ndarray:
@@ -64,25 +66,28 @@ def mix_pair(row_i: np.ndarray, row_j: np.ndarray, lam) -> np.ndarray:
     return lam * np.asarray(row_i, dtype=float) + (1.0 - lam) * np.asarray(row_j, dtype=float)
 
 
-def _below(next32, state, c: int) -> int:
-    """rng.integers(c) for 1 <= c <= 2**32, replayed on the bit generator's
-    next_uint32 by numpy's rule (Lemire's multiply-shift with rejection)."""
-    if c == 1:
-        return 0  # numpy draws nothing for a one-value range
-    threshold = (2**32 - c) % c  # low words below it would bias the result
-    m = next32(state) * c
-    while m & 0xFFFFFFFF < threshold:
+def _mix_cell(rng, c: int, deficit: int, a: float, b: float, n_modalities: int):
+    """`deficit` rows of rng.choice(c, 2, replace=False), c >= 2, each then
+    rng.beta(a, b, size=n_modalities), the choice replayed as the module
+    says: the pairs flat (first, second, first, ...) and the weight rows."""
+    bits = rng.bit_generator.ctypes
+    next32, state, beta = bits.next_uint32, bits.state, rng.beta
+    below_i, below_j = (2**32 - c + 1) % (c - 1), (2**32 - c) % c
+    pairs, weights = [], []
+    for _ in range(deficit):
+        i = 0  # integers(1) draws nothing
+        if c > 2:
+            m = next32(state) * (c - 1)
+            while m & 0xFFFFFFFF < below_i:
+                m = next32(state) * (c - 1)
+            i = m >> 32
         m = next32(state) * c
-    return m >> 32
-
-
-def _two_distinct(next32, state, c: int) -> tuple[int, int]:
-    """rng.choice(c, 2, replace=False) from its own three draws (Floyd's
-    sampling, then a swap), each drawn by `_below`."""
-    i, j, keep = _below(next32, state, c - 1), _below(next32, state, c), _below(next32, state, 2)
-    if j == i:
-        j = c - 1
-    return (i, j) if keep else (j, i)
+        while m & 0xFFFFFFFF < below_j:
+            m = next32(state) * c
+        j = c - 1 if m >> 32 == i else m >> 32
+        pairs += (i, j) if next32(state) >> 31 else (j, i)  # integers(2) never rejects
+        weights.append(beta(a, b, n_modalities))
+    return pairs, weights
 
 
 def synthesize(train: Dataset, method: str, seed: int,
@@ -100,37 +105,34 @@ def synthesize(train: Dataset, method: str, seed: int,
     cells = _cells_of(train)
     target = max(len(rows) for rows in cells.values())
     deficits = [(rows, target - len(rows)) for rows in cells.values() if len(rows) < target]
-    rng = np.random.default_rng(seed)
-    integers, beta, n_modalities = rng.integers, rng.beta, len(train.modalities)
-    bits = rng.bit_generator.ctypes  # the state rng draws from, so beta keeps its place
-    next32, state = bits.next_uint32, bits.state
+    rng, n_modalities = np.random.default_rng(seed), len(train.modalities)
     n = sum(deficit for _, deficit in deficits)
     parent_i, parent_j, lams = np.empty(n, int), np.empty(n, int), np.empty((n, n_modalities))
+    if not n:  # already balanced (and zfill below raises on an empty array)
+        return train, parent_i, parent_j, lams
     end = 0
     for rows, deficit in deficits:
         at = slice(end, end + deficit)
         end += deficit
         if method == "random_oversample":
-            parent_i[at] = parent_j[at] = rows[integers(len(rows), size=deficit)]
+            parent_i[at] = parent_j[at] = rows[rng.integers(len(rows), size=deficit)]
             lams[at] = 1.0  # weight 1 copies the parent exactly
         elif len(rows) == 1:
             parent_i[at] = parent_j[at] = rows[0]
-            lams[at] = beta(beta_alpha, beta_beta, size=(deficit, n_modalities))
+            lams[at] = rng.beta(beta_alpha, beta_beta, size=(deficit, n_modalities))
         else:
-            picks = np.empty((deficit, 2), int)
-            for pick, lam in zip(picks, lams[at]):
-                pick[:] = _two_distinct(next32, state, len(rows))
-                lam[:] = beta(beta_alpha, beta_beta, size=n_modalities)
-            parent_i[at], parent_j[at] = rows[picks.T]
+            pairs, lams[at] = _mix_cell(rng, len(rows), deficit, beta_alpha, beta_beta, n_modalities)
+            parent_i[at], parent_j[at] = rows[pairs[0::2]], rows[pairs[1::2]]
     prefix = f"syn-{method}-"
     while np.char.startswith(train.sample_id, prefix).any():  # keep synthetic ids unique
         prefix = "_" + prefix
+    numbers = np.char.zfill(np.arange(1, n + 1).astype(str), 5)
     augmented = train.with_rows_appended(
         {t.modality_name: mix_pair(t.samples[parent_i], t.samples[parent_j], lams[:, [m]])
          for m, t in enumerate(train.modalities)},
-        [f"{prefix}{k:05d}" for k in range(1, n + 1)],
+        np.char.add(prefix, numbers),
         train.subject_id[parent_i] if method == "random_oversample"
-        else [f"syn-subject-{k:05d}" for k in range(1, n + 1)],
+        else np.char.add("syn-subject-", numbers),
         train.label[parent_i],  # parents come from the cell, so they carry its key
         train.attrs[parent_i],
     )

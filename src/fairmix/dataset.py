@@ -10,7 +10,7 @@ A dataset is described by a plain-text manifest of key=value lines:
 Any other key, an empty modality name, a ``levels.<name>`` without its
 modality, or a levels row naming a feature that its modality lacks is a
 SchemaError; so is a feature named twice in a levels file or feature header,
-and a metadata attribute column named like one of the three fixed columns.
+and a metadata attribute named like a fixed column or a `PREDICTION_COLUMNS` one.
 
 A feature CSV is ``sample_id`` plus one or more numeric features; a levels
 CSV is exactly ``feature_name,level`` (high or low); the metadata CSV is
@@ -52,6 +52,7 @@ from .errors import (
 
 DEFAULT_PANAS_THRESHOLD = 33.3
 LEVELS = ("high", "low")
+PREDICTION_COLUMNS = ("true_label", "predicted_label", "proba_0", "proba_1")  # after the two ids
 
 
 @dataclass(frozen=True)
@@ -363,6 +364,9 @@ def _load_metadata_csv(path: str, threshold: float):
     repeat = next((c for c in attr_names if c in header[:3]), None)
     if repeat is not None:
         raise SchemaError(f"{path}: row 1: column {repeat!r} is named more than once")
+    reserved = next((c for c in attr_names if c in PREDICTION_COLUMNS), None)
+    if reserved is not None:
+        raise SchemaError(f"{path}: row 1: attribute {reserved!r} is a predictions.csv column")
     if not rows:
         raise SchemaError(f"{path}: no data rows")
 

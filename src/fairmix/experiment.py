@@ -26,7 +26,7 @@ from . import augment as augment_mod
 from . import fusion as fusion_mod
 from . import metrics as metrics_mod
 from .config import PipelineConfig
-from .dataset import ColumnMeta, Dataset, ModalityTable, atomic_write, csv_text
+from .dataset import PREDICTION_COLUMNS, ColumnMeta, Dataset, ModalityTable, atomic_write, csv_text
 from .errors import (
     ConfigError,
     ExperimentError,
@@ -330,8 +330,7 @@ def write_comparison_markdown(reports: dict[str, EvaluationReport], path: str):
 
 
 def write_predictions_csv(preds: PredictionSet, path: str, attribute_names):
-    header = ["sample_id", "subject_id", "true_label", "predicted_label",
-              "proba_0", "proba_1", *attribute_names]
+    header = ["sample_id", "subject_id", *PREDICTION_COLUMNS, *attribute_names]
     rows = ([r.sample_id, r.subject_id, r.true_label, r.predicted_label,
              *r.predicted_proba, *(r.attribute(a) for a in attribute_names)] for r in preds.records)
     # csv quotes the terminator "\n" but not a bare "\r", which a reader takes

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fairmix.augment import (
-    MixFeatConfig, _below, _two_distinct, augment_dataset, mix_pair, synthesize,
+    MixFeatConfig, _cells_of, _mix_cell, augment_dataset, mix_pair, synthesize,
 )
 from fairmix.dataset import ColumnMeta, Dataset, ModalityTable
 from fairmix.errors import InputError
@@ -300,31 +300,89 @@ class TestPinnedOutput:
         assert h.hexdigest() == self.MANY_ROWS[method, a, b]
 
 
-class TestTwoDistinct:
-    @pytest.mark.parametrize("c", [2, 3, 4, 7, 50, 1000, 2**31 + 5])
-    def test_replays_choice_without_replacement(self, c):
+class TestMixCell:
+    """_mix_cell replays rng.choice(c, 2, replace=False) on next_uint32 by
+    numpy's bounded-integer rule; if a numpy release changes that rule or
+    choice's algorithm, these fail before any report digest moves."""
+
+    # c - 1 and c span one-value ranges (c = 2), heavy rejection (2**31 + 5
+    # rejects almost half its draws, so the redraw loops run) and the full
+    # 32-bit range
+    SIZES = [2, 3, 4, 7, 50, 1000, 2**31 + 5, 2**32]
+
+    @pytest.mark.parametrize("a,b", [(1.0, 1.0), (0.2, 0.5), (0.4, 2.0)])  # both Beta algorithms
+    @pytest.mark.parametrize("c", SIZES)
+    def test_replays_choice_then_beta(self, c, a, b):
         # the mixfeat draw protocol is rng.choice(c, 2, replace=False) then a
-        # sized beta; the cheaper draw must give the same pairs and leave the
-        # generator in the same state
+        # sized beta; the cheaper draw must give the same pairs and weights
+        # and leave the generator in the same state
         ours, ref = np.random.default_rng(c), np.random.default_rng(c)
-        bits = ours.bit_generator.ctypes
-        for _ in range(300):
-            assert _two_distinct(bits.next_uint32, bits.state, c) == tuple(ref.choice(c, 2, replace=False))
-            np.testing.assert_array_equal(ours.beta(0.4, 2.0, size=3), ref.beta(0.4, 2.0, size=3))
+        pairs, weights = _mix_cell(ours, c, 300, a, b, 3)
+        assert len(pairs) == 2 * len(weights) == 600
+        for i, j, lam in zip(pairs[0::2], pairs[1::2], weights):
+            assert (i, j) == tuple(ref.choice(c, 2, replace=False))
+            np.testing.assert_array_equal(lam, ref.beta(a, b, size=3))
         assert ours.bit_generator.state == ref.bit_generator.state
 
-
-class TestBelow:
-    def test_replays_integers(self):
-        # _below re-implements numpy's bounded-integer rule on next_uint32; if a
-        # numpy release changes that rule, this fails before any report digest
-        # moves. 2**31 + 5 rejects almost half its draws, so the loop runs.
-        bounds = [1, 2, 3, 7, 1000, 2**31 + 5, 2**32 - 1, 2**32]
+    def test_cells_in_turn_keep_the_stream(self):
+        # cells of every size in turn, between the sized draws of the other
+        # branches (random_oversample's integers, a singleton cell's beta):
+        # the replayed draws share the generator's uint32 buffer with them
         ours, ref = np.random.default_rng(17), np.random.default_rng(17)
-        bits = ours.bit_generator.ctypes
-        for k in range(2400):
-            c = bounds[k % len(bounds)]
-            assert _below(bits.next_uint32, bits.state, c) == ref.integers(c)
+        for k in range(240):
+            c = self.SIZES[k % len(self.SIZES)]
+            pairs, weights = _mix_cell(ours, c, 1 + k % 3, 0.4, 2.0, 2)
+            for i, j, lam in zip(pairs[0::2], pairs[1::2], weights):
+                assert (i, j) == tuple(ref.choice(c, 2, replace=False))
+                np.testing.assert_array_equal(lam, ref.beta(0.4, 2.0, size=2))
             if k % 3 == 0:
-                np.testing.assert_array_equal(ours.beta(0.4, 2.0, size=2), ref.beta(0.4, 2.0, size=2))
+                np.testing.assert_array_equal(ours.integers(c, size=3), ref.integers(c, size=3))
+                np.testing.assert_array_equal(ours.beta(1.0, 1.0, size=(2, 2)),
+                                              ref.beta(1.0, 1.0, size=(2, 2)))
         assert ours.bit_generator.state == ref.bit_generator.state
+
+
+def cells_by_unique(train):
+    """The earlier formulation of _cells_of, kept as its oracle."""
+    keys, cell_of_row = np.unique(
+        np.column_stack([train.attrs, train.label]), axis=0, return_inverse=True
+    )
+    cell_of_row = cell_of_row.reshape(-1)
+    return {
+        (tuple(key[:-1]), key[-1]): np.flatnonzero(cell_of_row == c)
+        for c, key in enumerate(keys.tolist())
+    }
+
+
+class TestCellsOf:
+    def assert_matches_oracle(self, ds):
+        ours, ref = _cells_of(ds), cells_by_unique(ds)
+        assert list(ours) == list(ref)  # same keys in the same order
+        for key, rows in ref.items():
+            assert ours[key].dtype == rows.dtype
+            np.testing.assert_array_equal(ours[key], rows)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_integer_tables(self, seed):
+        # values outside {0, 1}, negative ones included, and 1 to 3 attributes
+        rng = np.random.default_rng(seed)
+        n, n_attrs = int(rng.integers(2, 400)), int(rng.integers(1, 4))
+        attrs = rng.integers(-3, 4, size=(n, n_attrs))
+        ds = make_dataset({"m": rng.normal(size=(n, 2))}, rng.integers(-1, 3, n), attrs,
+                          attr_names=[f"a{k}" for k in range(n_attrs)])
+        self.assert_matches_oracle(ds)
+
+    def test_single_cell(self):
+        ds = make_dataset({"m": np.zeros((5, 1))}, [1] * 5, [[0, 1]] * 5, attr_names=("gender", "race"))
+        assert list(_cells_of(ds)) == [((0, 1), 1)]
+        self.assert_matches_oracle(ds)
+
+    def test_single_row(self):
+        ds = make_dataset({"m": np.zeros((1, 1))}, [0], [[1, 0]], attr_names=("gender", "race"))
+        self.assert_matches_oracle(ds)
+
+    def test_no_declared_attribute(self):
+        ds = make_dataset({"m": np.zeros((6, 1))}, [1, 0, 1, 1, 0, 1], np.empty((6, 0), int),
+                          attr_names=())
+        assert list(_cells_of(ds)) == [((), 0), ((), 1)]
+        self.assert_matches_oracle(ds)

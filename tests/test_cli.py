@@ -370,8 +370,8 @@ class TestKeyValueSyntax:
 class TestLoaderErrors:
     """A feature named twice, an empty modality name, a feature row missing
     from the metadata, a feature file without feature columns, a levels row
-    with extra cells and a metadata attribute named like a fixed column are
-    data errors (exit 3)."""
+    with extra cells and a metadata attribute named like a fixed column or a
+    predictions.csv column are data errors (exit 3)."""
 
     # the file edited in a materialized dataset, the edit, and what the
     # message names
@@ -392,6 +392,9 @@ class TestLoaderErrors:
         "attribute_repeats_subject_id": ("data_metadata.csv",
                                          lambda t: t.replace("label,gender", "label,subject_id", 1),
                                          "row 1: column 'subject_id' is named more than once"),
+        "attribute_is_a_predictions_column": ("data_metadata.csv",
+                                              lambda t: t.replace("label,gender", "label,true_label", 1),
+                                              "row 1: attribute 'true_label' is a predictions.csv column"),
     }
 
     @pytest.mark.parametrize("case", sorted(EDITS))

@@ -361,6 +361,15 @@ class TestLoadErrorMessages:
          "row 1: column 'sample_id' is named more than once"),
         (META.replace("gender", "label", 1), SchemaError,
          "row 1: column 'label' is named more than once"),
+        # nor a column that predictions.csv adds after the two ids
+        (META.replace("gender", "true_label", 1), SchemaError,
+         "row 1: attribute 'true_label' is a predictions.csv column"),
+        (META2.replace("gender,race", "gender,predicted_label"), SchemaError,
+         "row 1: attribute 'predicted_label' is a predictions.csv column"),
+        (META2.replace("gender,race", "proba_0,race"), SchemaError,
+         "row 1: attribute 'proba_0' is a predictions.csv column"),
+        (META.replace("gender", "proba_1", 1), SchemaError,
+         "row 1: attribute 'proba_1' is a predictions.csv column"),
     ])
     def test_metadata_file(self, tmp_path, meta, error, message):
         exc = load_error(tmp_path, meta=meta)
