@@ -69,7 +69,7 @@ def mix_pair(row_i: np.ndarray, row_j: np.ndarray, lam) -> np.ndarray:
 def _mix_cell(rng, c: int, deficit: int, a: float, b: float, n_modalities: int):
     """`deficit` rows of rng.choice(c, 2, replace=False), c >= 2, each then
     rng.beta(a, b, size=n_modalities), the choice replayed as the module
-    says: the pairs flat (first, second, first, ...) and the weight rows."""
+    says: a (deficit, 2) int array of pairs and a weight row per pair."""
     bits = rng.bit_generator.ctypes
     next32, state, beta = bits.next_uint32, bits.state, rng.beta
     below_i, below_j = (2**32 - c + 1) % (c - 1), (2**32 - c) % c
@@ -87,7 +87,7 @@ def _mix_cell(rng, c: int, deficit: int, a: float, b: float, n_modalities: int):
         j = c - 1 if m >> 32 == i else m >> 32
         pairs += (i, j) if next32(state) >> 31 else (j, i)  # integers(2) never rejects
         weights.append(beta(a, b, n_modalities))
-    return pairs, weights
+    return np.array(pairs, int).reshape(deficit, 2), np.concatenate(weights).reshape(deficit, -1)
 
 
 def synthesize(train: Dataset, method: str, seed: int,
@@ -122,7 +122,7 @@ def synthesize(train: Dataset, method: str, seed: int,
             lams[at] = rng.beta(beta_alpha, beta_beta, size=(deficit, n_modalities))
         else:
             pairs, lams[at] = _mix_cell(rng, len(rows), deficit, beta_alpha, beta_beta, n_modalities)
-            parent_i[at], parent_j[at] = rows[pairs[0::2]], rows[pairs[1::2]]
+            parent_i[at], parent_j[at] = rows[pairs].T
     prefix = f"syn-{method}-"
     while np.char.startswith(train.sample_id, prefix).any():  # keep synthetic ids unique
         prefix = "_" + prefix

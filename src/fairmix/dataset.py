@@ -158,10 +158,10 @@ class Dataset:
                 raise AlignmentError(
                     f"modality {t.modality_name!r} has {t.n_samples} rows, metadata has {n}"
                 )
-        if len(np.unique(self.label)) < 2:
+        if (self.label == self.label[0]).all():
             warnings.warn("label takes a single value", DegenerateGroupWarning)
         for a, values in zip(self.declared_attributes, self.attrs.T):
-            if len(np.unique(values)) < 2:
+            if (values == values[0]).all():
                 warnings.warn(f"attribute {a!r} takes a single value", DegenerateGroupWarning)
 
     @property

@@ -6,8 +6,8 @@ by default) or leave-one-subject-out splits.
 descriptor column filters once, before the folds are formed. Per fold,
 `preprocess_fold` fits every transform on the training split only and
 returns that split as a Dataset, which alone is augmented; each arm's
-out-of-fold predictions stay arrays until `_report` pools them. Arms are
-paired: each is evaluated on every fold (`run_experiment` runs one).
+out-of-fold predictions stay arrays, pooled as columns by `_report`. Arms
+are paired: each is evaluated on every fold (`run_experiment` runs one).
 Results depend on the master seed and the rows, not on their order. The
 writers go through `dataset.atomic_write`; `write_json` encodes reports.
 """
@@ -34,7 +34,7 @@ from .errors import (
     InputError,
     MetricUndefinedError,
 )
-from .metrics import DiResult, PredictionRecord, PredictionSet
+from .metrics import DiResult, PredictionSet
 from .models import folds_of, stratified_positions
 from .preprocess import fit_column_cleaner, fit_pca, fit_standardizer, select_columns
 
@@ -176,7 +176,8 @@ def run_arms(config: PipelineConfig, dataset: Dataset, arms) -> list[EvaluationR
         )
     # the column filters run once per modality, not once per fold
     tables = [select_columns(dataset.modality(m), config.level, config.descriptors) for m in names]
-    dataset = dataset.derive(tables, slice(None))
+    if list(map(id, tables)) != list(map(id, dataset.modalities)):  # else nothing was filtered
+        dataset = dataset.derive(tables, slice(None))
     # rows in sample_id order, so that no result depends on the input row order
     order = np.argsort(dataset.sample_id, kind="stable")
     if (order != np.arange(order.size)).any():  # rows in order already need no copy
@@ -228,7 +229,7 @@ def run_arms(config: PipelineConfig, dataset: Dataset, arms) -> list[EvaluationR
 
 
 def _report(config, dataset, n_folds, fingerprints, blocks, per_fold, skipped):
-    """Pooled metrics of one arm's out-of-fold blocks, then its records."""
+    """Pooled metrics of one arm's out-of-fold blocks, which become its predictions."""
     if not blocks:
         reasons = sorted({s["reason"] for s in skipped})
         raise ExperimentError(f"every fold was skipped: {'; '.join(reasons)}")
@@ -260,10 +261,6 @@ def _report(config, dataset, n_folds, fingerprints, blocks, per_fold, skipped):
         except MetricUndefinedError as exc:
             per_attr[a] = AttributeReport(ea=None, di=None, group_sizes=sizes,
                                           error=f"attribute {a!r}: {exc}")
-    columns = (dataset.sample_id[rows], dataset.subject_id[rows], truth, pred, proba, attrs)
-    records = [PredictionRecord(sid, subj, t, p, tuple(pp), tuple(zip(names, av)))
-               for sid, subj, t, p, pp, av in zip(*(c.tolist() for c in columns))]
-
     return EvaluationReport(
         config=config.to_flat_dict(),
         n_folds=n_folds,
@@ -272,7 +269,8 @@ def _report(config, dataset, n_folds, fingerprints, blocks, per_fold, skipped):
         overall=overall,
         per_attribute=per_attr,
         per_fold=per_fold,
-        predictions=PredictionSet(records),
+        predictions=PredictionSet.from_columns(dataset.sample_id[rows], dataset.subject_id[rows],
+                                               truth, pred, proba, attrs, names),
     )
 
 
@@ -331,10 +329,12 @@ def write_comparison_markdown(reports: dict[str, EvaluationReport], path: str):
 
 def write_predictions_csv(preds: PredictionSet, path: str, attribute_names):
     header = ["sample_id", "subject_id", *PREDICTION_COLUMNS, *attribute_names]
-    rows = ([r.sample_id, r.subject_id, r.true_label, r.predicted_label,
-             *r.predicted_proba, *(r.attribute(a) for a in attribute_names)] for r in preds.records)
+    at = [preds.attribute_names.index(a) for a in attribute_names]
+    ids, subjects = preds.sample_id.tolist(), preds.subject_id.tolist()
+    columns = (ids, subjects, preds.true_label.tolist(), preds.predicted_label.tolist(),
+               *preds.proba.T.tolist(), *preds.attrs[:, at].T.tolist())
     # csv quotes the terminator "\n" but not a bare "\r", which a reader takes
     # as a line end; a "\r" in any text field has every text field quoted
-    texts = [*attribute_names, *(r.sample_id + r.subject_id for r in preds.records)]
+    texts = [*attribute_names, *ids, *subjects]
     quoting = csv.QUOTE_NONNUMERIC if any("\r" in t for t in texts) else csv.QUOTE_MINIMAL
-    atomic_write(path, csv_text(header, rows, lineterminator="\n", quoting=quoting))
+    atomic_write(path, csv_text(header, zip(*columns), lineterminator="\n", quoting=quoting))

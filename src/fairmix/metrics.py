@@ -8,8 +8,8 @@ Disparate Impact (DI) is the ratio of positive-prediction rates, minority
 (A=0) over majority (A=1); division-by-zero cases surface as tagged
 sentinels, never as fabricated numbers.
 
-`PredictionRecord` and `PredictionSet` are the report's output rows,
-kept in that form for `bench/harness.py`; no metric reads them.
+`PredictionSet` holds the report's predictions as columns; its `records`
+view, kept for `bench/harness.py`, builds `PredictionRecord`s from them.
 """
 
 from __future__ import annotations
@@ -36,13 +36,36 @@ class PredictionRecord:
 
 
 class PredictionSet:
+    """Row-aligned columns: sample and subject ids, true and predicted 0/1
+    labels, an (n, 2) `proba` array and an (n, a) `attrs` array over `attribute_names`."""
+
     def __init__(self, records: Sequence[PredictionRecord]):
-        self.records = list(records)
-        if not self.records:
+        rows = list(records)
+        if not rows:
             raise InputError("empty prediction set")
+        columns = zip(*((r.sample_id, r.subject_id, r.true_label, r.predicted_label,
+                         r.predicted_proba, [v for _, v in r.attributes]) for r in rows))
+        self._set(*map(np.array, columns), tuple(name for name, _ in rows[0].attributes))
+
+    @classmethod
+    def from_columns(cls, *columns) -> "PredictionSet":
+        return cls.__new__(cls)._set(*columns)
+
+    def _set(self, *columns):  # PredictionRecord's fields in order, then the attribute names
+        (self.sample_id, self.subject_id, self.true_label, self.predicted_label, self.proba,
+         self.attrs, self.attribute_names) = columns
+        return self
+
+    @property
+    def records(self) -> list[PredictionRecord]:
+        """The rows as PredictionRecords, built on each access."""
+        names = self.attribute_names
+        rows = zip(self.sample_id.tolist(), self.subject_id.tolist(), self.true_label.tolist(),
+                   self.predicted_label.tolist(), zip(*self.proba.T.tolist()), self.attrs.tolist())
+        return [PredictionRecord(*row, tuple(zip(names, av))) for *row, av in rows]
 
     def __len__(self):
-        return len(self.records)
+        return len(self.sample_id)
 
 
 @dataclass(frozen=True)

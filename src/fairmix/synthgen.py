@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import ColumnMeta, Dataset, ModalityTable
+from .dataset import PREDICTION_COLUMNS, ColumnMeta, Dataset, ModalityTable
 from .errors import InputError
 
 
@@ -41,6 +41,8 @@ class SynthSpec:
             if d < 1:
                 raise InputError(f"modality {name!r}: dim must be >= 1")
         for name, p in self.attribute_props:
+            if name in ("sample_id", "subject_id", "label", *PREDICTION_COLUMNS):
+                raise InputError(f"attribute {name!r} is a metadata or predictions.csv column")
             if not 0.0 <= p <= 1.0:
                 raise InputError(f"attribute {name!r}: proportion must be in [0,1]")
         if not self.noise_std > 0:

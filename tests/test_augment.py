@@ -318,8 +318,8 @@ class TestMixCell:
         # and leave the generator in the same state
         ours, ref = np.random.default_rng(c), np.random.default_rng(c)
         pairs, weights = _mix_cell(ours, c, 300, a, b, 3)
-        assert len(pairs) == 2 * len(weights) == 600
-        for i, j, lam in zip(pairs[0::2], pairs[1::2], weights):
+        assert pairs.shape == (300, 2) and weights.shape == (300, 3)
+        for (i, j), lam in zip(pairs.tolist(), weights):
             assert (i, j) == tuple(ref.choice(c, 2, replace=False))
             np.testing.assert_array_equal(lam, ref.beta(a, b, size=3))
         assert ours.bit_generator.state == ref.bit_generator.state
@@ -332,7 +332,7 @@ class TestMixCell:
         for k in range(240):
             c = self.SIZES[k % len(self.SIZES)]
             pairs, weights = _mix_cell(ours, c, 1 + k % 3, 0.4, 2.0, 2)
-            for i, j, lam in zip(pairs[0::2], pairs[1::2], weights):
+            for (i, j), lam in zip(pairs.tolist(), weights):
                 assert (i, j) == tuple(ref.choice(c, 2, replace=False))
                 np.testing.assert_array_equal(lam, ref.beta(0.4, 2.0, size=2))
             if k % 3 == 0:

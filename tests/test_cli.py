@@ -295,6 +295,17 @@ class TestConfigRejections:
         assert err.startswith("configuration error: ") and "unknown synth keys ['n_subject']" in err
         assert not (workdir / "ds").exists() and not (workdir / "out").exists()
 
+    @pytest.mark.parametrize("command", ["synth", "audit"])
+    @pytest.mark.parametrize("name", ["sample_id", "subject_id", "label", "true_label", "proba_1"])
+    def test_synth_attribute_named_like_a_column_exit_2(self, command, name, workdir, capsys):
+        (workdir / "synth.txt").write_text(SYNTH_SPEC + f"attribute.{name}=0.5\n")
+        args = {"synth": ["synth", "--spec", str(workdir / "synth.txt"), "--out", str(workdir / "ds")],
+                "audit": ["audit", "--config", str(workdir / "config.txt")]}[command]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and f"attribute {name!r} is a metadata or" in err
+        assert not (workdir / "ds").exists() and not (workdir / "out").exists()
+
     @pytest.mark.parametrize("command", ["audit", "validate"])
     def test_set_without_equals_exit_2(self, command, workdir, capsys):
         assert main([command, "--config", str(workdir / "config.txt"), "--set", "foo"]) == 2

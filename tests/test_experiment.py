@@ -13,6 +13,7 @@ from fairmix.config import PipelineConfig
 from fairmix.dataset import Dataset
 from fairmix.errors import ExperimentError, FitError
 from fairmix.fusion import FusionSpec, fit_stacking_meta
+from fairmix.metrics import PredictionRecord, PredictionSet
 from fairmix.models import PredictorSpec, stratified_positions
 from fairmix.experiment import (
     grouped_stratified_kfold,
@@ -236,14 +237,19 @@ class TestRunExperiment:
 
 class TestColumnarPipeline:
     @pytest.mark.parametrize("method", ["none", "random_oversample", "mixfeat"])
-    def test_runs_without_per_row_records(self, method, monkeypatch):
+    def test_runs_without_per_row_records(self, method, monkeypatch, tmp_path):
         def no_meta(self):
             raise AssertionError("the pipeline read Dataset.meta")
 
+        def no_record(self, *args, **kwargs):
+            raise AssertionError("the pipeline built a PredictionRecord")
+
         ds = synth(seed=12)
         monkeypatch.setattr(Dataset, "meta", property(no_meta))
+        monkeypatch.setattr(PredictionRecord, "__init__", no_record)
         report = run_experiment(base_config(augment_method=method), ds)
         assert len(report.predictions) == ds.n_samples
+        write_predictions_csv(report.predictions, str(tmp_path / "p.csv"), ds.declared_attributes)
 
     def test_non_finite_fold_skipped_with_reason(self, monkeypatch):
         ds = synth(seed=13)
@@ -347,6 +353,39 @@ class TestRunArms:
         for report in run_arms(base_config(cv_mode="loso"), ds, [(m, None) for m in METHODS]):
             assert report.skipped_folds == [{"fold": 0, "reason": reason}]
             assert [f["fold"] for f in report.per_fold] == [1, 2, 3]
+
+
+class TestPredictionSet:
+    @pytest.fixture(scope="class")
+    def audited(self):
+        ds = synth(seed=17, attribute_props=(("gender", 0.5), ("race", 0.4)))
+        return ds, run_experiment(base_config(augment_method="mixfeat"), ds)
+
+    def test_records_round_trip(self, audited):
+        _, report = audited
+        records = report.predictions.records
+        assert all(type(r) is PredictionRecord for r in records)
+        assert PredictionSet(records).records == records
+
+    def test_records_and_columns_write_the_same_bytes(self, audited, tmp_path):
+        ds, report = audited
+        paths = tmp_path / "columns.csv", tmp_path / "records.csv"
+        for preds, path in zip((report.predictions, PredictionSet(report.predictions.records)),
+                               paths):
+            write_predictions_csv(preds, str(path), ds.declared_attributes)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_attribute_columns_found_by_name(self, audited, tmp_path):
+        ds, report = audited
+        names = ds.declared_attributes[::-1]
+        path = tmp_path / "predictions.csv"
+        write_predictions_csv(report.predictions, str(path), names)
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert list(rows[0])[-2:] == list(names) == ["race", "gender"]
+        for row, r in zip(rows, report.predictions.records):
+            assert row["sample_id"] == r.sample_id
+            assert [int(row[a]) for a in names] == [r.attribute(a) for a in names]
 
 
 class TestPredictionsCsv:
