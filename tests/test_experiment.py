@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import json
 import tracemalloc
 
@@ -265,6 +266,35 @@ class TestColumnarPipeline:
         report = run_experiment(base_config(), ds)
         assert report.skipped_folds == [{"fold": 0, "reason": "non-finite predicted probabilities"}]
         assert len(report.predictions) == ds.n_samples - calls[0]
+
+
+class TestPinnedAudits:
+    """sha256 of the report.json bytes of one mixfeat audit in each shape of the
+    benchmark's solver workload: a different last bit in any MLP or SMO fit,
+    out-of-fold stacking included, changes them."""
+
+    SHAPES = {
+        "mlp_stack": (
+            dict(n_subjects=20, sessions_per_subject=4,
+                 attribute_props=(("gender", 0.75), ("race", 0.7))),
+            dict(model_kind="mlp", fusion_strategy="stack_soft",
+                 model_hyperparams={"epochs": 40}),
+            "82cf0c90de5ddd13f1a5f939486d35fffe3e396c48a5672da9472c1e033f38af"),
+        "svm_debias": (
+            dict(n_subjects=40, sessions_per_subject=2, attribute_props=(("gender", 0.8),),
+                 separation_majority=2.0, separation_minority=1.2),
+            dict(model_kind="rbf_svm", fusion_strategy="early"),
+            "4b94f826a4be34f1aa23276892a58b9081d29605ea885f348ae1811408d389c9"),
+    }
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_report_is_bitwise_pinned(self, shape, tmp_path):
+        spec, cfg, sha = self.SHAPES[shape]
+        ds = generate(SynthSpec(seed=0, **spec))
+        report = run_experiment(PipelineConfig(seed=0, augment_method="mixfeat", **cfg), ds)
+        assert report.skipped_folds == []
+        write_report_json(report, str(tmp_path / "report.json"))
+        assert hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest() == sha
 
 
 METHODS = ("none", "random_oversample", "mixfeat")
