@@ -8,20 +8,26 @@ Three model kinds:
                splits (in-sample when their test rows hold one class); the
                kernel is computed once per fit and sliced for those splits;
   * mlp      - one-hidden-layer network (tanh, softmax output, cross-entropy
-               + L2) trained with mini-batch Adam; W1, b1, W2, b2 are views of
-               one flat parameter vector, so each step is one Adam update of
-               that vector; a step computes no loss, and the end-of-epoch
+               + L2) trained with mini-batch Adam; W1, W2, b1, b2 are views of
+               one flat parameter vector, in that order, so L2 decays one
+               contiguous weight block and each step is one Adam update of
+               the vector, with the two moments as rows of one array (g and
+               g^2 as rows of another) so that each Adam operation is one
+               call for both; a step computes no loss, and the end-of-epoch
                early-stopping check computes no gradient;
   * logistic - L2-regularized logistic regression fitted by Newton steps
                (used as the stacking meta-learner).
 
 The SMO and MLP training loops allocate no array per step: each step writes
-into arrays made once per fit and calls ufuncs directly. An MLP epoch gathers
-its shuffled rows and one-hot labels once and takes each batch as a
-contiguous slice; an SMO step moves its pair in Python floats and updates
-I_up/I_low at that pair only. Every step does the floating-point operations
-of the plain formulas, in their order and on C-ordered operands, so fits are
-bitwise those of the unbuffered loops (tests/test_models.py pins them).
+into arrays made once per fit and calls ufuncs and ndarray methods directly,
+with no dict lookup. An MLP fit binds its per-batch-size work arrays, their
+column views and transposes, and its batches (contiguous slices of the
+epoch's shuffled rows and one-hot labels) once; the softmax takes the row max
+and row sum of its two columns elementwise. An SMO step moves its pair in
+Python floats and updates I_up/I_low at that pair only. Every step does the
+floating-point operations of the plain formulas, in their order and on
+C-ordered operands (fit and predict take X as a C-ordered float array), so
+fits are bitwise those of the unbuffered loops (tests/test_models.py pins them).
 
 All fits are deterministic (SVM and MLP given their seed; logistic takes
 none). predict() is the argmax of predict_proba(), ties at 0.5 going to 1.
@@ -95,7 +101,7 @@ class TrainedPredictor:
         self.n_train = n_train
 
     def _check(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+        X = np.atleast_2d(np.ascontiguousarray(X, dtype=float))
         if X.shape[1] != self.n_features:
             raise ShapeError(
                 f"expected {self.n_features} feature columns, got {X.shape[1]}"
@@ -140,7 +146,7 @@ def folds_of(row_fold: np.ndarray, n_folds: int) -> list[tuple[np.ndarray, np.nd
 
 
 def _validate_training_input(X, y):
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+    X = np.atleast_2d(np.ascontiguousarray(X, dtype=float))
     y = np.asarray(y, dtype=int).ravel()
     if X.shape[0] != y.shape[0]:
         raise ShapeError(f"X has {X.shape[0]} rows but y has {y.shape[0]}")
@@ -194,9 +200,10 @@ def _fit_logistic(spec: PredictorSpec, X, y, facts) -> LogisticModel:
 # ---------------------------------------------------------------------------
 
 def _mlp_views(flat, d, h):
-    """W1, b1, W2, b2 as reshaped views of one flat vector, in that order."""
+    """W1, W2, b1, b2 as reshaped views of one flat vector, in that order, so
+    that the two weight matrices form one contiguous block."""
     views, start = {}, 0
-    for key, shape in (("W1", (d, h)), ("b1", (h,)), ("W2", (h, 2)), ("b2", (2,))):
+    for key, shape in (("W1", (d, h)), ("W2", (h, 2)), ("b1", (h,)), ("b2", (2,))):
         size = math.prod(shape)
         views[key] = flat[start:start + size].reshape(shape)
         start += size
@@ -206,62 +213,66 @@ def _mlp_views(flat, d, h):
 def _mlp_init(d, h, rng):
     theta = np.concatenate([
         rng.normal(0.0, 1.0 / math.sqrt(d), size=d * h),
-        np.zeros(h),
         rng.normal(0.0, 1.0 / math.sqrt(h), size=h * 2),
-        np.zeros(2),
+        np.zeros(h + 2),
     ])
     return _mlp_views(theta, d, h)
 
 
+def _mlp_net(params):
+    """W1, b1, W2, b2 and W2.T, the arrays a forward or backward pass reads."""
+    return params["W1"], params["b1"], params["W2"], params["b2"], params["W2"].T
+
+
 def _mlp_buffers(n, h):
-    """Work arrays for one forward and backward pass on n rows."""
-    return {"hidden": np.empty((n, h)), "proba": np.empty((n, 2)),
-            "rowstat": np.empty((n, 1)), "dhidden": np.empty((n, h))}
+    """Work arrays for one forward and backward pass on n rows, with the
+    transposes and column views the passes read."""
+    hidden, proba, rowstat = np.empty((n, h)), np.empty((n, 2)), np.empty((n, 1))
+    return hidden, hidden.T, proba, proba[:, 0], proba[:, 1], rowstat, rowstat[:, 0], np.empty((n, h))
 
 
-def _mlp_forward(params, X, buf):
-    """Hidden activations and class probabilities of X, written into buf."""
-    hidden, proba, rowstat = buf["hidden"], buf["proba"], buf["rowstat"]
-    np.matmul(X, params["W1"], out=hidden)
-    np.add(hidden, params["b1"], out=hidden)
+def _mlp_forward(net, X, buf):
+    """Class probabilities of X, written into buf after its hidden activations."""
+    W1, b1, W2, b2, _ = net
+    hidden, _, proba, p0, p1, rowstat, rowstat_1d, _ = buf
+    np.matmul(X, W1, out=hidden)
+    np.add(hidden, b1, out=hidden)
     np.tanh(hidden, out=hidden)
-    np.matmul(hidden, params["W2"], out=proba)  # the logits, then softmax in place
-    np.add(proba, params["b2"], out=proba)
-    np.maximum.reduce(proba, axis=1, keepdims=True, out=rowstat)
+    np.matmul(hidden, W2, out=proba)  # the logits, then softmax in place
+    np.add(proba, b2, out=proba)
+    np.maximum(p0, p1, out=rowstat_1d)  # the row max and row sum of two columns
     np.subtract(proba, rowstat, out=proba)
     np.exp(proba, out=proba)
-    np.add.reduce(proba, axis=1, keepdims=True, out=rowstat)
+    np.add(p0, p1, out=rowstat_1d)
     np.divide(proba, rowstat, out=proba)
-    return hidden, proba
+    return proba
 
 
-def _mlp_loss(params, proba, y, l2):
+def _mlp_loss(proba, y, W1, W2, l2):
     """Mean cross-entropy of proba against y, plus (l2/2)*||W||^2."""
     picked = np.maximum(proba[np.arange(len(y)), y], 1e-300)
     loss = -(np.add.reduce(np.log(picked, out=picked)) / len(y))
-    squares = [np.add.reduce(np.square(params[k]), axis=None) for k in ("W1", "W2")]
-    return loss + 0.5 * l2 * (squares[0] + squares[1])
+    return loss + 0.5 * l2 * (np.add.reduce(np.square(W1), axis=None)
+                              + np.add.reduce(np.square(W2), axis=None))
 
 
-def _mlp_backward(params, X, onehot, reg, grads, buf):
-    """Write the gradient of _mlp_loss into grads, from the forward pass on X in buf.
-
-    onehot is the (n, 2) indicator of the labels and reg holds l2*W1 and l2*W2.
-    The forward pass's hidden and proba buffers are overwritten.
-    """
-    hidden, dlogits, dhidden = buf["hidden"], buf["proba"], buf["dhidden"]
+def _mlp_backward(net, X, XT, onehot, grads, buf):
+    """Write the gradient of the mean cross-entropy (no L2 term) into grads,
+    from the forward pass on X in buf; XT is X.T and onehot the (n, 2)
+    indicator of the labels. The pass's work arrays are overwritten."""
+    W2T = net[4]
+    gW1, gb1, gW2, gb2 = grads
+    hidden, hiddenT, dlogits, _, _, _, _, dhidden = buf
     np.subtract(dlogits, onehot, out=dlogits)
     np.divide(dlogits, X.shape[0], out=dlogits)
-    np.matmul(hidden.T, dlogits, out=grads["W2"])
-    np.add(grads["W2"], reg["W2"], out=grads["W2"])
-    np.add.reduce(dlogits, axis=0, out=grads["b2"])
-    np.matmul(dlogits, params["W2"].T, out=dhidden)
+    np.matmul(hiddenT, dlogits, out=gW2)
+    np.add.reduce(dlogits, axis=0, out=gb2)
+    np.matmul(dlogits, W2T, out=dhidden)
     np.square(hidden, out=hidden)
     np.subtract(1.0, hidden, out=hidden)
     np.multiply(dhidden, hidden, out=dhidden)
-    np.matmul(X.T, dhidden, out=grads["W1"])
-    np.add(grads["W1"], reg["W1"], out=grads["W1"])
-    np.add.reduce(dhidden, axis=0, out=grads["b1"])
+    np.matmul(XT, dhidden, out=gW1)
+    np.add.reduce(dhidden, axis=0, out=gb1)
 
 
 def mlp_loss_and_grads(params, X, y, l2):
@@ -272,10 +283,11 @@ def mlp_loss_and_grads(params, X, y, l2):
     """
     d, h = params["W1"].shape
     grads = _mlp_views(np.empty(sum(p.size for p in params.values())), d, h)
-    buf = _mlp_buffers(X.shape[0], h)
-    loss = _mlp_loss(params, _mlp_forward(params, X, buf)[1], y, l2)
-    reg = {k: l2 * params[k] for k in ("W1", "W2")}
-    _mlp_backward(params, X, np.eye(2)[y], reg, grads, buf)
+    net, buf = _mlp_net(params), _mlp_buffers(X.shape[0], h)
+    loss = _mlp_loss(_mlp_forward(net, X, buf), y, params["W1"], params["W2"], l2)
+    _mlp_backward(net, X, X.T, np.eye(2)[y], _mlp_net(grads)[:4], buf)
+    for k in ("W1", "W2"):
+        np.add(grads[k], l2 * params[k], out=grads[k])
     return loss, grads
 
 
@@ -286,62 +298,69 @@ class MlpModel(TrainedPredictor):
 
     def proba_positive(self, X):
         buf = _mlp_buffers(X.shape[0], self.params["W1"].shape[1])
-        return _mlp_forward(self.params, X, buf)[1][:, 1]
+        return _mlp_forward(_mlp_net(self.params), X, buf)[:, 1]
 
 
 def _fit_mlp(spec: PredictorSpec, X, y, facts) -> MlpModel:
     hp = spec.resolved()
     h = int(hp["hidden_units"])
-    lr = float(hp["learning_rate"])
+    # numpy scalars: a ufunc converts a Python float on every call
+    lr, l2, eps = np.float64(hp["learning_rate"]), np.float64(hp["l2"]), np.float64(1e-8)
     epochs = int(hp["epochs"])
-    l2 = float(hp["l2"])
     batch = min(int(hp["batch_size"]), X.shape[0])
     rng = np.random.default_rng(int(hp["seed"]))
     n, d = X.shape
+    n_weights = d * h + h * 2
+    beta1, beta2 = 0.9, 0.999
 
-    params = _mlp_init(d, h, rng)
-    theta = params["W1"].base  # the flat vector behind all four views
-    grad, reg = np.empty_like(theta), np.empty_like(theta)
-    grads, regs = _mlp_views(grad, d, h), _mlp_views(reg, d, h)
-    m, v = np.zeros_like(theta), np.zeros_like(theta)
-    step, scratch = np.empty_like(theta), np.empty_like(theta)
-    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    try:  # the arrays whose size hidden_units sets
+        params = _mlp_init(d, h, rng)
+        theta = params["W1"].base  # the flat vector behind all four views
+        # Adam's two moments as rows of one array; g and g^2 (then the two
+        # bias-corrected moments) as rows of another
+        moments, work = np.zeros((2, theta.size)), np.empty((2, theta.size))
+        decay = np.repeat([[beta1], [beta2]], theta.size, axis=1)
+        keep, reg = 1.0 - decay, np.empty(n_weights)
+        bufs = {size: _mlp_buffers(size, h) for size in {batch, n % batch or batch, n}}
+    except (ValueError, MemoryError) as exc:
+        raise FitError(f"hidden_units {h}: cannot allocate the MLP's arrays ({exc})") from None
+    net, grad, grad_sq = _mlp_net(params), work[0], work[1]
+    grads = _mlp_net(_mlp_views(grad, d, h))[:4]
+    weights, grad_w = theta[:n_weights], grad[:n_weights]
+    bias = np.empty((2, 1))
     t = 0
     best_loss, stall = math.inf, 0
     # each epoch's shuffled rows and labels; batches are contiguous slices of them
     onehot = np.eye(2)[y]
     X_epoch, onehot_epoch = np.empty((n, d)), np.empty((n, 2))
-    bufs = {size: _mlp_buffers(size, h) for size in {batch, n % batch or batch, n}}
+    batches = [(X_epoch[s:s + batch], X_epoch[s:s + batch].T, onehot_epoch[s:s + batch],
+                bufs[min(batch, n - s)]) for s in range(0, n, batch)]
     # a diverging run overflows here; the loss check below names it
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(epochs):
             order = rng.permutation(n)
-            np.take(X, order, axis=0, out=X_epoch)
-            np.take(onehot, order, axis=0, out=onehot_epoch)
-            for start in range(0, n, batch):
-                Xb = X_epoch[start:start + batch]
-                buf = bufs[Xb.shape[0]]
-                _mlp_forward(params, Xb, buf)
-                np.multiply(theta, l2, out=reg)
-                _mlp_backward(params, Xb, onehot_epoch[start:start + batch], regs, grads, buf)
+            X.take(order, axis=0, out=X_epoch)
+            onehot.take(order, axis=0, out=onehot_epoch)
+            for Xb, XbT, onehot_b, buf in batches:
+                _mlp_forward(net, Xb, buf)
+                _mlp_backward(net, Xb, XbT, onehot_b, grads, buf)
+                np.multiply(weights, l2, out=reg)
+                np.add(grad_w, reg, out=grad_w)
                 # Adam: m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g^2, then
                 # theta -= lr*(m/(1-b1^t)) / (sqrt(v/(1-b2^t)) + eps)
                 t += 1
-                np.multiply(m, beta1, out=m)
-                np.multiply(grad, 1 - beta1, out=scratch)
-                np.add(m, scratch, out=m)
-                np.square(grad, out=scratch)
-                np.multiply(scratch, 1 - beta2, out=scratch)
-                np.multiply(v, beta2, out=v)
-                np.add(v, scratch, out=v)
-                np.divide(m, 1 - beta1 ** t, out=step)
-                np.multiply(step, lr, out=step)
-                np.divide(v, 1 - beta2 ** t, out=scratch)
-                np.sqrt(scratch, out=scratch)
-                np.add(scratch, eps, out=scratch)
-                np.divide(step, scratch, out=step)
-                np.subtract(theta, step, out=theta)
-            loss = _mlp_loss(params, _mlp_forward(params, X, bufs[n])[1], y, l2)
+                bias[0, 0], bias[1, 0] = 1 - beta1 ** t, 1 - beta2 ** t
+                np.square(grad, out=grad_sq)
+                np.multiply(moments, decay, out=moments)
+                np.multiply(work, keep, out=work)
+                np.add(moments, work, out=moments)
+                np.divide(moments, bias, out=work)
+                np.multiply(grad, lr, out=grad)
+                np.sqrt(grad_sq, out=grad_sq)
+                np.add(grad_sq, eps, out=grad_sq)
+                np.divide(grad, grad_sq, out=grad)
+                np.subtract(theta, grad, out=theta)
+            loss = _mlp_loss(_mlp_forward(net, X, bufs[n]), y, params["W1"], params["W2"], l2)
             if not np.isfinite(loss):
                 raise FitError("MLP loss is not finite")
             if loss < best_loss - 1e-6:
@@ -389,12 +408,13 @@ def _smo(K, y, C, tol):
         np.multiply(neg_y, grad, out=score)
         np.copyto(gain, -np.inf)
         np.copyto(gain, score, where=up)
-        i = int(np.argmax(gain))
-        if score[i] - np.minimum.reduce(score, where=low, initial=np.inf) < tol:
+        i = int(gain.argmax())
+        score_i, K_i = score[i], K[i]
+        if score_i - np.minimum.reduce(score, where=low, initial=np.inf) < tol:
             break
-        np.subtract(score[i], score, out=gap)
+        np.subtract(score_i, score, out=gap)
         np.add(diag[i], diag, out=curvature)
-        np.multiply(2.0, K[i], out=row)
+        np.multiply(2.0, K_i, out=row)
         np.subtract(curvature, row, out=curvature)
         np.maximum(curvature, 1e-12, out=curvature)
         np.multiply(gap, gap, out=gain)
@@ -403,7 +423,7 @@ def _smo(K, y, C, tol):
         np.bitwise_and(mask, low, out=mask)
         np.logical_not(mask, out=mask)
         np.copyto(gain, -np.inf, where=mask)
-        j = int(np.argmax(gain))
+        j = int(gain.argmax())
         # alpha_i moves by +y_i*t and alpha_j by -y_j*t, keeping y'alpha fixed;
         # the one whose room runs out lands exactly on its bound
         ai, aj = float(alpha[i]), float(alpha[j])
@@ -416,7 +436,7 @@ def _smo(K, y, C, tol):
         alpha[i], alpha[j] = ai, aj
         up[i], low[i] = (ai < C, ai > 0) if pos[i] else (ai > 0, ai < C)
         up[j], low[j] = (aj < C, aj > 0) if pos[j] else (aj > 0, aj < C)
-        np.subtract(K[i], K[j], out=row)
+        np.subtract(K_i, K[j], out=row)
         np.multiply(t, y, out=gain)
         np.multiply(gain, row, out=gain)
         np.add(grad, gain, out=grad)

@@ -159,6 +159,15 @@ class TestAudit:
         assert err == "experiment error: every fold was skipped: MLP loss is not finite\n"
         assert not list(tmp_path.iterdir())
 
+    def test_unallocatable_mlp_exit_4(self, tmp_path, capsys):
+        rc = main(["audit", "--config", str(BUNDLED_AUDIT), "--set", f"output_dir={tmp_path}",
+                   "--set", "model.kind=mlp", "--set", "model.hidden_units=2000000000000000000"])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.startswith("experiment error: every fold was skipped: "
+                              "hidden_units 2000000000000000000: cannot allocate the MLP's arrays (")
+        assert not list(tmp_path.iterdir())
+
     @staticmethod
     def _rewritten_synth_config(workdir, **rewrites):
         """The workdir config over its synthetic dataset, with the lines of

@@ -98,6 +98,15 @@ class TestAllModels:
         b = fit(PredictorSpec(kind, hp), X, y)
         np.testing.assert_array_equal(a.predict_proba(Xt), b.predict_proba(Xt))
 
+    def test_memory_order_does_not_change_bits(self, kind, hp):
+        # a Fortran-ordered matrix fits and predicts to the bits of its C-ordered copy
+        X, y = blobs(seed=4)
+        Xt = np.random.default_rng(8).normal(2, 2, size=(15, 2))
+        m = fit(PredictorSpec(kind, hp), X, y)
+        proba = m.predict_proba(Xt).tobytes()
+        assert fit(PredictorSpec(kind, hp), np.asfortranarray(X), y).predict_proba(Xt).tobytes() == proba
+        assert m.predict_proba(np.asfortranarray(Xt)).tobytes() == proba
+
 
 class TestSvm:
     def test_two_blob_training_accuracy(self):
@@ -136,6 +145,12 @@ class TestMlp:
         )
         m = fit(spec, XOR_X, XOR_Y)
         assert (m.predict(XOR_X) == XOR_Y).mean() == 1.0
+
+    def test_unallocatable_hidden_layer_is_a_fit_error(self):
+        # numpy refuses an array of this many float64s before allocating anything
+        X, y = blobs()
+        with pytest.raises(FitError, match="^hidden_units 2000000000000000000: cannot allocate"):
+            fit(PredictorSpec("mlp", {"hidden_units": 2 * 10**18}), X, y)
 
     def test_gradient_check_against_finite_differences(self):
         rng = np.random.default_rng(0)
