@@ -104,7 +104,8 @@ class TestAllModels:
         Xt = np.random.default_rng(8).normal(2, 2, size=(15, 2))
         m = fit(PredictorSpec(kind, hp), X, y)
         proba = m.predict_proba(Xt).tobytes()
-        assert fit(PredictorSpec(kind, hp), np.asfortranarray(X), y).predict_proba(Xt).tobytes() == proba
+        m_fortran = fit(PredictorSpec(kind, hp), np.asfortranarray(X), y)
+        assert m_fortran.predict_proba(Xt).tobytes() == proba
         assert m.predict_proba(np.asfortranarray(Xt)).tobytes() == proba
 
 
