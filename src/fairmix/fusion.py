@@ -4,9 +4,9 @@ schemes (hard/soft majority voting, hard/soft stacking).
 ``FusedModel.predict_with_proba`` is the one combiner of base outputs. A
 single base model (early fusion, or any strategy over one modality) gets no
 meta-learner and decides alone: a vote of one returns its own output.
-Stacking meta-features are generated out-of-fold on the training split so
-the meta-learner never sees a base prediction produced by a model trained
-on that same row; the final base models are then refit on the full split.
+Stacking meta-features come from ``models.out_of_fold`` on the training
+split, so the meta-learner never sees a base prediction of a model fitted
+on that row; the final base models are then refit on the full split.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from . import models
 from .errors import ConfigError, InputError, ShapeError, StackingError
-from .models import PredictorSpec, TrainedPredictor, argmax_label, folds_of, stratified_positions
+from .models import PredictorSpec, TrainedPredictor, argmax_label
 
 STRATEGIES = ("early", "vote_hard", "vote_soft", "stack_hard", "stack_soft")
 
@@ -79,11 +79,8 @@ def fit_stacking_meta(
     y: np.ndarray,
     seed: int,
 ) -> tuple[TrainedPredictor, np.ndarray, np.ndarray]:
-    """Fit the stacking meta-learner on out-of-fold base predictions.
-
-    Returns (meta_model, fold assignment per training row, meta features);
-    the fold bookkeeping lets callers verify no leakage occurred.
-    """
+    """Fit the stacking meta-learner on base predictions from models.out_of_fold;
+    returns (meta_model, its fold assignment per training row, meta features)."""
     y = np.asarray(y, dtype=int)
     n = len(y)
     if n < 4:
@@ -93,20 +90,16 @@ def fit_stacking_meta(
     counts = np.bincount(y, minlength=2)
     if counts.min() < 2:
         raise StackingError("stacking needs at least 2 rows of each class")
-    k = 5 if n >= 10 else 2
-    k = min(k, int(counts.min()))
-    assign = stratified_positions(y, np.random.default_rng(seed)) % k
+    k = min(5 if n >= 10 else 2, int(counts.min()))
 
-    meta_feats = None
-    for tr, te in folds_of(assign, k):
-        probas = []
-        for X in train_per_modality:
-            base = models.fit(spec.base_model, X[tr], y[tr])
-            probas.append(base.predict_proba(X[te]))
-        feats = _stack_features(spec.strategy, probas)
-        if meta_feats is None:
-            meta_feats = np.empty((n, feats.shape[1]))
-        meta_feats[te] = feats
+    def base_features(train, test):  # each modality's base model in turn
+        return _stack_features(spec.strategy, [models.fit(spec.base_model, X[train], y[train])
+                                               .predict_proba(X[test]) for X in train_per_modality])
+
+    assign, blocks = models.out_of_fold(y, k, seed, base_features)
+    meta_feats = np.empty((n, blocks[0][1].shape[1]))
+    for test, feats in blocks:
+        meta_feats[test] = feats
     meta = models.fit(spec.resolved_meta(), meta_feats, y)
     return meta, assign, meta_feats
 

@@ -4,9 +4,10 @@ Three model kinds:
   * rbf_svm  - RBF-kernel SVM trained with sequential minimal optimization
                (LIBSVM's maximal-violating pair with second-order gain,
                stopping when the KKT gap is below tol), probabilities via a
-               Platt sigmoid fitted on decision values from internal 3-fold
-               splits (in-sample when their test rows hold one class); the
-               kernel is computed once per fit and sliced for those splits;
+               Platt sigmoid fitted on decision values from out_of_fold (the
+               one cross-fitting loop, which stacking also calls; 3 folds,
+               in-sample when their test rows hold one class); the kernel is
+               computed once per fit and sliced for those folds;
   * mlp      - one-hidden-layer network (tanh, softmax output, cross-entropy
                + L2) trained with mini-batch Adam; W1, W2, b1, b2 are views of
                one flat parameter vector, in that order, so L2 decays one
@@ -143,6 +144,16 @@ def folds_of(row_fold: np.ndarray, n_folds: int) -> list[tuple[np.ndarray, np.nd
     folds whose splits are both non-empty."""
     folds = [(np.flatnonzero(row_fold != f), np.flatnonzero(row_fold == f)) for f in range(n_folds)]
     return [(train, test) for train, test in folds if len(train) and len(test)]
+
+
+def out_of_fold(y, k, seed, fit_predict):
+    """Each row's fold by the one internal fold rule, stratified_positions(y)
+    under default_rng(seed) modulo k, and (test rows, fit_predict(train rows,
+    test rows)) per fold of folds_of whose training rows hold both classes."""
+    y = np.asarray(y)
+    assign = stratified_positions(y, np.random.default_rng(seed)) % k
+    return assign, [(test, fit_predict(train, test)) for train, test in folds_of(assign, k)
+                    if len(np.unique(y[train])) > 1]
 
 
 def _validate_training_input(X, y):
@@ -509,22 +520,18 @@ def _fit_svm(spec: PredictorSpec, X, y, facts) -> SvmModel:
     K = _rbf_kernel(X, X, gamma)  # sliced for the Platt folds
     y_pm = np.where(y == 1, 1.0, -1.0)
 
-    # Platt calibration on out-of-fold decision values (3 internal folds)
-    decisions, targets = [], []
-    assign = stratified_positions(y, np.random.default_rng(int(hp["seed"]) + 1)) % 3
-    for tr, te in folds_of(assign, 3):
-        if len(np.unique(y[tr])) < 2:
-            continue
-        alpha_f, b_f = _smo(K[np.ix_(tr, tr)], y_pm[tr], C, tol)
-        decisions.append((alpha_f * y_pm[tr]) @ K[np.ix_(tr, te)] - b_f)
-        targets.append(y[te])
-
+    def decision_values(train, test):  # of the SMO fitted on the train rows
+        alpha_f, b_f = _smo(K[np.ix_(train, train)], y_pm[train], C, tol)
+        return (alpha_f * y_pm[train]) @ K[np.ix_(train, test)] - b_f
+    # Platt calibration on out-of-fold decision values (3 internal folds), or
+    # in-sample when the kept folds' test rows hold one class or none (tiny
+    # training sets, a class of one row)
+    _, blocks = out_of_fold(y, 3, int(hp["seed"]) + 1, decision_values)
     alpha, b = _smo(K, y_pm, C, tol)
-    # the kept folds' test rows hold one class or none (tiny training sets,
-    # a class of one row): calibrate in-sample
-    if not targets or len(np.unique(np.concatenate(targets))) < 2:
-        decisions, targets = [(alpha * y_pm) @ K - b], [y]
-    platt_ab = _platt_sigmoid(np.concatenate(decisions), np.concatenate(targets))
+    if not blocks or len(np.unique(y[np.concatenate([test for test, _ in blocks])])) < 2:
+        blocks = [(np.arange(len(y)), (alpha * y_pm) @ K - b)]
+    rows, decisions = (np.concatenate(part) for part in zip(*blocks))
+    platt_ab = _platt_sigmoid(decisions, y[rows])
     return SvmModel(spec, X.copy(), y_pm, alpha, b, gamma, platt_ab, **facts)
 
 
