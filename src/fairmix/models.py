@@ -37,6 +37,7 @@ none). predict() is the argmax of predict_proba(), ties at 0.5 going to 1.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,17 +75,28 @@ class PredictorSpec:
                 raise InputError(f"{name}: model kind {self.kind!r} takes no such "
                                  f"hyperparameter; it takes {sorted(takes)}")
         hp = self.resolved()
-        # each check covers the kinds that take the hyperparameter (SMO stops on
-        # tol, so 0 never stops); messages start with its name (config adds "model.")
+        # messages start with the name (config adds "model."); a hyperparameter
+        # takes what config parses by the type of its default: an integer (not
+        # a bool), else a finite real or the default's string; the range checks
+        # cover the kinds that take each name (SMO stops on tol, so 0 never stops)
+        for name, default in takes.items():
+            v = hp[name]
+            integer = isinstance(v, numbers.Integral) and not isinstance(v, bool)
+            if isinstance(default, int) and not integer:
+                raise InputError(f"{name} must be an integer, got {v!r}")
+            if not (integer or isinstance(v, (float, np.floating)) and math.isfinite(v)
+                    or isinstance(v, str) and v == default):
+                alt = f" or {default!r}" if isinstance(default, str) else ""
+                raise InputError(f"{name} must be a finite number{alt}, got {v!r}")
         for names, ok, rule in (
             (("C", "tol", "learning_rate"), lambda v: v > 0, "must be positive"),
-            (("l2",), lambda v: v >= 0, "must be >= 0"),
+            (("l2", "seed"), lambda v: v >= 0, "must be >= 0"),
             (("hidden_units", "epochs", "batch_size", "max_iter"), lambda v: v >= 1, "must be >= 1"),
         ):
             for name in names:
                 if name in hp and not ok(hp[name]):
                     raise InputError(f"{name} {rule}, got {hp[name]!r}")
-        if self.kind == "rbf_svm" and hp["gamma"] != "scale" and not float(hp["gamma"]) > 0:
+        if hp.get("gamma", "scale") != "scale" and not hp["gamma"] > 0:
             raise InputError("gamma must be positive or 'scale'")
 
     def resolved(self) -> dict:

@@ -7,15 +7,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from fairmix import augment as augment_mod
 from fairmix import experiment as exp_mod
 from fairmix import fusion as fusion_mod
+from fairmix import models as models_mod
 from fairmix.cli import main
 from fairmix.config import PipelineConfig
 from fairmix.dataset import Dataset
 from fairmix.errors import ExperimentError, FitError
 from fairmix.fusion import FusionSpec, fit_stacking_meta
 from fairmix.metrics import PredictionRecord, PredictionSet
-from fairmix.models import PredictorSpec, stratified_positions
+from fairmix.models import PredictorSpec, out_of_fold
 from fairmix.experiment import (
     grouped_stratified_kfold,
     loso_folds,
@@ -121,9 +123,18 @@ class TestGoldenFolds:
             [0, 1], [2], [3, 4, 5], [6], [7, 8], [9], [10, 11], [12], [13], [14, 15],
         ]
 
-    def test_platt_folds(self):
-        # the SVM's internal calibration folds for seed 4
-        assign = stratified_positions(self.LABELS, np.random.default_rng(4 + 1)) % 3
+    def test_platt_folds(self, monkeypatch):
+        # the SVM's internal calibration folds for seed 4, as its fit draws them
+        calls = []
+
+        def spy(y, k, seed, fit_predict):
+            calls.append((y.tolist(), k, seed, out_of_fold(y, k, seed, fit_predict)))
+            return calls[-1][-1]
+
+        monkeypatch.setattr(models_mod, "out_of_fold", spy)
+        models_mod.fit(PredictorSpec("rbf_svm", {"seed": 4}), np.arange(16.0)[:, None], self.LABELS)
+        [(y, k, seed, (assign, _))] = calls
+        assert (y, k, seed) == (self.LABELS, 3, 5)
         assert assign.tolist() == [0, 1, 1, 0, 0, 2, 2, 0, 1, 1, 1, 2, 0, 0, 1, 2]
 
     def test_stacking_folds(self):
@@ -134,6 +145,54 @@ class TestGoldenFolds:
         spec = FusionSpec("stack_soft", PredictorSpec("logistic"))
         _, assign, _ = fit_stacking_meta(spec, Xs, y, seed=4)
         assert assign.tolist() == [2, 0, 2, 0, 3, 1, 1, 1, 4, 1, 4, 0, 2, 2, 3, 0]
+
+
+class TestInternalFoldLeak:
+    """What the Platt folds test on, on criterion 7's shape (data seed 0,
+    config seed 0, 5 grouped folds). The internal folds are drawn over the
+    augmented training rows by label alone, so their test parts hold
+    synthetic rows and rows whose origin subject (a synthetic row's:
+    parent_i's subject) also has rows in the training part. These are the
+    counts of that leak, not a bound: a leak-free fold rule changes them."""
+
+    def test_platt_test_rows_counted_per_arm(self, monkeypatch):
+        ds = generate(SynthSpec(n_subjects=40, sessions_per_subject=4,
+                                attribute_props=(("gender", 0.8),),
+                                separation_majority=2.0, separation_minority=1.2, seed=0))
+        origin = {}  # the current fit's rows: origin subject, synthetic or not
+        counts = np.zeros(3, int)  # synthetic, sharing a subject, all test rows
+        preprocess_fold, synthesize = exp_mod.preprocess_fold, augment_mod.synthesize
+
+        def preprocess_spy(*args):
+            fold_ds, Xte = preprocess_fold(*args)
+            origin["fold"] = fold_ds.subject_id, np.zeros(fold_ds.n_samples, bool)
+            return fold_ds, Xte
+
+        def synthesize_spy(train, *args):
+            out = synthesize(train, *args)
+            subject = np.concatenate([train.subject_id, train.subject_id[out[1]]])
+            origin["fit"] = subject, np.arange(len(subject)) >= train.n_samples
+            return out
+
+        def out_of_fold_spy(y, k, seed, fit_predict):
+            assign, blocks = out_of_fold(y, k, seed, fit_predict)
+            subject, synthetic = origin.pop("fit", origin["fold"])
+            for test, _ in blocks:
+                train = np.flatnonzero(assign != assign[test[0]])
+                counts[:] += (synthetic[test].sum(),
+                              np.isin(subject[test], subject[train]).sum(), len(test))
+            return assign, blocks
+
+        monkeypatch.setattr(exp_mod, "preprocess_fold", preprocess_spy)
+        monkeypatch.setattr(augment_mod, "synthesize", synthesize_spy)
+        monkeypatch.setattr(models_mod, "out_of_fold", out_of_fold_spy)
+        found = {}
+        for method in ("none", "random_oversample", "mixfeat"):
+            counts[:] = 0
+            run_experiment(PipelineConfig(seed=0, augment_method=method, model_kind="rbf_svm"), ds)
+            found[method] = counts.tolist()
+        assert found == {"none": [0, 624, 640], "random_oversample": [464, 1091, 1104],
+                         "mixfeat": [464, 1095, 1104]}
 
 
 class TestRunExperiment:

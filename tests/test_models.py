@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from fairmix.models import (
     PredictorSpec,
     fit,
     mlp_loss_and_grads,
+    out_of_fold,
     _mlp_init,
     _rbf_kernel,
     _smo,
@@ -54,6 +56,31 @@ class TestSpecValidation:
             PredictorSpec(kind, hp)
 
 
+    @pytest.mark.parametrize("kind,name,value", [
+        ("rbf_svm", "gamma", "auto"),
+        ("rbf_svm", "gamma", math.inf),
+        ("rbf_svm", "C", "1"),
+        ("rbf_svm", "C", True),
+        ("rbf_svm", "tol", None),
+        ("rbf_svm", "tol", math.inf),
+        ("rbf_svm", "seed", -1),
+        ("mlp", "seed", 1.0),
+        ("mlp", "hidden_units", 2.5),
+        ("mlp", "epochs", True),
+        ("mlp", "learning_rate", "0.1"),
+        ("logistic", "max_iter", 10.0),
+    ])
+    def test_rejects_what_config_rejects(self, kind, name, value):
+        # config parses an int default's value as an integer >= 0 and any
+        # other as a finite real (gamma also as "scale")
+        with pytest.raises(InputError, match=f"^{name} "):
+            PredictorSpec(kind, {name: value})
+
+    def test_numpy_scalars_and_integer_reals_are_taken(self):
+        PredictorSpec("rbf_svm", {"C": 1, "gamma": np.float32(0.5), "tol": 1e-3, "seed": np.int64(2)})
+        PredictorSpec("mlp", {"hidden_units": np.int32(3), "l2": 0})
+
+
 class TestFitContract:
     def test_single_class_rejected(self):
         with pytest.raises(FitError):
@@ -68,6 +95,18 @@ class TestFitContract:
         m = fit(PredictorSpec("logistic"), X, y)
         with pytest.raises(ShapeError):
             m.predict(np.zeros((2, 3)))
+
+
+class TestOutOfFold:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_fold_whose_training_rows_hold_one_class_is_skipped(self, seed):
+        # the one positive row lands in fold 0, so fold 0 trains on negatives only
+        y = [0, 0, 0, 1]
+        assign, blocks = out_of_fold(y, 3, seed, lambda train, test: train)
+        assert assign[3] == 0 and sorted(assign.tolist()) == [0, 0, 1, 2]
+        assert [assign[test].tolist() for test, _ in blocks] == [[1], [2]]
+        for test, train in blocks:
+            assert sorted(train.tolist() + test.tolist()) == [0, 1, 2, 3]
 
 
 @pytest.mark.parametrize("kind,hp", [

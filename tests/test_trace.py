@@ -1,7 +1,7 @@
 """The benchmark's traced run (`bench/harness.py`, `--trace 1`) wraps package
 functions by name and reads attributes of their results. This runs it on a
-small experiment per model kind, so that renaming or deleting something it
-needs fails here and not only in the benchmark."""
+small experiment per model kind and on a stacked one, so that renaming or
+deleting something it needs fails here and not only in the benchmark."""
 
 import importlib
 from pathlib import Path
@@ -31,6 +31,9 @@ def test_traced_run_counts_every_layer_and_restores_the_originals(harness):
         for kind in ("logistic", "rbf_svm", "mlp"):
             cfg = PipelineConfig(seed=3, model_kind=kind, augment_method="mixfeat", cv_k=2)
             experiment.run_experiment(cfg, ds)
+        # stacking reaches fusion.fit_stacking_meta through its module name
+        cfg = PipelineConfig(seed=3, model_kind="logistic", fusion_strategy="stack_soft", cv_k=2)
+        experiment.run_experiment(cfg, ds)
     finally:
         tracer.restore()
     for owner, attr, original in patches:
@@ -39,6 +42,7 @@ def test_traced_run_counts_every_layer_and_restores_the_originals(harness):
     assert m["augment.calls"] > 0 and m["augment.synthetic_rows"] > 0
     assert m["preprocess.pca_calls"] > 0
     assert m["metrics.calls"] > 0
+    assert m["fusion.stack_s"] > 0
     for kind in ("logistic", "rbf_svm", "mlp"):
         assert m[f"models.fit_calls.{kind}"] > 0, kind
         assert m[f"models.fit_rows.{kind}"] > 0, kind
