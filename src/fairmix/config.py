@@ -25,7 +25,8 @@ field (defaults in parentheses):
     model.<hyperparam>=<value>     (model defaults; only hyperparameters of model.kind)
 
 Integers (seeds, sizes, counts) must be non-negative and reals finite.
-Paths are relative to the configuration file.
+Paths are relative to the configuration file. PredictorSpec rejects a
+hyperparameter that model.kind does not take.
 """
 
 from __future__ import annotations
@@ -133,7 +134,7 @@ class PipelineConfig:
     augment_seed: Optional[int] = _key("augment.seed", _parse_int, report=None)
     model_kind: str = _key("model.kind", _one_of(DEFAULT_HYPERPARAMS), "rbf_svm")
     # model.<hyperparameter> keys, parsed by the type of
-    # DEFAULT_HYPERPARAMS[model_kind][<hyperparameter>]
+    # DEFAULT_HYPERPARAMS[model_kind][<hyperparameter>] (text if it has none)
     model_hyperparams: dict = field(default_factory=dict)
     fusion_strategy: str = _key("fusion.strategy", _one_of(STRATEGIES), "early")
     meta_kind: str = _key("fusion.meta_kind", _one_of(DEFAULT_HYPERPARAMS), "logistic")
@@ -225,16 +226,12 @@ def build_config(kv: dict[str, str], base_dir: str = ".") -> PipelineConfig:
             setattr(cfg, f.name, f.metadata["parse"](key, text))
     defaults = DEFAULT_HYPERPARAMS[cfg.model_kind]
     for key in [k for k in kv if k.startswith("model.")]:
-        hp = key[len("model."):]
-        if hp not in defaults:
-            raise ConfigError(
-                f"{key}: model kind {cfg.model_kind!r} takes no {hp!r}; "
-                f"its hyperparameters are {sorted(defaults)}"
-            )
-        cfg.model_hyperparams[hp] = _hyperparam_parser(defaults[hp])(key, kv.pop(key))
+        hp = key[len("model."):]  # one the kind does not take stays text for model_spec to reject
+        parse = _hyperparam_parser(defaults[hp]) if hp in defaults else _parse_str
+        cfg.model_hyperparams[hp] = parse(key, kv.pop(key))
     if kv:
         raise ConfigError(f"unknown configuration keys: {sorted(kv)}")
-    # range checks live with the objects; their messages start with the field
+    # name and range checks live with the objects; their messages start with the field
     for section, build in (
         ("model.", cfg.model_spec),
         ("model.", cfg.meta_spec),

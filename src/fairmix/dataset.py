@@ -5,7 +5,7 @@ A dataset is described by a plain-text manifest of key=value lines:
     modality.<name>=<feature csv path>
     levels.<name>=<levels csv path>          (optional per modality)
     metadata=<metadata csv path>
-    panas_threshold=<real>                   (optional, default 33.3)
+    panas_threshold=<real>                   (optional, default 33.3; read only at load)
 
 Any other key, an empty modality name, a ``levels.<name>`` without its
 modality, or a levels row naming a feature that its modality lacks is a
@@ -16,11 +16,12 @@ A feature CSV is ``sample_id`` plus one or more numeric features; a levels
 CSV is exactly ``feature_name,level`` (high or low); the metadata CSV is
 ``sample_id, subject_id, pa_score`` (or ``label``) plus 0/1 attribute
 columns. Its rule table: an outcome in every row, 0/1 labels and 0/1
-attributes. Value cells are finite numbers or empty (missing). The first
-offending row in reading order raises: its cell count, a repeated sample_id,
-then its first offending cell in column order (non-numeric, infinite, then
-the rules in declared order). Rows are joined to the metadata by sample_id
-in metadata order; an id missing on either side is an AlignmentError.
+attributes; a pa_score is binarized at load. Value cells are finite numbers
+or empty (missing). The first offending row in reading order raises: its
+cell count, a repeated sample_id, then its first offending cell in column
+order (non-numeric, infinite, then the rules in declared order). Rows are
+joined to the metadata by sample_id in metadata order; an id missing on
+either side is an AlignmentError.
 
 Every file fairmix writes, a saved dataset here and the reports in
 `experiment`, goes through `atomic_write` (temp file, rename, umask mode).
@@ -99,12 +100,6 @@ class ModalityTable:
     def feature_names(self) -> tuple[str, ...]:
         return tuple(c.feature_name for c in self.column_meta)
 
-    def select_columns(self, keep: Sequence[int]) -> "ModalityTable":
-        """Sub-table of the listed columns (a copy)."""
-        return ModalityTable(
-            self.modality_name, self.samples[:, keep], tuple(self.column_meta[j] for j in keep)
-        )
-
 
 @dataclass(frozen=True)
 class SampleMeta:
@@ -124,7 +119,7 @@ class SampleMeta:
 class Dataset:
     """Row-aligned modality tables plus per-row columns: sample and subject
     ids, 0/1 labels, and an (n, a) 0/1 matrix of the declared sensitive
-    attributes in declared order."""
+    attributes in declared order. Labels or an attribute of one value warn."""
 
     modalities: tuple[ModalityTable, ...]
     sample_id: np.ndarray
@@ -132,7 +127,6 @@ class Dataset:
     label: np.ndarray
     attrs: np.ndarray
     declared_attributes: tuple[str, ...]
-    panas_threshold: float = DEFAULT_PANAS_THRESHOLD
 
     def __post_init__(self):
         for name, dtype in (("sample_id", str), ("subject_id", str), ("label", int), ("attrs", int)):
@@ -162,7 +156,7 @@ class Dataset:
             warnings.warn("label takes a single value", DegenerateGroupWarning)
         for a, values in zip(self.declared_attributes, self.attrs.T):
             if (values == values[0]).all():
-                warnings.warn(f"attribute {a!r} takes a single value", DegenerateGroupWarning)
+                warnings.warn(f"attribute {a!r} has a single group", DegenerateGroupWarning)
 
     @property
     def meta(self) -> tuple[SampleMeta, ...]:
@@ -198,11 +192,11 @@ class Dataset:
         return dict(zip(self.declared_attributes, self.attrs.T))[name].copy()
 
     def _with_columns(self, modalities, sample_id, subject_id, label, attrs) -> "Dataset":
-        """A dataset with this one's attributes and threshold; group warnings muted."""
+        """A dataset with this one's attributes; group warnings muted."""
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegenerateGroupWarning)
             return Dataset(tuple(modalities), sample_id, subject_id, label, attrs,
-                           self.declared_attributes, self.panas_threshold)
+                           self.declared_attributes)
 
     def derive(self, modalities: Iterable[ModalityTable], rows) -> "Dataset":
         """The listed rows of this dataset over new modality tables."""
@@ -442,7 +436,7 @@ def load_dataset(manifest_path: str) -> Dataset:
         cols = tuple(ColumnMeta(fn, levels.get(fn, "low")) for fn in feature_names)
         tables.append(ModalityTable(name, values[at], cols))
 
-    return Dataset(tuple(tables), order, subjects, labels, attrs, attr_names, threshold)
+    return Dataset(tuple(tables), order, subjects, labels, attrs, attr_names)
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +494,7 @@ def save_dataset(dataset: Dataset, out_dir: str, name: str = "data") -> str:
     mname = write_csv(f"{name}_metadata.csv",
                       ["sample_id", "subject_id", "label", *dataset.declared_attributes],
                       zip(ids, dataset.subject_ids(), dataset.label.tolist(), *dataset.attrs.T.tolist()))
-    lines += [f"metadata={mname}", f"panas_threshold={dataset.panas_threshold!r}"]
+    lines.append(f"metadata={mname}")
     manifest = os.path.join(out_dir, f"{name}_manifest.txt")
     atomic_write(manifest, "\n".join(lines) + "\n")
     return manifest

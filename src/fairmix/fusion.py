@@ -6,13 +6,14 @@ single base model (early fusion, or any strategy over one modality) gets no
 meta-learner and decides alone: a vote of one returns its own output.
 Stacking meta-features come from ``models.out_of_fold`` on the training
 split, so the meta-learner never sees a base prediction of a model fitted
-on that row; the final base models are then refit on the full split.
+on that row; the final base models are then refit on the full split. The
+meta-learner is ``FusionSpec.meta_model``, logistic unless set.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -27,14 +28,11 @@ STRATEGIES = ("early", "vote_hard", "vote_soft", "stack_hard", "stack_soft")
 class FusionSpec:
     strategy: str
     base_model: PredictorSpec
-    meta_model: Optional[PredictorSpec] = None
+    meta_model: PredictorSpec = field(default_factory=lambda: PredictorSpec("logistic"))
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"unknown fusion strategy {self.strategy!r}")
-
-    def resolved_meta(self) -> PredictorSpec:
-        return self.meta_model or PredictorSpec("logistic")
 
 
 def early_fuse(modalities: Sequence[np.ndarray]) -> np.ndarray:
@@ -100,7 +98,7 @@ def fit_stacking_meta(
     meta_feats = np.empty((n, blocks[0][1].shape[1]))
     for test, feats in blocks:
         meta_feats[test] = feats
-    meta = models.fit(spec.resolved_meta(), meta_feats, y)
+    meta = models.fit(spec.meta_model, meta_feats, y)
     return meta, assign, meta_feats
 
 

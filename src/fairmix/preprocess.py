@@ -36,7 +36,10 @@ def select_columns(table: ModalityTable, level: str, descriptors) -> ModalityTab
             raise SelectionError(
                 f"modality {table.modality_name!r}: descriptor mask removed every column"
             )
-    return table if len(keep) == table.n_features else table.select_columns(keep)
+    if len(keep) == table.n_features:
+        return table
+    return ModalityTable(table.modality_name, table.samples[:, keep],
+                         tuple(table.column_meta[j] for j in keep))
 
 
 @dataclass(frozen=True)

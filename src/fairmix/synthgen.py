@@ -6,12 +6,12 @@ class-conditional feature clouds sit `separation` pooled-std units apart,
 so shrinking the minority group's separation (and its share of subjects)
 reproduces the under-representation failure mode a fairness audit should
 detect. Attributes live on subjects; all of a subject's sessions share
-them.
+them. A draw whose labels or an attribute take one value warns through
+`Dataset` (DegenerateGroupWarning).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,10 +71,6 @@ def generate(spec: SynthSpec) -> Dataset:
 
     draws = [[rng.random() < props[a] for a in attr_names] for _ in range(spec.n_subjects)]
     subj_attrs = np.array(draws, dtype=int)
-    for a, values in zip(attr_names, subj_attrs.T):
-        if len(np.unique(values)) < 2:
-            warnings.warn(f"synthetic attribute {a!r} has a single group; fairness "
-                          "metrics over it will be undefined", UserWarning)
 
     # one fixed unit direction per modality separates the two classes
     directions = {}
@@ -105,13 +101,11 @@ def generate(spec: SynthSpec) -> Dataset:
     )
     subjects = [f"subj-{s:03d}" for s in range(spec.n_subjects)]
     sessions = range(spec.sessions_per_subject)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return Dataset(
-            modalities,
-            [f"{subject}-sess-{t}" for subject in subjects for t in sessions],
-            np.repeat(subjects, spec.sessions_per_subject),
-            labels,
-            np.repeat(subj_attrs, spec.sessions_per_subject, axis=0),
-            attr_names,
-        )
+    return Dataset(
+        modalities,
+        [f"{subject}-sess-{t}" for subject in subjects for t in sessions],
+        np.repeat(subjects, spec.sessions_per_subject),
+        labels,
+        np.repeat(subj_attrs, spec.sessions_per_subject, axis=0),
+        attr_names,
+    )

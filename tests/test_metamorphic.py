@@ -94,7 +94,7 @@ def renamed(ds: Dataset, seed: int):
         return new
 
     out = Dataset(ds.modalities, rename(ds.sample_id, "row"), rename(ds.subject_id, "p"),
-                  ds.label, ds.attrs, ds.declared_attributes, ds.panas_threshold)
+                  ds.label, ds.attrs, ds.declared_attributes)
     return out, old_of
 
 
