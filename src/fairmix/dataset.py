@@ -10,7 +10,8 @@ A dataset is described by a plain-text manifest of key=value lines:
 Any other key, an empty modality name, a ``levels.<name>`` without its
 modality, or a levels row naming a feature that its modality lacks is a
 SchemaError; so is a feature named twice in a levels file or feature header,
-and a metadata attribute named like a fixed column or a `PREDICTION_COLUMNS` one.
+and a metadata attribute that is unnamed or named like a fixed column, either
+outcome or a `PREDICTION_COLUMNS` one.
 
 A feature CSV is ``sample_id`` plus one or more numeric features; a levels
 CSV is exactly ``feature_name,level`` (high or low); the metadata CSV is
@@ -347,6 +348,12 @@ def _load_levels_csv(path: str) -> dict[str, str]:
     return {row[0]: row[1] for row in rows}
 
 
+# attribute names a metadata header may not use, besides its first three columns
+_RESERVED_ATTRIBUTES = {"": "has an empty name", "pa_score": "is an outcome column name",
+                        "label": "is an outcome column name",
+                        **dict.fromkeys(PREDICTION_COLUMNS, "is a predictions.csv column")}
+
+
 def _load_metadata_csv(path: str, threshold: float):
     header, rows = _read_csv(path)
     if header[:2] != ["sample_id", "subject_id"]:
@@ -358,9 +365,9 @@ def _load_metadata_csv(path: str, threshold: float):
     repeat = next((c for c in attr_names if c in header[:3]), None)
     if repeat is not None:
         raise SchemaError(f"{path}: row 1: column {repeat!r} is named more than once")
-    reserved = next((c for c in attr_names if c in PREDICTION_COLUMNS), None)
+    reserved = next((c for c in attr_names if c in _RESERVED_ATTRIBUTES), None)
     if reserved is not None:
-        raise SchemaError(f"{path}: row 1: attribute {reserved!r} is a predictions.csv column")
+        raise SchemaError(f"{path}: row 1: attribute {reserved!r} {_RESERVED_ATTRIBUTES[reserved]}")
     if not rows:
         raise SchemaError(f"{path}: no data rows")
 

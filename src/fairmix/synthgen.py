@@ -37,11 +37,13 @@ class SynthSpec:
     def __post_init__(self):
         if self.n_subjects < 1 or self.sessions_per_subject < 1:
             raise InputError("need at least one subject and one session")
+        if "" in dict(self.modality_dims) or "" in dict(self.attribute_props):
+            raise InputError("modality and attribute names must be non-empty")
         for name, d in self.modality_dims:
             if d < 1:
                 raise InputError(f"modality {name!r}: dim must be >= 1")
         for name, p in self.attribute_props:
-            if name in ("sample_id", "subject_id", "label", *PREDICTION_COLUMNS):
+            if name in ("sample_id", "subject_id", "pa_score", "label", *PREDICTION_COLUMNS):
                 raise InputError(f"attribute {name!r} is a metadata or predictions.csv column")
             if not 0.0 <= p <= 1.0:
                 raise InputError(f"attribute {name!r}: proportion must be in [0,1]")

@@ -7,6 +7,7 @@ import stat
 
 import pytest
 
+import fairmix.config
 from fairmix.cli import main
 from fairmix.config import KEYS, build_config, load_config, synth_spec_to_dict
 from fairmix.errors import ConfigError
@@ -99,6 +100,12 @@ class TestConfig:
                 value = synth_spec_to_dict(value)
             if key in flat:
                 assert flat[key] == (list(value) if isinstance(value, tuple) else value), key
+
+    def test_docstring_lists_every_key(self):
+        # the schema is declared once, as KEYS; the module docstring is its written copy
+        doc = fairmix.config.__doc__
+        listed = re.findall(r"(?:^    |\| )([\w.<>]+)=", doc, re.MULTILINE)
+        assert listed == [*KEYS, "model.<hyperparam>"]
 
     def test_dataset_source_exclusive(self):
         with pytest.raises(ConfigError):
@@ -315,6 +322,30 @@ class TestConfigRejections:
         assert err.startswith("configuration error: ") and f"attribute {name!r} is a metadata or" in err
         assert not (workdir / "ds").exists() and not (workdir / "out").exists()
 
+    @pytest.mark.parametrize("command", ["synth", "audit", "validate"])
+    @pytest.mark.parametrize("line, named", [
+        ("modality.=3", "modality and attribute names must be non-empty"),
+        ("attribute.=0.5", "modality and attribute names must be non-empty"),
+        ("attribute.pa_score=0.5", "attribute 'pa_score' is a metadata or"),
+    ])
+    def test_synth_name_a_saved_dataset_cannot_carry_exit_2(self, command, line, named, workdir,
+                                                            capsys):
+        (workdir / "synth.txt").write_text(SYNTH_SPEC + line + "\n")
+        args = {"synth": ["synth", "--spec", str(workdir / "synth.txt"), "--out", str(workdir / "ds")],
+                "audit": ["audit", "--config", str(workdir / "config.txt")],
+                "validate": ["validate", "--config", str(workdir / "config.txt")]}[command]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and named in err
+        assert not (workdir / "ds").exists() and not (workdir / "out").exists()
+
+    def test_hyperparameter_of_another_kind_names_the_kinds_own(self, capsys):
+        args = ["validate", "--config", str(BUNDLED_AUDIT),
+                "--set", "model.kind=logistic", "--set", "model.seed=3"]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "model.seed" in err and "['l2', 'max_iter']" in err
+
     @pytest.mark.parametrize("command", ["audit", "validate"])
     def test_set_without_equals_exit_2(self, command, workdir, capsys):
         assert main([command, "--config", str(workdir / "config.txt"), "--set", "foo"]) == 2
@@ -390,8 +421,9 @@ class TestKeyValueSyntax:
 class TestLoaderErrors:
     """A feature named twice, an empty modality name, a feature row missing
     from the metadata, a feature file without feature columns, a levels row
-    with extra cells and a metadata attribute named like a fixed column or a
-    predictions.csv column are data errors (exit 3)."""
+    with extra cells and a metadata attribute that is unnamed or named like a
+    fixed column, either outcome or a predictions.csv column are data errors
+    (exit 3)."""
 
     # the file edited in a materialized dataset, the edit, and what the
     # message names
@@ -415,6 +447,14 @@ class TestLoaderErrors:
         "attribute_is_a_predictions_column": ("data_metadata.csv",
                                               lambda t: t.replace("label,gender", "label,true_label", 1),
                                               "row 1: attribute 'true_label' is a predictions.csv column"),
+        "attribute_is_the_other_outcome": ("data_metadata.csv",
+                                           lambda t: t.replace("label,gender", "label,pa_score", 1),
+                                           "row 1: attribute 'pa_score' is an outcome column name"),
+        "label_attribute_under_pa_score": ("data_metadata.csv",
+                                           lambda t: t.replace("label,gender", "pa_score,label", 1),
+                                           "row 1: attribute 'label' is an outcome column name"),
+        "unnamed_attribute": ("data_metadata.csv", lambda t: t.replace("label,gender", "label,", 1),
+                              "row 1: attribute '' has an empty name"),
     }
 
     @pytest.mark.parametrize("case", sorted(EDITS))

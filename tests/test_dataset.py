@@ -184,6 +184,19 @@ class TestRoundTrip:
             np.testing.assert_array_equal(getattr(back, column), getattr(ds, column))
         assert back.attrs.shape == (5, 2)
 
+    def test_saved_manifest_sets_no_threshold(self, tmp_path):
+        # labels are saved binarized, so the threshold they came from is not written
+        ds = make_dataset({"face": np.arange(8.0).reshape(4, 2)}, labels=[0, 1, 1, 0],
+                          attrs=[[1], [0], [0], [1]])
+        manifest = save_dataset(ds, str(tmp_path))
+        with open(manifest) as fh:
+            keys = [line.partition("=")[0] for line in fh.read().splitlines()]
+        assert keys == ["modality.face", "levels.face", "metadata"]
+        back = load_dataset(manifest)
+        for column in ("sample_id", "subject_id", "label", "attrs"):
+            np.testing.assert_array_equal(getattr(back, column), getattr(ds, column))
+        np.testing.assert_array_equal(back.modality("face").samples, ds.modality("face").samples)
+
     def test_nan_cells_survive_round_trip(self, tmp_path):
         X = np.array([[1.0, np.nan], [3.0, 4.0]])
         ds = make_dataset({"m": X}, labels=[0, 1], attrs=[[0], [1]])
@@ -370,6 +383,14 @@ class TestLoadErrorMessages:
          "row 1: attribute 'proba_0' is a predictions.csv column"),
         (META.replace("gender", "proba_1", 1), SchemaError,
          "row 1: attribute 'proba_1' is a predictions.csv column"),
+        # nor the other outcome, or no name: saved, such a header would not load
+        # again ("label,label" under pa_score)
+        (META.replace("label,gender", "pa_score,label"), SchemaError,
+         "row 1: attribute 'label' is an outcome column name"),
+        (META.replace("gender", "pa_score", 1), SchemaError,
+         "row 1: attribute 'pa_score' is an outcome column name"),
+        (META2.replace("gender,race", "gender,"), SchemaError, "row 1: attribute '' has an empty name"),
+        (META.replace("label,gender", "label,"), SchemaError, "row 1: attribute '' has an empty name"),
     ])
     def test_metadata_file(self, tmp_path, meta, error, message):
         exc = load_error(tmp_path, meta=meta)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fairmix.errors import InputError
+from fairmix.errors import DegenerateGroupWarning, InputError
 from fairmix.synthgen import SynthSpec, generate
 
 
@@ -59,6 +59,20 @@ class TestGenerate:
     def test_single_group_warns(self):
         with pytest.warns(UserWarning, match="single group"):
             generate(SynthSpec(n_subjects=5, attribute_props=(("gender", 1.0),), seed=0))
+
+    def test_single_label_warns(self):
+        spec = SynthSpec(n_subjects=3, base_rate_majority=0.0, base_rate_minority=0.0)
+        with pytest.warns(DegenerateGroupWarning, match="label takes a single value"):
+            ds = generate(spec)
+        assert not ds.labels().any()
+
+    @pytest.mark.parametrize("changes", [
+        {"modality_dims": (("face", 2), ("", 3))},
+        {"attribute_props": (("gender", 0.5), ("", 0.5))},
+    ])
+    def test_empty_names_rejected(self, changes):
+        with pytest.raises(InputError, match="modality and attribute names must be non-empty"):
+            SynthSpec(**changes)
 
     def test_invalid_spec(self):
         with pytest.raises(InputError):
