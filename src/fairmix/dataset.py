@@ -55,6 +55,12 @@ from .errors import (
 DEFAULT_PANAS_THRESHOLD = 33.3
 LEVELS = ("high", "low")
 PREDICTION_COLUMNS = ("true_label", "predicted_label", "proba_0", "proba_1")  # after the two ids
+# the names no attribute may take, each with its reason; the metadata loader,
+# Dataset and synthgen.SynthSpec all read this one table
+RESERVED_ATTRIBUTES = {"": "has an empty name", "pa_score": "is an outcome column name",
+                       "label": "is an outcome column name",
+                       **dict.fromkeys(("sample_id", "subject_id"), "is an id column name"),
+                       **dict.fromkeys(PREDICTION_COLUMNS, "is a predictions.csv column")}
 
 
 @dataclass(frozen=True)
@@ -136,9 +142,10 @@ class Dataset:
         if n == 0:
             raise SchemaError("dataset has no rows")
         declared = self.declared_attributes
-        repeated = [a for i, a in enumerate(declared) if a in declared[:i]]
-        if repeated:
-            raise SchemaError(f"attribute {repeated[0]!r} is declared more than once")
+        for i, a in enumerate(declared):
+            if a in RESERVED_ATTRIBUTES or a in declared[:i]:
+                reason = RESERVED_ATTRIBUTES.get(a, "is declared more than once")
+                raise SchemaError(f"attribute {a!r} {reason}")
         expected = {"sample_id": (n,), "subject_id": (n,), "label": (n,),
                     "attrs": (n, len(declared))}
         shapes = {name: getattr(self, name).shape for name in expected}
@@ -348,12 +355,6 @@ def _load_levels_csv(path: str) -> dict[str, str]:
     return {row[0]: row[1] for row in rows}
 
 
-# attribute names a metadata header may not use, besides its first three columns
-_RESERVED_ATTRIBUTES = {"": "has an empty name", "pa_score": "is an outcome column name",
-                        "label": "is an outcome column name",
-                        **dict.fromkeys(PREDICTION_COLUMNS, "is a predictions.csv column")}
-
-
 def _load_metadata_csv(path: str, threshold: float):
     header, rows = _read_csv(path)
     if header[:2] != ["sample_id", "subject_id"]:
@@ -365,9 +366,9 @@ def _load_metadata_csv(path: str, threshold: float):
     repeat = next((c for c in attr_names if c in header[:3]), None)
     if repeat is not None:
         raise SchemaError(f"{path}: row 1: column {repeat!r} is named more than once")
-    reserved = next((c for c in attr_names if c in _RESERVED_ATTRIBUTES), None)
+    reserved = next((c for c in attr_names if c in RESERVED_ATTRIBUTES), None)
     if reserved is not None:
-        raise SchemaError(f"{path}: row 1: attribute {reserved!r} {_RESERVED_ATTRIBUTES[reserved]}")
+        raise SchemaError(f"{path}: row 1: attribute {reserved!r} {RESERVED_ATTRIBUTES[reserved]}")
     if not rows:
         raise SchemaError(f"{path}: no data rows")
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import PREDICTION_COLUMNS, ColumnMeta, Dataset, ModalityTable
+from .dataset import RESERVED_ATTRIBUTES, ColumnMeta, Dataset, ModalityTable
 from .errors import InputError
 
 
@@ -43,10 +43,12 @@ class SynthSpec:
             if d < 1:
                 raise InputError(f"modality {name!r}: dim must be >= 1")
         for name, p in self.attribute_props:
-            if name in ("sample_id", "subject_id", "pa_score", "label", *PREDICTION_COLUMNS):
+            if name in RESERVED_ATTRIBUTES:
                 raise InputError(f"attribute {name!r} is a metadata or predictions.csv column")
             if not 0.0 <= p <= 1.0:
                 raise InputError(f"attribute {name!r}: proportion must be in [0,1]")
+        if self.bias_attribute not in ("", *self.attribute_names):
+            raise InputError(f"bias_attribute {self.bias_attribute!r} not among {self.attribute_names}")
         if not self.noise_std > 0:
             raise InputError("noise_std must be positive")
         if min(self.separation_majority, self.separation_minority) < 0:
@@ -68,8 +70,6 @@ def generate(spec: SynthSpec) -> Dataset:
     attr_names = spec.attribute_names
     props = dict(spec.attribute_props)
     bias_attr = spec.resolved_bias_attribute
-    if bias_attr not in attr_names:
-        raise InputError(f"bias_attribute {bias_attr!r} not among {attr_names}")
 
     draws = [[rng.random() < props[a] for a in attr_names] for _ in range(spec.n_subjects)]
     subj_attrs = np.array(draws, dtype=int)
