@@ -11,7 +11,7 @@ Any other key, an empty modality name, a ``levels.<name>`` without its
 modality, or a levels row naming a feature that its modality lacks is a
 SchemaError; so is a feature named twice in a levels file or feature header,
 and a metadata attribute that is unnamed or named like a fixed column, either
-outcome or a `PREDICTION_COLUMNS` one.
+outcome or a `PREDICTION_COLUMNS` one (the keys of `RESERVED_ATTRIBUTES`).
 
 A feature CSV is ``sample_id`` plus one or more numeric features; a levels
 CSV is exactly ``feature_name,level`` (high or low); the metadata CSV is
@@ -23,6 +23,12 @@ cell count, a repeated sample_id, then its first offending cell in column
 order (non-numeric, infinite, then the rules in declared order). Rows are
 joined to the metadata by sample_id in metadata order; an id missing on
 either side is an AlignmentError.
+
+`Dataset` owns the names of any dataset, loaded or built, and refuses
+those that `load_dataset` would refuse in a saved copy: it needs one or more
+modalities, each named once and not empty, and attributes each declared
+once and none in `RESERVED_ATTRIBUTES` (SchemaError). That table is the one
+list of reserved names; the loader and `synthgen.SynthSpec` read it too.
 
 Every file fairmix writes, a saved dataset here and the reports in
 `experiment`, goes through `atomic_write` (temp file, rename, umask mode).
@@ -55,8 +61,7 @@ from .errors import (
 DEFAULT_PANAS_THRESHOLD = 33.3
 LEVELS = ("high", "low")
 PREDICTION_COLUMNS = ("true_label", "predicted_label", "proba_0", "proba_1")  # after the two ids
-# the names no attribute may take, each with its reason; the metadata loader,
-# Dataset and synthgen.SynthSpec all read this one table
+# the names no attribute may take, and why; read by the loader, Dataset and SynthSpec
 RESERVED_ATTRIBUTES = {"": "has an empty name", "pa_score": "is an outcome column name",
                        "label": "is an outcome column name",
                        **dict.fromkeys(("sample_id", "subject_id"), "is an id column name"),
@@ -146,6 +151,13 @@ class Dataset:
             if a in RESERVED_ATTRIBUTES or a in declared[:i]:
                 reason = RESERVED_ATTRIBUTES.get(a, "is declared more than once")
                 raise SchemaError(f"attribute {a!r} {reason}")
+        names = self.modality_names
+        if not names:
+            raise SchemaError("dataset has no modalities")
+        for i, m in enumerate(names):
+            if not m or m in names[:i]:
+                reason = "is named more than once" if m else "has an empty name"
+                raise SchemaError(f"modality {m!r} {reason}")
         expected = {"sample_id": (n,), "subject_id": (n,), "label": (n,),
                     "attrs": (n, len(declared))}
         shapes = {name: getattr(self, name).shape for name in expected}

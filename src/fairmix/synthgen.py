@@ -8,6 +8,12 @@ reproduces the under-representation failure mode a fairness audit should
 detect. Attributes live on subjects; all of a subject's sessions share
 them. A draw whose labels or an attribute take one value warns through
 `Dataset` (DegenerateGroupWarning).
+
+`SynthSpec` checks every rule of a spec when it is built (InputError), so
+a spec that `fairmix validate` passes is one `generate` can draw: one or
+more modalities and attributes, each named once and not empty, no attribute
+in `dataset.RESERVED_ATTRIBUTES`, a `bias_attribute` that is empty (the
+first attribute) or declared, and proportions and base rates in [0, 1].
 """
 
 from __future__ import annotations
@@ -37,8 +43,15 @@ class SynthSpec:
     def __post_init__(self):
         if self.n_subjects < 1 or self.sessions_per_subject < 1:
             raise InputError("need at least one subject and one session")
-        if "" in dict(self.modality_dims) or "" in dict(self.attribute_props):
-            raise InputError("modality and attribute names must be non-empty")
+        for kind, pairs in (("modality", self.modality_dims), ("attribute", self.attribute_props)):
+            names = [name for name, _ in pairs]
+            if not names:
+                raise InputError(f"need at least one {kind}")
+            for i, name in enumerate(names):
+                if not name:
+                    raise InputError("modality and attribute names must be non-empty")
+                if name in names[:i]:
+                    raise InputError(f"{kind} {name!r} is named more than once")
         for name, d in self.modality_dims:
             if d < 1:
                 raise InputError(f"modality {name!r}: dim must be >= 1")
@@ -49,6 +62,9 @@ class SynthSpec:
                 raise InputError(f"attribute {name!r}: proportion must be in [0,1]")
         if self.bias_attribute not in ("", *self.attribute_names):
             raise InputError(f"bias_attribute {self.bias_attribute!r} not among {self.attribute_names}")
+        for name in ("base_rate_majority", "base_rate_minority"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise InputError(f"{name} must be in [0,1]")
         if not self.noise_std > 0:
             raise InputError("noise_std must be positive")
         if min(self.separation_majority, self.separation_minority) < 0:

@@ -366,6 +366,51 @@ class TestConfigRejections:
         assert "modalities: expected distinct names, got 'face,face'" in capsys.readouterr().err
 
 
+class TestSynthSpecRejections:
+    """A synth spec that its parser or SynthSpec rejects ends validate and
+    audit alike: exit 2, the same first stderr line, and no file written."""
+
+    # an edit of SYNTH_SPEC (old text, new text; no old text appends) and what
+    # the error names
+    CASES = {
+        "no_equals": (b"", b"not a key value line\n", "expected key=value"),
+        "duplicate_key": (b"", b"seed=2\n", "duplicate key 'seed'"),
+        "not_utf8": (b"", b"note=caf\xe9\n", "not UTF-8 text"),
+        "unknown_key": (b"n_subjects=", b"n_subject=", "unknown synth keys ['n_subject']"),
+        "non_numeric": (b"n_subjects=14", b"n_subjects=many", "n_subjects"),
+        "no_subjects": (b"n_subjects=14", b"n_subjects=0", "need at least one subject"),
+        "zero_dim": (b"modality.face=4", b"modality.face=0", "modality 'face': dim must be >= 1"),
+        "empty_modality_name": (b"", b"modality.=3\n", "names must be non-empty"),
+        "empty_attribute_name": (b"", b"attribute.=0.5\n", "names must be non-empty"),
+        **{f"attribute_{name}": (b"", f"attribute.{name}=0.5\n".encode(),
+                                 f"attribute {name!r} is a metadata or predictions.csv column")
+           for name in ("sample_id", "subject_id", "pa_score", "label", "true_label", "proba_1")},
+        "proportion": (b"gender=0.7", b"gender=1.5", "attribute 'gender': proportion must be in [0,1]"),
+        "noise_std": (b"", b"noise_std=0\n", "noise_std must be positive"),
+        "separation": (b"separation_minority=1.0", b"separation_minority=-1",
+                       "separation must be >= 0"),
+        "bias_attribute": (b"", b"bias_attribute=race\n", "bias_attribute 'race' not among"),
+        "base_rate_majority": (b"base_rate_majority=0.5", b"base_rate_majority=2",
+                               "base_rate_majority must be in [0,1]"),
+        "base_rate_minority": (b"base_rate_minority=0.5", b"base_rate_minority=-1",
+                               "base_rate_minority must be in [0,1]"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_validate_and_audit_agree(self, case, workdir, capsys):
+        old, new, named = self.CASES[case]
+        spec = SYNTH_SPEC.encode()
+        (workdir / "synth.txt").write_bytes(spec.replace(old, new, 1) if old else spec + new)
+        before = sorted(workdir.rglob("*"))
+        first_lines = []
+        for command in ("validate", "audit"):
+            assert main([command, "--config", str(workdir / "config.txt")]) == 2
+            first_lines.append(capsys.readouterr().err.splitlines()[0])
+        assert first_lines[0] == first_lines[1]
+        assert first_lines[0].startswith("configuration error: ") and named in first_lines[0]
+        assert sorted(workdir.rglob("*")) == before
+
+
 class TestKeyValueSyntax:
     """A line without '=', a repeated key or text that is not UTF-8 is a
     configuration error (exit 2) in a config or synth spec, and a data error

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from fairmix.dataset import (
+    PREDICTION_COLUMNS,
+    RESERVED_ATTRIBUTES,
     ColumnMeta,
     Dataset,
     ModalityTable,
@@ -24,6 +26,8 @@ from fairmix.errors import (
     ParseError,
     SchemaError,
 )
+
+from fairmix.synthgen import SynthSpec
 
 from conftest import make_dataset
 
@@ -297,6 +301,30 @@ class TestColumns:
         with pytest.warns(DegenerateGroupWarning, match="'gender'"):
             Dataset(**kwargs)
 
+    # each was accepted, and save_dataset then wrote files that load_dataset refused
+    @pytest.mark.parametrize("name, message", [
+        ("label", "attribute 'label' is an outcome column name"),
+        ("sample_id", "attribute 'sample_id' is an id column name"),
+        ("", "attribute '' has an empty name"),
+    ])
+    def test_attribute_a_saved_dataset_cannot_carry(self, name, message):
+        with pytest.raises(SchemaError) as info:
+            Dataset(**_columns(attr_names=("gender", name)))
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("names, message", [
+        (("m", "m"), "modality 'm' is named more than once"),
+        (("m", ""), "modality '' has an empty name"),
+        ((), "dataset has no modalities"),
+    ])
+    def test_modality_names_a_saved_dataset_cannot_carry(self, names, message):
+        kwargs = _columns()
+        kwargs["modalities"] = tuple(ModalityTable(m, np.zeros((3, 1)), (ColumnMeta("f"),))
+                                     for m in names)
+        with pytest.raises(SchemaError) as info:
+            Dataset(**kwargs)
+        assert str(info.value) == message
+
 
 FACE = "sample_id,f1,f2\nc0,0.5,1.25\nc1,1.5,2.25\nc2,2.5,3.25\n"
 META = "sample_id,subject_id,label,gender\nc0,s0,0,1\nc1,s1,1,0\nc2,s0,1,1\n"
@@ -453,3 +481,27 @@ class TestQuotedRoundTrip:
         out = back.modality("m").samples
         np.testing.assert_array_equal(out, X)  # NaN where X has NaN, bitwise elsewhere
         assert math.copysign(1.0, out[0, 2]) == -1.0
+
+
+def test_reserved_attributes_name_every_fixed_column():
+    fixed = {"", "sample_id", "subject_id", "pa_score", "label", *PREDICTION_COLUMNS}
+    assert fixed <= RESERVED_ATTRIBUTES.keys()
+
+
+@pytest.mark.parametrize("name", sorted(RESERVED_ATTRIBUTES))
+class TestReservedAttributes:
+    """Every name in the one table is refused by each of its three readers."""
+
+    def test_dataset_rejects(self, name):
+        with pytest.raises(SchemaError, match=f"^attribute {re.escape(repr(name))} "):
+            Dataset(**_columns(attr_names=("gender", name)))
+
+    def test_synth_spec_rejects(self, name):
+        with pytest.raises(InputError):
+            SynthSpec(attribute_props=(("gender", 0.5), (name, 0.5)))
+
+    def test_metadata_header_rejects(self, tmp_path, name):
+        exc = load_error(tmp_path, meta=META2.replace("gender,race", f"gender,{name}"))
+        assert type(exc) is SchemaError
+        assert str(exc).startswith(f"{tmp_path / 'meta.csv'}: row 1: ")
+        assert repr(name) in str(exc)

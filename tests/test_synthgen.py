@@ -79,3 +79,31 @@ class TestGenerate:
             SynthSpec(n_subjects=0)
         with pytest.raises(InputError):
             SynthSpec(noise_std=0.0)
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"modality_dims": (("face", 3), ("face", 4))}, "modality 'face' is named more than once"),
+        ({"modality_dims": (("face", 3), ("face", 3))}, "modality 'face' is named more than once"),
+        ({"attribute_props": (("gender", 0.5), ("gender", 0.3))},
+         "attribute 'gender' is named more than once"),
+        ({"modality_dims": ()}, "need at least one modality"),
+        ({"attribute_props": ()}, "need at least one attribute"),
+        ({"base_rate_majority": 2.0}, "base_rate_majority must be in [0,1]"),
+        ({"base_rate_minority": -1.0}, "base_rate_minority must be in [0,1]"),
+        ({"base_rate_minority": float("nan")}, "base_rate_minority must be in [0,1]"),
+        ({"bias_attribute": "race"}, "bias_attribute 'race' not among ('gender',)"),
+    ])
+    def test_rejected_when_built(self, changes, message):
+        with pytest.raises(InputError) as info:
+            SynthSpec(**changes)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("rate", [0.0, 1.0])
+    def test_base_rate_bounds_are_taken(self, rate):
+        spec = SynthSpec(n_subjects=4, base_rate_majority=rate, base_rate_minority=rate)
+        with pytest.warns(DegenerateGroupWarning, match="label takes a single value"):
+            assert (generate(spec).labels() == rate).all()
+
+    def test_bias_attribute_names_a_declared_one(self):
+        spec = SynthSpec(attribute_props=(("gender", 0.5), ("race", 0.5)), bias_attribute="race")
+        assert spec.resolved_bias_attribute == "race"
+        assert SynthSpec().resolved_bias_attribute == "gender"  # the first declared by default
