@@ -67,8 +67,7 @@ def cmd_audit(args) -> int:
 def cmd_compare(args) -> int:
     cfg = _load_config(args)
     dataset = _resolve_dataset(cfg)
-    arms = [(m, cfg.augment_seed) for m in AUGMENT_METHODS]
-    reports = dict(zip(AUGMENT_METHODS, exp.run_arms(cfg, dataset, arms)))
+    reports = dict(zip(AUGMENT_METHODS, exp.run_arms(cfg, dataset, AUGMENT_METHODS)))
     out = cfg.output_dir
     exp.write_json(os.path.join(out, "report.json"), {
         "arms": {arm: r.to_json_dict() for arm, r in reports.items()},

@@ -181,7 +181,7 @@ class Dataset:
     @property
     def meta(self) -> tuple[SampleMeta, ...]:
         """The rows as SampleMeta records, built on each access."""
-        rows = zip(self.sample_ids(), self.subject_ids(), self.label.tolist(), self.attrs.tolist())
+        rows = zip(*(c.tolist() for c in (self.sample_id, self.subject_id, self.label, self.attrs)))
         return tuple(SampleMeta(sid, subj, label, tuple(zip(self.declared_attributes, attrs)))
                      for sid, subj, label, attrs in rows)
 
@@ -201,9 +201,6 @@ class Dataset:
 
     def labels(self) -> np.ndarray:
         return self.label.copy()
-
-    def subject_ids(self) -> list[str]:
-        return self.subject_id.tolist()
 
     def sample_ids(self) -> list[str]:
         return self.sample_id.tolist()
@@ -496,7 +493,7 @@ def csv_text(header: Sequence, rows: Iterable, **fmt) -> str:
 def save_dataset(dataset: Dataset, out_dir: str, name: str = "data") -> str:
     """Write a dataset in manifest+CSV layout, the manifest last; returns the
     manifest path. Values round-trip bitwise through repr/float."""
-    ids = dataset.sample_ids()
+    ids = dataset.sample_id.tolist()
     lines = []
 
     def write_csv(fname: str, header: list[str], rows: Iterable) -> str:
@@ -513,7 +510,7 @@ def save_dataset(dataset: Dataset, out_dir: str, name: str = "data") -> str:
         lines += [f"modality.{m}={fname}", f"levels.{m}={lname}"]
     mname = write_csv(f"{name}_metadata.csv",
                       ["sample_id", "subject_id", "label", *dataset.declared_attributes],
-                      zip(ids, dataset.subject_ids(), dataset.label.tolist(), *dataset.attrs.T.tolist()))
+                      zip(ids, dataset.subject_id.tolist(), dataset.label.tolist(), *dataset.attrs.T.tolist()))
     lines.append(f"metadata={mname}")
     manifest = os.path.join(out_dir, f"{name}_manifest.txt")
     atomic_write(manifest, "\n".join(lines) + "\n")

@@ -75,11 +75,9 @@ def plain_kfold(n, k, seed):
 
 def make_folds(config: PipelineConfig, dataset: Dataset):
     if config.cv_mode == "loso":
-        return loso_folds(dataset.subject_ids())
+        return loso_folds(dataset.subject_id)
     if config.cv_grouped:
-        return grouped_stratified_kfold(
-            dataset.labels(), dataset.subject_ids(), config.cv_k, config.seed
-        )
+        return grouped_stratified_kfold(dataset.label, dataset.subject_id, config.cv_k, config.seed)
     return plain_kfold(dataset.n_samples, config.cv_k, config.seed)
 
 
@@ -162,12 +160,12 @@ def _fingerprint(sample_ids) -> str:
 
 
 def run_experiment(config: PipelineConfig, dataset: Dataset) -> EvaluationReport:
-    return run_arms(config, dataset, [(config.augment_method, config.augment_seed)])[0]
+    return run_arms(config, dataset, [config.augment_method])[0]
 
 
-def run_arms(config: PipelineConfig, dataset: Dataset, arms) -> list[EvaluationReport]:
-    """One report per arm, an (augment method, augment seed) pair. Each fold is
-    formed and preprocessed once; every arm augments, fits and predicts on it."""
+def run_arms(config: PipelineConfig, dataset: Dataset, methods) -> list[EvaluationReport]:
+    """One report per augmentation method. Each fold is formed and
+    preprocessed once; every method augments, fits and predicts on it."""
     names = config.modalities or dataset.modality_names
     unknown = [m for m in names if m not in dataset.modality_names]
     if unknown:
@@ -186,7 +184,7 @@ def run_arms(config: PipelineConfig, dataset: Dataset, arms) -> list[EvaluationR
     if not folds:
         raise ExperimentError("no folds could be formed")
     spec = fusion_mod.FusionSpec(config.fusion_strategy, config.model_spec(), config.meta_spec())
-    arm_cfgs = [replace(config, augment_method=m, augment_seed=s) for m, s in arms]
+    arm_cfgs = [replace(config, augment_method=m) for m in methods]
     # per arm: a (test rows, predicted labels, probabilities) block per kept
     # fold, per-fold entries, skipped folds
     results = [([], [], []) for _ in arm_cfgs]
@@ -202,15 +200,15 @@ def run_arms(config: PipelineConfig, dataset: Dataset, arms) -> list[EvaluationR
             for _, _, skipped in results:
                 skipped.append({"fold": f, "reason": str(exc)})
             continue
+        seed = config.resolved_augment_seed() + f  # per-fold derived seed
+        facts = {"fold": f, "n_test": len(test_idx),
+                 "test_subjects": np.unique(dataset.subject_id[test_idx]).tolist()}
         for arm_cfg, (blocks, per_fold, skipped) in zip(arm_cfgs, results):
             try:
-                train_ds = fold_ds
-                if arm_cfg.augment_method != "none":
-                    seed = arm_cfg.resolved_augment_seed() + f  # per-fold derived seed
-                    train_ds = augment_mod.augment_dataset(fold_ds, arm_cfg.augment_method, seed,
-                                                           config.beta_alpha, config.beta_beta)
+                train_ds = augment_mod.augment_dataset(fold_ds, arm_cfg.augment_method, seed,
+                                                       config.beta_alpha, config.beta_beta)
                 Xtr_list = [t.samples for t in train_ds.modalities]
-                model = fusion_mod.fit_fusion(spec, Xtr_list, train_ds.labels(), config.seed + f)
+                model = fusion_mod.fit_fusion(spec, Xtr_list, train_ds.label, config.seed + f)
                 # test rows far outside the training range may overflow; a
                 # non-finite result is named below
                 with np.errstate(over="ignore", invalid="ignore"):
@@ -221,10 +219,8 @@ def run_arms(config: PipelineConfig, dataset: Dataset, arms) -> list[EvaluationR
                 skipped.append({"fold": f, "reason": str(exc)})
                 continue
             blocks.append((test_idx, pred_labels, pred_probas))
-            per_fold.append({"fold": f, "n_test": int(len(test_idx)),
-                             "test_subjects": sorted(set(dataset.subject_id[test_idx].tolist())),
-                             "accuracy": metrics_mod.accuracy(dataset.label[test_idx],
-                                                              pred_labels)})
+            per_fold.append({**facts, "accuracy": metrics_mod.accuracy(dataset.label[test_idx],
+                                                                       pred_labels)})
     return [_report(c, dataset, len(folds), fingerprints, *r) for c, r in zip(arm_cfgs, results)]
 
 

@@ -73,7 +73,7 @@ class TestRandomOversample:
     def test_copies_inherit_subject_id(self):
         ds = imbalanced_dataset()
         out = augment_dataset(ds, "random_oversample", seed=1)
-        original_subjects = set(ds.subject_ids())
+        original_subjects = set(ds.subject_id.tolist())
         for m in out.meta[ds.n_samples:]:
             assert m.subject_id in original_subjects
             assert m.sample_id not in set(ds.sample_ids())
@@ -122,7 +122,7 @@ class TestMixFeat:
     def test_synthetic_subject_ids_fresh(self):
         ds = imbalanced_dataset()
         out = augment_dataset(ds, "mixfeat", seed=4)
-        originals = set(ds.subject_ids())
+        originals = set(ds.subject_id.tolist())
         for m in out.meta[ds.n_samples:]:
             assert m.subject_id not in originals
 

@@ -290,7 +290,7 @@ class TestColumns:
     def test_accessors_return_the_columns(self):
         ds = Dataset(**_columns())
         assert ds.sample_ids() == ["r0", "r1", "r2"]
-        assert all(type(s) is str for s in ds.subject_ids())
+        assert all(type(s) is str for s in ds.subject_id.tolist())
         np.testing.assert_array_equal(ds.attribute_values("race"), [1, 0, 1])
         with pytest.raises(KeyError):
             ds.attribute_values("age")
@@ -474,7 +474,7 @@ class TestQuotedRoundTrip:
                      ("gender", "race"))
         back = load_dataset(save_dataset(ds, str(tmp_path)))
         assert back.sample_ids() == sample_ids
-        assert back.subject_ids() == subject_ids
+        assert back.subject_id.tolist() == subject_ids
         np.testing.assert_array_equal(back.label, ds.label)
         np.testing.assert_array_equal(back.attrs, ds.attrs)
         assert back.modality("m").feature_names == ("f,0", "f,1", "f,2")

@@ -367,7 +367,7 @@ class TestRunArms:
     ], ids=["logistic_early", "mlp_stack_soft", "loso"])
     def test_equals_one_run_per_arm(self, cfg):
         ds = synth(seed=15, n_subjects=8)
-        reports = run_arms(cfg, ds, [(m, cfg.augment_seed) for m in METHODS])
+        reports = run_arms(cfg, ds, METHODS)
         for method, report in zip(METHODS, reports):
             alone = run_experiment(dataclasses.replace(cfg, augment_method=method), ds)
             assert report.to_json_dict() == alone.to_json_dict()
@@ -397,8 +397,7 @@ class TestRunArms:
     def test_fit_error_skips_the_fold_in_its_arm_only(self, monkeypatch):
         ds = synth(seed=16)
         cfg = base_config()
-        arms = [(m, None) for m in METHODS]
-        clean = run_arms(cfg, ds, arms)
+        clean = run_arms(cfg, ds, METHODS)
         calls = []
         real = fusion_mod.fit_fusion
 
@@ -409,7 +408,7 @@ class TestRunArms:
             return real(spec, Xs, y, seed)
 
         monkeypatch.setattr(fusion_mod, "fit_fusion", mixfeat_fold_0_fails)
-        *kept, mixfeat = run_arms(cfg, ds, arms)
+        *kept, mixfeat = run_arms(cfg, ds, METHODS)
         assert mixfeat.skipped_folds == [{"fold": 0, "reason": "injected"}]
         assert mixfeat.per_fold == clean[2].per_fold[1:]
         for report, alone in zip(kept, clean):
@@ -423,7 +422,7 @@ class TestRunArms:
             attrs=[[1], [1], [0], [0], [1], [0], [0], [1]],
             subject_ids=["a", "a", "b", "b", "c", "c", "d", "d"],
         )
-        for report in run_arms(base_config(cv_mode="loso"), ds, [(m, None) for m in METHODS]):
+        for report in run_arms(base_config(cv_mode="loso"), ds, METHODS):
             assert report.skipped_folds == [{"fold": 0, "reason": "single-class training split"}]
 
 
@@ -439,7 +438,7 @@ class TestRunArms:
             subject_ids=["a", "a", "b", "b", "c", "c", "d", "d"],
         )
         reason = "modality 'c': every column is constant or null on the training split"
-        for report in run_arms(base_config(cv_mode="loso"), ds, [(m, None) for m in METHODS]):
+        for report in run_arms(base_config(cv_mode="loso"), ds, METHODS):
             assert report.skipped_folds == [{"fold": 0, "reason": reason}]
             assert [f["fold"] for f in report.per_fold] == [1, 2, 3]
 
@@ -481,7 +480,7 @@ class TestPredictionsCsv:
     def test_ids_with_commas_and_quotes_read_back(self, tmp_path):
         ds = synth(seed=14)
         ids = np.array([f'r{i},"q"' for i in range(ds.n_samples)], dtype=object)
-        subjects = np.array([f"{s}, {s}" for s in ds.subject_ids()], dtype=object)
+        subjects = np.array([f"{s}, {s}" for s in ds.subject_id.tolist()], dtype=object)
         ds = Dataset(ds.modalities, ids, subjects, ds.label, ds.attrs, ds.declared_attributes)
         report = run_experiment(base_config(), ds)
         path = tmp_path / "predictions.csv"
@@ -499,7 +498,7 @@ class TestPredictionsCsv:
         ds = synth(seed=16)
         ids = np.array([f"r{i}\rx" if i % 3 else f"r{i}" for i in range(ds.n_samples)],
                        dtype=object)
-        subjects = np.array([f"{s}\r" for s in ds.subject_ids()], dtype=object)
+        subjects = np.array([f"{s}\r" for s in ds.subject_id.tolist()], dtype=object)
         ds = Dataset(ds.modalities, ids, subjects, ds.label, ds.attrs, ds.declared_attributes)
         report = run_experiment(base_config(), ds)
         path = tmp_path / "predictions.csv"

@@ -54,7 +54,7 @@ CASES = {"bundled": bundled, "synth_mlp_stack": synth_mlp_stack,
 
 
 def run(cfg, ds):
-    return dict(zip(AUGMENT_METHODS, run_arms(cfg, ds, [(m, cfg.augment_seed) for m in AUGMENT_METHODS])))
+    return dict(zip(AUGMENT_METHODS, run_arms(cfg, ds, AUGMENT_METHODS)))
 
 
 def output_bytes(reports, attribute_names, out: pathlib.Path) -> dict:
