@@ -141,5 +141,6 @@ def synthesize(train: Dataset, method: str, seed: int,
 
 def augment_dataset(train: Dataset, method: str, seed: int,
                     beta_alpha: float = 1.0, beta_beta: float = 1.0) -> Dataset:
-    """The pipeline's entry: the balanced training split; 'none' is a no-op."""
+    """The pipeline's entry for every arm: the balanced training split, or
+    `train` itself under 'none' (the one place that rule is decided)."""
     return train if method == "none" else synthesize(train, method, seed, beta_alpha, beta_beta)[0]

@@ -26,9 +26,12 @@ either side is an AlignmentError.
 
 `Dataset` owns the names of any dataset, loaded or built, and refuses
 those that `load_dataset` would refuse in a saved copy: it needs one or more
-modalities, each named once and not empty, and attributes each declared
-once and none in `RESERVED_ATTRIBUTES` (SchemaError). That table is the one
-list of reserved names; the loader and `synthgen.SynthSpec` read it too.
+modalities, each named once, and attributes each declared once and none in
+`RESERVED_ATTRIBUTES` (SchemaError). That table is the one list of reserved
+names; the loader and `synthgen.SynthSpec` read it too. `modality_name_fault`
+is the one modality-name rule, read by `Dataset` and `SynthSpec`: a name is
+not empty and holds no ``=``, ``\n``, ``\r`` or NUL and no leading or
+trailing whitespace, which a manifest line or file name would split or drop.
 
 Every file fairmix writes, a saved dataset here and the reports in
 `experiment`, goes through `atomic_write` (temp file, rename, umask mode).
@@ -66,6 +69,19 @@ RESERVED_ATTRIBUTES = {"": "has an empty name", "pa_score": "is an outcome colum
                        "label": "is an outcome column name",
                        **dict.fromkeys(("sample_id", "subject_id"), "is an id column name"),
                        **dict.fromkeys(PREDICTION_COLUMNS, "is a predictions.csv column")}
+
+
+def modality_name_fault(name: str):
+    """Why a saved manifest could not carry a modality called `name` back, or
+    None; the one modality-name rule, read by Dataset and SynthSpec."""
+    if not name:
+        return "has an empty name"
+    held = next((c for c in "=\n\r\0" if c in name), None)
+    if held is not None:
+        return f"holds {held!r}, which a saved manifest cannot carry"
+    if name != name.strip():
+        return "has leading or trailing whitespace, which a manifest drops"
+    return None
 
 
 @dataclass(frozen=True)
@@ -155,8 +171,8 @@ class Dataset:
         if not names:
             raise SchemaError("dataset has no modalities")
         for i, m in enumerate(names):
-            if not m or m in names[:i]:
-                reason = "is named more than once" if m else "has an empty name"
+            reason = "is named more than once" if m in names[:i] else modality_name_fault(m)
+            if reason:
                 raise SchemaError(f"modality {m!r} {reason}")
         expected = {"sample_id": (n,), "subject_id": (n,), "label": (n,),
                     "attrs": (n, len(declared))}

@@ -6,10 +6,13 @@ by default) or leave-one-subject-out splits.
 descriptor column filters once, before the folds are formed. Per fold,
 `preprocess_fold` fits every transform on the training split only and
 returns that split as a Dataset, which alone is augmented; each arm's
-out-of-fold predictions stay arrays, pooled as columns by `_report`. Arms
-are paired: each is evaluated on every fold (`run_experiment` runs one).
-Results depend on the master seed and the rows, not on their order. The
-writers go through `dataset.atomic_write`; `write_json` encodes reports.
+out-of-fold predictions stay arrays, pooled as columns by `_report`. An arm
+is an augmentation method, and arms are paired: each is evaluated on every
+fold with the fold's one augmentation seed (`run_experiment` runs one).
+Every arm goes through `augment.augment_dataset`, the one owner of the rule
+that `none` leaves the split as it is. Results depend on the master seed
+and the rows, not on their order. The writers go through
+`dataset.atomic_write`; `write_json` encodes reports.
 """
 
 from __future__ import annotations

@@ -12,17 +12,21 @@ them. A draw whose labels or an attribute take one value warns through
 `SynthSpec` checks every rule of a spec when it is built (InputError), so
 a spec that `fairmix validate` passes is one `generate` can draw: one or
 more modalities and attributes, each named once and not empty, no attribute
-in `dataset.RESERVED_ATTRIBUTES`, a `bias_attribute` that is empty (the
-first attribute) or declared, and proportions and base rates in [0, 1].
+in `dataset.RESERVED_ATTRIBUTES`, no modality name that
+`dataset.modality_name_fault` refuses (an ``=``, ``\n``, ``\r`` or NUL, or
+edge whitespace), a `bias_attribute` that is empty (the first attribute) or
+declared, proportions and base rates in [0, 1], and finite separations and
+noise. Each rule is a test that a valid value passes, so NaN fails it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import RESERVED_ATTRIBUTES, ColumnMeta, Dataset, ModalityTable
+from .dataset import RESERVED_ATTRIBUTES, ColumnMeta, Dataset, ModalityTable, modality_name_fault
 from .errors import InputError
 
 
@@ -41,7 +45,7 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_subjects < 1 or self.sessions_per_subject < 1:
+        if not (self.n_subjects >= 1 and self.sessions_per_subject >= 1):
             raise InputError("need at least one subject and one session")
         for kind, pairs in (("modality", self.modality_dims), ("attribute", self.attribute_props)):
             names = [name for name, _ in pairs]
@@ -53,7 +57,10 @@ class SynthSpec:
                 if name in names[:i]:
                     raise InputError(f"{kind} {name!r} is named more than once")
         for name, d in self.modality_dims:
-            if d < 1:
+            fault = modality_name_fault(name)
+            if fault:
+                raise InputError(f"modality {name!r} {fault}")
+            if not d >= 1:
                 raise InputError(f"modality {name!r}: dim must be >= 1")
         for name, p in self.attribute_props:
             if name in RESERVED_ATTRIBUTES:
@@ -65,9 +72,12 @@ class SynthSpec:
         for name in ("base_rate_majority", "base_rate_minority"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise InputError(f"{name} must be in [0,1]")
+        for name in ("separation_majority", "separation_minority", "noise_std"):
+            if not math.isfinite(getattr(self, name)):
+                raise InputError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not self.noise_std > 0:
             raise InputError("noise_std must be positive")
-        if min(self.separation_majority, self.separation_minority) < 0:
+        if not (self.separation_majority >= 0 and self.separation_minority >= 0):
             raise InputError("separation must be >= 0")
 
     @property

@@ -10,7 +10,7 @@ import pytest
 import fairmix.config
 from fairmix.cli import main
 from fairmix.config import KEYS, build_config, load_config, synth_spec_to_dict
-from fairmix.errors import ConfigError
+from fairmix.errors import ConfigError, DegenerateGroupWarning
 from fairmix.synthgen import SynthSpec
 
 SYNTH_SPEC = """\
@@ -382,6 +382,8 @@ class TestSynthSpecRejections:
         "zero_dim": (b"modality.face=4", b"modality.face=0", "modality 'face': dim must be >= 1"),
         "empty_modality_name": (b"", b"modality.=3\n", "names must be non-empty"),
         "empty_attribute_name": (b"", b"attribute.=0.5\n", "names must be non-empty"),
+        "modality_edge_space": (b"modality.face=", b"modality. face=",
+                                "modality ' face' has leading or trailing whitespace"),
         **{f"attribute_{name}": (b"", f"attribute.{name}=0.5\n".encode(),
                                  f"attribute {name!r} is a metadata or predictions.csv column")
            for name in ("sample_id", "subject_id", "pa_score", "label", "true_label", "proba_1")},
@@ -479,6 +481,8 @@ class TestLoaderErrors:
                                  "column 'face_f0' is named more than once"),
         "empty_modality_name": ("data_manifest.txt", lambda t: t + "modality.=data_face.csv\n",
                                 "key 'modality.' has an empty modality name"),
+        "modality_edge_space": ("data_manifest.txt", lambda t: t.replace(".face=", ". face="),
+                                "modality ' face' has leading or trailing whitespace"),
         "row_not_in_metadata": ("data_face.csv", lambda t: t + "zz,1,2,3,4\n",
                                 "sample_id 'zz' present in"),
         "no_feature_columns": ("data_face.csv",
@@ -514,6 +518,61 @@ class TestLoaderErrors:
         assert main(["audit", "--config", str(workdir / "config.txt")]) == 3
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and named in err
+
+
+class TestDataErrorFirstLines:
+    """Reachable data errors, each pinned by exit code 3 and the first line
+    of stderr."""
+
+    def audit_err(self, workdir, capsys, fname, edit):
+        assert main(["synth", "--spec", str(workdir / "synth.txt"),
+                     "--out", str(workdir / "ds")]) == 0
+        path = workdir / "ds" / fname
+        edit(path)
+        (workdir / "config.txt").write_text(
+            f"seed=1\ndataset.manifest={workdir / 'ds' / 'data_manifest.txt'}\n")
+        capsys.readouterr()
+        assert main(["audit", "--config", str(workdir / "config.txt")]) == 3
+        return capsys.readouterr().err.splitlines()[0]
+
+    def test_manifest_without_modality_keys(self, workdir, capsys):
+        def keep_metadata(path):
+            path.write_text("".join(line for line in path.read_text().splitlines(True)
+                                    if line.startswith("metadata=")))
+        first = self.audit_err(workdir, capsys, "data_manifest.txt", keep_metadata)
+        manifest = workdir / "ds" / "data_manifest.txt"
+        assert first == f"data error: {manifest}: no 'modality.<name>' entries"
+
+    def test_manifest_lists_a_missing_csv(self, workdir, capsys):
+        first = self.audit_err(workdir, capsys, "data_face.csv", lambda path: path.unlink())
+        assert first.startswith(f"data error: cannot read {workdir / 'ds' / 'data_face.csv'}: ")
+
+    def test_third_metadata_column_named_score(self, workdir, capsys):
+        def rename(path):
+            path.write_text(path.read_text().replace("label,gender", "score,gender", 1))
+        first = self.audit_err(workdir, capsys, "data_metadata.csv", rename)
+        meta = workdir / "ds" / "data_metadata.csv"
+        assert first == f"data error: {meta}: third metadata column must be 'pa_score' or 'label'"
+
+
+
+class TestOneSubjectExit4:
+    """A one-subject dataset forms no fold: exit 4, and the first line of
+    stderr names why."""
+
+    @pytest.mark.parametrize("mode, message", [
+        ("kfold", "grouped k-fold needs at least 2 subjects"),
+        ("loso", "no folds could be formed"),
+    ])
+    def test_audit(self, mode, message, workdir, capsys):
+        spec = workdir / "synth.txt"
+        spec.write_text(SYNTH_SPEC.replace("n_subjects=14", "n_subjects=1", 1))
+        with pytest.warns(DegenerateGroupWarning, match="single group"):
+            rc = main(["audit", "--config", str(workdir / "config.txt"),
+                       "--set", f"cv.mode={mode}"])
+        assert rc == 4
+        assert capsys.readouterr().err.splitlines()[0] == f"experiment error: {message}"
+        assert not (workdir / "out").exists()
 
 
 class TestSynthCommand:

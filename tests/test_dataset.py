@@ -16,6 +16,7 @@ from fairmix.dataset import (
     atomic_write,
     binarize_panas,
     load_dataset,
+    modality_name_fault,
     save_dataset,
 )
 from fairmix.errors import (
@@ -505,3 +506,45 @@ class TestReservedAttributes:
         assert type(exc) is SchemaError
         assert str(exc).startswith(f"{tmp_path / 'meta.csv'}: row 1: ")
         assert repr(name) in str(exc)
+
+
+def _with_modality(name):
+    kwargs = _columns()
+    kwargs["modalities"] = (ModalityTable(name, np.arange(3.0).reshape(3, 1), (ColumnMeta("f"),)),)
+    return kwargs
+
+
+# each was accepted, and save_dataset then wrote a manifest that load_dataset
+# refused or read back as another name (NUL: save_dataset raised ValueError)
+@pytest.mark.parametrize("name, reason", [
+    ("a=b", "holds '=', which a saved manifest cannot carry"),
+    ("a\nb", "holds '\\n', which a saved manifest cannot carry"),
+    ("a\rb", "holds '\\r', which a saved manifest cannot carry"),
+    ("a\0b", "holds '\\x00', which a saved manifest cannot carry"),
+    ("face ", "has leading or trailing whitespace, which a manifest drops"),
+    (" face", "has leading or trailing whitespace, which a manifest drops"),
+    ("face\t", "has leading or trailing whitespace, which a manifest drops"),
+])
+class TestModalityNameRule:
+    """`modality_name_fault` is the one modality-name rule; Dataset and
+    SynthSpec read it."""
+
+    def test_dataset_rejects(self, name, reason):
+        with pytest.raises(SchemaError) as info:
+            Dataset(**_with_modality(name))
+        assert str(info.value) == f"modality {name!r} {reason}"
+
+    def test_synth_spec_rejects(self, name, reason):
+        with pytest.raises(InputError) as info:
+            SynthSpec(modality_dims=(("audio", 2), (name, 2)))
+        assert str(info.value) == f"modality {name!r} {reason}"
+
+
+@pytest.mark.parametrize("name", ["a.b", "a b", "face_2", "gesicht\u00e4"])
+def test_accepted_modality_name_round_trips(tmp_path, name):
+    assert modality_name_fault(name) is None
+    ds = Dataset(**_with_modality(name))
+    back = load_dataset(save_dataset(ds, str(tmp_path)))
+    assert back.modality_names == (name,)
+    np.testing.assert_array_equal(back.modality(name).samples, ds.modality(name).samples)
+    assert SynthSpec(modality_dims=((name, 2),)).modality_dims == ((name, 2),)

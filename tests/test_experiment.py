@@ -13,7 +13,7 @@ from fairmix import fusion as fusion_mod
 from fairmix import models as models_mod
 from fairmix.cli import main
 from fairmix.config import PipelineConfig
-from fairmix.dataset import Dataset
+from fairmix.dataset import Dataset, load_dataset, save_dataset
 from fairmix.errors import ExperimentError, FitError
 from fairmix.fusion import FusionSpec, fit_stacking_meta
 from fairmix.metrics import PredictionRecord, PredictionSet
@@ -296,20 +296,42 @@ class TestRunExperiment:
 
 
 class TestColumnarPipeline:
+    @pytest.fixture
+    def columns_only(self, monkeypatch):
+        """Every per-row view of a Dataset, and PredictionRecord, raises."""
+        def refuse(name):
+            def read(self, *args, **kwargs):
+                raise AssertionError(f"the pipeline read {name}")
+            return read
+
+        monkeypatch.setattr(Dataset, "meta", property(refuse("Dataset.meta")))
+        for view in ("labels", "sample_ids", "attribute_values"):
+            monkeypatch.setattr(Dataset, view, refuse(f"Dataset.{view}"))
+        monkeypatch.setattr(PredictionRecord, "__init__", refuse("a PredictionRecord"))
+
     @pytest.mark.parametrize("method", ["none", "random_oversample", "mixfeat"])
-    def test_runs_without_per_row_records(self, method, monkeypatch, tmp_path):
-        def no_meta(self):
-            raise AssertionError("the pipeline read Dataset.meta")
-
-        def no_record(self, *args, **kwargs):
-            raise AssertionError("the pipeline built a PredictionRecord")
-
+    def test_runs_without_per_row_records(self, method, columns_only, tmp_path):
         ds = synth(seed=12)
-        monkeypatch.setattr(Dataset, "meta", property(no_meta))
-        monkeypatch.setattr(PredictionRecord, "__init__", no_record)
         report = run_experiment(base_config(augment_method=method), ds)
         assert len(report.predictions) == ds.n_samples
         write_predictions_csv(report.predictions, str(tmp_path / "p.csv"), ds.declared_attributes)
+
+    @pytest.mark.parametrize("cfg", [
+        base_config(),
+        base_config(cv_mode="loso"),
+        base_config(fusion_strategy="stack_soft"),
+    ], ids=["grouped_kfold", "loso", "stack_soft"])
+    def test_arms_read_columns_only(self, cfg, columns_only):
+        ds = synth(seed=12, n_subjects=8)
+        for report in run_arms(cfg, ds, METHODS):
+            assert report.skipped_folds == []
+            assert len(report.predictions) == ds.n_samples
+
+    def test_save_and_load_read_columns_only(self, columns_only, tmp_path):
+        ds = synth(seed=12, n_subjects=4)
+        back = load_dataset(save_dataset(ds, str(tmp_path)))
+        for column in ("sample_id", "subject_id", "label", "attrs"):
+            np.testing.assert_array_equal(getattr(back, column), getattr(ds, column))
 
     def test_non_finite_fold_skipped_with_reason(self, monkeypatch):
         ds = synth(seed=13)
@@ -523,3 +545,32 @@ class TestPredictionsCsv:
             repr(r.predicted_proba[0]), repr(r.predicted_proba[1]),
             *(str(v) for _, v in r.attributes)]).encode()
         assert lines[-1] == b"" and b"\r" not in path.read_bytes()
+
+
+class TestDegenerateSplits:
+    def test_stacking_fold_with_one_row_of_a_class_skipped(self):
+        rng = np.random.default_rng(3)
+        ds = make_dataset(
+            {"a": rng.normal(size=(8, 2)), "b": rng.normal(size=(8, 2))},
+            labels=[1, 0, 1, 0, 0, 0, 0, 0],
+            attrs=[[1], [0], [0], [1]] * 2,
+            subject_ids=["a", "a", "b", "b", "c", "c", "d", "d"],
+        )
+        # testing a or b leaves one positive row to train on
+        report = run_experiment(base_config(fusion_strategy="stack_soft", cv_mode="loso"), ds)
+        reason = "stacking needs at least 2 rows of each class"
+        assert report.skipped_folds == [{"fold": 0, "reason": reason}, {"fold": 1, "reason": reason}]
+        assert [f["fold"] for f in report.per_fold] == [2, 3]
+
+    def test_only_negatives_tested_and_predicted(self):
+        # subject a holds every positive, so its fold trains on one class
+        # and is skipped; the others test negatives far from the positives
+        X = np.array([[5.0, 5.0], [5.2, 4.9], [-1.0, 0.1], [-1.2, -0.1], [-0.9, 0.2], [-1.1, 0.0]])
+        ds = make_dataset({"m": X}, labels=[1, 1, 0, 0, 0, 0],
+                          attrs=[[1], [0], [0], [1], [1], [0]],
+                          subject_ids=["a", "a", "b", "b", "c", "c"])
+        report = run_experiment(base_config(cv_mode="loso", pca_enabled=False), ds)
+        assert report.skipped_folds == [{"fold": 0, "reason": "single-class training split"}]
+        assert report.predictions.predicted_label.tolist() == [0, 0, 0, 0]
+        assert report.overall["f1"] == 0.0
+        assert report.overall["flags"] == ["class-1-absent-from-truths", "f1-degenerate"]

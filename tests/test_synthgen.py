@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -107,3 +110,31 @@ class TestGenerate:
         spec = SynthSpec(attribute_props=(("gender", 0.5), ("race", 0.5)), bias_attribute="race")
         assert spec.resolved_bias_attribute == "race"
         assert SynthSpec().resolved_bias_attribute == "gender"  # the first declared by default
+
+
+REAL_FIELDS = [f.name for f in dataclasses.fields(SynthSpec) if type(f.default) is float]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", [*REAL_FIELDS, "attribute_props"])
+def test_non_finite_reals_rejected(field, value):
+    changes = {field: (("gender", value),) if field == "attribute_props" else value}
+    with pytest.raises(InputError):
+        SynthSpec(**changes)
+
+
+def test_real_fields_listed():
+    assert set(REAL_FIELDS) == {"base_rate_majority", "base_rate_minority",
+                                "separation_majority", "separation_minority", "noise_std"}
+
+
+@pytest.mark.parametrize("changes, message", [
+    # min(2.0, nan) < 0 is False: this spec drew 28 of 40 face rows as NaN
+    ({"separation_minority": math.nan}, "separation_minority must be finite, got nan"),
+    ({"separation_majority": math.inf}, "separation_majority must be finite, got inf"),
+    ({"noise_std": math.inf}, "noise_std must be finite, got inf"),
+])
+def test_non_finite_messages(changes, message):
+    with pytest.raises(InputError) as info:
+        SynthSpec(n_subjects=10, **changes)
+    assert str(info.value) == message
