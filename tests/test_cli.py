@@ -555,7 +555,6 @@ class TestDataErrorFirstLines:
         assert first == f"data error: {meta}: third metadata column must be 'pa_score' or 'label'"
 
 
-
 class TestOneSubjectExit4:
     """A one-subject dataset forms no fold: exit 4, and the first line of
     stderr names why."""
