@@ -295,7 +295,8 @@ def parse_keyvalue_file(path: str) -> dict[str, str]:
 
 
 def _text_lines(path: str, newline=None) -> list[str]:
-    """The lines of a UTF-8 text file; OSError propagates."""
+    """The lines of a UTF-8 text file; OSError propagates, and so does the
+    ValueError of open() for a path holding a NUL."""
     try:
         with open(path, newline=newline, encoding="utf-8") as fh:
             return list(fh)
@@ -306,7 +307,7 @@ def _text_lines(path: str, newline=None) -> list[str]:
 def _read_csv(path: str) -> tuple[list[str], list[list[str]]]:
     try:
         rows = list(csv.reader(_text_lines(path, newline="")))
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise DataError(f"cannot read {path}: {exc}")
     except csv.Error as exc:
         raise ParseError(f"{path}: {exc}") from None
@@ -416,7 +417,7 @@ def load_dataset(manifest_path: str) -> Dataset:
     """
     try:
         kv = parse_keyvalue_file(manifest_path)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise DataError(f"cannot read manifest {manifest_path}: {exc}")
     base = os.path.dirname(os.path.abspath(manifest_path))
 

@@ -14,8 +14,10 @@ Three model kinds:
                contiguous weight block and each step is one Adam update of
                the vector, with the two moments as rows of one array (g and
                g^2 as rows of another) so that each Adam operation is one
-               call for both; a step computes no loss, and the end-of-epoch
-               early-stopping check computes no gradient;
+               call for both; a step computes no loss, and early stopping
+               reads the epoch's loss from the steps' own forward passes
+               (each row's true-class probability before its step, plus L2
+               at the epoch's end weights), so no pass covers all n rows;
   * logistic - L2-regularized logistic regression fitted by Newton steps
                (used as the stacking meta-learner).
 
@@ -23,12 +25,13 @@ The SMO and MLP training loops allocate no array per step: each step writes
 into arrays made once per fit and calls ufuncs and ndarray methods directly,
 with no dict lookup. An MLP fit binds its per-batch-size work arrays, their
 column views and transposes, and its batches (contiguous slices of the
-epoch's shuffled rows and one-hot labels) once; the softmax takes the row max
-and row sum of its two columns elementwise. An SMO step moves its pair in
-Python floats and updates I_up/I_low at that pair only. Every step does the
-floating-point operations of the plain formulas, in their order and on
-C-ordered operands (fit and predict take X as a C-ordered float array), so
-fits are bitwise those of the unbuffered loops (tests/test_models.py pins them).
+epoch's shuffled rows, one-hot labels and true-class probabilities) once;
+the softmax takes the row max and row sum of its two columns elementwise. An
+SMO step moves its pair in Python floats and updates I_up/I_low at that pair
+only. Every step does the floating-point operations of the plain formulas, in
+their order and on C-ordered operands (fit and predict take X as a C-ordered
+float array), so fits are bitwise those of the unbuffered loops
+(tests/test_models.py pins them).
 
 All fits are deterministic (SVM and MLP given their seed; logistic takes
 none). predict() is the argmax of predict_proba(), ties at 0.5 going to 1.
@@ -271,10 +274,11 @@ def _mlp_forward(net, X, buf):
     return proba
 
 
-def _mlp_loss(proba, y, W1, W2, l2):
-    """Mean cross-entropy of proba against y, plus (l2/2)*||W||^2."""
-    picked = np.maximum(proba[np.arange(len(y)), y], 1e-300)
-    loss = -(np.add.reduce(np.log(picked, out=picked)) / len(y))
+def _mlp_loss(picked, W1, W2, l2):
+    """Mean cross-entropy of picked, each row's probability of its true class
+    (overwritten), plus (l2/2)*||W||^2."""
+    np.maximum(picked, 1e-300, out=picked)
+    loss = -(np.add.reduce(np.log(picked, out=picked)) / len(picked))
     return loss + 0.5 * l2 * (np.add.reduce(np.square(W1), axis=None)
                               + np.add.reduce(np.square(W2), axis=None))
 
@@ -307,7 +311,8 @@ def mlp_loss_and_grads(params, X, y, l2):
     d, h = params["W1"].shape
     grads = _mlp_views(np.empty(sum(p.size for p in params.values())), d, h)
     net, buf = _mlp_net(params), _mlp_buffers(X.shape[0], h)
-    loss = _mlp_loss(_mlp_forward(net, X, buf), y, params["W1"], params["W2"], l2)
+    proba = _mlp_forward(net, X, buf)
+    loss = _mlp_loss(proba[np.arange(len(y)), y], params["W1"], params["W2"], l2)
     _mlp_backward(net, X, X.T, np.eye(2)[y], _mlp_net(grads)[:4], buf)
     for k in ("W1", "W2"):
         np.add(grads[k], l2 * params[k], out=grads[k])
@@ -315,9 +320,12 @@ def mlp_loss_and_grads(params, X, y, l2):
 
 
 class MlpModel(TrainedPredictor):
-    def __init__(self, spec, params, **kw):
+    def __init__(self, spec, params, epochs_run, stopped_early, final_loss, **kw):
         super().__init__(spec, **kw)
         self.params = params
+        # how training ended: the epochs run, whether the stall rule stopped
+        # it, and the last epoch's loss
+        self.epochs_run, self.stopped_early, self.final_loss = epochs_run, stopped_early, final_loss
 
     def proba_positive(self, X):
         buf = _mlp_buffers(X.shape[0], self.params["W1"].shape[1])
@@ -344,7 +352,7 @@ def _fit_mlp(spec: PredictorSpec, X, y, facts) -> MlpModel:
         moments, work = np.zeros((2, theta.size)), np.empty((2, theta.size))
         decay = np.repeat([[beta1], [beta2]], theta.size, axis=1)
         keep, reg = 1.0 - decay, np.empty(n_weights)
-        bufs = {size: _mlp_buffers(size, h) for size in {batch, n % batch or batch, n}}
+        bufs = {size: _mlp_buffers(size, h) for size in {batch, n % batch or batch}}
     except (ValueError, MemoryError) as exc:
         raise FitError(f"hidden_units {h}: cannot allocate the MLP's arrays ({exc})") from None
     net, grad, grad_sq = _mlp_net(params), work[0], work[1]
@@ -353,19 +361,25 @@ def _fit_mlp(spec: PredictorSpec, X, y, facts) -> MlpModel:
     bias = np.empty((2, 1))
     t = 0
     best_loss, stall = math.inf, 0
-    # each epoch's shuffled rows and labels; batches are contiguous slices of them
+    # each epoch's shuffled rows and labels; batches are contiguous slices of
+    # them, and of picked, where each step copies its rows' true-class
+    # probabilities from their flat indices 2*(row % batch) + label in proba
     onehot = np.eye(2)[y]
     X_epoch, onehot_epoch = np.empty((n, d)), np.empty((n, 2))
+    row_at, at, picked = 2 * (np.arange(n) % batch), np.empty(n, dtype=np.intp), np.empty(n)
     batches = [(X_epoch[s:s + batch], X_epoch[s:s + batch].T, onehot_epoch[s:s + batch],
-                bufs[min(batch, n - s)]) for s in range(0, n, batch)]
+                at[s:s + batch], picked[s:s + batch], bufs[min(batch, n - s)])
+               for s in range(0, n, batch)]
     # a diverging run overflows here; the loss check below names it
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(epochs):
+        for epoch in range(epochs):
             order = rng.permutation(n)
             X.take(order, axis=0, out=X_epoch)
             onehot.take(order, axis=0, out=onehot_epoch)
-            for Xb, XbT, onehot_b, buf in batches:
-                _mlp_forward(net, Xb, buf)
+            y.take(order, out=at)
+            np.add(at, row_at, out=at)
+            for Xb, XbT, onehot_b, at_b, picked_b, buf in batches:
+                _mlp_forward(net, Xb, buf).take(at_b, out=picked_b)
                 _mlp_backward(net, Xb, XbT, onehot_b, grads, buf)
                 np.multiply(weights, l2, out=reg)
                 np.add(grad_w, reg, out=grad_w)
@@ -383,7 +397,9 @@ def _fit_mlp(spec: PredictorSpec, X, y, facts) -> MlpModel:
                 np.add(grad_sq, eps, out=grad_sq)
                 np.divide(grad, grad_sq, out=grad)
                 np.subtract(theta, grad, out=theta)
-            loss = _mlp_loss(_mlp_forward(net, X, bufs[n]), y, params["W1"], params["W2"], l2)
+            # the epoch's loss: its rows' cross-entropy before their steps, and
+            # L2 at the end weights, so an overflow in the last step shows
+            loss = _mlp_loss(picked, params["W1"], params["W2"], l2)
             if not np.isfinite(loss):
                 raise FitError("MLP loss is not finite")
             if loss < best_loss - 1e-6:
@@ -392,7 +408,7 @@ def _fit_mlp(spec: PredictorSpec, X, y, facts) -> MlpModel:
                 stall += 1
                 if stall >= 20:
                     break
-    return MlpModel(spec, params, **facts)
+    return MlpModel(spec, params, epoch + 1, stall >= 20, float(loss), **facts)
 
 
 # ---------------------------------------------------------------------------

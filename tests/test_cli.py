@@ -245,6 +245,25 @@ class TestAudit:
         rc = main(["audit", "--config", str(workdir / "bad.txt")])
         assert rc == 3
 
+    @pytest.mark.parametrize("in_manifest", [False, True])
+    def test_path_holding_a_nul_exit_3(self, workdir, capsys, in_manifest):
+        # open() raises ValueError, not OSError, for such a path
+        assert main(["synth", "--spec", str(workdir / "synth.txt"),
+                     "--out", str(workdir / "ds")]) == 0
+        manifest = next((workdir / "ds").glob("*manifest*"))
+        if in_manifest:
+            text = manifest.read_text()
+            metadata = re.search(r"^metadata=(.*)$", text, re.M)[1]
+            manifest.write_text(text.replace(f"metadata={metadata}", f"metadata=x\0{metadata}"))
+            bad = f"{workdir / 'ds'}{os.sep}x\0{metadata}"
+        else:
+            manifest = bad = f"{manifest}\0"
+        (workdir / "config.txt").write_text(f"seed=1\ndataset.manifest={manifest}\n")
+        assert main(["audit", "--config", str(workdir / "config.txt")]) == 3
+        what = "" if in_manifest else "manifest "
+        assert capsys.readouterr().err.splitlines()[0] == (
+            f"data error: cannot read {what}{bad}: embedded null byte")
+
 
 class TestCompare:
     def test_three_arms_shared_folds(self, workdir):

@@ -79,7 +79,8 @@ def _draw_overrides(rng, tmp):
 def _corrupt_manifest(rng, path):
     lines = path.read_text().splitlines()
     i = rng.randrange(len(lines))
-    how = rng.choice(["drop", "threshold", "missing", "garbage", "duplicate", "empty", "bytes"])
+    how = rng.choice(["drop", "threshold", "missing", "garbage", "duplicate", "empty", "bytes",
+                      "nul"])
     if how == "drop":
         del lines[i]
     elif how == "threshold":
@@ -92,6 +93,10 @@ def _corrupt_manifest(rng, path):
         lines.insert(i, lines[i])
     elif how == "empty":
         lines = []
+    elif how == "nul":  # open() refuses a path that holds a NUL
+        j = rng.choice([j for j, line in enumerate(lines) if not line.startswith("panas_threshold")])
+        key, _, value = lines[j].partition("=")
+        lines[j] = f"{key}={value[:1]}\0{value[1:]}"
     else:
         path.write_bytes(b"\xff\xfe\x00metadata=")
         return how

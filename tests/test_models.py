@@ -192,6 +192,26 @@ class TestMlp:
         with pytest.raises(FitError, match="^hidden_units 2000000000000000000: cannot allocate"):
             fit(PredictorSpec("mlp", {"hidden_units": 2 * 10**18}), X, y)
 
+    @pytest.mark.parametrize("l2", [0.0, DEFAULT_HYPERPARAMS["mlp"]["l2"]])
+    def test_divergence_in_the_last_step_is_a_fit_error(self, l2):
+        # one epoch of one batch: the cross-entropy is read before the step, so
+        # only the L2 term at the end weights sees the overflow (0 * inf at l2 = 0)
+        X, y = blobs()
+        hp = {"epochs": 1, "batch_size": len(y), "learning_rate": 1e300, "l2": l2}
+        with pytest.raises(FitError, match="^MLP loss is not finite$"):
+            fit(PredictorSpec("mlp", hp), X, y)
+
+    def test_no_pass_covers_all_rows(self, monkeypatch):
+        forward, rows = models._mlp_forward, []
+
+        def spy(net, X, buf):
+            rows.append(X.shape[0])
+            return forward(net, X, buf)
+        monkeypatch.setattr(models, "_mlp_forward", spy)
+        X, y = blobs()  # 40 rows, 4 batches of 10
+        fit(PredictorSpec("mlp", {"batch_size": 10, "epochs": 3}), X, y)
+        assert rows == [10] * 12
+
     def test_gradient_check_against_finite_differences(self):
         rng = np.random.default_rng(0)
         X = rng.normal(size=(5, 3))
@@ -238,8 +258,8 @@ MLP_GOLDEN = [
      "37af8c3d47276edd39b4188c2f158f33ffe257131be9be480f4d9288f675951b"),
     # separable: early stopping ends it (test_early_stopping_case_stops_early)
     ((4, 30, 2, 6.0), {"hidden_units": 4, "epochs": 3000, "learning_rate": 0.05, "l2": 1e-2},
-     "0b896bea75f16678b61f3db956086fc1b59c0b9bd4c436c9b7112e133e4bd472",
-     "b1012e48300ceaa073633d8a1219961986668bb75d1179bbd2619b53c3d63548"),
+     "68307db4f2155dafc80914acb66db597165ec8af6b6bba54221006c0358e6c52",
+     "4bf885fda28ea41a55291bf66c7313aa6f1e2c36d783730d0ea85dbf2f7bd1cd"),
     ((5, 108, 5), {"epochs": 40},  # the shape of one bench mlp_stack fit
      "50e5ebbd76651389c7e7b89337780382b92fecfc8016d214df7ecf8709a01feb",
      "fc95d5b4a7fb27fdba20b0e74c4f181ceebdf6a20e2839b7ee26b27e4055c990"),
@@ -272,6 +292,15 @@ class TestMlpGolden:
     def test_early_stopping_case_stops_early(self):
         problem, hp = MLP_GOLDEN[3][:2]
         assert self.digests(problem, hp) == self.digests(problem, {**hp, "epochs": 6000})
+
+    @pytest.mark.parametrize("case,epochs_run,stopped_early,final_loss", [
+        (3, 654, True, 0.027877772109987205),  # the separable case
+        (4, 40, False, 0.4040671048478677),  # the bench shape runs every epoch
+    ])
+    def test_end_state_facts(self, case, epochs_run, stopped_early, final_loss):
+        problem, hp = MLP_GOLDEN[case][:2]
+        m = fit(PredictorSpec("mlp", hp), *mlp_problem(*problem))
+        assert (m.epochs_run, m.stopped_early, m.final_loss) == (epochs_run, stopped_early, final_loss)
 
     def test_loss_and_grads_are_bitwise_pinned(self):
         X, y = mlp_problem(9, 30, 4)
