@@ -173,12 +173,14 @@ KEYS = {f.metadata["key"]: f for f in dataclasses.fields(PipelineConfig) if f.me
 
 
 def _read_keyvalue(path: str) -> dict[str, str]:
-    """parse_keyvalue_file, whose syntax and encoding errors are configuration
-    errors here."""
+    """parse_keyvalue_file, whose syntax, encoding and read errors are
+    configuration errors here."""
     try:
         return parse_keyvalue_file(path)
     except (SchemaError, ParseError) as exc:
         raise ConfigError(str(exc)) from None
+    except (OSError, ValueError) as exc:  # open() raises ValueError for a NUL
+        raise ConfigError(f"cannot read {path}: {exc}") from None
 
 
 def parse_synth_spec(path: str) -> SynthSpec:

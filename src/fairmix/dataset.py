@@ -493,7 +493,7 @@ def atomic_write(path: str, data: str) -> None:
             os.chmod(tmp, 0o666 & ~umask)
             fh.write(data)
         os.replace(tmp, path)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a path holding a NUL
         raise DataError(f"cannot write {path}: {exc}") from exc
     finally:
         if tmp is not None and os.path.exists(tmp):

@@ -1,6 +1,6 @@
 """Cross-validation harness: runs the preprocess -> augment -> train ->
-fuse -> evaluate pipeline over 5-fold (subject-grouped, label-stratified
-by default) or leave-one-subject-out splits.
+fuse -> evaluate pipeline over the folds of the `folds` rule that the
+configuration names (`make_folds`).
 
 `run_arms` puts the rows in sample_id order and runs the level and
 descriptor column filters once, before the folds are formed. Per fold,
@@ -26,6 +26,7 @@ from typing import Optional
 import numpy as np
 
 from . import augment as augment_mod
+from . import folds
 from . import fusion as fusion_mod
 from . import metrics as metrics_mod
 from .config import PipelineConfig
@@ -38,50 +39,15 @@ from .errors import (
     MetricUndefinedError,
 )
 from .metrics import DiResult, PredictionSet
-from .models import folds_of, stratified_positions
 from .preprocess import fit_column_cleaner, fit_pca, fit_standardizer, select_columns
-
-# ---------------------------------------------------------------------------
-# fold generation
-# ---------------------------------------------------------------------------
-
-def loso_folds(subject_ids: list[str]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """One fold per subject; that subject's rows form the test split."""
-    subjects, subject_of_row = np.unique(np.asarray(subject_ids), return_inverse=True)
-    return folds_of(subject_of_row, len(subjects))
-
-
-def grouped_stratified_kfold(labels, subject_ids, k, seed):
-    """k folds that never split a subject; subjects are spread across folds
-    stratified by their majority label."""
-    subjects, subject_of_row = np.unique(np.asarray(subject_ids), return_inverse=True)
-    k = min(k, len(subjects))
-    if k < 2:
-        raise ExperimentError("grouped k-fold needs at least 2 subjects")
-    # majority label per subject (half rounds to even) decides its stratum;
-    # strata are dealt round-robin, each continuing where the previous ended
-    sessions = np.bincount(subject_of_row)
-    majority = np.round(np.bincount(subject_of_row, weights=labels) / sessions).astype(int)
-    earlier = np.searchsorted(np.sort(majority), majority)
-    fold_of = (stratified_positions(majority, np.random.default_rng(seed)) + earlier) % k
-    return folds_of(fold_of[subject_of_row], k)
-
-
-def plain_kfold(n, k, seed):
-    """min(k, n) folds of a seeded shuffle of the rows, cut by array_split."""
-    k = min(k, n)
-    row_fold = np.empty(n, int)
-    for f, part in enumerate(np.array_split(np.random.default_rng(seed).permutation(n), k)):
-        row_fold[part] = f
-    return folds_of(row_fold, k)
 
 
 def make_folds(config: PipelineConfig, dataset: Dataset):
     if config.cv_mode == "loso":
-        return loso_folds(dataset.subject_id)
+        return folds.loso_folds(dataset.subject_id)
     if config.cv_grouped:
-        return grouped_stratified_kfold(dataset.label, dataset.subject_id, config.cv_k, config.seed)
-    return plain_kfold(dataset.n_samples, config.cv_k, config.seed)
+        return folds.grouped_stratified_kfold(dataset.label, dataset.subject_id, config.cv_k, config.seed)
+    return folds.plain_kfold(dataset.n_samples, config.cv_k, config.seed)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,71 @@
+"""Every fold rule: the outer cross-validation splits and the internal folds
+that Platt calibration and stacking cross-fit on.
+
+Each rule gives every row a fold label and hands it to `folds_of`, which
+keeps the folds whose train and test parts are both non-empty. Stratified
+rules deal each stratum's seeded shuffle round-robin (`stratified_positions`).
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from .errors import ExperimentError
+
+
+def stratified_positions(strata, rng: np.random.Generator) -> np.ndarray:
+    """Each item's position in a seeded shuffle of its stratum.
+
+    Strata are visited in sorted order with one rng.permutation each; fold
+    assignments are these positions (offset where needed) modulo k.
+    """
+    strata = np.asarray(strata)
+    pos = np.empty(len(strata), dtype=int)
+    for s in np.unique(strata):
+        idx = np.flatnonzero(strata == s)
+        pos[idx[rng.permutation(len(idx))]] = np.arange(len(idx))
+    return pos
+
+
+def folds_of(row_fold: np.ndarray, n_folds: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(train, test) rows of each fold label in range(n_folds), keeping the
+    folds whose splits are both non-empty."""
+    folds = [(np.flatnonzero(row_fold != f), np.flatnonzero(row_fold == f)) for f in range(n_folds)]
+    return [(train, test) for train, test in folds if len(train) and len(test)]
+
+
+def internal(y, k, seed) -> np.ndarray:
+    """The internal fold label of each row: its label-stratified position
+    under default_rng(seed), modulo k."""
+    return stratified_positions(y, np.random.default_rng(seed)) % k
+
+
+def loso_folds(subject_ids: list[str]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """One fold per subject; that subject's rows form the test split."""
+    subjects, subject_of_row = np.unique(np.asarray(subject_ids), return_inverse=True)
+    return folds_of(subject_of_row, len(subjects))
+
+
+def grouped_stratified_kfold(labels, subject_ids, k, seed):
+    """k folds that never split a subject; subjects are spread across folds
+    stratified by their majority label."""
+    subjects, subject_of_row = np.unique(np.asarray(subject_ids), return_inverse=True)
+    k = min(k, len(subjects))
+    if k < 2:
+        raise ExperimentError("grouped k-fold needs at least 2 subjects")
+    # majority label per subject (half rounds to even) decides its stratum;
+    # strata are dealt round-robin, each continuing where the previous ended
+    sessions = np.bincount(subject_of_row)
+    majority = np.round(np.bincount(subject_of_row, weights=labels) / sessions).astype(int)
+    earlier = np.searchsorted(np.sort(majority), majority)
+    fold_of = (stratified_positions(majority, np.random.default_rng(seed)) + earlier) % k
+    return folds_of(fold_of[subject_of_row], k)
+
+
+def plain_kfold(n, k, seed):
+    """min(k, n) folds of a seeded shuffle of the rows, cut by array_split."""
+    k = min(k, n)
+    row_fold = np.empty(n, int)
+    for f, part in enumerate(np.array_split(np.random.default_rng(seed).permutation(n), k)):
+        row_fold[part] = f
+    return folds_of(row_fold, k)

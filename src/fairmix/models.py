@@ -45,6 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import folds
 from .errors import FitError, InputError, ShapeError
 
 # iterations before _smo gives up with a FitError
@@ -140,34 +141,13 @@ def argmax_label(proba: np.ndarray) -> np.ndarray:
     return (proba[:, 1] >= proba[:, 0]).astype(int)
 
 
-def stratified_positions(strata, rng: np.random.Generator) -> np.ndarray:
-    """Each item's position in a seeded shuffle of its stratum.
-
-    Strata are visited in sorted order with one rng.permutation each; fold
-    assignments are these positions (offset where needed) modulo k.
-    """
-    strata = np.asarray(strata)
-    pos = np.empty(len(strata), dtype=int)
-    for s in np.unique(strata):
-        idx = np.flatnonzero(strata == s)
-        pos[idx[rng.permutation(len(idx))]] = np.arange(len(idx))
-    return pos
-
-
-def folds_of(row_fold: np.ndarray, n_folds: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(train, test) rows of each fold label in range(n_folds), keeping the
-    folds whose splits are both non-empty."""
-    folds = [(np.flatnonzero(row_fold != f), np.flatnonzero(row_fold == f)) for f in range(n_folds)]
-    return [(train, test) for train, test in folds if len(train) and len(test)]
-
-
 def out_of_fold(y, k, seed, fit_predict):
-    """Each row's fold by the one internal fold rule, stratified_positions(y)
-    under default_rng(seed) modulo k, and (test rows, fit_predict(train rows,
-    test rows)) per fold of folds_of whose training rows hold both classes."""
+    """Each row's fold by folds.internal, and (test rows, fit_predict(train
+    rows, test rows)) per fold of folds.folds_of whose training rows hold both
+    classes."""
     y = np.asarray(y)
-    assign = stratified_positions(y, np.random.default_rng(seed)) % k
-    return assign, [(test, fit_predict(train, test)) for train, test in folds_of(assign, k)
+    assign = folds.internal(y, k, seed)
+    return assign, [(test, fit_predict(train, test)) for train, test in folds.folds_of(assign, k)
                     if len(np.unique(y[train])) > 1]
 
 

@@ -15,7 +15,8 @@ from fairmix.augment import augment_dataset, mix_pair, synthesize
 from fairmix.cli import main as cli_main
 from fairmix.config import PipelineConfig
 from fairmix.errors import InputError, MetricUndefinedError
-from fairmix.experiment import grouped_stratified_kfold, loso_folds, run_experiment
+from fairmix.experiment import run_experiment
+from fairmix.folds import grouped_stratified_kfold, loso_folds
 from fairmix.fusion import FusedModel, FusionSpec, fit_fusion, fit_stacking_meta
 from fairmix.metrics import (
     PredictionRecord,

@@ -1,9 +1,12 @@
+import csv
 import hashlib
 import json
 import os
 import pathlib
 import re
 import stat
+import subprocess
+import sys
 
 import pytest
 
@@ -264,6 +267,19 @@ class TestAudit:
         assert capsys.readouterr().err.splitlines()[0] == (
             f"data error: cannot read {what}{bad}: embedded null byte")
 
+    @pytest.mark.parametrize("command", ["audit", "validate"])
+    def test_synth_path_holding_a_nul_exit_2(self, workdir, capsys, command):
+        (workdir / "config.txt").write_text("seed=1\ndataset.synth=a\0b.txt\n")
+        assert main([command, "--config", str(workdir / "config.txt")]) == 2
+        assert capsys.readouterr().err.splitlines()[0] == (
+            f"configuration error: cannot read {workdir / 'a'}\0b.txt: embedded null byte")
+
+    def test_output_dir_holding_a_nul_exit_3(self, workdir, capsys):
+        (workdir / "config.txt").write_text("seed=1\ndataset.synth=synth.txt\noutput_dir=o\0ut\n")
+        assert main(["audit", "--config", str(workdir / "config.txt")]) == 3
+        assert capsys.readouterr().err.splitlines()[0] == (
+            f"data error: cannot write {workdir / 'o'}\0ut{os.sep}report.json: embedded null byte")
+
 
 class TestCompare:
     def test_three_arms_shared_folds(self, workdir):
@@ -281,6 +297,43 @@ class TestCompare:
         first = (workdir / "out" / "report.json").read_bytes()
         main(["compare", "--config", str(workdir / "config.txt")])
         assert (workdir / "out" / "report.json").read_bytes() == first
+
+
+class TestBlasThreadCount:
+    """README's byte-stability scope on the smallest shape found to show it:
+    8 rows of 99 columns, logistic early fusion, no PCA. Each Newton step
+    solves a 100 x 100 system, the size from which OpenBLAS's LU runs
+    threaded, so 1 and 2 threads may round the probabilities differently
+    (by up to 2.2e-16 with OpenBLAS 0.3.31 on a 2-core x86-64). Labels and
+    metrics must agree; the largest |dp| is printed, not asserted, since a
+    single-threaded BLAS gives 0."""
+
+    def test_one_and_two_openblas_threads_agree(self, tmp_path):
+        (tmp_path / "synth.txt").write_text("n_subjects=4\nsessions_per_subject=2\n"
+                                            "modality.face=99\nattribute.gender=0.7\nseed=5\n")
+        (tmp_path / "config.txt").write_text("dataset.synth=synth.txt\nmodel.kind=logistic\n"
+                                             "fusion.strategy=early\npca.enabled=false\nseed=3\n")
+        src = os.path.dirname(os.path.dirname(fairmix.config.__file__))
+        runs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"out{threads}"
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            subprocess.run([sys.executable, "-m", "fairmix.cli", "audit",
+                            "--config", str(tmp_path / "config.txt"), "--set", f"output_dir={out}"],
+                           env=env, check=True, capture_output=True, timeout=120)
+            report = json.loads((out / "report.json").read_text())
+            with open(out / "predictions.csv", newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            runs.append(({k: report[k] for k in ("cv", "overall", "per_attribute", "per_fold")},
+                         [(r["sample_id"], r["predicted_label"]) for r in rows],
+                         [float(r[c]) for r in rows for c in ("proba_0", "proba_1")]))
+        (metrics1, labels1, proba1), (metrics2, labels2, proba2) = runs
+        assert len(labels1) == 8
+        assert labels1 == labels2
+        assert metrics1 == metrics2
+        dp = max(abs(a - b) for a, b in zip(proba1, proba2))
+        print(f"1 vs 2 OpenBLAS threads: labels and metrics equal, max |dp| = {dp:.3g}")
 
 
 BUNDLED_AUDIT = pathlib.Path(__file__).resolve().parent.parent / "data" / "audit_config.txt"

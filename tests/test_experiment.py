@@ -9,20 +9,19 @@ import pytest
 
 from fairmix import augment as augment_mod
 from fairmix import experiment as exp_mod
+from fairmix import folds as folds_mod
 from fairmix import fusion as fusion_mod
 from fairmix import models as models_mod
 from fairmix.cli import main
 from fairmix.config import PipelineConfig
 from fairmix.dataset import Dataset, load_dataset, save_dataset
 from fairmix.errors import ExperimentError, FitError
+from fairmix.folds import grouped_stratified_kfold, loso_folds, plain_kfold
 from fairmix.fusion import FusionSpec, fit_stacking_meta
 from fairmix.metrics import PredictionRecord, PredictionSet
 from fairmix.models import PredictorSpec, out_of_fold
 from fairmix.experiment import (
-    grouped_stratified_kfold,
-    loso_folds,
     make_folds,
-    plain_kfold,
     run_arms,
     run_experiment,
     write_predictions_csv,
@@ -122,6 +121,18 @@ class TestGoldenFolds:
         assert [test.tolist() for _, test in loso_folds(self.SUBJECTS)] == [
             [0, 1], [2], [3, 4, 5], [6], [7, 8], [9], [10, 11], [12], [13], [14, 15],
         ]
+
+    @pytest.mark.parametrize("cv, rule, args", [
+        ({"cv_mode": "loso"}, "loso_folds", (SUBJECTS,)),
+        ({"cv_mode": "kfold"}, "grouped_stratified_kfold", (LABELS, SUBJECTS, 3, 4)),
+        ({"cv_mode": "kfold", "cv_grouped": False}, "plain_kfold", (16, 3, 4)),
+    ])
+    def test_make_folds_runs_the_configured_rule(self, cv, rule, args):
+        ds = make_dataset({"m": np.zeros((16, 1))}, self.LABELS, np.zeros(16), self.SUBJECTS)
+        got = make_folds(PipelineConfig(seed=4, cv_k=3, **cv), ds)
+        want = getattr(folds_mod, rule)(*args)
+        assert [(tr.tolist(), te.tolist()) for tr, te in got] == [
+            (tr.tolist(), te.tolist()) for tr, te in want]
 
     def test_platt_folds(self, monkeypatch):
         # the SVM's internal calibration folds for seed 4, as its fit draws them
