@@ -241,10 +241,10 @@ def _mlp_forward(net, X, buf):
     """Class probabilities of X, written into buf after its hidden activations."""
     W1, b1, W2, b2, _ = net
     hidden, _, proba, p0, p1, rowstat, rowstat_1d, _ = buf
-    np.matmul(X, W1, out=hidden)
+    np.dot(X, W1, out=hidden)
     np.add(hidden, b1, out=hidden)
     np.tanh(hidden, out=hidden)
-    np.matmul(hidden, W2, out=proba)  # the logits, then softmax in place
+    np.dot(hidden, W2, out=proba)  # the logits, then softmax in place
     np.add(proba, b2, out=proba)
     np.maximum(p0, p1, out=rowstat_1d)  # the row max and row sum of two columns
     np.subtract(proba, rowstat, out=proba)
@@ -272,13 +272,13 @@ def _mlp_backward(net, X, XT, onehot, grads, buf):
     hidden, hiddenT, dlogits, _, _, _, _, dhidden = buf
     np.subtract(dlogits, onehot, out=dlogits)
     np.divide(dlogits, X.shape[0], out=dlogits)
-    np.matmul(hiddenT, dlogits, out=gW2)
+    np.dot(hiddenT, dlogits, out=gW2)
     np.add.reduce(dlogits, axis=0, out=gb2)
-    np.matmul(dlogits, W2T, out=dhidden)
+    np.dot(dlogits, W2T, out=dhidden)
     np.square(hidden, out=hidden)
     np.subtract(1.0, hidden, out=hidden)
     np.multiply(dhidden, hidden, out=dhidden)
-    np.matmul(XT, dhidden, out=gW1)
+    np.dot(XT, dhidden, out=gW1)
     np.add.reduce(dhidden, axis=0, out=gb1)
 
 
