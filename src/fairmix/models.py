@@ -9,17 +9,24 @@ Three model kinds:
                in-sample when their test rows hold one class); the kernel is
                computed once per fit and sliced for those folds;
   * mlp      - one-hidden-layer network (tanh, softmax output, cross-entropy
-               + L2) trained with mini-batch Adam; W1, W2, b1, b2 are views of
-               one flat parameter vector, in that order, so L2 decays one
-               contiguous weight block and each step is one Adam update of
-               the vector, with the two moments as rows of one array (g and
-               g^2 as rows of another) so that each Adam operation is one
-               call for both; a step computes no loss, and early stopping
-               reads the epoch's loss from the steps' own forward passes
-               (each row's true-class probability before its step, plus L2
-               at the epoch's end weights), so no pass covers all n rows;
+               + L2) trained with mini-batch Adam; b1, W1, W2, b2 are views of
+               one flat parameter vector, in that order: b1 over W1 is one
+               (d+1, h) block W1b, which X with a leading ones column (made
+               once per fit and per predict) multiplies, so the first layer
+               is one product with no bias add and its gradient one product
+               with no bias reduce, and L2 decays the contiguous W1, W2
+               block; each step is one Adam update of the vector in Kingma &
+               Ba's closed form (the bias corrections folded into the step
+               size and epsilon, ICLR 2015 sec. 2), with the two moments as
+               rows of one array (g and g^2 as rows of another) so that each
+               moment update is one call for both; a step computes no loss,
+               and early stopping reads the epoch's loss from the steps' own
+               forward passes (each row's true-class probability before its
+               step, plus L2 at the epoch's end weights), so no pass covers
+               all n rows;
   * logistic - L2-regularized logistic regression fitted by Newton steps
-               (used as the stacking meta-learner).
+               (used as the stacking meta-learner); the model keeps the steps
+               taken and whether the last met the step rule.
 
 The SMO and MLP training loops allocate no array per step: each step writes
 into arrays made once per fit and calls ufuncs and ndarray methods directly,
@@ -28,10 +35,12 @@ column views and transposes, and its batches (contiguous slices of the
 epoch's shuffled rows, one-hot labels and true-class probabilities) once;
 the softmax takes the row max and row sum of its two columns elementwise. An
 SMO step moves its pair in Python floats and updates I_up/I_low at that pair
-only. Every step does the floating-point operations of the plain formulas, in
-their order and on C-ordered operands (fit and predict take X as a C-ordered
-float array), so fits are bitwise those of the unbuffered loops
-(tests/test_models.py pins them).
+only. The MLP's products go through np.dot, which on these small 2-D float
+operands calls BLAS with less dispatch than np.matmul and gives the same
+bits. Every step does the floating-point operations of the formulas stated
+here, in their order and on C-ordered operands (fit and predict take X as a
+C-ordered float array), so fits are bitwise those of unbuffered loops over
+the same formulas (tests/test_models.py pins them).
 
 All fits are deterministic (SVM and MLP given their seed; logistic takes
 none). predict() is the argmax of predict_proba(), ties at 0.5 going to 1.
@@ -172,10 +181,13 @@ def _sigmoid(z):
 
 
 class LogisticModel(TrainedPredictor):
-    def __init__(self, spec, w, b, **kw):
+    def __init__(self, spec, w, b, n_iter, converged, **kw):
         super().__init__(spec, **kw)
         self.w = w
         self.b = b
+        # how fitting ended: the Newton steps taken, and whether the last one
+        # met the step rule (False: it stopped at max_iter)
+        self.n_iter, self.converged = n_iter, converged
 
     def proba_positive(self, X):
         return _sigmoid(X @ self.w + self.b)
@@ -189,45 +201,52 @@ def _fit_logistic(spec: PredictorSpec, X, y, facts) -> LogisticModel:
     theta = np.zeros(d + 1)
     reg = l2 * np.ones(d + 1)
     reg[-1] = 0.0  # bias unpenalized
-    for _ in range(max_iter):
+    for n_iter in range(1, max_iter + 1):
         p = _sigmoid(Xb @ theta)
         grad = Xb.T @ (p - y) / n + reg * theta
         w_diag = np.maximum(p * (1 - p), 1e-10)
         H = (Xb.T * w_diag) @ Xb / n + np.diag(reg + 1e-10)
         step = np.linalg.solve(H, grad)
         theta = theta - step
-        if np.max(np.abs(step)) < 1e-10:
+        converged = bool(np.max(np.abs(step)) < 1e-10)
+        if converged:
             break
-    return LogisticModel(spec, theta[:-1], theta[-1], **facts)
+    return LogisticModel(spec, theta[:-1], theta[-1], n_iter, converged, **facts)
 
 
 # ---------------------------------------------------------------------------
 # MLP: tanh hidden layer, softmax output, cross-entropy + L2, Adam
 # ---------------------------------------------------------------------------
 
+def _mlp_net(flat, d, h):
+    """W1b, W2, b2 and W2.T, the arrays a forward or backward pass reads, as
+    views of one flat vector laid out b1, W1, W2, b2; W1b is the (d+1, h)
+    block of b1 over W1, which X with a leading ones column multiplies."""
+    W1b = flat[:(d + 1) * h].reshape(d + 1, h)
+    W2 = flat[(d + 1) * h:(d + 3) * h].reshape(h, 2)
+    return W1b, W2, flat[(d + 3) * h:], W2.T
+
+
 def _mlp_views(flat, d, h):
-    """W1, W2, b1, b2 as reshaped views of one flat vector, in that order, so
-    that the two weight matrices form one contiguous block."""
-    views, start = {}, 0
-    for key, shape in (("W1", (d, h)), ("W2", (h, 2)), ("b1", (h,)), ("b2", (2,))):
-        size = math.prod(shape)
-        views[key] = flat[start:start + size].reshape(shape)
-        start += size
-    return views
+    """b1, W1, W2, b2 as views of one flat vector, in that order, so that the
+    two weight matrices form one contiguous block."""
+    W1b, W2, b2, _ = _mlp_net(flat, d, h)
+    return {"b1": W1b[0], "W1": W1b[1:], "W2": W2, "b2": b2}
 
 
 def _mlp_init(d, h, rng):
     theta = np.concatenate([
+        np.zeros(h),
         rng.normal(0.0, 1.0 / math.sqrt(d), size=d * h),
         rng.normal(0.0, 1.0 / math.sqrt(h), size=h * 2),
-        np.zeros(h + 2),
+        np.zeros(2),
     ])
     return _mlp_views(theta, d, h)
 
 
-def _mlp_net(params):
-    """W1, b1, W2, b2 and W2.T, the arrays a forward or backward pass reads."""
-    return params["W1"], params["b1"], params["W2"], params["b2"], params["W2"].T
+def _mlp_input(X):
+    """X with a leading column of ones, the column that b1 multiplies."""
+    return np.column_stack([np.ones(X.shape[0]), X])
 
 
 def _mlp_buffers(n, h):
@@ -237,12 +256,12 @@ def _mlp_buffers(n, h):
     return hidden, hidden.T, proba, proba[:, 0], proba[:, 1], rowstat, rowstat[:, 0], np.empty((n, h))
 
 
-def _mlp_forward(net, X, buf):
-    """Class probabilities of X, written into buf after its hidden activations."""
-    W1, b1, W2, b2, _ = net
+def _mlp_forward(net, X1, buf):
+    """Class probabilities of X1 (X with its ones column), written into buf
+    after its hidden activations."""
+    W1b, W2, b2, _ = net
     hidden, _, proba, p0, p1, rowstat, rowstat_1d, _ = buf
-    np.dot(X, W1, out=hidden)
-    np.add(hidden, b1, out=hidden)
+    np.dot(X1, W1b, out=hidden)
     np.tanh(hidden, out=hidden)
     np.dot(hidden, W2, out=proba)  # the logits, then softmax in place
     np.add(proba, b2, out=proba)
@@ -263,37 +282,40 @@ def _mlp_loss(picked, W1, W2, l2):
                               + np.add.reduce(np.square(W2), axis=None))
 
 
-def _mlp_backward(net, X, XT, onehot, grads, buf):
-    """Write the gradient of the mean cross-entropy (no L2 term) into grads,
-    from the forward pass on X in buf; XT is X.T and onehot the (n, 2)
-    indicator of the labels. The pass's work arrays are overwritten."""
-    W2T = net[4]
-    gW1, gb1, gW2, gb2 = grads
+def _mlp_backward(net, X1T, onehot, grads, buf):
+    """Write the gradient of the mean cross-entropy (no L2 term) into grads
+    (gW1b, gW2, gb2), from the forward pass in buf; X1T is the pass's X1.T
+    and onehot the (n, 2) indicator of the labels. The pass's work arrays
+    are overwritten."""
+    W2T = net[3]
+    gW1b, gW2, gb2 = grads
     hidden, hiddenT, dlogits, _, _, _, _, dhidden = buf
     np.subtract(dlogits, onehot, out=dlogits)
-    np.divide(dlogits, X.shape[0], out=dlogits)
+    np.divide(dlogits, X1T.shape[1], out=dlogits)
     np.dot(hiddenT, dlogits, out=gW2)
     np.add.reduce(dlogits, axis=0, out=gb2)
     np.dot(dlogits, W2T, out=dhidden)
     np.square(hidden, out=hidden)
     np.subtract(1.0, hidden, out=hidden)
     np.multiply(dhidden, hidden, out=dhidden)
-    np.dot(XT, dhidden, out=gW1)
-    np.add.reduce(dhidden, axis=0, out=gb1)
+    np.dot(X1T, dhidden, out=gW1b)  # row 0, through the ones column, is gb1
 
 
 def mlp_loss_and_grads(params, X, y, l2):
-    """Mean cross-entropy + (l2/2)*||W||^2 and its analytic gradients.
+    """Mean cross-entropy + (l2/2)*||W||^2 and its analytic gradients, for
+    params as _mlp_init makes them (views of one flat vector).
 
     Exposed so gradient correctness can be checked against finite
     differences.
     """
-    d, h = params["W1"].shape
-    grads = _mlp_views(np.empty(sum(p.size for p in params.values())), d, h)
-    net, buf = _mlp_net(params), _mlp_buffers(X.shape[0], h)
-    proba = _mlp_forward(net, X, buf)
+    (d, h), theta = params["W1"].shape, params["b1"].base
+    grad = np.empty(theta.size)
+    X1, buf = _mlp_input(X), _mlp_buffers(X.shape[0], h)
+    net = _mlp_net(theta, d, h)
+    proba = _mlp_forward(net, X1, buf)
     loss = _mlp_loss(proba[np.arange(len(y)), y], params["W1"], params["W2"], l2)
-    _mlp_backward(net, X, X.T, np.eye(2)[y], _mlp_net(grads)[:4], buf)
+    _mlp_backward(net, X1.T, np.eye(2)[y], _mlp_net(grad, d, h)[:3], buf)
+    grads = _mlp_views(grad, d, h)
     for k in ("W1", "W2"):
         np.add(grads[k], l2 * params[k], out=grads[k])
     return loss, grads
@@ -308,8 +330,9 @@ class MlpModel(TrainedPredictor):
         self.epochs_run, self.stopped_early, self.final_loss = epochs_run, stopped_early, final_loss
 
     def proba_positive(self, X):
-        buf = _mlp_buffers(X.shape[0], self.params["W1"].shape[1])
-        return _mlp_forward(_mlp_net(self.params), X, buf)[:, 1]
+        d, h = self.params["W1"].shape
+        net = _mlp_net(self.params["b1"].base, d, h)
+        return _mlp_forward(net, _mlp_input(X), _mlp_buffers(X.shape[0], h))[:, 1]
 
 
 def _fit_mlp(spec: PredictorSpec, X, y, facts) -> MlpModel:
@@ -326,26 +349,24 @@ def _fit_mlp(spec: PredictorSpec, X, y, facts) -> MlpModel:
 
     try:  # the arrays whose size hidden_units sets
         params = _mlp_init(d, h, rng)
-        theta = params["W1"].base  # the flat vector behind all four views
-        # Adam's two moments as rows of one array; g and g^2 (then the two
-        # bias-corrected moments) as rows of another
+        theta = params["b1"].base  # the flat vector behind all four views
+        # Adam's two moments as rows of one array, g and g^2 as rows of another
         moments, work = np.zeros((2, theta.size)), np.empty((2, theta.size))
         decay = np.repeat([[beta1], [beta2]], theta.size, axis=1)
         keep, reg = 1.0 - decay, np.empty(n_weights)
         bufs = {size: _mlp_buffers(size, h) for size in {batch, n % batch or batch}}
     except (ValueError, MemoryError) as exc:
         raise FitError(f"hidden_units {h}: cannot allocate the MLP's arrays ({exc})") from None
-    net, grad, grad_sq = _mlp_net(params), work[0], work[1]
-    grads = _mlp_net(_mlp_views(grad, d, h))[:4]
-    weights, grad_w = theta[:n_weights], grad[:n_weights]
-    bias = np.empty((2, 1))
+    net, grad, grad_sq, m, v = _mlp_net(theta, d, h), work[0], work[1], moments[0], moments[1]
+    grads = _mlp_net(grad, d, h)[:3]
+    weights, grad_w = theta[h:h + n_weights], grad[h:h + n_weights]  # W1 and W2, after b1
     t = 0
     best_loss, stall = math.inf, 0
     # each epoch's shuffled rows and labels; batches are contiguous slices of
     # them, and of picked, where each step copies its rows' true-class
     # probabilities from their flat indices 2*(row % batch) + label in proba
     onehot = np.eye(2)[y]
-    X_epoch, onehot_epoch = np.empty((n, d)), np.empty((n, 2))
+    X1, X_epoch, onehot_epoch = _mlp_input(X), np.empty((n, d + 1)), np.empty((n, 2))
     row_at, at, picked = 2 * (np.arange(n) % batch), np.empty(n, dtype=np.intp), np.empty(n)
     batches = [(X_epoch[s:s + batch], X_epoch[s:s + batch].T, onehot_epoch[s:s + batch],
                 at[s:s + batch], picked[s:s + batch], bufs[min(batch, n - s)])
@@ -354,28 +375,30 @@ def _fit_mlp(spec: PredictorSpec, X, y, facts) -> MlpModel:
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(epochs):
             order = rng.permutation(n)
-            X.take(order, axis=0, out=X_epoch)
+            X1.take(order, axis=0, out=X_epoch)
             onehot.take(order, axis=0, out=onehot_epoch)
             y.take(order, out=at)
             np.add(at, row_at, out=at)
             for Xb, XbT, onehot_b, at_b, picked_b, buf in batches:
                 _mlp_forward(net, Xb, buf).take(at_b, out=picked_b)
-                _mlp_backward(net, Xb, XbT, onehot_b, grads, buf)
+                _mlp_backward(net, XbT, onehot_b, grads, buf)
                 np.multiply(weights, l2, out=reg)
                 np.add(grad_w, reg, out=grad_w)
                 # Adam: m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g^2, then
-                # theta -= lr*(m/(1-b1^t)) / (sqrt(v/(1-b2^t)) + eps)
+                # theta -= lr*(m/(1-b1^t)) / (sqrt(v/(1-b2^t)) + eps), taken in
+                # Kingma & Ba's closed form a_t*m / (sqrt(v) + eps_t), with
+                # a_t = lr*sqrt(1-b2^t)/(1-b1^t) and eps_t = eps*sqrt(1-b2^t)
                 t += 1
-                bias[0, 0], bias[1, 0] = 1 - beta1 ** t, 1 - beta2 ** t
+                root = math.sqrt(1.0 - beta2 ** t)
+                a_t, eps_t = lr * (root / (1.0 - beta1 ** t)), eps * root
                 np.square(grad, out=grad_sq)
                 np.multiply(moments, decay, out=moments)
                 np.multiply(work, keep, out=work)
                 np.add(moments, work, out=moments)
-                np.divide(moments, bias, out=work)
-                np.multiply(grad, lr, out=grad)
-                np.sqrt(grad_sq, out=grad_sq)
-                np.add(grad_sq, eps, out=grad_sq)
-                np.divide(grad, grad_sq, out=grad)
+                np.sqrt(v, out=grad_sq)
+                np.add(grad_sq, eps_t, out=grad_sq)
+                np.divide(m, grad_sq, out=grad)
+                np.multiply(grad, a_t, out=grad)
                 np.subtract(theta, grad, out=theta)
             # the epoch's loss: its rows' cross-entropy before their steps, and
             # L2 at the end weights, so an overflow in the last step shows

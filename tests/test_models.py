@@ -216,24 +216,27 @@ class TestMlp:
         rng = np.random.default_rng(0)
         X = rng.normal(size=(5, 3))
         y = np.array([0, 1, 1, 0, 1])
-        params = _mlp_init(3, 4, rng)
-        l2 = 1e-3
-        _, grads = mlp_loss_and_grads(params, X, y, l2)
-        eps = 1e-6
-        for key in params:
-            it = np.nditer(params[key], flags=["multi_index"])
-            for _ in it:
-                idx = it.multi_index
-                orig = params[key][idx]
-                params[key][idx] = orig + eps
-                lp, _ = mlp_loss_and_grads(params, X, y, l2)
-                params[key][idx] = orig - eps
-                lm, _ = mlp_loss_and_grads(params, X, y, l2)
-                params[key][idx] = orig
-                fd = (lp - lm) / (2 * eps)
-                an = grads[key][idx]
-                denom = max(abs(fd), abs(an), 1e-8)
-                assert abs(fd - an) / denom < 1e-4, f"{key}{idx}: {fd} vs {an}"
+        assert_gradients_match_finite_differences(_mlp_init(3, 4, rng), X, y, 1e-3)
+
+
+def assert_gradients_match_finite_differences(params, X, y, l2, eps=1e-6):
+    """Every analytic gradient entry against its central difference, by
+    acceptance criterion 5's rule."""
+    _, grads = mlp_loss_and_grads(params, X, y, l2)
+    for key in params:
+        it = np.nditer(params[key], flags=["multi_index"])
+        for _ in it:
+            idx = it.multi_index
+            orig = params[key][idx]
+            params[key][idx] = orig + eps
+            lp, _ = mlp_loss_and_grads(params, X, y, l2)
+            params[key][idx] = orig - eps
+            lm, _ = mlp_loss_and_grads(params, X, y, l2)
+            params[key][idx] = orig
+            fd = (lp - lm) / (2 * eps)
+            an = grads[key][idx]
+            denom = max(abs(fd), abs(an), 1e-8)
+            assert abs(fd - an) / denom < 1e-4, f"{key}{idx}: {fd} vs {an}"
 
 
 def mlp_problem(seed, n, d, sep=1.0):
@@ -248,30 +251,30 @@ def mlp_problem(seed, n, d, sep=1.0):
 MLP_GOLDEN = [
     # (problem, hyperparameters, params digest, proba digest)
     ((1, 50, 4), {"hidden_units": 16, "batch_size": 7, "epochs": 30},  # 50 % 7 != 0
-     "525cc58e4a9662e84be0c29c575b79e0acc5e266c740d6577f77b32b97a6a433",
-     "d737cf795138ce2e8f0eab5fcd08d6cd7292ae2e18a441e6e461be2b79d68a58"),
+     "4228158d85c834f964dc31ea08c3796e88835d65ae9e76bfc84922b5aeb134e1",
+     "617687accf50bdfdee77ad583db497898762a26ddb9961ac4f82ed03395ef44c"),
     ((2, 20, 3), {"hidden_units": 8, "batch_size": 1, "epochs": 10},
-     "6637a7324a5bf485e5f74d010830b4988167c12bf551da211842aadb86556f47",
-     "294069e13c302b304e57e76380210e7354ce528cf61f580386127c48d0380c6a"),
+     "90880dcd8c34c3ffbb8149f04b2179d302343915cfb41422f6c623452002fa21",
+     "287dd1897842859a660c9870be75f13267590dd2c39753f89fe9ff7c3de9b390"),
     ((3, 40, 5), {"hidden_units": 1, "epochs": 60},
-     "6d08b525ba2dadc34515945e2cd465b325b3b19574e50b2a23d22798f083a127",
+     "ae55bca6e8dfed21abec72658278e850383e5961b5e365c2c532472f7f2b8f0f",
      "37af8c3d47276edd39b4188c2f158f33ffe257131be9be480f4d9288f675951b"),
     # separable: early stopping ends it (test_early_stopping_case_stops_early)
     ((4, 30, 2, 6.0), {"hidden_units": 4, "epochs": 3000, "learning_rate": 0.05, "l2": 1e-2},
-     "68307db4f2155dafc80914acb66db597165ec8af6b6bba54221006c0358e6c52",
-     "4bf885fda28ea41a55291bf66c7313aa6f1e2c36d783730d0ea85dbf2f7bd1cd"),
+     "d8b5f70403f611305d3d7fd638e4b30cf54424fee6848b3ddd06b8a427f871c9",
+     "4095f68136b477acca777508de6805532096ad4b01865b5601827887c6e53d97"),
     ((5, 108, 5), {"epochs": 40},  # the shape of one bench mlp_stack fit
-     "50e5ebbd76651389c7e7b89337780382b92fecfc8016d214df7ecf8709a01feb",
-     "fc95d5b4a7fb27fdba20b0e74c4f181ceebdf6a20e2839b7ee26b27e4055c990"),
+     "85241c225f91534b6c3399a4e0d61768d235a60d3089770c3b1102d0bf80ed40",
+     "3ca020c1418b0d30a314ee46df485e2a5c0b39a43d42d856fff1fcfec62dd9af"),
     ((6, 60, 12), {"seed": 3},
-     "37670a2c6257bfa652f35c9dea56ab7458fc5f1a65673332e11505d8b7910964",
-     "53435ffc820bbdeb048f494fbd828cb46497a09428d4e7a1a7b5380d972ed55b"),
+     "786eae5921206d981be770b9a7697f281371dab384f926b070eaaa6aacad6483",
+     "a987e3697f1680877ac5b021a6b1615857c8413645ecce6ad146448cf3bed5b5"),
     ((7, 45, 1), {"hidden_units": 10, "batch_size": 8, "epochs": 25},  # d = 1
-     "f27e6272d1829cc4078c7f6edad1d4c8f7f2acc4643141518363f73b23b89d6f",
-     "74d24f271b99b9b0abb1634ba6c466e35bd196846015526f6bfbb2a58a283f41"),
+     "fd17cbe065ea6f96f98c81b73323c892a399637f74c657c1e51c541d0f069086",
+     "b3d521964827696d6bea342037600f4f87298608e2536cba898968f670869153"),
     ((8, 13, 3), {"hidden_units": 20, "epochs": 30},  # batch_size 32 clamps to n = 13
-     "01e6783d8d06513d54b2279917e5676f6e74172a3177802d40caaa39861fed9b",
-     "c58a680c378c7f58b267f6cfadc08044e81a32e62bd4adca253e7a8466818377"),
+     "c3dfd5a8aab9deb24e0addd5671e0d8749e2671a9fd25a0cc7fc8abe8e3cba4e",
+     "33b208f70261005122c9c260f8d0f478eb81a5572e379d574989dce61a2fc365"),
 ]
 
 
@@ -294,7 +297,7 @@ class TestMlpGolden:
         assert self.digests(problem, hp) == self.digests(problem, {**hp, "epochs": 6000})
 
     @pytest.mark.parametrize("case,epochs_run,stopped_early,final_loss", [
-        (3, 654, True, 0.027877772109987205),  # the separable case
+        (3, 654, True, 0.0278777721099872),  # the separable case
         (4, 40, False, 0.4040671048478677),  # the bench shape runs every epoch
     ])
     def test_end_state_facts(self, case, epochs_run, stopped_early, final_loss):
@@ -312,7 +315,52 @@ class TestMlpGolden:
             "3d301376b8494672c36a476323a0ff85fb4bdcfa518334bb5a7eabec6de4a6da")
 
 
+class TestMlpLayout:
+    """The flat vector is laid out b1, W1, W2, b2, and a pass multiplies X
+    with a leading ones column by the (d+1, h) block of b1 over W1."""
+
+    @pytest.mark.parametrize("n,d,hp", [
+        (33, 3, {"batch_size": 32}),  # the last batch holds one row
+        (30, 1, {}),  # one feature column
+        (30, 3, {"hidden_units": 1}),
+        (13, 3, {"batch_size": 32}),  # batch_size > n
+    ])
+    def test_proba_is_the_reference_formula(self, n, d, hp):
+        X, y = mlp_problem(11, n, d)
+        m = fit(PredictorSpec("mlp", {"hidden_units": 8, "epochs": 20, **hp}), X, y)
+        p = m.params
+        flat = p["b1"].base
+        assert all(np.shares_memory(p[k], flat) for k in p)
+        np.testing.assert_array_equal(
+            flat, np.concatenate([p[k].ravel() for k in ("b1", "W1", "W2", "b2")]))
+        X_test, _ = mlp_problem(12, 17, d)
+        logits = np.tanh(X_test @ p["W1"] + p["b1"]) @ p["W2"] + p["b2"]
+        expected = np.exp(logits - logits.max(axis=1, keepdims=True))
+        expected /= expected.sum(axis=1, keepdims=True)
+        np.testing.assert_allclose(m.predict_proba(X_test), expected, rtol=0, atol=1e-12)
+
+    def test_gradient_at_one_feature_matches_finite_differences(self):
+        # b1's gradient is row 0 of X1.T @ dhidden, through the ones column
+        rng = np.random.default_rng(3)
+        X, y = rng.normal(size=(6, 1)), np.array([0, 1, 1, 0, 1, 0])
+        params = _mlp_init(1, 4, rng)
+        params["b1"][:] = rng.normal(size=4)  # off their zero start
+        params["b2"][:] = rng.normal(size=2)
+        assert_gradients_match_finite_differences(params, X, y, 1e-3)
+
+
 class TestLogistic:
+    @pytest.mark.parametrize("max_iter,n_iter,converged", [
+        (100, 13, True),
+        (13, 13, True),  # the step rule is met on the last step allowed
+        (12, 12, False),
+        (1, 1, False),
+    ])
+    def test_end_state_facts(self, max_iter, n_iter, converged):
+        X, y = blobs()
+        m = fit(PredictorSpec("logistic", {"max_iter": max_iter}), X, y)
+        assert (m.n_iter, m.converged) == (n_iter, converged)
+
     def test_separable_1d(self):
         X = np.array([[-3.0], [-2.0], [-1.0], [1.0], [2.0], [3.0]])
         y = np.array([0, 0, 0, 1, 1, 1])
