@@ -1,12 +1,12 @@
 """Performance and fairness metrics over pooled predictions.
 
-Every metric is a plain function of row-aligned 0/1 numpy arrays: the true
-labels, the predicted labels and, for EA and DI, one attribute's group
-column. Equal Accuracy (EA) is the absolute gap between the two groups'
-error rates (the binary-label reading of a per-group mean absolute error).
-Disparate Impact (DI) is the ratio of positive-prediction rates, minority
-(A=0) over majority (A=1); division-by-zero cases surface as tagged
-sentinels, never as fabricated numbers.
+Every metric reads `counts`, the one tally of row-aligned columns that hold
+0/1 only (an InputError otherwise): the true labels, the predicted labels
+and, for EA and DI, one attribute's group column. Equal Accuracy (EA) is the
+absolute gap between the two groups' error rates (the binary-label reading
+of a per-group mean absolute error). Disparate Impact (DI) is the ratio of
+positive-prediction rates, minority (A=0) over majority (A=1); division by
+zero surfaces as a tagged sentinel, never as a fabricated number.
 
 `PredictionSet` holds the report's predictions as columns; its `records`
 view, kept for `bench/harness.py`, builds `PredictionRecord`s from them.
@@ -85,41 +85,45 @@ class DiResult:
         return "undef(0/0)" if self.reason == "0/0" else "undef(div0)"
 
 
-def _group_masks(group: np.ndarray):
-    g1, g0 = group == 1, group == 0
-    if not g1.any() or not g0.any():
-        missing = "A=1 (majority)" if not g1.any() else "A=0 (minority)"
-        raise MetricUndefinedError(f"group {missing} is empty")
-    return g0, g1
+def counts(*columns: np.ndarray) -> np.ndarray:
+    """The 2 x ... x 2 table of the columns' value tuples: counts(truth, pred) is the
+    confusion matrix [[TN, FP], [FN, TP]], and counts(group, truth, pred)[g] group g's."""
+    if any(((column != 0) & (column != 1)).any() for column in columns):
+        raise InputError(f"expected 0/1 values, got {np.unique(np.concatenate(columns)).tolist()}")
+    code = np.ravel_multi_index(columns, (2,) * len(columns))  # each row's cell, row-major
+    return np.bincount(code, minlength=2 ** len(columns)).reshape((2,) * len(columns))
+
+
+def _group_rates(group: np.ndarray, column: np.ndarray) -> np.ndarray:
+    """Per group, the share of its rows where the 0/1 column is 1."""
+    table = counts(group, column)
+    sizes = table.sum(axis=1)
+    if not sizes.all():
+        raise MetricUndefinedError(f"group {'A=0 (minority)' if sizes[1] else 'A=1 (majority)'} is empty")
+    return table[:, 1] / sizes
 
 
 def equal_accuracy(truth: np.ndarray, pred: np.ndarray, group: np.ndarray) -> float:
     """|error_rate(A=1) - error_rate(A=0)|; 0 is perfectly fair."""
-    g0, g1 = _group_masks(group)
-    wrong = truth != pred
-    return abs(float(wrong[g1].mean()) - float(wrong[g0].mean()))
+    err0, err1 = _group_rates(group, truth != pred).tolist()
+    return abs(err1 - err0)
 
 
 def disparate_impact(pred: np.ndarray, group: np.ndarray) -> DiResult:
     """Pr(pred=1 | A=0) / Pr(pred=1 | A=1); 1 is perfectly fair."""
-    g0, g1 = _group_masks(group)
-    pos = pred == 1
-    num = float(pos[g0].mean())
-    den = float(pos[g1].mean())
+    num, den = _group_rates(group, pred).tolist()
     if den == 0.0:
         return DiResult(None, "0/0" if num == 0.0 else "div-by-zero")
     return DiResult(num / den)
 
 
 def accuracy(truth: np.ndarray, pred: np.ndarray) -> float:
-    return float((truth == pred).mean())
+    return int(np.trace(counts(truth, pred))) / len(truth)
 
 
 def f1(truth: np.ndarray, pred: np.ndarray) -> float:
     """Harmonic mean of precision and recall of the positive class."""
-    tp = int(((truth == 1) & (pred == 1)).sum())
-    fp = int(((truth == 0) & (pred == 1)).sum())
-    fn = int(((truth == 1) & (pred == 0)).sum())
+    (_, fp), (fn, tp) = counts(truth, pred).tolist()
     if tp + fp + fn == 0:
         raise InputError("f1 undefined: no true or predicted positives")
     return 2 * tp / (2 * tp + fp + fn)
@@ -127,12 +131,9 @@ def f1(truth: np.ndarray, pred: np.ndarray) -> float:
 
 def uar(truth: np.ndarray, pred: np.ndarray) -> float:
     """Unweighted average recall; a class absent from truths contributes 0."""
-    recalls = []
-    for cls in (0, 1):
-        mask = truth == cls
-        recalls.append(float((pred[mask] == cls).mean()) if mask.any() else 0.0)
-    return float(np.mean(recalls))
+    (tn, fp), (fn, tp) = counts(truth, pred).tolist()
+    return ((tn / (tn + fp) if tn + fp else 0.0) + (tp / (fn + tp) if fn + tp else 0.0)) / 2
 
 
 def missing_truth_classes(truth: np.ndarray) -> list[int]:
-    return [cls for cls in (0, 1) if not (truth == cls).any()]
+    return [cls for cls in (0, 1) if not counts(truth)[cls]]
