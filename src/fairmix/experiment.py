@@ -84,7 +84,7 @@ def preprocess_fold(config: PipelineConfig, dataset: Dataset, train_idx, test_id
 class AttributeReport:
     ea: Optional[float]
     di: Optional[DiResult]
-    group_sizes: dict
+    counts: np.ndarray  # metrics.counts(group, truth, pred): [g] is group g's confusion matrix
     error: Optional[str] = None
 
 
@@ -106,7 +106,8 @@ class EvaluationReport:
                 "ea": a.ea,
                 "di": (a.di.value if a.di is not None else None),
                 "di_reason": (a.di.reason if a.di is not None else a.error),
-                "group_sizes": a.group_sizes,
+                "group_sizes": {str(g): int(m.sum()) for g, m in enumerate(a.counts)},
+                "counts": {str(g): m.tolist() for g, m in enumerate(a.counts)},
             }
         return {
             "config": self.config,
@@ -188,8 +189,9 @@ def run_arms(config: PipelineConfig, dataset: Dataset, methods) -> list[Evaluati
                 skipped.append({"fold": f, "reason": str(exc)})
                 continue
             blocks.append((test_idx, pred_labels, pred_probas))
-            per_fold.append({**facts, "accuracy": metrics_mod.accuracy(dataset.label[test_idx],
-                                                                       pred_labels)})
+            truth = dataset.label[test_idx]
+            per_fold.append({**facts, "accuracy": metrics_mod.accuracy(truth, pred_labels),
+                             "counts": metrics_mod.counts(truth, pred_labels).tolist()})
     return [_report(c, dataset, len(folds), fingerprints, *r) for c, r in zip(arm_cfgs, results)]
 
 
@@ -216,15 +218,15 @@ def _report(config, dataset, n_folds, fingerprints, blocks, per_fold, skipped):
     }
     per_attr, names = {}, dataset.declared_attributes
     for a, group in zip(names, attrs.T):
-        sizes = {"0": int((group == 0).sum()), "1": int((group == 1).sum())}
+        table = metrics_mod.counts(group, truth, pred)
         try:
             per_attr[a] = AttributeReport(
                 ea=metrics_mod.equal_accuracy(truth, pred, group),
                 di=metrics_mod.disparate_impact(pred, group),
-                group_sizes=sizes,
+                counts=table,
             )
         except MetricUndefinedError as exc:
-            per_attr[a] = AttributeReport(ea=None, di=None, group_sizes=sizes,
+            per_attr[a] = AttributeReport(ea=None, di=None, counts=table,
                                           error=f"attribute {a!r}: {exc}")
     return EvaluationReport(
         config=config.to_flat_dict(),

@@ -726,7 +726,7 @@ class TestBundledBytes:
     DIGESTS = {
         "audit": {
             "predictions.csv": "e11d831e6e5c128a214677fea86134b40827450ee79fd548815d26d5868150cc",
-            "report.json": "b872cfb163c9561bd551aadc2b4112b551a98dd49df9c8e383c82d8a2bb43588",
+            "report.json": "e419158b28575ea509b50a7d74d060f7840ede402030a7ad915cd758906d03c0",
             "report.md": "d0aadafececf26cb7c16e435d75c3292342dafb0146e1d1970c7dd31bcc1b237",
         },
         "compare": {
@@ -734,7 +734,7 @@ class TestBundledBytes:
             "predictions_none.csv": "e11d831e6e5c128a214677fea86134b40827450ee79fd548815d26d5868150cc",
             "predictions_random_oversample.csv":
                 "211a2d2b70d8ff1d0272e17ce1c797d325336def6ed975ef196b7e8145a4bf7f",
-            "report.json": "7aa459382c0661a2623e7f1d59f9916592347ce137a99b04df4c6434a96ff8fb",
+            "report.json": "85d99f051249551b3e2f3b750fe8f4b5fa171ec662a061b5254f294580da6aca",
             "report.md": "e11c6bafbcea82f1a08364a8306b97564289c50a4598aac710cc219cf839237c",
         },
     }

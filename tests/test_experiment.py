@@ -15,7 +15,7 @@ from fairmix import models as models_mod
 from fairmix.cli import main
 from fairmix.config import PipelineConfig
 from fairmix.dataset import Dataset, load_dataset, save_dataset
-from fairmix.errors import ExperimentError, FitError
+from fairmix.errors import ExperimentError, FitError, InputError
 from fairmix.folds import grouped_stratified_kfold, loso_folds, plain_kfold
 from fairmix.fusion import FusionSpec, fit_stacking_meta
 from fairmix.metrics import PredictionRecord, PredictionSet
@@ -371,12 +371,12 @@ class TestPinnedAudits:
                  attribute_props=(("gender", 0.75), ("race", 0.7))),
             dict(model_kind="mlp", fusion_strategy="stack_soft",
                  model_hyperparams={"epochs": 40}),
-            "82cf0c90de5ddd13f1a5f939486d35fffe3e396c48a5672da9472c1e033f38af"),
+            "eee1c26273f0647f1c7906f35be0d38023be71a9476d5aa99c32acfee603bcf8"),
         "svm_debias": (
             dict(n_subjects=40, sessions_per_subject=2, attribute_props=(("gender", 0.8),),
                  separation_majority=2.0, separation_minority=1.2),
             dict(model_kind="rbf_svm", fusion_strategy="early"),
-            "4b94f826a4be34f1aa23276892a58b9081d29605ea885f348ae1811408d389c9"),
+            "c09472e2d4ea784f33e1b256951af3b83828bec030dbd40979bcc413cc00c8ba"),
     }
 
     @pytest.mark.parametrize("shape", sorted(SHAPES))
@@ -387,6 +387,49 @@ class TestPinnedAudits:
         assert report.skipped_folds == []
         write_report_json(report, str(tmp_path / "report.json"))
         assert hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest() == sha
+
+
+class TestReportCounts:
+    """report.json keeps each group's confusion matrix and each fold's, and the
+    figures that counts determine agree with them."""
+
+    @pytest.mark.parametrize("cfg", [base_config(), base_config(cv_mode="loso")],
+                             ids=["kfold", "loso"])
+    def test_counts_agree_with_the_report(self, cfg):
+        ds = synth(seed=21, n_subjects=12, attribute_props=(("gender", 0.7), ("race", 0.6)))
+        for report in run_arms(cfg, ds, METHODS):
+            data = json.loads(json.dumps(report.to_json_dict()))
+            n = data["overall"]["n_predictions"]
+            for entry in data["per_attribute"].values():
+                table = np.array([entry["counts"]["0"], entry["counts"]["1"]])  # [group, truth, pred]
+                assert table.sum() == n
+                sizes = table.sum(axis=(1, 2))
+                assert entry["group_sizes"] == {"0": sizes[0], "1": sizes[1]}
+                err = (table[:, 0, 1] + table[:, 1, 0]) / sizes
+                pos = table[:, :, 1].sum(axis=1) / sizes
+                assert entry["ea"] == abs(err[1] - err[0])
+                assert entry["di"] == pos[0] / pos[1]
+            assert data["overall"]["accuracy"] == np.trace(table.sum(axis=0)) / n
+            for fold in data["per_fold"]:
+                assert np.sum(fold["counts"]) == fold["n_test"]
+                assert fold["accuracy"] == np.trace(fold["counts"]) / fold["n_test"]
+            assert sum(fold["n_test"] for fold in data["per_fold"]) == n
+
+    def test_an_empty_group_counts_zero(self):
+        with pytest.warns(UserWarning, match="single group"):
+            ds = synth(seed=9, attribute_props=(("gender", 1.0),))
+        entry = run_experiment(base_config(), ds).to_json_dict()["per_attribute"]["gender"]
+        assert entry["ea"] is None and entry["counts"]["0"] == [[0, 0], [0, 0]]
+        assert entry["group_sizes"] == {"0": 0, "1": ds.n_samples}
+
+    def test_a_group_value_outside_0_1_is_refused(self):
+        # the per-metric masks dropped such rows: with 10 of 40 rows in a gender
+        # group 2, EA and DI came from 30 rows and group_sizes summed to 30
+        ds = generate(SynthSpec(n_subjects=10, sessions_per_subject=4, seed=3))
+        attrs = ds.attrs.copy()
+        attrs[::4, 0] = 2
+        with pytest.raises(InputError, match=r"^expected 0/1 values, got \[0, 1, 2\]$"):
+            run_experiment(base_config(), dataclasses.replace(ds, attrs=attrs))
 
 
 METHODS = ("none", "random_oversample", "mixfeat")
