@@ -90,7 +90,7 @@ def counts(*columns: np.ndarray) -> np.ndarray:
     confusion matrix [[TN, FP], [FN, TP]], and counts(group, truth, pred)[g] group g's."""
     if any(((column != 0) & (column != 1)).any() for column in columns):
         raise InputError(f"expected 0/1 values, got {np.unique(np.concatenate(columns)).tolist()}")
-    code = np.ravel_multi_index(columns, (2,) * len(columns))  # each row's cell, row-major
+    code = np.ravel_multi_index(np.array(columns, dtype=np.intp), (2,) * len(columns))
     return np.bincount(code, minlength=2 ** len(columns)).reshape((2,) * len(columns))
 
 

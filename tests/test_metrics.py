@@ -9,6 +9,7 @@ import pytest
 from fairmix.errors import InputError, MetricUndefinedError
 from fairmix.metrics import (
     accuracy,
+    counts,
     disparate_impact,
     equal_accuracy,
     f1,
@@ -30,6 +31,11 @@ def oracle_metrics(truth, pred, attr):
     tp = sum(1 for t, p in zip(truth, pred) if t == 1 and p == 1)
     fp = sum(1 for t, p in zip(truth, pred) if t == 0 and p == 1)
     fn = sum(1 for t, p in zip(truth, pred) if t == 1 and p == 0)
+    tn = sum(1 for t, p in zip(truth, pred) if t == 0 and p == 0)
+    out["confusion"] = [[tn, fp], [fn, tp]]
+    rows = list(zip(attr, truth, pred))
+    out["group_confusion"] = [[[rows.count((g, t, p)) for p in (0, 1)] for t in (0, 1)]
+                              for g in (0, 1)]
     out["f1"] = None if tp + fp + fn == 0 else Fraction(2 * tp, 2 * tp + fp + fn)
     recalls = []
     for cls in (0, 1):
@@ -129,6 +135,8 @@ class TestOracleEquivalence:
             attr = rng.integers(0, 2, n)
             t, p, g = preds_from(truth, pred, attr)
             o = oracle_metrics(list(truth), list(pred), list(attr))
+            assert counts(t, p).tolist() == o["confusion"]
+            assert counts(g, t, p).tolist() == o["group_confusion"]
             assert abs(accuracy(t, p) - float(o["accuracy"])) <= 1e-12
             assert abs(uar(t, p) - float(o["uar"])) <= 1e-12
             if o["f1"] is None:
@@ -161,3 +169,39 @@ class TestScaleInvariance:
         assert equal_accuracy(*a) == equal_accuracy(*b)
         da, db = disparate_impact(*a[1:]), disparate_impact(*b[1:])
         assert (da.value, da.reason) == (db.value, db.reason)
+
+
+class TestCounts:
+    def test_two_columns_are_a_confusion_matrix(self):
+        t, p, _ = preds_from([0, 0, 0, 1, 1, 1, 1], [0, 1, 1, 0, 1, 1, 1], [0] * 7)
+        assert counts(t, p).tolist() == [[1, 2], [1, 3]]  # [[TN, FP], [FN, TP]]
+
+    def test_boolean_and_float_columns(self):
+        t, p, g = preds_from([0, 1, 1, 0], [0, 0, 1, 1], [0, 0, 1, 1])
+        assert counts(g, t != p).tolist() == [[1, 1], [1, 1]]
+        assert counts(g.astype(float), p.astype(float)).tolist() == counts(g, p).tolist()
+
+    def test_one_column_counts_its_values(self):
+        assert counts(np.array([1, 1, 0])).tolist() == [1, 2]
+
+    @pytest.mark.parametrize("bad", [2, -1, 0.5, np.nan])
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    def test_a_value_outside_0_1_is_refused(self, bad, at):
+        columns = [np.array([0, 1, 0, 1], dtype=float) for _ in range(3)]
+        columns[at][2] = bad
+        with pytest.raises(InputError, match=r"^expected 0/1 values"):
+            counts(*columns)
+
+    @pytest.mark.parametrize("metric,params,bad", [
+        (accuracy, "truth pred", "truth"), (accuracy, "truth pred", "pred"),
+        (f1, "truth pred", "truth"), (f1, "truth pred", "pred"),
+        (uar, "truth pred", "truth"), (uar, "truth pred", "pred"),
+        (equal_accuracy, "truth pred group", "group"),  # it counts truth != pred, a boolean
+        (disparate_impact, "pred group", "pred"), (disparate_impact, "pred group", "group"),
+    ])
+    def test_every_metric_refuses_a_2_in_what_it_counts(self, metric, params, bad):
+        columns = dict(zip(("truth", "pred", "group"),
+                           preds_from([0, 1, 1, 0], [0, 1, 0, 1], [0, 1, 0, 1])))
+        columns[bad][0] = 2
+        with pytest.raises(InputError, match=r"^expected 0/1 values, got \[0, 1, 2\]$"):
+            metric(*(columns[name] for name in params.split()))
