@@ -303,12 +303,13 @@ def _mlp_backward(net, X1T, onehot, grads, buf):
 
 def mlp_loss_and_grads(params, X, y, l2):
     """Mean cross-entropy + (l2/2)*||W||^2 and its analytic gradients, for
-    params as _mlp_init makes them (views of one flat vector).
+    params shaped as _mlp_init makes them (b1, W1, W2, b2 by name).
 
     Exposed so gradient correctness can be checked against finite
     differences.
     """
-    (d, h), theta = params["W1"].shape, params["b1"].base
+    d, h = params["W1"].shape
+    theta = np.concatenate([params[k].ravel() for k in ("b1", "W1", "W2", "b2")])
     grad = np.empty(theta.size)
     X1, buf = _mlp_input(X), _mlp_buffers(X.shape[0], h)
     net = _mlp_net(theta, d, h)
@@ -322,17 +323,21 @@ def mlp_loss_and_grads(params, X, y, l2):
 
 
 class MlpModel(TrainedPredictor):
-    def __init__(self, spec, params, epochs_run, stopped_early, final_loss, **kw):
+    def __init__(self, spec, theta, hidden_units, epochs_run, stopped_early, final_loss, **kw):
         super().__init__(spec, **kw)
-        self.params = params
+        self.theta, self.hidden_units = theta, hidden_units  # theta: b1, W1, W2, b2, flat
         # how training ended: the epochs run, whether the stall rule stopped
         # it, and the last epoch's loss
         self.epochs_run, self.stopped_early, self.final_loss = epochs_run, stopped_early, final_loss
 
+    @property
+    def params(self):
+        """b1, W1, W2 and b2 as views of theta."""
+        return _mlp_views(self.theta, self.n_features, self.hidden_units)
+
     def proba_positive(self, X):
-        d, h = self.params["W1"].shape
-        net = _mlp_net(self.params["b1"].base, d, h)
-        return _mlp_forward(net, _mlp_input(X), _mlp_buffers(X.shape[0], h))[:, 1]
+        net = _mlp_net(self.theta, self.n_features, self.hidden_units)
+        return _mlp_forward(net, _mlp_input(X), _mlp_buffers(X.shape[0], self.hidden_units))[:, 1]
 
 
 def _fit_mlp(spec: PredictorSpec, X, y, facts) -> MlpModel:
@@ -349,7 +354,7 @@ def _fit_mlp(spec: PredictorSpec, X, y, facts) -> MlpModel:
 
     try:  # the arrays whose size hidden_units sets
         params = _mlp_init(d, h, rng)
-        theta = params["b1"].base  # the flat vector behind all four views
+        theta = params["b1"].base  # the new flat vector behind all four views
         # Adam's two moments as rows of one array, g and g^2 as rows of another
         moments, work = np.zeros((2, theta.size)), np.empty((2, theta.size))
         decay = np.repeat([[beta1], [beta2]], theta.size, axis=1)
@@ -411,7 +416,7 @@ def _fit_mlp(spec: PredictorSpec, X, y, facts) -> MlpModel:
                 stall += 1
                 if stall >= 20:
                     break
-    return MlpModel(spec, params, epoch + 1, stall >= 20, float(loss), **facts)
+    return MlpModel(spec, theta, h, epoch + 1, stall >= 20, float(loss), **facts)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
+import copy
 import hashlib
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -136,6 +138,13 @@ class TestAllModels:
         a = fit(PredictorSpec(kind, hp), X, y)
         b = fit(PredictorSpec(kind, hp), X, y)
         np.testing.assert_array_equal(a.predict_proba(Xt), b.predict_proba(Xt))
+
+    @pytest.mark.parametrize("how", ["deepcopy", "pickle"])
+    def test_a_copy_predicts_the_same_bits(self, kind, hp, how):
+        X, y = blobs(seed=4)
+        m = fit(PredictorSpec(kind, hp), X, y)
+        twin = copy.deepcopy(m) if how == "deepcopy" else pickle.loads(pickle.dumps(m))
+        assert twin.predict_proba(X).tobytes() == m.predict_proba(X).tobytes()
 
     def test_memory_order_does_not_change_bits(self, kind, hp):
         # a Fortran-ordered matrix fits and predicts to the bits of its C-ordered copy
