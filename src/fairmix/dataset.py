@@ -515,7 +515,7 @@ def save_dataset(dataset: Dataset, out_dir: str, name: str = "data") -> str:
 
     def write_csv(fname: str, header: list[str], rows: Iterable) -> str:
         atomic_write(os.path.join(out_dir, fname), csv_text(header, rows))
-        return fname
+        return os.path.basename(fname)  # the manifest's entries are relative to its directory
 
     for t in dataset.modalities:
         m = t.modality_name

@@ -189,6 +189,18 @@ class TestRoundTrip:
             np.testing.assert_array_equal(getattr(back, column), getattr(ds, column))
         assert back.attrs.shape == (5, 2)
 
+    def test_a_name_with_a_directory_reloads(self, tmp_path):
+        # the manifest lands in sub/ and used to name sub/x_face.csv, which
+        # load_dataset looked for in sub/sub/
+        ds = make_dataset({"face": np.arange(8.0).reshape(4, 2)}, labels=[0, 1, 1, 0],
+                          attrs=[[1], [0], [0], [1]])
+        manifest = save_dataset(ds, str(tmp_path), name="sub/x")
+        assert manifest == str(tmp_path / "sub" / "x_manifest.txt")
+        back = load_dataset(manifest)
+        for column in ("sample_id", "subject_id", "label", "attrs"):
+            np.testing.assert_array_equal(getattr(back, column), getattr(ds, column))
+        np.testing.assert_array_equal(back.modality("face").samples, ds.modality("face").samples)
+
     def test_saved_manifest_sets_no_threshold(self, tmp_path):
         # labels are saved binarized, so the threshold they came from is not written
         ds = make_dataset({"face": np.arange(8.0).reshape(4, 2)}, labels=[0, 1, 1, 0],
