@@ -1,12 +1,12 @@
 """Performance and fairness metrics over pooled predictions.
 
-Every metric reads `counts`, the one tally of row-aligned columns that hold
-0/1 only (an InputError otherwise): the true labels, the predicted labels
-and, for EA and DI, one attribute's group column. Equal Accuracy (EA) is the
-absolute gap between the two groups' error rates (the binary-label reading
-of a per-group mean absolute error). Disparate Impact (DI) is the ratio of
-positive-prediction rates, minority (A=0) over majority (A=1); division by
-zero surfaces as a tagged sentinel, never as a fabricated number.
+Every metric reads `counts`, the one tally of row-aligned 0/1 columns (any
+other value is an InputError): true and predicted labels and, for EA and DI,
+one attribute's group column; the report keeps each group's and each fold's
+table. Equal Accuracy (EA) is the absolute gap between the groups' error
+rates (the binary-label reading of a per-group mean absolute error).
+Disparate Impact (DI) is the ratio of positive-prediction rates, minority
+(A=0) over majority (A=1); division by zero is a tagged sentinel, not a number.
 
 `PredictionSet` holds the report's predictions as columns; its `records`
 view, kept for `bench/harness.py`, builds `PredictionRecord`s from them.
