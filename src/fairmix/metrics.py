@@ -136,4 +136,4 @@ def uar(truth: np.ndarray, pred: np.ndarray) -> float:
 
 
 def missing_truth_classes(truth: np.ndarray) -> list[int]:
-    return [cls for cls in (0, 1) if not counts(truth)[cls]]
+    return [cls for cls, n in enumerate(counts(truth).tolist()) if not n]
