@@ -26,12 +26,14 @@ either side is an AlignmentError.
 
 `Dataset` owns the names of any dataset, loaded or built, and refuses
 those that `load_dataset` would refuse in a saved copy: it needs one or more
-modalities, each named once, and attributes each declared once and none in
-`RESERVED_ATTRIBUTES` (SchemaError). That table is the one list of reserved
-names; the loader and `synthgen.SynthSpec` read it too. `modality_name_fault`
-is the one modality-name rule, read by `Dataset` and `SynthSpec`: a name is
-not empty and holds no ``=``, ``\n``, ``\r`` or NUL and no leading or
-trailing whitespace, which a manifest line or file name would split or drop.
+modalities, each named once, attributes each declared once and none in
+`RESERVED_ATTRIBUTES`, and labels and attributes of 0 or 1 (SchemaError;
+the loader's row-numbered rules run first). That table is the one list of
+reserved names; the loader and `synthgen.SynthSpec` read it too.
+`modality_name_fault` is the one modality-name rule, read by `Dataset` and
+`SynthSpec`: a name is not empty and holds no ``=``, ``\n``, ``\r`` or NUL
+and no leading or trailing whitespace, which a manifest line or file name
+would split or drop.
 
 Every file fairmix writes, a saved dataset here and the reports in
 `experiment`, goes through `atomic_write` (temp file, rename, umask mode).
@@ -147,7 +149,9 @@ class SampleMeta:
 class Dataset:
     """Row-aligned modality tables plus per-row columns: sample and subject
     ids, 0/1 labels, and an (n, a) 0/1 matrix of the declared sensitive
-    attributes in declared order. Labels or an attribute of one value warn."""
+    attributes in declared order. A label or attribute value other than 0 or
+    1 is a SchemaError naming its column and the first such value in row
+    order; labels or an attribute of one value warn."""
 
     modalities: tuple[ModalityTable, ...]
     sample_id: np.ndarray
@@ -157,7 +161,9 @@ class Dataset:
     declared_attributes: tuple[str, ...]
 
     def __post_init__(self):
-        for name, dtype in (("sample_id", str), ("subject_id", str), ("label", int), ("attrs", int)):
+        # labels and attributes stay float until checked, so 0.5 is not cast to 0
+        for name, dtype in (("sample_id", str), ("subject_id", str), ("label", float),
+                            ("attrs", float)):
             setattr(self, name, np.asarray(getattr(self, name), dtype))
         n = self.label.size
         if n == 0:
@@ -179,6 +185,12 @@ class Dataset:
         shapes = {name: getattr(self, name).shape for name in expected}
         if shapes != expected:
             raise SchemaError(f"column shapes must be {expected}, got {shapes}")
+        for column, values in (("label", self.label),
+                               *((f"attribute {a!r}", v) for a, v in zip(declared, self.attrs.T))):
+            bad = values[(values != 0) & (values != 1)]
+            if bad.size:
+                raise SchemaError(f"{column} must be 0 or 1, got {bad[0]:g}")
+        self.label, self.attrs = self.label.astype(int), self.attrs.astype(int)
         _, first = np.unique(self.sample_id, return_index=True)
         if len(first) < n:
             repeat = np.setdiff1d(np.arange(n), first)[0]  # earliest row whose id was seen

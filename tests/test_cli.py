@@ -725,15 +725,15 @@ class TestBundledBytes:
 
     DIGESTS = {
         "audit": {
-            "predictions.csv": "e11d831e6e5c128a214677fea86134b40827450ee79fd548815d26d5868150cc",
+            "predictions.csv": "2604a97c6b999e8652cebc4f6db86371b8d96b881ee63e7a4596019af252ef49",
             "report.json": "e419158b28575ea509b50a7d74d060f7840ede402030a7ad915cd758906d03c0",
             "report.md": "d0aadafececf26cb7c16e435d75c3292342dafb0146e1d1970c7dd31bcc1b237",
         },
         "compare": {
-            "predictions_mixfeat.csv": "cc2bcc2d730ab07a848a5e55128ec7064ea03e63108204a4ef0ec66bc3433cd0",
-            "predictions_none.csv": "e11d831e6e5c128a214677fea86134b40827450ee79fd548815d26d5868150cc",
+            "predictions_mixfeat.csv": "7eda3ec7f87dbb05fa9470b8f8b3c2a26ab67928e3d6c26e0b16ab90e9a31021",
+            "predictions_none.csv": "2604a97c6b999e8652cebc4f6db86371b8d96b881ee63e7a4596019af252ef49",
             "predictions_random_oversample.csv":
-                "211a2d2b70d8ff1d0272e17ce1c797d325336def6ed975ef196b7e8145a4bf7f",
+                "371d0645b81c3ecb9bc586aa5ee6681f7a6e7163eb1570f3ba7c40b95070ee7b",
             "report.json": "85d99f051249551b3e2f3b750fe8f4b5fa171ec662a061b5254f294580da6aca",
             "report.md": "e11c6bafbcea82f1a08364a8306b97564289c50a4598aac710cc219cf839237c",
         },

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import re
@@ -313,6 +314,26 @@ class TestColumns:
         kwargs["attrs"] = [[1, 0], [1, 1], [1, 0]]
         with pytest.warns(DegenerateGroupWarning, match="'gender'"):
             Dataset(**kwargs)
+
+    # a 2 was refused only by metrics.counts after every fold was fitted, and
+    # 0.5 was cast to 0; the column named is the first in label-then-declared
+    # order to hold such a value, and the value its first in row order
+    @pytest.mark.parametrize("column, values, message", [
+        ("label", [0, 2, 3, 1], "label must be 0 or 1, got 2"),
+        ("label", [0, 1, 0.5, 1], "label must be 0 or 1, got 0.5"),
+        ("label", [0, np.nan, 1, 1], "label must be 0 or 1, got nan"),
+        ("attrs", [[0, 1], [1, 0], [0, -1], [1, 0]], "attribute 'race' must be 0 or 1, got -1"),
+        ("attrs", [[0, 1], [3, 2], [0, 1], [1, 0]], "attribute 'gender' must be 0 or 1, got 3"),
+    ])
+    def test_a_value_other_than_0_or_1_is_refused(self, column, values, message):
+        ds = Dataset(**_columns(4))
+        with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+            dataclasses.replace(ds, **{column: values})
+
+    def test_float_and_bool_0_1_values_become_ints(self):
+        ds = dataclasses.replace(Dataset(**_columns()), label=[1.0, 0.0, True])
+        assert ds.label.dtype == int and ds.label.tolist() == [1, 0, 1]
+        assert ds.attrs.dtype == int
 
     # each was accepted, and save_dataset then wrote files that load_dataset refused
     @pytest.mark.parametrize("name, message", [

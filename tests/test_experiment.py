@@ -15,7 +15,7 @@ from fairmix import models as models_mod
 from fairmix.cli import main
 from fairmix.config import PipelineConfig
 from fairmix.dataset import Dataset, load_dataset, save_dataset
-from fairmix.errors import ExperimentError, FitError, InputError
+from fairmix.errors import ExperimentError, FitError, InputError, SchemaError
 from fairmix.folds import grouped_stratified_kfold, loso_folds, plain_kfold
 from fairmix.fusion import FusionSpec, fit_stacking_meta
 from fairmix.metrics import PredictionRecord, PredictionSet
@@ -424,11 +424,13 @@ class TestReportCounts:
 
     def test_a_group_value_outside_0_1_is_refused(self):
         # the per-metric masks dropped such rows: with 10 of 40 rows in a gender
-        # group 2, EA and DI came from 30 rows and group_sizes summed to 30
+        # group 2, EA and DI came from 30 rows and group_sizes summed to 30;
+        # metrics.counts then refused the value after every fold was fitted,
+        # and the dataset now refuses it before any
         ds = generate(SynthSpec(n_subjects=10, sessions_per_subject=4, seed=3))
         attrs = ds.attrs.copy()
         attrs[::4, 0] = 2
-        with pytest.raises(InputError, match=r"^expected 0/1 values, got \[0, 1, 2\]$"):
+        with pytest.raises(SchemaError, match=r"^attribute 'gender' must be 0 or 1, got 2$"):
             run_experiment(base_config(), dataclasses.replace(ds, attrs=attrs))
 
 

@@ -237,12 +237,69 @@ class TestPca:
                                    atol=1e-6)
         assert model.components.flags["C_CONTIGUOUS"]
 
-    def test_zero_variance_keeps_one_direction(self):
-        model = fit_pca(np.full((6, 4), 3.0), 0.80)
+    @pytest.mark.parametrize("shape", [(6, 4), (4, 10)])
+    def test_zero_variance_keeps_one_direction(self, shape):
+        model = fit_pca(np.full(shape, 3.0), 0.80)
         np.testing.assert_array_equal(model.explained_ratio, [1.0])
-        np.testing.assert_allclose(np.linalg.norm(model.components, axis=1), [1.0])
-        np.testing.assert_array_equal(model.apply(np.full((2, 4), 3.0)), np.zeros((2, 1)))
+        np.testing.assert_array_equal(model.components, np.eye(1, shape[1]))
+        np.testing.assert_array_equal(model.apply(np.full((2, shape[1]), 3.0)), np.zeros((2, 1)))
         assert model.components.flags["C_CONTIGUOUS"]
+
+    @pytest.mark.parametrize("target", [1.0, 1 - 1e-9])
+    def test_ill_conditioned_wide_split_stays_orthonormal(self, target):
+        # dividing Xc'U by the singular values left these 3.1e-6 (target 1.0)
+        # and 2.2e-8 (1 - 1e-9) from orthonormal
+        rng = np.random.default_rng(12)
+        U, _ = np.linalg.qr(rng.normal(size=(20, 20)))
+        V, _ = np.linalg.qr(rng.normal(size=(60, 20)))
+        X = (U * np.geomspace(1, 1e-7, 20)) @ V.T
+        model = fit_pca(X, target)
+        assert model.n_components > 5
+        gram = model.components @ model.components.T
+        np.testing.assert_allclose(gram, np.eye(model.n_components), atol=1e-8)
+        assert model.components.flags["C_CONTIGUOUS"]
+
+    def test_directions_at_the_k_rule_floor_stay_orthonormal(self):
+        # Cholesky QR could fail only on a kept direction whose variance is
+        # at the rounding level of the Gram matrix; the k rule keeps one only
+        # while the variance after it exceeds 1e-12 of the total, so a tail
+        # of 63 variances of 3e-14 of the largest each has about 20 kept
+        rng = np.random.default_rng(13)
+        U, _ = np.linalg.qr(rng.normal(size=(64, 64)))
+        V, _ = np.linalg.qr(rng.normal(size=(200, 64)))
+        s = np.concatenate([[1.0], np.full(63, np.sqrt(2e-12 / 63))])
+        model = fit_pca((U * s) @ V.T, 1.0)
+        assert model.n_components > 10
+        gram = model.components @ model.components.T
+        np.testing.assert_allclose(gram, np.eye(model.n_components), atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(30, 6), (8, 40)])
+    def test_a_power_of_two_scale_keeps_every_bit(self, shape):
+        # the Gram matrix of the unscaled rows overflows at 2**530 and loses
+        # its small entries to underflow at 2**-530
+        X = np.random.default_rng(14).normal(size=shape)
+        model = fit_pca(X, 0.9)
+        for scale in (2.0**530, 2.0**-530):
+            scaled = fit_pca(X * scale, 0.9)
+            np.testing.assert_array_equal(scaled.components, model.components)
+            np.testing.assert_array_equal(scaled.explained_ratio, model.explained_ratio)
+
+    @pytest.mark.parametrize("shape", [(30, 6), (8, 40)])
+    def test_memory_order_does_not_change_bits(self, shape):
+        X = np.random.default_rng(15).normal(size=shape)
+        a, b = fit_pca(np.asfortranarray(X), 0.9), fit_pca(np.ascontiguousarray(X), 0.9)
+        for got, want in ((a.mean, b.mean), (a.components, b.components),
+                          (a.explained_ratio, b.explained_ratio)):
+            np.testing.assert_array_equal(got, want)
+        assert a.components.flags["C_CONTIGUOUS"]
+
+    @pytest.mark.parametrize("shape", [(30, 6), (8, 40)])
+    def test_no_svd_is_taken(self, shape, monkeypatch):
+        def svd(*args, **kwargs):
+            raise AssertionError("fit_pca took an SVD")
+
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        fit_pca(np.random.default_rng(16).normal(size=shape), 0.9)
 
     def test_projection_variance_matches_reported_ratio(self):
         rng = np.random.default_rng(6)
