@@ -11,18 +11,14 @@ provenance view: it returns each synthetic row's two parent rows and its
 per-modality mixing weights. `augment_dataset` is the pipeline entry.
 
 Draw protocol, pinned by tests that hash the output: one
-``default_rng(seed)`` visits the deficient cells in key order. mixfeat draws,
-per row of a cell of c >= 2 rows, ``choice(c, 2, replace=False)`` for the
-parents, then ``beta(a, b, size=n_modalities)``; a singleton cell draws
-``beta(a, b, size=(deficit, n_modalities))``. random_oversample draws
-``integers(c, size=deficit)`` per cell. Rows are named after the method run.
-mixfeat's choice is replayed in one loop per cell on the state ``beta`` reads,
-through ``bit_generator.ctypes.next_uint32``, which skips the per-call cost of
-``choice``: Floyd's sampling draws ``integers(c - 1)`` and ``integers(c)`` (a
-repeat takes c - 1), then a shuffle draws ``integers(2)`` and swaps on 0.
-Each integers(k) is numpy's rule (Lemire, ACM TOMACS 2019): the high word of
-a uint32 times k, redrawn while the low word is below ``(2**32 - k) % k``;
-k = 1 draws nothing.
+``default_rng(seed)`` visits the deficient cells in key order, and each cell
+of c rows adds its deficit rows by sized draws. ``integers(c, size=deficit)``
+draws every row's first parent i. In a cell of c >= 2 rows, mixfeat then
+draws ``integers(c - 1, size=deficit)`` for the second parent j, moved up by
+one where j >= i, so that (i, j) is uniform over ordered distinct pairs.
+mixfeat then draws ``beta(a, b, size=(deficit, n_modalities))`` for the
+weights. random_oversample, and mixfeat in a singleton cell, draw nothing
+more: j = i with weight 1, an exact copy. Rows are named after the method run.
 """
 
 from __future__ import annotations
@@ -66,30 +62,6 @@ def mix_pair(row_i: np.ndarray, row_j: np.ndarray, lam) -> np.ndarray:
     return lam * np.asarray(row_i, dtype=float) + (1.0 - lam) * np.asarray(row_j, dtype=float)
 
 
-def _mix_cell(rng, c: int, deficit: int, a: float, b: float, n_modalities: int):
-    """`deficit` rows of rng.choice(c, 2, replace=False), c >= 2, each then
-    rng.beta(a, b, size=n_modalities), the choice replayed as the module
-    says: a (deficit, 2) int array of pairs and a weight row per pair."""
-    bits = rng.bit_generator.ctypes
-    next32, state, beta = bits.next_uint32, bits.state, rng.beta
-    below_i, below_j = (2**32 - c + 1) % (c - 1), (2**32 - c) % c
-    pairs, weights = [], []
-    for _ in range(deficit):
-        i = 0  # integers(1) draws nothing
-        if c > 2:
-            m = next32(state) * (c - 1)
-            while m & 0xFFFFFFFF < below_i:
-                m = next32(state) * (c - 1)
-            i = m >> 32
-        m = next32(state) * c
-        while m & 0xFFFFFFFF < below_j:
-            m = next32(state) * c
-        j = c - 1 if m >> 32 == i else m >> 32
-        pairs += (i, j) if next32(state) >> 31 else (j, i)  # integers(2) never rejects
-        weights.append(beta(a, b, n_modalities))
-    return np.array(pairs, int).reshape(deficit, 2), np.concatenate(weights).reshape(deficit, -1)
-
-
 def synthesize(train: Dataset, method: str, seed: int,
                beta_alpha: float = 1.0, beta_beta: float = 1.0):
     """Raise every non-empty cell to the largest cell's count by `method`
@@ -97,7 +69,7 @@ def synthesize(train: Dataset, method: str, seed: int,
 
     Returns the augmented dataset and, per synthetic row r, its parent rows
     parent_i[r] and parent_j[r] and its weights lams[r] in modality order
-    (a singleton cell's rows mix their one row with itself)."""
+    (a singleton cell's rows are exact copies of its one row)."""
     if method not in METHODS[1:]:
         raise InputError(f"unknown augmentation method {method!r}")
     if method == "mixfeat":
@@ -114,15 +86,14 @@ def synthesize(train: Dataset, method: str, seed: int,
     for rows, deficit in deficits:
         at = slice(end, end + deficit)
         end += deficit
-        if method == "random_oversample":
-            parent_i[at] = parent_j[at] = rows[rng.integers(len(rows), size=deficit)]
-            lams[at] = 1.0  # weight 1 copies the parent exactly
-        elif len(rows) == 1:
-            parent_i[at] = parent_j[at] = rows[0]
-            lams[at] = rng.beta(beta_alpha, beta_beta, size=(deficit, n_modalities))
+        i = rng.integers(len(rows), size=deficit)
+        if method == "random_oversample" or len(rows) == 1:
+            j, lams[at] = i, 1.0  # weight 1 copies the parent exactly
         else:
-            pairs, lams[at] = _mix_cell(rng, len(rows), deficit, beta_alpha, beta_beta, n_modalities)
-            parent_i[at], parent_j[at] = rows[pairs].T
+            j = rng.integers(len(rows) - 1, size=deficit)
+            j += j >= i  # uniform over the rows other than i
+            lams[at] = rng.beta(beta_alpha, beta_beta, size=(deficit, n_modalities))
+        parent_i[at], parent_j[at] = rows[i], rows[j]
     prefix = f"syn-{method}-"
     while np.char.startswith(train.sample_id, prefix).any():  # keep synthetic ids unique
         prefix = "_" + prefix

@@ -9,9 +9,10 @@ A dataset is described by a plain-text manifest of key=value lines:
 
 Any other key, an empty modality name, a ``levels.<name>`` without its
 modality, or a levels row naming a feature that its modality lacks is a
-SchemaError; so is a feature named twice in a levels file or feature header,
-and a metadata attribute that is unnamed or named like a fixed column, either
-outcome or a `PREDICTION_COLUMNS` one (the keys of `RESERVED_ATTRIBUTES`).
+SchemaError; so is a feature named twice in a levels file, a column named
+twice in a feature or metadata header, and a metadata attribute that is
+unnamed or named like a fixed column, either outcome or a
+`PREDICTION_COLUMNS` one (the keys of `RESERVED_ATTRIBUTES`).
 
 A feature CSV is ``sample_id`` plus one or more numeric features; a levels
 CSV is exactly ``feature_name,level`` (high or low); the metadata CSV is
@@ -364,6 +365,13 @@ def _parse_rows(path: str, header: list[str], rows: list[list[str]], n_text: int
                     raise ParseError(f"{path}: row {r}: {message.format(name=name, text=text)}")
 
 
+def _refuse_repeated_column(path: str, header: list[str]) -> None:
+    """The feature and metadata loaders' header rule: no column named twice."""
+    if len(set(header)) < len(header):
+        repeat = next(c for i, c in enumerate(header) if c in header[:i])
+        raise SchemaError(f"{path}: row 1: column {repeat!r} is named more than once")
+
+
 def _load_feature_csv(path: str) -> tuple[list[str], tuple[str, ...], np.ndarray]:
     """Returns (feature_names, sample ids, values) in file row order."""
     header, rows = _read_csv(path)
@@ -371,9 +379,7 @@ def _load_feature_csv(path: str) -> tuple[list[str], tuple[str, ...], np.ndarray
         raise SchemaError(f"{path}: first column must be 'sample_id'")
     if len(header) < 2:
         raise SchemaError(f"{path}: no feature columns after 'sample_id'")
-    if len(set(header)) < len(header):
-        repeat = next(c for i, c in enumerate(header) if c in header[:i])
-        raise SchemaError(f"{path}: row 1: column {repeat!r} is named more than once")
+    _refuse_repeated_column(path, header)
     return (header[1:], *_parse_rows(path, header, rows, 1))
 
 
@@ -401,9 +407,7 @@ def _load_metadata_csv(path: str, threshold: float):
         raise SchemaError(f"{path}: third metadata column must be 'pa_score' or 'label'")
     outcome_col = header[2]
     attr_names = tuple(header[3:])
-    repeat = next((c for c in attr_names if c in header[:3]), None)
-    if repeat is not None:
-        raise SchemaError(f"{path}: row 1: column {repeat!r} is named more than once")
+    _refuse_repeated_column(path, header)
     reserved = next((c for c in attr_names if c in RESERVED_ATTRIBUTES), None)
     if reserved is not None:
         raise SchemaError(f"{path}: row 1: attribute {reserved!r} {RESERVED_ATTRIBUTES[reserved]}")

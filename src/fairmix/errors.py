@@ -1,4 +1,7 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the input checks that
+more than one module raises them from."""
+
+import numpy as np
 
 
 class FairmixError(Exception):
@@ -59,3 +62,12 @@ class ExperimentError(FairmixError):
 
 class DegenerateGroupWarning(UserWarning):
     """A label or sensitive attribute takes a single value across the dataset."""
+
+
+def require_finite(X: np.ndarray, what: str) -> None:
+    """Raise FitError naming the first non-finite cell of the 2-D X in row
+    order; a check on the values only, so no numpy warning comes first."""
+    bad = ~np.isfinite(X)
+    if bad.any():
+        row, column = np.argwhere(bad)[0].tolist()
+        raise FitError(f"{what}: non-finite value {X[row, column]} at row {row}, column {column}")

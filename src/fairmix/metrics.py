@@ -1,12 +1,13 @@
 """Performance and fairness metrics over pooled predictions.
 
 Every metric reads `counts`, the one tally of row-aligned 0/1 columns (any
-other value is an InputError): true and predicted labels and, for EA and DI,
-one attribute's group column; the report keeps each group's and each fold's
-table. Equal Accuracy (EA) is the absolute gap between the groups' error
-rates (the binary-label reading of a per-group mean absolute error).
-Disparate Impact (DI) is the ratio of positive-prediction rates, minority
-(A=0) over majority (A=1); division by zero is a tagged sentinel, not a number.
+other value, columns of unequal length and columns with no rows are an
+InputError): true and predicted labels and, for EA and DI, one attribute's
+group column; the report keeps each group's and each fold's table. Equal
+Accuracy (EA) is the absolute gap between the groups' error rates (the
+binary-label reading of a per-group mean absolute error). Disparate Impact
+(DI) is the ratio of positive-prediction rates, minority (A=0) over
+majority (A=1); division by zero is a tagged sentinel, not a number.
 
 `PredictionSet` holds the report's predictions as columns; its `records`
 view, kept for `bench/harness.py`, builds `PredictionRecord`s from them.
@@ -88,30 +89,36 @@ class DiResult:
 def counts(*columns: np.ndarray) -> np.ndarray:
     """The 2 x ... x 2 table of the columns' value tuples: counts(truth, pred) is the
     confusion matrix [[TN, FP], [FN, TP]], and counts(group, truth, pred)[g] group g's."""
+    columns = [np.asarray(column) for column in columns]
+    if len({column.shape for column in columns}) > 1 or columns[0].ndim != 1:
+        raise InputError(f"expected 0/1 columns of one length, got shapes {[c.shape for c in columns]}")
+    if not len(columns[0]):
+        raise InputError("expected 0/1 columns, got no rows")
     if any(((column != 0) & (column != 1)).any() for column in columns):
         raise InputError(f"expected 0/1 values, got {np.unique(np.concatenate(columns)).tolist()}")
     code = np.ravel_multi_index(np.array(columns, dtype=np.intp), (2,) * len(columns))
     return np.bincount(code, minlength=2 ** len(columns)).reshape((2,) * len(columns))
 
 
-def _group_rates(group: np.ndarray, column: np.ndarray) -> np.ndarray:
-    """Per group, the share of its rows where the 0/1 column is 1."""
-    table = counts(group, column)
-    sizes = table.sum(axis=1)
+def _group_rates(table: np.ndarray, hits: np.ndarray) -> np.ndarray:
+    """Per group g, hits[g] over the number of rows in table[g], its tally."""
+    sizes = table.reshape(2, -1).sum(axis=1)
     if not sizes.all():
         raise MetricUndefinedError(f"group {'A=0 (minority)' if sizes[1] else 'A=1 (majority)'} is empty")
-    return table[:, 1] / sizes
+    return hits / sizes
 
 
 def equal_accuracy(truth: np.ndarray, pred: np.ndarray, group: np.ndarray) -> float:
     """|error_rate(A=1) - error_rate(A=0)|; 0 is perfectly fair."""
-    err0, err1 = _group_rates(group, truth != pred).tolist()
+    table = counts(group, truth, pred)
+    err0, err1 = _group_rates(table, table[:, 0, 1] + table[:, 1, 0]).tolist()
     return abs(err1 - err0)
 
 
 def disparate_impact(pred: np.ndarray, group: np.ndarray) -> DiResult:
     """Pr(pred=1 | A=0) / Pr(pred=1 | A=1); 1 is perfectly fair."""
-    num, den = _group_rates(group, pred).tolist()
+    table = counts(group, pred)
+    num, den = _group_rates(table, table[:, 1]).tolist()
     if den == 0.0:
         return DiResult(None, "0/0" if num == 0.0 else "div-by-zero")
     return DiResult(num / den)

@@ -55,7 +55,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import folds
-from .errors import FitError, InputError, ShapeError
+from .errors import FitError, InputError, ShapeError, require_finite
 
 # iterations before _smo gives up with a FitError
 SMO_MAX_ITER = 100_000
@@ -165,6 +165,7 @@ def _validate_training_input(X, y):
     y = np.asarray(y, dtype=int).ravel()
     if X.shape[0] != y.shape[0]:
         raise ShapeError(f"X has {X.shape[0]} rows but y has {y.shape[0]}")
+    require_finite(X, "training matrix")
     if X.shape[0] < 2:
         raise FitError("need at least 2 training rows")
     if set(np.unique(y)) != {0, 1}:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import ModalityTable
-from .errors import EmptyTableError, FitError, InputError, SelectionError
+from .errors import EmptyTableError, FitError, InputError, SelectionError, require_finite
 
 # summary descriptors a feature name may end in ("<feature>__<descriptor>");
 # features.descriptors masks columns by them
@@ -135,8 +135,12 @@ def fit_pca(train: np.ndarray, target_ratio: float = 0.80) -> PcaModel:
         raise FitError("PCA needs at least 2 training rows")
     if not 0.0 < target_ratio <= 1.0:
         raise InputError(f"target_ratio must be in (0,1], got {target_ratio}")
-    mean = X.mean(axis=0)
-    Xc = X - mean
+    require_finite(X, "PCA training matrix")
+    with np.errstate(over="ignore", invalid="ignore"):  # finite values near the float64 limit
+        mean = X.mean(axis=0)
+        Xc = X - mean
+    if not np.isfinite(Xc).all():
+        raise FitError("a column's mean or centred values overflow float64")
     # scaled by a power of two so that no Gram entry overflows or underflows;
     # the scale is exact, so it moves no bit of the components or ratios
     Xc = np.ldexp(Xc, -np.frexp(np.abs(Xc).max())[1])

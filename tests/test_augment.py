@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fairmix.augment import (
-    MixFeatConfig, _cells_of, _mix_cell, augment_dataset, mix_pair, synthesize,
+    MixFeatConfig, _cells_of, augment_dataset, mix_pair, synthesize,
 )
 from fairmix.dataset import ColumnMeta, Dataset, ModalityTable
 from fairmix.errors import InputError
@@ -247,6 +247,14 @@ def pinned_dataset():
     )
 
 
+def many_rows_split():
+    """The first 4,000 rows of the benchmark's many_rows shape: cells of
+    hundreds of rows, where pinned_dataset has at most 7."""
+    spec = SynthSpec(n_subjects=1000, sessions_per_subject=5,
+                     attribute_props=(("gender", 0.75), ("race", 0.7)), seed=3)
+    return generate(spec).subset(range(4000))
+
+
 def dataset_digest(ds):
     h = hashlib.sha256()
     for t in ds.modalities:
@@ -262,8 +270,8 @@ class TestPinnedOutput:
     contract, so that reports stay byte-stable across rewrites."""
 
     CASES = {
-        ("mixfeat", 1.0, 1.0): "73fb451f5feb267861d9bbe467253efce336899fc85cda7f76c988c478cbe79a",
-        ("mixfeat", 0.4, 2.0): "1a751abb1acc370b8c93805978648a34ab713c49eec4cf2fedebe57a9102f122",
+        ("mixfeat", 1.0, 1.0): "7074ed3ac0383c69616163bce70ff9ec4a0e89048b14ededae3e5ed51389f9a2",
+        ("mixfeat", 0.4, 2.0): "91b3e459c093cd655a36f7502e7e0d66d96a9d19e17fd2336adc5d5cce568774",
         ("random_oversample", 1.0, 1.0): "5cc93fdcac1a0f09b0127cad601b841e29ed622aed191877584671369fd4502f",
     }
 
@@ -281,19 +289,15 @@ class TestPinnedOutput:
         assert dataset_digest(out) == self.CASES["mixfeat", a, b]
         assert len(parent_i) == len(parent_j) == len(lams) == out.n_samples - ds.n_samples
 
-    # the first 4,000 rows of the benchmark's many_rows shape: cells of
-    # hundreds of rows, where the pinned dataset above has at most 7
     MANY_ROWS = {
-        ("mixfeat", 1.0, 1.0): "805fa71517a38b047823c8d5e929ded2e9bac5f102c740e80d466f35f98fe2c0",
-        ("mixfeat", 0.4, 2.0): "ea1515b314a71b021a322246c2d99e938d9861c328732dba6d76c54161350ded",
+        ("mixfeat", 1.0, 1.0): "1efae7ace2060059b07424b4acca6521699ee602c3e0e14d4f5f09243ea018f7",
+        ("mixfeat", 0.4, 2.0): "aa09635e817859f93c94e9b8905de1db56b54864d6fa40a329d0368075fe5e7f",
         ("random_oversample", 1.0, 1.0): "1b6f875f07d4769023d40d743c44953d597c5ae64a19acb4cbecc7149997284b",
     }
 
     @pytest.mark.parametrize("method,a,b", sorted(MANY_ROWS))
     def test_synthesize_digest_on_large_cells(self, method, a, b):
-        spec = SynthSpec(n_subjects=1000, sessions_per_subject=5,
-                         attribute_props=(("gender", 0.75), ("race", 0.7)), seed=3)
-        ds = generate(spec).subset(range(4000))
+        ds = many_rows_split()
         out, parent_i, parent_j, lams = synthesize(ds, method, 29, a, b)
         h = hashlib.sha256(dataset_digest(out).encode())
         h.update(parent_i.astype("<i8").tobytes() + parent_j.astype("<i8").tobytes())
@@ -301,46 +305,89 @@ class TestPinnedOutput:
         assert h.hexdigest() == self.MANY_ROWS[method, a, b]
 
 
-class TestMixCell:
-    """_mix_cell replays rng.choice(c, 2, replace=False) on next_uint32 by
-    numpy's bounded-integer rule; if a numpy release changes that rule or
-    choice's algorithm, these fail before any report digest moves."""
+def protocol_draws(ds, method, seed, a, b):
+    """The module's draw protocol written out on a fresh generator: parent_i,
+    parent_j and lams. random_oversample's cells draw only i, and a
+    singleton cell draws nothing (its one row twice, weight 1)."""
+    rng, n_modalities = np.random.default_rng(seed), len(ds.modalities)
+    cells = list(_cells_of(ds).values())
+    target = max(map(len, cells))
+    parent_i, parent_j, lams = [], [], []
+    for rows in cells:
+        c, deficit = len(rows), target - len(rows)
+        if not deficit:
+            continue
+        i = rng.integers(c, size=deficit) if c > 1 else np.zeros(deficit, int)
+        j, lam = i, np.ones((deficit, n_modalities))
+        if method == "mixfeat" and c > 1:
+            j = np.array([k if k < first else k + 1
+                          for k, first in zip(rng.integers(c - 1, size=deficit).tolist(), i.tolist())])
+            lam = rng.beta(a, b, size=(deficit, n_modalities))
+        parent_i.append(rows[i])
+        parent_j.append(rows[j])
+        lams.append(lam)
+    return np.concatenate(parent_i), np.concatenate(parent_j), np.concatenate(lams)
 
-    # c - 1 and c span one-value ranges (c = 2), heavy rejection (2**31 + 5
-    # rejects almost half its draws, so the redraw loops run) and the full
-    # 32-bit range
-    SIZES = [2, 3, 4, 7, 50, 1000, 2**31 + 5, 2**32]
 
-    @pytest.mark.parametrize("a,b", [(1.0, 1.0), (0.2, 0.5), (0.4, 2.0)])  # both Beta algorithms
-    @pytest.mark.parametrize("c", SIZES)
-    def test_replays_choice_then_beta(self, c, a, b):
-        # the mixfeat draw protocol is rng.choice(c, 2, replace=False) then a
-        # sized beta; the cheaper draw must give the same pairs and weights
-        # and leave the generator in the same state
-        ours, ref = np.random.default_rng(c), np.random.default_rng(c)
-        pairs, weights = _mix_cell(ours, c, 300, a, b, 3)
-        assert pairs.shape == (300, 2) and weights.shape == (300, 3)
-        for (i, j), lam in zip(pairs.tolist(), weights):
-            assert (i, j) == tuple(ref.choice(c, 2, replace=False))
-            np.testing.assert_array_equal(lam, ref.beta(a, b, size=3))
-        assert ours.bit_generator.state == ref.bit_generator.state
+class TestDrawProtocol:
+    """synthesize draws exactly the protocol of the module docstring, and
+    mixfeat's pairs are distinct rows of one cell."""
 
-    def test_cells_in_turn_keep_the_stream(self):
-        # cells of every size in turn, between the sized draws of the other
-        # branches (random_oversample's integers, a singleton cell's beta):
-        # the replayed draws share the generator's uint32 buffer with them
-        ours, ref = np.random.default_rng(17), np.random.default_rng(17)
-        for k in range(240):
-            c = self.SIZES[k % len(self.SIZES)]
-            pairs, weights = _mix_cell(ours, c, 1 + k % 3, 0.4, 2.0, 2)
-            for (i, j), lam in zip(pairs.tolist(), weights):
-                assert (i, j) == tuple(ref.choice(c, 2, replace=False))
-                np.testing.assert_array_equal(lam, ref.beta(0.4, 2.0, size=2))
-            if k % 3 == 0:
-                np.testing.assert_array_equal(ours.integers(c, size=3), ref.integers(c, size=3))
-                np.testing.assert_array_equal(ours.beta(1.0, 1.0, size=(2, 2)),
-                                              ref.beta(1.0, 1.0, size=(2, 2)))
-        assert ours.bit_generator.state == ref.bit_generator.state
+    CASES = [("mixfeat", 1.0, 1.0), ("mixfeat", 0.4, 2.0), ("mixfeat", 0.2, 0.5),
+             ("random_oversample", 1.0, 1.0)]
+
+    @pytest.mark.parametrize("method,a,b", CASES)
+    @pytest.mark.parametrize("split,seed", [("pinned", 17), ("many_rows", 29)])
+    def test_synthesize_follows_the_protocol(self, split, seed, method, a, b):
+        ds = pinned_dataset() if split == "pinned" else many_rows_split()
+        out, parent_i, parent_j, lams = synthesize(ds, method, seed, a, b)
+        want_i, want_j, want_lams = protocol_draws(ds, method, seed, a, b)
+        np.testing.assert_array_equal(parent_i, want_i)
+        np.testing.assert_array_equal(parent_j, want_j)
+        np.testing.assert_array_equal(lams, want_lams)
+        # both parents carry the synthetic row's cell key
+        key = np.column_stack([out.attrs, out.label])[ds.n_samples:]
+        table = np.column_stack([ds.attrs, ds.label])
+        np.testing.assert_array_equal(table[parent_i], key)
+        np.testing.assert_array_equal(table[parent_j], key)
+        sizes = {cell: len(rows) for cell, rows in _cells_of(ds).items()}
+        from_pairs = np.array([sizes[tuple(k[:-1]), k[-1]] > 1 for k in key.tolist()])
+        if method == "mixfeat":
+            assert (parent_i[from_pairs] != parent_j[from_pairs]).all()
+            assert (parent_i[~from_pairs] == parent_j[~from_pairs]).all()
+        else:
+            np.testing.assert_array_equal(parent_i, parent_j)
+            assert (lams == 1.0).all()
+
+    def test_pairs_cover_every_ordered_pair(self):
+        # a cell of 3 rows beside one of 60: its 57 pairs reach all 6
+        # ordered pairs of distinct rows, both orders of each
+        ds = make_dataset({"m": np.arange(63.0).reshape(-1, 1)}, [0] * 3 + [1] * 60, [[1]] * 63)
+        _, parent_i, parent_j, _ = synthesize(ds, "mixfeat", seed=8)
+        assert set(zip(parent_i.tolist(), parent_j.tolist())) == {
+            (i, j) for i in range(3) for j in range(3) if i != j}
+
+    def test_singleton_rows_are_bitwise_copies_and_draw_nothing(self):
+        # standard-normal rows, where mixing a row with itself by a random
+        # weight changes the last bit of some 6% of the results
+        rng = np.random.default_rng(41)
+        labels = [0] + [1] * 2 + [0] * 40 + [1] * 40
+        attrs = [[0]] * 3 + [[1]] * 80  # cells: ((0,), 0) x1, ((0,), 1) x2, ((1,), 0/1) x40
+        ds = make_dataset({"a": rng.normal(size=(83, 150)), "b": rng.normal(size=(83, 100))},
+                          labels, attrs)
+        out, parent_i, parent_j, lams = synthesize(ds, "mixfeat", seed=3)
+        copies = slice(0, 39)  # the singleton cell comes first in key order
+        assert (parent_i[copies] == 0).all() and (parent_j[copies] == 0).all()
+        assert (lams[copies] == 1.0).all()
+        for t in ds.modalities:
+            synth = out.modality(t.modality_name).samples[ds.n_samples:][copies]
+            assert synth.tobytes() == np.tile(t.samples[0], (39, 1)).tobytes()
+        # the next cell's draws start on a fresh generator's state
+        rng = np.random.default_rng(3)
+        first = rng.integers(2, size=38)
+        np.testing.assert_array_equal(parent_i[39:], 1 + first)
+        np.testing.assert_array_equal(parent_j[39:], 2 - first)  # integers(1) draws nothing
+        np.testing.assert_array_equal(lams[39:], rng.beta(1.0, 1.0, size=(38, 2)))
 
 
 def cells_by_unique(train):

@@ -730,12 +730,12 @@ class TestBundledBytes:
             "report.md": "d0aadafececf26cb7c16e435d75c3292342dafb0146e1d1970c7dd31bcc1b237",
         },
         "compare": {
-            "predictions_mixfeat.csv": "7eda3ec7f87dbb05fa9470b8f8b3c2a26ab67928e3d6c26e0b16ab90e9a31021",
+            "predictions_mixfeat.csv": "65f6d337ba6fc69bdeaa2723cd181469790de40eaf13a13fa416cfb1928cad12",
             "predictions_none.csv": "2604a97c6b999e8652cebc4f6db86371b8d96b881ee63e7a4596019af252ef49",
             "predictions_random_oversample.csv":
                 "371d0645b81c3ecb9bc586aa5ee6681f7a6e7163eb1570f3ba7c40b95070ee7b",
-            "report.json": "85d99f051249551b3e2f3b750fe8f4b5fa171ec662a061b5254f294580da6aca",
-            "report.md": "e11c6bafbcea82f1a08364a8306b97564289c50a4598aac710cc219cf839237c",
+            "report.json": "2af37dfe32a183a8f2c61b89b84112bd9b7f49cf8220b1b5c10d8952474bffd1",
+            "report.md": "1d9fc2497d244a2e829fa6a3decf5060b78ab1b2a6fab647982f5cae6d6827c6",
         },
     }
 

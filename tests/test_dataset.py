@@ -137,7 +137,8 @@ class TestLoadDataset:
         write(tmp_path / "f.csv", "sample_id,f1\na,1.0\nb,2.0\n")
         write(tmp_path / "m.csv", "sample_id,subject_id,label,gender,gender\na,s0,1,1,0\nb,s1,0,0,1\n")
         write(tmp_path / "man.txt", "modality.f=f.csv\nmetadata=m.csv\n")
-        with pytest.raises(SchemaError, match="attribute 'gender' is declared more than once"):
+        path = re.escape(str(tmp_path / "m.csv"))
+        with pytest.raises(SchemaError, match=f"^{path}: row 1: column 'gender' is named more than once$"):
             load_dataset(str(tmp_path / "man.txt"))
 
     def test_single_row_warns_degenerate(self, tmp_path):

@@ -196,7 +196,8 @@ class TestCounts:
         (accuracy, "truth pred", "truth"), (accuracy, "truth pred", "pred"),
         (f1, "truth pred", "truth"), (f1, "truth pred", "pred"),
         (uar, "truth pred", "truth"), (uar, "truth pred", "pred"),
-        (equal_accuracy, "truth pred group", "group"),  # it counts truth != pred, a boolean
+        (equal_accuracy, "truth pred group", "truth"), (equal_accuracy, "truth pred group", "pred"),
+        (equal_accuracy, "truth pred group", "group"),
         (disparate_impact, "pred group", "pred"), (disparate_impact, "pred group", "group"),
     ])
     def test_every_metric_refuses_a_2_in_what_it_counts(self, metric, params, bad):
@@ -205,3 +206,24 @@ class TestCounts:
         columns[bad][0] = 2
         with pytest.raises(InputError, match=r"^expected 0/1 values, got \[0, 1, 2\]$"):
             metric(*(columns[name] for name in params.split()))
+
+    @pytest.mark.parametrize("metric", [accuracy, f1, uar, equal_accuracy, disparate_impact])
+    @pytest.mark.parametrize("lengths,message", [
+        ((0, 0, 0), "expected 0/1 columns, got no rows"),
+        ((4, 3, 4), "expected 0/1 columns of one length"),
+        ((4, 4, 3), "expected 0/1 columns of one length"),
+    ])
+    def test_every_metric_refuses_unequal_or_empty_columns(self, metric, lengths, message):
+        # plain lists, as a caller of the package API passes them
+        columns = [[0, 1, 1, 0][:n] for n in lengths]
+        n_params = 3 if metric is equal_accuracy else 2
+        with pytest.raises(InputError, match="^" + message):
+            metric(*columns[-n_params:])
+
+    def test_plain_lists_are_counted(self):
+        assert counts([0, 1, 1], [0, 1, 0]).tolist() == [[1, 0], [1, 1]]
+        assert accuracy([0, 1, 1], [0, 1, 0]) == 2 / 3
+
+    def test_a_matrix_is_not_a_column(self):
+        with pytest.raises(InputError, match="of one length, got shapes"):
+            counts(np.zeros((2, 2), int), np.zeros((2, 2), int))

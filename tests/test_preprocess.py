@@ -192,6 +192,12 @@ class TestPca:
         assert k_expected == 2  # each direction explains about half
         assert fit_pca(X, 0.80).n_components == 2
 
+    @pytest.mark.parametrize("X", [np.full((3, 2), 1.7e308),  # the column sum overflows
+                                   [[1.7e308, 0.0], [1.7e308, 1.0], [-1.7e308, 2.0]]])  # X - mean
+    def test_overflow_in_centring_is_named(self, X):
+        with pytest.raises(FitError, match="^a column's mean or centred values overflow float64$"):
+            fit_pca(X)
+
     def test_full_target_keeps_all_on_full_rank_data(self):
         rng = np.random.default_rng(3)
         X = rng.normal(size=(30, 5))
