@@ -23,8 +23,6 @@ more: j = i with weight 1, an exact copy. Rows are named after the method run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .dataset import Dataset
@@ -35,15 +33,12 @@ METHODS = ("none", "random_oversample", "mixfeat")  # "none" leaves the split as
 CellKey = tuple[tuple[int, ...], int]  # (attribute values in declared order, label)
 
 
-@dataclass(frozen=True)
-class MixFeatConfig:
-    beta_alpha: float = 1.0  # Beta(1,1) = uniform mixing weights
-    beta_beta: float = 1.0
-
-    def __post_init__(self):
-        for name in ("beta_alpha", "beta_beta"):  # config adds "augment."
-            if not getattr(self, name) > 0:
-                raise InputError(f"{name} must be positive, got {getattr(self, name)!r}")
+def check_beta(beta_alpha, beta_beta) -> None:
+    """Reject a non-positive parameter of mixfeat's Beta weights; the
+    message starts with the name, to which config adds "augment."."""
+    for name, v in (("beta_alpha", beta_alpha), ("beta_beta", beta_beta)):
+        if not v > 0:
+            raise InputError(f"{name} must be positive, got {v!r}")
 
 
 def _cells_of(train: Dataset) -> dict[CellKey, np.ndarray]:
@@ -63,7 +58,7 @@ def mix_pair(row_i: np.ndarray, row_j: np.ndarray, lam) -> np.ndarray:
 
 
 def synthesize(train: Dataset, method: str, seed: int,
-               beta_alpha: float = 1.0, beta_beta: float = 1.0):
+               beta_alpha: float = 1.0, beta_beta: float = 1.0):  # Beta(1, 1): uniform weights
     """Raise every non-empty cell to the largest cell's count by `method`
     ("random_oversample" or "mixfeat"), drawn by the module's protocol.
 
@@ -73,7 +68,7 @@ def synthesize(train: Dataset, method: str, seed: int,
     if method not in METHODS[1:]:
         raise InputError(f"unknown augmentation method {method!r}")
     if method == "mixfeat":
-        MixFeatConfig(beta_alpha, beta_beta)  # rejects a non-positive Beta parameter
+        check_beta(beta_alpha, beta_beta)
     cells = _cells_of(train)
     target = max(len(rows) for rows in cells.values())
     deficits = [(rows, target - len(rows)) for rows in cells.values() if len(rows) < target]

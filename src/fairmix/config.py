@@ -37,7 +37,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .augment import METHODS as AUGMENT_METHODS, MixFeatConfig
+from .augment import METHODS as AUGMENT_METHODS, check_beta
 from .dataset import LEVELS, parse_keyvalue_file
 from .errors import ConfigError, InputError, ParseError, SchemaError
 from .fusion import STRATEGIES
@@ -237,7 +237,7 @@ def build_config(kv: dict[str, str], base_dir: str = ".") -> PipelineConfig:
     for section, build in (
         ("model.", cfg.model_spec),
         ("model.", cfg.meta_spec),
-        ("augment.", lambda: MixFeatConfig(cfg.beta_alpha, cfg.beta_beta)),
+        ("augment.", lambda: check_beta(cfg.beta_alpha, cfg.beta_beta)),
     ):
         try:
             build()

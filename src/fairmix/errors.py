@@ -37,7 +37,7 @@ class SelectionError(InputError):
 
 
 class FitError(FairmixError):
-    """A model or transform could not be fitted (degenerate input)."""
+    """A model or transform could not be fitted or applied (degenerate input)."""
 
 
 class EmptyTableError(FitError):
@@ -64,10 +64,20 @@ class DegenerateGroupWarning(UserWarning):
     """A label or sensitive attribute takes a single value across the dataset."""
 
 
-def require_finite(X: np.ndarray, what: str) -> None:
-    """Raise FitError naming the first non-finite cell of the 2-D X in row
-    order; a check on the values only, so no numpy warning comes first."""
-    bad = ~np.isfinite(X)
-    if bad.any():
-        row, column = np.argwhere(bad)[0].tolist()
+def as_matrix(X, what: str, n_columns: int | None = None) -> np.ndarray:
+    """X as a C-ordered 2-D float64 array, a 1-D X being one row: the one
+    reading of a numeric matrix at every fit, transform and predict, so that
+    no result depends on the input's memory order. Raises ShapeError for more
+    than 2 dimensions or a column count other than n_columns, and FitError
+    naming the first non-finite cell in row order (a check on the values
+    only, so no numpy warning comes first)."""
+    X = np.atleast_2d(np.ascontiguousarray(X, dtype=float))
+    if X.ndim > 2:
+        raise ShapeError(f"{what}: expected 2 dimensions, got {X.ndim}")
+    if n_columns is not None and X.shape[1] != n_columns:
+        raise ShapeError(f"expected {n_columns} feature columns, got {X.shape[1]}")
+    finite = np.isfinite(X)
+    if not finite.all():
+        row, column = np.argwhere(~finite)[0].tolist()
         raise FitError(f"{what}: non-finite value {X[row, column]} at row {row}, column {column}")
+    return X

@@ -38,9 +38,10 @@ SMO step moves its pair in Python floats and updates I_up/I_low at that pair
 only. The MLP's products go through np.dot, which on these small 2-D float
 operands calls BLAS with less dispatch than np.matmul and gives the same
 bits. Every step does the floating-point operations of the formulas stated
-here, in their order and on C-ordered operands (fit and predict take X as a
-C-ordered float array), so fits are bitwise those of unbuffered loops over
-the same formulas (tests/test_models.py pins them).
+here, in their order and on C-ordered operands (fit and predict read X
+through errors.as_matrix as a C-ordered float array), so fits are bitwise
+those of unbuffered loops over the same formulas (tests/test_models.py pins
+them).
 
 All fits are deterministic (SVM and MLP given their seed; logistic takes
 none). predict() is the argmax of predict_proba(), ties at 0.5 going to 1.
@@ -55,7 +56,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import folds
-from .errors import FitError, InputError, ShapeError, require_finite
+from .errors import FitError, InputError, ShapeError, as_matrix
 
 # iterations before _smo gives up with a FitError
 SMO_MAX_ITER = 100_000
@@ -126,19 +127,12 @@ class TrainedPredictor:
         self.n_features = n_features
         self.n_train = n_train
 
-    def _check(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.ascontiguousarray(X, dtype=float))
-        if X.shape[1] != self.n_features:
-            raise ShapeError(
-                f"expected {self.n_features} feature columns, got {X.shape[1]}"
-            )
-        return X
-
     def proba_positive(self, X: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        p1 = np.clip(self.proba_positive(self._check(X)), 0.0, 1.0)
+        X = as_matrix(X, "prediction matrix", self.n_features)
+        p1 = np.clip(self.proba_positive(X), 0.0, 1.0)
         return np.column_stack([1.0 - p1, p1])
 
     def predict(self, X: np.ndarray) -> np.ndarray:
@@ -161,11 +155,10 @@ def out_of_fold(y, k, seed, fit_predict):
 
 
 def _validate_training_input(X, y):
-    X = np.atleast_2d(np.ascontiguousarray(X, dtype=float))
+    X = as_matrix(X, "training matrix")
     y = np.asarray(y, dtype=int).ravel()
     if X.shape[0] != y.shape[0]:
         raise ShapeError(f"X has {X.shape[0]} rows but y has {y.shape[0]}")
-    require_finite(X, "training matrix")
     if X.shape[0] < 2:
         raise FitError("need at least 2 training rows")
     if set(np.unique(y)) != {0, 1}:

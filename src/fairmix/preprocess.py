@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import ModalityTable
-from .errors import EmptyTableError, FitError, InputError, SelectionError, require_finite
+from .errors import EmptyTableError, FitError, InputError, SelectionError, as_matrix
 
 # summary descriptors a feature name may end in ("<feature>__<descriptor>");
 # features.descriptors masks columns by them
@@ -57,8 +57,8 @@ class ColumnCleaner:
     impute_means: np.ndarray
 
     def apply(self, X: np.ndarray) -> np.ndarray:
-        # np.take returns C order; with the Fortran order of X[:, keep] the
-        # fitted models' outputs differed in their last bits
+        # the one entry that takes NaN, which it imputes; the steps after it
+        # read their input through as_matrix, which fixes the memory order
         out = np.take(np.asarray(X, dtype=float), self.keep, axis=1)
         return np.where(np.isnan(out), self.impute_means, out)
 
@@ -87,11 +87,13 @@ class Standardizer:
     std: np.ndarray  # zeros already replaced by 1
 
     def apply(self, X: np.ndarray) -> np.ndarray:
-        return (np.asarray(X, dtype=float) - self.mean) / self.std
+        X = as_matrix(X, "standardizer input", len(self.mean))
+        with np.errstate(over="ignore"):  # a row far outside the training range
+            return as_matrix((X - self.mean) / self.std, "standardized matrix")
 
 
 def fit_standardizer(train: np.ndarray) -> Standardizer:
-    X = np.asarray(train, dtype=float)
+    X = as_matrix(train, "standardizer training matrix")
     if X.size == 0:
         raise FitError("cannot fit standardizer on empty matrix")
     # finite values near the float64 limit overflow in the sum or the squares
@@ -115,7 +117,7 @@ class PcaModel:
         return self.components.shape[0]
 
     def apply(self, X: np.ndarray) -> np.ndarray:
-        return (np.asarray(X, dtype=float) - self.mean) @ self.components.T
+        return (as_matrix(X, "PCA input", len(self.mean)) - self.mean) @ self.components.T
 
 
 def fit_pca(train: np.ndarray, target_ratio: float = 0.80) -> PcaModel:
@@ -130,12 +132,11 @@ def fit_pca(train: np.ndarray, target_ratio: float = 0.80) -> PcaModel:
     not. The eigenvalues, clipped at 0, are proportional to the variances.
     Component signs are fixed deterministically.
     """
-    X = np.ascontiguousarray(train, dtype=float)
-    if X.ndim != 2 or X.shape[0] < 2:
+    X = as_matrix(train, "PCA training matrix")
+    if X.shape[0] < 2:
         raise FitError("PCA needs at least 2 training rows")
     if not 0.0 < target_ratio <= 1.0:
         raise InputError(f"target_ratio must be in (0,1], got {target_ratio}")
-    require_finite(X, "PCA training matrix")
     with np.errstate(over="ignore", invalid="ignore"):  # finite values near the float64 limit
         mean = X.mean(axis=0)
         Xc = X - mean

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fairmix.augment import (
-    MixFeatConfig, _cells_of, augment_dataset, mix_pair, synthesize,
+    _cells_of, augment_dataset, check_beta, mix_pair, synthesize,
 )
 from fairmix.dataset import ColumnMeta, Dataset, ModalityTable
 from fairmix.errors import InputError
@@ -167,8 +167,8 @@ class TestMixFeat:
             )
 
     def test_invalid_beta_params(self):
-        with pytest.raises(InputError):
-            MixFeatConfig(beta_alpha=0.0)
+        with pytest.raises(InputError, match="beta_alpha must be positive, got 0.0"):
+            check_beta(0.0, 1.0)
         with pytest.raises(InputError, match="beta_beta must be positive"):
             augment_dataset(imbalanced_dataset(), "mixfeat", seed=0, beta_beta=-1.0)
 

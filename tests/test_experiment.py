@@ -14,7 +14,7 @@ from fairmix import fusion as fusion_mod
 from fairmix import models as models_mod
 from fairmix.cli import main
 from fairmix.config import PipelineConfig
-from fairmix.dataset import Dataset, load_dataset, save_dataset
+from fairmix.dataset import Dataset, ModalityTable, load_dataset, save_dataset
 from fairmix.errors import ExperimentError, FitError, InputError, SchemaError
 from fairmix.folds import grouped_stratified_kfold, loso_folds, plain_kfold
 from fairmix.fusion import FusionSpec, fit_stacking_meta
@@ -358,6 +358,25 @@ class TestColumnarPipeline:
         report = run_experiment(base_config(), ds)
         assert report.skipped_folds == [{"fold": 0, "reason": "non-finite predicted probabilities"}]
         assert len(report.predictions) == ds.n_samples - calls[0]
+
+    def test_far_test_row_skips_its_fold_with_the_cell_named(self):
+        # a column of scale 1e-160 holding one row at 1e150: the fold that
+        # tests that row standardizes it past float64, which raised a numpy
+        # RuntimeWarning; the folds that train on it fit a finite scale
+        ds, far = synth(seed=13), 5
+        X = ds.modalities[0].samples * np.r_[1e-160, np.ones(ds.modalities[0].n_features - 1)]
+        X[far, 0] = 1e150
+        ds = ds.derive([ModalityTable(ds.modality_names[0], X, ds.modalities[0].column_meta),
+                        *ds.modalities[1:]], slice(None))
+        assert (np.argsort(ds.sample_id, kind="stable") == np.arange(ds.n_samples)).all()
+        config = base_config()
+        f, test = next((f, test) for f, (_, test) in enumerate(make_folds(config, ds))
+                       if far in test)
+        report = run_experiment(config, ds)
+        row = test.tolist().index(far)
+        reason = f"standardized matrix: non-finite value inf at row {row}, column 0"
+        assert report.skipped_folds == [{"fold": f, "reason": reason}]
+        assert len(report.predictions) == ds.n_samples - len(test)
 
 
 class TestPinnedAudits:

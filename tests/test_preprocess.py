@@ -162,6 +162,13 @@ class TestStandardizer:
         with pytest.raises(FitError, match="overflows float64"):
             fit_standardizer(np.array(column)[:, None])
 
+    def test_far_test_row_is_named(self):
+        # the quotient overflows; a numpy RuntimeWarning would fail the test
+        s = fit_standardizer([[1e-150], [2e-150], [3e-150]])
+        with pytest.raises(FitError, match=r"^standardized matrix: non-finite value inf at row 0, "
+                                           r"column 0$"):
+            s.apply([[1e200]])
+
 
 def pca_oracle(X, target):
     """Independent oracle: full eigendecomposition of the sample covariance."""
