@@ -67,17 +67,41 @@ class DegenerateGroupWarning(UserWarning):
 def as_matrix(X, what: str, n_columns: int | None = None) -> np.ndarray:
     """X as a C-ordered 2-D float64 array, a 1-D X being one row: the one
     reading of a numeric matrix at every fit, transform and predict, so that
-    no result depends on the input's memory order. Raises ShapeError for more
-    than 2 dimensions or a column count other than n_columns, and FitError
-    naming the first non-finite cell in row order (a check on the values
-    only, so no numpy warning comes first)."""
-    X = np.atleast_2d(np.ascontiguousarray(X, dtype=float))
+    no result depends on the input's memory order. Raises ShapeError for
+    rows of unequal length, more than 2 dimensions, a column count other
+    than n_columns or no columns; InputError naming the first non-numeric
+    cell in row order; and FitError naming the first non-finite cell in row
+    order (a check on the values only, so no numpy warning comes first)."""
+    try:
+        X = np.atleast_2d(np.ascontiguousarray(X, dtype=float))
+    except (TypeError, ValueError):
+        raise _unreadable(X, what) from None
     if X.ndim > 2:
         raise ShapeError(f"{what}: expected 2 dimensions, got {X.ndim}")
     if n_columns is not None and X.shape[1] != n_columns:
         raise ShapeError(f"expected {n_columns} feature columns, got {X.shape[1]}")
+    if X.shape[1] == 0:
+        raise ShapeError(f"{what}: no columns")
     finite = np.isfinite(X)
     if not finite.all():
         row, column = np.argwhere(~finite)[0].tolist()
         raise FitError(f"{what}: non-finite value {X[row, column]} at row {row}, column {column}")
     return X
+
+
+def _unreadable(X, what: str) -> FairmixError:
+    """The named error for an X that numpy cannot read as a float array."""
+    try:
+        cells = np.atleast_2d(np.array(X, dtype=object))
+    except ValueError:
+        cells = None
+    if cells is None or any(np.ndim(cell) for cell in cells.flat):
+        return ShapeError(f"{what}: rows of unequal length")
+    if cells.ndim > 2:
+        return ShapeError(f"{what}: expected 2 dimensions, got {cells.ndim}")
+    for (row, column), cell in np.ndenumerate(cells):
+        try:
+            float(cell)
+        except (TypeError, ValueError):
+            return InputError(f"{what}: non-numeric value {cell!r} at row {row}, column {column}")
+    return InputError(f"{what}: not a numeric matrix")

@@ -135,7 +135,9 @@ def run_experiment(config: PipelineConfig, dataset: Dataset) -> EvaluationReport
 
 def run_arms(config: PipelineConfig, dataset: Dataset, methods) -> list[EvaluationReport]:
     """One report per augmentation method. Each fold is formed and
-    preprocessed once; every method augments, fits and predicts on it."""
+    preprocessed once; every method augments, fits and predicts on it. The
+    folds run in up to min(folds, CPUs) forked processes where `fork` exists
+    (`parallel.map_folds`), and the reports do not depend on how many."""
     names = config.modalities or dataset.modality_names
     unknown = [m for m in names if m not in dataset.modality_names]
     if unknown:
@@ -155,25 +157,23 @@ def run_arms(config: PipelineConfig, dataset: Dataset, methods) -> list[Evaluati
         raise ExperimentError("no folds could be formed")
     spec = fusion_mod.FusionSpec(config.fusion_strategy, config.model_spec(), config.meta_spec())
     arm_cfgs = [replace(config, augment_method=m) for m in methods]
-    # per arm: a (test rows, predicted labels, probabilities) block per kept
-    # fold, per-fold entries, skipped folds
-    results = [([], [], []) for _ in arm_cfgs]
 
-    fingerprints = []
-    for f, (train_idx, test_idx) in enumerate(folds):
-        fingerprints.append(_fingerprint(dataset.sample_id[test_idx].tolist()))
+    def run_fold(f):
+        """Per arm, (predicted labels, probabilities, per-fold entry) for fold
+        f, or the reason the arm skips it."""
+        train_idx, test_idx = folds[f]
         try:
             if len(np.unique(dataset.label[train_idx])) < 2:
                 raise FitError("single-class training split")
             fold_ds, Xte_list = preprocess_fold(config, dataset, train_idx, test_idx)
         except FitError as exc:
-            for _, _, skipped in results:
-                skipped.append({"fold": f, "reason": str(exc)})
-            continue
+            return [str(exc)] * len(arm_cfgs)
         seed = config.resolved_augment_seed() + f  # per-fold derived seed
+        truth = dataset.label[test_idx]
         facts = {"fold": f, "n_test": len(test_idx),
                  "test_subjects": np.unique(dataset.subject_id[test_idx]).tolist()}
-        for arm_cfg, (blocks, per_fold, skipped) in zip(arm_cfgs, results):
+        outcomes = []
+        for arm_cfg in arm_cfgs:
             try:
                 train_ds = augment_mod.augment_dataset(fold_ds, arm_cfg.augment_method, seed,
                                                        config.beta_alpha, config.beta_beta)
@@ -186,12 +186,27 @@ def run_arms(config: PipelineConfig, dataset: Dataset, methods) -> list[Evaluati
                 if not np.isfinite(pred_probas).all():
                     raise FitError("non-finite predicted probabilities")
             except FitError as exc:
-                skipped.append({"fold": f, "reason": str(exc)})
+                outcomes.append(str(exc))
                 continue
-            blocks.append((test_idx, pred_labels, pred_probas))
-            truth = dataset.label[test_idx]
-            per_fold.append({**facts, "accuracy": metrics_mod.accuracy(truth, pred_labels),
-                             "counts": metrics_mod.counts(truth, pred_labels).tolist()})
+            outcomes.append((pred_labels, pred_probas,
+                             {**facts, "accuracy": metrics_mod.accuracy(truth, pred_labels),
+                              "counts": metrics_mod.counts(truth, pred_labels).tolist()}))
+        return outcomes
+
+    from . import parallel  # here, so that `import fairmix.cli` does not import it
+    fold_outcomes = parallel.map_folds(run_fold, len(folds), parallel.fold_processes(len(folds)))
+    # per arm: a (test rows, predicted labels, probabilities) block per kept
+    # fold, per-fold entries, skipped folds; in fold order
+    results = [([], [], []) for _ in arm_cfgs]
+    for f, ((_, test_idx), outcomes) in enumerate(zip(folds, fold_outcomes)):
+        for outcome, (blocks, per_fold, skipped) in zip(outcomes, results):
+            if isinstance(outcome, str):
+                skipped.append({"fold": f, "reason": outcome})
+            else:
+                pred_labels, pred_probas, entry = outcome
+                blocks.append((test_idx, pred_labels, pred_probas))
+                per_fold.append(entry)
+    fingerprints = [_fingerprint(dataset.sample_id[test_idx].tolist()) for _, test_idx in folds]
     return [_report(c, dataset, len(folds), fingerprints, *r) for c, r in zip(arm_cfgs, results)]
 
 

@@ -1,7 +1,67 @@
+import glob
+import json
+
 import numpy as np
 import pytest
 
+from fairmix import parallel
 from fairmix.dataset import ColumnMeta, Dataset, ModalityTable
+
+
+def child_pids():
+    """The pids of this process's children, reaped or not, or None where
+    /proc does not list them."""
+    paths = glob.glob("/proc/self/task/*/children")
+    if not paths:
+        return None
+    pids = []
+    for path in paths:
+        with open(path) as fh:
+            pids += map(int, fh.read().split())
+    return sorted(pids)
+
+
+@pytest.fixture(autouse=True)
+def no_child_outlives_the_test():
+    """Fails a test after which this process still has a child: a fold
+    process left behind. Reaps nothing."""
+    yield
+    left = child_pids()
+    if left:
+        pytest.fail(f"child processes left behind: {left}")
+
+
+@pytest.fixture
+def fold_processes(monkeypatch):
+    """Sets how many CPUs an audit sees, and so how many processes its folds
+    run in (at most that many, and never more than its folds)."""
+    def use(cpus):
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
+    return use
+
+
+class SharedLog:
+    """A list that every fold process appends to: one JSON line per item, in
+    a file opened for append."""
+
+    def __init__(self, path):
+        self.path = path
+        path.write_text("")
+
+    def append(self, item):
+        with open(self.path, "a") as fh:
+            fh.write(json.dumps(item) + "\n")
+
+    def items(self):
+        return [json.loads(line) for line in self.path.read_text().splitlines()]
+
+    def clear(self):
+        self.path.write_text("")
+
+
+@pytest.fixture
+def shared_log(tmp_path):
+    return SharedLog(tmp_path / "shared_log.jsonl")
 
 
 def make_dataset(features_per_modality, labels, attrs, subject_ids=None, attr_names=("gender",)):

@@ -166,12 +166,15 @@ class TestInternalFoldLeak:
     parent_i's subject) also has rows in the training part. These are the
     counts of that leak, not a bound: a leak-free fold rule changes them."""
 
-    def test_platt_test_rows_counted_per_arm(self, monkeypatch):
+    def test_platt_test_rows_counted_per_arm(self, monkeypatch, fold_processes, shared_log):
+        fold_processes(3)
         ds = generate(SynthSpec(n_subjects=40, sessions_per_subject=4,
                                 attribute_props=(("gender", 0.8),),
                                 separation_majority=2.0, separation_minority=1.2, seed=0))
-        origin = {}  # the current fit's rows: origin subject, synthetic or not
-        counts = np.zeros(3, int)  # synthetic, sharing a subject, all test rows
+        # the current fit's rows: origin subject, synthetic or not; a fold's
+        # calls all run in one process
+        origin = {}
+        counts = shared_log  # per Platt fold: synthetic, sharing a subject, all test rows
         preprocess_fold, synthesize = exp_mod.preprocess_fold, augment_mod.synthesize
 
         def preprocess_spy(*args):
@@ -190,8 +193,8 @@ class TestInternalFoldLeak:
             subject, synthetic = origin.pop("fit", origin["fold"])
             for test, _ in blocks:
                 train = np.flatnonzero(assign != assign[test[0]])
-                counts[:] += (synthetic[test].sum(),
-                              np.isin(subject[test], subject[train]).sum(), len(test))
+                counts.append([int(synthetic[test].sum()),
+                               int(np.isin(subject[test], subject[train]).sum()), len(test)])
             return assign, blocks
 
         monkeypatch.setattr(exp_mod, "preprocess_fold", preprocess_spy)
@@ -199,9 +202,9 @@ class TestInternalFoldLeak:
         monkeypatch.setattr(models_mod, "out_of_fold", out_of_fold_spy)
         found = {}
         for method in ("none", "random_oversample", "mixfeat"):
-            counts[:] = 0
+            counts.clear()
             run_experiment(PipelineConfig(seed=0, augment_method=method, model_kind="rbf_svm"), ds)
-            found[method] = counts.tolist()
+            found[method] = np.sum(counts.items(), axis=0).tolist()
         assert found == {"none": [0, 624, 640], "random_oversample": [464, 1091, 1104],
                          "mixfeat": [464, 1091, 1104]}
 
@@ -344,18 +347,26 @@ class TestColumnarPipeline:
         for column in ("sample_id", "subject_id", "label", "attrs"):
             np.testing.assert_array_equal(getattr(back, column), getattr(ds, column))
 
-    def test_non_finite_fold_skipped_with_reason(self, monkeypatch):
+    def test_non_finite_fold_skipped_with_reason(self, monkeypatch, fold_processes, shared_log):
+        fold_processes(3)
         ds = synth(seed=13)
-        calls = []
-        real = fusion_mod.FusedModel.predict_with_proba
+        config = base_config()
+        fold_seed = {}  # the fold seed of the process's current fit
+        real_fit, real = fusion_mod.fit_fusion, fusion_mod.FusedModel.predict_with_proba
+
+        def fit_seen(spec, Xs, y, seed=0):
+            fold_seed["now"] = seed
+            return real_fit(spec, Xs, y, seed)
 
         def first_fold_nan(model, X_per_modality):
             labels, proba = real(model, X_per_modality)
-            calls.append(len(labels))
-            return labels, (np.full_like(proba, np.nan) if len(calls) == 1 else proba)
+            shared_log.append([fold_seed["now"], len(labels)])
+            return labels, (np.full_like(proba, np.nan) if fold_seed["now"] == config.seed else proba)
 
+        monkeypatch.setattr(fusion_mod, "fit_fusion", fit_seen)
         monkeypatch.setattr(fusion_mod.FusedModel, "predict_with_proba", first_fold_nan)
-        report = run_experiment(base_config(), ds)
+        report = run_experiment(config, ds)
+        calls = [n for _, n in sorted(shared_log.items())]  # in fold order
         assert report.skipped_folds == [{"fold": 0, "reason": "non-finite predicted probabilities"}]
         assert len(report.predictions) == ds.n_samples - calls[0]
 
@@ -470,37 +481,41 @@ class TestRunArms:
             assert report.to_json_dict() == alone.to_json_dict()
             assert report.predictions.records == alone.predictions.records
 
-    def test_compare_preprocesses_each_fold_once(self, tmp_path, monkeypatch):
+    def test_compare_preprocesses_each_fold_once(self, tmp_path, monkeypatch, fold_processes,
+                                                 shared_log):
+        fold_processes(3)
         (tmp_path / "synth.txt").write_text("n_subjects=10\nsessions_per_subject=3\n"
                                             "modality.face=4\nmodality.audio=3\nseed=5\n")
         (tmp_path / "config.txt").write_text(
             "dataset.synth=synth.txt\nmodel.kind=logistic\nfusion.strategy=vote_soft\n"
             f"cv.k=4\nseed=3\noutput_dir={tmp_path / 'out'}\n"
         )
-        calls = []
         real = exp_mod.preprocess_fold
 
         def counted(config, dataset, train_idx, test_idx):
-            calls.append(len(test_idx))
+            shared_log.append(len(test_idx))
             return real(config, dataset, train_idx, test_idx)
 
         monkeypatch.setattr(exp_mod, "preprocess_fold", counted)
         assert main(["compare", "--config", str(tmp_path / "config.txt")]) == 0
+        calls = shared_log.items()
         arms = json.loads((tmp_path / "out" / "report.json").read_text())["arms"]
         for arm in arms.values():
             assert arm["cv"]["skipped_folds"] == []
             assert len(calls) == arm["cv"]["n_folds"] == len(arm["per_fold"])
 
-    def test_fit_error_skips_the_fold_in_its_arm_only(self, monkeypatch):
+    def test_fit_error_skips_the_fold_in_its_arm_only(self, monkeypatch, fold_processes):
+        fold_processes(3)
         ds = synth(seed=16)
         cfg = base_config()
         clean = run_arms(cfg, ds, METHODS)
-        calls = []
+        calls = []  # this process's fits; fold 0's, of seed cfg.seed + 0, all run in one
         real = fusion_mod.fit_fusion
 
         def mixfeat_fold_0_fails(spec, Xs, y, seed=0):
             calls.append(seed)
-            if len(calls) == 3:  # fold 0 fits the arms in order: none, oversample, mixfeat
+            # fold 0 fits the arms in order: none, oversample, mixfeat
+            if seed == cfg.seed and calls.count(seed) == 3:
                 raise FitError("injected")
             return real(spec, Xs, y, seed)
 

@@ -1,12 +1,13 @@
 """The numeric-input contract (errors.as_matrix) at every fit, transform and
-predict: each entry refuses a non-finite cell, a wrong column count and more
-than 2 dimensions with a named error, reads a 1-D input as one row, and gives
-the bits of a C-ordered copy for a Fortran-ordered input."""
+predict: each entry refuses a non-finite cell, a non-numeric cell, rows of
+unequal length, a wrong column count, no columns and more than 2 dimensions
+with a named error, reads a 1-D input as one row, and gives the bits of a
+C-ordered copy for a Fortran-ordered input."""
 
 import numpy as np
 import pytest
 
-from fairmix.errors import FitError, ShapeError
+from fairmix.errors import FitError, InputError, ShapeError
 from fairmix.models import PredictorSpec, fit
 from fairmix.preprocess import fit_pca, fit_standardizer
 
@@ -67,6 +68,36 @@ def test_non_finite_cell_is_named(name, value):
     X[3, 0] = X[2, 1] = value  # the first in row order is named
     with pytest.raises(FitError, match=rf"^{what}: non-finite value {value} at row 2, column 1$"):
         call(X)
+
+
+@pytest.mark.parametrize("name", ENTRIES)
+def test_non_numeric_cell_is_an_input_error(name):
+    # numpy's ValueError ("could not convert string to float") came first
+    call, what, _ = ENTRIES[name]
+    X = TRAIN.astype(object)
+    X[3, 0], X[2, 1] = "b", "a"  # the first in row order is named
+    with pytest.raises(InputError, match=rf"^{what}: non-numeric value 'a' at row 2, column 1$"):
+        call(X)
+
+
+@pytest.mark.parametrize("name", ENTRIES)
+def test_ragged_rows_are_a_shape_error(name):
+    call, what, _ = ENTRIES[name]
+    rows = TRAIN.tolist()
+    rows[2] = rows[2][:-1]
+    with pytest.raises(ShapeError, match=rf"^{what}: rows of unequal length$"):
+        call(rows)
+
+
+@pytest.mark.parametrize("name", ENTRIES)
+def test_no_columns_is_a_shape_error(name):
+    # logistic fitted it and predicted 0.5 for every row; fit_pca, rbf_svm
+    # and mlp ended in numpy's ValueError, a RuntimeWarning and a
+    # ZeroDivisionError
+    call, what, d = ENTRIES[name]
+    message = f"{what}: no columns" if d is None else f"expected {d} feature columns, got 0"
+    with pytest.raises(ShapeError, match=rf"^{message}$"):
+        call(np.zeros((len(TRAIN), 0)))
 
 
 @pytest.mark.parametrize("name", WIDTH_ENTRIES)
