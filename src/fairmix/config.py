@@ -144,8 +144,9 @@ class PipelineConfig:
     output_dir: str = _key("output_dir", _parse_str, ".", report=None, path=True)
 
     def _spec(self, kind: str, hyperparams: dict) -> PredictorSpec:
-        """A kind that takes a seed gets the master seed unless one is set."""
-        seed = {"seed": self.seed} if "seed" in DEFAULT_HYPERPARAMS[kind] else {}
+        """A kind that takes a seed gets the master seed unless one is set;
+        PredictorSpec names an unknown kind."""
+        seed = {"seed": self.seed} if "seed" in DEFAULT_HYPERPARAMS.get(kind, ()) else {}
         return PredictorSpec(kind, {**seed, **hyperparams})
 
     def model_spec(self) -> PredictorSpec:

@@ -1,6 +1,8 @@
 """Exception hierarchy shared across the package, and the input checks that
 more than one module raises them from."""
 
+import numbers
+
 import numpy as np
 
 
@@ -62,6 +64,11 @@ class ExperimentError(FairmixError):
 
 class DegenerateGroupWarning(UserWarning):
     """A label or sensitive attribute takes a single value across the dataset."""
+
+
+def is_integer(value) -> bool:
+    """The one rule for an integer setting (a seed, size or count): not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def as_matrix(X, what: str, n_columns: int | None = None) -> np.ndarray:

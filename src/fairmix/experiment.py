@@ -163,7 +163,7 @@ def run_arms(config: PipelineConfig, dataset: Dataset, methods) -> list[Evaluati
         f, or the reason the arm skips it."""
         train_idx, test_idx = folds[f]
         try:
-            if len(np.unique(dataset.label[train_idx])) < 2:
+            if not metrics_mod.counts(dataset.label[train_idx]).all():
                 raise FitError("single-class training split")
             fold_ds, Xte_list = preprocess_fold(config, dataset, train_idx, test_idx)
         except FitError as exc:

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import models
 from .errors import ConfigError, InputError, ShapeError, StackingError
+from .metrics import counts
 from .models import PredictorSpec, TrainedPredictor, argmax_label
 
 STRATEGIES = ("early", "vote_hard", "vote_soft", "stack_hard", "stack_soft")
@@ -79,16 +80,16 @@ def fit_stacking_meta(
 ) -> tuple[TrainedPredictor, np.ndarray, np.ndarray]:
     """Fit the stacking meta-learner on base predictions from models.out_of_fold;
     returns (meta_model, its fold assignment per training row, meta features)."""
-    y = np.asarray(y, dtype=int)
+    y = np.asarray(y)
     n = len(y)
     if n < 4:
         raise StackingError(f"stacking needs at least 4 training rows, got {n}")
     if len(train_per_modality) < 2:
         raise StackingError("stacking needs at least 2 modalities")
-    counts = np.bincount(y, minlength=2)
-    if counts.min() < 2:
+    per_class = counts(y)  # an InputError for anything but one 0/1 column
+    if per_class.min() < 2:
         raise StackingError("stacking needs at least 2 rows of each class")
-    k = min(5 if n >= 10 else 2, int(counts.min()))
+    k = min(5 if n >= 10 else 2, int(per_class.min()))
 
     def base_features(train, test):  # each modality's base model in turn
         return _stack_features(spec.strategy, [models.fit(spec.base_model, X[train], y[train])

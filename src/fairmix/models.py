@@ -50,13 +50,13 @@ none). predict() is the argmax of predict_proba(), ties at 0.5 going to 1.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import folds
-from .errors import FitError, InputError, ShapeError, as_matrix
+from .errors import FitError, InputError, ShapeError, as_matrix, is_integer
+from .metrics import counts
 
 # iterations before _smo gives up with a FitError
 SMO_MAX_ITER = 100_000
@@ -95,7 +95,7 @@ class PredictorSpec:
         # cover the kinds that take each name (SMO stops on tol, so 0 never stops)
         for name, default in takes.items():
             v = hp[name]
-            integer = isinstance(v, numbers.Integral) and not isinstance(v, bool)
+            integer = is_integer(v)
             if isinstance(default, int) and not integer:
                 raise InputError(f"{name} must be an integer, got {v!r}")
             if not (integer or isinstance(v, (float, np.floating)) and math.isfinite(v)
@@ -151,17 +151,18 @@ def out_of_fold(y, k, seed, fit_predict):
     y = np.asarray(y)
     assign = folds.internal(y, k, seed)
     return assign, [(test, fit_predict(train, test)) for train, test in folds.folds_of(assign, k)
-                    if len(np.unique(y[train])) > 1]
+                    if counts(y[train]).all()]
 
 
 def _validate_training_input(X, y):
     X = as_matrix(X, "training matrix")
-    y = np.asarray(y, dtype=int).ravel()
+    per_class = counts(y)  # an InputError for anything but one non-empty 0/1 column
+    y = np.asarray(y, dtype=int)
     if X.shape[0] != y.shape[0]:
         raise ShapeError(f"X has {X.shape[0]} rows but y has {y.shape[0]}")
     if X.shape[0] < 2:
         raise FitError("need at least 2 training rows")
-    if set(np.unique(y)) != {0, 1}:
+    if not per_class.all():
         raise FitError("training labels must contain both classes 0 and 1")
     return X, y
 
@@ -492,8 +493,7 @@ def _smo(K, y, C, tol):
 
 def _platt_sigmoid(decisions, y01):
     """Fit A, B of p = 1 / (1 + exp(A*f + B)) by regularized max likelihood."""
-    n_pos = int(np.sum(y01 == 1))
-    n_neg = len(y01) - n_pos
+    n_neg, n_pos = counts(y01).tolist()
     t = np.where(y01 == 1, (n_pos + 1.0) / (n_pos + 2.0), 1.0 / (n_neg + 2.0))
     A, B = 0.0, math.log((n_neg + 1.0) / (n_pos + 1.0))
     f = np.asarray(decisions, dtype=float)
@@ -558,7 +558,7 @@ def _fit_svm(spec: PredictorSpec, X, y, facts) -> SvmModel:
     # training sets, a class of one row)
     _, blocks = out_of_fold(y, 3, int(hp["seed"]) + 1, decision_values)
     alpha, b = _smo(K, y_pm, C, tol)
-    if not blocks or len(np.unique(y[np.concatenate([test for test, _ in blocks])])) < 2:
+    if not blocks or not counts(y[np.concatenate([test for test, _ in blocks])]).all():
         blocks = [(np.arange(len(y)), (alpha * y_pm) @ K - b)]
     rows, decisions = (np.concatenate(part) for part in zip(*blocks))
     platt_ab = _platt_sigmoid(decisions, y[rows])

@@ -10,8 +10,9 @@ them. A draw whose labels or an attribute take one value warns through
 `Dataset` (DegenerateGroupWarning).
 
 `SynthSpec` checks every rule of a spec when it is built (InputError), so
-a spec that `fairmix validate` passes is one `generate` can draw: one or
-more modalities and attributes, each named once and not empty, no attribute
+a spec that `fairmix validate` passes is one `generate` can draw: integer
+(`errors.is_integer`) subject and session counts, modality dims and seed,
+the seed >= 0, one or more modalities and attributes, each named once and not empty, no attribute
 in `dataset.RESERVED_ATTRIBUTES`, no modality name that
 `dataset.modality_name_fault` refuses (an ``=``, ``\n``, ``\r`` or NUL, or
 edge whitespace), a `bias_attribute` that is empty (the first attribute) or
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import RESERVED_ATTRIBUTES, ColumnMeta, Dataset, ModalityTable, modality_name_fault
-from .errors import InputError
+from .errors import InputError, is_integer
 
 
 @dataclass(frozen=True)
@@ -45,6 +46,11 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_subjects", "sessions_per_subject", "seed"):
+            if not is_integer(getattr(self, name)):
+                raise InputError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if self.seed < 0:
+            raise InputError(f"seed must be >= 0, got {self.seed!r}")
         if not (self.n_subjects >= 1 and self.sessions_per_subject >= 1):
             raise InputError("need at least one subject and one session")
         for kind, pairs in (("modality", self.modality_dims), ("attribute", self.attribute_props)):
@@ -60,6 +66,8 @@ class SynthSpec:
             fault = modality_name_fault(name)
             if fault:
                 raise InputError(f"modality {name!r} {fault}")
+            if not is_integer(d):
+                raise InputError(f"modality {name!r}: dim must be an integer, got {d!r}")
             if not d >= 1:
                 raise InputError(f"modality {name!r}: dim must be >= 1")
         for name, p in self.attribute_props:

@@ -452,6 +452,14 @@ class TestSynthSpecRejections:
         "non_numeric": (b"n_subjects=14", b"n_subjects=many", "n_subjects"),
         "no_subjects": (b"n_subjects=14", b"n_subjects=0", "need at least one subject"),
         "zero_dim": (b"modality.face=4", b"modality.face=0", "modality 'face': dim must be >= 1"),
+        # the parser refuses these before SynthSpec, which refuses them too
+        "negative_seed": (b"seed=5", b"seed=-1", "seed: expected a non-negative integer, got '-1'"),
+        "fractional_seed": (b"seed=5", b"seed=1.5",
+                            "seed: expected a non-negative integer, got '1.5'"),
+        "fractional_subjects": (b"n_subjects=14", b"n_subjects=2.5",
+                                "n_subjects: expected a non-negative integer, got '2.5'"),
+        "fractional_dim": (b"modality.face=4", b"modality.face=2.5",
+                           "modality.face: expected a non-negative integer, got '2.5'"),
         "empty_modality_name": (b"", b"modality.=3\n", "names must be non-empty"),
         "empty_attribute_name": (b"", b"attribute.=0.5\n", "names must be non-empty"),
         "modality_edge_space": (b"modality.face=", b"modality. face=",

@@ -302,6 +302,13 @@ class TestRunExperiment:
         assert 0.0 <= data["overall"]["accuracy"] <= 1.0
         assert data["cv"]["n_folds"] == report.n_folds
 
+    @pytest.mark.parametrize("field", ["model_kind", "meta_kind"])
+    def test_unknown_kind_built_directly_is_named(self, field):
+        # PipelineConfig._spec indexed DEFAULT_HYPERPARAMS by the kind first,
+        # ending in KeyError: 'foo'
+        with pytest.raises(InputError, match=r"^unknown model kind 'foo'$"):
+            run_experiment(PipelineConfig(seed=1, **{field: "foo"}), synth())
+
     @pytest.mark.parametrize("strategy", ["vote_soft", "stack_soft"])
     def test_late_fusion_end_to_end(self, strategy):
         ds = synth(seed=11)

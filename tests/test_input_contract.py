@@ -2,12 +2,15 @@
 predict: each entry refuses a non-finite cell, a non-numeric cell, rows of
 unequal length, a wrong column count, no columns and more than 2 dimensions
 with a named error, reads a 1-D input as one row, and gives the bits of a
-C-ordered copy for a Fortran-ordered input."""
+C-ordered copy for a Fortran-ordered input. Every fit reads its labels
+through metrics.counts: a value other than 0 or 1 or a 2-D column is an
+InputError, and 0/1 labels give the same bits as ints, floats or bools."""
 
 import numpy as np
 import pytest
 
 from fairmix.errors import FitError, InputError, ShapeError
+from fairmix.fusion import FusionSpec, fit_stacking_meta
 from fairmix.models import PredictorSpec, fit
 from fairmix.preprocess import fit_pca, fit_standardizer
 
@@ -148,3 +151,51 @@ def test_memory_order_does_not_change_bits(seed):
     for name, (call, _, _) in entries(X).items():
         for got, want in zip(call(np.asfortranarray(X)), call(X)):
             np.testing.assert_array_equal(got, want, err_msg=name)
+
+
+LABELS = np.arange(len(TRAIN)) % 2
+
+
+def label_entries():
+    """name -> each fit as a function of the labels, giving the arrays it makes."""
+    def fitted(kind):
+        hp = {"epochs": 20} if kind == "mlp" else {}
+        return lambda y: (fit(PredictorSpec(kind, hp), TRAIN, y).predict_proba(TRAIN),)
+
+    def stacked(y):
+        spec = FusionSpec("stack_soft", PredictorSpec("logistic"))
+        meta, assign, feats = fit_stacking_meta(spec, [TRAIN[:, :2], TRAIN[:, 2:]], y, seed=0)
+        return assign, feats, meta.predict_proba(feats)
+
+    return {**{f"fit[{kind}]": fitted(kind) for kind in KINDS}, "fit_stacking_meta": stacked}
+
+
+LABEL_ENTRIES = label_entries()
+
+
+@pytest.mark.parametrize("value", [0.5, np.nan, 2, -1])
+@pytest.mark.parametrize("name", LABEL_ENTRIES)
+def test_label_other_than_0_or_1_is_an_input_error(name, value):
+    # an int cast trained on 0.5 as 0 (and on -0.5 as 0, 1.7 as 1) without
+    # an error, and cast NaN with numpy's RuntimeWarning
+    y = LABELS.astype(float)
+    y[3] = value
+    with pytest.raises(InputError, match=r"^expected 0/1 values, got \["):
+        LABEL_ENTRIES[name](y)
+
+
+@pytest.mark.parametrize("name", LABEL_ENTRIES)
+def test_two_dimensional_labels_are_an_input_error(name):
+    # models.fit flattened an (n, 1) column and trained on it
+    with pytest.raises(InputError, match=r"^expected 0/1 columns of one length, "
+                                         r"got shapes \[\(12, 1\)\]$"):
+        LABEL_ENTRIES[name](LABELS[:, None])
+
+
+@pytest.mark.parametrize("name", LABEL_ENTRIES)
+def test_label_type_does_not_change_bits(name):
+    call = LABEL_ENTRIES[name]
+    want = call(LABELS)
+    for y in (LABELS.astype(float), LABELS.astype(bool), LABELS.tolist()):
+        for got, expected in zip(call(y), want):
+            np.testing.assert_array_equal(got, expected)

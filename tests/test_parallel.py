@@ -40,6 +40,14 @@ def test_bundled_outputs_do_not_depend_on_the_process_count(command, tmp_path, f
     assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
 
+def audit_bytes(config: PipelineConfig, ds, out: pathlib.Path) -> dict:
+    """The bytes of report.json and predictions.csv of one audit."""
+    report = run_experiment(config, ds)
+    write_report_json(report, str(out / "report.json"))
+    write_predictions_csv(report.predictions, str(out / "predictions.csv"), ds.declared_attributes)
+    return written_bytes(out)
+
+
 def test_criterion_7_seed_0_does_not_depend_on_the_process_count(tmp_path, fold_processes):
     ds = generate(SynthSpec(n_subjects=40, sessions_per_subject=4,
                             attribute_props=(("gender", 0.8),),
@@ -47,14 +55,39 @@ def test_criterion_7_seed_0_does_not_depend_on_the_process_count(tmp_path, fold_
     outputs = []
     for processes in PROCESSES:
         fold_processes(processes)
-        for method in ("none", "mixfeat"):
-            out = tmp_path / f"{processes}-{method}"
-            report = run_experiment(
-                PipelineConfig(seed=0, augment_method=method, model_kind="rbf_svm"), ds)
-            write_report_json(report, str(out / "report.json"))
-            write_predictions_csv(report.predictions, str(out / "predictions.csv"),
-                                  ds.declared_attributes)
-        outputs.append({m: written_bytes(tmp_path / f"{processes}-{m}") for m in ("none", "mixfeat")})
+        outputs.append({method: audit_bytes(
+            PipelineConfig(seed=0, augment_method=method, model_kind="rbf_svm"), ds,
+            tmp_path / f"{processes}-{method}") for method in ("none", "mixfeat")})
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
+# late fusion: (modality dims, configuration); "face" of vote_soft is wider
+# than the dataset's 36 rows, so PCA takes the wide route in every process
+LATE_FUSION = {
+    "stack_soft-mlp": ((("face", 4), ("audio", 3)),
+                       dict(fusion_strategy="stack_soft", model_kind="mlp",
+                            model_hyperparams={"epochs": 5})),
+    "stack_hard-logistic": ((("face", 4), ("audio", 3)),
+                            dict(fusion_strategy="stack_hard", model_kind="logistic")),
+    "vote_soft-logistic-wide": ((("face", 60), ("audio", 3)),
+                                dict(fusion_strategy="vote_soft", model_kind="logistic")),
+    "vote_hard-rbf_svm": ((("face", 4), ("audio", 3)),
+                          dict(fusion_strategy="vote_hard", model_kind="rbf_svm")),
+    "stack_soft-three-modalities": ((("face", 4), ("audio", 3), ("text", 5)),
+                                    dict(fusion_strategy="stack_soft", model_kind="logistic")),
+}
+
+
+@pytest.mark.parametrize("case", LATE_FUSION)
+def test_late_fusion_does_not_depend_on_the_process_count(case, tmp_path, fold_processes):
+    dims, settings = LATE_FUSION[case]
+    ds = generate(SynthSpec(n_subjects=12, sessions_per_subject=3, modality_dims=dims, seed=3))
+    config = PipelineConfig(seed=2, augment_method="mixfeat", **settings)
+    outputs = []
+    for processes in PROCESSES:
+        fold_processes(processes)
+        outputs.append(audit_bytes(config, ds, tmp_path / str(processes)))
+    assert b'"skipped_folds": []' in outputs[0]["report.json"]
     assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
 

@@ -98,6 +98,14 @@ class TestGenerate:
         ({"separation_minority": math.nan}, "separation_minority must be finite, got nan"),
         ({"separation_majority": math.inf}, "separation_majority must be finite, got inf"),
         ({"noise_std": math.inf}, "noise_std must be finite, got inf"),
+        # generate ended in numpy's ValueError ("expected non-negative
+        # integer") on the negative seed and in a TypeError on the others
+        ({"seed": -1}, "seed must be >= 0, got -1"),
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"seed": True}, "seed must be an integer, got True"),
+        ({"n_subjects": 2.5}, "n_subjects must be an integer, got 2.5"),
+        ({"sessions_per_subject": 4.0}, "sessions_per_subject must be an integer, got 4.0"),
+        ({"modality_dims": (("face", 2.5),)}, "modality 'face': dim must be an integer, got 2.5"),
     ])
     def test_rejected_when_built(self, changes, message):
         with pytest.raises(InputError) as info:
@@ -109,6 +117,13 @@ class TestGenerate:
         spec = SynthSpec(n_subjects=4, base_rate_majority=rate, base_rate_minority=rate)
         with pytest.warns(DegenerateGroupWarning, match="label takes a single value"):
             assert (generate(spec).labels() == rate).all()
+
+    def test_numpy_integers_are_taken(self):
+        spec = SynthSpec(n_subjects=np.int64(4), sessions_per_subject=np.int32(2),
+                         modality_dims=(("face", np.int64(3)),), seed=np.int64(7))
+        plain = SynthSpec(n_subjects=4, sessions_per_subject=2, modality_dims=(("face", 3),), seed=7)
+        np.testing.assert_array_equal(generate(spec).modality("face").samples,
+                                      generate(plain).modality("face").samples)
 
     def test_bias_attribute_names_a_declared_one(self):
         spec = SynthSpec(attribute_props=(("gender", 0.5), ("race", 0.5)), bias_attribute="race")
