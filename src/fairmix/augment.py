@@ -8,7 +8,10 @@ Test splits are never augmented; originals are never touched.
 
 `synthesize` is the one code path that builds rows, and also the
 provenance view: it returns each synthetic row's two parent rows and its
-per-modality mixing weights. `augment_dataset` is the pipeline entry.
+per-modality mixing weights. It builds the augmented split as rows of the
+original one, read at each row's first parent (an original row is its own),
+with the mixed features stacked under the originals. `augment_dataset` is
+the pipeline entry.
 
 Draw protocol, pinned by tests that hash the output: one
 ``default_rng(seed)`` visits the deficient cells in key order, and each cell
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, ModalityTable
 from .errors import InputError
 
 METHODS = ("none", "random_oversample", "mixfeat")  # "none" leaves the split as it is
@@ -93,14 +96,16 @@ def synthesize(train: Dataset, method: str, seed: int,
     while np.char.startswith(train.sample_id, prefix).any():  # keep synthetic ids unique
         prefix = "_" + prefix
     numbers = np.char.zfill(np.arange(1, n + 1).astype(str), 5)
-    augmented = train.with_rows_appended(
-        {t.modality_name: mix_pair(t.samples[parent_i], t.samples[parent_j], lams[:, [m]])
-         for m, t in enumerate(train.modalities)},
-        np.char.add(prefix, numbers),
-        train.subject_id[parent_i] if method == "random_oversample"
-        else np.char.add("syn-subject-", numbers),
-        train.label[parent_i],  # parents come from the cell, so they carry its key
-        train.attrs[parent_i],
+    first_parent = np.concatenate([np.arange(train.n_samples), parent_i])  # an original is its own
+    augmented = train.with_columns(
+        (ModalityTable(t.modality_name, np.vstack(
+            [t.samples, mix_pair(t.samples[parent_i], t.samples[parent_j], lams[:, [m]])]),
+            t.column_meta) for m, t in enumerate(train.modalities)),
+        np.concatenate([train.sample_id, np.char.add(prefix, numbers)]),
+        train.subject_id[first_parent] if method == "random_oversample"
+        else np.concatenate([train.subject_id, np.char.add("syn-subject-", numbers)]),
+        train.label[first_parent],  # parents come from the cell, so they carry its key
+        train.attrs[first_parent],
     )
     return augmented, parent_i, parent_j, lams
 

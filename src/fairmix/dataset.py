@@ -237,8 +237,9 @@ class Dataset:
     def attribute_values(self, name: str) -> np.ndarray:
         return dict(zip(self.declared_attributes, self.attrs.T))[name].copy()
 
-    def _with_columns(self, modalities, sample_id, subject_id, label, attrs) -> "Dataset":
-        """A dataset with this one's attributes; group warnings muted."""
+    def with_columns(self, modalities, sample_id, subject_id, label, attrs) -> "Dataset":
+        """A dataset with this one's attributes: the one builder of every
+        derived dataset (a row subset or an augmented split); group warnings muted."""
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegenerateGroupWarning)
             return Dataset(tuple(modalities), sample_id, subject_id, label, attrs,
@@ -246,8 +247,8 @@ class Dataset:
 
     def derive(self, modalities: Iterable[ModalityTable], rows) -> "Dataset":
         """The listed rows of this dataset over new modality tables."""
-        return self._with_columns(modalities, self.sample_id[rows], self.subject_id[rows],
-                                  self.label[rows], self.attrs[rows])
+        return self.with_columns(modalities, self.sample_id[rows], self.subject_id[rows],
+                                 self.label[rows], self.attrs[rows])
 
     def subset(self, indices: Sequence[int]) -> "Dataset":
         """Row subset (copy), keeping modality and attribute structure."""
@@ -255,22 +256,6 @@ class Dataset:
         tables = [ModalityTable(t.modality_name, t.samples[idx], t.column_meta)
                   for t in self.modalities]
         return self.derive(tables, idx)
-
-    def with_rows_appended(self, rows_per_modality: dict[str, np.ndarray],
-                           sample_id, subject_id, label, attrs) -> "Dataset":
-        """New dataset with synthetic rows appended, given as one block per
-        modality and per column; originals untouched. Concatenation widens
-        the id columns to the longer ids."""
-        if not len(label):
-            return self
-        tables = (
-            ModalityTable(t.modality_name, np.vstack([t.samples, rows_per_modality[t.modality_name]]),
-                          t.column_meta)
-            for t in self.modalities
-        )
-        old = (self.sample_id, self.subject_id, self.label, self.attrs)
-        new = (sample_id, subject_id, label, attrs)
-        return self._with_columns(tables, *(np.concatenate([a, b]) for a, b in zip(old, new)))
 
 
 def binarize_panas(pa_score, threshold: float = DEFAULT_PANAS_THRESHOLD):
