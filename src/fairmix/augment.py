@@ -29,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dataset import Dataset, ModalityTable
-from .errors import InputError
+from .errors import InputError, seeded_rng
 
 METHODS = ("none", "random_oversample", "mixfeat")  # "none" leaves the split as it is
 
@@ -75,7 +75,7 @@ def synthesize(train: Dataset, method: str, seed: int,
     cells = _cells_of(train)
     target = max(len(rows) for rows in cells.values())
     deficits = [(rows, target - len(rows)) for rows in cells.values() if len(rows) < target]
-    rng, n_modalities = np.random.default_rng(seed), len(train.modalities)
+    rng, n_modalities = seeded_rng(seed), len(train.modalities)
     n = sum(deficit for _, deficit in deficits)
     parent_i, parent_j, lams = np.empty(n, int), np.empty(n, int), np.empty((n, n_modalities))
     if not n:  # already balanced (and zfill below raises on an empty array)

@@ -71,6 +71,19 @@ def is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def check_seed(seed):
+    """The one seed rule: a non-negative integer, not a bool."""
+    if not is_integer(seed) or seed < 0:
+        raise InputError(f"seed must be a non-negative integer, got {seed!r}")
+    return seed
+
+
+def seeded_rng(seed) -> np.random.Generator:
+    """default_rng(seed), the one place a generator is seeded, after
+    `check_seed`, so that numpy never reads a bad seed."""
+    return np.random.default_rng(check_seed(seed))
+
+
 def as_matrix(X, what: str, n_columns: int | None = None) -> np.ndarray:
     """X as a C-ordered 2-D float64 array, a 1-D X being one row: the one
     reading of a numeric matrix at every fit, transform and predict, so that

@@ -29,7 +29,7 @@ from . import augment as augment_mod
 from . import folds
 from . import fusion as fusion_mod
 from . import metrics as metrics_mod
-from .config import PipelineConfig
+from .config import CV_MODES, PipelineConfig
 from .dataset import PREDICTION_COLUMNS, ColumnMeta, Dataset, ModalityTable, atomic_write, csv_text
 from .errors import (
     ConfigError,
@@ -37,12 +37,20 @@ from .errors import (
     FitError,
     InputError,
     MetricUndefinedError,
+    check_seed,
+    is_integer,
 )
 from .metrics import DiResult, PredictionSet
 from .preprocess import fit_column_cleaner, fit_pca, fit_standardizer, select_columns
 
 
 def make_folds(config: PipelineConfig, dataset: Dataset):
+    """The folds of the configured rule. A cv_mode or cv_k that the
+    configuration parser refuses is an InputError in its wording."""
+    if config.cv_mode not in CV_MODES:
+        raise InputError(f"cv.mode: expected one of {CV_MODES}, got {config.cv_mode!r}")
+    if not (is_integer(config.cv_k) and config.cv_k >= 2):
+        raise InputError(f"cv.k: expected an integer >= 2, got {config.cv_k!r}")
     if config.cv_mode == "loso":
         return folds.loso_folds(dataset.subject_id)
     if config.cv_grouped:
@@ -138,6 +146,8 @@ def run_arms(config: PipelineConfig, dataset: Dataset, methods) -> list[Evaluati
     preprocessed once; every method augments, fits and predicts on it. The
     folds run in up to min(folds, CPUs) forked processes where `fork` exists
     (`parallel.map_folds`), and the reports do not depend on how many."""
+    for seed in (config.seed, config.resolved_augment_seed()):  # each fold adds its index
+        check_seed(seed)
     names = config.modalities or dataset.modality_names
     unknown = [m for m in names if m not in dataset.modality_names]
     if unknown:

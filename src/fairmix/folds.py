@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ExperimentError
+from .errors import ExperimentError, seeded_rng
 
 
 def stratified_positions(strata, rng: np.random.Generator) -> np.ndarray:
@@ -36,8 +36,8 @@ def folds_of(row_fold: np.ndarray, n_folds: int) -> list[tuple[np.ndarray, np.nd
 
 def internal(y, k, seed) -> np.ndarray:
     """The internal fold label of each row: its label-stratified position
-    under default_rng(seed), modulo k."""
-    return stratified_positions(y, np.random.default_rng(seed)) % k
+    under seeded_rng(seed), modulo k."""
+    return stratified_positions(y, seeded_rng(seed)) % k
 
 
 def loso_folds(subject_ids: list[str]) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -58,7 +58,7 @@ def grouped_stratified_kfold(labels, subject_ids, k, seed):
     sessions = np.bincount(subject_of_row)
     majority = np.round(np.bincount(subject_of_row, weights=labels) / sessions).astype(int)
     earlier = np.searchsorted(np.sort(majority), majority)
-    fold_of = (stratified_positions(majority, np.random.default_rng(seed)) + earlier) % k
+    fold_of = (stratified_positions(majority, seeded_rng(seed)) + earlier) % k
     return folds_of(fold_of[subject_of_row], k)
 
 
@@ -66,6 +66,6 @@ def plain_kfold(n, k, seed):
     """min(k, n) folds of a seeded shuffle of the rows, cut by array_split."""
     k = min(k, n)
     row_fold = np.empty(n, int)
-    for f, part in enumerate(np.array_split(np.random.default_rng(seed).permutation(n), k)):
+    for f, part in enumerate(np.array_split(seeded_rng(seed).permutation(n), k)):
         row_fold[part] = f
     return folds_of(row_fold, k)

@@ -55,7 +55,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import folds
-from .errors import FitError, InputError, ShapeError, as_matrix, is_integer
+from .errors import FitError, InputError, ShapeError, as_matrix, is_integer, seeded_rng
 from .metrics import counts
 
 # iterations before _smo gives up with a FitError
@@ -342,7 +342,7 @@ def _fit_mlp(spec: PredictorSpec, X, y, facts) -> MlpModel:
     lr, l2, eps = np.float64(hp["learning_rate"]), np.float64(hp["l2"]), np.float64(1e-8)
     epochs = int(hp["epochs"])
     batch = min(int(hp["batch_size"]), X.shape[0])
-    rng = np.random.default_rng(int(hp["seed"]))
+    rng = seeded_rng(hp["seed"])
     n, d = X.shape
     n_weights = d * h + h * 2
     beta1, beta2 = 0.9, 0.999

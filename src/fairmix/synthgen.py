@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import RESERVED_ATTRIBUTES, ColumnMeta, Dataset, ModalityTable, modality_name_fault
-from .errors import InputError, is_integer
+from .errors import InputError, is_integer, seeded_rng
 
 
 @dataclass(frozen=True)
@@ -100,7 +100,7 @@ class SynthSpec:
 def generate(spec: SynthSpec) -> Dataset:
     """Sample a dataset: subjects get attributes, sessions get labels and
     class/group-conditional Gaussian features. Deterministic given seed."""
-    rng = np.random.default_rng(spec.seed)
+    rng = seeded_rng(spec.seed)
     attr_names = spec.attribute_names
     props = dict(spec.attribute_props)
     bias_attr = spec.resolved_bias_attribute

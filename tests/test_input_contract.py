@@ -4,15 +4,40 @@ unequal length, a wrong column count, no columns and more than 2 dimensions
 with a named error, reads a 1-D input as one row, and gives the bits of a
 C-ordered copy for a Fortran-ordered input. Every fit reads its labels
 through metrics.counts: a value other than 0 or 1 or a 2-D column is an
-InputError, and 0/1 labels give the same bits as ints, floats or bools."""
+InputError, and 0/1 labels give the same bits as ints, floats or bools.
+
+Every seeded operation refuses a negative, non-integer or bool seed through
+errors.seeded_rng before numpy reads it, `make_folds` refuses the cv_mode
+and cv_k that the configuration parser refuses, and each other refusal of a
+malformed argument is a row of one table (`REFUSALS`)."""
+
+import re
 
 import numpy as np
 import pytest
 
-from fairmix.errors import FitError, InputError, ShapeError
-from fairmix.fusion import FusionSpec, fit_stacking_meta
+from fairmix import folds
+from fairmix.augment import augment_dataset
+from fairmix.config import PipelineConfig
+from fairmix.dataset import ColumnMeta, Dataset, ModalityTable, binarize_panas, load_dataset
+from fairmix.errors import (
+    AlignmentError,
+    ConfigError,
+    FitError,
+    InputError,
+    ParseError,
+    SchemaError,
+    ShapeError,
+    StackingError,
+    as_matrix,
+    seeded_rng,
+)
+from fairmix.experiment import make_folds, run_experiment
+from fairmix.fusion import FusionSpec, early_fuse, fit_fusion, fit_stacking_meta
+from fairmix.metrics import PredictionSet
 from fairmix.models import PredictorSpec, fit
 from fairmix.preprocess import fit_pca, fit_standardizer
+from fairmix.synthgen import SynthSpec, generate
 
 KINDS = ("logistic", "mlp", "rbf_svm")
 
@@ -199,3 +224,140 @@ def test_label_type_does_not_change_bits(name):
     for y in (LABELS.astype(float), LABELS.astype(bool), LABELS.tolist()):
         for got, expected in zip(call(y), want):
             np.testing.assert_array_equal(got, expected)
+
+
+SMALL = generate(SynthSpec(n_subjects=6, sessions_per_subject=2))
+SMALL_XS = [t.samples for t in SMALL.modalities]
+STACK = FusionSpec("stack_soft", PredictorSpec("logistic"))
+
+# name -> a seeded operation as a function of its seed. `_fit_mlp` and
+# `synthgen.generate` seed through the same helper, but PredictorSpec and
+# SynthSpec refuse a bad seed first, in their own words.
+SEED_ENTRIES = {
+    "seeded_rng": seeded_rng,
+    "augment_dataset[mixfeat]": lambda seed: augment_dataset(SMALL, "mixfeat", seed),
+    "augment_dataset[random_oversample]":
+        lambda seed: augment_dataset(SMALL, "random_oversample", seed),
+    "fit_fusion[stack_soft]": lambda seed: fit_fusion(STACK, SMALL_XS, SMALL.label, seed),
+    "folds.internal": lambda seed: folds.internal(SMALL.label, 3, seed),
+    "folds.grouped_stratified_kfold":
+        lambda seed: folds.grouped_stratified_kfold(SMALL.label, SMALL.subject_id, 3, seed),
+    "folds.plain_kfold": lambda seed: folds.plain_kfold(SMALL.n_samples, 3, seed),
+    "run_experiment[seed]":
+        lambda seed: run_experiment(PipelineConfig(seed=seed, model_kind="logistic"), SMALL),
+    "run_experiment[augment_seed]": lambda seed: run_experiment(
+        PipelineConfig(augment_seed=seed, augment_method="mixfeat", model_kind="logistic"), SMALL),
+}
+
+
+@pytest.mark.parametrize("seed", [-1, -3, 1.5, 2.5, True, np.True_, "3"])
+@pytest.mark.parametrize("name", SEED_ENTRIES)
+def test_bad_seed_is_an_input_error(name, seed):
+    # numpy's ValueError (negative) or TypeError (float) came first; a bool
+    # was read as 0 or 1, as was `run_experiment`'s augment seed once a fold
+    # index was added to it
+    with pytest.raises(InputError, match=rf"^seed must be a non-negative integer, "
+                                         rf"got {re.escape(repr(seed))}$"):
+        SEED_ENTRIES[name](seed)
+
+
+def test_numpy_integer_seed_draws_as_int():
+    for seed in (np.int64(7), np.uint8(7)):
+        np.testing.assert_array_equal(seeded_rng(seed).random(4), np.random.default_rng(7).random(4))
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"cv_mode": "LOSO"}, "cv.mode: expected one of ('kfold', 'loso'), got 'LOSO'"),
+    ({"cv_k": 0, "cv_grouped": False}, "cv.k: expected an integer >= 2, got 0"),
+    ({"cv_k": 0}, "cv.k: expected an integer >= 2, got 0"),
+    ({"cv_k": 1}, "cv.k: expected an integer >= 2, got 1"),
+    ({"cv_k": 2.5}, "cv.k: expected an integer >= 2, got 2.5"),
+    ({"cv_k": True}, "cv.k: expected an integer >= 2, got True"),
+    ({"cv_k": 1, "cv_mode": "loso"}, "cv.k: expected an integer >= 2, got 1"),
+])
+@pytest.mark.parametrize("call", [make_folds, run_experiment])
+def test_cv_settings_the_parser_refuses(call, fields, message):
+    # cv_mode "LOSO" ran grouped 5-fold and reported "mode": "LOSO"; cv_k 0
+    # ungrouped ended in numpy's ValueError, and 0 or 1 grouped in "grouped
+    # k-fold needs at least 2 subjects"
+    with pytest.raises(InputError, match=rf"^{re.escape(message)}$"):
+        call(PipelineConfig(model_kind="logistic", **fields), SMALL)
+
+
+class Unsteady:
+    """A cell that float() reads on every call but the first, so that numpy's
+    read fails and the cell-by-cell search finds no culprit."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __float__(self):
+        self.calls += 1
+        if self.calls == 1:
+            raise TypeError("not yet")
+        return 1.0
+
+
+def no_metadata_key(d):
+    manifest = d / "m.txt"
+    manifest.write_text("modality.face=face.csv\n")
+    return load_dataset(str(manifest))
+
+
+def one_table(n):
+    return ModalityTable("m", np.zeros((n, 1)), (ColumnMeta("f"),))
+
+
+# name -> (a call of a scratch directory that refuses its input, the error
+# type, the message's first words with that directory written <dir>)
+REFUSALS = {
+    "ColumnMeta[level]": (lambda d: ColumnMeta("f", "mid"), SchemaError,
+                          "level must be one of ('high', 'low'), got 'mid'"),
+    "ModalityTable[1-D]": (lambda d: ModalityTable("m", np.zeros(3), ()), SchemaError,
+                           "modality 'm': samples must be 2-D"),
+    "ModalityTable[no rows]": (lambda d: one_table(0), SchemaError,
+                               "modality 'm': needs at least one row"),
+    "ModalityTable[column_meta]": (
+        lambda d: ModalityTable("m", np.zeros((2, 2)), (ColumnMeta("f"),)), SchemaError,
+        "modality 'm': 2 columns but 1 column_meta entries"),
+    "ModalityTable[inf]": (lambda d: ModalityTable("m", [[np.inf]], (ColumnMeta("f"),)),
+                           ParseError, "modality 'm': infinite feature value"),
+    "Dataset[no rows]": (lambda d: Dataset((one_table(1),), [], [], [], np.zeros((0, 0)), ()),
+                         SchemaError, "dataset has no rows"),
+    "Dataset[row count]": (
+        lambda d: Dataset((one_table(2),), ["a", "b", "c"], ["s", "s", "t"], [0, 1, 0],
+                          [[0], [1], [0]], ("g",)),
+        AlignmentError, "modality 'm' has 2 rows, metadata has 3"),
+    "Dataset.modality": (lambda d: SMALL.modality("x"), KeyError, "'x'"),
+    "binarize_panas[threshold]": (lambda d: binarize_panas(30.0, np.nan), InputError,
+                                  "non-finite threshold: nan"),
+    "load_dataset[no metadata]": (no_metadata_key, SchemaError,
+                                  "<dir>/m.txt: missing 'metadata' key"),
+    "as_matrix[3-D objects]": (lambda d: as_matrix([[["a"]]], "X"), ShapeError,
+                               "X: expected 2 dimensions, got 3"),
+    "as_matrix[unreadable]": (lambda d: as_matrix([[Unsteady()]], "X"), InputError,
+                              "X: not a numeric matrix"),
+    "FusionSpec[strategy]": (lambda d: FusionSpec("median", PredictorSpec("logistic")),
+                             ConfigError, "unknown fusion strategy 'median'"),
+    "early_fuse[none]": (lambda d: early_fuse([]), InputError, "no modalities to fuse"),
+    "fit_fusion[none]": (lambda d: fit_fusion(STACK, [], SMALL.label), InputError,
+                         "no modalities given"),
+    "fit_stacking_meta[one modality]": (
+        lambda d: fit_stacking_meta(STACK, SMALL_XS[:1], SMALL.label, 0), StackingError,
+        "stacking needs at least 2 modalities"),
+    "PredictionSet[empty]": (lambda d: PredictionSet([]), InputError, "empty prediction set"),
+    "fit_standardizer[no rows]": (lambda d: fit_standardizer(np.zeros((0, 3))), FitError,
+                                  "cannot fit standardizer on empty matrix"),
+    **{f"fit_pca[target_ratio={r}]": (lambda d, r=r: fit_pca(TRAIN, r), InputError,
+                                      f"target_ratio must be in (0,1], got {r}")
+       for r in (0.0, -0.5, 1.5, np.nan)},
+}
+
+
+@pytest.mark.parametrize("name", REFUSALS)
+def test_refusal(name, tmp_path):
+    call, error, start = REFUSALS[name]
+    with pytest.raises(error) as info:
+        call(tmp_path)
+    assert type(info.value) is error
+    assert str(info.value).replace(str(tmp_path), "<dir>").startswith(start)
