@@ -8,8 +8,8 @@ InputError, and 0/1 labels give the same bits as ints, floats or bools.
 
 Every seeded operation refuses a negative, non-integer or bool seed through
 errors.seeded_rng before numpy reads it, `make_folds` refuses the cv_mode
-and cv_k that the configuration parser refuses, and each other refusal of a
-malformed argument is a row of one table (`REFUSALS`)."""
+and cv_k that the configuration parser refuses, and `REFUSALS` is one table
+of further argument refusals, each with its error type and first words."""
 
 import re
 
