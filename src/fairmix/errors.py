@@ -90,11 +90,12 @@ def as_matrix(X, what: str, n_columns: int | None = None) -> np.ndarray:
     no result depends on the input's memory order. Raises ShapeError for
     rows of unequal length, more than 2 dimensions, a column count other
     than n_columns or no columns; InputError naming the first non-numeric
-    cell in row order; and FitError naming the first non-finite cell in row
-    order (a check on the values only, so no numpy warning comes first)."""
+    cell, or number beyond float64's range, in row order; and FitError
+    naming the first non-finite cell in row order (a check on the values
+    only, so no numpy warning comes first)."""
     try:
         X = np.atleast_2d(np.ascontiguousarray(X, dtype=float))
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise _unreadable(X, what) from None
     if X.ndim > 2:
         raise ShapeError(f"{what}: expected 2 dimensions, got {X.ndim}")
@@ -124,4 +125,6 @@ def _unreadable(X, what: str) -> FairmixError:
             float(cell)
         except (TypeError, ValueError):
             return InputError(f"{what}: non-numeric value {cell!r} at row {row}, column {column}")
+        except OverflowError:
+            return InputError(f"{what}: value beyond float64's range at row {row}, column {column}")
     return InputError(f"{what}: not a numeric matrix")

@@ -5,14 +5,16 @@ configuration names (`make_folds`).
 `run_arms` puts the rows in sample_id order and runs the level and
 descriptor column filters once, before the folds are formed. Per fold,
 `preprocess_fold` fits every transform on the training split only and
-returns that split as a Dataset, which alone is augmented; each arm's
-out-of-fold predictions stay arrays, pooled as columns by `_report`. An arm
-is an augmentation method, and arms are paired: each is evaluated on every
-fold with the fold's one augmentation seed (`run_experiment` runs one).
-Every arm goes through `augment.augment_dataset`, the one owner of the rule
-that `none` leaves the split as it is. Results depend on the master seed
-and the rows, not on their order. The writers go through
-`dataset.atomic_write`; `write_json` encodes reports.
+returns that split as a Dataset, which alone is augmented. An arm's outcome
+on a fold is one `FoldRecord` (a skip reason, or predicted labels and
+probabilities); `_report` derives from the records and the folds the pooled
+predictions, skipped folds and per-fold entries. An arm is an augmentation
+method, and arms are paired: each is evaluated on every fold with the fold's
+one augmentation seed (`run_experiment` runs one). Every arm goes through
+`augment.augment_dataset`, the one owner of the rule that `none` leaves the
+split as it is. Results depend on the master seed and the rows, not on their
+order. The writers go through `dataset.atomic_write`; `write_json` encodes
+reports.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import csv
 import hashlib
 import json
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -137,6 +139,14 @@ def _fingerprint(sample_ids) -> str:
     return h[:16]
 
 
+class FoldRecord(NamedTuple):
+    """What one fold's process knows of one arm: why it skips the fold, or what it predicts."""
+    fold: int
+    skipped: Optional[str]
+    pred: Optional[np.ndarray] = None
+    proba: Optional[np.ndarray] = None
+
+
 def run_experiment(config: PipelineConfig, dataset: Dataset) -> EvaluationReport:
     return run_arms(config, dataset, [config.augment_method])[0]
 
@@ -169,20 +179,16 @@ def run_arms(config: PipelineConfig, dataset: Dataset, methods) -> list[Evaluati
     arm_cfgs = [replace(config, augment_method=m) for m in methods]
 
     def run_fold(f):
-        """Per arm, (predicted labels, probabilities, per-fold entry) for fold
-        f, or the reason the arm skips it."""
+        """One record per arm for fold f."""
         train_idx, test_idx = folds[f]
         try:
             if not metrics_mod.counts(dataset.label[train_idx]).all():
                 raise FitError("single-class training split")
             fold_ds, Xte_list = preprocess_fold(config, dataset, train_idx, test_idx)
         except FitError as exc:
-            return [str(exc)] * len(arm_cfgs)
+            return [FoldRecord(f, str(exc))] * len(arm_cfgs)
         seed = config.resolved_augment_seed() + f  # per-fold derived seed
-        truth = dataset.label[test_idx]
-        facts = {"fold": f, "n_test": len(test_idx),
-                 "test_subjects": np.unique(dataset.subject_id[test_idx]).tolist()}
-        outcomes = []
+        records = []
         for arm_cfg in arm_cfgs:
             try:
                 train_ds = augment_mod.augment_dataset(fold_ds, arm_cfg.augment_method, seed,
@@ -196,37 +202,30 @@ def run_arms(config: PipelineConfig, dataset: Dataset, methods) -> list[Evaluati
                 if not np.isfinite(pred_probas).all():
                     raise FitError("non-finite predicted probabilities")
             except FitError as exc:
-                outcomes.append(str(exc))
+                records.append(FoldRecord(f, str(exc)))
                 continue
-            outcomes.append((pred_labels, pred_probas,
-                             {**facts, "accuracy": metrics_mod.accuracy(truth, pred_labels),
-                              "counts": metrics_mod.counts(truth, pred_labels).tolist()}))
-        return outcomes
+            records.append(FoldRecord(f, None, pred_labels, pred_probas))
+        return records
 
     from . import parallel  # here, so that `import fairmix.cli` does not import it
-    fold_outcomes = parallel.map_folds(run_fold, len(folds), parallel.fold_processes(len(folds)))
-    # per arm: a (test rows, predicted labels, probabilities) block per kept
-    # fold, per-fold entries, skipped folds; in fold order
-    results = [([], [], []) for _ in arm_cfgs]
-    for f, ((_, test_idx), outcomes) in enumerate(zip(folds, fold_outcomes)):
-        for outcome, (blocks, per_fold, skipped) in zip(outcomes, results):
-            if isinstance(outcome, str):
-                skipped.append({"fold": f, "reason": outcome})
-            else:
-                pred_labels, pred_probas, entry = outcome
-                blocks.append((test_idx, pred_labels, pred_probas))
-                per_fold.append(entry)
+    fold_records = parallel.map_folds(run_fold, len(folds), parallel.fold_processes(len(folds)))
     fingerprints = [_fingerprint(dataset.sample_id[test_idx].tolist()) for _, test_idx in folds]
-    return [_report(c, dataset, len(folds), fingerprints, *r) for c, r in zip(arm_cfgs, results)]
+    return [_report(c, dataset, folds, fingerprints, records)
+            for c, records in zip(arm_cfgs, zip(*fold_records))]
 
 
-def _report(config, dataset, n_folds, fingerprints, blocks, per_fold, skipped):
-    """Pooled metrics of one arm's out-of-fold blocks, which become its predictions."""
-    if not blocks:
+def _report(config, dataset, folds, fingerprints, records):
+    """One arm's report from its records, in fold order, and the folds' test rows."""
+    skipped = [{"fold": r.fold, "reason": r.skipped} for r in records if r.skipped is not None]
+    kept = [(r, folds[r.fold][1]) for r in records if r.skipped is None]
+    if not kept:
         reasons = sorted({s["reason"] for s in skipped})
         raise ExperimentError(f"every fold was skipped: {'; '.join(reasons)}")
-
-    rows, pred, proba = (np.concatenate(column) for column in zip(*blocks))
+    per_fold = [{"fold": r.fold, "n_test": len(test),
+                 "test_subjects": np.unique(dataset.subject_id[test]).tolist(),
+                 "accuracy": metrics_mod.accuracy(dataset.label[test], r.pred),
+                 "counts": metrics_mod.counts(dataset.label[test], r.pred).tolist()} for r, test in kept]
+    rows, pred, proba = (np.concatenate(c) for c in zip(*((test, r.pred, r.proba) for r, test in kept)))
     truth, attrs = dataset.label[rows], dataset.attrs[rows]
     flags = [f"class-{c}-absent-from-truths" for c in metrics_mod.missing_truth_classes(truth)]
     try:
@@ -255,7 +254,7 @@ def _report(config, dataset, n_folds, fingerprints, blocks, per_fold, skipped):
                                           error=f"attribute {a!r}: {exc}")
     return EvaluationReport(
         config=config.to_flat_dict(),
-        n_folds=n_folds,
+        n_folds=len(folds),
         fold_fingerprints=fingerprints,
         skipped_folds=skipped,
         overall=overall,

@@ -1,15 +1,16 @@
 """The outer folds of an audit in forked processes.
 
 `map_folds(run_fold, n_folds, processes)` returns `[run_fold(f) for f in
-range(n_folds)]`. With w = `processes` >= 2, the caller runs folds 0, w,
-2w, ... and each of w - 1 forked children runs the folds congruent to its
-number modulo w, sending its outcomes back pickled through a pipe. Outcomes
-are put back in fold order, so that they do not depend on w. A fold that
-raises stops its process; the exception of the lowest such fold is raised
-in the caller, as it would be from the serial loop. No child outlives the
-call: each is joined, or killed and then joined, before `map_folds` returns
-or raises. `experiment.run_arms` imports this module when it first runs,
-so that `import fairmix.cli` does not.
+range(n_folds)]` by one path for every process count w = `processes`: the
+caller runs folds 0, w, 2w, ... and each of w - 1 forked children runs the
+folds congruent to its number modulo w, sending its outcomes back pickled
+through a pipe. So w = 1 forks no child and reads no name that exists only
+with `fork`. Outcomes are put back in fold order, so that they do not depend
+on w. A fold that raises stops its process; the exception of the lowest such
+fold is raised in the caller, as it would be from the serial loop. No child
+outlives the call: each is joined, or killed and then joined, before
+`map_folds` returns or raises. `experiment.run_arms` imports this module
+when it first runs, so that `import fairmix.cli` does not.
 """
 
 from __future__ import annotations
@@ -80,8 +81,6 @@ def _receive(pipe):
 
 def map_folds(run_fold, n_folds: int, processes: int) -> list:
     """[run_fold(f) for f in range(n_folds)], over `processes` processes."""
-    if processes < 2:
-        return [run_fold(f) for f in range(n_folds)]
     children = {}  # pid -> (the read end of its pipe, its folds); removed once joined
     try:
         for k in range(1, processes):

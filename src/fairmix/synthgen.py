@@ -9,15 +9,17 @@ detect. Attributes live on subjects; all of a subject's sessions share
 them. A draw whose labels or an attribute take one value warns through
 `Dataset` (DegenerateGroupWarning).
 
-`SynthSpec` checks every rule of a spec when it is built (InputError), so
-a spec that `fairmix validate` passes is one `generate` can draw: integer
+`SynthSpec` checks every rule of a spec when it is built (InputError), so a
+spec that `fairmix validate` passes is one `generate` can draw: integer
 (`errors.is_integer`) subject and session counts, modality dims and seed,
-the seed >= 0, one or more modalities and attributes, each named once and not empty, no attribute
-in `dataset.RESERVED_ATTRIBUTES`, no modality name that
-`dataset.modality_name_fault` refuses (an ``=``, ``\n``, ``\r`` or NUL, or
-edge whitespace), a `bias_attribute` that is empty (the first attribute) or
-declared, proportions and base rates in [0, 1], and finite separations and
-noise. Each rule is a test that a valid value passes, so NaN fails it.
+the seed >= 0, one or more modalities and attributes, each named once and
+not empty, no attribute in `dataset.RESERVED_ATTRIBUTES`, no modality name
+that `dataset.modality_name_fault` refuses (an ``=``, ``\n``, ``\r`` or
+NUL, or edge whitespace), at most `MAX_ROWS` rows (subjects x sessions) and
+`MAX_FEATURE_CELLS` feature cells (rows x the sum of the dims), a
+`bias_attribute` that is empty (the first attribute) or declared,
+proportions and base rates in [0, 1], and finite separations and noise.
+Each rule is a test that a valid value passes, so NaN fails it.
 """
 
 from __future__ import annotations
@@ -29,6 +31,9 @@ import numpy as np
 
 from .dataset import RESERVED_ATTRIBUTES, ColumnMeta, Dataset, ModalityTable, modality_name_fault
 from .errors import InputError, is_integer, seeded_rng
+
+MAX_ROWS = 10**6  # the most rows a spec may draw
+MAX_FEATURE_CELLS = 10**7  # the most feature cells a spec may draw: 80 MB as float64
 
 
 @dataclass(frozen=True)
@@ -70,6 +75,14 @@ class SynthSpec:
                 raise InputError(f"modality {name!r}: dim must be an integer, got {d!r}")
             if not d >= 1:
                 raise InputError(f"modality {name!r}: dim must be >= 1")
+        rows = self.n_subjects * self.sessions_per_subject
+        cells = rows * sum(d for _, d in self.modality_dims)
+        if rows > MAX_ROWS:
+            raise InputError(f"n_subjects x sessions_per_subject = {rows} rows, "
+                             f"more than MAX_ROWS = {MAX_ROWS}")
+        if cells > MAX_FEATURE_CELLS:
+            raise InputError(f"{rows} rows x {cells // rows} feature columns = {cells} feature "
+                             f"cells, more than MAX_FEATURE_CELLS = {MAX_FEATURE_CELLS}")
         for name, p in self.attribute_props:
             if name in RESERVED_ATTRIBUTES:
                 raise InputError(f"attribute {name!r} is a metadata or predictions.csv column")

@@ -452,6 +452,7 @@ class TestSynthSpecRejections:
         "non_numeric": (b"n_subjects=14", b"n_subjects=many", "n_subjects"),
         "no_subjects": (b"n_subjects=14", b"n_subjects=0", "need at least one subject"),
         "zero_dim": (b"modality.face=4", b"modality.face=0", "modality 'face': dim must be >= 1"),
+        "too_many_rows": (b"n_subjects=14", b"n_subjects=1000000000000", "more than MAX_ROWS"),
         # the parser refuses these before SynthSpec, which refuses them too
         "negative_seed": (b"seed=5", b"seed=-1", "seed: expected a non-negative integer, got '-1'"),
         "fractional_seed": (b"seed=5", b"seed=1.5",

@@ -474,7 +474,36 @@ class TestReportCounts:
 METHODS = ("none", "random_oversample", "mixfeat")
 
 
+def assert_per_fold_matches_its_rows(report, cfg, ds):
+    """Each per-fold entry equals a recount of its fold's test rows (from
+    make_folds on the rows in sample_id order) in the report's predictions,
+    which hold the kept folds' rows and no others."""
+    ds = ds.subset(np.argsort(ds.sample_id, kind="stable"))
+    folds = make_folds(cfg, ds)
+    preds = report.predictions
+    at = {sid: i for i, sid in enumerate(preds.sample_id.tolist())}
+    skipped = {s["fold"] for s in report.skipped_folds}
+    assert [e["fold"] for e in report.per_fold] == [f for f in range(len(folds)) if f not in skipped]
+    assert report.n_folds == len(folds)
+    for entry in report.per_fold:
+        rows = [at[sid] for sid in ds.sample_id[folds[entry["fold"]][1]].tolist()]
+        truth, pred = preds.true_label[rows], preds.predicted_label[rows]
+        table = [[int(np.sum((truth == t) & (pred == p))) for p in (0, 1)] for t in (0, 1)]
+        assert entry["n_test"] == len(rows)
+        assert entry["test_subjects"] == sorted(set(preds.subject_id[rows].tolist()))
+        assert entry["accuracy"] == int(np.sum(truth == pred)) / len(rows)
+        assert entry["counts"] == table
+    assert sum(e["n_test"] for e in report.per_fold) == len(at)
+
+
 class TestRunArms:
+    @pytest.mark.parametrize("cfg", [base_config(), base_config(cv_mode="loso")],
+                             ids=["kfold", "loso"])
+    def test_per_fold_entries_match_their_rows(self, cfg):
+        ds = synth(seed=22, n_subjects=10, attribute_props=(("gender", 0.6),))
+        for report in run_arms(cfg, ds, METHODS):
+            assert_per_fold_matches_its_rows(report, cfg, ds)
+
     @pytest.mark.parametrize("cfg", [
         base_config(),
         base_config(model_kind="mlp", model_hyperparams={"epochs": 5}, fusion_strategy="stack_soft"),
@@ -530,9 +559,11 @@ class TestRunArms:
         *kept, mixfeat = run_arms(cfg, ds, METHODS)
         assert mixfeat.skipped_folds == [{"fold": 0, "reason": "injected"}]
         assert mixfeat.per_fold == clean[2].per_fold[1:]
+        assert_per_fold_matches_its_rows(mixfeat, cfg, ds)
         for report, alone in zip(kept, clean):
             assert report.skipped_folds == []
             assert report.to_json_dict() == alone.to_json_dict()
+            assert_per_fold_matches_its_rows(report, cfg, ds)
 
     def test_single_class_split_skipped_in_every_arm(self):
         ds = make_dataset(

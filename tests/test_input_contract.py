@@ -337,6 +337,13 @@ REFUSALS = {
                                "X: expected 2 dimensions, got 3"),
     "as_matrix[unreadable]": (lambda d: as_matrix([[Unsteady()]], "X"), InputError,
                               "X: not a numeric matrix"),
+    # an int beyond float64's range raised numpy's OverflowError
+    "as_matrix[overflow]": (lambda d: as_matrix([[10**400]], "X"), InputError,
+                            "X: value beyond float64's range at row 0, column 0"),
+    "as_matrix[overflow at 1, 1]": (lambda d: as_matrix([[1.0, 2.0], [3.0, -10**400]], "X"),
+                                    InputError, "X: value beyond float64's range at row 1, column 1"),
+    "fit[overflow]": (lambda d: fit(PredictorSpec("logistic"), [[10**400], [1.0]], [0, 1]),
+                      InputError, "training matrix: value beyond float64's range at row 0, column 0"),
     "FusionSpec[strategy]": (lambda d: FusionSpec("median", PredictorSpec("logistic")),
                              ConfigError, "unknown fusion strategy 'median'"),
     "early_fuse[none]": (lambda d: early_fuse([]), InputError, "no modalities to fuse"),

@@ -198,6 +198,23 @@ def test_the_lowest_failing_fold_s_error_is_raised(audit, monkeypatch, fold_proc
         run_experiment(config, ds)
 
 
+def test_one_process_forks_nothing(monkeypatch):
+    def refuse(*args):
+        pytest.fail("map_folds opened a pipe or forked at one process")
+
+    monkeypatch.setattr(os, "fork", refuse)
+    monkeypatch.setattr(os, "pipe", refuse)
+    assert parallel.map_folds(lambda f: ("outcome", f), 4, 1) == [("outcome", f) for f in range(4)]
+
+    def fail_from_fold_2(f):
+        if f >= 2:
+            raise ConfigError(f"fold {f}")
+        return f
+
+    with pytest.raises(ConfigError, match=r"^fold 2$"):
+        parallel.map_folds(fail_from_fold_2, 4, 1)
+
+
 def test_process_count(monkeypatch, fold_processes):
     fold_processes(3)
     assert [parallel.fold_processes(n) for n in (1, 2, 5)] == [1, 2, 3]

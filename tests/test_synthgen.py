@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fairmix.errors import DegenerateGroupWarning, InputError
-from fairmix.synthgen import SynthSpec, generate
+from fairmix.synthgen import MAX_FEATURE_CELLS, MAX_ROWS, SynthSpec, generate
 
 
 class TestGenerate:
@@ -106,11 +106,22 @@ class TestGenerate:
         ({"n_subjects": 2.5}, "n_subjects must be an integer, got 2.5"),
         ({"sessions_per_subject": 4.0}, "sessions_per_subject must be an integer, got 4.0"),
         ({"modality_dims": (("face", 2.5),)}, "modality 'face': dim must be an integer, got 2.5"),
+        # validate passed this spec, and generate ran out of memory drawing it
+        ({"n_subjects": 10**12}, "n_subjects x sessions_per_subject = 4000000000000 rows, "
+                                 "more than MAX_ROWS = 1000000"),
+        ({"n_subjects": 10**5, "modality_dims": (("face", 20), ("audio", 6))},
+         "400000 rows x 26 feature columns = 10400000 feature cells, "
+         "more than MAX_FEATURE_CELLS = 10000000"),
     ])
     def test_rejected_when_built(self, changes, message):
         with pytest.raises(InputError) as info:
             SynthSpec(**changes)
         assert str(info.value) == message
+
+    def test_size_bounds_are_taken(self):
+        spec = SynthSpec(n_subjects=MAX_ROWS // 4,
+                         modality_dims=(("face", MAX_FEATURE_CELLS // MAX_ROWS),))
+        assert spec.n_subjects * spec.sessions_per_subject == MAX_ROWS  # built, not drawn
 
     @pytest.mark.parametrize("rate", [0.0, 1.0])
     def test_base_rate_bounds_are_taken(self, rate):
