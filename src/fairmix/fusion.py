@@ -6,7 +6,10 @@ single base model (early fusion, or any strategy over one modality) gets no
 meta-learner and decides alone: a vote of one returns its own output.
 Stacking meta-features come from ``models.out_of_fold`` on the training
 split, so the meta-learner never sees a base prediction of a model fitted
-on that row; the final base models are then refit on the full split. The
+on that row; out_of_fold hands over every kept internal fold at once, and
+one ``models.fit_many`` call fits every fold's base model of every modality
+(MLPs of one width train there as lanes of one lockstep run). The final
+base models are then refit on the full split, one ``models.fit`` each. The
 meta-learner is ``FusionSpec.meta_model``, logistic unless set.
 """
 
@@ -91,9 +94,11 @@ def fit_stacking_meta(
         raise StackingError("stacking needs at least 2 rows of each class")
     k = min(5 if n >= 10 else 2, int(per_class.min()))
 
-    def base_features(train, test):  # each modality's base model in turn
-        return _stack_features(spec.strategy, [models.fit(spec.base_model, X[train], y[train])
-                                               .predict_proba(X[test]) for X in train_per_modality])
+    def base_features(pairs):  # every fold's base model of every modality, in one call
+        bases = iter(models.fit_many(spec.base_model, [(X[train], y[train]) for X in train_per_modality
+                                                       for train, _ in pairs]))
+        probas = [[next(bases).predict_proba(X[test]) for _, test in pairs] for X in train_per_modality]
+        return [_stack_features(spec.strategy, list(fold)) for fold in zip(*probas)]
 
     assign, blocks = models.out_of_fold(y, k, seed, base_features)
     meta_feats = np.empty((n, blocks[0][1].shape[1]))

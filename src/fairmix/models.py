@@ -18,30 +18,35 @@ Three model kinds:
                block; each step is one Adam update of the vector in Kingma &
                Ba's closed form (the bias corrections folded into the step
                size and epsilon, ICLR 2015 sec. 2), with the two moments as
-               rows of one array (g and g^2 as rows of another) so that each
-               moment update is one call for both; a step computes no loss,
-               and early stopping reads the epoch's loss from the steps' own
-               forward passes (each row's true-class probability before its
-               step, plus L2 at the epoch's end weights), so no pass covers
-               all n rows;
+               halves of one array (g and g^2 as halves of another) so that
+               each moment update is one call for both; a step computes no
+               loss, and early stopping reads the epoch's loss from the
+               steps' own forward passes (each row's true-class probability
+               before its step, plus L2 at the epoch's end weights), so no
+               pass covers all n rows. fit_many trains MLP problems of one
+               width and one number of batches per epoch in lockstep, as
+               lanes: each lane's flat vector is a row of one (L, P) block,
+               and every product, elementwise op, L2 and Adam update takes
+               all lanes in one call (a single fit is one lane);
   * logistic - L2-regularized logistic regression fitted by Newton steps
                (used as the stacking meta-learner); the model keeps the steps
                taken and whether the last met the step rule.
 
 The SMO and MLP training loops allocate no array per step: each step writes
 into arrays made once per fit and calls ufuncs and ndarray methods directly,
-with no dict lookup. An MLP fit binds its per-batch-size work arrays, their
-column views and transposes, and its batches (contiguous slices of the
-epoch's shuffled rows, one-hot labels and true-class probabilities) once;
-the softmax takes the row max and row sum of its two columns elementwise. An
-SMO step moves its pair in Python floats and updates I_up/I_low at that pair
-only. The MLP's products go through np.dot, which on these small 2-D float
-operands calls BLAS with less dispatch than np.matmul and gives the same
-bits. Every step does the floating-point operations of the formulas stated
-here, in their order and on C-ordered operands (fit and predict read X
-through errors.as_matrix as a C-ordered float array), so fits are bitwise
-those of unbuffered loops over the same formulas (tests/test_models.py pins
-them).
+with no dict lookup. An MLP fit binds its batches (row slices of the epoch's
+shuffled rows, one-hot labels and probabilities), their work arrays, column
+views and transposes once; the softmax takes the
+row max and row sum of its two columns elementwise. An SMO solve computes
+every pair's curvature once and keeps -y times the gradient, and a step moves
+its pair in Python floats and updates I_up/I_low at that pair only. The
+MLP's products are stacked np.matmul calls, each lane's slice the BLAS call
+that np.dot makes on it alone. Every step does the floating-point operations
+of the formulas stated here, in their order and on C-ordered operands (fit
+and predict read X through errors.as_matrix as a C-ordered float array), so
+fits are bitwise those of unbuffered loops over the same formulas, and an
+MLP lane's bits do not depend on the lanes beside it (tests/test_models.py
+pins them).
 
 All fits are deterministic (SVM and MLP given their seed; logistic takes
 none). predict() is the argmax of predict_proba(), ties at 0.5 going to 1.
@@ -50,6 +55,7 @@ none). predict() is the argmax of predict_proba(), ties at 0.5 going to 1.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -145,13 +151,14 @@ def argmax_label(proba: np.ndarray) -> np.ndarray:
 
 
 def out_of_fold(y, k, seed, fit_predict):
-    """Each row's fold by folds.internal, and (test rows, fit_predict(train
-    rows, test rows)) per fold of folds.folds_of whose training rows hold both
-    classes."""
+    """Each row's fold by folds.internal, and (test rows, output) per fold of
+    folds.folds_of whose training rows hold both classes. fit_predict takes
+    the list of those folds' (train rows, test rows) pairs at once, so that
+    it may fit them together, and returns one output per pair."""
     y = np.asarray(y)
     assign = folds.internal(y, k, seed)
-    return assign, [(test, fit_predict(train, test)) for train, test in folds.folds_of(assign, k)
-                    if counts(y[train]).all()]
+    pairs = [(train, test) for train, test in folds.folds_of(assign, k) if counts(y[train]).all()]
+    return assign, [(test, out) for (_, test), out in zip(pairs, fit_predict(pairs))]
 
 
 def _validate_training_input(X, y):
@@ -165,6 +172,11 @@ def _validate_training_input(X, y):
     if not per_class.all():
         raise FitError("training labels must contain both classes 0 and 1")
     return X, y
+
+
+def _facts(X):
+    """The TrainedPredictor facts of a model fitted on X."""
+    return {"n_features": X.shape[1], "n_train": X.shape[0]}
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +200,7 @@ class LogisticModel(TrainedPredictor):
         return _sigmoid(X @ self.w + self.b)
 
 
-def _fit_logistic(spec: PredictorSpec, X, y, facts) -> LogisticModel:
+def _fit_logistic(spec: PredictorSpec, X, y) -> LogisticModel:
     hp = spec.resolved()
     l2, max_iter = float(hp["l2"]), int(hp["max_iter"])
     n, d = X.shape
@@ -206,27 +218,38 @@ def _fit_logistic(spec: PredictorSpec, X, y, facts) -> LogisticModel:
         converged = bool(np.max(np.abs(step)) < 1e-10)
         if converged:
             break
-    return LogisticModel(spec, theta[:-1], theta[-1], n_iter, converged, **facts)
+    return LogisticModel(spec, theta[:-1], theta[-1], n_iter, converged, **_facts(X))
 
 
 # ---------------------------------------------------------------------------
 # MLP: tanh hidden layer, softmax output, cross-entropy + L2, Adam
 # ---------------------------------------------------------------------------
 
+@contextmanager
+def _sized_by_hidden_units(h):
+    """Names numpy's refusal of an array whose size hidden_units sets."""
+    try:
+        yield
+    except (ValueError, MemoryError) as exc:
+        raise FitError(f"hidden_units {h}: cannot allocate the MLP's arrays ({exc})") from None
+
+
 def _mlp_net(flat, d, h):
-    """W1b, W2, b2 and W2.T, the arrays a forward or backward pass reads, as
-    views of one flat vector laid out b1, W1, W2, b2; W1b is the (d+1, h)
-    block of b1 over W1, which X with a leading ones column multiplies."""
-    W1b = flat[:(d + 1) * h].reshape(d + 1, h)
-    W2 = flat[(d + 1) * h:(d + 3) * h].reshape(h, 2)
-    return W1b, W2, flat[(d + 3) * h:], W2.T
+    """W1b, W2, b2 and W2's transpose, the arrays a forward or backward pass
+    reads, as views of an (L, P) block of flat vectors, one lane per row,
+    each laid out b1, W1, W2, b2; W1b is a lane's (d+1, h) block of b1 over
+    W1, which X with a leading ones column multiplies, and b2 is (L, 1, 2)
+    so that it adds to every row of its lane."""
+    W1b = flat[:, :(d + 1) * h].reshape(-1, d + 1, h)
+    W2 = flat[:, (d + 1) * h:(d + 3) * h].reshape(-1, h, 2)
+    return W1b, W2, flat[:, None, (d + 3) * h:], W2.transpose(0, 2, 1)
 
 
 def _mlp_views(flat, d, h):
     """b1, W1, W2, b2 as views of one flat vector, in that order, so that the
     two weight matrices form one contiguous block."""
-    W1b, W2, b2, _ = _mlp_net(flat, d, h)
-    return {"b1": W1b[0], "W1": W1b[1:], "W2": W2, "b2": b2}
+    W1b, W2, b2, _ = _mlp_net(flat[None], d, h)
+    return {"b1": W1b[0, 0], "W1": W1b[0, 1:], "W2": W2[0], "b2": b2[0, 0]}
 
 
 def _mlp_init(d, h, rng):
@@ -244,21 +267,23 @@ def _mlp_input(X):
     return np.column_stack([np.ones(X.shape[0]), X])
 
 
-def _mlp_buffers(n, h):
-    """Work arrays for one forward and backward pass on n rows, with the
+def _mlp_buffers(proba, h):
+    """Work arrays for one forward and backward pass of L lanes on n rows
+    each that writes its class probabilities into proba, (L, n, 2), with the
     transposes and column views the passes read."""
-    hidden, proba, rowstat = np.empty((n, h)), np.empty((n, 2)), np.empty((n, 1))
-    return hidden, hidden.T, proba, proba[:, 0], proba[:, 1], rowstat, rowstat[:, 0], np.empty((n, h))
+    hidden, rowstat = np.empty(proba.shape[:2] + (h,)), np.empty(proba.shape[:2] + (1,))
+    return (hidden, hidden.transpose(0, 2, 1), proba, proba[..., 0], proba[..., 1], rowstat,
+            rowstat[..., 0], np.empty(proba.shape), np.empty(hidden.shape))
 
 
 def _mlp_forward(net, X1, buf):
-    """Class probabilities of X1 (X with its ones column), written into buf
-    after its hidden activations."""
+    """Class probabilities of X1 (each lane's rows of X with their ones
+    column), written into buf after its hidden activations."""
     W1b, W2, b2, _ = net
-    hidden, _, proba, p0, p1, rowstat, rowstat_1d, _ = buf
-    np.dot(X1, W1b, out=hidden)
+    hidden, _, proba, p0, p1, rowstat, rowstat_1d, _, _ = buf
+    np.matmul(X1, W1b, out=hidden)
     np.tanh(hidden, out=hidden)
-    np.dot(hidden, W2, out=proba)  # the logits, then softmax in place
+    np.matmul(hidden, W2, out=proba)  # the logits, then softmax in place
     np.add(proba, b2, out=proba)
     np.maximum(p0, p1, out=rowstat_1d)  # the row max and row sum of two columns
     np.subtract(proba, rowstat, out=proba)
@@ -268,32 +293,36 @@ def _mlp_forward(net, X1, buf):
     return proba
 
 
-def _mlp_loss(picked, W1, W2, l2):
-    """Mean cross-entropy of picked, each row's probability of its true class
-    (overwritten), plus (l2/2)*||W||^2."""
+def _mlp_loss(picked, lane_picked, weights, squares, dh, l2):
+    """Each lane's mean cross-entropy plus (l2/2)*||W||^2, as a list: picked
+    holds each row's probability of its true class (overwritten), lane l's
+    rows in lane_picked[l], a view of it; row l of weights is lane l's W1
+    (its first dh entries) then W2, and squares an array of its shape."""
     np.maximum(picked, 1e-300, out=picked)
-    loss = -(np.add.reduce(np.log(picked, out=picked)) / len(picked))
-    return loss + 0.5 * l2 * (np.add.reduce(np.square(W1), axis=None)
-                              + np.add.reduce(np.square(W2), axis=None))
+    np.log(picked, out=picked)
+    np.square(weights, out=squares)
+    w1, w2 = np.add.reduce(squares[:, :dh], axis=1).tolist(), np.add.reduce(squares[:, dh:], axis=1).tolist()
+    return [-(np.add.reduce(p) / len(p)) + 0.5 * l2 * (a + b) for p, a, b in zip(lane_picked, w1, w2)]
 
 
 def _mlp_backward(net, X1T, onehot, grads, buf):
     """Write the gradient of the mean cross-entropy (no L2 term) into grads
-    (gW1b, gW2, gb2), from the forward pass in buf; X1T is the pass's X1.T
-    and onehot the (n, 2) indicator of the labels. The pass's work arrays
-    are overwritten."""
+    (gW1b, gW2, gb2), from the forward pass in buf; X1T is the pass's X1
+    with each lane transposed and onehot the (L, n, 2) indicator of the
+    labels. The pass's work arrays, but not its probabilities, are
+    overwritten."""
     W2T = net[3]
     gW1b, gW2, gb2 = grads
-    hidden, hiddenT, dlogits, _, _, _, _, dhidden = buf
-    np.subtract(dlogits, onehot, out=dlogits)
-    np.divide(dlogits, X1T.shape[1], out=dlogits)
-    np.dot(hiddenT, dlogits, out=gW2)
-    np.add.reduce(dlogits, axis=0, out=gb2)
-    np.dot(dlogits, W2T, out=dhidden)
+    hidden, hiddenT, proba, _, _, _, _, dlogits, dhidden = buf
+    np.subtract(proba, onehot, out=dlogits)
+    np.divide(dlogits, X1T.shape[2], out=dlogits)
+    np.matmul(hiddenT, dlogits, out=gW2)
+    np.add.reduce(dlogits, axis=1, keepdims=True, out=gb2)
+    np.matmul(dlogits, W2T, out=dhidden)
     np.square(hidden, out=hidden)
     np.subtract(1.0, hidden, out=hidden)
     np.multiply(dhidden, hidden, out=dhidden)
-    np.dot(X1T, dhidden, out=gW1b)  # row 0, through the ones column, is gb1
+    np.matmul(X1T, dhidden, out=gW1b)  # row 0, through the ones column, is gb1
 
 
 def mlp_loss_and_grads(params, X, y, l2):
@@ -304,14 +333,15 @@ def mlp_loss_and_grads(params, X, y, l2):
     differences.
     """
     d, h = params["W1"].shape
-    theta = np.concatenate([params[k].ravel() for k in ("b1", "W1", "W2", "b2")])
-    grad = np.empty(theta.size)
-    X1, buf = _mlp_input(X), _mlp_buffers(X.shape[0], h)
+    theta = np.concatenate([params[k].ravel() for k in ("b1", "W1", "W2", "b2")])[None]
+    grad = np.empty(theta.shape)
+    X1, buf = _mlp_input(X)[None], _mlp_buffers(np.empty((1, len(y), 2)), h)
     net = _mlp_net(theta, d, h)
     proba = _mlp_forward(net, X1, buf)
-    loss = _mlp_loss(proba[np.arange(len(y)), y], params["W1"], params["W2"], l2)
-    _mlp_backward(net, X1.T, np.eye(2)[y], _mlp_net(grad, d, h)[:3], buf)
-    grads = _mlp_views(grad, d, h)
+    picked, weights = proba[:, np.arange(len(y)), y], theta[:, h:(d + 3) * h]
+    [loss] = _mlp_loss(picked, picked, weights, np.empty(weights.shape), d * h, l2)
+    _mlp_backward(net, X1.transpose(0, 2, 1), np.eye(2)[y][None], _mlp_net(grad, d, h)[:3], buf)
+    grads = _mlp_views(grad[0], d, h)
     for k in ("W1", "W2"):
         np.add(grads[k], l2 * params[k], out=grads[k])
     return loss, grads
@@ -331,87 +361,132 @@ class MlpModel(TrainedPredictor):
         return _mlp_views(self.theta, self.n_features, self.hidden_units)
 
     def proba_positive(self, X):
-        net = _mlp_net(self.theta, self.n_features, self.hidden_units)
-        return _mlp_forward(net, _mlp_input(X), _mlp_buffers(X.shape[0], self.hidden_units))[:, 1]
+        net = _mlp_net(self.theta[None], self.n_features, self.hidden_units)
+        buf = _mlp_buffers(np.empty((1, X.shape[0], 2)), self.hidden_units)
+        return _mlp_forward(net, _mlp_input(X)[None], buf)[0, :, 1]
 
 
-def _fit_mlp(spec: PredictorSpec, X, y, facts) -> MlpModel:
+def _fit_mlp_lanes(spec: PredictorSpec, problems) -> list:
+    """One MlpModel per (X, y) problem, in order, for problems of one width d
+    and one number of batches per epoch, trained in lockstep: lane l's
+    parameters are row l of one (L, P) block. Each lane keeps its own
+    generator and its own shuffle of its rows. A product takes every lane's
+    batch in one stacked np.matmul, and each elementwise op, L2 and Adam
+    take every lane in one call. A lane that stops early leaves the block.
+    A lane does the floating-point operations of its fit alone, so its bits
+    do not depend on the lanes beside it; a single fit is the one-lane
+    case."""
     hp = spec.resolved()
     h = int(hp["hidden_units"])
     # numpy scalars: a ufunc converts a Python float on every call
     lr, l2, eps = np.float64(hp["learning_rate"]), np.float64(hp["l2"]), np.float64(1e-8)
-    epochs = int(hp["epochs"])
-    batch = min(int(hp["batch_size"]), X.shape[0])
-    rng = seeded_rng(hp["seed"])
-    n, d = X.shape
+    epochs, batch = int(hp["epochs"]), int(hp["batch_size"])
+    d = problems[0][0].shape[1]
     n_weights = d * h + h * 2
     beta1, beta2 = 0.9, 0.999
+    # lanes in order of n: they share every batch but the last, and the
+    # lanes of one last-batch size are a contiguous slice
+    lanes = sorted(range(len(problems)), key=lambda i: len(problems[i][1]))
+    rows = [len(problems[i][1]) for i in lanes]
+    n_max = rows[-1]
+    last = (-(-n_max // batch) - 1) * batch  # the last batch's first row
+    with _sized_by_hidden_units(h):
+        rngs = [seeded_rng(hp["seed"]) for _ in lanes]
+        theta = np.stack([_mlp_init(d, h, rng)["b1"].base for rng in rngs])
+        moments = np.zeros((2,) + theta.shape)  # Adam's two moments, as one array
+    # each lane's rows with their ones column, one-hot labels and labels,
+    # zero-padded to n_max rows
+    X1, onehot = np.zeros((len(lanes), n_max, d + 1)), np.zeros((len(lanes), n_max, 2))
+    labels = np.zeros((len(lanes), n_max), dtype=np.intp)
+    for l, i in enumerate(lanes):
+        X, y = problems[i]
+        X1[l, :len(y)], onehot[l, :len(y)], labels[l, :len(y)] = _mlp_input(X), np.eye(2)[y], y
+    best, stall, fitted = [math.inf] * len(lanes), [0] * len(lanes), [None] * len(problems)
+    t = epoch = 0
+    while lanes:
+        L = len(lanes)
+        with _sized_by_hidden_units(h):
+            # g and g^2 as the two halves of one array, like the moments
+            work, decay = np.empty(moments.shape), np.empty(moments.shape)
+            decay[0], decay[1] = beta1, beta2
+            reg, squares = np.empty((L, n_weights)), np.empty((L, n_weights))
+            # each epoch's shuffled rows and one-hot labels, and proba, which
+            # keeps every batch's probabilities for the epoch's loss; a batch
+            # is a row slice of them
+            X_epoch, onehot_epoch, proba = np.empty(X1.shape), np.empty(onehot.shape), np.zeros(onehot.shape)
 
-    try:  # the arrays whose size hidden_units sets
-        params = _mlp_init(d, h, rng)
-        theta = params["b1"].base  # the new flat vector behind all four views
-        # Adam's two moments as rows of one array, g and g^2 as rows of another
-        moments, work = np.zeros((2, theta.size)), np.empty((2, theta.size))
-        decay = np.repeat([[beta1], [beta2]], theta.size, axis=1)
-        keep, reg = 1.0 - decay, np.empty(n_weights)
-        bufs = {size: _mlp_buffers(size, h) for size in {batch, n % batch or batch}}
-    except (ValueError, MemoryError) as exc:
-        raise FitError(f"hidden_units {h}: cannot allocate the MLP's arrays ({exc})") from None
-    net, grad, grad_sq, m, v = _mlp_net(theta, d, h), work[0], work[1], moments[0], moments[1]
-    grads = _mlp_net(grad, d, h)[:3]
-    weights, grad_w = theta[h:h + n_weights], grad[h:h + n_weights]  # W1 and W2, after b1
-    t = 0
-    best_loss, stall = math.inf, 0
-    # each epoch's shuffled rows and labels; batches are contiguous slices of
-    # them, and of picked, where each step copies its rows' true-class
-    # probabilities from their flat indices 2*(row % batch) + label in proba
-    onehot = np.eye(2)[y]
-    X1, X_epoch, onehot_epoch = _mlp_input(X), np.empty((n, d + 1)), np.empty((n, 2))
-    row_at, at, picked = 2 * (np.arange(n) % batch), np.empty(n, dtype=np.intp), np.empty(n)
-    batches = [(X_epoch[s:s + batch], X_epoch[s:s + batch].T, onehot_epoch[s:s + batch],
-                at[s:s + batch], picked[s:s + batch], bufs[min(batch, n - s)])
-               for s in range(0, n, batch)]
-    # a diverging run overflows here; the loss check below names it
-    with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(epochs):
-            order = rng.permutation(n)
-            X1.take(order, axis=0, out=X_epoch)
-            onehot.take(order, axis=0, out=onehot_epoch)
-            y.take(order, out=at)
-            np.add(at, row_at, out=at)
-            for Xb, XbT, onehot_b, at_b, picked_b, buf in batches:
-                _mlp_forward(net, Xb, buf).take(at_b, out=picked_b)
-                _mlp_backward(net, XbT, onehot_b, grads, buf)
-                np.multiply(weights, l2, out=reg)
-                np.add(grad_w, reg, out=grad_w)
-                # Adam: m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g^2, then
-                # theta -= lr*(m/(1-b1^t)) / (sqrt(v/(1-b2^t)) + eps), taken in
-                # Kingma & Ba's closed form a_t*m / (sqrt(v) + eps_t), with
-                # a_t = lr*sqrt(1-b2^t)/(1-b1^t) and eps_t = eps*sqrt(1-b2^t)
-                t += 1
-                root = math.sqrt(1.0 - beta2 ** t)
-                a_t, eps_t = lr * (root / (1.0 - beta1 ** t)), eps * root
-                np.square(grad, out=grad_sq)
-                np.multiply(moments, decay, out=moments)
-                np.multiply(work, keep, out=work)
-                np.add(moments, work, out=moments)
-                np.sqrt(v, out=grad_sq)
-                np.add(grad_sq, eps_t, out=grad_sq)
-                np.divide(m, grad_sq, out=grad)
-                np.multiply(grad, a_t, out=grad)
-                np.subtract(theta, grad, out=theta)
-            # the epoch's loss: its rows' cross-entropy before their steps, and
-            # L2 at the end weights, so an overflow in the last step shows
-            loss = _mlp_loss(picked, params["W1"], params["W2"], l2)
-            if not np.isfinite(loss):
-                raise FitError("MLP loss is not finite")
-            if loss < best_loss - 1e-6:
-                best_loss, stall = loss, 0
-            else:
-                stall += 1
-                if stall >= 20:
+            def bound(lo, hi, start, size):  # lanes lo:hi, rows start:start+size
+                Xb = X_epoch[lo:hi, start:start + size]
+                return (_mlp_net(theta[lo:hi], d, h), _mlp_net(work[0, lo:hi], d, h)[:3], Xb,
+                        Xb.transpose(0, 2, 1), onehot_epoch[lo:hi, start:start + size],
+                        _mlp_buffers(proba[lo:hi, start:start + size], h))
+            steps = [[bound(0, L, start, batch)] for start in range(0, last, batch)]
+            steps.append([bound(rows.index(n), rows.index(n) + rows.count(n), last, n - last)
+                          for n in sorted(set(rows))])
+        keep, grad, grad_sq, m, v = 1.0 - decay, work[0], work[1], moments[0], moments[1]
+        weights, grad_w = theta[:, h:h + n_weights], grad[:, h:h + n_weights]  # W1 and W2, after b1
+        # the epoch's row order as indices into X1's rows, each lane's
+        # offset by its first row, and the flat indices of each row's
+        # true-class probability in proba
+        order, at = np.zeros((L, n_max), dtype=np.intp), np.empty((L, n_max), dtype=np.intp)
+        row_at, picked = 2 * np.arange(L * n_max).reshape(L, n_max), np.empty((L, n_max))
+        shuffles = [(rng, n, l * n_max, order[l, :n]) for l, (rng, n) in enumerate(zip(rngs, rows))]
+        lane_picked = [picked[l, :n] for l, n in enumerate(rows)]
+        X1_rows, onehot_rows = X1.reshape(-1, d + 1), onehot.reshape(-1, 2)
+        # a diverging run overflows here; the loss check below names it
+        with np.errstate(over="ignore", invalid="ignore"):
+            while True:
+                for rng, n, first, lane_order in shuffles:
+                    np.add(rng.permutation(n), first, out=lane_order)
+                X1_rows.take(order, axis=0, out=X_epoch)
+                onehot_rows.take(order, axis=0, out=onehot_epoch)
+                labels.take(order, out=at)
+                np.add(at, row_at, out=at)
+                for step in steps:
+                    for net, grads, Xb, XbT, onehot_b, buf in step:
+                        _mlp_forward(net, Xb, buf)
+                        _mlp_backward(net, XbT, onehot_b, grads, buf)
+                    np.multiply(weights, l2, out=reg)
+                    np.add(grad_w, reg, out=grad_w)
+                    # Adam: m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g^2, then
+                    # theta -= lr*(m/(1-b1^t)) / (sqrt(v/(1-b2^t)) + eps), taken in
+                    # Kingma & Ba's closed form a_t*m / (sqrt(v) + eps_t), with
+                    # a_t = lr*sqrt(1-b2^t)/(1-b1^t) and eps_t = eps*sqrt(1-b2^t)
+                    t += 1
+                    root = math.sqrt(1.0 - beta2 ** t)
+                    a_t, eps_t = lr * (root / (1.0 - beta1 ** t)), eps * root
+                    np.square(grad, out=grad_sq)
+                    np.multiply(moments, decay, out=moments)
+                    np.multiply(work, keep, out=work)
+                    np.add(moments, work, out=moments)
+                    np.sqrt(v, out=grad_sq)
+                    np.add(grad_sq, eps_t, out=grad_sq)
+                    np.divide(m, grad_sq, out=grad)
+                    np.multiply(grad, a_t, out=grad)
+                    np.subtract(theta, grad, out=theta)
+                # the epoch's loss: its rows' cross-entropy before their steps, and
+                # L2 at the end weights, so an overflow in the last step shows
+                proba.take(at, out=picked)
+                loss = _mlp_loss(picked, lane_picked, weights, squares, d * h, l2)
+                epoch += 1
+                if not all(map(math.isfinite, loss)):
+                    raise FitError("MLP loss is not finite")
+                for l, lane_loss in enumerate(loss):
+                    if lane_loss < best[l] - 1e-6:
+                        best[l], stall[l] = lane_loss, 0
+                    else:
+                        stall[l] += 1
+                if epoch == epochs or max(stall) >= 20:
                     break
-    return MlpModel(spec, theta, h, epoch + 1, stall >= 20, float(loss), **facts)
+        for l, i in enumerate(lanes):
+            if epoch == epochs or stall[l] >= 20:
+                fitted[i] = MlpModel(spec, theta[l].copy(), h, epoch, stall[l] >= 20, float(loss[l]),
+                                     **_facts(problems[i][0]))
+        going = [l for l, i in enumerate(lanes) if fitted[i] is None]
+        theta, moments = theta[going], np.ascontiguousarray(moments[:, going])
+        X1, onehot, labels = X1[going], onehot[going], labels[going]
+        lanes, rngs, rows, best, stall = ([seq[l] for l in going] for seq in (lanes, rngs, rows, best, stall))
+    return fitted
 
 
 # ---------------------------------------------------------------------------
@@ -439,26 +514,25 @@ def _smo(K, y, C, tol):
     """
     n = len(y)
     alpha = np.zeros(n)
-    grad = -np.ones(n)  # gradient of the dual objective
-    diag = np.diag(K)
-    pos, neg_y = y > 0, -y
+    # -y * the dual objective's gradient, kept as a step moves it
+    score = np.array(y, dtype=float)
+    # each pair's curvature K_ii + K_jj - 2 K_ij, floored, read row by row
+    curvatures = np.add.outer(np.diag(K), np.diag(K))
+    np.subtract(curvatures, np.multiply(2.0, K), out=curvatures)
+    np.maximum(curvatures, 1e-12, out=curvatures)
+    pos = y > 0
     # I_up (alpha may move by +y) and I_low (by -y) at alpha = 0; a step
     # changes them only at the pair it moves
     up, low, mask = pos.copy(), ~pos, np.empty(n, dtype=bool)
-    score, gap, curvature, gain, row = (np.empty(n) for _ in range(5))
+    gap, gain, row = (np.empty(n) for _ in range(3))
     for _ in range(SMO_MAX_ITER):
-        np.multiply(neg_y, grad, out=score)
         np.copyto(gain, -np.inf)
         np.copyto(gain, score, where=up)
         i = int(gain.argmax())
-        score_i, K_i = score[i], K[i]
+        score_i, K_i, curvature = score[i], K[i], curvatures[i]
         if score_i - np.minimum.reduce(score, where=low, initial=np.inf) < tol:
             break
         np.subtract(score_i, score, out=gap)
-        np.add(diag[i], diag, out=curvature)
-        np.multiply(2.0, K_i, out=row)
-        np.subtract(curvature, row, out=curvature)
-        np.maximum(curvature, 1e-12, out=curvature)
         np.multiply(gap, gap, out=gain)
         np.divide(gain, curvature, out=gain)
         np.greater(gap, 0, out=mask)
@@ -478,10 +552,10 @@ def _smo(K, y, C, tol):
         alpha[i], alpha[j] = ai, aj
         up[i], low[i] = (ai < C, ai > 0) if pos[i] else (ai > 0, ai < C)
         up[j], low[j] = (aj < C, aj > 0) if pos[j] else (aj > 0, aj < C)
+        # the gradient moves by t*y*(K_i - K_j), so score by -t*(K_i - K_j)
         np.subtract(K_i, K[j], out=row)
-        np.multiply(t, y, out=gain)
-        np.multiply(gain, row, out=gain)
-        np.add(grad, gain, out=grad)
+        np.multiply(row, t, out=row)
+        np.subtract(score, row, out=score)
     else:
         raise FitError("SMO did not reach the KKT tolerance")
     free = up & low
@@ -543,16 +617,19 @@ def _resolve_gamma(hp, X):
     return float(hp["gamma"])
 
 
-def _fit_svm(spec: PredictorSpec, X, y, facts) -> SvmModel:
+def _fit_svm(spec: PredictorSpec, X, y) -> SvmModel:
     hp = spec.resolved()
     C, tol = float(hp["C"]), float(hp["tol"])
     gamma = _resolve_gamma(hp, X)
     K = _rbf_kernel(X, X, gamma)  # sliced for the Platt folds
     y_pm = np.where(y == 1, 1.0, -1.0)
 
-    def decision_values(train, test):  # of the SMO fitted on the train rows
-        alpha_f, b_f = _smo(K[np.ix_(train, train)], y_pm[train], C, tol)
-        return (alpha_f * y_pm[train]) @ K[np.ix_(train, test)] - b_f
+    def decision_values(pairs):  # of the SMO fitted on each pair's train rows, in turn
+        out = []
+        for train, test in pairs:
+            alpha_f, b_f = _smo(K[np.ix_(train, train)], y_pm[train], C, tol)
+            out.append((alpha_f * y_pm[train]) @ K[np.ix_(train, test)] - b_f)
+        return out
     # Platt calibration on out-of-fold decision values (3 internal folds), or
     # in-sample when the kept folds' test rows hold one class or none (tiny
     # training sets, a class of one row)
@@ -562,15 +639,30 @@ def _fit_svm(spec: PredictorSpec, X, y, facts) -> SvmModel:
         blocks = [(np.arange(len(y)), (alpha * y_pm) @ K - b)]
     rows, decisions = (np.concatenate(part) for part in zip(*blocks))
     platt_ab = _platt_sigmoid(decisions, y[rows])
-    return SvmModel(spec, X.copy(), y_pm, alpha, b, gamma, platt_ab, **facts)
+    return SvmModel(spec, X.copy(), y_pm, alpha, b, gamma, platt_ab, **_facts(X))
 
 
 # ---------------------------------------------------------------------------
 # dispatch
 # ---------------------------------------------------------------------------
 
+def fit_many(spec: PredictorSpec, problems) -> list:
+    """fit() of each (X, y) in problems, in order. MLP problems of one width
+    and one number of batches per epoch train as the lanes of one lockstep
+    run, each to the bits of its fit alone."""
+    problems = [_validate_training_input(X, y) for X, y in problems]
+    if spec.kind != "mlp":
+        fitter = {"logistic": _fit_logistic, "rbf_svm": _fit_svm}[spec.kind]
+        return [fitter(spec, X, y) for X, y in problems]
+    batch, groups = int(spec.resolved()["batch_size"]), {}
+    for i, (X, y) in enumerate(problems):
+        groups.setdefault((X.shape[1], -(-len(y) // batch)), []).append(i)
+    fitted = [None] * len(problems)
+    for members in groups.values():
+        for i, model in zip(members, _fit_mlp_lanes(spec, [problems[i] for i in members])):
+            fitted[i] = model
+    return fitted
+
+
 def fit(spec: PredictorSpec, X, y) -> TrainedPredictor:
-    X, y = _validate_training_input(X, y)
-    facts = {"n_features": X.shape[1], "n_train": X.shape[0]}
-    fitter = {"logistic": _fit_logistic, "mlp": _fit_mlp, "rbf_svm": _fit_svm}[spec.kind]
-    return fitter(spec, X, y, facts)
+    return fit_many(spec, [(X, y)])[0]

@@ -136,10 +136,13 @@ class TestGoldenFolds:
 
     def test_platt_folds(self, monkeypatch):
         # the SVM's internal calibration folds for seed 4, as its fit draws them
-        calls = []
+        calls, batches = [], []
 
         def spy(y, k, seed, fit_predict):
-            calls.append((y.tolist(), k, seed, out_of_fold(y, k, seed, fit_predict)))
+            def batched(pairs):  # the kept folds' (train, test) pairs, in one call
+                batches.append(len(pairs))
+                return fit_predict(pairs)
+            calls.append((y.tolist(), k, seed, out_of_fold(y, k, seed, batched)))
             return calls[-1][-1]
 
         monkeypatch.setattr(models_mod, "out_of_fold", spy)
@@ -147,6 +150,7 @@ class TestGoldenFolds:
         [(y, k, seed, (assign, _))] = calls
         assert (y, k, seed) == (self.LABELS, 3, 5)
         assert assign.tolist() == [0, 1, 1, 0, 0, 2, 2, 0, 1, 1, 1, 2, 0, 0, 1, 2]
+        assert batches == [3]
 
     def test_stacking_folds(self):
         y = np.array(self.LABELS)

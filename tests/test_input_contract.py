@@ -230,7 +230,7 @@ SMALL = generate(SynthSpec(n_subjects=6, sessions_per_subject=2))
 SMALL_XS = [t.samples for t in SMALL.modalities]
 STACK = FusionSpec("stack_soft", PredictorSpec("logistic"))
 
-# name -> a seeded operation as a function of its seed. `_fit_mlp` and
+# name -> a seeded operation as a function of its seed. `_fit_mlp_lanes` and
 # `synthgen.generate` seed through the same helper, but PredictorSpec and
 # SynthSpec refuse a bad seed first, in their own words.
 SEED_ENTRIES = {

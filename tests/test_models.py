@@ -14,6 +14,7 @@ from fairmix.models import (
     DEFAULT_HYPERPARAMS,
     PredictorSpec,
     fit,
+    fit_many,
     mlp_loss_and_grads,
     out_of_fold,
     _mlp_init,
@@ -120,8 +121,13 @@ class TestOutOfFold:
     @pytest.mark.parametrize("seed", range(3))
     def test_fold_whose_training_rows_hold_one_class_is_skipped(self, seed):
         # the one positive row lands in fold 0, so fold 0 trains on negatives only
-        y = [0, 0, 0, 1]
-        assign, blocks = out_of_fold(y, 3, seed, lambda train, test: train)
+        y, calls = [0, 0, 0, 1], []
+
+        def trains(pairs):  # every kept fold's (train, test) pair in one call
+            calls.append(len(pairs))
+            return [train for train, _ in pairs]
+        assign, blocks = out_of_fold(y, 3, seed, trains)
+        assert calls == [2]
         assert assign[3] == 0 and sorted(assign.tolist()) == [0, 0, 1, 2]
         assert [assign[test].tolist() for test, _ in blocks] == [[1], [2]]
         for test, train in blocks:
@@ -230,13 +236,13 @@ class TestMlp:
     def test_no_pass_covers_all_rows(self, monkeypatch):
         forward, rows = models._mlp_forward, []
 
-        def spy(net, X, buf):
-            rows.append(X.shape[0])
+        def spy(net, X, buf):  # X: (lanes, rows, d + 1)
+            rows.append(X.shape[:2])
             return forward(net, X, buf)
         monkeypatch.setattr(models, "_mlp_forward", spy)
         X, y = blobs()  # 40 rows, 4 batches of 10
         fit(PredictorSpec("mlp", {"batch_size": 10, "epochs": 3}), X, y)
-        assert rows == [10] * 12
+        assert rows == [(1, 10)] * 12
 
     def test_gradient_check_against_finite_differences(self):
         rng = np.random.default_rng(0)
@@ -373,6 +379,78 @@ class TestMlpLayout:
         params["b1"][:] = rng.normal(size=4)  # off their zero start
         params["b2"][:] = rng.normal(size=2)
         assert_gradients_match_finite_differences(params, X, y, 1e-3)
+
+
+class TestMlpLanes:
+    """fit_many trains MLP problems of one width and one number of batches
+    per epoch in lockstep; each lane ends with the bits of its fit alone."""
+
+    @staticmethod
+    def assert_lanes_are_single_fits(hp, problems, monkeypatch, lanes_per_call):
+        calls, lanes = [], models._fit_mlp_lanes
+
+        def spy(spec, group):
+            calls.append(len(group))
+            return lanes(spec, group)
+        monkeypatch.setattr(models, "_fit_mlp_lanes", spy)
+        spec = PredictorSpec("mlp", hp)
+        fitted = fit_many(spec, problems)
+        assert calls == lanes_per_call
+        for (X, y), m in zip(problems, fitted):
+            alone = fit(spec, X, y)
+            assert m.theta.tobytes() == alone.theta.tobytes()
+            assert (m.epochs_run, m.stopped_early, m.n_train) == (alone.epochs_run, alone.stopped_early, len(y))
+            assert m.final_loss.hex() == alone.final_loss.hex()
+        return fitted
+
+    def test_mixed_rows_and_batch_counts(self, monkeypatch):
+        # 2 batches of 32 for n 33..64 (33 and 65 leave one row for the last
+        # batch), 3 for 65 and 70
+        ns = [40, 65, 33, 64, 50, 70]
+        problems = [mlp_problem(20 + i, n, 3) for i, n in enumerate(ns)]
+        self.assert_lanes_are_single_fits({"hidden_units": 8, "epochs": 15}, problems, monkeypatch, [4, 2])
+
+    def test_rows_below_the_batch_size(self, monkeypatch):
+        # batch_size clamps to each lane's n: one batch, of 5, 7, 7 and 12 rows
+        problems = [mlp_problem(30 + i, n, 4) for i, n in enumerate([12, 5, 7, 7])]
+        self.assert_lanes_are_single_fits({"hidden_units": 6, "epochs": 12}, problems, monkeypatch, [4])
+
+    def test_one_feature_and_one_hidden_unit(self, monkeypatch):
+        problems = [mlp_problem(40 + i, n, 1) for i, n in enumerate([45, 41, 48])]
+        self.assert_lanes_are_single_fits({"hidden_units": 1, "batch_size": 8, "epochs": 20}, problems,
+                                          monkeypatch, [3])
+
+    def test_lanes_that_stop_early_leave_the_others_running(self, monkeypatch):
+        # golden case 3's settings: the stall rule stops four of these lanes,
+        # one at a time, after 204 to 326 epochs; the other two run all 400
+        problems = [mlp_problem(seed, n, 2, sep) for seed, n, sep in
+                    [(4, 30, 6.0), (1, 28, 1.0), (2, 25, 0.5), (3, 31, 0.0), (5, 20, 1.0), (7, 17, 0.3)]]
+        hp = {"hidden_units": 4, "epochs": 400, "learning_rate": 0.05, "l2": 1e-2}
+        fitted = self.assert_lanes_are_single_fits(hp, problems, monkeypatch, [6])
+        assert [(m.epochs_run, m.stopped_early) for m in fitted] == [
+            (400, False), (326, True), (204, True), (306, True), (263, True), (400, False)]
+
+    def test_a_diverging_lane_is_a_fit_error(self):
+        # at this step size the second problem alone overflows, the others do not
+        spec = PredictorSpec("mlp", {"hidden_units": 4, "epochs": 3, "learning_rate": 1e153,
+                                     "l2": 0.0, "batch_size": 8})
+        problems = [mlp_problem(seed, 20, 2, sep) for seed, sep in [(0, 0.0), (4, 3.0), (1, 3.0)]]
+        for i in (0, 2):
+            fit(spec, *problems[i])
+        for group in ([problems[1]], problems):
+            with pytest.raises(FitError, match="^MLP loss is not finite$"):
+                fit_many(spec, group)
+
+    def test_unallocatable_hidden_layer_is_a_fit_error(self):
+        X, y = blobs()
+        with pytest.raises(FitError, match="^hidden_units 2000000000000000000: cannot allocate"):
+            fit_many(PredictorSpec("mlp", {"hidden_units": 2 * 10**18}), [(X, y), (X[:30], y[:30])])
+
+    def test_results_come_back_in_problem_order(self):
+        # the lanes run in order of n, across two widths
+        problems = [mlp_problem(50, 40, 2), mlp_problem(51, 36, 3), mlp_problem(52, 38, 2)]
+        fitted = fit_many(PredictorSpec("mlp", {"epochs": 3}), problems)
+        assert [(m.n_train, m.n_features) for m in fitted] == [(40, 2), (36, 3), (38, 2)]
 
 
 class TestLogistic:
