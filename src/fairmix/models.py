@@ -36,17 +36,17 @@ The SMO and MLP training loops allocate no array per step: each step writes
 into arrays made once per fit and calls ufuncs and ndarray methods directly,
 with no dict lookup. An MLP fit binds its batches (row slices of the epoch's
 shuffled rows, one-hot labels and probabilities), their work arrays, column
-views and transposes once; the softmax takes the
-row max and row sum of its two columns elementwise. An SMO solve computes
-every pair's curvature once and keeps -y times the gradient, and a step moves
-its pair in Python floats and updates I_up/I_low at that pair only. The
-MLP's products are stacked np.matmul calls, each lane's slice the BLAS call
-that np.dot makes on it alone. Every step does the floating-point operations
-of the formulas stated here, in their order and on C-ordered operands (fit
-and predict read X through errors.as_matrix as a C-ordered float array), so
-fits are bitwise those of unbuffered loops over the same formulas, and an
-MLP lane's bits do not depend on the lanes beside it (tests/test_models.py
-pins them).
+views and transposes once; the softmax takes the row max and row sum of its
+two columns elementwise. An SMO solve computes every pair's curvature once
+and keeps -y times the gradient, and a step moves its pair in Python floats
+and updates I_up/I_low at that pair only. A lone MLP lane runs on plain 2-D
+arrays with np.dot, and a block of lanes on 3-D arrays with stacked
+np.matmul, each lane's slice the BLAS call that np.dot makes on it alone.
+Every step does the floating-point operations of the formulas stated here,
+in their order and on C-ordered operands (fit and predict read X through
+errors.as_matrix as a C-ordered float array), so fits are bitwise those of
+unbuffered loops over the same formulas, and an MLP lane's bits do not
+depend on the lanes beside it (tests/test_models.py pins them).
 
 All fits are deterministic (SVM and MLP given their seed; logistic takes
 none). predict() is the argmax of predict_proba(), ties at 0.5 going to 1.
@@ -235,21 +235,21 @@ def _sized_by_hidden_units(h):
 
 
 def _mlp_net(flat, d, h):
-    """W1b, W2, b2 and W2's transpose, the arrays a forward or backward pass
-    reads, as views of an (L, P) block of flat vectors, one lane per row,
-    each laid out b1, W1, W2, b2; W1b is a lane's (d+1, h) block of b1 over
-    W1, which X with a leading ones column multiplies, and b2 is (L, 1, 2)
-    so that it adds to every row of its lane."""
-    W1b = flat[:, :(d + 1) * h].reshape(-1, d + 1, h)
-    W2 = flat[:, (d + 1) * h:(d + 3) * h].reshape(-1, h, 2)
-    return W1b, W2, flat[:, None, (d + 3) * h:], W2.transpose(0, 2, 1)
+    """W1b, W2, b2 and W2's transpose, the views of flat vectors laid out b1,
+    W1, W2, b2 that a pass reads, and its product: np.dot on one lane's 2-D
+    views, or np.matmul on the stacked 3-D views of an (L, P) block, a lane
+    per row. W1b is b1 over W1, which X with a leading ones column
+    multiplies; b2 has a row axis of one, so that it adds to every row."""
+    W1b = flat[..., :(d + 1) * h].reshape(flat.shape[:-1] + (d + 1, h))
+    W2 = flat[..., (d + 1) * h:(d + 3) * h].reshape(flat.shape[:-1] + (h, 2))
+    return W1b, W2, flat[..., None, (d + 3) * h:], W2.swapaxes(-1, -2), np.matmul if flat.ndim > 1 else np.dot
 
 
 def _mlp_views(flat, d, h):
     """b1, W1, W2, b2 as views of one flat vector, in that order, so that the
     two weight matrices form one contiguous block."""
-    W1b, W2, b2, _ = _mlp_net(flat[None], d, h)
-    return {"b1": W1b[0, 0], "W1": W1b[0, 1:], "W2": W2[0], "b2": b2[0, 0]}
+    W1b, W2, b2 = _mlp_net(flat, d, h)[:3]
+    return {"b1": W1b[0], "W1": W1b[1:], "W2": W2, "b2": b2[0]}
 
 
 def _mlp_init(d, h, rng):
@@ -268,22 +268,22 @@ def _mlp_input(X):
 
 
 def _mlp_buffers(proba, h):
-    """Work arrays for one forward and backward pass of L lanes on n rows
-    each that writes its class probabilities into proba, (L, n, 2), with the
-    transposes and column views the passes read."""
-    hidden, rowstat = np.empty(proba.shape[:2] + (h,)), np.empty(proba.shape[:2] + (1,))
-    return (hidden, hidden.transpose(0, 2, 1), proba, proba[..., 0], proba[..., 1], rowstat,
+    """Work arrays for one forward and backward pass that writes its class
+    probabilities into proba, (n, 2) for one lane or (L, n, 2) for L lanes of
+    n rows, with the transposes and column views the passes read."""
+    hidden, rowstat = np.empty(proba.shape[:-1] + (h,)), np.empty(proba.shape[:-1] + (1,))
+    return (hidden, hidden.swapaxes(-1, -2), proba, proba[..., 0], proba[..., 1], rowstat,
             rowstat[..., 0], np.empty(proba.shape), np.empty(hidden.shape))
 
 
 def _mlp_forward(net, X1, buf):
-    """Class probabilities of X1 (each lane's rows of X with their ones
-    column), written into buf after its hidden activations."""
-    W1b, W2, b2, _ = net
+    """Class probabilities of X1 (the rows of X with their ones column, per
+    lane), written into buf after its hidden activations."""
+    W1b, W2, b2, _, dot = net
     hidden, _, proba, p0, p1, rowstat, rowstat_1d, _, _ = buf
-    np.matmul(X1, W1b, out=hidden)
+    dot(X1, W1b, out=hidden)
     np.tanh(hidden, out=hidden)
-    np.matmul(hidden, W2, out=proba)  # the logits, then softmax in place
+    dot(hidden, W2, out=proba)  # the logits, then softmax in place
     np.add(proba, b2, out=proba)
     np.maximum(p0, p1, out=rowstat_1d)  # the row max and row sum of two columns
     np.subtract(proba, rowstat, out=proba)
@@ -296,33 +296,34 @@ def _mlp_forward(net, X1, buf):
 def _mlp_loss(picked, lane_picked, weights, squares, dh, l2):
     """Each lane's mean cross-entropy plus (l2/2)*||W||^2, as a list: picked
     holds each row's probability of its true class (overwritten), lane l's
-    rows in lane_picked[l], a view of it; row l of weights is lane l's W1
-    (its first dh entries) then W2, and squares an array of its shape."""
+    rows in lane_picked[l], a view of it; weights is a lane's W1 (its first
+    dh entries) then W2, or a row of them per lane, and squares its shape."""
     np.maximum(picked, 1e-300, out=picked)
     np.log(picked, out=picked)
     np.square(weights, out=squares)
-    w1, w2 = np.add.reduce(squares[:, :dh], axis=1).tolist(), np.add.reduce(squares[:, dh:], axis=1).tolist()
+    w1 = np.add.reduce(squares[..., :dh], axis=-1).ravel().tolist()
+    w2 = np.add.reduce(squares[..., dh:], axis=-1).ravel().tolist()
     return [-(np.add.reduce(p) / len(p)) + 0.5 * l2 * (a + b) for p, a, b in zip(lane_picked, w1, w2)]
 
 
 def _mlp_backward(net, X1T, onehot, grads, buf):
     """Write the gradient of the mean cross-entropy (no L2 term) into grads
     (gW1b, gW2, gb2), from the forward pass in buf; X1T is the pass's X1
-    with each lane transposed and onehot the (L, n, 2) indicator of the
-    labels. The pass's work arrays, but not its probabilities, are
-    overwritten."""
-    W2T = net[3]
+    with each lane transposed and onehot the indicator of the labels, shaped
+    as the pass's probabilities. The pass's work arrays, but not its
+    probabilities, are overwritten."""
+    W2T, dot = net[3:]
     gW1b, gW2, gb2 = grads
     hidden, hiddenT, proba, _, _, _, _, dlogits, dhidden = buf
     np.subtract(proba, onehot, out=dlogits)
-    np.divide(dlogits, X1T.shape[2], out=dlogits)
-    np.matmul(hiddenT, dlogits, out=gW2)
-    np.add.reduce(dlogits, axis=1, keepdims=True, out=gb2)
-    np.matmul(dlogits, W2T, out=dhidden)
+    np.divide(dlogits, X1T.shape[-1], out=dlogits)
+    dot(hiddenT, dlogits, out=gW2)
+    np.add.reduce(dlogits, axis=-2, keepdims=True, out=gb2)
+    dot(dlogits, W2T, out=dhidden)
     np.square(hidden, out=hidden)
     np.subtract(1.0, hidden, out=hidden)
     np.multiply(dhidden, hidden, out=dhidden)
-    np.matmul(X1T, dhidden, out=gW1b)  # row 0, through the ones column, is gb1
+    dot(X1T, dhidden, out=gW1b)  # row 0, through the ones column, is gb1
 
 
 def mlp_loss_and_grads(params, X, y, l2):
@@ -333,15 +334,15 @@ def mlp_loss_and_grads(params, X, y, l2):
     differences.
     """
     d, h = params["W1"].shape
-    theta = np.concatenate([params[k].ravel() for k in ("b1", "W1", "W2", "b2")])[None]
+    theta = np.concatenate([params[k].ravel() for k in ("b1", "W1", "W2", "b2")])
     grad = np.empty(theta.shape)
-    X1, buf = _mlp_input(X)[None], _mlp_buffers(np.empty((1, len(y), 2)), h)
+    X1, buf = _mlp_input(X), _mlp_buffers(np.empty((len(y), 2)), h)
     net = _mlp_net(theta, d, h)
     proba = _mlp_forward(net, X1, buf)
-    picked, weights = proba[:, np.arange(len(y)), y], theta[:, h:(d + 3) * h]
-    [loss] = _mlp_loss(picked, picked, weights, np.empty(weights.shape), d * h, l2)
-    _mlp_backward(net, X1.transpose(0, 2, 1), np.eye(2)[y][None], _mlp_net(grad, d, h)[:3], buf)
-    grads = _mlp_views(grad[0], d, h)
+    picked, weights = proba[np.arange(len(y)), y], theta[h:(d + 3) * h]
+    [loss] = _mlp_loss(picked, [picked], weights, np.empty(weights.shape), d * h, l2)
+    _mlp_backward(net, X1.T, np.eye(2)[y], _mlp_net(grad, d, h)[:3], buf)
+    grads = _mlp_views(grad, d, h)
     for k in ("W1", "W2"):
         np.add(grads[k], l2 * params[k], out=grads[k])
     return loss, grads
@@ -361,9 +362,9 @@ class MlpModel(TrainedPredictor):
         return _mlp_views(self.theta, self.n_features, self.hidden_units)
 
     def proba_positive(self, X):
-        net = _mlp_net(self.theta[None], self.n_features, self.hidden_units)
-        buf = _mlp_buffers(np.empty((1, X.shape[0], 2)), self.hidden_units)
-        return _mlp_forward(net, _mlp_input(X)[None], buf)[0, :, 1]
+        net = _mlp_net(self.theta, self.n_features, self.hidden_units)
+        buf = _mlp_buffers(np.empty((X.shape[0], 2)), self.hidden_units)
+        return _mlp_forward(net, _mlp_input(X), buf)[:, 1]
 
 
 def _fit_mlp_lanes(spec: PredictorSpec, problems) -> list:
@@ -371,11 +372,11 @@ def _fit_mlp_lanes(spec: PredictorSpec, problems) -> list:
     and one number of batches per epoch, trained in lockstep: lane l's
     parameters are row l of one (L, P) block. Each lane keeps its own
     generator and its own shuffle of its rows. A product takes every lane's
-    batch in one stacked np.matmul, and each elementwise op, L2 and Adam
-    take every lane in one call. A lane that stops early leaves the block.
-    A lane does the floating-point operations of its fit alone, so its bits
-    do not depend on the lanes beside it; a single fit is the one-lane
-    case."""
+    batch in one stacked np.matmul (a lone lane's, in one np.dot on plain
+    arrays), and each elementwise op, L2 and Adam take every lane in one
+    call. A lane that stops early leaves the block. A lane does the
+    floating-point operations of its fit alone, so its bits do not depend on
+    the lanes beside it; a single fit is the one-lane case."""
     hp = spec.resolved()
     h = int(hp["hidden_units"])
     # numpy scalars: a ufunc converts a Python float on every call
@@ -394,16 +395,15 @@ def _fit_mlp_lanes(spec: PredictorSpec, problems) -> list:
         rngs = [seeded_rng(hp["seed"]) for _ in lanes]
         theta = np.stack([_mlp_init(d, h, rng)["b1"].base for rng in rngs])
         moments = np.zeros((2,) + theta.shape)  # Adam's two moments, as one array
-    # each lane's rows with their ones column, one-hot labels and labels,
-    # zero-padded to n_max rows
+    # each lane's rows with their ones column and one-hot labels, zero-padded
+    # to n_max rows
     X1, onehot = np.zeros((len(lanes), n_max, d + 1)), np.zeros((len(lanes), n_max, 2))
-    labels = np.zeros((len(lanes), n_max), dtype=np.intp)
     for l, i in enumerate(lanes):
         X, y = problems[i]
-        X1[l, :len(y)], onehot[l, :len(y)], labels[l, :len(y)] = _mlp_input(X), np.eye(2)[y], y
+        X1[l, :len(y)], onehot[l, :len(y)] = _mlp_input(X), np.eye(2)[y]
     best, stall, fitted = [math.inf] * len(lanes), [0] * len(lanes), [None] * len(problems)
     t = epoch = 0
-    while lanes:
+    while True:
         L = len(lanes)
         with _sized_by_hidden_units(h):
             # g and g^2 as the two halves of one array, like the moments
@@ -416,20 +416,18 @@ def _fit_mlp_lanes(spec: PredictorSpec, problems) -> list:
             X_epoch, onehot_epoch, proba = np.empty(X1.shape), np.empty(onehot.shape), np.zeros(onehot.shape)
 
             def bound(lo, hi, start, size):  # lanes lo:hi, rows start:start+size
-                Xb = X_epoch[lo:hi, start:start + size]
-                return (_mlp_net(theta[lo:hi], d, h), _mlp_net(work[0, lo:hi], d, h)[:3], Xb,
-                        Xb.transpose(0, 2, 1), onehot_epoch[lo:hi, start:start + size],
-                        _mlp_buffers(proba[lo:hi, start:start + size], h))
+                at = lo if hi - lo == 1 else slice(lo, hi)  # a lone lane runs on plain arrays
+                Xb = X_epoch[at, start:start + size]
+                return (_mlp_net(theta[at], d, h), _mlp_net(work[0, at], d, h)[:3], Xb,
+                        Xb.swapaxes(-1, -2), onehot_epoch[at, start:start + size],
+                        _mlp_buffers(proba[at, start:start + size], h))
             steps = [[bound(0, L, start, batch)] for start in range(0, last, batch)]
             steps.append([bound(rows.index(n), rows.index(n) + rows.count(n), last, n - last)
                           for n in sorted(set(rows))])
         keep, grad, grad_sq, m, v = 1.0 - decay, work[0], work[1], moments[0], moments[1]
         weights, grad_w = theta[:, h:h + n_weights], grad[:, h:h + n_weights]  # W1 and W2, after b1
-        # the epoch's row order as indices into X1's rows, each lane's
-        # offset by its first row, and the flat indices of each row's
-        # true-class probability in proba
-        order, at = np.zeros((L, n_max), dtype=np.intp), np.empty((L, n_max), dtype=np.intp)
-        row_at, picked = 2 * np.arange(L * n_max).reshape(L, n_max), np.empty((L, n_max))
+        # each lane's epoch order, as indices into X1's rows of all lanes
+        order, picked = np.zeros((L, n_max), dtype=np.intp), np.empty((L, n_max))
         shuffles = [(rng, n, l * n_max, order[l, :n]) for l, (rng, n) in enumerate(zip(rngs, rows))]
         lane_picked = [picked[l, :n] for l, n in enumerate(rows)]
         X1_rows, onehot_rows = X1.reshape(-1, d + 1), onehot.reshape(-1, 2)
@@ -440,8 +438,6 @@ def _fit_mlp_lanes(spec: PredictorSpec, problems) -> list:
                     np.add(rng.permutation(n), first, out=lane_order)
                 X1_rows.take(order, axis=0, out=X_epoch)
                 onehot_rows.take(order, axis=0, out=onehot_epoch)
-                labels.take(order, out=at)
-                np.add(at, row_at, out=at)
                 for step in steps:
                     for net, grads, Xb, XbT, onehot_b, buf in step:
                         _mlp_forward(net, Xb, buf)
@@ -465,8 +461,10 @@ def _fit_mlp_lanes(spec: PredictorSpec, problems) -> list:
                     np.multiply(grad, a_t, out=grad)
                     np.subtract(theta, grad, out=theta)
                 # the epoch's loss: its rows' cross-entropy before their steps, and
-                # L2 at the end weights, so an overflow in the last step shows
-                proba.take(at, out=picked)
+                # L2 at the end weights, so an overflow in the last step shows; a
+                # row's true-class probability is p*1 + q*0 = p
+                np.multiply(proba, onehot_epoch, out=proba)
+                np.add(proba[..., 0], proba[..., 1], out=picked)
                 loss = _mlp_loss(picked, lane_picked, weights, squares, d * h, l2)
                 epoch += 1
                 if not all(map(math.isfinite, loss)):
@@ -483,10 +481,11 @@ def _fit_mlp_lanes(spec: PredictorSpec, problems) -> list:
                 fitted[i] = MlpModel(spec, theta[l].copy(), h, epoch, stall[l] >= 20, float(loss[l]),
                                      **_facts(problems[i][0]))
         going = [l for l, i in enumerate(lanes) if fitted[i] is None]
+        if not going:
+            return fitted
         theta, moments = theta[going], np.ascontiguousarray(moments[:, going])
-        X1, onehot, labels = X1[going], onehot[going], labels[going]
+        X1, onehot = X1[going], onehot[going]
         lanes, rngs, rows, best, stall = ([seq[l] for l in going] for seq in (lanes, rngs, rows, best, stall))
-    return fitted
 
 
 # ---------------------------------------------------------------------------

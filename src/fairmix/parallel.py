@@ -9,17 +9,30 @@ with `fork`. Outcomes are put back in fold order, so that they do not depend
 on w. A fold that raises stops its process; the exception of the lowest such
 fold is raised in the caller, as it would be from the serial loop. No child
 outlives the call: each is joined, or killed and then joined, before
-`map_folds` returns or raises. `experiment.run_arms` imports this module
-when it first runs, so that `import fairmix.cli` does not.
+`map_folds` returns or raises. The folds run with numpy's BLAS at one
+thread, set in the caller before it forks: the folds already fill the CPUs,
+and a report's bytes then do not depend on the BLAS's thread count. The
+caller's count is put back before `map_folds` returns or raises. Only the
+OpenBLAS builds of `_OPENBLAS_THREADS` are found (by /proc/self/maps, through
+ctypes); with another BLAS nothing changes. `experiment.run_arms` imports
+this module when it first runs, so that `import fairmix.cli` does not.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import os
 import pickle
 import signal
 
 from .errors import ExperimentError
+
+# the (get, set) thread-count functions of numpy 2's bundled scipy-openblas,
+# numpy 1's bundled OpenBLAS and a system OpenBLAS; "64_" ends the names of a
+# build with 64-bit integers
+_OPENBLAS_THREADS = [(f"{prefix}get_num_threads{suffix}", f"{prefix}set_num_threads{suffix}")
+                     for prefix in ("scipy_openblas_", "openblas_") for suffix in ("64_", "")]
 
 
 def usable_cpus() -> int:
@@ -32,6 +45,32 @@ def usable_cpus() -> int:
 def fold_processes(n_folds: int) -> int:
     """min(n_folds, usable CPUs) where `fork` exists; 1 elsewhere."""
     return min(n_folds, usable_cpus()) if hasattr(os, "fork") else 1
+
+
+@functools.cache
+def _blas_thread_controls() -> tuple:
+    """A (get, set) pair of thread-count functions for each OpenBLAS mapped
+    into this process (numpy's), found by its path in /proc/self/maps; none
+    where that file or a known pair of functions is missing."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({line.split(None, 5)[5].rstrip("\n") for line in maps if "openblas" in line})
+    except OSError:
+        return ()
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)  # the copy already loaded, not a second one
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREADS:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                controls.append((get, set_))
+                break
+    return tuple(controls)
 
 
 def _run(run_fold, folds) -> tuple[dict, tuple | None]:
@@ -80,9 +119,14 @@ def _receive(pipe):
 
 
 def map_folds(run_fold, n_folds: int, processes: int) -> list:
-    """[run_fold(f) for f in range(n_folds)], over `processes` processes."""
+    """[run_fold(f) for f in range(n_folds)], over `processes` processes,
+    with the BLAS at one thread."""
+    blas = _blas_thread_controls()
+    threads = [get() for get, _ in blas]  # the caller's, put back below
     children = {}  # pid -> (the read end of its pipe, its folds); removed once joined
     try:
+        for _, set_threads in blas:
+            set_threads(1)  # before the first fork, so that every child inherits it
         for k in range(1, processes):
             try:  # out of descriptors or processes, the caller runs the rest
                 read, write = os.pipe()
@@ -120,6 +164,8 @@ def map_folds(run_fold, n_folds: int, processes: int) -> list:
             raise min(failures, key=lambda failure: failure[0])[1]
         return [outcomes[f] for f in range(n_folds)]
     finally:
+        for (_, set_threads), count in zip(blas, threads):
+            set_threads(count)
         for pid, (pipe, _) in children.items():
             pipe.close()
             try:

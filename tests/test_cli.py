@@ -300,13 +300,13 @@ class TestCompare:
 
 
 class TestBlasThreadCount:
-    """README's byte-stability scope on the smallest shape found to show it:
+    """README's byte-stability scope on the smallest shape found to test it:
     8 rows of 99 columns, logistic early fusion, no PCA. Each Newton step
     solves a 100 x 100 system, the size from which OpenBLAS's LU runs
-    threaded, so 1 and 2 threads may round the probabilities differently
-    (by up to 2.2e-16 with OpenBLAS 0.3.31 on a 2-core x86-64). Labels and
-    metrics must agree; the largest |dp| is printed, not asserted, since a
-    single-threaded BLAS gives 0."""
+    threaded, so 1 and 2 threads rounded the probabilities differently (by
+    up to 2.2e-16 with OpenBLAS 0.3.31 on a 2-core x86-64) until the folds
+    ran at one BLAS thread (parallel.map_folds). Labels, metrics and the
+    bytes of report.json and predictions.csv must agree."""
 
     def test_one_and_two_openblas_threads_agree(self, tmp_path):
         (tmp_path / "synth.txt").write_text("n_subjects=4\nsessions_per_subject=2\n"
@@ -327,13 +327,12 @@ class TestBlasThreadCount:
                 rows = list(csv.DictReader(fh))
             runs.append(({k: report[k] for k in ("cv", "overall", "per_attribute", "per_fold")},
                          [(r["sample_id"], r["predicted_label"]) for r in rows],
-                         [float(r[c]) for r in rows for c in ("proba_0", "proba_1")]))
-        (metrics1, labels1, proba1), (metrics2, labels2, proba2) = runs
+                         [(out / name).read_bytes() for name in ("report.json", "predictions.csv")]))
+        (metrics1, labels1, bytes1), (metrics2, labels2, bytes2) = runs
         assert len(labels1) == 8
         assert labels1 == labels2
         assert metrics1 == metrics2
-        dp = max(abs(a - b) for a, b in zip(proba1, proba2))
-        print(f"1 vs 2 OpenBLAS threads: labels and metrics equal, max |dp| = {dp:.3g}")
+        assert bytes1 == bytes2
 
 
 BUNDLED_AUDIT = pathlib.Path(__file__).resolve().parent.parent / "data" / "audit_config.txt"

@@ -236,13 +236,13 @@ class TestMlp:
     def test_no_pass_covers_all_rows(self, monkeypatch):
         forward, rows = models._mlp_forward, []
 
-        def spy(net, X, buf):  # X: (lanes, rows, d + 1)
-            rows.append(X.shape[:2])
+        def spy(net, X, buf):  # X: (rows, d + 1), a lone lane's plain array
+            rows.append(X.shape)
             return forward(net, X, buf)
         monkeypatch.setattr(models, "_mlp_forward", spy)
         X, y = blobs()  # 40 rows, 4 batches of 10
         fit(PredictorSpec("mlp", {"batch_size": 10, "epochs": 3}), X, y)
-        assert rows == [(1, 10)] * 12
+        assert rows == [(10, 3)] * 12
 
     def test_gradient_check_against_finite_differences(self):
         rng = np.random.default_rng(0)
@@ -370,6 +370,30 @@ class TestMlpLayout:
         expected = np.exp(logits - logits.max(axis=1, keepdims=True))
         expected /= expected.sum(axis=1, keepdims=True)
         np.testing.assert_allclose(m.predict_proba(X_test), expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n,d,h", [
+        (32, 3, 8),
+        (24, 5, 100),  # the bench shape's last batch
+        (1, 2, 5),  # one row
+        (7, 1, 1),  # one feature, one hidden unit
+    ])
+    def test_lone_lane_passes_are_a_one_lane_block(self, n, d, h):
+        # a flat vector runs on plain arrays with np.dot, a one-row block on
+        # stacked arrays with np.matmul; both make the same BLAS calls
+        rng = np.random.default_rng(n * d * h)
+        flat = rng.normal(size=(d + 3) * h + 2)
+        X1, onehot = models._mlp_input(rng.normal(size=(n, d))), np.eye(2)[rng.integers(0, 2, n)]
+        runs = []
+        for theta, X, labels, product in ((flat, X1, onehot, np.dot),
+                                          (flat[None], X1[None], onehot[None], np.matmul)):
+            net, grad = models._mlp_net(theta, d, h), np.empty(theta.shape)
+            assert net[4] is product
+            buf = models._mlp_buffers(np.empty(labels.shape), h)
+            proba = models._mlp_forward(net, X, buf).tobytes()
+            grads = models._mlp_net(grad, d, h)[:3]
+            models._mlp_backward(net, X.swapaxes(-1, -2), labels, grads, buf)
+            runs.append([proba] + [g.tobytes() for g in grads])
+        assert runs[0] == runs[1]
 
     def test_gradient_at_one_feature_matches_finite_differences(self):
         # b1's gradient is row 0 of X1.T @ dhidden, through the ones column

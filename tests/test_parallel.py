@@ -229,3 +229,46 @@ def test_importing_the_cli_does_not_import_the_fork_code():
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                          check=True, capture_output=True, text=True, timeout=120)
     assert out.stdout == "[]\n"
+
+
+@pytest.fixture
+def blas_threads():
+    """The caller's BLAS thread count, set to 2 for the test (if the BLAS
+    takes it) and put back after it, and a function that reads it; skips
+    where map_folds finds no known BLAS thread control."""
+    controls = parallel._blas_thread_controls()
+    if not controls:
+        pytest.skip("no known BLAS thread control in this process")
+    get, set_threads = controls[0]
+    before = get()
+    set_threads(2)
+    yield get(), get
+    set_threads(before)
+
+
+@pytest.mark.parametrize("processes", PROCESSES)
+def test_folds_run_at_one_blas_thread(blas_threads, processes):
+    count, get = blas_threads
+    assert parallel.map_folds(lambda f: get(), 5, processes) == [1] * 5
+    assert get() == count
+
+
+@pytest.mark.parametrize("processes", (1, 2))
+def test_the_caller_s_blas_thread_count_is_put_back(audit, monkeypatch, fold_processes, blas_threads,
+                                                    processes):
+    count, get = blas_threads
+    fold_processes(processes)
+    run_experiment(*audit)
+    assert get() == count
+    config, ds = audit
+    real = fusion_mod.fit_fusion
+
+    def fit(spec, Xs, y, seed=0):
+        if seed - config.seed == 0:  # the caller's fold
+            raise ConfigError("fold 0")
+        return real(spec, Xs, y, seed)
+
+    monkeypatch.setattr(fusion_mod, "fit_fusion", fit)
+    with pytest.raises(ConfigError, match=r"^fold 0$"):
+        run_experiment(config, ds)
+    assert get() == count
