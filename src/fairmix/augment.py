@@ -37,11 +37,13 @@ CellKey = tuple[tuple[int, ...], int]  # (attribute values in declared order, la
 
 
 def check_beta(beta_alpha, beta_beta) -> None:
-    """Reject a non-positive parameter of mixfeat's Beta weights; the
-    message starts with the name, to which config adds "augment."."""
+    """Reject a non-positive or infinite parameter of mixfeat's Beta weights;
+    the message starts with the name, to which config adds "augment."."""
     for name, v in (("beta_alpha", beta_alpha), ("beta_beta", beta_beta)):
         if not v > 0:
             raise InputError(f"{name} must be positive, got {v!r}")
+        if not np.isfinite(v):
+            raise InputError(f"{name} must be finite, got {v!r}")
 
 
 def _cells_of(train: Dataset) -> dict[CellKey, np.ndarray]:

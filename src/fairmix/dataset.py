@@ -293,10 +293,10 @@ def parse_keyvalue_file(path: str) -> dict[str, str]:
 
 
 def _text_lines(path: str, newline=None) -> list[str]:
-    """The lines of a UTF-8 text file; OSError propagates, and so does the
-    ValueError of open() for a path holding a NUL."""
+    """The lines of a UTF-8 text file, a leading byte-order mark dropped;
+    OSError propagates, and so does open()'s ValueError for a path with a NUL."""
     try:
-        with open(path, newline=newline, encoding="utf-8") as fh:
+        with open(path, newline=newline, encoding="utf-8-sig") as fh:
             return list(fh)
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text: {exc}") from None

@@ -319,6 +319,10 @@ def write_comparison_markdown(reports: dict[str, EvaluationReport], path: str):
 
 
 def write_predictions_csv(preds: PredictionSet, path: str, attribute_names):
+    unknown = [a for a in attribute_names if a not in preds.attribute_names]
+    if unknown:
+        raise InputError(f"attributes {unknown} not in the predictions; "
+                         f"available: {list(preds.attribute_names)}")
     header = ["sample_id", "subject_id", *PREDICTION_COLUMNS, *attribute_names]
     at = [preds.attribute_names.index(a) for a in attribute_names]
     ids, subjects = preds.sample_id.tolist(), preds.subject_id.tolist()

@@ -13,8 +13,8 @@ outlives the call: each is joined, or killed and then joined, before
 thread, set in the caller before it forks: the folds already fill the CPUs,
 and a report's bytes then do not depend on the BLAS's thread count. The
 caller's count is put back before `map_folds` returns or raises. Only the
-OpenBLAS builds of `_OPENBLAS_THREADS` are found (by /proc/self/maps, through
-ctypes); with another BLAS nothing changes. `experiment.run_arms` imports
+OpenBLAS builds of `_OPENBLAS_THREADS` are found, through numpy's core
+extension; with another BLAS nothing changes. `experiment.run_arms` imports
 this module when it first runs, so that `import fairmix.cli` does not.
 """
 
@@ -25,6 +25,8 @@ import functools
 import os
 import pickle
 import signal
+
+import numpy as np
 
 from .errors import ExperimentError
 
@@ -48,29 +50,19 @@ def fold_processes(n_folds: int) -> int:
 
 
 @functools.cache
-def _blas_thread_controls() -> tuple:
-    """A (get, set) pair of thread-count functions for each OpenBLAS mapped
-    into this process (numpy's), found by its path in /proc/self/maps; none
-    where that file or a known pair of functions is missing."""
-    try:
-        with open("/proc/self/maps") as maps:
-            paths = sorted({line.split(None, 5)[5].rstrip("\n") for line in maps if "openblas" in line})
-    except OSError:
-        return ()
-    controls = []
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)  # the copy already loaded, not a second one
-        except OSError:
-            continue
-        for get_name, set_name in _OPENBLAS_THREADS:
-            if hasattr(lib, get_name) and hasattr(lib, set_name):
-                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                controls.append((get, set_))
-                break
-    return tuple(controls)
+def _blas_threads() -> tuple | None:
+    """The (get, set) thread-count functions of numpy's OpenBLAS, looked up by
+    name through numpy's loaded core extension, whose symbol search covers
+    the libraries it links; None under another BLAS."""
+    core = np.core if int(np.__version__.split(".")[0]) < 2 else np._core
+    lib = ctypes.CDLL(core._multiarray_umath.__file__)  # the copy already loaded, not a second one
+    for get_name, set_name in _OPENBLAS_THREADS:
+        if hasattr(lib, get_name) and hasattr(lib, set_name):
+            get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
 
 
 def _run(run_fold, folds) -> tuple[dict, tuple | None]:
@@ -121,12 +113,12 @@ def _receive(pipe):
 def map_folds(run_fold, n_folds: int, processes: int) -> list:
     """[run_fold(f) for f in range(n_folds)], over `processes` processes,
     with the BLAS at one thread."""
-    blas = _blas_thread_controls()
-    threads = [get() for get, _ in blas]  # the caller's, put back below
+    blas = _blas_threads()
+    threads = blas[0]() if blas else None  # the caller's, put back below
     children = {}  # pid -> (the read end of its pipe, its folds); removed once joined
     try:
-        for _, set_threads in blas:
-            set_threads(1)  # before the first fork, so that every child inherits it
+        if blas:
+            blas[1](1)  # before the first fork, so that every child inherits it
         for k in range(1, processes):
             try:  # out of descriptors or processes, the caller runs the rest
                 read, write = os.pipe()
@@ -164,8 +156,8 @@ def map_folds(run_fold, n_folds: int, processes: int) -> list:
             raise min(failures, key=lambda failure: failure[0])[1]
         return [outcomes[f] for f in range(n_folds)]
     finally:
-        for (_, set_threads), count in zip(blas, threads):
-            set_threads(count)
+        if blas:
+            blas[1](threads)
         for pid, (pipe, _) in children.items():
             pipe.close()
             try:

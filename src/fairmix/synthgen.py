@@ -11,15 +11,15 @@ them. A draw whose labels or an attribute take one value warns through
 
 `SynthSpec` checks every rule of a spec when it is built (InputError), so a
 spec that `fairmix validate` passes is one `generate` can draw: integer
-(`errors.is_integer`) subject and session counts, modality dims and seed,
-the seed >= 0, one or more modalities and attributes, each named once and
-not empty, no attribute in `dataset.RESERVED_ATTRIBUTES`, no modality name
-that `dataset.modality_name_fault` refuses (an ``=``, ``\n``, ``\r`` or
-NUL, or edge whitespace), at most `MAX_ROWS` rows (subjects x sessions) and
-`MAX_FEATURE_CELLS` feature cells (rows x the sum of the dims), a
-`bias_attribute` that is empty (the first attribute) or declared,
-proportions and base rates in [0, 1], and finite separations and noise.
-Each rule is a test that a valid value passes, so NaN fails it.
+(`errors.is_integer`) subject and session counts and modality dims, a seed
+that `errors.check_seed` passes, one or more modalities and attributes, each
+named once and not empty, no attribute in `dataset.RESERVED_ATTRIBUTES`, no
+modality name that `dataset.modality_name_fault` refuses (an ``=``, ``\n``,
+``\r`` or NUL, or edge whitespace), at most `MAX_ROWS` rows (subjects x
+sessions) and `MAX_FEATURE_CELLS` feature cells (rows x the sum of the
+dims), a `bias_attribute` that is empty (the first attribute) or declared,
+proportions and base rates in [0, 1], and finite separations and noise. Each
+rule is a test that a valid value passes, so NaN fails it.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import RESERVED_ATTRIBUTES, ColumnMeta, Dataset, ModalityTable, modality_name_fault
-from .errors import InputError, is_integer, seeded_rng
+from .errors import InputError, check_seed, is_integer, seeded_rng
 
 MAX_ROWS = 10**6  # the most rows a spec may draw
 MAX_FEATURE_CELLS = 10**7  # the most feature cells a spec may draw: 80 MB as float64
@@ -51,11 +51,10 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n_subjects", "sessions_per_subject", "seed"):
+        check_seed(self.seed)
+        for name in ("n_subjects", "sessions_per_subject"):
             if not is_integer(getattr(self, name)):
                 raise InputError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if self.seed < 0:
-            raise InputError(f"seed must be >= 0, got {self.seed!r}")
         if not (self.n_subjects >= 1 and self.sessions_per_subject >= 1):
             raise InputError("need at least one subject and one session")
         for kind, pairs in (("modality", self.modality_dims), ("attribute", self.attribute_props)):

@@ -760,3 +760,22 @@ class TestBundledBytes:
                 data = data.replace(manifest, b'"<manifest>"')
             digests[path.name] = hashlib.sha256(data).hexdigest()
         assert digests == self.DIGESTS[command]
+
+    def test_byte_order_marks_change_no_byte(self, tmp_path):
+        # a UTF-8 BOM, as Excel's "CSV UTF-8" writes, made the metadata
+        # header and the config's first line unreadable
+        copy = tmp_path / "data"
+        copy.mkdir()
+        for path in BUNDLED_AUDIT.parent.iterdir():
+            if path.suffix in (".csv", ".txt"):
+                (copy / path.name).write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        written = []
+        for config in (BUNDLED_AUDIT, copy / BUNDLED_AUDIT.name):
+            out = tmp_path / config.parent.name
+            assert main(["audit", "--config", str(config), "--set", f"output_dir={out}"]) == 0
+            manifest = json.dumps(str(config.with_name("demo_manifest.txt"))).encode()
+            files = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+            assert manifest in files["report.json"]
+            files["report.json"] = files["report.json"].replace(manifest, b'"<manifest>"')
+            written.append(files)
+        assert written[1] == written[0]

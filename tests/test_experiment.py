@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -628,6 +629,16 @@ class TestPredictionSet:
         for row, r in zip(rows, report.predictions.records):
             assert row["sample_id"] == r.sample_id
             assert [int(row[a]) for a in names] == [r.attribute(a) for a in names]
+
+    def test_unknown_attribute_is_named_and_writes_no_file(self, audited, tmp_path):
+        # tuple.index's unnamed ValueError came first
+        _, report = audited
+        path = tmp_path / "predictions.csv"
+        with pytest.raises(InputError, match=re.escape(
+                "attributes ['nope', 'age'] not in the predictions; "
+                "available: ['gender', 'race']") + "$"):
+            write_predictions_csv(report.predictions, str(path), ["gender", "nope", "age"])
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestPredictionsCsv:

@@ -355,6 +355,15 @@ REFUSALS = {
     "PredictionSet[empty]": (lambda d: PredictionSet([]), InputError, "empty prediction set"),
     "fit_standardizer[no rows]": (lambda d: fit_standardizer(np.zeros((0, 3))), FitError,
                                   "cannot fit standardizer on empty matrix"),
+    # an infinite Beta parameter drew NaN weights, and run_experiment ended in
+    # "every fold was skipped: training matrix: non-finite value nan at ..."
+    "augment_dataset[beta_alpha=inf]": (
+        lambda d: augment_dataset(SMALL, "mixfeat", 0, np.inf), InputError,
+        "beta_alpha must be finite, got inf"),
+    "run_experiment[beta_beta=inf]": (
+        lambda d: run_experiment(PipelineConfig(seed=1, model_kind="logistic",
+                                                augment_method="mixfeat", beta_beta=np.inf), SMALL),
+        InputError, "beta_beta must be finite, got inf"),
     **{f"fit_pca[target_ratio={r}]": (lambda d, r=r: fit_pca(TRAIN, r), InputError,
                                       f"target_ratio must be in (0,1], got {r}")
        for r in (0.0, -0.5, 1.5, np.nan)},

@@ -236,14 +236,34 @@ def blas_threads():
     """The caller's BLAS thread count, set to 2 for the test (if the BLAS
     takes it) and put back after it, and a function that reads it; skips
     where map_folds finds no known BLAS thread control."""
-    controls = parallel._blas_thread_controls()
-    if not controls:
+    blas = parallel._blas_threads()
+    if blas is None:
         pytest.skip("no known BLAS thread control in this process")
-    get, set_threads = controls[0]
+    get, set_threads = blas
     before = get()
     set_threads(2)
     yield get(), get
     set_threads(before)
+
+
+def test_the_lookup_reads_numpy_s_blas_thread_count(blas_threads):
+    # OpenBLAS reads OPENBLAS_NUM_THREADS once, when numpy loads it
+    src = os.path.dirname(os.path.dirname(parallel.__file__))
+    code = "from fairmix import parallel; print(parallel._blas_threads()[0]())"
+    out = subprocess.run([sys.executable, "-c", code],
+                         env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+                         check=True, capture_output=True, text=True, timeout=120)
+    assert out.stdout == "1\n"
+
+
+@pytest.mark.parametrize("processes", (1, 2))
+def test_no_blas_thread_control_changes_no_outcome(audit, tmp_path, monkeypatch, fold_processes,
+                                                   processes):
+    # as under MKL, BLIS or Accelerate, where no known control is found
+    fold_processes(processes)
+    found = audit_bytes(*audit, tmp_path / "found")
+    monkeypatch.setattr(parallel, "_blas_threads", lambda: None)
+    assert audit_bytes(*audit, tmp_path / "none") == found
 
 
 @pytest.mark.parametrize("processes", PROCESSES)

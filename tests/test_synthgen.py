@@ -100,9 +100,9 @@ class TestGenerate:
         ({"noise_std": math.inf}, "noise_std must be finite, got inf"),
         # generate ended in numpy's ValueError ("expected non-negative
         # integer") on the negative seed and in a TypeError on the others
-        ({"seed": -1}, "seed must be >= 0, got -1"),
-        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
-        ({"seed": True}, "seed must be an integer, got True"),
+        ({"seed": -1}, "seed must be a non-negative integer, got -1"),
+        ({"seed": 1.5}, "seed must be a non-negative integer, got 1.5"),
+        ({"seed": True}, "seed must be a non-negative integer, got True"),
         ({"n_subjects": 2.5}, "n_subjects must be an integer, got 2.5"),
         ({"sessions_per_subject": 4.0}, "sessions_per_subject must be an integer, got 4.0"),
         ({"modality_dims": (("face", 2.5),)}, "modality 'face': dim must be an integer, got 2.5"),
