@@ -71,6 +71,20 @@ def is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def is_real(value) -> bool:
+    """The one rule for a real setting (a rate, a ratio or a scale): an
+    integer that is not a bool, or a float."""
+    return is_integer(value) or isinstance(value, (float, np.floating))
+
+
+def check_real(name: str, value):
+    """value, if is_real passes it, before a caller compares it; else an
+    InputError naming name and value."""
+    if not is_real(value):
+        raise InputError(f"{name} must be a number, got {value!r}")
+    return value
+
+
 def check_seed(seed):
     """The one seed rule: a non-negative integer, not a bool."""
     if not is_integer(seed) or seed < 0:

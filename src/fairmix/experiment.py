@@ -47,12 +47,14 @@ from .preprocess import fit_column_cleaner, fit_pca, fit_standardizer, select_co
 
 
 def make_folds(config: PipelineConfig, dataset: Dataset):
-    """The folds of the configured rule. A cv_mode or cv_k that the
-    configuration parser refuses is an InputError in its wording."""
+    """The folds of the configured rule. A cv_mode, cv_k or cv_grouped that
+    the configuration parser refuses is an InputError in its wording."""
     if config.cv_mode not in CV_MODES:
         raise InputError(f"cv.mode: expected one of {CV_MODES}, got {config.cv_mode!r}")
     if not (is_integer(config.cv_k) and config.cv_k >= 2):
         raise InputError(f"cv.k: expected an integer >= 2, got {config.cv_k!r}")
+    if not isinstance(config.cv_grouped, (bool, np.bool_)):
+        raise InputError(f"cv.grouped: expected true/false, got {config.cv_grouped!r}")
     if config.cv_mode == "loso":
         return folds.loso_folds(dataset.subject_id)
     if config.cv_grouped:
@@ -158,6 +160,8 @@ def run_arms(config: PipelineConfig, dataset: Dataset, methods) -> list[Evaluati
     (`parallel.map_folds`), and the reports do not depend on how many."""
     for seed in (config.seed, config.resolved_augment_seed()):  # each fold adds its index
         check_seed(seed)
+    if not isinstance(config.pca_enabled, (bool, np.bool_)):  # a non-empty string is truthy
+        raise InputError(f"pca.enabled: expected true/false, got {config.pca_enabled!r}")
     names = config.modalities or dataset.modality_names
     unknown = [m for m in names if m not in dataset.modality_names]
     if unknown:

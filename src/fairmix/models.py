@@ -27,7 +27,9 @@ Three model kinds:
                width and one number of batches per epoch in lockstep, as
                lanes: each lane's flat vector is a row of one (L, P) block,
                and every product, elementwise op, L2 and Adam update takes
-               all lanes in one call (a single fit is one lane);
+               all lanes in one call (a single fit is one lane); a lane that
+               stops early keeps its place until the block ends, and its
+               model is taken at the epoch it stops;
   * logistic - L2-regularized logistic regression fitted by Newton steps
                (used as the stacking meta-learner); the model keeps the steps
                taken and whether the last met the step rule.
@@ -61,7 +63,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import folds
-from .errors import FitError, InputError, ShapeError, as_matrix, is_integer, seeded_rng
+from .errors import FitError, InputError, ShapeError, as_matrix, is_integer, is_real, seeded_rng
 from .metrics import counts
 
 # iterations before _smo gives up with a FitError
@@ -104,7 +106,7 @@ class PredictorSpec:
             integer = is_integer(v)
             if isinstance(default, int) and not integer:
                 raise InputError(f"{name} must be an integer, got {v!r}")
-            if not (integer or isinstance(v, (float, np.floating)) and math.isfinite(v)
+            if not (is_real(v) and (integer or math.isfinite(v))
                     or isinstance(v, str) and v == default):
                 alt = f" or {default!r}" if isinstance(default, str) else ""
                 raise InputError(f"{name} must be a finite number{alt}, got {v!r}")
@@ -374,9 +376,11 @@ def _fit_mlp_lanes(spec: PredictorSpec, problems) -> list:
     generator and its own shuffle of its rows. A product takes every lane's
     batch in one stacked np.matmul (a lone lane's, in one np.dot on plain
     arrays), and each elementwise op, L2 and Adam take every lane in one
-    call. A lane that stops early leaves the block. A lane does the
-    floating-point operations of its fit alone, so its bits do not depend on
-    the lanes beside it; a single fit is the one-lane case."""
+    call. The block and its work arrays are made once: a lane that stops
+    early keeps its place, its model taken at the epoch it stops, and steps
+    on unread until the last lane stops. A lane does the floating-point
+    operations of its fit alone, so its bits do not depend on the lanes
+    beside it; a single fit is the one-lane case."""
     hp = spec.resolved()
     h = int(hp["hidden_units"])
     # numpy scalars: a ufunc converts a Python float on every call
@@ -387,105 +391,98 @@ def _fit_mlp_lanes(spec: PredictorSpec, problems) -> list:
     beta1, beta2 = 0.9, 0.999
     # lanes in order of n: they share every batch but the last, and the
     # lanes of one last-batch size are a contiguous slice
-    lanes = sorted(range(len(problems)), key=lambda i: len(problems[i][1]))
+    L = len(problems)
+    lanes = sorted(range(L), key=lambda i: len(problems[i][1]))
     rows = [len(problems[i][1]) for i in lanes]
     n_max = rows[-1]
     last = (-(-n_max // batch) - 1) * batch  # the last batch's first row
+    # each lane's rows with their ones column and one-hot labels, zero-padded
+    # to n_max rows
+    X1, onehot = np.zeros((L, n_max, d + 1)), np.zeros((L, n_max, 2))
+    for l, i in enumerate(lanes):
+        X, y = problems[i]
+        X1[l, :len(y)], onehot[l, :len(y)] = _mlp_input(X), np.eye(2)[y]
     with _sized_by_hidden_units(h):
         rngs = [seeded_rng(hp["seed"]) for _ in lanes]
         theta = np.stack([_mlp_init(d, h, rng)["b1"].base for rng in rngs])
         moments = np.zeros((2,) + theta.shape)  # Adam's two moments, as one array
-    # each lane's rows with their ones column and one-hot labels, zero-padded
-    # to n_max rows
-    X1, onehot = np.zeros((len(lanes), n_max, d + 1)), np.zeros((len(lanes), n_max, 2))
-    for l, i in enumerate(lanes):
-        X, y = problems[i]
-        X1[l, :len(y)], onehot[l, :len(y)] = _mlp_input(X), np.eye(2)[y]
-    best, stall, fitted = [math.inf] * len(lanes), [0] * len(lanes), [None] * len(problems)
-    t = epoch = 0
-    while True:
-        L = len(lanes)
-        with _sized_by_hidden_units(h):
-            # g and g^2 as the two halves of one array, like the moments
-            work, decay = np.empty(moments.shape), np.empty(moments.shape)
-            decay[0], decay[1] = beta1, beta2
-            reg, squares = np.empty((L, n_weights)), np.empty((L, n_weights))
-            # each epoch's shuffled rows and one-hot labels, and proba, which
-            # keeps every batch's probabilities for the epoch's loss; a batch
-            # is a row slice of them
-            X_epoch, onehot_epoch, proba = np.empty(X1.shape), np.empty(onehot.shape), np.zeros(onehot.shape)
+        # g and g^2 as the two halves of one array, like the moments
+        work, decay = np.empty(moments.shape), np.empty(moments.shape)
+        decay[0], decay[1] = beta1, beta2
+        reg, squares = np.empty((L, n_weights)), np.empty((L, n_weights))
+        # each epoch's shuffled rows and one-hot labels, and proba, which
+        # keeps every batch's probabilities for the epoch's loss; a batch is a
+        # row slice of them
+        X_epoch, onehot_epoch, proba = np.empty(X1.shape), np.empty(onehot.shape), np.zeros(onehot.shape)
 
-            def bound(lo, hi, start, size):  # lanes lo:hi, rows start:start+size
-                at = lo if hi - lo == 1 else slice(lo, hi)  # a lone lane runs on plain arrays
-                Xb = X_epoch[at, start:start + size]
-                return (_mlp_net(theta[at], d, h), _mlp_net(work[0, at], d, h)[:3], Xb,
-                        Xb.swapaxes(-1, -2), onehot_epoch[at, start:start + size],
-                        _mlp_buffers(proba[at, start:start + size], h))
-            steps = [[bound(0, L, start, batch)] for start in range(0, last, batch)]
-            steps.append([bound(rows.index(n), rows.index(n) + rows.count(n), last, n - last)
-                          for n in sorted(set(rows))])
-        keep, grad, grad_sq, m, v = 1.0 - decay, work[0], work[1], moments[0], moments[1]
-        weights, grad_w = theta[:, h:h + n_weights], grad[:, h:h + n_weights]  # W1 and W2, after b1
-        # each lane's epoch order, as indices into X1's rows of all lanes
-        order, picked = np.zeros((L, n_max), dtype=np.intp), np.empty((L, n_max))
-        shuffles = [(rng, n, l * n_max, order[l, :n]) for l, (rng, n) in enumerate(zip(rngs, rows))]
-        lane_picked = [picked[l, :n] for l, n in enumerate(rows)]
-        X1_rows, onehot_rows = X1.reshape(-1, d + 1), onehot.reshape(-1, 2)
-        # a diverging run overflows here; the loss check below names it
-        with np.errstate(over="ignore", invalid="ignore"):
-            while True:
-                for rng, n, first, lane_order in shuffles:
-                    np.add(rng.permutation(n), first, out=lane_order)
-                X1_rows.take(order, axis=0, out=X_epoch)
-                onehot_rows.take(order, axis=0, out=onehot_epoch)
-                for step in steps:
-                    for net, grads, Xb, XbT, onehot_b, buf in step:
-                        _mlp_forward(net, Xb, buf)
-                        _mlp_backward(net, XbT, onehot_b, grads, buf)
-                    np.multiply(weights, l2, out=reg)
-                    np.add(grad_w, reg, out=grad_w)
-                    # Adam: m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g^2, then
-                    # theta -= lr*(m/(1-b1^t)) / (sqrt(v/(1-b2^t)) + eps), taken in
-                    # Kingma & Ba's closed form a_t*m / (sqrt(v) + eps_t), with
-                    # a_t = lr*sqrt(1-b2^t)/(1-b1^t) and eps_t = eps*sqrt(1-b2^t)
-                    t += 1
-                    root = math.sqrt(1.0 - beta2 ** t)
-                    a_t, eps_t = lr * (root / (1.0 - beta1 ** t)), eps * root
-                    np.square(grad, out=grad_sq)
-                    np.multiply(moments, decay, out=moments)
-                    np.multiply(work, keep, out=work)
-                    np.add(moments, work, out=moments)
-                    np.sqrt(v, out=grad_sq)
-                    np.add(grad_sq, eps_t, out=grad_sq)
-                    np.divide(m, grad_sq, out=grad)
-                    np.multiply(grad, a_t, out=grad)
-                    np.subtract(theta, grad, out=theta)
-                # the epoch's loss: its rows' cross-entropy before their steps, and
-                # L2 at the end weights, so an overflow in the last step shows; a
-                # row's true-class probability is p*1 + q*0 = p
-                np.multiply(proba, onehot_epoch, out=proba)
-                np.add(proba[..., 0], proba[..., 1], out=picked)
-                loss = _mlp_loss(picked, lane_picked, weights, squares, d * h, l2)
-                epoch += 1
-                if not all(map(math.isfinite, loss)):
-                    raise FitError("MLP loss is not finite")
-                for l, lane_loss in enumerate(loss):
-                    if lane_loss < best[l] - 1e-6:
-                        best[l], stall[l] = lane_loss, 0
-                    else:
-                        stall[l] += 1
-                if epoch == epochs or max(stall) >= 20:
-                    break
-        for l, i in enumerate(lanes):
-            if epoch == epochs or stall[l] >= 20:
-                fitted[i] = MlpModel(spec, theta[l].copy(), h, epoch, stall[l] >= 20, float(loss[l]),
-                                     **_facts(problems[i][0]))
-        going = [l for l, i in enumerate(lanes) if fitted[i] is None]
-        if not going:
-            return fitted
-        theta, moments = theta[going], np.ascontiguousarray(moments[:, going])
-        X1, onehot = X1[going], onehot[going]
-        lanes, rngs, rows, best, stall = ([seq[l] for l in going] for seq in (lanes, rngs, rows, best, stall))
+        def bound(lo, hi, start, size):  # lanes lo:hi, rows start:start+size
+            at = lo if hi - lo == 1 else slice(lo, hi)  # a lone lane runs on plain arrays
+            Xb = X_epoch[at, start:start + size]
+            return (_mlp_net(theta[at], d, h), _mlp_net(work[0, at], d, h)[:3], Xb,
+                    Xb.swapaxes(-1, -2), onehot_epoch[at, start:start + size],
+                    _mlp_buffers(proba[at, start:start + size], h))
+        steps = [[bound(0, L, start, batch)] for start in range(0, last, batch)]
+        steps.append([bound(rows.index(n), rows.index(n) + rows.count(n), last, n - last)
+                      for n in sorted(set(rows))])
+    keep, grad, grad_sq, m, v = 1.0 - decay, work[0], work[1], moments[0], moments[1]
+    weights, grad_w = theta[:, h:h + n_weights], grad[:, h:h + n_weights]  # W1 and W2, after b1
+    # each lane's epoch order, as indices into X1's rows of all lanes
+    order, picked = np.zeros((L, n_max), dtype=np.intp), np.empty((L, n_max))
+    shuffles = [(rng, n, l * n_max, order[l, :n]) for l, (rng, n) in enumerate(zip(rngs, rows))]
+    lane_picked = [picked[l, :n] for l, n in enumerate(rows)]
+    X1_rows, onehot_rows = X1.reshape(-1, d + 1), onehot.reshape(-1, 2)
+    best, stall, fitted = [math.inf] * L, [0] * L, [None] * L
+    running, t = list(range(L)), 0
+    # a diverging run overflows here; the loss check below names it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, epochs + 1):
+            for rng, n, first, lane_order in shuffles:
+                np.add(rng.permutation(n), first, out=lane_order)
+            X1_rows.take(order, axis=0, out=X_epoch)
+            onehot_rows.take(order, axis=0, out=onehot_epoch)
+            for step in steps:
+                for net, grads, Xb, XbT, onehot_b, buf in step:
+                    _mlp_forward(net, Xb, buf)
+                    _mlp_backward(net, XbT, onehot_b, grads, buf)
+                np.multiply(weights, l2, out=reg)
+                np.add(grad_w, reg, out=grad_w)
+                # Adam: m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g^2, then
+                # theta -= lr*(m/(1-b1^t)) / (sqrt(v/(1-b2^t)) + eps), taken in
+                # Kingma & Ba's closed form a_t*m / (sqrt(v) + eps_t), with
+                # a_t = lr*sqrt(1-b2^t)/(1-b1^t) and eps_t = eps*sqrt(1-b2^t)
+                t += 1
+                root = math.sqrt(1.0 - beta2 ** t)
+                a_t, eps_t = lr * (root / (1.0 - beta1 ** t)), eps * root
+                np.square(grad, out=grad_sq)
+                np.multiply(moments, decay, out=moments)
+                np.multiply(work, keep, out=work)
+                np.add(moments, work, out=moments)
+                np.sqrt(v, out=grad_sq)
+                np.add(grad_sq, eps_t, out=grad_sq)
+                np.divide(m, grad_sq, out=grad)
+                np.multiply(grad, a_t, out=grad)
+                np.subtract(theta, grad, out=theta)
+            # the epoch's loss: its rows' cross-entropy before their steps, and
+            # L2 at the end weights, so an overflow in the last step shows; a
+            # row's true-class probability is p*1 + q*0 = p
+            np.multiply(proba, onehot_epoch, out=proba)
+            np.add(proba[..., 0], proba[..., 1], out=picked)
+            loss = _mlp_loss(picked, lane_picked, weights, squares, d * h, l2)
+            # a stopped lane steps on with the block, but its loss is not read
+            if not all(math.isfinite(loss[l]) for l in running):
+                raise FitError("MLP loss is not finite")
+            for l in running:
+                if loss[l] < best[l] - 1e-6:
+                    best[l], stall[l] = loss[l], 0
+                else:
+                    stall[l] += 1
+                if stall[l] >= 20 or epoch == epochs:
+                    fitted[lanes[l]] = MlpModel(spec, theta[l].copy(), h, epoch, stall[l] >= 20,
+                                                float(loss[l]), **_facts(problems[lanes[l]][0]))
+            running = [l for l in running if stall[l] < 20]
+            if not running:
+                break
+    return fitted
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import ModalityTable
-from .errors import EmptyTableError, FitError, InputError, SelectionError, as_matrix
+from .errors import EmptyTableError, FitError, InputError, SelectionError, as_matrix, check_real
 
 # summary descriptors a feature name may end in ("<feature>__<descriptor>");
 # features.descriptors masks columns by them
@@ -135,7 +135,7 @@ def fit_pca(train: np.ndarray, target_ratio: float = 0.80) -> PcaModel:
     X = as_matrix(train, "PCA training matrix")
     if X.shape[0] < 2:
         raise FitError("PCA needs at least 2 training rows")
-    if not 0.0 < target_ratio <= 1.0:
+    if not 0.0 < check_real("target_ratio", target_ratio) <= 1.0:
         raise InputError(f"target_ratio must be in (0,1], got {target_ratio}")
     with np.errstate(over="ignore", invalid="ignore"):  # finite values near the float64 limit
         mean = X.mean(axis=0)

@@ -18,7 +18,8 @@ modality name that `dataset.modality_name_fault` refuses (an ``=``, ``\n``,
 ``\r`` or NUL, or edge whitespace), at most `MAX_ROWS` rows (subjects x
 sessions) and `MAX_FEATURE_CELLS` feature cells (rows x the sum of the
 dims), a `bias_attribute` that is empty (the first attribute) or declared,
-proportions and base rates in [0, 1], and finite separations and noise. Each
+real numbers (`errors.check_real`) for the proportions, base rates,
+separations and noise, the first two in [0, 1] and the others finite. Each
 rule is a test that a valid value passes, so NaN fails it.
 """
 
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import RESERVED_ATTRIBUTES, ColumnMeta, Dataset, ModalityTable, modality_name_fault
-from .errors import InputError, check_seed, is_integer, seeded_rng
+from .errors import InputError, check_real, check_seed, is_integer, seeded_rng
 
 MAX_ROWS = 10**6  # the most rows a spec may draw
 MAX_FEATURE_CELLS = 10**7  # the most feature cells a spec may draw: 80 MB as float64
@@ -85,15 +86,15 @@ class SynthSpec:
         for name, p in self.attribute_props:
             if name in RESERVED_ATTRIBUTES:
                 raise InputError(f"attribute {name!r} is a metadata or predictions.csv column")
-            if not 0.0 <= p <= 1.0:
+            if not 0.0 <= check_real(f"attribute {name!r}: proportion", p) <= 1.0:
                 raise InputError(f"attribute {name!r}: proportion must be in [0,1]")
         if self.bias_attribute not in ("", *self.attribute_names):
             raise InputError(f"bias_attribute {self.bias_attribute!r} not among {self.attribute_names}")
         for name in ("base_rate_majority", "base_rate_minority"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
+            if not 0.0 <= check_real(name, getattr(self, name)) <= 1.0:
                 raise InputError(f"{name} must be in [0,1]")
         for name in ("separation_majority", "separation_minority", "noise_std"):
-            if not math.isfinite(getattr(self, name)):
+            if not math.isfinite(check_real(name, getattr(self, name))):
                 raise InputError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not self.noise_std > 0:
             raise InputError("noise_std must be positive")

@@ -7,9 +7,10 @@ through metrics.counts: a value other than 0 or 1 or a 2-D column is an
 InputError, and 0/1 labels give the same bits as ints, floats or bools.
 
 Every seeded operation refuses a negative, non-integer or bool seed through
-errors.seeded_rng before numpy reads it, `make_folds` refuses the cv_mode
-and cv_k that the configuration parser refuses, and `REFUSALS` is one table
-of further argument refusals, each with its error type and first words."""
+errors.seeded_rng before numpy reads it, `make_folds` refuses the cv_mode,
+cv_k and cv_grouped that the configuration parser refuses, and `REFUSALS` is
+one table of further argument refusals, each with its error type and first
+words."""
 
 import re
 
@@ -274,6 +275,9 @@ def test_numpy_integer_seed_draws_as_int():
     ({"cv_k": 2.5}, "cv.k: expected an integer >= 2, got 2.5"),
     ({"cv_k": True}, "cv.k: expected an integer >= 2, got True"),
     ({"cv_k": 1, "cv_mode": "loso"}, "cv.k: expected an integer >= 2, got 1"),
+    # a non-empty string is truthy, so "no" ran grouped folds
+    ({"cv_grouped": "no"}, "cv.grouped: expected true/false, got 'no'"),
+    ({"cv_grouped": 0}, "cv.grouped: expected true/false, got 0"),
 ])
 @pytest.mark.parametrize("call", [make_folds, run_experiment])
 def test_cv_settings_the_parser_refuses(call, fields, message):
@@ -367,6 +371,30 @@ REFUSALS = {
     **{f"fit_pca[target_ratio={r}]": (lambda d, r=r: fit_pca(TRAIN, r), InputError,
                                       f"target_ratio must be in (0,1], got {r}")
        for r in (0.0, -0.5, 1.5, np.nan)},
+    # a real that is not a number raised an unnamed TypeError from its
+    # comparison, and a bool Beta parameter was read as 1
+    **{f"augment_dataset[{name}={v!r}]": (
+        lambda d, name=name, v=v: augment_dataset(SMALL, "mixfeat", 0, **{name: v}), InputError,
+        f"{name} must be a number, got {v!r}") for name, v in
+       (("beta_alpha", "1"), ("beta_alpha", None), ("beta_beta", True))},
+    **{f"fit_pca[target_ratio={r!r}]": (lambda d, r=r: fit_pca(TRAIN, r), InputError,
+                                        f"target_ratio must be a number, got {r!r}")
+       for r in ("0.8", None)},
+    **{f"SynthSpec[{name}]": (lambda d, changes=changes: SynthSpec(**changes), InputError, message)
+       for name, changes, message in (
+           ("noise_std", {"noise_std": "1"}, "noise_std must be a number, got '1'"),
+           ("base_rate_majority", {"base_rate_majority": "0.5"},
+            "base_rate_majority must be a number, got '0.5'"),
+           ("attribute_props", {"attribute_props": (("gender", "0.5"),)},
+            "attribute 'gender': proportion must be a number, got '0.5'"))},
+    **{f"run_experiment[{name}={v!r}]": (
+        lambda d, name=name, v=v: run_experiment(
+            PipelineConfig(seed=1, model_kind="logistic", augment_method="mixfeat", **{name: v}), SMALL),
+        InputError, message) for name, v, message in (
+           ("pca_target_ratio", "0.8", "target_ratio must be a number, got '0.8'"),
+           ("beta_alpha", None, "beta_alpha must be a number, got None"),
+           # a non-empty string is truthy, so "no" ran PCA
+           ("pca_enabled", "no", "pca.enabled: expected true/false, got 'no'"))},
 }
 
 

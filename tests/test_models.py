@@ -454,6 +454,33 @@ class TestMlpLanes:
         assert [(m.epochs_run, m.stopped_early) for m in fitted] == [
             (400, False), (326, True), (204, True), (306, True), (263, True), (400, False)]
 
+    @pytest.mark.parametrize("batch_size, epoch_passes, epochs_run", [
+        # each lane's one batch is a lone pass, and two lanes run all 400 epochs
+        (32, [(1, 17), (1, 20), (1, 25), (1, 28), (1, 30), (1, 31)], 400),
+        # the first 16 rows of every lane are one pass, and every lane stops
+        # early, after 88 to 269 epochs
+        (16, [(6, 16), (1, 1), (1, 4), (1, 9), (1, 12), (1, 14), (1, 15)], 269),
+    ])
+    def test_stopped_lanes_keep_their_place_in_the_block(self, batch_size, epoch_passes, epochs_run,
+                                                         monkeypatch):
+        problems = [mlp_problem(seed, n, 2, sep) for seed, n, sep in
+                    [(4, 30, 6.0), (1, 28, 1.0), (2, 25, 0.5), (3, 31, 0.0), (5, 20, 1.0), (7, 17, 0.3)]]
+        hp = {"hidden_units": 4, "epochs": 400, "learning_rate": 0.05, "l2": 1e-2, "batch_size": batch_size}
+        passes, forward = [], models._mlp_forward
+
+        def spy(net, X1, buf):  # (lanes, rows) of each pass
+            passes.append(X1.shape[:2] if X1.ndim == 3 else (1, X1.shape[0]))
+            return forward(net, X1, buf)
+        monkeypatch.setattr(models, "_mlp_forward", spy)
+        fitted = fit_many(PredictorSpec("mlp", hp), problems)
+        monkeypatch.undo()
+        stops = sorted(m.epochs_run for m in fitted if m.stopped_early)
+        assert len(stops) >= 4 and len(set(stops)) == len(stops)  # one at a time
+        assert max(m.epochs_run for m in fitted) == epochs_run
+        # every epoch passes every lane, until the last lane ends
+        assert passes == epoch_passes * epochs_run
+        self.assert_lanes_are_single_fits(hp, problems, monkeypatch, [6])
+
     def test_a_diverging_lane_is_a_fit_error(self):
         # at this step size the second problem alone overflows, the others do not
         spec = PredictorSpec("mlp", {"hidden_units": 4, "epochs": 3, "learning_rate": 1e153,
