@@ -26,7 +26,8 @@ field (defaults in parentheses):
 
 Integers (seeds, sizes, counts) must be non-negative and reals finite.
 Paths are relative to the configuration file. PredictorSpec rejects a
-hyperparameter that model.kind does not take.
+hyperparameter that model.kind does not take. Each key has one rule:
+build_config reads the text by it, a (frozen) PipelineConfig the value when built.
 """
 
 from __future__ import annotations
@@ -35,58 +36,65 @@ import dataclasses
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
+
+import numpy as np
 
 from .augment import METHODS as AUGMENT_METHODS, check_beta
 from .dataset import LEVELS, parse_keyvalue_file
-from .errors import ConfigError, InputError, ParseError, SchemaError
+from .errors import ConfigError, InputError, ParseError, SchemaError, is_integer, is_real
 from .fusion import STRATEGIES
 from .models import DEFAULT_HYPERPARAMS, PredictorSpec
 from .preprocess import DESCRIPTOR_ORDER
 from .synthgen import SynthSpec
 
-CV_MODES = ("kfold", "loso")
 _BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
-def _parser(convert, expected: str, ok=lambda value: True):
-    """parse(key, text): convert the text and check the value, raising a
-    ConfigError that names the key when either fails."""
+class _Rule(NamedTuple):
+    """A key's one rule: `convert` reads its text (KeyError or ValueError: not
+    a value), `ok` tests a value, its type first; `expected` says what passes."""
+    convert: Callable
+    expected: str
+    ok: Callable
 
-    def parse(key, text):
+    def refusal(self, key, shown) -> str:
+        return f"{key}: expected {self.expected}, got {shown!r}"
+
+    def parse(self, key, text):
+        """The text's value, or a ConfigError that names the key and the text."""
         try:
-            value = convert(text)
-            valid = ok(value)
+            if self.ok(value := self.convert(text)):
+                return value
         except (KeyError, ValueError):
-            valid = False
-        if not valid:
-            raise ConfigError(f"{key}: expected {expected}, got {text!r}")
-        return value
-
-    return parse
+            pass
+        raise ConfigError(self.refusal(key, text))
 
 
-def _names(text):
-    return tuple(m.strip() for m in text.split(",") if m.strip())
+def _names(expected, ok):
+    """The rule of a comma list of names, a tuple of str in Python."""
+    return _Rule(lambda text: tuple(m.strip() for m in text.split(",") if m.strip()), expected,
+                 lambda v: isinstance(v, tuple) and all(isinstance(m, str) for m in v) and ok(v))
 
 
 def _one_of(options):
-    return _parser(str, f"one of {tuple(options)}", lambda v: v in options)
+    options = tuple(options)
+    return _Rule(str, f"one of {options}", lambda v: isinstance(v, str) and v in options)
 
 
-_parse_bool = _parser(lambda text: _BOOLS[text.lower()], "true/false")
+_BOOL = _Rule(lambda text: _BOOLS[text.lower()], "true/false", lambda v: isinstance(v, (bool, np.bool_)))
 # every integer in a configuration is a seed, a size or a count
-_parse_int = _parser(int, "a non-negative integer", lambda v: v >= 0)
-_parse_float = _parser(float, "a finite number", math.isfinite)
-_parse_str = _parser(str, "text")
-_PARSERS_BY_TYPE = {int: _parse_int, float: _parse_float, str: _parse_str}
+_INT = _Rule(int, "a non-negative integer", lambda v: is_integer(v) and v >= 0)
+_FLOAT = _Rule(float, "a finite number", lambda v: is_real(v) and math.isfinite(v))
+_STR = _Rule(str, "text", lambda v: isinstance(v, str))
+_PARSERS_BY_TYPE = {int: _INT.parse, float: _FLOAT.parse, str: _STR.parse}
 
 
 def _hyperparam_parser(default):
     """Parser for a model.<hp> value, by the type of the kind's default; a
     string default (gamma="scale") also accepts a number in its place."""
     if isinstance(default, str):
-        return lambda key, text: text if text == default else _parse_float(key, text)
+        return lambda key, text: text if text == default else _FLOAT.parse(key, text)
     return _PARSERS_BY_TYPE[type(default)]
 
 
@@ -94,59 +102,71 @@ def _listed(names):
     return list(names) if names else None
 
 
-def _key(name, parse, default=None, report=lambda value: value, path=False):
-    """A PipelineConfig field set by configuration key `name`."""
-    return field(default=default, metadata=dict(key=name, parse=parse, report=report, path=path))
+def _key(name, rule, default=None, report=lambda value: value, path=False):
+    """A PipelineConfig field set by configuration key `name` and checked by `rule`."""
+    return field(default=default, metadata=dict(key=name, rule=rule, report=report, path=path))
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineConfig:
     """One configured run. Every field but model_hyperparams is declared by
-    `_key`, whose metadata holds the configuration key, its parser
-    parse(key, text) -> value, its JSON form in reports (None: to_flat_dict
-    reports the key itself, if at all) and whether the value is a path
-    relative to the configuration file. Fields are in parse order."""
+    `_key`, whose metadata holds the configuration key, its `_Rule` (a field
+    whose default is None may also be None), its JSON form in reports (None:
+    to_flat_dict reports the key itself, if at all) and whether the value is
+    a path relative to the configuration file. Fields are in parse order."""
 
-    seed: int = _key("seed", _parse_int, 0)
-    manifest: Optional[str] = _key("dataset.manifest", _parse_str, path=True)
-    synth_spec: Optional[SynthSpec] = _key(
-        "dataset.synth", lambda key, p: parse_synth_spec(p), report=None, path=True
-    )
+    seed: int = _key("seed", _INT, 0)
+    manifest: Optional[str] = _key("dataset.manifest", _STR, path=True)
+    synth_spec: Optional[SynthSpec] = _key("dataset.synth", _Rule(
+        lambda path: parse_synth_spec(path), "a SynthSpec", lambda v: isinstance(v, SynthSpec)
+    ), report=None, path=True)
     modalities: Optional[tuple[str, ...]] = _key(
         "modalities",
-        _parser(_names, "distinct names", lambda v: len(set(v)) == len(v)),
+        _names("distinct names", lambda v: len(set(v)) == len(v)),
         report=_listed,
     )
     level: str = _key("features.level", _one_of(("all", *LEVELS)), "all")
     descriptors: Optional[tuple[str, ...]] = _key(
         "features.descriptors",
-        _parser(_names, f"one or more names from {DESCRIPTOR_ORDER}",
-                lambda v: v and set(DESCRIPTOR_ORDER).issuperset(v)),
+        _names(f"one or more names from {DESCRIPTOR_ORDER}",
+               lambda v: v and set(DESCRIPTOR_ORDER).issuperset(v)),
         report=_listed,
     )
-    pca_enabled: bool = _key("pca.enabled", _parse_bool, True)
+    pca_enabled: bool = _key("pca.enabled", _BOOL, True)
     pca_target_ratio: float = _key(
-        "pca.target_ratio", _parser(float, "a number in (0, 1]", lambda v: 0.0 < v <= 1.0), 0.8
+        "pca.target_ratio", _Rule(float, "a number in (0, 1]", lambda v: is_real(v) and 0.0 < v <= 1.0), 0.8
     )
     augment_method: str = _key("augment.method", _one_of(AUGMENT_METHODS), "none")
-    beta_alpha: float = _key("augment.beta_alpha", _parse_float, 1.0)
-    beta_beta: float = _key("augment.beta_beta", _parse_float, 1.0)
-    augment_seed: Optional[int] = _key("augment.seed", _parse_int, report=None)
+    beta_alpha: float = _key("augment.beta_alpha", _FLOAT, 1.0)
+    beta_beta: float = _key("augment.beta_beta", _FLOAT, 1.0)
+    augment_seed: Optional[int] = _key("augment.seed", _INT, report=None)
     model_kind: str = _key("model.kind", _one_of(DEFAULT_HYPERPARAMS), "rbf_svm")
     # model.<hyperparameter> keys, parsed by the type of
     # DEFAULT_HYPERPARAMS[model_kind][<hyperparameter>] (text if it has none)
     model_hyperparams: dict = field(default_factory=dict)
     fusion_strategy: str = _key("fusion.strategy", _one_of(STRATEGIES), "early")
     meta_kind: str = _key("fusion.meta_kind", _one_of(DEFAULT_HYPERPARAMS), "logistic")
-    cv_mode: str = _key("cv.mode", _one_of(CV_MODES), "kfold")
-    cv_k: int = _key("cv.k", _parser(int, "an integer >= 2", lambda v: v >= 2), 5)
-    cv_grouped: bool = _key("cv.grouped", _parse_bool, True)
-    output_dir: str = _key("output_dir", _parse_str, ".", report=None, path=True)
+    cv_mode: str = _key("cv.mode", _one_of(("kfold", "loso")), "kfold")
+    cv_k: int = _key("cv.k", _Rule(int, "an integer >= 2", lambda v: is_integer(v) and v >= 2), 5)
+    cv_grouped: bool = _key("cv.grouped", _BOOL, True)
+    output_dir: str = _key("output_dir", _STR, ".", report=None, path=True)
+
+    def __post_init__(self):
+        """Check each key field by its rule, both model specs and the Beta parameters."""
+        for key, f in KEYS.items():
+            value, rule = getattr(self, f.name), f.metadata["rule"]
+            if not (value is None and f.default is None or rule.ok(value)):
+                raise InputError(rule.refusal(key, value))
+        for section, check in (("model.", self.model_spec), ("model.", self.meta_spec),
+                               ("augment.", lambda: check_beta(self.beta_alpha, self.beta_beta))):
+            try:
+                check()
+            except InputError as exc:
+                raise InputError(f"{section}{exc}") from None
 
     def _spec(self, kind: str, hyperparams: dict) -> PredictorSpec:
-        """A kind that takes a seed gets the master seed unless one is set;
-        PredictorSpec names an unknown kind."""
-        seed = {"seed": self.seed} if "seed" in DEFAULT_HYPERPARAMS.get(kind, ()) else {}
+        """A kind that takes a seed gets the master seed unless one is set."""
+        seed = {"seed": self.seed} if "seed" in DEFAULT_HYPERPARAMS[kind] else {}
         return PredictorSpec(kind, {**seed, **hyperparams})
 
     def model_spec(self) -> PredictorSpec:
@@ -159,7 +179,8 @@ class PipelineConfig:
         return self.seed if self.augment_seed is None else self.augment_seed
 
     def to_flat_dict(self) -> dict:
-        """Full resolved configuration, for embedding in reports."""
+        """What reports embed: every key but output_dir, dataset.synth as its spec,
+        augment.seed resolved, and model.hyperparams only as set (no defaults)."""
         out = {key: f.metadata["report"](getattr(self, f.name))
                for key, f in KEYS.items() if f.metadata["report"]}
         out["augment.seed"] = self.resolved_augment_seed()
@@ -189,10 +210,8 @@ def parse_synth_spec(path: str) -> SynthSpec:
     attribute.<name>=<proportion> lines, plus any scalar SynthSpec field."""
     kv = _read_keyvalue(path)
     kwargs = {}
-    for pre, name, parse in (
-        ("modality.", "modality_dims", _parse_int),
-        ("attribute.", "attribute_props", _parse_float),
-    ):
+    for pre, name, parse in (("modality.", "modality_dims", _INT.parse),
+                             ("attribute.", "attribute_props", _FLOAT.parse)):
         pairs = tuple((k[len(pre):], parse(k, kv.pop(k))) for k in list(kv) if k.startswith(pre))
         if pairs:
             kwargs[name] = pairs
@@ -215,36 +234,31 @@ def synth_spec_to_dict(spec: SynthSpec) -> dict:
 
 
 def build_config(kv: dict[str, str], base_dir: str = ".") -> PipelineConfig:
-    """Validate a flat key->string mapping into a PipelineConfig."""
+    """Validate a flat key->string mapping into a PipelineConfig, built once;
+    its refusal is a ConfigError here."""
     kv = dict(kv)
     if "seed" not in kv:
         raise ConfigError("missing required key 'seed'")
     if ("dataset.manifest" in kv) == ("dataset.synth" in kv):
         raise ConfigError("exactly one of dataset.manifest / dataset.synth is required")
-    cfg = PipelineConfig()
+    values = {}
     for key, f in KEYS.items():
         if key in kv:
             text = kv.pop(key)  # os.path.join keeps an absolute path as it is
             text = os.path.join(base_dir, text) if f.metadata["path"] else text
-            setattr(cfg, f.name, f.metadata["parse"](key, text))
-    defaults = DEFAULT_HYPERPARAMS[cfg.model_kind]
+            values[f.name] = f.metadata["rule"].parse(key, text)
+    defaults = DEFAULT_HYPERPARAMS[values.get("model_kind", KEYS["model.kind"].default)]
+    hyperparams = {}
     for key in [k for k in kv if k.startswith("model.")]:
-        hp = key[len("model."):]  # one the kind does not take stays text for model_spec to reject
-        parse = _hyperparam_parser(defaults[hp]) if hp in defaults else _parse_str
-        cfg.model_hyperparams[hp] = parse(key, kv.pop(key))
+        hp = key[len("model."):]  # one the kind does not take stays text for PredictorSpec to reject
+        parse = _hyperparam_parser(defaults[hp]) if hp in defaults else _STR.parse
+        hyperparams[hp] = parse(key, kv.pop(key))
     if kv:
         raise ConfigError(f"unknown configuration keys: {sorted(kv)}")
-    # name and range checks live with the objects; their messages start with the field
-    for section, build in (
-        ("model.", cfg.model_spec),
-        ("model.", cfg.meta_spec),
-        ("augment.", lambda: check_beta(cfg.beta_alpha, cfg.beta_beta)),
-    ):
-        try:
-            build()
-        except InputError as exc:
-            raise ConfigError(f"{section}{exc}") from None
-    return cfg
+    try:
+        return PipelineConfig(**values, model_hyperparams=hyperparams)
+    except InputError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def load_config(path: str, overrides: Optional[dict[str, str]] = None) -> PipelineConfig:

@@ -2,6 +2,7 @@
 more than one module raises them from."""
 
 import numbers
+import sys
 
 import numpy as np
 
@@ -72,9 +73,10 @@ def is_integer(value) -> bool:
 
 
 def is_real(value) -> bool:
-    """The one rule for a real setting (a rate, a ratio or a scale): an
-    integer that is not a bool, or a float."""
-    return is_integer(value) or isinstance(value, (float, np.floating))
+    """The one rule for a real setting (a rate, a ratio or a scale): a float,
+    or an integer that is not a bool and that float64 holds."""
+    return isinstance(value, (float, np.floating)) or (
+        is_integer(value) and abs(int(value)) <= sys.float_info.max)
 
 
 def check_real(name: str, value):

@@ -31,30 +31,15 @@ from . import augment as augment_mod
 from . import folds
 from . import fusion as fusion_mod
 from . import metrics as metrics_mod
-from .config import CV_MODES, PipelineConfig
+from .config import PipelineConfig
 from .dataset import PREDICTION_COLUMNS, ColumnMeta, Dataset, ModalityTable, atomic_write, csv_text
-from .errors import (
-    ConfigError,
-    ExperimentError,
-    FitError,
-    InputError,
-    MetricUndefinedError,
-    check_seed,
-    is_integer,
-)
+from .errors import ConfigError, ExperimentError, FitError, InputError, MetricUndefinedError
 from .metrics import DiResult, PredictionSet
 from .preprocess import fit_column_cleaner, fit_pca, fit_standardizer, select_columns
 
 
 def make_folds(config: PipelineConfig, dataset: Dataset):
-    """The folds of the configured rule. A cv_mode, cv_k or cv_grouped that
-    the configuration parser refuses is an InputError in its wording."""
-    if config.cv_mode not in CV_MODES:
-        raise InputError(f"cv.mode: expected one of {CV_MODES}, got {config.cv_mode!r}")
-    if not (is_integer(config.cv_k) and config.cv_k >= 2):
-        raise InputError(f"cv.k: expected an integer >= 2, got {config.cv_k!r}")
-    if not isinstance(config.cv_grouped, (bool, np.bool_)):
-        raise InputError(f"cv.grouped: expected true/false, got {config.cv_grouped!r}")
+    """The folds of the configured rule, whose settings the config checked when built."""
     if config.cv_mode == "loso":
         return folds.loso_folds(dataset.subject_id)
     if config.cv_grouped:
@@ -154,14 +139,13 @@ def run_experiment(config: PipelineConfig, dataset: Dataset) -> EvaluationReport
 
 
 def run_arms(config: PipelineConfig, dataset: Dataset, methods) -> list[EvaluationReport]:
-    """One report per augmentation method. Each fold is formed and
-    preprocessed once; every method augments, fits and predicts on it. The
+    """One report per method in the non-empty list `methods`. Each fold is formed
+    and preprocessed once; every method augments, fits and predicts on it. The
     folds run in up to min(folds, CPUs) forked processes where `fork` exists
     (`parallel.map_folds`), and the reports do not depend on how many."""
-    for seed in (config.seed, config.resolved_augment_seed()):  # each fold adds its index
-        check_seed(seed)
-    if not isinstance(config.pca_enabled, (bool, np.bool_)):  # a non-empty string is truthy
-        raise InputError(f"pca.enabled: expected true/false, got {config.pca_enabled!r}")
+    arm_cfgs = [] if isinstance(methods, str) else [replace(config, augment_method=m) for m in methods]
+    if not arm_cfgs:
+        raise InputError(f"methods: expected one or more augmentation methods, got {methods!r}")
     names = config.modalities or dataset.modality_names
     unknown = [m for m in names if m not in dataset.modality_names]
     if unknown:
@@ -180,7 +164,6 @@ def run_arms(config: PipelineConfig, dataset: Dataset, methods) -> list[Evaluati
     if not folds:
         raise ExperimentError("no folds could be formed")
     spec = fusion_mod.FusionSpec(config.fusion_strategy, config.model_spec(), config.meta_spec())
-    arm_cfgs = [replace(config, augment_method=m) for m in methods]
 
     def run_fold(f):
         """One record per arm for fold f."""

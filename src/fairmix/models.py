@@ -103,11 +103,10 @@ class PredictorSpec:
         # cover the kinds that take each name (SMO stops on tol, so 0 never stops)
         for name, default in takes.items():
             v = hp[name]
-            integer = is_integer(v)
-            if isinstance(default, int) and not integer:
-                raise InputError(f"{name} must be an integer, got {v!r}")
-            if not (is_real(v) and (integer or math.isfinite(v))
-                    or isinstance(v, str) and v == default):
+            if isinstance(default, int):
+                if not is_integer(v):
+                    raise InputError(f"{name} must be an integer, got {v!r}")
+            elif not (is_real(v) and math.isfinite(v) or isinstance(v, str) and v == default):
                 alt = f" or {default!r}" if isinstance(default, str) else ""
                 raise InputError(f"{name} must be a finite number{alt}, got {v!r}")
         for names, ok, rule in (

@@ -310,8 +310,10 @@ class TestRunExperiment:
     @pytest.mark.parametrize("field", ["model_kind", "meta_kind"])
     def test_unknown_kind_built_directly_is_named(self, field):
         # PipelineConfig._spec indexed DEFAULT_HYPERPARAMS by the kind first,
-        # ending in KeyError: 'foo'
-        with pytest.raises(InputError, match=r"^unknown model kind 'foo'$"):
+        # ending in KeyError: 'foo'; the config now refuses it when built
+        key = {"model_kind": "model.kind", "meta_kind": "fusion.meta_kind"}[field]
+        with pytest.raises(InputError, match=rf"^{key}: expected one of "
+                                             r"\('rbf_svm', 'mlp', 'logistic'\), got 'foo'$"):
             run_experiment(PipelineConfig(seed=1, **{field: "foo"}), synth())
 
     @pytest.mark.parametrize("strategy", ["vote_soft", "stack_soft"])

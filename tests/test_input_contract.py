@@ -7,11 +7,12 @@ through metrics.counts: a value other than 0 or 1 or a 2-D column is an
 InputError, and 0/1 labels give the same bits as ints, floats or bools.
 
 Every seeded operation refuses a negative, non-integer or bool seed through
-errors.seeded_rng before numpy reads it, `make_folds` refuses the cv_mode,
-cv_k and cv_grouped that the configuration parser refuses, and `REFUSALS` is
-one table of further argument refusals, each with its error type and first
-words."""
+errors.seeded_rng before numpy reads it, a PipelineConfig refuses when it is
+built every field value that its key's rule refuses, in the parser's wording,
+and `REFUSALS` is one table of further argument refusals, each with its error
+type and first words."""
 
+import dataclasses
 import re
 
 import numpy as np
@@ -19,7 +20,7 @@ import pytest
 
 from fairmix import folds
 from fairmix.augment import augment_dataset
-from fairmix.config import PipelineConfig
+from fairmix.config import KEYS, PipelineConfig, build_config
 from fairmix.dataset import ColumnMeta, Dataset, ModalityTable, binarize_panas, load_dataset
 from fairmix.errors import (
     AlignmentError,
@@ -33,7 +34,7 @@ from fairmix.errors import (
     as_matrix,
     seeded_rng,
 )
-from fairmix.experiment import make_folds, run_experiment
+from fairmix.experiment import make_folds, run_arms, run_experiment
 from fairmix.fusion import FusionSpec, early_fuse, fit_fusion, fit_stacking_meta
 from fairmix.metrics import PredictionSet
 from fairmix.models import PredictorSpec, fit
@@ -256,8 +257,11 @@ SEED_ENTRIES = {
 def test_bad_seed_is_an_input_error(name, seed):
     # numpy's ValueError (negative) or TypeError (float) came first; a bool
     # was read as 0 or 1, as was `run_experiment`'s augment seed once a fold
-    # index was added to it
-    with pytest.raises(InputError, match=rf"^seed must be a non-negative integer, "
+    # index was added to it. A PipelineConfig refuses its seeds when it is
+    # built, by the keys' rule.
+    key = {"run_experiment[seed]": "seed", "run_experiment[augment_seed]": "augment.seed"}.get(name)
+    start = f"{key}: expected" if key else "seed must be"
+    with pytest.raises(InputError, match=rf"^{re.escape(start)} a non-negative integer, "
                                          rf"got {re.escape(repr(seed))}$"):
         SEED_ENTRIES[name](seed)
 
@@ -284,8 +288,43 @@ def test_cv_settings_the_parser_refuses(call, fields, message):
     # cv_mode "LOSO" ran grouped 5-fold and reported "mode": "LOSO"; cv_k 0
     # ungrouped ended in numpy's ValueError, and 0 or 1 grouped in "grouped
     # k-fold needs at least 2 subjects"
+    # (a PipelineConfig now refuses each when it is built)
     with pytest.raises(InputError, match=rf"^{re.escape(message)}$"):
         call(PipelineConfig(model_kind="logistic", **fields), SMALL)
+
+
+# values that some key's rule refuses, each with its text in a configuration file
+BAD_VALUES = [(-1, "-1"), (1, "1"), (2.5, "2.5"), ("bogus", "bogus"), (("a", "a"), "a,a")]
+
+
+@pytest.mark.parametrize("key", KEYS)
+def test_every_key_refuses_by_its_one_rule(key):
+    # a PipelineConfig built in Python went unchecked but for the cv
+    # settings, pca_enabled and the seeds, which experiment checked again:
+    # descriptors=("bogus",) ran to a report
+    field = KEYS[key]
+    refusal = rf"{re.escape(key)}: expected (.+), got "
+    anything = object()  # of no type that a rule passes
+    with pytest.raises(InputError, match=rf"^{refusal}{re.escape(repr(anything))}$"):
+        PipelineConfig(**{field.name: anything})
+    by_text = 0
+    for value, text in BAD_VALUES:
+        try:
+            PipelineConfig(**{field.name: value})
+            continue
+        except InputError as exc:
+            wording = re.fullmatch(refusal + re.escape(repr(value)), str(exc))
+        if not wording or field.metadata["path"]:  # a path key takes any text as its path
+            continue
+        try:
+            build_config({"seed": "1", "dataset.manifest": "m.txt", key: text})
+        except ConfigError as exc:
+            got = re.fullmatch(refusal + re.escape(repr(text)), str(exc))
+            assert got and got[1] == wording[1], str(exc)
+            by_text += 1
+    assert by_text or field.metadata["path"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(PipelineConfig(), field.name, field.default)
 
 
 class Unsteady:
@@ -367,7 +406,7 @@ REFUSALS = {
     "run_experiment[beta_beta=inf]": (
         lambda d: run_experiment(PipelineConfig(seed=1, model_kind="logistic",
                                                 augment_method="mixfeat", beta_beta=np.inf), SMALL),
-        InputError, "beta_beta must be finite, got inf"),
+        InputError, "augment.beta_beta: expected a finite number, got inf"),
     **{f"fit_pca[target_ratio={r}]": (lambda d, r=r: fit_pca(TRAIN, r), InputError,
                                       f"target_ratio must be in (0,1], got {r}")
        for r in (0.0, -0.5, 1.5, np.nan)},
@@ -391,10 +430,33 @@ REFUSALS = {
         lambda d, name=name, v=v: run_experiment(
             PipelineConfig(seed=1, model_kind="logistic", augment_method="mixfeat", **{name: v}), SMALL),
         InputError, message) for name, v, message in (
-           ("pca_target_ratio", "0.8", "target_ratio must be a number, got '0.8'"),
-           ("beta_alpha", None, "beta_alpha must be a number, got None"),
+           ("pca_target_ratio", "0.8", "pca.target_ratio: expected a number in (0, 1], got '0.8'"),
+           ("beta_alpha", None, "augment.beta_alpha: expected a finite number, got None"),
            # a non-empty string is truthy, so "no" ran PCA
            ("pca_enabled", "no", "pca.enabled: expected true/false, got 'no'"))},
+    # an int beyond float64's range passed as a real: noise_std raised an
+    # OverflowError, a Beta parameter numpy's TypeError, and a hyperparameter
+    # was accepted and fit raised an OverflowError
+    "SynthSpec[noise_std=10**400]": (lambda d: SynthSpec(noise_std=10**400), InputError,
+                                     f"noise_std must be a number, got {10**400!r}"),
+    "augment_dataset[beta_alpha=10**400]": (
+        lambda d: augment_dataset(SMALL, "mixfeat", 0, 10**400), InputError,
+        f"beta_alpha must be a number, got {10**400!r}"),
+    **{f"PredictorSpec[{kind}, {name}=10**400]": (
+        lambda d, kind=kind, name=name: PredictorSpec(kind, {name: 10**400}), InputError,
+        f"{name} must be a finite number, got {10**400!r}")
+       for kind, name in (("mlp", "learning_rate"), ("mlp", "l2"), ("rbf_svm", "C"))},
+    "run_experiment[model.l2=10**400]": (
+        lambda d: run_experiment(PipelineConfig(seed=1, model_kind="logistic",
+                                                model_hyperparams={"l2": 10**400}), SMALL),
+        InputError, f"model.l2 must be a finite number, got {10**400!r}"),
+    # no methods formed and preprocessed every fold and returned [], and a
+    # bare string was read letter by letter ("unknown augmentation method 'n'")
+    **{f"run_arms[methods={methods!r}]": (
+        lambda d, methods=methods: run_arms(PipelineConfig(seed=1, model_kind="logistic"), SMALL,
+                                            methods), InputError,
+        f"methods: expected one or more augmentation methods, got {methods!r}")
+       for methods in ([], "none")},
 }
 
 
