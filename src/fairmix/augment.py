@@ -29,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dataset import Dataset, ModalityTable
-from .errors import InputError, check_real, seeded_rng
+from .errors import POSITIVE, InputError, seeded_rng
 
 METHODS = ("none", "random_oversample", "mixfeat")  # "none" leaves the split as it is
 
@@ -37,14 +37,10 @@ CellKey = tuple[tuple[int, ...], int]  # (attribute values in declared order, la
 
 
 def check_beta(beta_alpha, beta_beta) -> None:
-    """Reject a parameter of mixfeat's Beta weights that is not a number
-    (errors.check_real: a bool is not), not positive or infinite; the message
-    starts with the name, to which config adds "augment."."""
-    for name, v in (("beta_alpha", beta_alpha), ("beta_beta", beta_beta)):
-        if not check_real(name, v) > 0:
-            raise InputError(f"{name} must be positive, got {v!r}")
-        if not np.isfinite(v):
-            raise InputError(f"{name} must be finite, got {v!r}")
+    """Refuse a parameter of mixfeat's Beta weights that the one rule of the
+    augment.beta_* keys, errors.POSITIVE, refuses (a bool is not a number)."""
+    POSITIVE.check("beta_alpha", beta_alpha)
+    POSITIVE.check("beta_beta", beta_beta)
 
 
 def _cells_of(train: Dataset) -> dict[CellKey, np.ndarray]:

@@ -2,29 +2,51 @@
 per key from the command line.
 
 Recognized keys, in field order, each declared once as its PipelineConfig
-field (defaults in parentheses):
+field with its rule, which states what it accepts (defaults in parentheses):
 
-    seed=<int>                     (required)
-    dataset.manifest=<path>        | dataset.synth=<synth spec path>   (exactly one)
-    modalities=<comma list>        (all modalities in the dataset)
-    features.level=all|high|low    (all)
-    features.descriptors=<non-empty comma list of descriptor names>   (no mask)
-    pca.enabled=true|false         (true)
-    pca.target_ratio=<real in (0, 1]>   (0.8)
+    seed=<a non-negative integer>    (required)
+    dataset.manifest=<path>          | dataset.synth=<synth spec path>   (exactly one)
+    modalities=<comma list of distinct names>   (all modalities in the dataset)
+    features.level=all|high|low      (all)
+    features.descriptors=<comma list of one or more descriptor names>   (no mask)
+    pca.enabled=true|false           (true)
+    pca.target_ratio=<a number in (0, 1]>   (0.8)
     augment.method=none|random_oversample|mixfeat   (none)
-    augment.beta_alpha=<real>      (1.0)
-    augment.beta_beta=<real>       (1.0)
-    augment.seed=<int>             (master seed)
-    model.kind=rbf_svm|mlp|logistic   (rbf_svm)
+    augment.beta_alpha=<a positive finite number>   (1.0)
+    augment.beta_beta=<a positive finite number>    (1.0)
+    augment.seed=<a non-negative integer>           (master seed)
+    model.kind=rbf_svm|mlp|logistic  (rbf_svm)
     fusion.strategy=early|vote_hard|vote_soft|stack_hard|stack_soft  (early)
-    fusion.meta_kind=<model kind>  (logistic)
-    cv.mode=kfold|loso             (kfold)
-    cv.k=<int >= 2>                (5)
-    cv.grouped=true|false          (true: subject-grouped, label-stratified)
-    output_dir=<path>              (.)
-    model.<hyperparam>=<value>     (model defaults; only hyperparameters of model.kind)
+    fusion.meta_kind=<model kind>    (logistic)
+    cv.mode=kfold|loso               (kfold)
+    cv.k=<an integer >= 2>           (5)
+    cv.grouped=true|false            (true: subject-grouped, label-stratified)
+    output_dir=<path>                (.)
+    model.<hyperparam>=<value>       (below; only hyperparameters of model.kind)
 
-Integers (seeds, sizes, counts) must be non-negative and reals finite.
+The model.<hyperparam> keys (defaults and the kinds that take them in
+parentheses), each declared with its rule in models.HYPERPARAMS, by what
+that rule accepts:
+
+      a positive finite number: C=1.0, tol=0.001 (rbf_svm), learning_rate=0.001 (mlp)
+      'scale' or a positive finite number: gamma='scale' (rbf_svm)
+      a non-negative finite number: l2=0.0001 (mlp, logistic)
+      an integer >= 1: hidden_units=100, epochs=500, batch_size=32 (mlp), max_iter=100 (logistic)
+      a non-negative integer: seed (rbf_svm, mlp; the master seed)
+
+A synth spec file (dataset.synth) sets the SynthSpec fields (defaults in
+parentheses), each read by the rule its field declares; a field of pairs
+takes one <pair key>.<name>=<value> line per pair:
+
+      an integer >= 1: n_subjects=20, sessions_per_subject=4, modality.<name>
+          (its dim; face=6, audio=4)
+      a number in [0, 1]: attribute.<name> (its share of group 1; gender=0.5),
+          base_rate_majority=0.5, base_rate_minority=0.5
+      a non-negative finite number: separation_majority=2.0, separation_minority=2.0
+      a positive finite number: noise_std=1.0
+      a non-negative integer: seed=0
+      text: bias_attribute (empty: the first attribute, else a declared one)
+
 Paths are relative to the configuration file. PredictorSpec rejects a
 hyperparameter that model.kind does not take. Each key has one rule:
 build_config reads the text by it, a (frozen) PipelineConfig the value when built.
@@ -33,69 +55,36 @@ build_config reads the text by it, a (frozen) PipelineConfig the value when buil
 from __future__ import annotations
 
 import dataclasses
-import math
 import os
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
-from .augment import METHODS as AUGMENT_METHODS, check_beta
+from .augment import METHODS as AUGMENT_METHODS
 from .dataset import LEVELS, parse_keyvalue_file
-from .errors import ConfigError, InputError, ParseError, SchemaError, is_integer, is_real
+from .errors import (INTEGER, MAPPING, POSITIVE, TEXT, ConfigError, FrozenDict, InputError, ParseError,
+                     Rule, SchemaError)
 from .fusion import STRATEGIES
-from .models import DEFAULT_HYPERPARAMS, PredictorSpec
-from .preprocess import DESCRIPTOR_ORDER
+from .models import HYPERPARAMS, PredictorSpec
+from .preprocess import DESCRIPTOR_ORDER, TARGET_RATIO
 from .synthgen import SynthSpec
 
 _BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
-class _Rule(NamedTuple):
-    """A key's one rule: `convert` reads its text (KeyError or ValueError: not
-    a value), `ok` tests a value, its type first; `expected` says what passes."""
-    convert: Callable
-    expected: str
-    ok: Callable
-
-    def refusal(self, key, shown) -> str:
-        return f"{key}: expected {self.expected}, got {shown!r}"
-
-    def parse(self, key, text):
-        """The text's value, or a ConfigError that names the key and the text."""
-        try:
-            if self.ok(value := self.convert(text)):
-                return value
-        except (KeyError, ValueError):
-            pass
-        raise ConfigError(self.refusal(key, text))
-
-
 def _names(expected, ok):
     """The rule of a comma list of names, a tuple of str in Python."""
-    return _Rule(lambda text: tuple(m.strip() for m in text.split(",") if m.strip()), expected,
-                 lambda v: isinstance(v, tuple) and all(isinstance(m, str) for m in v) and ok(v))
+    return Rule(lambda text: tuple(m.strip() for m in text.split(",") if m.strip()), expected,
+                lambda v: isinstance(v, tuple) and all(isinstance(m, str) for m in v) and ok(v))
 
 
 def _one_of(options):
     options = tuple(options)
-    return _Rule(str, f"one of {options}", lambda v: isinstance(v, str) and v in options)
+    return Rule(str, f"one of {options}", lambda v: isinstance(v, str) and v in options)
 
 
-_BOOL = _Rule(lambda text: _BOOLS[text.lower()], "true/false", lambda v: isinstance(v, (bool, np.bool_)))
-# every integer in a configuration is a seed, a size or a count
-_INT = _Rule(int, "a non-negative integer", lambda v: is_integer(v) and v >= 0)
-_FLOAT = _Rule(float, "a finite number", lambda v: is_real(v) and math.isfinite(v))
-_STR = _Rule(str, "text", lambda v: isinstance(v, str))
-_PARSERS_BY_TYPE = {int: _INT.parse, float: _FLOAT.parse, str: _STR.parse}
-
-
-def _hyperparam_parser(default):
-    """Parser for a model.<hp> value, by the type of the kind's default; a
-    string default (gamma="scale") also accepts a number in its place."""
-    if isinstance(default, str):
-        return lambda key, text: text if text == default else _FLOAT.parse(key, text)
-    return _PARSERS_BY_TYPE[type(default)]
+_BOOL = Rule(lambda text: _BOOLS[text.lower()], "true/false", lambda v: isinstance(v, (bool, np.bool_)))
 
 
 def _listed(names):
@@ -110,14 +99,14 @@ def _key(name, rule, default=None, report=lambda value: value, path=False):
 @dataclass(frozen=True)
 class PipelineConfig:
     """One configured run. Every field but model_hyperparams is declared by
-    `_key`, whose metadata holds the configuration key, its `_Rule` (a field
+    `_key`, whose metadata holds the configuration key, its `errors.Rule` (a field
     whose default is None may also be None), its JSON form in reports (None:
     to_flat_dict reports the key itself, if at all) and whether the value is
     a path relative to the configuration file. Fields are in parse order."""
 
-    seed: int = _key("seed", _INT, 0)
-    manifest: Optional[str] = _key("dataset.manifest", _STR, path=True)
-    synth_spec: Optional[SynthSpec] = _key("dataset.synth", _Rule(
+    seed: int = _key("seed", INTEGER, 0)
+    manifest: Optional[str] = _key("dataset.manifest", TEXT, path=True)
+    synth_spec: Optional[SynthSpec] = _key("dataset.synth", Rule(
         lambda path: parse_synth_spec(path), "a SynthSpec", lambda v: isinstance(v, SynthSpec)
     ), report=None, path=True)
     modalities: Optional[tuple[str, ...]] = _key(
@@ -133,40 +122,40 @@ class PipelineConfig:
         report=_listed,
     )
     pca_enabled: bool = _key("pca.enabled", _BOOL, True)
-    pca_target_ratio: float = _key(
-        "pca.target_ratio", _Rule(float, "a number in (0, 1]", lambda v: is_real(v) and 0.0 < v <= 1.0), 0.8
-    )
+    pca_target_ratio: float = _key("pca.target_ratio", TARGET_RATIO, 0.8)
     augment_method: str = _key("augment.method", _one_of(AUGMENT_METHODS), "none")
-    beta_alpha: float = _key("augment.beta_alpha", _FLOAT, 1.0)
-    beta_beta: float = _key("augment.beta_beta", _FLOAT, 1.0)
-    augment_seed: Optional[int] = _key("augment.seed", _INT, report=None)
-    model_kind: str = _key("model.kind", _one_of(DEFAULT_HYPERPARAMS), "rbf_svm")
-    # model.<hyperparameter> keys, parsed by the type of
-    # DEFAULT_HYPERPARAMS[model_kind][<hyperparameter>] (text if it has none)
+    beta_alpha: float = _key("augment.beta_alpha", POSITIVE, 1.0)  # augment.check_beta's rule
+    beta_beta: float = _key("augment.beta_beta", POSITIVE, 1.0)
+    augment_seed: Optional[int] = _key("augment.seed", INTEGER, report=None)
+    model_kind: str = _key("model.kind", _one_of(HYPERPARAMS), "rbf_svm")
+    # model.<hyperparameter> keys, each read and checked by the rule that
+    # models.HYPERPARAMS declares for it under model_kind (text if it has none)
     model_hyperparams: dict = field(default_factory=dict)
     fusion_strategy: str = _key("fusion.strategy", _one_of(STRATEGIES), "early")
-    meta_kind: str = _key("fusion.meta_kind", _one_of(DEFAULT_HYPERPARAMS), "logistic")
+    meta_kind: str = _key("fusion.meta_kind", _one_of(HYPERPARAMS), "logistic")
     cv_mode: str = _key("cv.mode", _one_of(("kfold", "loso")), "kfold")
-    cv_k: int = _key("cv.k", _Rule(int, "an integer >= 2", lambda v: is_integer(v) and v >= 2), 5)
+    cv_k: int = _key("cv.k", INTEGER.where("an integer >= 2", lambda v: v >= 2), 5)
     cv_grouped: bool = _key("cv.grouped", _BOOL, True)
-    output_dir: str = _key("output_dir", _STR, ".", report=None, path=True)
+    output_dir: str = _key("output_dir", TEXT, ".", report=None, path=True)
 
     def __post_init__(self):
-        """Check each key field by its rule, both model specs and the Beta parameters."""
+        """Check each key field by its rule, then freeze model_hyperparams and
+        check both model specs."""
         for key, f in KEYS.items():
-            value, rule = getattr(self, f.name), f.metadata["rule"]
-            if not (value is None and f.default is None or rule.ok(value)):
-                raise InputError(rule.refusal(key, value))
-        for section, check in (("model.", self.model_spec), ("model.", self.meta_spec),
-                               ("augment.", lambda: check_beta(self.beta_alpha, self.beta_beta))):
+            value = getattr(self, f.name)
+            if not (value is None and f.default is None):
+                f.metadata["rule"].check(key, value)
+        hyperparams = FrozenDict(MAPPING.check("model.hyperparams", self.model_hyperparams))
+        object.__setattr__(self, "model_hyperparams", hyperparams)
+        for spec in (self.model_spec, self.meta_spec):
             try:
-                check()
+                spec()
             except InputError as exc:
-                raise InputError(f"{section}{exc}") from None
+                raise InputError(f"model.{exc}") from None
 
     def _spec(self, kind: str, hyperparams: dict) -> PredictorSpec:
         """A kind that takes a seed gets the master seed unless one is set."""
-        seed = {"seed": self.seed} if "seed" in DEFAULT_HYPERPARAMS[kind] else {}
+        seed = {"seed": self.seed} if "seed" in HYPERPARAMS[kind] else {}
         return PredictorSpec(kind, {**seed, **hyperparams})
 
     def model_spec(self) -> PredictorSpec:
@@ -206,24 +195,20 @@ def _read_keyvalue(path: str) -> dict[str, str]:
 
 
 def parse_synth_spec(path: str) -> SynthSpec:
-    """Read a SynthSpec from a key=value file: modality.<name>=<dim> and
-    attribute.<name>=<proportion> lines, plus any scalar SynthSpec field."""
+    """Read a SynthSpec from a key=value file: a <field>=<value> line per field,
+    but a <pair key>.<name>=<value> line per pair of a field of pairs
+    (modality.<name>=<dim>, attribute.<name>=<proportion>); each text is read
+    by its field's rule, named as its key."""
     kv = _read_keyvalue(path)
     kwargs = {}
-    for pre, name, parse in (("modality.", "modality_dims", _INT.parse),
-                             ("attribute.", "attribute_props", _FLOAT.parse)):
-        pairs = tuple((k[len(pre):], parse(k, kv.pop(k))) for k in list(kv) if k.startswith(pre))
-        if pairs:
-            kwargs[name] = pairs
-    scalars = {
-        f.name: _PARSERS_BY_TYPE[type(f.default)]
-        for f in dataclasses.fields(SynthSpec)
-        if type(f.default) in _PARSERS_BY_TYPE
-    }
-    unknown = sorted(k for k in kv if k not in scalars)
-    if unknown:
-        raise ConfigError(f"{path}: unknown synth keys {unknown}")
-    kwargs.update((k, scalars[k](k, v)) for k, v in kv.items())
+    for f in dataclasses.fields(SynthSpec):
+        rule, pre = f.metadata["rule"], f.metadata["pair_key"]
+        if pre is None and f.name in kv:
+            kwargs[f.name] = rule.parse(f.name, kv.pop(f.name))
+        elif pre is not None and (keys := [k for k in kv if k.startswith(f"{pre}.")]):
+            kwargs[f.name] = tuple((k[len(pre) + 1:], rule.parse(k, kv.pop(k))) for k in keys)
+    if kv:
+        raise ConfigError(f"{path}: unknown synth keys {sorted(kv)}")
     return SynthSpec(**kwargs)
 
 
@@ -247,12 +232,11 @@ def build_config(kv: dict[str, str], base_dir: str = ".") -> PipelineConfig:
             text = kv.pop(key)  # os.path.join keeps an absolute path as it is
             text = os.path.join(base_dir, text) if f.metadata["path"] else text
             values[f.name] = f.metadata["rule"].parse(key, text)
-    defaults = DEFAULT_HYPERPARAMS[values.get("model_kind", KEYS["model.kind"].default)]
+    takes = HYPERPARAMS[values.get("model_kind", KEYS["model.kind"].default)]
     hyperparams = {}
     for key in [k for k in kv if k.startswith("model.")]:
         hp = key[len("model."):]  # one the kind does not take stays text for PredictorSpec to reject
-        parse = _hyperparam_parser(defaults[hp]) if hp in defaults else _STR.parse
-        hyperparams[hp] = parse(key, kv.pop(key))
+        hyperparams[hp] = (takes[hp][1] if hp in takes else TEXT).parse(key, kv.pop(key))
     if kv:
         raise ConfigError(f"unknown configuration keys: {sorted(kv)}")
     try:

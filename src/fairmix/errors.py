@@ -1,8 +1,11 @@
 """Exception hierarchy shared across the package, and the input checks that
 more than one module raises them from."""
 
+import math
 import numbers
 import sys
+from collections.abc import Mapping
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -79,25 +82,66 @@ def is_real(value) -> bool:
         is_integer(value) and abs(int(value)) <= sys.float_info.max)
 
 
-def check_real(name: str, value):
-    """value, if is_real passes it, before a caller compares it; else an
-    InputError naming name and value."""
-    if not is_real(value):
-        raise InputError(f"{name} must be a number, got {value!r}")
-    return value
+class Rule(NamedTuple):
+    """A setting's one rule: `convert` reads its text (KeyError or ValueError:
+    not a value), `ok` tests a value, its type first; `expected` says what
+    passes. Every refusal reads `<name>: expected <expected>, got <value!r>`."""
+    convert: Callable
+    expected: str
+    ok: Callable
+
+    def refusal(self, name, shown) -> str:
+        return f"{name}: expected {self.expected}, got {shown!r}"
+
+    def check(self, name, value):
+        """value, if it passes; else an InputError that names name and value."""
+        if not self.ok(value):
+            raise InputError(self.refusal(name, value))
+        return value
+
+    def parse(self, name, text):
+        """The text's value, or a ConfigError that names name and the text."""
+        try:
+            if self.ok(value := self.convert(text)):
+                return value
+        except (KeyError, ValueError):
+            pass
+        raise ConfigError(self.refusal(name, text))
+
+    def where(self, expected: str, test: Callable) -> "Rule":
+        """This rule narrowed by `test`, which sees only values that pass this one."""
+        return Rule(self.convert, expected, lambda v: self.ok(v) and test(v))
 
 
-def check_seed(seed):
-    """The one seed rule: a non-negative integer, not a bool."""
-    if not is_integer(seed) or seed < 0:
-        raise InputError(f"seed must be a non-negative integer, got {seed!r}")
-    return seed
+# the base rules; every integer setting is a seed, a size or a count
+INTEGER = Rule(int, "a non-negative integer", lambda v: is_integer(v) and v >= 0)
+COUNT = INTEGER.where("an integer >= 1", lambda v: v >= 1)
+REAL = Rule(float, "a finite number", lambda v: is_real(v) and math.isfinite(v))
+POSITIVE = REAL.where("a positive finite number", lambda v: v > 0)
+NON_NEGATIVE = REAL.where("a non-negative finite number", lambda v: v >= 0)
+TEXT = Rule(str, "text", lambda v: isinstance(v, str))
+# a mapping of names to values, such as a model's hyperparameters (no text form)
+MAPPING = Rule(None, "a mapping of names to values",
+               lambda v: isinstance(v, Mapping) and all(isinstance(k, str) for k in v))
+
+
+class FrozenDict(dict):
+    """A dict that refuses every change once built, so that a checked mapping
+    stays checked; it pickles and copies as a dict of its items."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError(f"{type(self).__name__} cannot be changed")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
 
 
 def seeded_rng(seed) -> np.random.Generator:
-    """default_rng(seed), the one place a generator is seeded, after
-    `check_seed`, so that numpy never reads a bad seed."""
-    return np.random.default_rng(check_seed(seed))
+    """default_rng(seed), the one place a generator is seeded, after the seed
+    rule INTEGER (a bool is not an integer), so that numpy never reads a bad seed."""
+    return np.random.default_rng(INTEGER.check("seed", seed))
 
 
 def as_matrix(X, what: str, n_columns: int | None = None) -> np.ndarray:

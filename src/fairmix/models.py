@@ -63,24 +63,29 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import folds
-from .errors import FitError, InputError, ShapeError, as_matrix, is_integer, is_real, seeded_rng
+from .errors import (COUNT, INTEGER, MAPPING, NON_NEGATIVE, POSITIVE, FitError, FrozenDict, InputError, Rule,
+                     ShapeError, as_matrix, seeded_rng)
 from .metrics import counts
 
 # iterations before _smo gives up with a FitError
 SMO_MAX_ITER = 100_000
 
-DEFAULT_HYPERPARAMS = {
-    "rbf_svm": {"C": 1.0, "gamma": "scale", "tol": 1e-3, "seed": 0},
-    "mlp": {
-        "hidden_units": 100,
-        "learning_rate": 1e-3,
-        "epochs": 500,
-        "l2": 1e-4,
-        "batch_size": 32,
-        "seed": 0,
-    },
-    "logistic": {"l2": 1e-4, "max_iter": 100},
+# 'scale' (1 / (d * the training matrix's variance)) or a positive finite number
+_GAMMA = Rule(lambda text: text if text == "scale" else float(text),
+              f"'scale' or {POSITIVE.expected}",
+              lambda v: isinstance(v, str) and v == "scale" or POSITIVE.ok(v))
+
+# each kind's hyperparameters: name -> (default, the one rule its values pass);
+# SMO stops on tol, so 0 never stops
+HYPERPARAMS = {
+    "rbf_svm": {"C": (1.0, POSITIVE), "gamma": ("scale", _GAMMA), "tol": (1e-3, POSITIVE),
+                "seed": (0, INTEGER)},
+    "mlp": {"hidden_units": (100, COUNT), "learning_rate": (1e-3, POSITIVE), "epochs": (500, COUNT),
+            "l2": (1e-4, NON_NEGATIVE), "batch_size": (32, COUNT), "seed": (0, INTEGER)},
+    "logistic": {"l2": (1e-4, NON_NEGATIVE), "max_iter": (100, COUNT)},
 }
+DEFAULT_HYPERPARAMS = {kind: {name: default for name, (default, _) in takes.items()}
+                       for kind, takes in HYPERPARAMS.items()}
 
 
 @dataclass(frozen=True)
@@ -89,41 +94,22 @@ class PredictorSpec:
     hyperparams: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in DEFAULT_HYPERPARAMS:
+        """Check the kind, then each hyperparameter by its rule; a refusal starts
+        with the hyperparameter's name, to which config adds "model."."""
+        if self.kind not in HYPERPARAMS:
             raise InputError(f"unknown model kind {self.kind!r}")
-        takes = DEFAULT_HYPERPARAMS[self.kind]
-        for name in self.hyperparams:
+        hyperparams = FrozenDict(MAPPING.check("hyperparams", self.hyperparams))
+        object.__setattr__(self, "hyperparams", hyperparams)
+        takes = HYPERPARAMS[self.kind]
+        for name in hyperparams:
             if name not in takes:
                 raise InputError(f"{name}: model kind {self.kind!r} takes no such "
                                  f"hyperparameter; it takes {sorted(takes)}")
-        hp = self.resolved()
-        # messages start with the name (config adds "model."); a hyperparameter
-        # takes what config parses by the type of its default: an integer (not
-        # a bool), else a finite real or the default's string; the range checks
-        # cover the kinds that take each name (SMO stops on tol, so 0 never stops)
-        for name, default in takes.items():
-            v = hp[name]
-            if isinstance(default, int):
-                if not is_integer(v):
-                    raise InputError(f"{name} must be an integer, got {v!r}")
-            elif not (is_real(v) and math.isfinite(v) or isinstance(v, str) and v == default):
-                alt = f" or {default!r}" if isinstance(default, str) else ""
-                raise InputError(f"{name} must be a finite number{alt}, got {v!r}")
-        for names, ok, rule in (
-            (("C", "tol", "learning_rate"), lambda v: v > 0, "must be positive"),
-            (("l2", "seed"), lambda v: v >= 0, "must be >= 0"),
-            (("hidden_units", "epochs", "batch_size", "max_iter"), lambda v: v >= 1, "must be >= 1"),
-        ):
-            for name in names:
-                if name in hp and not ok(hp[name]):
-                    raise InputError(f"{name} {rule}, got {hp[name]!r}")
-        if hp.get("gamma", "scale") != "scale" and not hp["gamma"] > 0:
-            raise InputError("gamma must be positive or 'scale'")
+        for name, value in self.resolved().items():
+            takes[name][1].check(name, value)
 
     def resolved(self) -> dict:
-        hp = dict(DEFAULT_HYPERPARAMS[self.kind])
-        hp.update(self.hyperparams)
-        return hp
+        return {**DEFAULT_HYPERPARAMS[self.kind], **self.hyperparams}
 
 
 class TrainedPredictor:

@@ -18,11 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import ModalityTable
-from .errors import EmptyTableError, FitError, InputError, SelectionError, as_matrix, check_real
+from .errors import REAL, EmptyTableError, FitError, SelectionError, as_matrix
 
 # summary descriptors a feature name may end in ("<feature>__<descriptor>");
 # features.descriptors masks columns by them
 DESCRIPTOR_ORDER = ("mean", "median", "std", "min", "max", "autocorr_1s")
+# fit_pca's target_ratio, the pca.target_ratio key's one rule
+TARGET_RATIO = REAL.where("a number in (0, 1]", lambda v: 0.0 < v <= 1.0)
 
 
 def select_columns(table: ModalityTable, level: str, descriptors) -> ModalityTable:
@@ -135,8 +137,7 @@ def fit_pca(train: np.ndarray, target_ratio: float = 0.80) -> PcaModel:
     X = as_matrix(train, "PCA training matrix")
     if X.shape[0] < 2:
         raise FitError("PCA needs at least 2 training rows")
-    if not 0.0 < check_real("target_ratio", target_ratio) <= 1.0:
-        raise InputError(f"target_ratio must be in (0,1], got {target_ratio}")
+    TARGET_RATIO.check("target_ratio", target_ratio)
     with np.errstate(over="ignore", invalid="ignore"):  # finite values near the float64 limit
         mean = X.mean(axis=0)
         Xc = X - mean

@@ -10,71 +10,71 @@ them. A draw whose labels or an attribute take one value warns through
 `Dataset` (DegenerateGroupWarning).
 
 `SynthSpec` checks every rule of a spec when it is built (InputError), so a
-spec that `fairmix validate` passes is one `generate` can draw: integer
-(`errors.is_integer`) subject and session counts and modality dims, a seed
-that `errors.check_seed` passes, one or more modalities and attributes, each
-named once and not empty, no attribute in `dataset.RESERVED_ATTRIBUTES`, no
-modality name that `dataset.modality_name_fault` refuses (an ``=``, ``\n``,
-``\r`` or NUL, or edge whitespace), at most `MAX_ROWS` rows (subjects x
-sessions) and `MAX_FEATURE_CELLS` feature cells (rows x the sum of the
-dims), a `bias_attribute` that is empty (the first attribute) or declared,
-real numbers (`errors.check_real`) for the proportions, base rates,
-separations and noise, the first two in [0, 1] and the others finite. Each
-rule is a test that a valid value passes, so NaN fails it.
+spec that `fairmix validate` passes is one `generate` can draw. Each field
+declares its one rule (an `errors.Rule`, type first) in its metadata, by
+which `config.parse_synth_spec` reads a spec file's text too; a field of
+(name, value) pairs checks its shape, then each value as `<pair key>.<name>`,
+its key in a spec file. Only the checks across fields are written out.
 """
 
 from __future__ import annotations
 
-import math
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import RESERVED_ATTRIBUTES, ColumnMeta, Dataset, ModalityTable, modality_name_fault
-from .errors import InputError, check_real, check_seed, is_integer, seeded_rng
+from .errors import COUNT, INTEGER, NON_NEGATIVE, POSITIVE, REAL, TEXT, InputError, Rule, seeded_rng
 
 MAX_ROWS = 10**6  # the most rows a spec may draw
 MAX_FEATURE_CELLS = 10**7  # the most feature cells a spec may draw: 80 MB as float64
 
+SHARE = REAL.where("a number in [0, 1]", lambda v: 0 <= v <= 1)
+# the shape of a field of (name, value) pairs; a spec file gives one line per pair
+PAIRS = Rule(None, "one or more (name, value) pairs", lambda v: isinstance(v, tuple) and v and all(
+    isinstance(pair, tuple) and len(pair) == 2 and isinstance(pair[0], str) for pair in v))
+
+
+def _setting(default, rule, pair_key=None):
+    """A SynthSpec field whose values `rule` checks: the field's value, or, for
+    a field of pairs, each pair's value, named `<pair_key>.<name>`."""
+    return dataclasses.field(default=default, metadata=dict(rule=rule, pair_key=pair_key))
+
 
 @dataclass(frozen=True)
 class SynthSpec:
-    n_subjects: int = 20
-    sessions_per_subject: int = 4
-    modality_dims: tuple[tuple[str, int], ...] = (("face", 6), ("audio", 4))
-    attribute_props: tuple[tuple[str, float], ...] = (("gender", 0.5),)
-    bias_attribute: str = ""  # defaults to the first declared attribute
-    base_rate_majority: float = 0.5
-    base_rate_minority: float = 0.5
-    separation_majority: float = 2.0
-    separation_minority: float = 2.0
-    noise_std: float = 1.0
-    seed: int = 0
+    n_subjects: int = _setting(20, COUNT)
+    sessions_per_subject: int = _setting(4, COUNT)
+    modality_dims: tuple[tuple[str, int], ...] = _setting((("face", 6), ("audio", 4)), COUNT, "modality")
+    attribute_props: tuple[tuple[str, float], ...] = _setting((("gender", 0.5),), SHARE, "attribute")
+    bias_attribute: str = _setting("", TEXT)  # defaults to the first declared attribute
+    base_rate_majority: float = _setting(0.5, SHARE)
+    base_rate_minority: float = _setting(0.5, SHARE)
+    separation_majority: float = _setting(2.0, NON_NEGATIVE)
+    separation_minority: float = _setting(2.0, NON_NEGATIVE)
+    noise_std: float = _setting(1.0, POSITIVE)
+    seed: int = _setting(0, INTEGER)
 
     def __post_init__(self):
-        check_seed(self.seed)
-        for name in ("n_subjects", "sessions_per_subject"):
-            if not is_integer(getattr(self, name)):
-                raise InputError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if not (self.n_subjects >= 1 and self.sessions_per_subject >= 1):
-            raise InputError("need at least one subject and one session")
+        for f in dataclasses.fields(self):
+            value, rule, pair_key = getattr(self, f.name), f.metadata["rule"], f.metadata["pair_key"]
+            if pair_key is None:
+                rule.check(f.name, value)
+                continue
+            for name, v in PAIRS.check(f.name, value):
+                rule.check(f"{pair_key}.{name}", v)
         for kind, pairs in (("modality", self.modality_dims), ("attribute", self.attribute_props)):
             names = [name for name, _ in pairs]
-            if not names:
-                raise InputError(f"need at least one {kind}")
             for i, name in enumerate(names):
                 if not name:
                     raise InputError("modality and attribute names must be non-empty")
                 if name in names[:i]:
                     raise InputError(f"{kind} {name!r} is named more than once")
-        for name, d in self.modality_dims:
+        for name, _ in self.modality_dims:
             fault = modality_name_fault(name)
             if fault:
                 raise InputError(f"modality {name!r} {fault}")
-            if not is_integer(d):
-                raise InputError(f"modality {name!r}: dim must be an integer, got {d!r}")
-            if not d >= 1:
-                raise InputError(f"modality {name!r}: dim must be >= 1")
         rows = self.n_subjects * self.sessions_per_subject
         cells = rows * sum(d for _, d in self.modality_dims)
         if rows > MAX_ROWS:
@@ -83,23 +83,11 @@ class SynthSpec:
         if cells > MAX_FEATURE_CELLS:
             raise InputError(f"{rows} rows x {cells // rows} feature columns = {cells} feature "
                              f"cells, more than MAX_FEATURE_CELLS = {MAX_FEATURE_CELLS}")
-        for name, p in self.attribute_props:
+        for name in self.attribute_names:
             if name in RESERVED_ATTRIBUTES:
                 raise InputError(f"attribute {name!r} is a metadata or predictions.csv column")
-            if not 0.0 <= check_real(f"attribute {name!r}: proportion", p) <= 1.0:
-                raise InputError(f"attribute {name!r}: proportion must be in [0,1]")
         if self.bias_attribute not in ("", *self.attribute_names):
             raise InputError(f"bias_attribute {self.bias_attribute!r} not among {self.attribute_names}")
-        for name in ("base_rate_majority", "base_rate_minority"):
-            if not 0.0 <= check_real(name, getattr(self, name)) <= 1.0:
-                raise InputError(f"{name} must be in [0,1]")
-        for name in ("separation_majority", "separation_minority", "noise_std"):
-            if not math.isfinite(check_real(name, getattr(self, name))):
-                raise InputError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if not self.noise_std > 0:
-            raise InputError("noise_std must be positive")
-        if not (self.separation_majority >= 0 and self.separation_minority >= 0):
-            raise InputError("separation must be >= 0")
 
     @property
     def attribute_names(self) -> tuple[str, ...]:

@@ -167,9 +167,9 @@ class TestMixFeat:
             )
 
     def test_invalid_beta_params(self):
-        with pytest.raises(InputError, match="beta_alpha must be positive, got 0.0"):
+        with pytest.raises(InputError, match=r"^beta_alpha: expected a positive finite number, got 0\.0$"):
             check_beta(0.0, 1.0)
-        with pytest.raises(InputError, match="beta_beta must be positive"):
+        with pytest.raises(InputError, match=r"^beta_beta: expected a positive finite number, got -1\.0$"):
             augment_dataset(imbalanced_dataset(), "mixfeat", seed=0, beta_beta=-1.0)
 
 

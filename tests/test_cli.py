@@ -449,17 +449,18 @@ class TestSynthSpecRejections:
         "not_utf8": (b"", b"note=caf\xe9\n", "not UTF-8 text"),
         "unknown_key": (b"n_subjects=", b"n_subject=", "unknown synth keys ['n_subject']"),
         "non_numeric": (b"n_subjects=14", b"n_subjects=many", "n_subjects"),
-        "no_subjects": (b"n_subjects=14", b"n_subjects=0", "need at least one subject"),
-        "zero_dim": (b"modality.face=4", b"modality.face=0", "modality 'face': dim must be >= 1"),
+        "no_subjects": (b"n_subjects=14", b"n_subjects=0", "n_subjects: expected an integer >= 1, got '0'"),
+        "zero_dim": (b"modality.face=4", b"modality.face=0",
+                     "modality.face: expected an integer >= 1, got '0'"),
         "too_many_rows": (b"n_subjects=14", b"n_subjects=1000000000000", "more than MAX_ROWS"),
         # the parser refuses these before SynthSpec, which refuses them too
         "negative_seed": (b"seed=5", b"seed=-1", "seed: expected a non-negative integer, got '-1'"),
         "fractional_seed": (b"seed=5", b"seed=1.5",
                             "seed: expected a non-negative integer, got '1.5'"),
         "fractional_subjects": (b"n_subjects=14", b"n_subjects=2.5",
-                                "n_subjects: expected a non-negative integer, got '2.5'"),
+                                "n_subjects: expected an integer >= 1, got '2.5'"),
         "fractional_dim": (b"modality.face=4", b"modality.face=2.5",
-                           "modality.face: expected a non-negative integer, got '2.5'"),
+                           "modality.face: expected an integer >= 1, got '2.5'"),
         "empty_modality_name": (b"", b"modality.=3\n", "names must be non-empty"),
         "empty_attribute_name": (b"", b"attribute.=0.5\n", "names must be non-empty"),
         "modality_edge_space": (b"modality.face=", b"modality. face=",
@@ -467,15 +468,16 @@ class TestSynthSpecRejections:
         **{f"attribute_{name}": (b"", f"attribute.{name}=0.5\n".encode(),
                                  f"attribute {name!r} is a metadata or predictions.csv column")
            for name in ("sample_id", "subject_id", "pa_score", "label", "true_label", "proba_1")},
-        "proportion": (b"gender=0.7", b"gender=1.5", "attribute 'gender': proportion must be in [0,1]"),
-        "noise_std": (b"", b"noise_std=0\n", "noise_std must be positive"),
+        "proportion": (b"gender=0.7", b"gender=1.5",
+                       "attribute.gender: expected a number in [0, 1], got '1.5'"),
+        "noise_std": (b"", b"noise_std=0\n", "noise_std: expected a positive finite number, got '0'"),
         "separation": (b"separation_minority=1.0", b"separation_minority=-1",
-                       "separation must be >= 0"),
+                       "separation_minority: expected a non-negative finite number, got '-1'"),
         "bias_attribute": (b"", b"bias_attribute=race\n", "bias_attribute 'race' not among"),
         "base_rate_majority": (b"base_rate_majority=0.5", b"base_rate_majority=2",
-                               "base_rate_majority must be in [0,1]"),
+                               "base_rate_majority: expected a number in [0, 1], got '2'"),
         "base_rate_minority": (b"base_rate_minority=0.5", b"base_rate_minority=-1",
-                               "base_rate_minority must be in [0,1]"),
+                               "base_rate_minority: expected a number in [0, 1], got '-1'"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))

@@ -12,7 +12,9 @@ built every field value that its key's rule refuses, in the parser's wording,
 and `REFUSALS` is one table of further argument refusals, each with its error
 type and first words."""
 
+import copy
 import dataclasses
+import pickle
 import re
 
 import numpy as np
@@ -20,9 +22,10 @@ import pytest
 
 from fairmix import folds
 from fairmix.augment import augment_dataset
-from fairmix.config import KEYS, PipelineConfig, build_config
+from fairmix.config import KEYS, PipelineConfig, build_config, parse_synth_spec
 from fairmix.dataset import ColumnMeta, Dataset, ModalityTable, binarize_panas, load_dataset
 from fairmix.errors import (
+    TEXT,
     AlignmentError,
     ConfigError,
     FitError,
@@ -37,7 +40,7 @@ from fairmix.errors import (
 from fairmix.experiment import make_folds, run_arms, run_experiment
 from fairmix.fusion import FusionSpec, early_fuse, fit_fusion, fit_stacking_meta
 from fairmix.metrics import PredictionSet
-from fairmix.models import PredictorSpec, fit
+from fairmix.models import HYPERPARAMS, PredictorSpec, fit
 from fairmix.preprocess import fit_pca, fit_standardizer
 from fairmix.synthgen import SynthSpec, generate
 
@@ -233,8 +236,8 @@ SMALL_XS = [t.samples for t in SMALL.modalities]
 STACK = FusionSpec("stack_soft", PredictorSpec("logistic"))
 
 # name -> a seeded operation as a function of its seed. `_fit_mlp_lanes` and
-# `synthgen.generate` seed through the same helper, but PredictorSpec and
-# SynthSpec refuse a bad seed first, in their own words.
+# `synthgen.generate` seed through the same helper, and PredictorSpec and
+# SynthSpec refuse a bad seed first, by the same rule.
 SEED_ENTRIES = {
     "seeded_rng": seeded_rng,
     "augment_dataset[mixfeat]": lambda seed: augment_dataset(SMALL, "mixfeat", seed),
@@ -259,9 +262,8 @@ def test_bad_seed_is_an_input_error(name, seed):
     # was read as 0 or 1, as was `run_experiment`'s augment seed once a fold
     # index was added to it. A PipelineConfig refuses its seeds when it is
     # built, by the keys' rule.
-    key = {"run_experiment[seed]": "seed", "run_experiment[augment_seed]": "augment.seed"}.get(name)
-    start = f"{key}: expected" if key else "seed must be"
-    with pytest.raises(InputError, match=rf"^{re.escape(start)} a non-negative integer, "
+    key = {"run_experiment[augment_seed]": "augment.seed"}.get(name, "seed")
+    with pytest.raises(InputError, match=rf"^{re.escape(key)}: expected a non-negative integer, "
                                          rf"got {re.escape(repr(seed))}$"):
         SEED_ENTRIES[name](seed)
 
@@ -325,6 +327,83 @@ def test_every_key_refuses_by_its_one_rule(key):
     assert by_text or field.metadata["path"]
     with pytest.raises(dataclasses.FrozenInstanceError):
         setattr(PipelineConfig(), field.name, field.default)
+
+
+@pytest.mark.parametrize("kind, name", [(k, n) for k, takes in HYPERPARAMS.items() for n in takes])
+def test_every_hyperparameter_refuses_by_its_one_rule(kind, name):
+    # PredictorSpec checked by hand, in other words than config's ("C must
+    # be positive, got -1"), and config read the text by the default's type
+    key = f"model.{name}"
+    refusal = rf"{re.escape(name)}: expected (.+), got "
+    anything = object()
+    with pytest.raises(InputError, match=rf"^{refusal}{re.escape(repr(anything))}$"):
+        PredictorSpec(kind, {name: anything})
+    by_text = 0
+    for value, text in BAD_VALUES:
+        try:
+            PredictorSpec(kind, {name: value})
+            continue
+        except InputError as exc:
+            wording = re.fullmatch(refusal + re.escape(repr(value)), str(exc))
+        assert wording, str(exc)
+        words = re.escape(wording[1])
+        with pytest.raises(InputError, match=rf"^{re.escape(key)}: expected {words}, "
+                                             rf"got {re.escape(repr(value))}$"):
+            PipelineConfig(model_kind=kind, model_hyperparams={name: value})
+        with pytest.raises(ConfigError, match=rf"^{re.escape(key)}: expected {words}, "
+                                              rf"got {re.escape(repr(text))}$"):
+            build_config({"seed": "1", "dataset.manifest": "m.txt", "model.kind": kind, key: text})
+        by_text += 1
+    assert by_text
+
+
+@pytest.mark.parametrize("field", dataclasses.fields(SynthSpec), ids=lambda f: f.name)
+def test_every_synth_field_refuses_by_its_one_rule(field, tmp_path):
+    # SynthSpec checked by hand, in other words than its file's parser
+    # ("noise_std must be positive"), and skipped the type of a pair
+    anything = object()
+    pair_key = field.metadata["pair_key"]
+    if pair_key:  # the pairs' shape first, then each value under its file key
+        with pytest.raises(InputError, match=rf"^{field.name}: expected one or more \(name, value\) "
+                                             rf"pairs, got {re.escape(repr(anything))}$"):
+            SynthSpec(**{field.name: anything})
+    key = f"{pair_key}.x" if pair_key else field.name
+
+    def build(value):
+        return SynthSpec(**{field.name: (("x", value),) if pair_key else value})
+
+    refusal = rf"{re.escape(key)}: expected (.+), got "
+    with pytest.raises(InputError, match=rf"^{refusal}{re.escape(repr(anything))}$"):
+        build(anything)
+    spec_file = tmp_path / "synth.txt"
+    by_text = 0
+    for value, text in BAD_VALUES:
+        try:
+            build(value)
+            continue
+        except InputError as exc:
+            wording = re.fullmatch(refusal + re.escape(repr(value)), str(exc))
+        if not wording or field.metadata["rule"] is TEXT:  # a check across fields; any text is text
+            continue
+        spec_file.write_text(f"{key}={text}\n")
+        with pytest.raises(ConfigError, match=rf"^{re.escape(key)}: expected {re.escape(wording[1])}, "
+                                              rf"got {re.escape(repr(text))}$"):
+            parse_synth_spec(str(spec_file))
+        by_text += 1
+    assert by_text or field.metadata["rule"] is TEXT
+
+
+@pytest.mark.parametrize("copied", [pickle.loads, copy.deepcopy, copy.copy, dataclasses.replace],
+                         ids=["pickle", "deepcopy", "copy", "replace"])
+def test_checked_config_copies_and_stays_frozen(copied):
+    cfg = PipelineConfig(model_kind="mlp", model_hyperparams={"epochs": 3})
+    twin = copied(pickle.dumps(cfg) if copied is pickle.loads else cfg)
+    assert twin == cfg and twin.model_hyperparams == {"epochs": 3}
+    assert twin.model_spec() == cfg.model_spec()
+    with pytest.raises(TypeError, match="^FrozenDict cannot be changed$"):
+        twin.model_hyperparams["epochs"] = -1
+    with pytest.raises(InputError, match=r"^model\.epochs: expected an integer >= 1, got 0$"):
+        dataclasses.replace(twin, model_hyperparams={**twin.model_hyperparams, "epochs": 0})
 
 
 class Unsteady:
@@ -402,54 +481,75 @@ REFUSALS = {
     # "every fold was skipped: training matrix: non-finite value nan at ..."
     "augment_dataset[beta_alpha=inf]": (
         lambda d: augment_dataset(SMALL, "mixfeat", 0, np.inf), InputError,
-        "beta_alpha must be finite, got inf"),
+        "beta_alpha: expected a positive finite number, got inf"),
     "run_experiment[beta_beta=inf]": (
         lambda d: run_experiment(PipelineConfig(seed=1, model_kind="logistic",
                                                 augment_method="mixfeat", beta_beta=np.inf), SMALL),
-        InputError, "augment.beta_beta: expected a finite number, got inf"),
+        InputError, "augment.beta_beta: expected a positive finite number, got inf"),
     **{f"fit_pca[target_ratio={r}]": (lambda d, r=r: fit_pca(TRAIN, r), InputError,
-                                      f"target_ratio must be in (0,1], got {r}")
+                                      f"target_ratio: expected a number in (0, 1], got {r}")
        for r in (0.0, -0.5, 1.5, np.nan)},
     # a real that is not a number raised an unnamed TypeError from its
     # comparison, and a bool Beta parameter was read as 1
     **{f"augment_dataset[{name}={v!r}]": (
         lambda d, name=name, v=v: augment_dataset(SMALL, "mixfeat", 0, **{name: v}), InputError,
-        f"{name} must be a number, got {v!r}") for name, v in
+        f"{name}: expected a positive finite number, got {v!r}") for name, v in
        (("beta_alpha", "1"), ("beta_alpha", None), ("beta_beta", True))},
     **{f"fit_pca[target_ratio={r!r}]": (lambda d, r=r: fit_pca(TRAIN, r), InputError,
-                                        f"target_ratio must be a number, got {r!r}")
+                                        f"target_ratio: expected a number in (0, 1], got {r!r}")
        for r in ("0.8", None)},
     **{f"SynthSpec[{name}]": (lambda d, changes=changes: SynthSpec(**changes), InputError, message)
        for name, changes, message in (
-           ("noise_std", {"noise_std": "1"}, "noise_std must be a number, got '1'"),
+           ("noise_std", {"noise_std": "1"}, "noise_std: expected a positive finite number, got '1'"),
            ("base_rate_majority", {"base_rate_majority": "0.5"},
-            "base_rate_majority must be a number, got '0.5'"),
+            "base_rate_majority: expected a number in [0, 1], got '0.5'"),
            ("attribute_props", {"attribute_props": (("gender", "0.5"),)},
-            "attribute 'gender': proportion must be a number, got '0.5'"))},
+            "attribute.gender: expected a number in [0, 1], got '0.5'"),
+           # an unnamed TypeError or ValueError from the hand-written checks,
+           # and a name that is not text was taken
+           *((f"{name}={value!r}", {name: value},
+              f"{name}: expected one or more (name, value) pairs, got {value!r}")
+             for name, value in (("modality_dims", None), ("modality_dims", ((3, 2),)),
+                                 ("attribute_props", ((1, 0.5),)))))},
     **{f"run_experiment[{name}={v!r}]": (
         lambda d, name=name, v=v: run_experiment(
             PipelineConfig(seed=1, model_kind="logistic", augment_method="mixfeat", **{name: v}), SMALL),
         InputError, message) for name, v, message in (
            ("pca_target_ratio", "0.8", "pca.target_ratio: expected a number in (0, 1], got '0.8'"),
-           ("beta_alpha", None, "augment.beta_alpha: expected a finite number, got None"),
+           ("beta_alpha", None, "augment.beta_alpha: expected a positive finite number, got None"),
            # a non-empty string is truthy, so "no" ran PCA
            ("pca_enabled", "no", "pca.enabled: expected true/false, got 'no'"))},
     # an int beyond float64's range passed as a real: noise_std raised an
     # OverflowError, a Beta parameter numpy's TypeError, and a hyperparameter
     # was accepted and fit raised an OverflowError
     "SynthSpec[noise_std=10**400]": (lambda d: SynthSpec(noise_std=10**400), InputError,
-                                     f"noise_std must be a number, got {10**400!r}"),
+                                     f"noise_std: expected a positive finite number, got {10**400!r}"),
     "augment_dataset[beta_alpha=10**400]": (
         lambda d: augment_dataset(SMALL, "mixfeat", 0, 10**400), InputError,
-        f"beta_alpha must be a number, got {10**400!r}"),
+        f"beta_alpha: expected a positive finite number, got {10**400!r}"),
     **{f"PredictorSpec[{kind}, {name}=10**400]": (
         lambda d, kind=kind, name=name: PredictorSpec(kind, {name: 10**400}), InputError,
-        f"{name} must be a finite number, got {10**400!r}")
-       for kind, name in (("mlp", "learning_rate"), ("mlp", "l2"), ("rbf_svm", "C"))},
+        f"{name}: expected a {sign} finite number, got {10**400!r}")
+       for kind, name, sign in (("mlp", "learning_rate", "positive"), ("mlp", "l2", "non-negative"),
+                                ("rbf_svm", "C", "positive"))},
     "run_experiment[model.l2=10**400]": (
         lambda d: run_experiment(PipelineConfig(seed=1, model_kind="logistic",
                                                 model_hyperparams={"l2": 10**400}), SMALL),
-        InputError, f"model.l2 must be a finite number, got {10**400!r}"),
+        InputError, f"model.l2: expected a non-negative finite number, got {10**400!r}"),
+    # a non-mapping ended in an unnamed TypeError ("'NoneType' object is not a
+    # mapping") or ValueError, and the checked mapping could be changed after
+    **{f"PipelineConfig[model_hyperparams={value!r}]": (
+        lambda d, value=value: PipelineConfig(model_kind="mlp", model_hyperparams=value), InputError,
+        f"model.hyperparams: expected a mapping of names to values, got {value!r}")
+       for value in (None, "C", [("C", 1.0)])},
+    "PredictorSpec[mlp, None]": (lambda d: PredictorSpec("mlp", None), InputError,
+                                 "hyperparams: expected a mapping of names to values, got None"),
+    "PipelineConfig.model_hyperparams[l2]=-1.0": (
+        lambda d: PipelineConfig(model_kind="logistic").model_hyperparams.__setitem__("l2", -1.0),
+        TypeError, "FrozenDict cannot be changed"),
+    "PredictorSpec.hyperparams.update": (
+        lambda d: PredictorSpec("logistic", {"l2": 0.5}).hyperparams.update(l2=-1.0),
+        TypeError, "FrozenDict cannot be changed"),
     # no methods formed and preprocessed every fold and returned [], and a
     # bare string was read letter by letter ("unknown augmentation method 'n'")
     **{f"run_arms[methods={methods!r}]": (

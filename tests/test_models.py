@@ -2,6 +2,7 @@ import copy
 import hashlib
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -75,9 +76,14 @@ class TestSpecValidation:
         ("logistic", "max_iter", 10.0),
     ])
     def test_rejects_what_config_rejects(self, kind, name, value):
-        # config parses an int default's value as an integer >= 0 and any
-        # other as a finite real (gamma also as "scale")
-        with pytest.raises(InputError, match=f"^{name} "):
+        # config reads, and PredictorSpec checks, each value by the one rule
+        # that models.HYPERPARAMS declares for it
+        positive, count = "a positive finite number", "an integer >= 1"
+        words = {"gamma": f"'scale' or {positive}", "C": positive, "tol": positive,
+                 "learning_rate": positive, "seed": "a non-negative integer",
+                 "hidden_units": count, "epochs": count, "max_iter": count}[name]
+        with pytest.raises(InputError, match=rf"^{name}: expected {re.escape(words)}, "
+                                             rf"got {re.escape(repr(value))}$"):
             PredictorSpec(kind, {name: value})
 
     def test_numpy_scalars_and_integer_reals_are_taken(self):

@@ -88,24 +88,27 @@ class TestGenerate:
         ({"modality_dims": (("face", 3), ("face", 3))}, "modality 'face' is named more than once"),
         ({"attribute_props": (("gender", 0.5), ("gender", 0.3))},
          "attribute 'gender' is named more than once"),
-        ({"modality_dims": ()}, "need at least one modality"),
-        ({"attribute_props": ()}, "need at least one attribute"),
-        ({"base_rate_majority": 2.0}, "base_rate_majority must be in [0,1]"),
-        ({"base_rate_minority": -1.0}, "base_rate_minority must be in [0,1]"),
-        ({"base_rate_minority": float("nan")}, "base_rate_minority must be in [0,1]"),
+        ({"modality_dims": ()}, "modality_dims: expected one or more (name, value) pairs, got ()"),
+        ({"attribute_props": ()}, "attribute_props: expected one or more (name, value) pairs, got ()"),
+        ({"base_rate_majority": 2.0}, "base_rate_majority: expected a number in [0, 1], got 2.0"),
+        ({"base_rate_minority": -1.0}, "base_rate_minority: expected a number in [0, 1], got -1.0"),
+        ({"base_rate_minority": float("nan")},
+         "base_rate_minority: expected a number in [0, 1], got nan"),
         ({"bias_attribute": "race"}, "bias_attribute 'race' not among ('gender',)"),
         # min(2.0, nan) < 0 is False: this spec drew 28 of 40 face rows as NaN
-        ({"separation_minority": math.nan}, "separation_minority must be finite, got nan"),
-        ({"separation_majority": math.inf}, "separation_majority must be finite, got inf"),
-        ({"noise_std": math.inf}, "noise_std must be finite, got inf"),
+        ({"separation_minority": math.nan},
+         "separation_minority: expected a non-negative finite number, got nan"),
+        ({"separation_majority": math.inf},
+         "separation_majority: expected a non-negative finite number, got inf"),
+        ({"noise_std": math.inf}, "noise_std: expected a positive finite number, got inf"),
         # generate ended in numpy's ValueError ("expected non-negative
         # integer") on the negative seed and in a TypeError on the others
-        ({"seed": -1}, "seed must be a non-negative integer, got -1"),
-        ({"seed": 1.5}, "seed must be a non-negative integer, got 1.5"),
-        ({"seed": True}, "seed must be a non-negative integer, got True"),
-        ({"n_subjects": 2.5}, "n_subjects must be an integer, got 2.5"),
-        ({"sessions_per_subject": 4.0}, "sessions_per_subject must be an integer, got 4.0"),
-        ({"modality_dims": (("face", 2.5),)}, "modality 'face': dim must be an integer, got 2.5"),
+        ({"seed": -1}, "seed: expected a non-negative integer, got -1"),
+        ({"seed": 1.5}, "seed: expected a non-negative integer, got 1.5"),
+        ({"seed": True}, "seed: expected a non-negative integer, got True"),
+        ({"n_subjects": 2.5}, "n_subjects: expected an integer >= 1, got 2.5"),
+        ({"sessions_per_subject": 4.0}, "sessions_per_subject: expected an integer >= 1, got 4.0"),
+        ({"modality_dims": (("face", 2.5),)}, "modality.face: expected an integer >= 1, got 2.5"),
         # validate passed this spec, and generate ran out of memory drawing it
         ({"n_subjects": 10**12}, "n_subjects x sessions_per_subject = 4000000000000 rows, "
                                  "more than MAX_ROWS = 1000000"),
