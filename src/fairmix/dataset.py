@@ -7,12 +7,12 @@ A dataset is described by a plain-text manifest of key=value lines:
     metadata=<metadata csv path>
     panas_threshold=<real>                   (optional, default 33.3; read only at load)
 
-Any other key, an empty modality name, a ``levels.<name>`` without its
-modality, or a levels row naming a feature that its modality lacks is a
-SchemaError; so is a feature named twice in a levels file, a column named
-twice in a feature or metadata header, and a metadata attribute that is
-unnamed or named like a fixed column, either outcome or a
-`PREDICTION_COLUMNS` one (the keys of `RESERVED_ATTRIBUTES`).
+Any other key, a modality name that `name_fault` refuses, a
+``levels.<name>`` without its modality, or a levels row naming a feature
+that its modality lacks is a SchemaError; so is a feature named twice in a
+levels file, a column named twice in a feature or metadata header, and a
+metadata attribute that is unnamed or named like a fixed column, either
+outcome or a `PREDICTION_COLUMNS` one (the keys of `RESERVED_ATTRIBUTES`).
 
 A feature CSV is ``sample_id`` plus one or more numeric features; a levels
 CSV is exactly ``feature_name,level`` (high or low); the metadata CSV is
@@ -25,16 +25,15 @@ order (non-numeric, infinite, then the rules in declared order). Rows are
 joined to the metadata by sample_id in metadata order; an id missing on
 either side is an AlignmentError.
 
-`Dataset` owns the names of any dataset, loaded or built, and refuses
-those that `load_dataset` would refuse in a saved copy: it needs one or more
-modalities, each named once, attributes each declared once and none in
-`RESERVED_ATTRIBUTES`, and labels and attributes of 0 or 1 (SchemaError;
-the loader's row-numbered rules run first). That table is the one list of
-reserved names; the loader and `synthgen.SynthSpec` read it too.
-`modality_name_fault` is the one modality-name rule, read by `Dataset` and
-`SynthSpec`: a name is not empty and holds no ``=``, ``\n``, ``\r`` or NUL
-and no leading or trailing whitespace, which a manifest line or file name
-would split or drop.
+`name_fault` is the one name rule: no name repeats within its kind, an
+attribute is none of `RESERVED_ATTRIBUTES` and a modality passes
+`modality_name_fault` (not empty, and no ``=``, ``\n``, ``\r``, NUL or
+leading or trailing whitespace, which a manifest line or file name would
+split or drop). `Dataset` (attributes, modalities), `ModalityTable` (its
+saved header), the loader (manifest, CSV headers) and `synthgen.SynthSpec`
+read it, so no `Dataset` holds a name that `load_dataset` would refuse in a
+saved copy (SchemaError). `save_dataset` refuses file names that repeat or
+that its manifest would not read back before it writes (InputError).
 
 Every file fairmix writes, a saved dataset here and the reports in
 `experiment`, goes through `atomic_write` (temp file, rename, umask mode).
@@ -67,7 +66,7 @@ from .errors import (
 DEFAULT_PANAS_THRESHOLD = 33.3
 LEVELS = ("high", "low")
 PREDICTION_COLUMNS = ("true_label", "predicted_label", "proba_0", "proba_1")  # after the two ids
-# the names no attribute may take, and why; read by the loader, Dataset and SynthSpec
+# the names no attribute may take, and why; read by name_fault
 RESERVED_ATTRIBUTES = {"": "has an empty name", "pa_score": "is an outcome column name",
                        "label": "is an outcome column name",
                        **dict.fromkeys(("sample_id", "subject_id"), "is an id column name"),
@@ -76,7 +75,7 @@ RESERVED_ATTRIBUTES = {"": "has an empty name", "pa_score": "is an outcome colum
 
 def modality_name_fault(name: str):
     """Why a saved manifest could not carry a modality called `name` back, or
-    None; the one modality-name rule, read by Dataset and SynthSpec."""
+    None; `name_fault` reads it for every modality name."""
     if not name:
         return "has an empty name"
     held = next((c for c in "=\n\r\0" if c in name), None)
@@ -84,6 +83,20 @@ def modality_name_fault(name: str):
         return f"holds {held!r}, which a saved manifest cannot carry"
     if name != name.strip():
         return "has leading or trailing whitespace, which a manifest drops"
+    return None
+
+
+def name_fault(kind: str, names):
+    """`<kind> <name!r> <reason>` for the first of `names` that repeats one,
+    is a reserved attribute (kind "attribute") or fails `modality_name_fault`
+    (kind "modality"), or None."""
+    rule = {"attribute": RESERVED_ATTRIBUTES.get, "modality": modality_name_fault}.get(kind, lambda _: None)
+    seen = set()
+    for name in names:
+        reason = "is named more than once" if name in seen else rule(name)
+        if reason:
+            return f"{kind} {name!r} {reason}"
+        seen.add(name)
     return None
 
 
@@ -118,6 +131,9 @@ class ModalityTable:
             )
         if np.isinf(self.samples).any():
             raise ParseError(f"modality {self.modality_name!r}: infinite feature value")
+        fault = name_fault("column", ("sample_id", *self.feature_names))  # its saved header
+        if fault:
+            raise SchemaError(f"modality {self.modality_name!r}: {fault}")
 
     @property
     def n_samples(self) -> int:
@@ -170,17 +186,11 @@ class Dataset:
         if n == 0:
             raise SchemaError("dataset has no rows")
         declared = self.declared_attributes
-        for i, a in enumerate(declared):
-            if a in RESERVED_ATTRIBUTES or a in declared[:i]:
-                reason = RESERVED_ATTRIBUTES.get(a, "is declared more than once")
-                raise SchemaError(f"attribute {a!r} {reason}")
-        names = self.modality_names
-        if not names:
+        if not self.modalities:
             raise SchemaError("dataset has no modalities")
-        for i, m in enumerate(names):
-            reason = "is named more than once" if m in names[:i] else modality_name_fault(m)
-            if reason:
-                raise SchemaError(f"modality {m!r} {reason}")
+        fault = name_fault("attribute", declared) or name_fault("modality", self.modality_names)
+        if fault:
+            raise SchemaError(fault)
         expected = {"sample_id": (n,), "subject_id": (n,), "label": (n,),
                     "attrs": (n, len(declared))}
         shapes = {name: getattr(self, name).shape for name in expected}
@@ -350,13 +360,6 @@ def _parse_rows(path: str, header: list[str], rows: list[list[str]], n_text: int
                     raise ParseError(f"{path}: row {r}: {message.format(name=name, text=text)}")
 
 
-def _refuse_repeated_column(path: str, header: list[str]) -> None:
-    """The feature and metadata loaders' header rule: no column named twice."""
-    if len(set(header)) < len(header):
-        repeat = next(c for i, c in enumerate(header) if c in header[:i])
-        raise SchemaError(f"{path}: row 1: column {repeat!r} is named more than once")
-
-
 def _load_feature_csv(path: str) -> tuple[list[str], tuple[str, ...], np.ndarray]:
     """Returns (feature_names, sample ids, values) in file row order."""
     header, rows = _read_csv(path)
@@ -364,7 +367,9 @@ def _load_feature_csv(path: str) -> tuple[list[str], tuple[str, ...], np.ndarray
         raise SchemaError(f"{path}: first column must be 'sample_id'")
     if len(header) < 2:
         raise SchemaError(f"{path}: no feature columns after 'sample_id'")
-    _refuse_repeated_column(path, header)
+    fault = name_fault("column", header)
+    if fault:
+        raise SchemaError(f"{path}: row 1: {fault}")
     return (header[1:], *_parse_rows(path, header, rows, 1))
 
 
@@ -392,10 +397,9 @@ def _load_metadata_csv(path: str, threshold: float):
         raise SchemaError(f"{path}: third metadata column must be 'pa_score' or 'label'")
     outcome_col = header[2]
     attr_names = tuple(header[3:])
-    _refuse_repeated_column(path, header)
-    reserved = next((c for c in attr_names if c in RESERVED_ATTRIBUTES), None)
-    if reserved is not None:
-        raise SchemaError(f"{path}: row 1: attribute {reserved!r} {RESERVED_ATTRIBUTES[reserved]}")
+    fault = name_fault("column", header) or name_fault("attribute", attr_names)
+    if fault:
+        raise SchemaError(f"{path}: row 1: {fault}")
     if not rows:
         raise SchemaError(f"{path}: no data rows")
 
@@ -426,8 +430,9 @@ def load_dataset(manifest_path: str) -> Dataset:
         return p if os.path.isabs(p) else os.path.join(base, p)
 
     names = [k[len("modality."):] for k in kv if k.startswith("modality.")]  # manifest order
-    if "" in names:
-        raise SchemaError(f"{manifest_path}: key 'modality.' has an empty modality name")
+    fault = name_fault("modality", names)
+    if fault:
+        raise SchemaError(f"{manifest_path}: {fault}")
     known = {"metadata", "panas_threshold",
              *(f"{kind}.{n}" for kind in ("modality", "levels") for n in names)}
     unknown = [k for k in kv if k not in known]
@@ -511,25 +516,33 @@ def csv_text(header: Sequence, rows: Iterable, **fmt) -> str:
 def save_dataset(dataset: Dataset, out_dir: str, name: str = "data") -> str:
     """Write a dataset in manifest+CSV layout, the manifest last; returns the
     manifest path. Values round-trip bitwise through repr/float."""
-    ids = dataset.sample_id.tolist()
-    lines = []
+    files = {}  # manifest key -> file name, relative to out_dir
+    for m in dataset.modality_names:
+        files[f"modality.{m}"], files[f"levels.{m}"] = f"{name}_{m}.csv", f"{name}_{m}_levels.csv"
+    files["metadata"], manifest = f"{name}_metadata.csv", f"{name}_manifest.txt"
 
-    def write_csv(fname: str, header: list[str], rows: Iterable) -> str:
-        atomic_write(os.path.join(out_dir, fname), csv_text(header, rows))
-        return os.path.basename(fname)  # the manifest's entries are relative to its directory
+    where = os.path.dirname(manifest)  # a manifest line names a file by its base name
+    unread = [f for f in files.values() if os.path.join(where, os.path.basename(f).strip()) != f
+              or not {"\n", "\r"}.isdisjoint(os.path.basename(f))]
+    fault = name_fault("file", [*files.values(), manifest]) or (
+        unread and f"file {unread[0]!r} would not read back from a manifest line")
+    if fault:
+        raise InputError(f"cannot save a dataset in {out_dir!r}: {fault}")
+
+    ids = dataset.sample_id.tolist()
+
+    def write_csv(key: str, header: list[str], rows: Iterable) -> None:
+        atomic_write(os.path.join(out_dir, files[key]), csv_text(header, rows))
 
     for t in dataset.modalities:
         m = t.modality_name
         cells = np.array(list(map(repr, t.samples.ravel().tolist())), object).reshape(t.samples.shape)
         cells[np.isnan(t.samples)] = ""  # repr round-trips doubles exactly; NaN is written empty
-        fname = write_csv(f"{name}_{m}.csv", ["sample_id", *t.feature_names], zip(ids, *cells.T))
-        lname = write_csv(f"{name}_{m}_levels.csv", ["feature_name", "level"],
-                          [(c.feature_name, c.level) for c in t.column_meta])
-        lines += [f"modality.{m}={fname}", f"levels.{m}={lname}"]
-    mname = write_csv(f"{name}_metadata.csv",
-                      ["sample_id", "subject_id", "label", *dataset.declared_attributes],
-                      zip(ids, dataset.subject_id.tolist(), dataset.label.tolist(), *dataset.attrs.T.tolist()))
-    lines.append(f"metadata={mname}")
-    manifest = os.path.join(out_dir, f"{name}_manifest.txt")
-    atomic_write(manifest, "\n".join(lines) + "\n")
+        write_csv(f"modality.{m}", ["sample_id", *t.feature_names], zip(ids, *cells.T))
+        write_csv(f"levels.{m}", ["feature_name", "level"],
+                  [(c.feature_name, c.level) for c in t.column_meta])
+    write_csv("metadata", ["sample_id", "subject_id", "label", *dataset.declared_attributes],
+              zip(ids, dataset.subject_id.tolist(), dataset.label.tolist(), *dataset.attrs.T.tolist()))
+    manifest = os.path.join(out_dir, manifest)  # its entries are relative to its directory
+    atomic_write(manifest, "".join(f"{key}={os.path.basename(f)}\n" for key, f in files.items()))
     return manifest

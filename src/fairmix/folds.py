@@ -4,6 +4,8 @@ that Platt calibration and stacking cross-fit on.
 Each rule gives every row a fold label and hands it to `folds_of`, which
 keeps the folds whose train and test parts are both non-empty. Stratified
 rules deal each stratum's seeded shuffle round-robin (`stratified_positions`).
+`internal` is the one internal-fold rule, which Platt calibration and
+stacking read: it keeps the folds whose training rows hold both labels.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ExperimentError, seeded_rng
+from .metrics import counts
 
 
 def stratified_positions(strata, rng: np.random.Generator) -> np.ndarray:
@@ -34,10 +37,13 @@ def folds_of(row_fold: np.ndarray, n_folds: int) -> list[tuple[np.ndarray, np.nd
     return [(train, test) for train, test in folds if len(train) and len(test)]
 
 
-def internal(y, k, seed) -> np.ndarray:
-    """The internal fold label of each row: its label-stratified position
-    under seeded_rng(seed), modulo k."""
-    return stratified_positions(y, seeded_rng(seed)) % k
+def internal(y, k, seed) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+    """The internal fold label of each row (its label-stratified position
+    under seeded_rng(seed), modulo k) and the kept (train, test) rows: the
+    folds of folds_of whose training rows hold both labels."""
+    y = np.asarray(y)
+    assign = stratified_positions(y, seeded_rng(seed)) % k
+    return assign, [(train, test) for train, test in folds_of(assign, k) if counts(y[train]).all()]
 
 
 def loso_folds(subject_ids: list[str]) -> list[tuple[np.ndarray, np.ndarray]]:

@@ -4,13 +4,13 @@ schemes (hard/soft majority voting, hard/soft stacking).
 ``FusedModel.predict_with_proba`` is the one combiner of base outputs. A
 single base model (early fusion, or any strategy over one modality) gets no
 meta-learner and decides alone: a vote of one returns its own output.
-Stacking meta-features come from ``models.out_of_fold`` on the training
-split, so the meta-learner never sees a base prediction of a model fitted
-on that row; out_of_fold hands over every kept internal fold at once, and
-one ``models.fit_many`` call fits every fold's base model of every modality
-(MLPs of one width train there as lanes of one lockstep run). The final
-base models are then refit on the full split, one ``models.fit`` each. The
-meta-learner is ``FusionSpec.meta_model``, logistic unless set.
+Stacking meta-features come from the kept internal folds of
+``folds.internal`` on the training split, so the meta-learner never sees a
+base prediction of a model fitted on that row; one ``models.fit_many`` call
+fits every fold's base model of every modality (MLPs of one width train
+there as lanes of one lockstep run). The final base models are then refit
+on the full split, one ``models.fit`` each. The meta-learner is
+``FusionSpec.meta_model``, logistic unless set.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import models
+from . import folds, models
 from .errors import ConfigError, InputError, ShapeError, StackingError
 from .metrics import counts
 from .models import PredictorSpec, TrainedPredictor, argmax_label
@@ -81,8 +81,9 @@ def fit_stacking_meta(
     y: np.ndarray,
     seed: int,
 ) -> tuple[TrainedPredictor, np.ndarray, np.ndarray]:
-    """Fit the stacking meta-learner on base predictions from models.out_of_fold;
-    returns (meta_model, its fold assignment per training row, meta features)."""
+    """Fit the stacking meta-learner on out-of-fold base predictions over the
+    kept folds of folds.internal; returns (meta_model, its fold assignment per
+    training row, meta features)."""
     y = np.asarray(y)
     n = len(y)
     if n < 4:
@@ -94,16 +95,15 @@ def fit_stacking_meta(
         raise StackingError("stacking needs at least 2 rows of each class")
     k = min(5 if n >= 10 else 2, int(per_class.min()))
 
-    def base_features(pairs):  # every fold's base model of every modality, in one call
-        bases = iter(models.fit_many(spec.base_model, [(X[train], y[train]) for X in train_per_modality
-                                                       for train, _ in pairs]))
-        probas = [[next(bases).predict_proba(X[test]) for _, test in pairs] for X in train_per_modality]
-        return [_stack_features(spec.strategy, list(fold)) for fold in zip(*probas)]
-
-    assign, blocks = models.out_of_fold(y, k, seed, base_features)
-    meta_feats = np.empty((n, blocks[0][1].shape[1]))
-    for test, feats in blocks:
-        meta_feats[test] = feats
+    assign, pairs = folds.internal(y, k, seed)
+    # every fold's base model of every modality, in one call
+    bases = iter(models.fit_many(spec.base_model, [(X[train], y[train]) for X in train_per_modality
+                                                   for train, _ in pairs]))
+    probas = [[next(bases).predict_proba(X[test]) for _, test in pairs] for X in train_per_modality]
+    feats = [_stack_features(spec.strategy, list(fold)) for fold in zip(*probas)]
+    meta_feats = np.empty((n, feats[0].shape[1]))
+    for (_, test), fold_feats in zip(pairs, feats):
+        meta_feats[test] = fold_feats
     meta = models.fit(spec.meta_model, meta_feats, y)
     return meta, assign, meta_feats
 

@@ -4,10 +4,10 @@ Three model kinds:
   * rbf_svm  - RBF-kernel SVM trained with sequential minimal optimization
                (LIBSVM's maximal-violating pair with second-order gain,
                stopping when the KKT gap is below tol), probabilities via a
-               Platt sigmoid fitted on decision values from out_of_fold (the
-               one cross-fitting loop, which stacking also calls; 3 folds,
-               in-sample when their test rows hold one class); the kernel is
-               computed once per fit and sliced for those folds;
+               Platt sigmoid fitted on decision values of an SMO per
+               kept fold of folds.internal (3 folds, run before the full
+               SMO; in-sample when their test rows hold one class); the
+               kernel is computed once per fit and sliced for those folds;
   * mlp      - one-hidden-layer network (tanh, softmax output, cross-entropy
                + L2) trained with mini-batch Adam; b1, W1, W2, b2 are views of
                one flat parameter vector, in that order: b1 over W1 is one
@@ -135,17 +135,6 @@ class TrainedPredictor:
 def argmax_label(proba: np.ndarray) -> np.ndarray:
     """Label of each (P(0), P(1)) row; ties go to class 1."""
     return (proba[:, 1] >= proba[:, 0]).astype(int)
-
-
-def out_of_fold(y, k, seed, fit_predict):
-    """Each row's fold by folds.internal, and (test rows, output) per fold of
-    folds.folds_of whose training rows hold both classes. fit_predict takes
-    the list of those folds' (train rows, test rows) pairs at once, so that
-    it may fit them together, and returns one output per pair."""
-    y = np.asarray(y)
-    assign = folds.internal(y, k, seed)
-    pairs = [(train, test) for train, test in folds.folds_of(assign, k) if counts(y[train]).all()]
-    return assign, [(test, out) for (_, test), out in zip(pairs, fit_predict(pairs))]
 
 
 def _validate_training_input(X, y):
@@ -605,16 +594,13 @@ def _fit_svm(spec: PredictorSpec, X, y) -> SvmModel:
     K = _rbf_kernel(X, X, gamma)  # sliced for the Platt folds
     y_pm = np.where(y == 1, 1.0, -1.0)
 
-    def decision_values(pairs):  # of the SMO fitted on each pair's train rows, in turn
-        out = []
-        for train, test in pairs:
-            alpha_f, b_f = _smo(K[np.ix_(train, train)], y_pm[train], C, tol)
-            out.append((alpha_f * y_pm[train]) @ K[np.ix_(train, test)] - b_f)
-        return out
     # Platt calibration on out-of-fold decision values (3 internal folds), or
     # in-sample when the kept folds' test rows hold one class or none (tiny
     # training sets, a class of one row)
-    _, blocks = out_of_fold(y, 3, int(hp["seed"]) + 1, decision_values)
+    blocks = []
+    for train, test in folds.internal(y, 3, int(hp["seed"]) + 1)[1]:
+        alpha_f, b_f = _smo(K[np.ix_(train, train)], y_pm[train], C, tol)
+        blocks.append((test, (alpha_f * y_pm[train]) @ K[np.ix_(train, test)] - b_f))
     alpha, b = _smo(K, y_pm, C, tol)
     if not blocks or not counts(y[np.concatenate([test for test, _ in blocks])]).all():
         blocks = [(np.arange(len(y)), (alpha * y_pm) @ K - b)]

@@ -14,7 +14,9 @@ spec that `fairmix validate` passes is one `generate` can draw. Each field
 declares its one rule (an `errors.Rule`, type first) in its metadata, by
 which `config.parse_synth_spec` reads a spec file's text too; a field of
 (name, value) pairs checks its shape, then each value as `<pair key>.<name>`,
-its key in a spec file. Only the checks across fields are written out.
+its key in a spec file. Only the checks across fields are written out; the
+modality and attribute names are checked by `dataset.name_fault`, the one
+name rule that `Dataset` and the loader read too.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import RESERVED_ATTRIBUTES, ColumnMeta, Dataset, ModalityTable, modality_name_fault
+from .dataset import ColumnMeta, Dataset, ModalityTable, name_fault
 from .errors import COUNT, INTEGER, NON_NEGATIVE, POSITIVE, REAL, TEXT, InputError, Rule, seeded_rng
 
 MAX_ROWS = 10**6  # the most rows a spec may draw
@@ -64,17 +66,10 @@ class SynthSpec:
                 continue
             for name, v in PAIRS.check(f.name, value):
                 rule.check(f"{pair_key}.{name}", v)
-        for kind, pairs in (("modality", self.modality_dims), ("attribute", self.attribute_props)):
-            names = [name for name, _ in pairs]
-            for i, name in enumerate(names):
-                if not name:
-                    raise InputError("modality and attribute names must be non-empty")
-                if name in names[:i]:
-                    raise InputError(f"{kind} {name!r} is named more than once")
-        for name, _ in self.modality_dims:
-            fault = modality_name_fault(name)
-            if fault:
-                raise InputError(f"modality {name!r} {fault}")
+        fault = (name_fault("modality", (name for name, _ in self.modality_dims))
+                 or name_fault("attribute", self.attribute_names))
+        if fault:
+            raise InputError(fault)
         rows = self.n_subjects * self.sessions_per_subject
         cells = rows * sum(d for _, d in self.modality_dims)
         if rows > MAX_ROWS:
@@ -83,9 +78,6 @@ class SynthSpec:
         if cells > MAX_FEATURE_CELLS:
             raise InputError(f"{rows} rows x {cells // rows} feature columns = {cells} feature "
                              f"cells, more than MAX_FEATURE_CELLS = {MAX_FEATURE_CELLS}")
-        for name in self.attribute_names:
-            if name in RESERVED_ATTRIBUTES:
-                raise InputError(f"attribute {name!r} is a metadata or predictions.csv column")
         if self.bias_attribute not in ("", *self.attribute_names):
             raise InputError(f"bias_attribute {self.bias_attribute!r} not among {self.attribute_names}")
 

@@ -13,6 +13,7 @@ import pytest
 import fairmix.config
 from fairmix.cli import main
 from fairmix.config import KEYS, build_config, load_config, synth_spec_to_dict
+from fairmix.dataset import RESERVED_ATTRIBUTES
 from fairmix.errors import ConfigError, DegenerateGroupWarning
 from fairmix.synthgen import SynthSpec
 
@@ -390,14 +391,15 @@ class TestConfigRejections:
                 "audit": ["audit", "--config", str(workdir / "config.txt")]}[command]
         assert main(args) == 2
         err = capsys.readouterr().err
-        assert err.startswith("configuration error: ") and f"attribute {name!r} is a metadata or" in err
+        assert err.startswith("configuration error: ")
+        assert f"attribute {name!r} {RESERVED_ATTRIBUTES[name]}" in err
         assert not (workdir / "ds").exists() and not (workdir / "out").exists()
 
     @pytest.mark.parametrize("command", ["synth", "audit", "validate"])
     @pytest.mark.parametrize("line, named", [
-        ("modality.=3", "modality and attribute names must be non-empty"),
-        ("attribute.=0.5", "modality and attribute names must be non-empty"),
-        ("attribute.pa_score=0.5", "attribute 'pa_score' is a metadata or"),
+        ("modality.=3", "modality '' has an empty name"),
+        ("attribute.=0.5", "attribute '' has an empty name"),
+        ("attribute.pa_score=0.5", "attribute 'pa_score' is an outcome column name"),
     ])
     def test_synth_name_a_saved_dataset_cannot_carry_exit_2(self, command, line, named, workdir,
                                                             capsys):
@@ -461,12 +463,12 @@ class TestSynthSpecRejections:
                                 "n_subjects: expected an integer >= 1, got '2.5'"),
         "fractional_dim": (b"modality.face=4", b"modality.face=2.5",
                            "modality.face: expected an integer >= 1, got '2.5'"),
-        "empty_modality_name": (b"", b"modality.=3\n", "names must be non-empty"),
-        "empty_attribute_name": (b"", b"attribute.=0.5\n", "names must be non-empty"),
+        "empty_modality_name": (b"", b"modality.=3\n", "modality '' has an empty name"),
+        "empty_attribute_name": (b"", b"attribute.=0.5\n", "attribute '' has an empty name"),
         "modality_edge_space": (b"modality.face=", b"modality. face=",
                                 "modality ' face' has leading or trailing whitespace"),
         **{f"attribute_{name}": (b"", f"attribute.{name}=0.5\n".encode(),
-                                 f"attribute {name!r} is a metadata or predictions.csv column")
+                                 f"attribute {name!r} {RESERVED_ATTRIBUTES[name]}")
            for name in ("sample_id", "subject_id", "pa_score", "label", "true_label", "proba_1")},
         "proportion": (b"gender=0.7", b"gender=1.5",
                        "attribute.gender: expected a number in [0, 1], got '1.5'"),
@@ -562,7 +564,7 @@ class TestLoaderErrors:
         "header_feature_twice": ("data_face.csv", lambda t: t.replace("face_f1", "face_f0", 1),
                                  "column 'face_f0' is named more than once"),
         "empty_modality_name": ("data_manifest.txt", lambda t: t + "modality.=data_face.csv\n",
-                                "key 'modality.' has an empty modality name"),
+                                "modality '' has an empty name"),
         "modality_edge_space": ("data_manifest.txt", lambda t: t.replace(".face=", ". face="),
                                 "modality ' face' has leading or trailing whitespace"),
         "row_not_in_metadata": ("data_face.csv", lambda t: t + "zz,1,2,3,4\n",
@@ -676,6 +678,30 @@ class TestSynthCommand:
             f"output_dir={workdir / 'out2'}\n"
         )
         assert main(["audit", "--config", str(workdir / "cfg2.txt")]) == 0
+
+    # each was written: the first two overwrote a file with another (reload:
+    # ParseError, SchemaError), the third wrote into a subdirectory that the
+    # manifest does not name (DataError), the fourth wrote a manifest line
+    # that reads back another file name
+    @pytest.mark.parametrize("edit, name, fault", [
+        ("modality.metadata=3\n", "data", "file 'data_metadata.csv' is named more than once"),
+        ("modality.m=2\nmodality.m_levels=2\n", "data", "file 'data_m_levels.csv' is named more than once"),
+        ("modality.a/b=2\n", "data", "file 'data_a/b.csv' would not read back from a manifest line"),
+        ("", " x", "file ' x_face.csv' would not read back from a manifest line"),
+    ])
+    def test_save_that_would_not_read_back_exit_2(self, edit, name, fault, workdir, capsys):
+        (workdir / "synth.txt").write_text(SYNTH_SPEC + edit)
+        out = workdir / "ds"
+        out.mkdir()
+        before = sorted(workdir.iterdir())
+        args = ["synth", "--spec", str(workdir / "synth.txt"), "--out", str(out), "--name", name]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err == f"configuration error: cannot save a dataset in {str(out)!r}: {fault}\n"
+        assert not any(out.iterdir())
+        assert sorted(workdir.iterdir()) == before
+        # only the save is refused: the same spec still audits
+        assert main(["audit", "--config", str(workdir / "config.txt")]) == 0
 
 
 @pytest.fixture(params=[0o022, 0o077], ids=["umask022", "umask077"])

@@ -18,6 +18,8 @@ from fairmix.dataset import (
     binarize_panas,
     load_dataset,
     modality_name_fault,
+    name_fault,
+    parse_keyvalue_file,
     save_dataset,
 )
 from fairmix.errors import (
@@ -125,7 +127,7 @@ class TestLoadDataset:
         write(manifest, manifest.read_text() + "modality.=face.csv\n")
         with pytest.raises(SchemaError) as info:
             load_dataset(str(manifest))
-        assert str(info.value) == f"{manifest}: key 'modality.' has an empty modality name"
+        assert str(info.value) == f"{manifest}: modality '' has an empty name"
 
     def test_levels_row_for_an_absent_feature(self, tmp_path):
         manifest = make_files(tmp_path)
@@ -290,7 +292,7 @@ class TestColumns:
 
     def test_repeated_attribute_name_rejected(self):
         kwargs = _columns(attr_names=("race", "race"))
-        with pytest.raises(SchemaError, match="attribute 'race' is declared more than once"):
+        with pytest.raises(SchemaError, match="^attribute 'race' is named more than once$"):
             Dataset(**kwargs)
 
     def test_meta_is_built_from_the_columns(self):
@@ -359,6 +361,20 @@ class TestColumns:
         with pytest.raises(SchemaError) as info:
             Dataset(**kwargs)
         assert str(info.value) == message
+
+    # each was accepted, and save_dataset then wrote a feature header that
+    # load_dataset refused in the same words
+    @pytest.mark.parametrize("features, fault", [
+        (("f", "f"), "column 'f' is named more than once"),
+        (("f1", "sample_id"), "column 'sample_id' is named more than once"),
+    ])
+    def test_feature_names_a_saved_dataset_cannot_carry(self, tmp_path, features, fault):
+        with pytest.raises(SchemaError) as info:
+            ModalityTable("face", np.zeros((3, 2)), tuple(map(ColumnMeta, features)))
+        assert str(info.value) == f"modality 'face': {fault}"
+        exc = load_error(tmp_path, face=FACE.replace("f1,f2", ",".join(features), 1))
+        assert type(exc) is SchemaError
+        assert str(exc) == f"{tmp_path / 'face.csv'}: row 1: {fault}"
 
 
 FACE = "sample_id,f1,f2\nc0,0.5,1.25\nc1,1.5,2.25\nc2,2.5,3.25\n"
@@ -525,21 +541,28 @@ def test_reserved_attributes_name_every_fixed_column():
 
 @pytest.mark.parametrize("name", sorted(RESERVED_ATTRIBUTES))
 class TestReservedAttributes:
-    """Every name in the one table is refused by each of its three readers."""
+    """Every name in the one table is refused by each of its three readers,
+    in the words of `name_fault`."""
 
     def test_dataset_rejects(self, name):
-        with pytest.raises(SchemaError, match=f"^attribute {re.escape(repr(name))} "):
+        with pytest.raises(SchemaError) as info:
             Dataset(**_columns(attr_names=("gender", name)))
+        assert str(info.value) == f"attribute {name!r} {RESERVED_ATTRIBUTES[name]}"
 
     def test_synth_spec_rejects(self, name):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError) as info:
             SynthSpec(attribute_props=(("gender", 0.5), (name, 0.5)))
+        assert str(info.value) == f"attribute {name!r} {RESERVED_ATTRIBUTES[name]}"
 
     def test_metadata_header_rejects(self, tmp_path, name):
+        # in a header whose first three columns are sample_id, subject_id and
+        # label, those names repeat a column before they name an attribute
         exc = load_error(tmp_path, meta=META2.replace("gender,race", f"gender,{name}"))
+        repeats = name in ("sample_id", "subject_id", "label")
+        fault = (f"column {name!r} is named more than once" if repeats
+                 else f"attribute {name!r} {RESERVED_ATTRIBUTES[name]}")
         assert type(exc) is SchemaError
-        assert str(exc).startswith(f"{tmp_path / 'meta.csv'}: row 1: ")
-        assert repr(name) in str(exc)
+        assert str(exc) == f"{tmp_path / 'meta.csv'}: row 1: {fault}"
 
 
 def _with_modality(name):
@@ -548,9 +571,11 @@ def _with_modality(name):
     return kwargs
 
 
-# each was accepted, and save_dataset then wrote a manifest that load_dataset
-# refused or read back as another name (NUL: save_dataset raised ValueError)
+# each but the empty name was accepted, and save_dataset then wrote a
+# manifest that load_dataset refused or read back as another name (NUL:
+# save_dataset raised ValueError)
 @pytest.mark.parametrize("name, reason", [
+    ("", "has an empty name"),
     ("a=b", "holds '=', which a saved manifest cannot carry"),
     ("a\nb", "holds '\\n', which a saved manifest cannot carry"),
     ("a\rb", "holds '\\r', which a saved manifest cannot carry"),
@@ -560,8 +585,12 @@ def _with_modality(name):
     ("face\t", "has leading or trailing whitespace, which a manifest drops"),
 ])
 class TestModalityNameRule:
-    """`modality_name_fault` is the one modality-name rule; Dataset and
-    SynthSpec read it."""
+    """`modality_name_fault` is the one modality-name rule, and `name_fault`
+    reads it for Dataset, SynthSpec and the loader's manifest."""
+
+    # the names that a manifest line carries back; a line break splits the
+    # line, a second '=' ends the key and an edge tab or space is stripped
+    IN_A_MANIFEST = ("", " face", "a\0b")
 
     def test_dataset_rejects(self, name, reason):
         with pytest.raises(SchemaError) as info:
@@ -573,12 +602,31 @@ class TestModalityNameRule:
             SynthSpec(modality_dims=(("audio", 2), (name, 2)))
         assert str(info.value) == f"modality {name!r} {reason}"
 
+    def test_loader_rejects_where_a_manifest_names_it(self, tmp_path, name, reason):
+        write(tmp_path / "face.csv", FACE)
+        write(tmp_path / "meta.csv", META)
+        manifest = tmp_path / "man.txt"
+        write(manifest, f"modality.{name}=face.csv\nmetadata=meta.csv\n")
+        try:
+            keys = parse_keyvalue_file(str(manifest)).keys()
+        except SchemaError:  # a line without '='
+            keys = ()
+        assert (f"modality.{name}" in keys) == (name in self.IN_A_MANIFEST)
+        if name in self.IN_A_MANIFEST:
+            with pytest.raises(SchemaError) as info:
+                load_dataset(str(manifest))
+            assert str(info.value) == f"{manifest}: modality {name!r} {reason}"
 
-@pytest.mark.parametrize("name", ["a.b", "a b", "face_2", "gesicht\u00e4"])
+
+@pytest.mark.parametrize("name", ["a.b", "a b", "face_2", "gesicht\u00e4", "..", "manifest"])
 def test_accepted_modality_name_round_trips(tmp_path, name):
-    assert modality_name_fault(name) is None
+    assert modality_name_fault(name) is None and name_fault("modality", [name]) is None
     ds = Dataset(**_with_modality(name))
     back = load_dataset(save_dataset(ds, str(tmp_path)))
     assert back.modality_names == (name,)
+    assert back.declared_attributes == ds.declared_attributes
+    for column in ("sample_id", "subject_id", "label", "attrs"):
+        np.testing.assert_array_equal(getattr(back, column), getattr(ds, column))
+    assert back.modality(name).column_meta == ds.modality(name).column_meta
     np.testing.assert_array_equal(back.modality(name).samples, ds.modality(name).samples)
     assert SynthSpec(modality_dims=((name, 2),)).modality_dims == ((name, 2),)

@@ -1,5 +1,5 @@
-"""README's package-layout and configuration tables, and the configuration
-module's docstring, against the package itself."""
+"""README's package-layout, configuration and name-rule tables, and the
+configuration module's docstring, against the package itself."""
 
 import dataclasses
 import re
@@ -8,6 +8,7 @@ from pathlib import Path
 import fairmix
 import fairmix.config
 from fairmix.config import KEYS
+from fairmix.dataset import RESERVED_ATTRIBUTES, name_fault
 from fairmix.errors import Rule
 from fairmix.models import HYPERPARAMS
 from fairmix.synthgen import SynthSpec
@@ -72,3 +73,11 @@ def test_config_docstring_states_every_rule():
             listed = [words for words, names in groups.items()
                       if re.search(rf"(?<![\w.<]){re.escape(name)}(?![\w.])", names)]
             assert listed == [rule.expected], name
+
+
+def test_readme_states_every_name_fault_reason():
+    # the name rule's words, each as `name_fault` gives it after `<kind> <name!r> `
+    named = [("column", ["a", "a"]), *(("attribute", [name]) for name in RESERVED_ATTRIBUTES),
+             *(("modality", [name]) for name in ("", "a=b", "a\nb", "a\rb", "a\0b", " a"))]
+    reasons = {name_fault(kind, names).removeprefix(f"{kind} {names[-1]!r} ") for kind, names in named}
+    assert set(readme_table("Name rule")) == reasons

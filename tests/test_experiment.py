@@ -17,10 +17,10 @@ from fairmix.cli import main
 from fairmix.config import PipelineConfig
 from fairmix.dataset import Dataset, ModalityTable, load_dataset, save_dataset
 from fairmix.errors import ExperimentError, FitError, InputError, SchemaError
-from fairmix.folds import grouped_stratified_kfold, loso_folds, plain_kfold
+from fairmix.folds import grouped_stratified_kfold, internal, loso_folds, plain_kfold
 from fairmix.fusion import FusionSpec, fit_stacking_meta
 from fairmix.metrics import PredictionRecord, PredictionSet
-from fairmix.models import PredictorSpec, out_of_fold
+from fairmix.models import PredictorSpec
 from fairmix.experiment import (
     make_folds,
     run_arms,
@@ -99,6 +99,17 @@ class TestFolds:
             np.testing.assert_array_equal(e1, e2)
 
 
+class TestInternalFolds:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_fold_whose_training_rows_hold_one_class_is_skipped(self, seed):
+        # the one positive row lands in fold 0, so fold 0 trains on negatives only
+        assign, pairs = internal([0, 0, 0, 1], 3, seed)
+        assert assign[3] == 0 and sorted(assign.tolist()) == [0, 0, 1, 2]
+        assert [assign[test].tolist() for _, test in pairs] == [[1], [2]]
+        for train, test in pairs:
+            assert sorted(train.tolist() + test.tolist()) == [0, 1, 2, 3]
+
+
 class TestGoldenFolds:
     """Exact assignments on one fixed input, so that a changed fold rule fails
     here and not only in report digests. Subject j has labels [0, 1]: its
@@ -137,21 +148,18 @@ class TestGoldenFolds:
 
     def test_platt_folds(self, monkeypatch):
         # the SVM's internal calibration folds for seed 4, as its fit draws them
-        calls, batches = [], []
+        calls = []
 
-        def spy(y, k, seed, fit_predict):
-            def batched(pairs):  # the kept folds' (train, test) pairs, in one call
-                batches.append(len(pairs))
-                return fit_predict(pairs)
-            calls.append((y.tolist(), k, seed, out_of_fold(y, k, seed, batched)))
+        def spy(y, k, seed):
+            calls.append((y.tolist(), k, seed, internal(y, k, seed)))
             return calls[-1][-1]
 
-        monkeypatch.setattr(models_mod, "out_of_fold", spy)
+        monkeypatch.setattr(folds_mod, "internal", spy)
         models_mod.fit(PredictorSpec("rbf_svm", {"seed": 4}), np.arange(16.0)[:, None], self.LABELS)
-        [(y, k, seed, (assign, _))] = calls
+        [(y, k, seed, (assign, pairs))] = calls
         assert (y, k, seed) == (self.LABELS, 3, 5)
         assert assign.tolist() == [0, 1, 1, 0, 0, 2, 2, 0, 1, 1, 1, 2, 0, 0, 1, 2]
-        assert batches == [3]
+        assert len(pairs) == 3  # every fold is kept
 
     def test_stacking_folds(self):
         y = np.array(self.LABELS)
@@ -193,18 +201,17 @@ class TestInternalFoldLeak:
             origin["fit"] = subject, np.arange(len(subject)) >= train.n_samples
             return out
 
-        def out_of_fold_spy(y, k, seed, fit_predict):
-            assign, blocks = out_of_fold(y, k, seed, fit_predict)
+        def internal_spy(y, k, seed):
+            assign, pairs = internal(y, k, seed)
             subject, synthetic = origin.pop("fit", origin["fold"])
-            for test, _ in blocks:
-                train = np.flatnonzero(assign != assign[test[0]])
+            for train, test in pairs:
                 counts.append([int(synthetic[test].sum()),
                                int(np.isin(subject[test], subject[train]).sum()), len(test)])
-            return assign, blocks
+            return assign, pairs
 
         monkeypatch.setattr(exp_mod, "preprocess_fold", preprocess_spy)
         monkeypatch.setattr(augment_mod, "synthesize", synthesize_spy)
-        monkeypatch.setattr(models_mod, "out_of_fold", out_of_fold_spy)
+        monkeypatch.setattr(folds_mod, "internal", internal_spy)
         found = {}
         for method in ("none", "random_oversample", "mixfeat"):
             counts.clear()

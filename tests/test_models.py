@@ -17,7 +17,6 @@ from fairmix.models import (
     fit,
     fit_many,
     mlp_loss_and_grads,
-    out_of_fold,
     _mlp_init,
     _rbf_kernel,
     _smo,
@@ -121,23 +120,6 @@ class TestFitContract:
                 fit_pca(X)
             else:
                 fit(PredictorSpec(entry), X, np.arange(shape[0]) % 2)
-
-
-class TestOutOfFold:
-    @pytest.mark.parametrize("seed", range(3))
-    def test_fold_whose_training_rows_hold_one_class_is_skipped(self, seed):
-        # the one positive row lands in fold 0, so fold 0 trains on negatives only
-        y, calls = [0, 0, 0, 1], []
-
-        def trains(pairs):  # every kept fold's (train, test) pair in one call
-            calls.append(len(pairs))
-            return [train for train, _ in pairs]
-        assign, blocks = out_of_fold(y, 3, seed, trains)
-        assert calls == [2]
-        assert assign[3] == 0 and sorted(assign.tolist()) == [0, 0, 1, 2]
-        assert [assign[test].tolist() for test, _ in blocks] == [[1], [2]]
-        for test, train in blocks:
-            assert sorted(train.tolist() + test.tolist()) == [0, 1, 2, 3]
 
 
 @pytest.mark.parametrize("kind,hp", [

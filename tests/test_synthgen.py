@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -69,12 +70,12 @@ class TestGenerate:
             ds = generate(spec)
         assert not ds.labels().any()
 
-    @pytest.mark.parametrize("changes", [
-        {"modality_dims": (("face", 2), ("", 3))},
-        {"attribute_props": (("gender", 0.5), ("", 0.5))},
+    @pytest.mark.parametrize("changes, message", [
+        ({"modality_dims": (("face", 2), ("", 3))}, "modality '' has an empty name"),
+        ({"attribute_props": (("gender", 0.5), ("", 0.5))}, "attribute '' has an empty name"),
     ])
-    def test_empty_names_rejected(self, changes):
-        with pytest.raises(InputError, match="modality and attribute names must be non-empty"):
+    def test_empty_names_rejected(self, changes, message):
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
             SynthSpec(**changes)
 
     def test_invalid_spec(self):
