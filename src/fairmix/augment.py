@@ -29,18 +29,13 @@ from __future__ import annotations
 import numpy as np
 
 from .dataset import Dataset, ModalityTable
-from .errors import POSITIVE, InputError, seeded_rng
+from .errors import POSITIVE, one_of, seeded_rng
 
 METHODS = ("none", "random_oversample", "mixfeat")  # "none" leaves the split as it is
+METHOD = one_of(METHODS)  # augment_dataset's method, and the augment.method key's rule
+_SYNTHESIZED = METHOD.where(f"one of {METHODS[1:]}", lambda v: v != "none")  # synthesize's method
 
 CellKey = tuple[tuple[int, ...], int]  # (attribute values in declared order, label)
-
-
-def check_beta(beta_alpha, beta_beta) -> None:
-    """Refuse a parameter of mixfeat's Beta weights that the one rule of the
-    augment.beta_* keys, errors.POSITIVE, refuses (a bool is not a number)."""
-    POSITIVE.check("beta_alpha", beta_alpha)
-    POSITIVE.check("beta_beta", beta_beta)
 
 
 def _cells_of(train: Dataset) -> dict[CellKey, np.ndarray]:
@@ -67,10 +62,10 @@ def synthesize(train: Dataset, method: str, seed: int,
     Returns the augmented dataset and, per synthetic row r, its parent rows
     parent_i[r] and parent_j[r] and its weights lams[r] in modality order
     (a singleton cell's rows are exact copies of its one row)."""
-    if method not in METHODS[1:]:
-        raise InputError(f"unknown augmentation method {method!r}")
-    if method == "mixfeat":
-        check_beta(beta_alpha, beta_beta)
+    _SYNTHESIZED.check("method", method)
+    if method == "mixfeat":  # by the augment.beta_* keys' rule (a bool is not a number)
+        POSITIVE.check("beta_alpha", beta_alpha)
+        POSITIVE.check("beta_beta", beta_beta)
     cells = _cells_of(train)
     target = max(len(rows) for rows in cells.values())
     deficits = [(rows, target - len(rows)) for rows in cells.values() if len(rows) < target]
@@ -113,4 +108,5 @@ def augment_dataset(train: Dataset, method: str, seed: int,
                     beta_alpha: float = 1.0, beta_beta: float = 1.0) -> Dataset:
     """The pipeline's entry for every arm: the balanced training split, or
     `train` itself under 'none' (the one place that rule is decided)."""
+    METHOD.check("method", method)
     return train if method == "none" else synthesize(train, method, seed, beta_alpha, beta_beta)[0]

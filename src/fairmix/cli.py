@@ -18,7 +18,8 @@ import os
 import sys
 
 from . import experiment as exp
-from .config import AUGMENT_METHODS, PipelineConfig, load_config, parse_synth_spec
+from .augment import METHODS
+from .config import PipelineConfig, load_config, parse_synth_spec
 from .dataset import load_dataset, save_dataset
 from .errors import ConfigError, DataError, FairmixError, InputError
 from .synthgen import generate
@@ -67,7 +68,7 @@ def cmd_audit(args) -> int:
 def cmd_compare(args) -> int:
     cfg = _load_config(args)
     dataset = _resolve_dataset(cfg)
-    reports = dict(zip(AUGMENT_METHODS, exp.run_arms(cfg, dataset, AUGMENT_METHODS)))
+    reports = dict(zip(METHODS, exp.run_arms(cfg, dataset, METHODS)))
     out = cfg.output_dir
     exp.write_json(os.path.join(out, "report.json"), {
         "arms": {arm: r.to_json_dict() for arm, r in reports.items()},

@@ -2,24 +2,25 @@
 per key from the command line.
 
 Recognized keys, in field order, each declared once as its PipelineConfig
-field with its rule, which states what it accepts (defaults in parentheses):
+field with its rule, which states what it accepts (defaults in parentheses;
+in brackets, the rule another module declares, by which its entry checks too):
 
     seed=<a non-negative integer>    (required)
     dataset.manifest=<path>          | dataset.synth=<synth spec path>   (exactly one)
     modalities=<comma list of distinct names>   (all modalities in the dataset)
-    features.level=all|high|low      (all)
-    features.descriptors=<comma list of one or more descriptor names>   (no mask)
+    features.level=all|high|low      (all) [preprocess.LEVEL]
+    features.descriptors=<comma list of one or more descriptor names>   (no mask) [preprocess.DESCRIPTORS]
     pca.enabled=true|false           (true)
-    pca.target_ratio=<a number in (0, 1]>   (0.8)
-    augment.method=none|random_oversample|mixfeat   (none)
-    augment.beta_alpha=<a positive finite number>   (1.0)
-    augment.beta_beta=<a positive finite number>    (1.0)
+    pca.target_ratio=<a number in (0, 1]>   (0.8) [preprocess.TARGET_RATIO]
+    augment.method=none|random_oversample|mixfeat   (none) [augment.METHOD]
+    augment.beta_alpha=<a positive finite number>   (1.0) [errors.POSITIVE]
+    augment.beta_beta=<a positive finite number>    (1.0) [errors.POSITIVE]
     augment.seed=<a non-negative integer>           (master seed)
-    model.kind=rbf_svm|mlp|logistic  (rbf_svm)
-    fusion.strategy=early|vote_hard|vote_soft|stack_hard|stack_soft  (early)
-    fusion.meta_kind=<model kind>    (logistic)
+    model.kind=rbf_svm|mlp|logistic  (rbf_svm) [models.KIND]
+    fusion.strategy=early|vote_hard|vote_soft|stack_hard|stack_soft  (early) [fusion.STRATEGY]
+    fusion.meta_kind=<model kind>    (logistic) [models.KIND]
     cv.mode=kfold|loso               (kfold)
-    cv.k=<an integer >= 2>           (5)
+    cv.k=<an integer >= 2>           (5) [folds.K]
     cv.grouped=true|false            (true: subject-grouped, label-stratified)
     output_dir=<path>                (.)
     model.<hyperparam>=<value>       (below; only hyperparameters of model.kind)
@@ -61,34 +62,24 @@ from typing import Optional
 
 import numpy as np
 
-from .augment import METHODS as AUGMENT_METHODS
-from .dataset import LEVELS, parse_keyvalue_file
+from .augment import METHOD
+from .dataset import parse_keyvalue_file
 from .errors import (INTEGER, MAPPING, POSITIVE, TEXT, ConfigError, FrozenDict, InputError, ParseError,
-                     Rule, SchemaError)
-from .fusion import STRATEGIES
-from .models import HYPERPARAMS, PredictorSpec
-from .preprocess import DESCRIPTOR_ORDER, TARGET_RATIO
+                     Rule, SchemaError, names, one_of)
+from .folds import K
+from .fusion import STRATEGY
+from .models import HYPERPARAMS, KIND, PredictorSpec
+from .preprocess import DESCRIPTORS, LEVEL, TARGET_RATIO
 from .synthgen import SynthSpec
 
 _BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
-def _names(expected, ok):
-    """The rule of a comma list of names, a tuple of str in Python."""
-    return Rule(lambda text: tuple(m.strip() for m in text.split(",") if m.strip()), expected,
-                lambda v: isinstance(v, tuple) and all(isinstance(m, str) for m in v) and ok(v))
-
-
-def _one_of(options):
-    options = tuple(options)
-    return Rule(str, f"one of {options}", lambda v: isinstance(v, str) and v in options)
-
-
 _BOOL = Rule(lambda text: _BOOLS[text.lower()], "true/false", lambda v: isinstance(v, (bool, np.bool_)))
 
 
-def _listed(names):
-    return list(names) if names else None
+def _listed(values):
+    return list(values) if values else None
 
 
 def _key(name, rule, default=None, report=lambda value: value, path=False):
@@ -111,30 +102,25 @@ class PipelineConfig:
     ), report=None, path=True)
     modalities: Optional[tuple[str, ...]] = _key(
         "modalities",
-        _names("distinct names", lambda v: len(set(v)) == len(v)),
+        names("distinct names", lambda v: len(set(v)) == len(v)),
         report=_listed,
     )
-    level: str = _key("features.level", _one_of(("all", *LEVELS)), "all")
-    descriptors: Optional[tuple[str, ...]] = _key(
-        "features.descriptors",
-        _names(f"one or more names from {DESCRIPTOR_ORDER}",
-               lambda v: v and set(DESCRIPTOR_ORDER).issuperset(v)),
-        report=_listed,
-    )
+    level: str = _key("features.level", LEVEL, "all")
+    descriptors: Optional[tuple[str, ...]] = _key("features.descriptors", DESCRIPTORS, report=_listed)
     pca_enabled: bool = _key("pca.enabled", _BOOL, True)
     pca_target_ratio: float = _key("pca.target_ratio", TARGET_RATIO, 0.8)
-    augment_method: str = _key("augment.method", _one_of(AUGMENT_METHODS), "none")
-    beta_alpha: float = _key("augment.beta_alpha", POSITIVE, 1.0)  # augment.check_beta's rule
+    augment_method: str = _key("augment.method", METHOD, "none")
+    beta_alpha: float = _key("augment.beta_alpha", POSITIVE, 1.0)  # augment.synthesize's rule
     beta_beta: float = _key("augment.beta_beta", POSITIVE, 1.0)
     augment_seed: Optional[int] = _key("augment.seed", INTEGER, report=None)
-    model_kind: str = _key("model.kind", _one_of(HYPERPARAMS), "rbf_svm")
+    model_kind: str = _key("model.kind", KIND, "rbf_svm")
     # model.<hyperparameter> keys, each read and checked by the rule that
     # models.HYPERPARAMS declares for it under model_kind (text if it has none)
     model_hyperparams: dict = field(default_factory=dict)
-    fusion_strategy: str = _key("fusion.strategy", _one_of(STRATEGIES), "early")
-    meta_kind: str = _key("fusion.meta_kind", _one_of(HYPERPARAMS), "logistic")
-    cv_mode: str = _key("cv.mode", _one_of(("kfold", "loso")), "kfold")
-    cv_k: int = _key("cv.k", INTEGER.where("an integer >= 2", lambda v: v >= 2), 5)
+    fusion_strategy: str = _key("fusion.strategy", STRATEGY, "early")
+    meta_kind: str = _key("fusion.meta_kind", KIND, "logistic")
+    cv_mode: str = _key("cv.mode", one_of(("kfold", "loso")), "kfold")
+    cv_k: int = _key("cv.k", K, 5)
     cv_grouped: bool = _key("cv.grouped", _BOOL, True)
     output_dir: str = _key("output_dir", TEXT, ".", report=None, path=True)
 

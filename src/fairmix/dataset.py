@@ -5,13 +5,13 @@ A dataset is described by a plain-text manifest of key=value lines:
     modality.<name>=<feature csv path>
     levels.<name>=<levels csv path>          (optional per modality)
     metadata=<metadata csv path>
-    panas_threshold=<real>                   (optional, default 33.3; read only at load)
+    panas_threshold=<a finite number>        (optional, default 33.3; read only at load)
 
 Any other key, a modality name that `name_fault` refuses, a
 ``levels.<name>`` without its modality, or a levels row naming a feature
 that its modality lacks is a SchemaError; so is a feature named twice in a
-levels file, a column named twice in a feature or metadata header, and a
-metadata attribute that is unnamed or named like a fixed column, either
+levels file, a column named twice in a feature header, and a metadata
+attribute that is unnamed, named twice or named like a fixed column, either
 outcome or a `PREDICTION_COLUMNS` one (the keys of `RESERVED_ATTRIBUTES`).
 
 A feature CSV is ``sample_id`` plus one or more numeric features; a levels
@@ -45,7 +45,6 @@ import csv
 import functools
 import io
 import itertools
-import math
 import os
 import tempfile
 import warnings
@@ -55,7 +54,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import (
+    REAL,
     AlignmentError,
+    ConfigError,
     DataError,
     DegenerateGroupWarning,
     InputError,
@@ -273,10 +274,9 @@ def binarize_panas(pa_score, threshold: float = DEFAULT_PANAS_THRESHOLD):
 
     Scores exactly at the threshold fall in the low-PA class.
     """
+    REAL.check("threshold", threshold)
     if not np.isfinite(pa_score).all():
         raise InputError(f"non-finite PA score: {pa_score!r}")
-    if not math.isfinite(threshold):
-        raise InputError(f"non-finite threshold: {threshold!r}")
     high = np.greater(pa_score, threshold)
     return high.astype(int) if high.ndim else int(high)
 
@@ -397,7 +397,7 @@ def _load_metadata_csv(path: str, threshold: float):
         raise SchemaError(f"{path}: third metadata column must be 'pa_score' or 'label'")
     outcome_col = header[2]
     attr_names = tuple(header[3:])
-    fault = name_fault("column", header) or name_fault("attribute", attr_names)
+    fault = name_fault("attribute", attr_names)  # the first three are fixed, distinct and reserved
     if fault:
         raise SchemaError(f"{path}: row 1: {fault}")
     if not rows:
@@ -441,14 +441,9 @@ def load_dataset(manifest_path: str) -> Dataset:
     if "metadata" not in kv:
         raise SchemaError(f"{manifest_path}: missing 'metadata' key")
     try:
-        threshold = float(kv.get("panas_threshold", DEFAULT_PANAS_THRESHOLD))
-    except ValueError:
-        threshold = math.nan
-    if not math.isfinite(threshold):
-        raise ParseError(
-            f"{manifest_path}: panas_threshold must be a finite number, "
-            f"got {kv['panas_threshold']!r}"
-        )
+        threshold = REAL.parse("panas_threshold", kv.get("panas_threshold", DEFAULT_PANAS_THRESHOLD))
+    except ConfigError as exc:
+        raise ParseError(f"{manifest_path}: {exc}") from None
     mpath = resolve(kv["metadata"])
     order, subjects, labels, attrs, attr_names = _load_metadata_csv(mpath, threshold)
 

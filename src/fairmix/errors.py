@@ -125,6 +125,17 @@ MAPPING = Rule(None, "a mapping of names to values",
                lambda v: isinstance(v, Mapping) and all(isinstance(k, str) for k in v))
 
 
+def one_of(options):
+    options = tuple(options)
+    return Rule(str, f"one of {options}", lambda v: isinstance(v, str) and v in options)
+
+
+def names(expected, ok):
+    """The rule of a comma list of names, a tuple of str in Python."""
+    return Rule(lambda text: tuple(m.strip() for m in text.split(",") if m.strip()), expected,
+                lambda v: isinstance(v, tuple) and all(isinstance(m, str) for m in v) and ok(v))
+
+
 class FrozenDict(dict):
     """A dict that refuses every change once built, so that a checked mapping
     stays checked; it pickles and copies as a dict of its items."""
@@ -144,15 +155,15 @@ def seeded_rng(seed) -> np.random.Generator:
     return np.random.default_rng(INTEGER.check("seed", seed))
 
 
-def as_matrix(X, what: str, n_columns: int | None = None) -> np.ndarray:
+def as_matrix(X, what: str, n_columns: int | None = None, missing: bool = False) -> np.ndarray:
     """X as a C-ordered 2-D float64 array, a 1-D X being one row: the one
     reading of a numeric matrix at every fit, transform and predict, so that
     no result depends on the input's memory order. Raises ShapeError for
     rows of unequal length, more than 2 dimensions, a column count other
     than n_columns or no columns; InputError naming the first non-numeric
     cell, or number beyond float64's range, in row order; and FitError
-    naming the first non-finite cell in row order (a check on the values
-    only, so no numpy warning comes first)."""
+    naming the first non-finite cell in row order, NaN aside if `missing`
+    (a check on the values only, so no numpy warning comes first)."""
     try:
         X = np.atleast_2d(np.ascontiguousarray(X, dtype=float))
     except (TypeError, ValueError, OverflowError):
@@ -163,7 +174,7 @@ def as_matrix(X, what: str, n_columns: int | None = None) -> np.ndarray:
         raise ShapeError(f"expected {n_columns} feature columns, got {X.shape[1]}")
     if X.shape[1] == 0:
         raise ShapeError(f"{what}: no columns")
-    finite = np.isfinite(X)
+    finite = ~np.isinf(X) if missing else np.isfinite(X)
     if not finite.all():
         row, column = np.argwhere(~finite)[0].tolist()
         raise FitError(f"{what}: non-finite value {X[row, column]} at row {row}, column {column}")

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ExperimentError, seeded_rng
+from .errors import INTEGER, ExperimentError, seeded_rng
 from .metrics import counts
+
+K = INTEGER.where("an integer >= 2", lambda v: v >= 2)  # the outer k, the cv.k key's rule
 
 
 def stratified_positions(strata, rng: np.random.Generator) -> np.ndarray:
@@ -56,7 +58,7 @@ def grouped_stratified_kfold(labels, subject_ids, k, seed):
     """k folds that never split a subject; subjects are spread across folds
     stratified by their majority label."""
     subjects, subject_of_row = np.unique(np.asarray(subject_ids), return_inverse=True)
-    k = min(k, len(subjects))
+    k = min(K.check("k", k), len(subjects))
     if k < 2:
         raise ExperimentError("grouped k-fold needs at least 2 subjects")
     # majority label per subject (half rounds to even) decides its stratum;
@@ -70,7 +72,7 @@ def grouped_stratified_kfold(labels, subject_ids, k, seed):
 
 def plain_kfold(n, k, seed):
     """min(k, n) folds of a seeded shuffle of the rows, cut by array_split."""
-    k = min(k, n)
+    k = min(K.check("k", k), n)
     row_fold = np.empty(n, int)
     for f, part in enumerate(np.array_split(seeded_rng(seed).permutation(n), k)):
         row_fold[part] = f

@@ -21,11 +21,12 @@ from typing import Sequence
 import numpy as np
 
 from . import folds, models
-from .errors import ConfigError, InputError, ShapeError, StackingError
+from .errors import ConfigError, InputError, ShapeError, StackingError, one_of
 from .metrics import counts
 from .models import PredictorSpec, TrainedPredictor, argmax_label
 
-STRATEGIES = ("early", "vote_hard", "vote_soft", "stack_hard", "stack_soft")
+# FusionSpec's strategy, the fusion.strategy key's rule
+STRATEGY = one_of(("early", "vote_hard", "vote_soft", "stack_hard", "stack_soft"))
 
 
 @dataclass(frozen=True)
@@ -35,8 +36,7 @@ class FusionSpec:
     meta_model: PredictorSpec = field(default_factory=lambda: PredictorSpec("logistic"))
 
     def __post_init__(self):
-        if self.strategy not in STRATEGIES:
-            raise ConfigError(f"unknown fusion strategy {self.strategy!r}")
+        STRATEGY.check("strategy", self.strategy)
 
 
 def early_fuse(modalities: Sequence[np.ndarray]) -> np.ndarray:

@@ -64,7 +64,7 @@ import numpy as np
 
 from . import folds
 from .errors import (COUNT, INTEGER, MAPPING, NON_NEGATIVE, POSITIVE, FitError, FrozenDict, InputError, Rule,
-                     ShapeError, as_matrix, seeded_rng)
+                     ShapeError, as_matrix, one_of, seeded_rng)
 from .metrics import counts
 
 # iterations before _smo gives up with a FitError
@@ -86,6 +86,7 @@ HYPERPARAMS = {
 }
 DEFAULT_HYPERPARAMS = {kind: {name: default for name, (default, _) in takes.items()}
                        for kind, takes in HYPERPARAMS.items()}
+KIND = one_of(HYPERPARAMS)  # the model.kind and fusion.meta_kind keys' rule
 
 
 @dataclass(frozen=True)
@@ -95,9 +96,8 @@ class PredictorSpec:
 
     def __post_init__(self):
         """Check the kind, then each hyperparameter by its rule; a refusal starts
-        with the hyperparameter's name, to which config adds "model."."""
-        if self.kind not in HYPERPARAMS:
-            raise InputError(f"unknown model kind {self.kind!r}")
+        with "kind" or the hyperparameter's name, to which config adds "model."."""
+        KIND.check("kind", self.kind)
         hyperparams = FrozenDict(MAPPING.check("hyperparams", self.hyperparams))
         object.__setattr__(self, "hyperparams", hyperparams)
         takes = HYPERPARAMS[self.kind]

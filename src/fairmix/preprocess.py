@@ -17,12 +17,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import ModalityTable
-from .errors import REAL, EmptyTableError, FitError, SelectionError, as_matrix
+from .dataset import LEVELS, ModalityTable
+from .errors import REAL, EmptyTableError, FitError, SelectionError, as_matrix, names, one_of
 
 # summary descriptors a feature name may end in ("<feature>__<descriptor>");
 # features.descriptors masks columns by them
 DESCRIPTOR_ORDER = ("mean", "median", "std", "min", "max", "autocorr_1s")
+# select_columns' level and descriptors, the features.level and .descriptors keys' rules
+LEVEL = one_of(("all", *LEVELS))
+DESCRIPTORS = names(f"one or more names from {DESCRIPTOR_ORDER}",
+                    lambda v: v and set(DESCRIPTOR_ORDER).issuperset(v))
 # fit_pca's target_ratio, the pca.target_ratio key's one rule
 TARGET_RATIO = REAL.where("a number in (0, 1]", lambda v: 0.0 < v <= 1.0)
 
@@ -31,6 +35,9 @@ def select_columns(table: ModalityTable, level: str, descriptors) -> ModalityTab
     """The columns tagged `level` ("all": any) whose descriptor suffix is in
     `descriptors` (None: no mask); a column without a known suffix always
     passes. Returns the table itself when every column is kept."""
+    LEVEL.check("level", level)
+    if descriptors is not None:
+        DESCRIPTORS.check("descriptors", descriptors)
     keep = [j for j, c in enumerate(table.column_meta) if level in ("all", c.level)]
     if not keep:
         raise SelectionError(f"modality {table.modality_name!r}: no columns tagged {level!r}")
@@ -57,16 +64,16 @@ class ColumnCleaner:
 
     keep: tuple[int, ...]
     impute_means: np.ndarray
+    n_columns: int  # the fitted width
 
     def apply(self, X: np.ndarray) -> np.ndarray:
-        # the one entry that takes NaN, which it imputes; the steps after it
-        # read their input through as_matrix, which fixes the memory order
-        out = np.take(np.asarray(X, dtype=float), self.keep, axis=1)
+        # the one entry that takes NaN, which it imputes
+        out = np.take(as_matrix(X, "cleaner input", self.n_columns, missing=True), self.keep, axis=1)
         return np.where(np.isnan(out), self.impute_means, out)
 
 
 def fit_column_cleaner(train: np.ndarray, modality_name: str = "") -> ColumnCleaner:
-    X = np.asarray(train, dtype=float)
+    X = as_matrix(train, "cleaner training matrix", missing=True)
     # fmax/fmin skip NaN; a column with no observed value gives NaN, which
     # compares false
     hi, lo = np.fmax.reduce(X, axis=0, initial=np.nan), np.fmin.reduce(X, axis=0, initial=np.nan)
@@ -80,7 +87,7 @@ def fit_column_cleaner(train: np.ndarray, modality_name: str = "") -> ColumnClea
     # a mean that overflows is left to fit_standardizer to reject
     with np.errstate(over="ignore", invalid="ignore"):
         means = np.nanmean(np.ascontiguousarray(X[:, keep].T), axis=1)
-    return ColumnCleaner(tuple(keep.tolist()), means)
+    return ColumnCleaner(tuple(keep.tolist()), means, X.shape[1])
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fairmix.augment import (
-    _cells_of, augment_dataset, check_beta, mix_pair, synthesize,
+    _cells_of, augment_dataset, mix_pair, synthesize,
 )
 from fairmix.dataset import ColumnMeta, Dataset, ModalityTable
 from fairmix.errors import InputError
@@ -168,17 +168,19 @@ class TestMixFeat:
 
     def test_invalid_beta_params(self):
         with pytest.raises(InputError, match=r"^beta_alpha: expected a positive finite number, got 0\.0$"):
-            check_beta(0.0, 1.0)
+            synthesize(imbalanced_dataset(), "mixfeat", 0, 0.0, 1.0)
         with pytest.raises(InputError, match=r"^beta_beta: expected a positive finite number, got -1\.0$"):
             augment_dataset(imbalanced_dataset(), "mixfeat", seed=0, beta_beta=-1.0)
 
 
 @pytest.mark.parametrize("method", ["smote", "", "none"])
 def test_unknown_methods_are_rejected(method):
-    with pytest.raises(InputError, match="unknown augmentation method"):
+    with pytest.raises(InputError, match=rf"^method: expected one of \('random_oversample', 'mixfeat'\), "
+                                         rf"got {method!r}$"):
         synthesize(imbalanced_dataset(), method, seed=0)
     if method != "none":
-        with pytest.raises(InputError, match="unknown augmentation method"):
+        with pytest.raises(InputError, match=r"^method: expected one of \('none', 'random_oversample', "
+                                             rf"'mixfeat'\), got {method!r}$"):
             augment_dataset(imbalanced_dataset(), method, seed=0)
 
 

@@ -576,7 +576,7 @@ class TestLoaderErrors:
                                "expected 2 cells, got 3"),
         "attribute_repeats_subject_id": ("data_metadata.csv",
                                          lambda t: t.replace("label,gender", "label,subject_id", 1),
-                                         "row 1: column 'subject_id' is named more than once"),
+                                         "row 1: attribute 'subject_id' is an id column name"),
         "attribute_is_a_predictions_column": ("data_metadata.csv",
                                               lambda t: t.replace("label,gender", "label,true_label", 1),
                                               "row 1: attribute 'true_label' is a predictions.csv column"),

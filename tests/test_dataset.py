@@ -103,7 +103,8 @@ class TestLoadDataset:
     def test_bad_panas_threshold(self, tmp_path, threshold):
         manifest = make_files(tmp_path)
         write(manifest, manifest.read_text().replace("=33.3", f"={threshold}"))
-        with pytest.raises(ParseError, match="panas_threshold"):
+        with pytest.raises(ParseError, match=rf"^{re.escape(str(manifest))}: panas_threshold: "
+                                             rf"expected a finite number, got '{threshold}'$"):
             load_dataset(str(manifest))
 
     def test_duplicate_sample_id(self, tmp_path):
@@ -140,7 +141,7 @@ class TestLoadDataset:
         write(tmp_path / "m.csv", "sample_id,subject_id,label,gender,gender\na,s0,1,1,0\nb,s1,0,0,1\n")
         write(tmp_path / "man.txt", "modality.f=f.csv\nmetadata=m.csv\n")
         path = re.escape(str(tmp_path / "m.csv"))
-        with pytest.raises(SchemaError, match=f"^{path}: row 1: column 'gender' is named more than once$"):
+        with pytest.raises(SchemaError, match=f"^{path}: row 1: attribute 'gender' is named more than once$"):
             load_dataset(str(tmp_path / "man.txt"))
 
     def test_single_row_warns_degenerate(self, tmp_path):
@@ -448,11 +449,11 @@ class TestLoadErrorMessages:
          "row 3: label must be 0 or 1, got '2'"),
         # an attribute may not repeat one of the three fixed columns
         (META2.replace("label,gender", "label,subject_id"), SchemaError,
-         "row 1: column 'subject_id' is named more than once"),
+         "row 1: attribute 'subject_id' is an id column name"),
         (META2.replace("gender,race", "gender,sample_id"), SchemaError,
-         "row 1: column 'sample_id' is named more than once"),
+         "row 1: attribute 'sample_id' is an id column name"),
         (META.replace("gender", "label", 1), SchemaError,
-         "row 1: column 'label' is named more than once"),
+         "row 1: attribute 'label' is an outcome column name"),
         # nor a column that predictions.csv adds after the two ids
         (META.replace("gender", "true_label", 1), SchemaError,
          "row 1: attribute 'true_label' is a predictions.csv column"),
@@ -555,14 +556,11 @@ class TestReservedAttributes:
         assert str(info.value) == f"attribute {name!r} {RESERVED_ATTRIBUTES[name]}"
 
     def test_metadata_header_rejects(self, tmp_path, name):
-        # in a header whose first three columns are sample_id, subject_id and
-        # label, those names repeat a column before they name an attribute
+        # sample_id, subject_id and label, which also head this header, were
+        # refused as a repeated column
         exc = load_error(tmp_path, meta=META2.replace("gender,race", f"gender,{name}"))
-        repeats = name in ("sample_id", "subject_id", "label")
-        fault = (f"column {name!r} is named more than once" if repeats
-                 else f"attribute {name!r} {RESERVED_ATTRIBUTES[name]}")
         assert type(exc) is SchemaError
-        assert str(exc) == f"{tmp_path / 'meta.csv'}: row 1: {fault}"
+        assert str(exc) == f"{tmp_path / 'meta.csv'}: row 1: attribute {name!r} {RESERVED_ATTRIBUTES[name]}"
 
 
 def _with_modality(name):

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import fairmix
 import fairmix.config
+from fairmix import augment, dataset, errors, experiment, folds, fusion, models, preprocess, synthgen
 from fairmix.config import KEYS
 from fairmix.dataset import RESERVED_ATTRIBUTES, name_fault
 from fairmix.errors import Rule
@@ -60,6 +61,34 @@ def test_readme_states_every_rule():
     assert list(synth) == list(synth_keys())
     for key, rule in synth_keys().items():
         assert synth[key][0].startswith(rule.expected), key
+
+
+def owner_rules() -> dict[str, str]:
+    """Each key whose rule a module other than config and errors declares ->
+    that rule's name, `<module>.<NAME>`."""
+    base = [rule for rule in vars(errors).values() if isinstance(rule, errors.Rule)]
+    owners = {}
+    for key, field in KEYS.items():
+        rule = field.metadata["rule"]
+        named = [f"{m.__name__.rsplit('.', 1)[1]}.{name}"
+                 for m in (augment, dataset, experiment, folds, fusion, models, preprocess, synthgen)
+                 for name, value in vars(m).items() if value is rule]
+        if named and not any(rule is b for b in base):
+            owners[key] = named
+    return owners
+
+
+def test_readme_names_every_owner_rule():
+    # config declared a copy of each, and the entries that take the setting
+    # checked it again in other words, or not at all
+    owners = owner_rules()
+    assert {key: len(names) for key, names in owners.items()} == dict.fromkeys(
+        ("features.level", "features.descriptors", "pca.target_ratio", "augment.method", "model.kind",
+         "fusion.strategy", "fusion.meta_kind", "cv.k"), 1)
+    keys = readme_table("Configuration keys")
+    for key, (name,) in owners.items():
+        assert f"(`{name}`, also " in keys[key][0], key
+        assert f"[{name}]" in fairmix.config.__doc__, key
 
 
 def test_config_docstring_states_every_rule():

@@ -1,16 +1,18 @@
 """The numeric-input contract (errors.as_matrix) at every fit, transform and
-predict: each entry refuses a non-finite cell, a non-numeric cell, rows of
-unequal length, a wrong column count, no columns and more than 2 dimensions
-with a named error, reads a 1-D input as one row, and gives the bits of a
-C-ordered copy for a Fortran-ordered input. Every fit reads its labels
+predict: each entry refuses a non-finite cell (but the column cleaner's NaN,
+a missing cell), a non-numeric cell, rows of unequal length, a wrong column
+count, no columns and more than 2 dimensions with a named error, reads a 1-D
+input as one row, and gives the bits of a C-ordered copy for a
+Fortran-ordered input. Every fit reads its labels
 through metrics.counts: a value other than 0 or 1 or a 2-D column is an
 InputError, and 0/1 labels give the same bits as ints, floats or bools.
 
 Every seeded operation refuses a negative, non-integer or bool seed through
 errors.seeded_rng before numpy reads it, a PipelineConfig refuses when it is
 built every field value that its key's rule refuses, in the parser's wording,
-and `REFUSALS` is one table of further argument refusals, each with its error
-type and first words."""
+`OWNED` is the table of settings whose one rule a module declares and checks
+at its own entry, and `REFUSALS` is one table of further argument refusals,
+each with its error type and first words."""
 
 import copy
 import dataclasses
@@ -20,8 +22,8 @@ import re
 import numpy as np
 import pytest
 
-from fairmix import folds
-from fairmix.augment import augment_dataset
+from fairmix import augment, errors, folds, fusion, models, preprocess
+from fairmix.augment import augment_dataset, synthesize
 from fairmix.config import KEYS, PipelineConfig, build_config, parse_synth_spec
 from fairmix.dataset import ColumnMeta, Dataset, ModalityTable, binarize_panas, load_dataset
 from fairmix.errors import (
@@ -41,7 +43,7 @@ from fairmix.experiment import make_folds, run_arms, run_experiment
 from fairmix.fusion import FusionSpec, early_fuse, fit_fusion, fit_stacking_meta
 from fairmix.metrics import PredictionSet
 from fairmix.models import HYPERPARAMS, PredictorSpec, fit
-from fairmix.preprocess import fit_pca, fit_standardizer
+from fairmix.preprocess import fit_column_cleaner, fit_pca, fit_standardizer, select_columns
 from fairmix.synthgen import SynthSpec, generate
 
 KINDS = ("logistic", "mlp", "rbf_svm")
@@ -53,7 +55,7 @@ def entries(train):
     None for a fit). Fitted objects and labels come from `train`."""
     y = np.arange(len(train)) % 2
     model = fit(PredictorSpec("logistic"), train, y)
-    pca, std = fit_pca(train, 0.9), fit_standardizer(train)
+    pca, std, cleaner = fit_pca(train, 0.9), fit_standardizer(train), fit_column_cleaner(train)
 
     def fitted(kind):
         hp = {"epochs": 20} if kind == "mlp" else {}
@@ -67,6 +69,10 @@ def entries(train):
         s = fit_standardizer(X)
         return s.mean, s.std
 
+    def cleaner_fitted(X):
+        c = fit_column_cleaner(X)
+        return np.array(c.keep), c.impute_means
+
     d = train.shape[1]
     return {
         **{f"fit[{kind}]": (fitted(kind), "training matrix", None) for kind in KINDS},
@@ -75,12 +81,17 @@ def entries(train):
         "PcaModel.apply": (lambda X: (pca.apply(X),), "PCA input", d),
         "fit_standardizer": (std_fitted, "standardizer training matrix", None),
         "Standardizer.apply": (lambda X: (std.apply(X),), "standardizer input", d),
+        # an apply of 2 columns raised IndexError, and one of 5 returned the
+        # fitted 3; a non-numeric cell or ragged rows raised numpy's ValueError
+        "fit_column_cleaner": (cleaner_fitted, "cleaner training matrix", None),
+        "ColumnCleaner.apply": (lambda X: (cleaner.apply(X),), "cleaner input", d),
     }
 
 
 TRAIN = np.random.default_rng(0).normal(size=(12, 4))
 ENTRIES = entries(TRAIN)
 WIDTH_ENTRIES = [name for name, (_, _, d) in ENTRIES.items() if d is not None]
+MISSING_ENTRIES = ("fit_column_cleaner", "ColumnCleaner.apply")  # NaN: a missing cell, imputed
 
 
 def outcome(call, X):
@@ -99,6 +110,9 @@ def test_non_finite_cell_is_named(name, value):
     call, what, _ = ENTRIES[name]
     X = TRAIN.copy()
     X[3, 0] = X[2, 1] = value  # the first in row order is named
+    if name in MISSING_ENTRIES and np.isnan(value):
+        assert all(np.isfinite(a).all() for a in call(X))  # imputed, or no value read from it
+        return
     with pytest.raises(FitError, match=rf"^{what}: non-finite value {value} at row 2, column 1$"):
         call(X)
 
@@ -406,6 +420,63 @@ def test_checked_config_copies_and_stays_frozen(copied):
         dataclasses.replace(twin, model_hyperparams={**twin.model_hyperparams, "epochs": 0})
 
 
+TABLE = SMALL.modalities[0]
+
+# name -> (the owner module's rule, the entry as a function of the value, the
+# argument's name there, the configuration keys that read the same rule, and
+# values beyond the common ones that the rule refuses)
+OWNED = {
+    "PredictorSpec[kind]": (models.KIND, PredictorSpec, "kind", ("model.kind", "fusion.meta_kind"),
+                            ("MLP",)),
+    "FusionSpec[strategy]": (fusion.STRATEGY, lambda v: FusionSpec(v, PredictorSpec("logistic")),
+                             "strategy", ("fusion.strategy",), ("median",)),
+    "augment_dataset[method]": (augment.METHOD, lambda v: augment_dataset(SMALL, v, 0), "method",
+                                ("augment.method",), ("smote",)),
+    "synthesize[method]": (augment._SYNTHESIZED, lambda v: synthesize(SMALL, v, 0), "method", (),
+                           ("none",)),
+    # "medium" was reported as "no columns tagged 'medium'"
+    "select_columns[level]": (preprocess.LEVEL, lambda v: select_columns(TABLE, v, None), "level",
+                              ("features.level",), ("medium",)),
+    # ("foo",) dropped every described column, and a bare string masked by substring
+    "select_columns[descriptors]": (preprocess.DESCRIPTORS, lambda v: select_columns(TABLE, "all", v),
+                                    "descriptors", ("features.descriptors",),
+                                    (("foo",), "median,std", ("mean", 3), ())),
+    # "3" raised TypeError, and 1 or 0 "grouped k-fold needs at least 2 subjects"
+    "grouped_stratified_kfold[k]": (
+        folds.K, lambda v: folds.grouped_stratified_kfold(SMALL.label, SMALL.subject_id, v, 0), "k",
+        ("cv.k",), ("3", 1, 0, 2.5)),
+    # 0 ended in numpy's ValueError ("number sections must be larger than 0.")
+    "plain_kfold[k]": (folds.K, lambda v: folds.plain_kfold(SMALL.n_samples, v, 0), "k", ("cv.k",),
+                       (0, 1, -2)),
+    # a string or None raised TypeError, and True was read as 1.0
+    "binarize_panas[threshold]": (errors.REAL, lambda v: binarize_panas(30.0, v), "threshold", (),
+                                  (np.nan, np.inf)),
+}
+# ["x"] and {} raised TypeError (unhashable) in PredictorSpec; None is no mask of descriptors
+OWNED_CASES = [(name, value) for name, (*_, more) in OWNED.items()
+               for value in (["x"], {}, None, True, "bogus", *more)
+               if not (value is None and name == "select_columns[descriptors]")]
+
+
+@pytest.mark.parametrize("name, value", OWNED_CASES, ids=[f"{n}={v!r}" for n, v in OWNED_CASES])
+def test_owned_setting_refuses_by_its_owner_rule(name, value):
+    rule, call, arg, keys, _ = OWNED[name]
+    with pytest.raises(InputError) as info:
+        call(value)
+    assert type(info.value) is InputError and str(info.value) == rule.refusal(arg, value)
+    for key in keys:  # the configuration's refusal, but for the name before the words
+        with pytest.raises(InputError) as config_info:
+            PipelineConfig(**{KEYS[key].name: value})
+        assert str(config_info.value) == key + str(info.value).removeprefix(arg)
+
+
+@pytest.mark.parametrize("name", OWNED)
+def test_owned_keys_read_the_owner_rule(name):
+    # config once declared a second copy of each, in other words than the entry's
+    rule, *_, keys, _ = OWNED[name]
+    assert all(KEYS[key].metadata["rule"] is rule for key in keys)
+
+
 class Unsteady:
     """A cell that float() reads on every call but the first, so that numpy's
     read fails and the cell-by-cell search finds no culprit."""
@@ -452,7 +523,7 @@ REFUSALS = {
         AlignmentError, "modality 'm' has 2 rows, metadata has 3"),
     "Dataset.modality": (lambda d: SMALL.modality("x"), KeyError, "'x'"),
     "binarize_panas[threshold]": (lambda d: binarize_panas(30.0, np.nan), InputError,
-                                  "non-finite threshold: nan"),
+                                  "threshold: expected a finite number, got nan"),
     "load_dataset[no metadata]": (no_metadata_key, SchemaError,
                                   "<dir>/m.txt: missing 'metadata' key"),
     "as_matrix[3-D objects]": (lambda d: as_matrix([[["a"]]], "X"), ShapeError,
@@ -466,8 +537,9 @@ REFUSALS = {
                                     InputError, "X: value beyond float64's range at row 1, column 1"),
     "fit[overflow]": (lambda d: fit(PredictorSpec("logistic"), [[10**400], [1.0]], [0, 1]),
                       InputError, "training matrix: value beyond float64's range at row 0, column 0"),
-    "FusionSpec[strategy]": (lambda d: FusionSpec("median", PredictorSpec("logistic")),
-                             ConfigError, "unknown fusion strategy 'median'"),
+    "FusionSpec[strategy]": (lambda d: FusionSpec("median", PredictorSpec("logistic")), InputError,
+                             "strategy: expected one of ('early', 'vote_hard', 'vote_soft', "
+                             "'stack_hard', 'stack_soft'), got 'median'"),
     "early_fuse[none]": (lambda d: early_fuse([]), InputError, "no modalities to fuse"),
     "fit_fusion[none]": (lambda d: fit_fusion(STACK, [], SMALL.label), InputError,
                          "no modalities given"),

@@ -15,8 +15,9 @@ import shutil
 import numpy as np
 import pytest
 
+from fairmix.augment import METHODS as AUGMENT_METHODS
 from fairmix.cli import main
-from fairmix.config import AUGMENT_METHODS, PipelineConfig, load_config
+from fairmix.config import PipelineConfig, load_config
 from fairmix.dataset import Dataset, load_dataset
 from fairmix.experiment import (
     run_arms,
