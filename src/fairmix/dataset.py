@@ -62,10 +62,12 @@ from .errors import (
     InputError,
     ParseError,
     SchemaError,
+    one_of,
 )
 
 DEFAULT_PANAS_THRESHOLD = 33.3
 LEVELS = ("high", "low")
+LEVEL = one_of(LEVELS)  # a feature column's level: ColumnMeta's and a levels file's rule
 PREDICTION_COLUMNS = ("true_label", "predicted_label", "proba_0", "proba_1")  # after the two ids
 # the names no attribute may take, and why; read by name_fault
 RESERVED_ATTRIBUTES = {"": "has an empty name", "pa_score": "is an outcome column name",
@@ -107,8 +109,8 @@ class ColumnMeta:
     level: str = "low"
 
     def __post_init__(self):
-        if self.level not in LEVELS:
-            raise SchemaError(f"level must be one of {LEVELS}, got {self.level!r}")
+        if not LEVEL.ok(self.level):
+            raise SchemaError(LEVEL.refusal("level", self.level))
 
 
 @dataclass
@@ -381,8 +383,8 @@ def _load_levels_csv(path: str) -> dict[str, str]:
     for r, row in enumerate(rows, 2):
         if len(row) != 2:
             raise SchemaError(f"{path}: row {r}: expected 2 cells, got {len(row)}")
-        if row[1] not in LEVELS:
-            raise SchemaError(f"{path}: row {r}: level must be high or low, got {row[1]!r}")
+        if not LEVEL.ok(row[1]):
+            raise SchemaError(f"{path}: row {r}: {LEVEL.refusal('level', row[1])}")
         if row[0] in seen:
             raise SchemaError(f"{path}: row {r}: feature {row[0]!r} is listed more than once")
         seen.add(row[0])

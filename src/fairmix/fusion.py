@@ -31,12 +31,15 @@ STRATEGY = one_of(("early", "vote_hard", "vote_soft", "stack_hard", "stack_soft"
 
 @dataclass(frozen=True)
 class FusionSpec:
+    """A strategy and two models; an InputError when built names one STRATEGY or models.SPEC refuses."""
     strategy: str
     base_model: PredictorSpec
     meta_model: PredictorSpec = field(default_factory=lambda: PredictorSpec("logistic"))
 
     def __post_init__(self):
         STRATEGY.check("strategy", self.strategy)
+        models.SPEC.check("base_model", self.base_model)
+        models.SPEC.check("meta_model", self.meta_model)
 
 
 def early_fuse(modalities: Sequence[np.ndarray]) -> np.ndarray:

@@ -87,6 +87,7 @@ HYPERPARAMS = {
 DEFAULT_HYPERPARAMS = {kind: {name: default for name, (default, _) in takes.items()}
                        for kind, takes in HYPERPARAMS.items()}
 KIND = one_of(HYPERPARAMS)  # the model.kind and fusion.meta_kind keys' rule
+SPEC = Rule(None, "a PredictorSpec", lambda v: isinstance(v, PredictorSpec))  # FusionSpec's models' rule
 
 
 @dataclass(frozen=True)

@@ -552,9 +552,9 @@ class TestKeyValueSyntax:
 class TestLoaderErrors:
     """A feature named twice, an empty modality name, a feature row missing
     from the metadata, a feature file without feature columns, a levels row
-    with extra cells and a metadata attribute that is unnamed or named like a
-    fixed column, either outcome or a predictions.csv column are data errors
-    (exit 3)."""
+    with extra cells or a level other than high or low, and a metadata
+    attribute that is unnamed or named like a fixed column, either outcome
+    or a predictions.csv column are data errors (exit 3)."""
 
     # the file edited in a materialized dataset, the edit, and what the
     # message names
@@ -574,6 +574,8 @@ class TestLoaderErrors:
                                "no feature columns after 'sample_id'"),
         "levels_extra_cells": ("data_face_levels.csv", lambda t: t + "face_f9,low,oops\n",
                                "expected 2 cells, got 3"),
+        "levels_bad_level": ("data_face_levels.csv", lambda t: t.replace("face_f1,low", "face_f1,mid", 1),
+                             "data_face_levels.csv: row 3: level: expected one of ('high', 'low'), got 'mid'"),
         "attribute_repeats_subject_id": ("data_metadata.csv",
                                          lambda t: t.replace("label,gender", "label,subject_id", 1),
                                          "row 1: attribute 'subject_id' is an id column name"),
@@ -643,16 +645,20 @@ class TestOneSubjectExit4:
     """A one-subject dataset forms no fold: exit 4, and the first line of
     stderr names why."""
 
-    @pytest.mark.parametrize("mode, message", [
-        ("kfold", "grouped k-fold needs at least 2 subjects"),
-        ("loso", "no folds could be formed"),
-    ])
-    def test_audit(self, mode, message, workdir, capsys):
+    @pytest.mark.parametrize("sessions, settings, message", [
+        (3, ["cv.mode=kfold"], "grouped k-fold needs at least 2 subjects"),
+        (3, ["cv.mode=loso"], "no folds could be formed"),
+        # one row, which plain k-fold once cut into no fold without a word
+        (1, ["cv.mode=kfold", "cv.grouped=false"], "plain k-fold needs at least 2 rows"),
+    ], ids=["kfold", "loso", "plain_kfold_one_row"])
+    def test_audit(self, sessions, settings, message, workdir, capsys):
         spec = workdir / "synth.txt"
-        spec.write_text(SYNTH_SPEC.replace("n_subjects=14", "n_subjects=1", 1))
-        with pytest.warns(DegenerateGroupWarning, match="single group"):
+        spec.write_text(SYNTH_SPEC.replace("n_subjects=14", "n_subjects=1", 1)
+                        .replace("sessions_per_subject=3", f"sessions_per_subject={sessions}", 1))
+        with pytest.warns(DegenerateGroupWarning) as warned:  # one row also has a single label
             rc = main(["audit", "--config", str(workdir / "config.txt"),
-                       "--set", f"cv.mode={mode}"])
+                       *(arg for setting in settings for arg in ("--set", setting))])
+        assert "attribute 'gender' has a single group" in [str(w.message) for w in warned]
         assert rc == 4
         assert capsys.readouterr().err.splitlines()[0] == f"experiment error: {message}"
         assert not (workdir / "out").exists()

@@ -489,6 +489,8 @@ class TestLoadErrorMessages:
         ("feature_name,level\nf1,high\nf1,high\nf2,mid\n",
          "row 3: feature 'f1' is listed more than once"),
         ("feature_name,level\nf1,high,oops\nf2,low\n", "row 2: expected 2 cells, got 3"),
+        ("feature_name,level\nf1,high\nf2,mid\n",
+         "row 3: level: expected one of ('high', 'low'), got 'mid'"),
         ("feature_name,level,extra\nf1,high\n", "expected header 'feature_name,level'"),
     ])
     def test_levels_file(self, tmp_path, levels, message):

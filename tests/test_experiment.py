@@ -74,8 +74,10 @@ class TestFolds:
         seen = np.concatenate([test for _, test in folds])
         assert sorted(seen) == list(range(50))
 
-    def test_plain_kfold_drops_a_fold_without_training_rows(self):
-        assert plain_kfold(1, 5, seed=0) == []
+    def test_plain_kfold_refuses_one_row(self):
+        # one row once gave no folds without a word
+        with pytest.raises(ExperimentError, match=r"^plain k-fold needs at least 2 rows$"):
+            plain_kfold(1, 5, seed=0)
 
     def test_plain_kfold_cost_does_not_grow_with_k(self):
         tracemalloc.start()

@@ -30,6 +30,7 @@ from fairmix.errors import (
     TEXT,
     AlignmentError,
     ConfigError,
+    ExperimentError,
     FitError,
     InputError,
     ParseError,
@@ -448,6 +449,10 @@ OWNED = {
     # 0 ended in numpy's ValueError ("number sections must be larger than 0.")
     "plain_kfold[k]": (folds.K, lambda v: folds.plain_kfold(SMALL.n_samples, v, 0), "k", ("cv.k",),
                        (0, 1, -2)),
+    # a string such as "logistic" was built, and fitting it raised AttributeError
+    **{f"FusionSpec[{arg}]": (models.SPEC, call, arg, (), ("logistic", {"kind": "mlp"}))
+       for arg, call in (("base_model", lambda v: FusionSpec("early", v)),
+                         ("meta_model", lambda v: FusionSpec("stack_soft", PredictorSpec("logistic"), v)))},
     # a string or None raised TypeError, and True was read as 1.0
     "binarize_panas[threshold]": (errors.REAL, lambda v: binarize_panas(30.0, v), "threshold", (),
                                   (np.nan, np.inf)),
@@ -505,7 +510,7 @@ def one_table(n):
 # type, the message's first words with that directory written <dir>)
 REFUSALS = {
     "ColumnMeta[level]": (lambda d: ColumnMeta("f", "mid"), SchemaError,
-                          "level must be one of ('high', 'low'), got 'mid'"),
+                          "level: expected one of ('high', 'low'), got 'mid'"),
     "ModalityTable[1-D]": (lambda d: ModalityTable("m", np.zeros(3), ()), SchemaError,
                            "modality 'm': samples must be 2-D"),
     "ModalityTable[no rows]": (lambda d: one_table(0), SchemaError,
@@ -540,6 +545,10 @@ REFUSALS = {
     "FusionSpec[strategy]": (lambda d: FusionSpec("median", PredictorSpec("logistic")), InputError,
                              "strategy: expected one of ('early', 'vote_hard', 'vote_soft', "
                              "'stack_hard', 'stack_soft'), got 'median'"),
+    # no rows ended in numpy's ValueError ("number sections must be larger than 0."),
+    # and one row gave no folds without a word
+    **{f"plain_kfold[n={n}]": (lambda d, n=n: folds.plain_kfold(n, 2, 0), ExperimentError,
+                               "plain k-fold needs at least 2 rows") for n in (0, 1)},
     "early_fuse[none]": (lambda d: early_fuse([]), InputError, "no modalities to fuse"),
     "fit_fusion[none]": (lambda d: fit_fusion(STACK, [], SMALL.label), InputError,
                          "no modalities given"),
