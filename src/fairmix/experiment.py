@@ -2,8 +2,8 @@
 fuse -> evaluate pipeline over the folds of the `folds` rule that the
 configuration names (`make_folds`).
 
-`run_arms` puts the rows in sample_id order and runs the level and
-descriptor column filters once, before the folds are formed. Per fold,
+`run_arms` builds its working dataset in one step (the filtered columns, rows
+in sample_id order) before the folds are formed. Per fold,
 `preprocess_fold` fits every transform on the training split only and
 returns that split as a Dataset, which alone is augmented. An arm's outcome
 on a fold is one `FoldRecord` (a skip reason, or predicted labels and
@@ -64,7 +64,7 @@ def preprocess_fold(config: PipelineConfig, dataset: Dataset, train_idx, test_id
         std = fit_standardizer(Xtr)
         Xtr, Xte = std.apply(Xtr), std.apply(Xte)
         # mirror the small-feature-set exemption: <= 2 columns skip PCA
-        if config.pca_enabled and Xtr.shape[1] > 2 and Xtr.shape[0] >= 2:
+        if config.pca_enabled and Xtr.shape[1] > 2:
             pca = fit_pca(Xtr, config.pca_target_ratio)
             Xtr, Xte = pca.apply(Xtr), pca.apply(Xte)
         cols = tuple(ColumnMeta(f"{name}_c{j}") for j in range(Xtr.shape[1]))
@@ -142,7 +142,8 @@ def run_arms(config: PipelineConfig, dataset: Dataset, methods) -> list[Evaluati
     """One report per method in the non-empty list `methods`. Each fold is formed
     and preprocessed once; every method augments, fits and predicts on it. The
     folds run in up to min(folds, CPUs) forked processes where `fork` exists
-    (`parallel.map_folds`), and the reports do not depend on how many."""
+    (`parallel.map_folds`), and the reports do not depend on how many. The
+    configured fold rule (`make_folds`) refuses an input too small for 2 folds."""
     arm_cfgs = [] if isinstance(methods, str) else [replace(config, augment_method=m) for m in methods]
     if not arm_cfgs:
         raise InputError(f"methods: expected one or more augmentation methods, got {methods!r}")
@@ -152,17 +153,13 @@ def run_arms(config: PipelineConfig, dataset: Dataset, methods) -> list[Evaluati
         raise ConfigError(
             f"modalities: {unknown} not in the dataset; available: {list(dataset.modality_names)}"
         )
-    # the column filters run once per modality, not once per fold
+    # the column filters run once per modality, not once per fold; rows go in
+    # sample_id order, so that no result depends on the input row order
     tables = [select_columns(dataset.modality(m), config.level, config.descriptors) for m in names]
-    if list(map(id, tables)) != list(map(id, dataset.modalities)):  # else nothing was filtered
-        dataset = dataset.derive(tables, slice(None))
-    # rows in sample_id order, so that no result depends on the input row order
     order = np.argsort(dataset.sample_id, kind="stable")
-    if (order != np.arange(order.size)).any():  # rows in order already need no copy
-        dataset = dataset.subset(order)
+    dataset = dataset.derive([ModalityTable(t.modality_name, t.samples[order], t.column_meta)
+                              for t in tables], order)
     folds = make_folds(config, dataset)
-    if not folds:
-        raise ExperimentError("no folds could be formed")
     spec = fusion_mod.FusionSpec(config.fusion_strategy, config.model_spec(), config.meta_spec())
 
     def run_fold(f):

@@ -1,11 +1,12 @@
 """Every fold rule: the outer cross-validation splits and the internal folds
 that Platt calibration and stacking cross-fit on.
 
-Each rule gives every row a fold label and hands it to `folds_of`, which
-keeps the folds whose train and test parts are both non-empty. Stratified
-rules deal each stratum's seeded shuffle round-robin (`stratified_positions`).
-`internal` is the one internal-fold rule, which Platt calibration and
-stacking read: it keeps the folds whose training rows hold both labels.
+Each rule labels every row's fold and `folds_of` cuts one (train, test) pair
+per label; an outer rule refuses an input too small for 2 folds, so each of
+its folds has rows on both sides. Stratified rules deal each stratum's seeded
+shuffle round-robin (`stratified_positions`). `internal`, the one rule Platt
+calibration and stacking read, keeps the folds with rows on both sides whose
+training rows hold both labels.
 """
 
 from __future__ import annotations
@@ -33,24 +34,25 @@ def stratified_positions(strata, rng: np.random.Generator) -> np.ndarray:
 
 
 def folds_of(row_fold: np.ndarray, n_folds: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(train, test) rows of each fold label in range(n_folds), keeping the
-    folds whose splits are both non-empty."""
-    folds = [(np.flatnonzero(row_fold != f), np.flatnonzero(row_fold == f)) for f in range(n_folds)]
-    return [(train, test) for train, test in folds if len(train) and len(test)]
+    """(train, test) rows of each fold label in range(n_folds)."""
+    return [(np.flatnonzero(row_fold != f), np.flatnonzero(row_fold == f)) for f in range(n_folds)]
 
 
 def internal(y, k, seed) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
     """The internal fold label of each row (its label-stratified position
     under seeded_rng(seed), modulo k) and the kept (train, test) rows: the
-    folds of folds_of whose training rows hold both labels."""
+    folds with rows on both sides whose training rows hold both labels."""
     y = np.asarray(y)
     assign = stratified_positions(y, seeded_rng(seed)) % k
-    return assign, [(train, test) for train, test in folds_of(assign, k) if counts(y[train]).all()]
+    return assign, [(train, test) for train, test in folds_of(assign, k)
+                    if len(train) and len(test) and counts(y[train]).all()]
 
 
 def loso_folds(subject_ids: list[str]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """One fold per subject; that subject's rows form the test split."""
+    """One fold per subject, whose rows form its test split; ExperimentError below 2 subjects."""
     subjects, subject_of_row = np.unique(np.asarray(subject_ids), return_inverse=True)
+    if len(subjects) < 2:
+        raise ExperimentError("leave-one-subject-out needs at least 2 subjects")
     return folds_of(subject_of_row, len(subjects))
 
 

@@ -647,7 +647,8 @@ class TestOneSubjectExit4:
 
     @pytest.mark.parametrize("sessions, settings, message", [
         (3, ["cv.mode=kfold"], "grouped k-fold needs at least 2 subjects"),
-        (3, ["cv.mode=loso"], "no folds could be formed"),
+        # one subject once passed the fold rule as no folds, named by run_arms
+        (3, ["cv.mode=loso"], "leave-one-subject-out needs at least 2 subjects"),
         # one row, which plain k-fold once cut into no fold without a word
         (1, ["cv.mode=kfold", "cv.grouped=false"], "plain k-fold needs at least 2 rows"),
     ], ids=["kfold", "loso", "plain_kfold_one_row"])

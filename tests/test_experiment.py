@@ -37,6 +37,17 @@ def synth(seed=0, n_subjects=16, **kw):
     return generate(SynthSpec(n_subjects=n_subjects, sessions_per_subject=3, seed=seed, **kw))
 
 
+def grouped_shapes():
+    """100 seeded (seed, subject count, subject of each row, labels): 4-14
+    subjects s0, s1, ... of 1-4 sessions each, rows grouped by subject."""
+    rng = np.random.default_rng(0)
+    for trial in range(100):
+        n_subj = int(rng.integers(4, 15))
+        sessions = int(rng.integers(1, 5))
+        subjects = [f"s{i}" for i in range(n_subj) for _ in range(sessions)]
+        yield trial, n_subj, subjects, rng.integers(0, 2, len(subjects))
+
+
 def base_config(**kw):
     defaults = dict(seed=11, model_kind="logistic", fusion_strategy="early")
     defaults.update(kw)
@@ -48,19 +59,17 @@ class TestFolds:
         subjects = ["a", "a", "b", "c", "c", "c"]
         folds = loso_folds(subjects)
         assert len(folds) == 3
+        assert all(len(train) and len(test) for train, test in folds)
         for train, test in folds:
             test_subjects = {subjects[i] for i in test}
             assert len(test_subjects) == 1
             assert test_subjects.isdisjoint({subjects[i] for i in train})
 
     def test_grouped_kfold_never_splits_subjects(self):
-        rng = np.random.default_rng(0)
-        for trial in range(100):
-            n_subj = int(rng.integers(4, 15))
-            sessions = int(rng.integers(1, 5))
-            subjects = [f"s{i}" for i in range(n_subj) for _ in range(sessions)]
-            labels = rng.integers(0, 2, len(subjects))
+        for trial, n_subj, subjects, labels in grouped_shapes():
             folds = grouped_stratified_kfold(labels, subjects, 5, seed=trial)
+            assert len(folds) == min(5, n_subj)
+            assert all(len(train) and len(test) for train, test in folds)
             seen_test = []
             for train, test in folds:
                 tr = {subjects[i] for i in train}
@@ -69,10 +78,23 @@ class TestFolds:
                 seen_test.extend(test)
             assert sorted(seen_test) == list(range(len(subjects)))  # partition
 
+    def test_grouped_kfold_stratifies_subjects_by_majority_label(self):
+        # per majority label (half rounds to even), the folds' subject counts
+        # differ by at most one
+        for trial, n_subj, subjects, labels in grouped_shapes():
+            majority = np.round(labels.reshape(n_subj, -1).mean(axis=1)).astype(int)
+            sessions = len(subjects) // n_subj  # row r belongs to subject r // sessions
+            per_fold = np.array([np.bincount(majority[np.unique(test // sessions)], minlength=2)
+                                 for _, test in grouped_stratified_kfold(labels, subjects, 5, trial)])
+            assert (per_fold.max(axis=0) - per_fold.min(axis=0) <= 1).all(), trial
+
     def test_plain_kfold_partitions(self):
-        folds = plain_kfold(50, 5, seed=1)
-        seen = np.concatenate([test for _, test in folds])
-        assert sorted(seen) == list(range(50))
+        for n, k in [(50, 5), (3, 5), (2, 2)]:
+            folds = plain_kfold(n, k, seed=1)
+            assert len(folds) == min(k, n)
+            assert all(len(train) and len(test) for train, test in folds)
+            seen = np.concatenate([test for _, test in folds])
+            assert sorted(seen) == list(range(n))
 
     def test_plain_kfold_refuses_one_row(self):
         # one row once gave no folds without a word
@@ -110,6 +132,12 @@ class TestInternalFolds:
         assert [assign[test].tolist() for _, test in pairs] == [[1], [2]]
         for train, test in pairs:
             assert sorted(train.tolist() + test.tolist()) == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_folds_with_an_empty_side_are_skipped(self, seed):
+        # both rows land in fold 0: its training part is empty, and folds 1
+        # and 2 have empty test parts
+        assert internal([0, 1], 3, seed)[1] == []
 
 
 class TestGoldenFolds:
@@ -411,6 +439,34 @@ class TestColumnarPipeline:
         reason = f"standardized matrix: non-finite value inf at row {row}, column 0"
         assert report.skipped_folds == [{"fold": f, "reason": reason}]
         assert len(report.predictions) == ds.n_samples - len(test)
+
+
+class TestTestRowInvariance:
+    """Every transform and model of a fold is fitted on its training rows alone:
+    moving one test row moves neither the transformed training split nor any
+    other test row's matrix or prediction. Unlike the far-row test above, this
+    needs no overflow to see a transform fitted on test rows."""
+
+    @pytest.mark.parametrize("strategy", ["early", "stack_soft"])
+    def test_one_test_row_moves_nothing_else(self, strategy):
+        ds, config = synth(seed=14), base_config(fusion_strategy=strategy)
+        spec = FusionSpec(strategy, config.model_spec(), config.meta_spec())
+        train, test = make_folds(config, ds)[1]
+        moved = np.arange(ds.n_samples)[:, None] == test[0]
+        shifted = ds.derive([ModalityTable(t.modality_name, t.samples + 3.0 * moved, t.column_meta)
+                             for t in ds.modalities], slice(None))
+
+        def run(dataset):
+            fold_ds, Xte = exp_mod.preprocess_fold(config, dataset, train, test)
+            model = fusion_mod.fit_fusion(spec, [t.samples for t in fold_ds.modalities],
+                                          fold_ds.label, config.seed + 1)
+            return [t.samples for t in fold_ds.modalities], Xte, model.predict_with_proba(Xte)[1]
+
+        (tr_a, te_a, proba_a), (tr_b, te_b, proba_b) = run(ds), run(shifted)
+        assert [X.tobytes() for X in tr_a] == [X.tobytes() for X in tr_b]
+        assert all((a[0] != b[0]).any() for a, b in zip(te_a, te_b))  # the moved row moved
+        assert [X[1:].tobytes() for X in te_a] == [X[1:].tobytes() for X in te_b]
+        assert proba_a[1:].tobytes() == proba_b[1:].tobytes()
 
 
 class TestPinnedAudits:

@@ -549,6 +549,9 @@ REFUSALS = {
     # and one row gave no folds without a word
     **{f"plain_kfold[n={n}]": (lambda d, n=n: folds.plain_kfold(n, 2, 0), ExperimentError,
                                "plain k-fold needs at least 2 rows") for n in (0, 1)},
+    # one subject gave no folds, and run_arms named it "no folds could be formed"
+    "loso_folds[one subject]": (lambda d: folds.loso_folds(["a", "a"]), ExperimentError,
+                                "leave-one-subject-out needs at least 2 subjects"),
     "early_fuse[none]": (lambda d: early_fuse([]), InputError, "no modalities to fuse"),
     "fit_fusion[none]": (lambda d: fit_fusion(STACK, [], SMALL.label), InputError,
                          "no modalities given"),

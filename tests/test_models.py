@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from fairmix import models
+from fairmix import folds, models
 from fairmix.config import PipelineConfig
 from fairmix.errors import ExperimentError, FitError, InputError, ShapeError
 from fairmix.experiment import run_experiment
@@ -191,6 +191,22 @@ class TestSvm:
         X, y = np.array([[0.0], [0.1], [0.2], [3.0]]), np.array([0, 0, 0, 1])
         m = fit(PredictorSpec("rbf_svm", {"seed": seed}), X, y)
         np.testing.assert_array_equal(m.predict(X), y)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_platt_is_fitted_out_of_fold(self, seed):
+        # A and B are fitted on decisions that each kept internal fold's test
+        # rows get from an SMO solve on that fold's training rows alone
+        X, y = blobs(seed=seed, n=12, sigma=1.5)
+        m = fit(PredictorSpec("rbf_svm", {"seed": seed}), X, y)
+        K = _rbf_kernel(X, X, models._resolve_gamma({"gamma": "scale"}, X))
+        y_pm = np.where(y == 1, 1.0, -1.0)
+        rows, decisions = [], []
+        for train, test in folds.internal(y, 3, seed + 1)[1]:
+            alpha, b = _smo(K[np.ix_(train, train)], y_pm[train], 1.0, 1e-3)
+            rows.append(test)
+            decisions.append((alpha * y_pm[train]) @ K[np.ix_(train, test)] - b)
+        a, b = models._platt_sigmoid(np.concatenate(decisions), y[np.concatenate(rows)])
+        assert (repr(m.platt_a), repr(m.platt_b)) == (repr(a), repr(b))
 
     def test_two_rows(self):
         X, y = np.array([[0.0], [1.0]]), np.array([0, 1])
