@@ -533,9 +533,12 @@ def save_dataset(dataset: Dataset, out_dir: str, name: str = "data") -> str:
 
     for t in dataset.modalities:
         m = t.modality_name
-        cells = np.array(list(map(repr, t.samples.ravel().tolist())), object).reshape(t.samples.shape)
-        cells[np.isnan(t.samples)] = ""  # repr round-trips doubles exactly; NaN is written empty
-        write_csv(f"modality.{m}", ["sample_id", *t.feature_names], zip(ids, *cells.T))
+        # each row formatted as it is written: csv writes a float as its repr,
+        # which round-trips it exactly, and a NaN cell is written empty
+        gaps = np.isnan(t.samples).any(axis=1).tolist()
+        write_csv(f"modality.{m}", ["sample_id", *t.feature_names],
+                  ([i, *(["" if v != v else v for v in r] if gap else r)]
+                   for i, r, gap in zip(ids, map(np.ndarray.tolist, t.samples), gaps)))
         write_csv(f"levels.{m}", ["feature_name", "level"],
                   [(c.feature_name, c.level) for c in t.column_meta])
     write_csv("metadata", ["sample_id", "subject_id", "label", *dataset.declared_attributes],

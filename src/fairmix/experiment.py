@@ -3,9 +3,10 @@ fuse -> evaluate pipeline over the folds of the `folds` rule that the
 configuration names (`make_folds`).
 
 `run_arms` builds its working dataset in one step (the filtered columns, rows
-in sample_id order) before the folds are formed. Per fold,
-`preprocess_fold` fits every transform on the training split only and
-returns that split as a Dataset, which alone is augmented. An arm's outcome
+in sample_id order) before the folds are formed, and copies a modality table
+only to reorder its rows. Per fold, `preprocess_fold` fits every transform on
+the training split only and returns that split as a Dataset, which alone is
+augmented; the transforms write only into arrays they made. An arm's outcome
 on a fold is one `FoldRecord` (a skip reason, or predicted labels and
 probabilities); `_report` derives from the records and the folds the pooled
 predictions, skipped folds and per-fold entries. An arm is an augmentation
@@ -58,9 +59,9 @@ def preprocess_fold(config: PipelineConfig, dataset: Dataset, train_idx, test_id
     tables, Xte_list = [], []
     for table in dataset.modalities:
         name = table.modality_name
-        Xtr_raw, Xte_raw = table.samples[train_idx], table.samples[test_idx]
-        cleaner = fit_column_cleaner(Xtr_raw, name)
-        Xtr, Xte = cleaner.apply(Xtr_raw), cleaner.apply(Xte_raw)
+        Xtr = table.samples[train_idx]  # the raw slice, dropped once cleaned
+        cleaner = fit_column_cleaner(Xtr, name)
+        Xtr, Xte = cleaner.apply(Xtr), cleaner.apply(table.samples[test_idx])
         std = fit_standardizer(Xtr)
         Xtr, Xte = std.apply(Xtr), std.apply(Xte)
         # mirror the small-feature-set exemption: <= 2 columns skip PCA
@@ -157,6 +158,8 @@ def run_arms(config: PipelineConfig, dataset: Dataset, methods) -> list[Evaluati
     # sample_id order, so that no result depends on the input row order
     tables = [select_columns(dataset.modality(m), config.level, config.descriptors) for m in names]
     order = np.argsort(dataset.sample_id, kind="stable")
+    if (order == np.arange(order.size)).all():  # rows in order already are shared, not copied
+        order = slice(None)
     dataset = dataset.derive([ModalityTable(t.modality_name, t.samples[order], t.column_meta)
                               for t in tables], order)
     folds = make_folds(config, dataset)

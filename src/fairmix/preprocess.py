@@ -3,7 +3,8 @@ removal, standardization, and PCA keeping a target share of the variance.
 
 PCA takes `eigh` of the smaller Gram matrix of the centred training rows,
 so a wide split (the usual case for a high-dimensional modality in a small
-study) costs an n x n eigenproblem, not an SVD of the whole split.
+study) costs an n x n eigenproblem, not an SVD of the whole split. Every fit
+and transform writes only into arrays it made, never into its input.
 
 Conventions fixed for reproducibility:
   * standard deviation is the population one (divide by n);
@@ -67,9 +68,10 @@ class ColumnCleaner:
     n_columns: int  # the fitted width
 
     def apply(self, X: np.ndarray) -> np.ndarray:
-        # the one entry that takes NaN, which it imputes
+        # the one entry that takes NaN, which it imputes into its own copy
         out = np.take(as_matrix(X, "cleaner input", self.n_columns, missing=True), self.keep, axis=1)
-        return np.where(np.isnan(out), self.impute_means, out)
+        np.copyto(out, self.impute_means, where=np.isnan(out))
+        return out
 
 
 def fit_column_cleaner(train: np.ndarray, modality_name: str = "") -> ColumnCleaner:
@@ -82,11 +84,14 @@ def fit_column_cleaner(train: np.ndarray, modality_name: str = "") -> ColumnClea
         raise EmptyTableError(
             f"modality {modality_name!r}: every column is constant or null on the training split"
         )
-    # reducing rows of a C-contiguous copy sums each column in the same
-    # order as np.nanmean on that column alone, so the means match it bitwise;
-    # a mean that overflows is left to fit_standardizer to reject
+    # one C-ordered copy, a row per kept column, NaN zeroed: each row sums as
+    # np.nanmean sums that column alone (NaN as zero), over the same count, so
+    # the means match it bitwise; fit_standardizer rejects one that overflows
+    cols = X.T[keep]
+    gaps = np.isnan(cols)
+    cols[gaps] = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        means = np.nanmean(np.ascontiguousarray(X[:, keep].T), axis=1)
+        means = cols.sum(axis=1) / (X.shape[0] - gaps.sum(axis=1))
     return ColumnCleaner(tuple(keep.tolist()), means, X.shape[1])
 
 
@@ -98,7 +103,9 @@ class Standardizer:
     def apply(self, X: np.ndarray) -> np.ndarray:
         X = as_matrix(X, "standardizer input", len(self.mean))
         with np.errstate(over="ignore"):  # a row far outside the training range
-            return as_matrix((X - self.mean) / self.std, "standardized matrix")
+            out = X - self.mean
+            out /= self.std
+        return as_matrix(out, "standardized matrix")
 
 
 def fit_standardizer(train: np.ndarray) -> Standardizer:
@@ -152,7 +159,7 @@ def fit_pca(train: np.ndarray, target_ratio: float = 0.80) -> PcaModel:
         raise FitError("a column's mean or centred values overflow float64")
     # scaled by a power of two so that no Gram entry overflows or underflows;
     # the scale is exact, so it moves no bit of the components or ratios
-    Xc = np.ldexp(Xc, -np.frexp(np.abs(Xc).max())[1])
+    np.ldexp(Xc, -np.frexp(max(Xc.max(), -Xc.min()))[1], out=Xc)
     wide = Xc.shape[0] < Xc.shape[1]
     power, vecs = np.linalg.eigh(Xc @ Xc.T if wide else Xc.T @ Xc)
     power, vecs = np.clip(power[::-1], 0.0, None), vecs[:, ::-1]  # descending
@@ -170,6 +177,7 @@ def fit_pca(train: np.ndarray, target_ratio: float = 0.80) -> PcaModel:
         # V'V keeps its Cholesky factor: 845 such directions of a 1,000-row
         # split came out orthonormal to 2e-15, with no LinAlgError
         V = Xc.T @ vecs[:, :k]
+        del Xc  # n x d, freed before the k x d product
         comps = np.linalg.inv(np.linalg.cholesky(V.T @ V)) @ V.T
     else:
         comps = np.ascontiguousarray(vecs[:, :k].T)  # C order, as the report bytes depend on it

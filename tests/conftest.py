@@ -64,6 +64,13 @@ def shared_log(tmp_path):
     return SharedLog(tmp_path / "shared_log.jsonl")
 
 
+def read_only(X) -> np.ndarray:
+    """A float copy of X that numpy refuses to write into."""
+    X = np.array(X, dtype=float)
+    X.setflags(write=False)
+    return X
+
+
 def make_dataset(features_per_modality, labels, attrs, subject_ids=None, attr_names=("gender",)):
     """Build an in-memory Dataset from plain arrays.
 

@@ -83,6 +83,18 @@ MUTANTS = {
         "folds", "if len(train) and len(test) and counts(y[train]).all()",
         "if len(train) and len(test)",
         "an internal fold is kept only if its training rows hold both labels"),
+    "standardizer_divides_input": (
+        "preprocess", "out = X - self.mean", "out = np.subtract(X, self.mean, out=X)",
+        "Standardizer.apply writes only into the array it made"),
+    "cleaner_imputes_input": (
+        "preprocess",
+        'out = np.take(as_matrix(X, "cleaner input", self.n_columns, missing=True), self.keep, axis=1)',
+        'X = as_matrix(X, "cleaner input", self.n_columns, missing=True)\n'
+        "        out = X if len(self.keep) == X.shape[1] else np.take(X, self.keep, axis=1)",
+        "ColumnCleaner.apply imputes only into the array it made"),
+    "reorder_skipped": (
+        "experiment", "if (order == np.arange(order.size)).all():", "if True:",
+        "run_arms puts rows that are out of sample_id order in order"),
 }
 
 

@@ -30,7 +30,7 @@ from fairmix.experiment import (
 )
 from fairmix.synthgen import SynthSpec, generate
 
-from conftest import make_dataset
+from conftest import make_dataset, read_only
 
 
 def synth(seed=0, n_subjects=16, **kw):
@@ -467,6 +467,94 @@ class TestTestRowInvariance:
         assert all((a[0] != b[0]).any() for a, b in zip(te_a, te_b))  # the moved row moved
         assert [X[1:].tobytes() for X in te_a] == [X[1:].tobytes() for X in te_b]
         assert proba_a[1:].tobytes() == proba_b[1:].tobytes()
+
+
+def with_tables(ds, make):
+    """ds over make(samples) of each of its modality tables."""
+    return ds.derive([ModalityTable(t.modality_name, make(t.samples), t.column_meta)
+                      for t in ds.modalities], slice(None))
+
+
+class TestDataPathMemory:
+    """Transforms write only into arrays they made, and run_arms copies a
+    modality table only to put its rows in sample_id order."""
+
+    def test_preprocess_fold_reads_read_only_tables(self):
+        config = base_config()
+        mask = np.random.default_rng(4).random((48, 6)) < 0.1  # some cells missing
+        ds = with_tables(synth(seed=4), lambda X: np.where(mask[:, :X.shape[1]], np.nan, X))
+        frozen = with_tables(ds, read_only)
+        train, test = make_folds(config, ds)[0]
+
+        def arrays(dataset):
+            fold_ds, Xte = exp_mod.preprocess_fold(config, dataset, train, test)
+            return [X.tobytes() for X in (*(t.samples for t in fold_ds.modalities), *Xte)]
+
+        assert arrays(frozen) == arrays(ds)
+        assert [t.samples.tobytes() for t in frozen.modalities] == [
+            t.samples.tobytes() for t in ds.modalities]
+
+    @pytest.mark.parametrize("permuted", [False, True])
+    def test_run_arms_reads_read_only_tables(self, permuted):
+        ds = synth(seed=5)
+        if permuted:
+            ds = ds.subset(np.random.default_rng(5).permutation(ds.n_samples))
+        frozen, config = with_tables(ds, read_only), base_config(fusion_strategy="stack_soft")
+
+        def outputs(dataset):
+            return [(json.dumps(r.to_json_dict(), sort_keys=True), r.predictions.proba.tobytes())
+                    for r in run_arms(config, dataset, ["none", "mixfeat"])]
+
+        assert outputs(frozen) == outputs(ds)
+        assert [t.samples.tobytes() for t in frozen.modalities] == [
+            t.samples.tobytes() for t in ds.modalities]
+
+    def test_preprocess_fold_peak_memory(self):
+        # a two-modality 128 x 1,000 training split: 2 MB of raw training rows.
+        # Holding the raw slice and an imputed, a standardized and a scaled
+        # copy beside each transform's own output once peaked at 5.8 MB
+        rng = np.random.default_rng(0)
+        ds = make_dataset({m: rng.normal(size=(160, 1000)) for m in ("face", "audio")},
+                          labels=np.arange(160) % 2, attrs=np.arange(160) // 80)
+        train, test = np.arange(128), np.arange(128, 160)
+        tracemalloc.start()
+        try:
+            exp_mod.preprocess_fold(base_config(), ds, train, test)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.5 * 2**20
+
+    @pytest.mark.parametrize("permuted", [False, True])
+    def test_run_arms_copies_tables_only_to_reorder(self, permuted, monkeypatch):
+        ds = synth(seed=6, modality_dims=(("face", 500), ("audio", 500)))  # 2 x 192 KB
+        if permuted:
+            ds = ds.subset(np.random.default_rng(6).permutation(ds.n_samples))
+        seen = {}
+
+        class Stop(Exception):
+            pass
+
+        def stop_at_the_folds(config, dataset):  # run_arms' working dataset is built
+            seen["peak"], seen["dataset"] = tracemalloc.get_traced_memory()[1], dataset
+            raise Stop
+
+        monkeypatch.setattr(exp_mod, "make_folds", stop_at_the_folds)
+        tracemalloc.start()
+        try:
+            with pytest.raises(Stop):
+                run_arms(base_config(), ds, ["none"])
+        finally:
+            tracemalloc.stop()
+        tables = [t.samples for t in seen["dataset"].modalities]
+        in_order = np.argsort(ds.sample_id, kind="stable")
+        assert [X.tobytes() for X in tables] == [t.samples[in_order].tobytes() for t in ds.modalities]
+        shared = [np.shares_memory(X, t.samples) for X, t in zip(tables, ds.modalities)]
+        table_bytes = sum(X.nbytes for X in tables)
+        if permuted:
+            assert not any(shared) and seen["peak"] >= table_bytes
+        else:
+            assert all(shared) and seen["peak"] < table_bytes / 4
 
 
 class TestPinnedAudits:

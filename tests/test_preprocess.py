@@ -5,6 +5,8 @@ from fairmix.dataset import ColumnMeta, ModalityTable
 from fairmix.errors import EmptyTableError, FitError, SelectionError
 from fairmix.preprocess import fit_column_cleaner, fit_pca, fit_standardizer, select_columns
 
+from conftest import read_only
+
 
 def table(X, levels=None):
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -334,3 +336,45 @@ class TestPca:
         np.testing.assert_array_equal(a.components, b.components)
         for row in a.components:
             assert row[np.argmax(np.abs(row))] > 0
+
+
+class TestReadOnlyInputs:
+    """The transforms write only into arrays they made: a read-only input
+    gives the bits a writable copy gives, and neither input is changed."""
+
+    @staticmethod
+    def chain(X, prepare):
+        """Every fit and apply, each given prepare(its input); returns the
+        inputs as given and every fitted and transformed array."""
+        X = prepare(X)
+        cleaner = fit_column_cleaner(X)
+        C = prepare(cleaner.apply(X))
+        std = fit_standardizer(C)
+        Z = prepare(std.apply(C))
+        pca = fit_pca(Z, 0.9)
+        return [X, C, Z], [cleaner.impute_means, C, std.mean, std.std, Z,
+                           pca.mean, pca.components, pca.explained_ratio, pca.apply(Z)]
+
+    # every column kept, and one constant column dropped; tall and wide
+    @pytest.mark.parametrize("constant", [False, True])
+    @pytest.mark.parametrize("shape", [(12, 6), (6, 12)])
+    def test_read_only_inputs_give_the_same_bits(self, shape, constant):
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=shape)
+        X[rng.random(shape) < 0.2] = np.nan
+        X[:2] = rng.normal(size=(2, shape[1]))  # no column null
+        if constant:
+            X[:, 2] = 1.0
+        given = []
+
+        def copy(A):
+            A = np.array(A)
+            given.append(A.copy())
+            return A
+
+        inputs, writable = self.chain(X, copy)
+        for A, before in zip(inputs, given):  # a writable input is left as it was
+            assert A.tobytes() == before.tobytes()
+        inputs, frozen = self.chain(X, read_only)
+        assert [A.tobytes() for A in frozen] == [A.tobytes() for A in writable]
+        assert [A.tobytes() for A in inputs] == [A.tobytes() for A in given]
