@@ -35,21 +35,20 @@ read it, so no `Dataset` holds a name that `load_dataset` would refuse in a
 saved copy (SchemaError). `save_dataset` refuses file names that repeat or
 that its manifest would not read back before it writes (InputError).
 
-Every file fairmix writes, a saved dataset here and the reports in
-`experiment`, goes through `atomic_write` (temp file, rename, umask mode).
+Every file fairmix writes, here and in `experiment`, is formatted straight
+into the open temporary file of `atomic_write` (rename, umask mode).
 """
 
 from __future__ import annotations
 
 import csv
 import functools
-import io
 import itertools
 import os
 import tempfile
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TextIO
 
 import numpy as np
 
@@ -480,11 +479,11 @@ def load_dataset(manifest_path: str) -> Dataset:
 # writing: every file goes through atomic_write
 # ---------------------------------------------------------------------------
 
-def atomic_write(path: str, data: str) -> None:
-    """Write text to path, making its directory: the bytes go to a temporary
-    file beside it, which is renamed over path, so a reader sees the old file
-    or the new one. The file gets the mode open(path, "w") would give, 0o666
-    less the umask; no newline is translated."""
+def atomic_write(path: str, write: Callable[[TextIO], object]) -> None:
+    """Make path's directory and call write(fh) on a UTF-8 temporary file beside
+    it, then rename that over path: a reader sees the old file or the whole new
+    one, and a write that raises leaves no temporary file. The file gets the
+    mode open(path, "w") would give, 0o666 less the umask; no newline is translated."""
     d = os.path.dirname(os.path.abspath(path))
     tmp = None
     try:
@@ -494,20 +493,13 @@ def atomic_write(path: str, data: str) -> None:
             umask = os.umask(0o077)  # read the umask, then put it back
             os.umask(umask)
             os.chmod(tmp, 0o666 & ~umask)
-            fh.write(data)
+            write(fh)
         os.replace(tmp, path)
     except (OSError, ValueError) as exc:  # ValueError: a path holding a NUL
         raise DataError(f"cannot write {path}: {exc}") from exc
     finally:
         if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-
-
-def csv_text(header: Sequence, rows: Iterable, **fmt) -> str:
-    """A header and rows as CSV text, formatted by csv.writer keyword arguments."""
-    buf = io.StringIO()
-    csv.writer(buf, **fmt).writerows(itertools.chain([header], rows))
-    return buf.getvalue()
 
 
 def save_dataset(dataset: Dataset, out_dir: str, name: str = "data") -> str:
@@ -529,7 +521,8 @@ def save_dataset(dataset: Dataset, out_dir: str, name: str = "data") -> str:
     ids = dataset.sample_id.tolist()
 
     def write_csv(key: str, header: list[str], rows: Iterable) -> None:
-        atomic_write(os.path.join(out_dir, files[key]), csv_text(header, rows))
+        atomic_write(os.path.join(out_dir, files[key]),
+                     lambda fh: csv.writer(fh).writerows(itertools.chain([header], rows)))
 
     for t in dataset.modalities:
         m = t.modality_name
@@ -544,5 +537,5 @@ def save_dataset(dataset: Dataset, out_dir: str, name: str = "data") -> str:
     write_csv("metadata", ["sample_id", "subject_id", "label", *dataset.declared_attributes],
               zip(ids, dataset.subject_id.tolist(), dataset.label.tolist(), *dataset.attrs.T.tolist()))
     manifest = os.path.join(out_dir, manifest)  # its entries are relative to its directory
-    atomic_write(manifest, "".join(f"{key}={os.path.basename(f)}\n" for key, f in files.items()))
+    atomic_write(manifest, lambda fh: fh.writelines(f"{k}={os.path.basename(f)}\n" for k, f in files.items()))
     return manifest

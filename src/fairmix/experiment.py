@@ -14,14 +14,15 @@ method, and arms are paired: each is evaluated on every fold with the fold's
 one augmentation seed (`run_experiment` runs one). Every arm goes through
 `augment.augment_dataset`, the one owner of the rule that `none` leaves the
 split as it is. Results depend on the master seed and the rows, not on their
-order. The writers go through `dataset.atomic_write`; `write_json` encodes
-reports.
+order. The writers go through `dataset.atomic_write`, formatting straight
+into the open file; `write_json` encodes reports.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
@@ -33,7 +34,7 @@ from . import folds
 from . import fusion as fusion_mod
 from . import metrics as metrics_mod
 from .config import PipelineConfig
-from .dataset import PREDICTION_COLUMNS, ColumnMeta, Dataset, ModalityTable, atomic_write, csv_text
+from .dataset import PREDICTION_COLUMNS, ColumnMeta, Dataset, ModalityTable, atomic_write
 from .errors import ConfigError, ExperimentError, FitError, InputError, MetricUndefinedError
 from .metrics import DiResult, PredictionSet
 from .preprocess import fit_column_cleaner, fit_pca, fit_standardizer, select_columns
@@ -258,7 +259,8 @@ def _report(config, dataset, folds, fingerprints, records):
 
 def write_json(path: str, obj):
     """The one JSON encoding of reports: indented, keys sorted, newline-ended."""
-    atomic_write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    encoder = json.JSONEncoder(indent=2, sort_keys=True)
+    atomic_write(path, lambda fh: fh.writelines(itertools.chain(encoder.iterencode(obj), "\n")))
 
 
 def write_report_json(report: EvaluationReport, path: str):
@@ -296,13 +298,13 @@ def write_report_markdown(report: EvaluationReport, path: str):
         "",
         *_metric_table({"Value": report}),
     ]
-    atomic_write(path, "\n".join(lines) + "\n")
+    atomic_write(path, lambda fh: fh.writelines(f"{line}\n" for line in lines))
 
 
 def write_comparison_markdown(reports: dict[str, EvaluationReport], path: str):
     """Three-column table: one column per augmentation arm."""
     lines = ["# Augmentation comparison", "", *_metric_table(reports)]
-    atomic_write(path, "\n".join(lines) + "\n")
+    atomic_write(path, lambda fh: fh.writelines(f"{line}\n" for line in lines))
 
 
 def write_predictions_csv(preds: PredictionSet, path: str, attribute_names):
@@ -319,4 +321,5 @@ def write_predictions_csv(preds: PredictionSet, path: str, attribute_names):
     # as a line end; a "\r" in any text field has every text field quoted
     texts = [*attribute_names, *ids, *subjects]
     quoting = csv.QUOTE_NONNUMERIC if any("\r" in t for t in texts) else csv.QUOTE_MINIMAL
-    atomic_write(path, csv_text(header, zip(*columns), lineterminator="\n", quoting=quoting))
+    atomic_write(path, lambda fh: csv.writer(fh, lineterminator="\n", quoting=quoting).writerows(
+        itertools.chain([header], zip(*columns))))

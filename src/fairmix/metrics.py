@@ -1,7 +1,7 @@
 """Performance and fairness metrics over pooled predictions.
 
 Every metric reads `counts`, the one tally of row-aligned 0/1 columns (any
-other value, columns of unequal length and columns with no rows are an
+other value, no columns, columns of unequal length or of no rows are an
 InputError): true and predicted labels and, for EA and DI, one attribute's
 group column; the report keeps each group's and each fold's table. Equal
 Accuracy (EA) is the absolute gap between the groups' error rates (the
@@ -90,6 +90,8 @@ def counts(*columns: np.ndarray) -> np.ndarray:
     """The 2 x ... x 2 table of the columns' value tuples: counts(truth, pred) is the
     confusion matrix [[TN, FP], [FN, TP]], and counts(group, truth, pred)[g] group g's."""
     columns = [np.asarray(column) for column in columns]
+    if not columns:
+        raise InputError("expected one or more 0/1 columns")
     if len({column.shape for column in columns}) > 1 or columns[0].ndim != 1:
         raise InputError(f"expected 0/1 columns of one length, got shapes {[c.shape for c in columns]}")
     if not len(columns[0]):

@@ -95,6 +95,15 @@ MUTANTS = {
     "reorder_skipped": (
         "experiment", "if (order == np.arange(order.size)).all():", "if True:",
         "run_arms puts rows that are out of sample_id order in order"),
+    "rename_after_failed_write": (
+        "dataset", "            write(fh)\n        os.replace(tmp, path)",
+        "            try:\n                write(fh)\n            finally:\n"
+        "                os.replace(tmp, path)",
+        "a reader sees the old file or the whole new one"),
+    "temporary_file_kept": (
+        "dataset", "        if tmp is not None and os.path.exists(tmp):\n            os.unlink(tmp)",
+        "        pass",
+        "no temporary file outlives a failed write"),
 }
 
 

@@ -42,7 +42,7 @@ from fairmix.errors import (
 )
 from fairmix.experiment import make_folds, run_arms, run_experiment
 from fairmix.fusion import FusionSpec, early_fuse, fit_fusion, fit_stacking_meta
-from fairmix.metrics import PredictionSet
+from fairmix.metrics import PredictionSet, counts
 from fairmix.models import HYPERPARAMS, PredictorSpec, fit
 from fairmix.preprocess import fit_column_cleaner, fit_pca, fit_standardizer, select_columns
 from fairmix.synthgen import SynthSpec, generate
@@ -558,6 +558,8 @@ REFUSALS = {
     "fit_stacking_meta[one modality]": (
         lambda d: fit_stacking_meta(STACK, SMALL_XS[:1], SMALL.label, 0), StackingError,
         "stacking needs at least 2 modalities"),
+    # no columns raised a bare IndexError ("list index out of range")
+    "counts[no columns]": (lambda d: counts(), InputError, "expected one or more 0/1 columns"),
     "PredictionSet[empty]": (lambda d: PredictionSet([]), InputError, "empty prediction set"),
     "fit_standardizer[no rows]": (lambda d: fit_standardizer(np.zeros((0, 3))), FitError,
                                   "cannot fit standardizer on empty matrix"),
