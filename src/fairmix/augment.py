@@ -21,7 +21,9 @@ draws ``integers(c - 1, size=deficit)`` for the second parent j, moved up by
 one where j >= i, so that (i, j) is uniform over ordered distinct pairs.
 mixfeat then draws ``beta(a, b, size=(deficit, n_modalities))`` for the
 weights. random_oversample, and mixfeat in a singleton cell, draw nothing
-more: j = i with weight 1, an exact copy. Rows are named after the method run.
+more: j = i with weight 1, an exact copy. Rows are named after the method run,
+and mixfeat's subjects `syn-subject-`, each under a prefix no original id of
+its column starts with.
 """
 
 from __future__ import annotations
@@ -46,6 +48,14 @@ def _cells_of(train: Dataset) -> dict[CellKey, np.ndarray]:
     cuts = np.flatnonzero((ordered[1:] != ordered[:-1]).any(axis=1)) + 1
     keys = ordered[np.r_[0, cuts]].tolist()
     return {(tuple(key[:-1]), key[-1]): rows for key, rows in zip(keys, np.split(order, cuts))}
+
+
+def _with_fresh_ids(ids: np.ndarray, stem: str, numbers: np.ndarray) -> np.ndarray:
+    """`ids`, then `numbers` under `stem` with "_" put before it until no id in
+    `ids` starts with it, so that a synthetic id never equals an original one."""
+    while np.char.startswith(ids, stem).any():
+        stem = "_" + stem
+    return np.concatenate([ids, np.char.add(stem, numbers)])
 
 
 def mix_pair(row_i: np.ndarray, row_j: np.ndarray, lam) -> np.ndarray:
@@ -86,18 +96,15 @@ def synthesize(train: Dataset, method: str, seed: int,
             j += j >= i  # uniform over the rows other than i
             lams[at] = rng.beta(beta_alpha, beta_beta, size=(deficit, n_modalities))
         parent_i[at], parent_j[at] = rows[i], rows[j]
-    prefix = f"syn-{method}-"
-    while np.char.startswith(train.sample_id, prefix).any():  # keep synthetic ids unique
-        prefix = "_" + prefix
     numbers = np.char.zfill(np.arange(1, n + 1).astype(str), 5)
     first_parent = np.concatenate([np.arange(train.n_samples), parent_i])  # an original is its own
     augmented = train.with_columns(
         (ModalityTable(t.modality_name, np.vstack(
             [t.samples, mix_pair(t.samples[parent_i], t.samples[parent_j], lams[:, [m]])]),
             t.column_meta) for m, t in enumerate(train.modalities)),
-        np.concatenate([train.sample_id, np.char.add(prefix, numbers)]),
+        _with_fresh_ids(train.sample_id, f"syn-{method}-", numbers),
         train.subject_id[first_parent] if method == "random_oversample"
-        else np.concatenate([train.subject_id, np.char.add("syn-subject-", numbers)]),
+        else _with_fresh_ids(train.subject_id, "syn-subject-", numbers),
         train.label[first_parent],  # parents come from the cell, so they carry its key
         train.attrs[first_parent],
     )

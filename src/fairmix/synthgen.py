@@ -92,49 +92,33 @@ class SynthSpec:
 
 def generate(spec: SynthSpec) -> Dataset:
     """Sample a dataset: subjects get attributes, sessions get labels and
-    class/group-conditional Gaussian features. Deterministic given seed."""
+    class/group-conditional Gaussian features. The draw order is the contract,
+    pinned by hash: one seeded generator draws the attributes subject-major,
+    one direction per modality, then per session its label and one noise
+    vector per modality. Rows are drawn into column arrays; offsets come after."""
     rng = seeded_rng(spec.seed)
-    attr_names = spec.attribute_names
-    props = dict(spec.attribute_props)
-    bias_attr = spec.resolved_bias_attribute
-
-    draws = [[rng.random() < props[a] for a in attr_names] for _ in range(spec.n_subjects)]
-    subj_attrs = np.array(draws, dtype=int)
-
+    attrs = (rng.random((spec.n_subjects, len(spec.attribute_props)))
+             < [share for _, share in spec.attribute_props]).astype(int)
     # one fixed unit direction per modality separates the two classes
-    directions = {}
-    for name, d in spec.modality_dims:
-        u = rng.normal(size=d)
-        directions[name] = u / np.linalg.norm(u)
-
-    labels = []
-    rows = {name: [] for name, _ in spec.modality_dims}
-    for majority in subj_attrs[:, attr_names.index(bias_attr)] == 1:
-        base_rate = spec.base_rate_majority if majority else spec.base_rate_minority
-        sep = spec.separation_majority if majority else spec.separation_minority
-        for _ in range(spec.sessions_per_subject):
-            label = int(rng.random() < base_rate)
-            labels.append(label)
-            offset = (sep / 2.0) * (1.0 if label == 1 else -1.0)
-            for name, d in spec.modality_dims:
-                x = rng.normal(scale=spec.noise_std, size=d)
-                rows[name].append(x + offset * spec.noise_std * directions[name])
-
-    modalities = tuple(
-        ModalityTable(
-            name,
-            np.array(rows[name]),
-            tuple(ColumnMeta(f"{name}_f{j}", "low") for j in range(d)),
-        )
-        for name, d in spec.modality_dims
-    )
+    directions = [u / np.linalg.norm(u) for u in (rng.normal(size=d) for _, d in spec.modality_dims)]
+    majority = np.repeat(attrs[:, spec.attribute_names.index(spec.resolved_bias_attribute)] == 1,
+                         spec.sessions_per_subject)
+    labels = np.empty(majority.size, int)
+    features = [np.empty((majority.size, d)) for _, d in spec.modality_dims]
+    for r, base_rate in enumerate(np.where(majority, spec.base_rate_majority, spec.base_rate_minority)):
+        labels[r] = rng.random() < base_rate
+        for X in features:
+            X[r] = rng.normal(scale=spec.noise_std, size=X.shape[1])
+    # each row sits separation / 2 noise stds along the direction, on its class's side
+    offsets = (np.where(majority, spec.separation_majority, spec.separation_minority) / 2.0
+               * np.where(labels == 1, 1.0, -1.0) * spec.noise_std)
+    for X, u in zip(features, directions):
+        X += offsets[:, None] * u
     subjects = [f"subj-{s:03d}" for s in range(spec.n_subjects)]
-    sessions = range(spec.sessions_per_subject)
     return Dataset(
-        modalities,
-        [f"{subject}-sess-{t}" for subject in subjects for t in sessions],
+        tuple(ModalityTable(name, X, tuple(ColumnMeta(f"{name}_f{j}", "low") for j in range(d)))
+              for (name, d), X in zip(spec.modality_dims, features)),
+        [f"{subject}-sess-{t}" for subject in subjects for t in range(spec.sessions_per_subject)],
         np.repeat(subjects, spec.sessions_per_subject),
-        labels,
-        np.repeat(subj_attrs, spec.sessions_per_subject, axis=0),
-        attr_names,
+        labels, np.repeat(attrs, spec.sessions_per_subject, axis=0), spec.attribute_names,
     )

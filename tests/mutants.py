@@ -27,7 +27,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # a declared-drift change re-pins these digests, so they do not count as kills
 GOLDEN = ("TestPinnedOutput", "TestBundledBytes", "TestGoldenFolds",
-          "TestPinnedAudits", "TestMlpGolden", "TestSmoGolden")
+          "TestPinnedAudits", "TestMlpGolden", "TestSmoGolden", "TestGeneratePinned")
 
 # name -> (module, old text, new text, the rule it breaks)
 MUTANTS = {
@@ -104,6 +104,20 @@ MUTANTS = {
         "dataset", "        if tmp is not None and os.path.exists(tmp):\n            os.unlink(tmp)",
         "        pass",
         "no temporary file outlives a failed write"),
+    "base_rates_swapped": (
+        "synthgen", "np.where(majority, spec.base_rate_majority, spec.base_rate_minority)",
+        "np.where(majority, spec.base_rate_minority, spec.base_rate_majority)",
+        "each group draws its labels at its own base rate"),
+    "offset_sign_by_group": (
+        "synthgen", "np.where(labels == 1, 1.0, -1.0)", "np.where(majority, 1.0, -1.0)",
+        "a row's class offset takes its sign from its label"),
+    "offset_without_noise_std": (
+        "synthgen", " * spec.noise_std)", ")",
+        "the class offset is measured in noise standard deviations"),
+    "attribute_shares_reversed": (
+        "synthgen", "[share for _, share in spec.attribute_props]",
+        "[share for _, share in spec.attribute_props][::-1]",
+        "each attribute is drawn at its own share"),
 }
 
 

@@ -121,11 +121,16 @@ class TestMixFeat:
         assert len(set(counts.values())) == 1  # all cells equal after balancing
 
     def test_synthetic_subject_ids_fresh(self):
-        ds = imbalanced_dataset()
-        out = augment_dataset(ds, "mixfeat", seed=4)
-        originals = set(ds.subject_id.tolist())
-        for m in out.meta[ds.n_samples:]:
-            assert m.subject_id not in originals
+        # a training subject named like the first synthetic one once shared its id
+        named_like_synthetic = make_dataset(
+            {"m": np.arange(6.0)[:, None]}, labels=[0, 1, 0, 1, 1, 1],
+            attrs=[[0], [0], [1], [1], [1], [1]],
+            subject_ids=["syn-subject-00001", "s1", "s2", "s3", "s4", "s5"])
+        for ds, seed in ((imbalanced_dataset(), 4), (named_like_synthetic, 0)):
+            out = augment_dataset(ds, "mixfeat", seed=seed)
+            originals = set(ds.subject_id.tolist())
+            for m in out.meta[ds.n_samples:]:
+                assert m.subject_id not in originals
 
     def test_per_modality_independent_lambdas(self):
         # two 1-feature modalities with distinct parent values: over many

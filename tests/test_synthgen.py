@@ -1,6 +1,8 @@
 import dataclasses
+import hashlib
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,14 +41,31 @@ class TestGenerate:
         gap = np.linalg.norm(X[y == 1].mean(axis=0) - X[y == 0].mean(axis=0))
         assert gap < 0.3  # class means coincide up to sampling noise
 
-    def test_separation_controls_class_gap(self):
-        spec = SynthSpec(n_subjects=200, sessions_per_subject=2,
-                         separation_majority=3.0, separation_minority=3.0, seed=4)
+    @pytest.mark.parametrize("noise_std", [1.0, 2.0])  # the gap is counted in noise stds
+    def test_separation_controls_class_gap(self, noise_std):
+        spec = SynthSpec(n_subjects=200, sessions_per_subject=2, separation_majority=3.0,
+                         separation_minority=3.0, noise_std=noise_std, seed=4)
         ds = generate(spec)
         X = ds.modality("face").samples
         y = ds.labels()
         gap = np.linalg.norm(X[y == 1].mean(axis=0) - X[y == 0].mean(axis=0))
-        assert 2.5 < gap < 3.5
+        assert 2.5 * noise_std < gap < 3.5 * noise_std
+
+    def test_each_group_draws_labels_at_its_base_rate(self):
+        spec = SynthSpec(n_subjects=400, sessions_per_subject=2,
+                         base_rate_majority=0.9, base_rate_minority=0.2, seed=6)
+        ds = generate(spec)
+        majority = ds.attribute_values("gender") == 1
+        y = ds.labels()
+        assert abs(y[majority].mean() - 0.9) < 0.06
+        assert abs(y[~majority].mean() - 0.2) < 0.06
+
+    def test_each_attribute_drawn_at_its_share(self):
+        spec = SynthSpec(n_subjects=400, sessions_per_subject=1,
+                         attribute_props=(("gender", 0.9), ("race", 0.2)), seed=7)
+        ds = generate(spec)
+        assert abs(ds.attribute_values("gender").mean() - 0.9) < 0.06
+        assert abs(ds.attribute_values("race").mean() - 0.2) < 0.06
 
     def test_marginal_fidelity_over_seeds(self):
         # realized majority share within 3 binomial standard errors
@@ -144,6 +163,60 @@ class TestGenerate:
         spec = SynthSpec(attribute_props=(("gender", 0.5), ("race", 0.5)), bias_attribute="race")
         assert spec.resolved_bias_attribute == "race"
         assert SynthSpec().resolved_bias_attribute == "gender"  # the first declared by default
+
+
+def draw_digest(ds):
+    """sha256 over each modality's samples, the labels, the attrs and both id
+    columns, each with its dtype and shape."""
+    h = hashlib.sha256()
+    for column in (*(t.samples for t in ds.modalities), ds.label, ds.attrs, ds.sample_id,
+                   ds.subject_id):
+        h.update(f"{column.dtype.str}{column.shape}".encode())
+        h.update(np.ascontiguousarray(column).tobytes())
+    return h.hexdigest()
+
+
+class TestGeneratePinned:
+    """generate's draw order is its contract: a change that draws one number
+    more, fewer or elsewhere moves these digests."""
+
+    SPECS = {
+        "default": SynthSpec(),
+        "criterion_7": SynthSpec(n_subjects=40, sessions_per_subject=4,
+                                 attribute_props=(("gender", 0.8),),
+                                 separation_majority=2.0, separation_minority=1.2, seed=3),
+        "two_attributes": SynthSpec(attribute_props=(("gender", 0.6), ("race", 0.3)),
+                                    bias_attribute="race", separation_majority=0.0,
+                                    noise_std=0.7, seed=5),
+        "one_session": SynthSpec(n_subjects=30, sessions_per_subject=1,
+                                 base_rate_majority=0.7, base_rate_minority=0.3, seed=9),
+    }
+    DIGESTS = {
+        "default": "e06a258490b0de90a921cfe96eefd2f04ed938e361bf541e7db916f35e28665a",
+        "criterion_7": "7f71b4036ad12a75b865731858e46c40c1c0c3449aee2a61beb4878cdd79b8a3",
+        "two_attributes": "a7ab892e5ba9d732ce79fee22304b784e6c01a2a01efd3819f3cb0b2a9feeebc",
+        "one_session": "b418b4818075c1a89a96d35099408f0dbcc6a47d9aed6facd3534dd39eafff31",
+    }
+
+    @pytest.mark.parametrize("name", SPECS)
+    def test_digest(self, name):
+        assert draw_digest(generate(self.SPECS[name])) == self.DIGESTS[name]
+
+
+def test_peak_memory_stays_near_the_feature_bytes():
+    # the wide_pca bench shape: the features are drawn into their arrays, so
+    # the peak is them plus one modality's offset product (1.5 times)
+    spec = SynthSpec(n_subjects=40, sessions_per_subject=4,
+                     modality_dims=(("face", 1000), ("audio", 1000)),
+                     attribute_props=(("gender", 0.75),),
+                     separation_majority=4.0, separation_minority=2.4)
+    tracemalloc.start()
+    try:
+        ds = generate(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.8 * sum(t.samples.nbytes for t in ds.modalities)
 
 
 REAL_FIELDS = [f.name for f in dataclasses.fields(SynthSpec) if type(f.default) is float]
