@@ -7,7 +7,7 @@ in brackets, the rule another module declares, by which its entry checks too):
 
     seed=<a non-negative integer>    (required)
     dataset.manifest=<path>          | dataset.synth=<synth spec path>   (exactly one)
-    modalities=<comma list of distinct names>   (all modalities in the dataset)
+    modalities=<comma list of one or more distinct names>   (all modalities in the dataset)
     features.level=all|high|low      (all) [preprocess.LEVEL]
     features.descriptors=<comma list of one or more descriptor names>   (no mask) [preprocess.DESCRIPTORS]
     pca.enabled=true|false           (true)
@@ -19,9 +19,8 @@ in brackets, the rule another module declares, by which its entry checks too):
     model.kind=rbf_svm|mlp|logistic  (rbf_svm) [models.KIND]
     fusion.strategy=early|vote_hard|vote_soft|stack_hard|stack_soft  (early) [fusion.STRATEGY]
     fusion.meta_kind=<model kind>    (logistic) [models.KIND]
-    cv.mode=kfold|loso               (kfold)
+    cv.mode=kfold|loso               (kfold: subject-grouped, label-stratified)
     cv.k=<an integer >= 2>           (5) [folds.K]
-    cv.grouped=true|false            (true: subject-grouped, label-stratified)
     output_dir=<path>                (.)
     model.<hyperparam>=<value>       (below; only hyperparameters of model.kind)
 
@@ -102,7 +101,7 @@ class PipelineConfig:
     ), report=None, path=True)
     modalities: Optional[tuple[str, ...]] = _key(
         "modalities",
-        names("distinct names", lambda v: len(set(v)) == len(v)),
+        names("one or more distinct names", lambda v: v and len(set(v)) == len(v)),
         report=_listed,
     )
     level: str = _key("features.level", LEVEL, "all")
@@ -121,7 +120,6 @@ class PipelineConfig:
     meta_kind: str = _key("fusion.meta_kind", KIND, "logistic")
     cv_mode: str = _key("cv.mode", one_of(("kfold", "loso")), "kfold")
     cv_k: int = _key("cv.k", K, 5)
-    cv_grouped: bool = _key("cv.grouped", _BOOL, True)
     output_dir: str = _key("output_dir", TEXT, ".", report=None, path=True)
 
     def __post_init__(self):

@@ -44,9 +44,7 @@ def make_folds(config: PipelineConfig, dataset: Dataset):
     """The folds of the configured rule, whose settings the config checked when built."""
     if config.cv_mode == "loso":
         return folds.loso_folds(dataset.subject_id)
-    if config.cv_grouped:
-        return folds.grouped_stratified_kfold(dataset.label, dataset.subject_id, config.cv_k, config.seed)
-    return folds.plain_kfold(dataset.n_samples, config.cv_k, config.seed)
+    return folds.grouped_stratified_kfold(dataset.label, dataset.subject_id, config.cv_k, config.seed)
 
 
 # ---------------------------------------------------------------------------

@@ -71,13 +71,3 @@ def grouped_stratified_kfold(labels, subject_ids, k, seed):
     fold_of = (stratified_positions(majority, seeded_rng(seed)) + earlier) % k
     return folds_of(fold_of[subject_of_row], k)
 
-
-def plain_kfold(n, k, seed):
-    """min(k, n) folds of a seeded shuffle of the rows, cut by array_split; ExperimentError below 2 rows."""
-    k = min(K.check("k", k), n)
-    if k < 2:
-        raise ExperimentError("plain k-fold needs at least 2 rows")
-    row_fold = np.empty(n, int)
-    for f, part in enumerate(np.array_split(seeded_rng(seed).permutation(n), k)):
-        row_fold[part] = f
-    return folds_of(row_fold, k)

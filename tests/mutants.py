@@ -62,6 +62,10 @@ MUTANTS = {
         "folds", "folds_of(fold_of[subject_of_row], k)",
         "folds_of((fold_of[subject_of_row] + np.arange(len(subject_of_row))) % k, k)",
         "grouped k-fold keeps each subject whole"),
+    "outer_folds_record_wise": (
+        "experiment", "dataset.label, dataset.subject_id, config.cv_k",
+        "dataset.label, dataset.sample_id, config.cv_k",
+        "outer folds keep each subject whole"),
     "ea_false_positives_only": (
         "metrics", "table[:, 0, 1] + table[:, 1, 0]", "table[:, 0, 1]",
         "EA compares the groups' error rates, false negatives included"),

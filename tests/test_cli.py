@@ -83,7 +83,6 @@ class TestConfig:
         "fusion.meta_kind": ("meta_kind", "mlp", "mlp"),
         "cv.mode": ("cv_mode", "loso", "loso"),
         "cv.k": ("cv_k", "3", 3),
-        "cv.grouped": ("cv_grouped", "false", False),
         "output_dir": ("output_dir", "out", "conf/out"),
     }
 
@@ -360,6 +359,11 @@ class TestConfigRejections:
         (["model.kind=mlp", "model.learning_rate=0"], None, "model.learning_rate"),
         (["model.kind=mlp", "model.batch_size=0"], None, "model.batch_size"),
         (["features.descriptors="], None, "features.descriptors"),  # an empty mask is not no mask
+        # an empty list once ran every modality and reported "modalities": null
+        (["modalities="], None, "modalities"),
+        (["modalities=,"], None, "modalities"),
+        # outer k-fold keeps each subject whole, with no key to split one
+        (["cv.grouped=true"], None, "unknown configuration keys: ['cv.grouped']"),
     ])
     def test_rejected_with_exit_2(self, command, overrides, env_seed, key, tmp_path,
                                   monkeypatch, capsys):
@@ -436,7 +440,7 @@ class TestConfigRejections:
         rc = main(["audit", "--config", str(workdir / "config.txt"),
                    "--set", "modalities=face,face", "--set", "fusion.strategy=stack_soft"])
         assert rc == 2
-        assert "modalities: expected distinct names, got 'face,face'" in capsys.readouterr().err
+        assert "modalities: expected one or more distinct names, got 'face,face'" in capsys.readouterr().err
 
 
 class TestSynthSpecRejections:
@@ -645,20 +649,20 @@ class TestOneSubjectExit4:
     """A one-subject dataset forms no fold: exit 4, and the first line of
     stderr names why."""
 
-    @pytest.mark.parametrize("sessions, settings, message", [
-        (3, ["cv.mode=kfold"], "grouped k-fold needs at least 2 subjects"),
+    @pytest.mark.parametrize("sessions, mode, message", [
+        (3, "kfold", "grouped k-fold needs at least 2 subjects"),
         # one subject once passed the fold rule as no folds, named by run_arms
-        (3, ["cv.mode=loso"], "leave-one-subject-out needs at least 2 subjects"),
-        # one row, which plain k-fold once cut into no fold without a word
-        (1, ["cv.mode=kfold", "cv.grouped=false"], "plain k-fold needs at least 2 rows"),
-    ], ids=["kfold", "loso", "plain_kfold_one_row"])
-    def test_audit(self, sessions, settings, message, workdir, capsys):
+        (3, "loso", "leave-one-subject-out needs at least 2 subjects"),
+        # one row: one subject, with a single label too
+        (1, "kfold", "grouped k-fold needs at least 2 subjects"),
+        (1, "loso", "leave-one-subject-out needs at least 2 subjects"),
+    ], ids=["kfold", "loso", "kfold_one_row", "loso_one_row"])
+    def test_audit(self, sessions, mode, message, workdir, capsys):
         spec = workdir / "synth.txt"
         spec.write_text(SYNTH_SPEC.replace("n_subjects=14", "n_subjects=1", 1)
                         .replace("sessions_per_subject=3", f"sessions_per_subject={sessions}", 1))
-        with pytest.warns(DegenerateGroupWarning) as warned:  # one row also has a single label
-            rc = main(["audit", "--config", str(workdir / "config.txt"),
-                       *(arg for setting in settings for arg in ("--set", setting))])
+        with pytest.warns(DegenerateGroupWarning) as warned:
+            rc = main(["audit", "--config", str(workdir / "config.txt"), "--set", f"cv.mode={mode}"])
         assert "attribute 'gender' has a single group" in [str(w.message) for w in warned]
         assert rc == 4
         assert capsys.readouterr().err.splitlines()[0] == f"experiment error: {message}"
@@ -769,7 +773,7 @@ class TestBundledBytes:
     DIGESTS = {
         "audit": {
             "predictions.csv": "2604a97c6b999e8652cebc4f6db86371b8d96b881ee63e7a4596019af252ef49",
-            "report.json": "e419158b28575ea509b50a7d74d060f7840ede402030a7ad915cd758906d03c0",
+            "report.json": "3082198d21bf43d45ce1a22fff0ce0efed7508535612d0370c9c94d9c0f77eb6",
             "report.md": "d0aadafececf26cb7c16e435d75c3292342dafb0146e1d1970c7dd31bcc1b237",
         },
         "compare": {
@@ -777,7 +781,7 @@ class TestBundledBytes:
             "predictions_none.csv": "2604a97c6b999e8652cebc4f6db86371b8d96b881ee63e7a4596019af252ef49",
             "predictions_random_oversample.csv":
                 "371d0645b81c3ecb9bc586aa5ee6681f7a6e7163eb1570f3ba7c40b95070ee7b",
-            "report.json": "2af37dfe32a183a8f2c61b89b84112bd9b7f49cf8220b1b5c10d8952474bffd1",
+            "report.json": "0558d53af37ca3be1ab2f6045f2c1bfb6152abbf0c55aa38e8249ebbcd317cc8",
             "report.md": "1d9fc2497d244a2e829fa6a3decf5060b78ab1b2a6fab647982f5cae6d6827c6",
         },
     }

@@ -17,7 +17,7 @@ from fairmix.cli import main
 from fairmix.config import PipelineConfig
 from fairmix.dataset import Dataset, ModalityTable, load_dataset, save_dataset
 from fairmix.errors import ExperimentError, FitError, InputError, SchemaError
-from fairmix.folds import grouped_stratified_kfold, internal, loso_folds, plain_kfold
+from fairmix.folds import grouped_stratified_kfold, internal, loso_folds
 from fairmix.fusion import FusionSpec, fit_stacking_meta
 from fairmix.metrics import PredictionRecord, PredictionSet
 from fairmix.models import PredictorSpec
@@ -88,29 +88,24 @@ class TestFolds:
                                  for _, test in grouped_stratified_kfold(labels, subjects, 5, trial)])
             assert (per_fold.max(axis=0) - per_fold.min(axis=0) <= 1).all(), trial
 
-    def test_plain_kfold_partitions(self):
-        for n, k in [(50, 5), (3, 5), (2, 2)]:
-            folds = plain_kfold(n, k, seed=1)
-            assert len(folds) == min(k, n)
-            assert all(len(train) and len(test) for train, test in folds)
-            seen = np.concatenate([test for _, test in folds])
-            assert sorted(seen) == list(range(n))
+    @pytest.mark.parametrize("subjects", [["a"], ["a", "a", "a"]], ids=["one_row", "one_subject"])
+    def test_grouped_kfold_refuses_one_subject(self, subjects):
+        with pytest.raises(ExperimentError, match=r"^grouped k-fold needs at least 2 subjects$"):
+            grouped_stratified_kfold([1] * len(subjects), subjects, 5, seed=0)
 
-    def test_plain_kfold_refuses_one_row(self):
-        # one row once gave no folds without a word
-        with pytest.raises(ExperimentError, match=r"^plain k-fold needs at least 2 rows$"):
-            plain_kfold(1, 5, seed=0)
-
-    def test_plain_kfold_cost_does_not_grow_with_k(self):
+    def test_grouped_kfold_cost_does_not_grow_with_k(self):
+        # k beyond the subject count is cut to it, before any per-fold work
+        labels = np.random.default_rng(3).integers(0, 2, 80)
+        subjects = [f"s{i // 2}" for i in range(80)]
         tracemalloc.start()
         try:
-            huge = plain_kfold(80, 200_000, seed=0)
+            huge = grouped_stratified_kfold(labels, subjects, 200_000, seed=0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 5 * 2**20
         assert [test.tolist() for _, test in huge] == [
-            test.tolist() for _, test in plain_kfold(80, 80, seed=0)
+            test.tolist() for _, test in grouped_stratified_kfold(labels, subjects, 40, seed=0)
         ]
 
     def test_fold_assignment_deterministic(self):
@@ -154,11 +149,6 @@ class TestGoldenFolds:
             [0, 1, 3, 4, 5, 9, 14, 15], [6, 7, 8, 12], [2, 10, 11, 13],
         ]
 
-    def test_plain_kfold(self):
-        assert [test.tolist() for _, test in plain_kfold(16, 3, seed=4)] == [
-            [0, 1, 2, 7, 10, 13], [4, 6, 8, 9, 15], [3, 5, 11, 12, 14],
-        ]
-
     def test_loso_folds(self):
         assert [test.tolist() for _, test in loso_folds(self.SUBJECTS)] == [
             [0, 1], [2], [3, 4, 5], [6], [7, 8], [9], [10, 11], [12], [13], [14, 15],
@@ -167,7 +157,6 @@ class TestGoldenFolds:
     @pytest.mark.parametrize("cv, rule, args", [
         ({"cv_mode": "loso"}, "loso_folds", (SUBJECTS,)),
         ({"cv_mode": "kfold"}, "grouped_stratified_kfold", (LABELS, SUBJECTS, 3, 4)),
-        ({"cv_mode": "kfold", "cv_grouped": False}, "plain_kfold", (16, 3, 4)),
     ])
     def test_make_folds_runs_the_configured_rule(self, cv, rule, args):
         ds = make_dataset({"m": np.zeros((16, 1))}, self.LABELS, np.zeros(16), self.SUBJECTS)
@@ -568,12 +557,12 @@ class TestPinnedAudits:
                  attribute_props=(("gender", 0.75), ("race", 0.7))),
             dict(model_kind="mlp", fusion_strategy="stack_soft",
                  model_hyperparams={"epochs": 40}),
-            "2c9c5816d1eb6d957d3fd27ba694ce582a0ae8970667f63f7abbaef7c7378a24"),
+            "84f3ed47d31a03694358b44abe89b10f2773d990849e5ffb0f339dc214f4b1e6"),
         "svm_debias": (
             dict(n_subjects=40, sessions_per_subject=2, attribute_props=(("gender", 0.8),),
                  separation_majority=2.0, separation_minority=1.2),
             dict(model_kind="rbf_svm", fusion_strategy="early"),
-            "c07a04caa1713b0face69147b0e6c56c71ef5bbeb1d30958a22ab536dcf501f1"),
+            "2294afd67d99d008242e474c3b2b5b0d76635362ab275c1d8d42353389a23bde"),
     }
 
     @pytest.mark.parametrize("shape", sorted(SHAPES))

@@ -24,11 +24,10 @@ OVERRIDES = {
     "seed": ["0", "7", "-1", "x", "1.5"],
     "cv.mode": ["kfold", "loso", "bootstrap"],
     "cv.k": ["2", "3", "1", "0", "500"],
-    "cv.grouped": ["true", "false", "maybe"],
     "augment.method": ["none", "random_oversample", "mixfeat", "smote"],
     "augment.beta_alpha": ["0.5", "0", "-1", "nan", "inf", "1e300"],
     "augment.seed": ["3", "-2"],
-    "pca.enabled": ["true", "false"],
+    "pca.enabled": ["true", "false", "maybe"],
     "pca.target_ratio": ["0.5", "1", "0", "1.5", "nan", "1e-300"],
     "fusion.strategy": ["early", "vote_hard", "vote_soft", "stack_hard", "stack_soft", "median"],
     "fusion.meta_kind": ["logistic", "svm"],

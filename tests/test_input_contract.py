@@ -262,7 +262,6 @@ SEED_ENTRIES = {
     "folds.internal": lambda seed: folds.internal(SMALL.label, 3, seed),
     "folds.grouped_stratified_kfold":
         lambda seed: folds.grouped_stratified_kfold(SMALL.label, SMALL.subject_id, 3, seed),
-    "folds.plain_kfold": lambda seed: folds.plain_kfold(SMALL.n_samples, 3, seed),
     "run_experiment[seed]":
         lambda seed: run_experiment(PipelineConfig(seed=seed, model_kind="logistic"), SMALL),
     "run_experiment[augment_seed]": lambda seed: run_experiment(
@@ -290,21 +289,19 @@ def test_numpy_integer_seed_draws_as_int():
 
 @pytest.mark.parametrize("fields, message", [
     ({"cv_mode": "LOSO"}, "cv.mode: expected one of ('kfold', 'loso'), got 'LOSO'"),
-    ({"cv_k": 0, "cv_grouped": False}, "cv.k: expected an integer >= 2, got 0"),
     ({"cv_k": 0}, "cv.k: expected an integer >= 2, got 0"),
     ({"cv_k": 1}, "cv.k: expected an integer >= 2, got 1"),
     ({"cv_k": 2.5}, "cv.k: expected an integer >= 2, got 2.5"),
     ({"cv_k": True}, "cv.k: expected an integer >= 2, got True"),
     ({"cv_k": 1, "cv_mode": "loso"}, "cv.k: expected an integer >= 2, got 1"),
-    # a non-empty string is truthy, so "no" ran grouped folds
-    ({"cv_grouped": "no"}, "cv.grouped: expected true/false, got 'no'"),
-    ({"cv_grouped": 0}, "cv.grouped: expected true/false, got 0"),
+    # a non-empty string is truthy, so "no" would switch PCA on
+    ({"pca_enabled": "no"}, "pca.enabled: expected true/false, got 'no'"),
+    ({"pca_enabled": 0}, "pca.enabled: expected true/false, got 0"),
 ])
 @pytest.mark.parametrize("call", [make_folds, run_experiment])
 def test_cv_settings_the_parser_refuses(call, fields, message):
-    # cv_mode "LOSO" ran grouped 5-fold and reported "mode": "LOSO"; cv_k 0
-    # ungrouped ended in numpy's ValueError, and 0 or 1 grouped in "grouped
-    # k-fold needs at least 2 subjects"
+    # cv_mode "LOSO" ran grouped 5-fold and reported "mode": "LOSO", and
+    # cv_k 0 or 1 ended in "grouped k-fold needs at least 2 subjects"
     # (a PipelineConfig now refuses each when it is built)
     with pytest.raises(InputError, match=rf"^{re.escape(message)}$"):
         call(PipelineConfig(model_kind="logistic", **fields), SMALL)
@@ -446,9 +443,11 @@ OWNED = {
     "grouped_stratified_kfold[k]": (
         folds.K, lambda v: folds.grouped_stratified_kfold(SMALL.label, SMALL.subject_id, v, 0), "k",
         ("cv.k",), ("3", 1, 0, 2.5)),
-    # 0 ended in numpy's ValueError ("number sections must be larger than 0.")
-    "plain_kfold[k]": (folds.K, lambda v: folds.plain_kfold(SMALL.n_samples, v, 0), "k", ("cv.k",),
-                       (0, 1, -2)),
+    "fit_pca[target_ratio]": (preprocess.TARGET_RATIO, lambda v: fit_pca(TRAIN, v), "target_ratio",
+                              ("pca.target_ratio",), (0.0, 1.5, np.nan)),
+    "augment_dataset[beta_alpha]": (
+        errors.POSITIVE, lambda v: augment_dataset(SMALL, "mixfeat", 0, v), "beta_alpha",
+        ("augment.beta_alpha", "augment.beta_beta"), (0, -1, np.inf)),
     # a string such as "logistic" was built, and fitting it raised AttributeError
     **{f"FusionSpec[{arg}]": (models.SPEC, call, arg, (), ("logistic", {"kind": "mlp"}))
        for arg, call in (("base_model", lambda v: FusionSpec("early", v)),
@@ -545,13 +544,15 @@ REFUSALS = {
     "FusionSpec[strategy]": (lambda d: FusionSpec("median", PredictorSpec("logistic")), InputError,
                              "strategy: expected one of ('early', 'vote_hard', 'vote_soft', "
                              "'stack_hard', 'stack_soft'), got 'median'"),
-    # no rows ended in numpy's ValueError ("number sections must be larger than 0."),
-    # and one row gave no folds without a word
-    **{f"plain_kfold[n={n}]": (lambda d, n=n: folds.plain_kfold(n, 2, 0), ExperimentError,
-                               "plain k-fold needs at least 2 rows") for n in (0, 1)},
     # one subject gave no folds, and run_arms named it "no folds could be formed"
     "loso_folds[one subject]": (lambda d: folds.loso_folds(["a", "a"]), ExperimentError,
                                 "leave-one-subject-out needs at least 2 subjects"),
+    "loso_folds[n=0]": (lambda d: folds.loso_folds([]), ExperimentError,
+                        "leave-one-subject-out needs at least 2 subjects"),
+    # no rows and one row are no subjects and one, however large k is
+    **{f"grouped_stratified_kfold[n={n}]": (
+        lambda d, n=n: folds.grouped_stratified_kfold([1] * n, ["a"] * n, 2, 0), ExperimentError,
+        "grouped k-fold needs at least 2 subjects") for n in (0, 1)},
     "early_fuse[none]": (lambda d: early_fuse([]), InputError, "no modalities to fuse"),
     "fit_fusion[none]": (lambda d: fit_fusion(STACK, [], SMALL.label), InputError,
                          "no modalities given"),

@@ -42,16 +42,16 @@ def synth_mlp_stack():
     return cfg, generate(spec)
 
 
-def synth_svm_vote_ungrouped():
+def synth_svm_vote():
     spec = SynthSpec(n_subjects=10, sessions_per_subject=4, seed=42,
                      separation_majority=3.0, separation_minority=1.0)
     cfg = PipelineConfig(seed=9, model_kind="rbf_svm", fusion_strategy="vote_hard",
-                         cv_grouped=False, augment_seed=13)
+                         augment_seed=13)
     return cfg, generate(spec)
 
 
 CASES = {"bundled": bundled, "synth_mlp_stack": synth_mlp_stack,
-         "synth_svm_vote_ungrouped": synth_svm_vote_ungrouped}
+         "synth_svm_vote": synth_svm_vote}
 
 
 def run(cfg, ds):
